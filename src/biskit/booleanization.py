@@ -194,21 +194,20 @@ def _is_filter(s, subset):
     return True
 
 
-FILTER_SCAN_CAP = 12
+FILTER_SCAN_CAP = 12  # law universal-groupoid scans all 2^k subsets up to here
 
 
 @dataclass(frozen=True)
 class FilterReport:
     proper: tuple  # of Filter
     ultra: tuple  # of Filter, the maximal proper ones
-    all_principal: bool
 
 
 def enumerate_filters(s):
     """All proper filters of s; in a finite table each is an up-set x-up.
 
-    For carriers up to 12 the principal list is double-checked against a
-    raw scan of every subset.
+    Law universal-groupoid checks this list against a raw scan of every
+    subset, for carriers up to FILTER_SCAN_CAP.
     """
     nonzero = [x for x in range(s.size) if x != s.zero]
     proper = []
@@ -218,36 +217,15 @@ def enumerate_filters(s):
         if s.zero is not None:
             assert s.zero not in carrier
         proper.append(Filter(carrier, x))
-    if s.size <= FILTER_SCAN_CAP:
-        found = set()
-        ids = list(range(s.size))
-        for m in range(1, 1 << s.size):
-            subset = frozenset(i for i in ids if m >> i & 1)
-            if s.zero is not None and s.zero in subset:
-                continue
-            if _is_filter(s, subset):
-                found.add(subset)
-        assert found == {f.carrier for f in proper}, (
-            "every proper filter must be principal"
-        )
     minimal = [
         x for x in nonzero if all(not s.leq[y][x] for y in nonzero if y != x)
     ]
     ultra = tuple(f for f in proper if f.principal_at in set(minimal))
-    return FilterReport(tuple(proper), ultra, True)
+    return FilterReport(tuple(proper), ultra)
 
 
-def _filter_d(s, carrier):
-    """Up-closure of inverse(y)*z over the filter; a filter again."""
-    seed = {s.table[s.inv[y]][z] for y in carrier for z in carrier}
-    out = set()
-    for x in seed:
-        out.update(s.up[x])
-    return frozenset(out)
-
-
-def _filter_r(s, carrier):
-    seed = {s.table[y][s.inv[z]] for y in carrier for z in carrier}
+def _up_closure(s, seed):
+    """The up-set generated by the ids in seed."""
     out = set()
     for x in seed:
         out.update(s.up[x])
@@ -260,18 +238,16 @@ def filter_groupoid(s, filters):
     """
     carriers = [f.carrier for f in filters]
     index = {c: i for i, c in enumerate(carriers)}
+    t, inv = s.table, s.inv
+    doms = [_up_closure(s, {t[inv[y]][z] for y in a for z in a}) for a in carriers]
+    rans = [_up_closure(s, {t[y][inv[z]] for y in b for z in b}) for b in carriers]
     m = len(filters)
     ptable = [[None] * m for _ in range(m)]
     for i, a in enumerate(carriers):
-        da = _filter_d(s, a)
         for j, b in enumerate(carriers):
-            if da != _filter_r(s, b):
+            if doms[i] != rans[j]:
                 continue
-            seed = {s.table[x][y] for x in a for y in b}
-            out = set()
-            for x in seed:
-                out.update(s.up[x])
-            prod = frozenset(out)
+            prod = _up_closure(s, {t[x][y] for x in a for y in b})
             assert prod in index, "filter product must be a listed filter"
             ptable[i][j] = index[prod]
     return Gpd(ptable, labels=tuple(f.principal_at for f in filters))

@@ -14,14 +14,9 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .boolean import check_boolean, is_simple, is_zero_simplifying
+from .boolean import check_boolean
 from .booleanization import booleanize, booleanization_iso
-from .core import (
-    DEFAULT_SIZE_CAP,
-    is_fundamental,
-    parse_semigroup,
-    semigroup_iso,
-)
+from .core import DEFAULT_SIZE_CAP, parse_semigroup, semigroup_iso
 from .corpus import (
     GROUPOID_BUILDERS,
     SEMIGROUP_BUILDERS,
@@ -29,8 +24,8 @@ from .corpus import (
     corpus_semigroup,
 )
 from .errors import BiskitError
-from .groupoid import group_name, parse_groupoid
-from .laws import run_laws
+from .groupoid import parse_groupoid
+from .laws import Analysis, run_laws
 from .rook import decompose
 from .typemon import type_monoid
 
@@ -67,13 +62,20 @@ def _listify(x):
 
 
 def build_report(s, timings=None):
-    """Run the full analysis pipeline over a validated structure."""
-    t0 = time.perf_counter()
-    marks = {}
+    """Read one Analysis of a validated structure into a Report.
 
-    def mark(name):
+    With a timings dict, each stage's duration in seconds is added to it
+    under the stage's name.
+    """
+    a = Analysis(s)
+    last = time.perf_counter()
+
+    def mark(stage):
+        nonlocal last
+        now = time.perf_counter()
         if timings is not None:
-            marks[name] = round(time.perf_counter() - t0, 6)
+            timings[stage] = round(now - last, 6)
+        last = now
 
     rep = Report(
         validity=True,
@@ -81,26 +83,24 @@ def build_report(s, timings=None):
         idempotent_count=len(s.idempotents),
         atom_count=len(s.atoms) if s.zero is not None else None,
     )
-    chk = check_boolean(s) if s.zero is not None else None
+    chk = a.check
     rep.boolean = bool(chk.boolean) if chk else False
     if chk and not chk.boolean:
         rep.boolean_failure = _listify(chk.failure)
     mark("check_boolean")
-    if chk and chk.boolean:
-        bs = chk.structure
-        rep.fundamental = is_fundamental(s).fundamental
-        rep.zero_simplifying = is_zero_simplifying(bs).holds
-        rep.simple = is_simple(bs)
+    if a.bs is not None:
+        rep.fundamental = a.fundamental
+        rep.zero_simplifying = a.zero_simplifying
+        rep.simple = a.zero_simplifying and a.fundamental
         mark("ideals")
-        if bs.top is not None:
-            cert = decompose(bs)
-            rep.decomposition_signature = _listify(cert.signature)
-            tm = type_monoid(bs)
-            rep.type_monoid_rank = tm.rank
-            rep.tau = [[e, list(tm.tau[e])] for e in sorted(tm.tau)]
-            mark("decompose_and_type")
+        if a.bs.top is not None:
+            rep.decomposition_signature = _listify(a.decomposition.signature)
+            mark("decompose")
+            rep.type_monoid_rank = a.tm.rank
+            rep.tau = [[e, list(a.tm.tau[e])] for e in sorted(a.tm.tau)]
+            mark("type_monoid")
     if timings is not None:
-        rep.timings = marks
+        rep.timings = timings
     return rep
 
 
@@ -123,13 +123,17 @@ def _size_cap():
 
 
 def cmd_analyze(args):
+    start = time.perf_counter()
     try:
         s = _read_semigroup(args.path)
     except (BiskitError, OSError) as e:
         rep = Report(validity=False, error=f"{type(e).__name__}: {e}")
         print_report(rep, args.format)
         return 1
-    rep = build_report(s, timings={} if args.timings else None)
+    timings = None
+    if args.timings:
+        timings = {"parse_validate": round(time.perf_counter() - start, 6)}
+    rep = build_report(s, timings)
     print_report(rep, args.format)
     return 0
 

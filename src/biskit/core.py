@@ -76,20 +76,6 @@ def _parse_table(text, allow_undefined):
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class OrderRel:
-    """The natural partial order: a <= b iff a = b * (a' * a)."""
-
-    size: int
-    leq: tuple  # leq[a][b] is True iff a <= b
-
-    def below(self, a):
-        return tuple(x for x in range(self.size) if self.leq[x][a])
-
-    def above(self, a):
-        return tuple(x for x in range(self.size) if self.leq[a][x])
-
-
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1."""
 
@@ -178,10 +164,6 @@ class InvSgp:
         return tuple(x for x in range(self.size) if x != self.zero)
 
     @cached_property
-    def order(self):
-        return OrderRel(self.size, self.leq)
-
-    @cached_property
     def compat(self):
         """compat[a][b]: both a'*b and a*b' are idempotent."""
         k, t, inv = self.size, self.table, self.inv
@@ -250,15 +232,6 @@ def parse_semigroup(text):
     return InvSgp(_parse_table(text, allow_undefined=False))
 
 
-def from_table(table):
-    return InvSgp(table)
-
-
-def natural_order(s):
-    """The natural partial order of s, cached on the structure."""
-    return s.order
-
-
 def adjoin_zero(s):
     """Return s with a fresh absorbing zero appended as id k.
 
@@ -284,8 +257,8 @@ class Relations:
 def relations(s, a, b):
     """Compatibility, orthogonality, meet and join of the pair (a, b).
 
-    Orthogonality is None for a zero-free structure; use orthogonal() to get
-    the NoZero error instead.
+    Orthogonality is None for a zero-free structure; s.orth raises NoZero
+    there instead.
     """
     orth = s.orth[a][b] if s.zero is not None else None
     return Relations(
@@ -296,21 +269,13 @@ def relations(s, a, b):
     )
 
 
-def orthogonal(s, a, b):
-    """a' * b = a * b' = 0.  Raises NoZero on a zero-free structure."""
-    return s.orth[a][b]
+def _dr_classes(nodes, d, r):
+    """Classes of nodes joined by some x with d[x] and r[x] in the class.
 
-
-def atoms(s):
-    """Ids covering only the zero.  Raises NoZero if there is no zero."""
-    if s.zero is None:
-        raise NoZero("atoms need a zero")
-    return s.atoms
-
-
-def d_relation_idempotents(s):
-    """Partition idempotents into classes joined by some x with d(x), r(x) there."""
-    parent = {e: e for e in s.idempotents}
+    Union-find over the pairs (d[x], r[x]); each class comes back ascending,
+    and the classes in order of their least member.
+    """
+    parent = {e: e for e in nodes}
 
     def find(e):
         while parent[e] != e:
@@ -318,16 +283,19 @@ def d_relation_idempotents(s):
             e = parent[e]
         return e
 
-    for x in range(s.size):
-        a, b = find(s.d[x]), find(s.r[x])
+    for dx, rx in zip(d, r):
+        a, b = find(dx), find(rx)
         if a != b:
             parent[a] = b
     groups = {}
-    for e in s.idempotents:
+    for e in nodes:
         groups.setdefault(find(e), []).append(e)
-    return tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(g))
-    )
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def d_relation_idempotents(s):
+    """Partition idempotents into classes joined by some x with d(x), r(x) there."""
+    return tuple(frozenset(c) for c in _dr_classes(s.idempotents, s.d, s.r))
 
 
 def restricted_groupoid(s):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import _parse_table
+from .core import _dr_classes, _parse_table
 from .errors import NotAGroup, NotGroupoid, Undecided
 
 
@@ -122,25 +122,8 @@ def _local_group(g, e):
 
 def component_form(g):
     """Split g into connected components with one local group each."""
-    parent = {e: e for e in g.identities}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for x in range(g.size):
-        a, b = find(g.d[x]), find(g.r[x])
-        if a != b:
-            parent[a] = b
-
-    groups = {}
-    for e in g.identities:
-        groups.setdefault(find(e), []).append(e)
     comps = []
-    for ids in sorted(groups.values(), key=min):
-        ids = tuple(sorted(ids))
+    for ids in _dr_classes(g.identities, g.d, g.r):
         members = tuple(
             sorted(x for x in range(g.size) if g.d[x] in set(ids))
         )

@@ -26,9 +26,11 @@ from .boolean import (
     is_zero_simplifying,
     k_of_groupoid,
     orthogonalize,
-    theta_iso,
+    preceq,
 )
 from .booleanization import (
+    FILTER_SCAN_CAP,
+    _is_filter,
     booleanize,
     enumerate_filters,
     filter_groupoid,
@@ -76,25 +78,31 @@ class LawResult:
     note: str | None = None
 
 
-class SgpContext:
-    """One structure with its derived data, shared across laws."""
+class Analysis:
+    """One structure and the results derived from it, each computed once.
+
+    cli.build_report and every law read these properties instead of calling
+    the builders again.  Only results more than one reader needs are kept.
+    """
 
     def __init__(self, s):
         if isinstance(s, BoolInvSgp):
-            self.s = s.base
-            self._bs = s
+            self.s, self.bs = s.base, s
         else:
             self.s = s
-            self._bs = None
+
+    @cached_property
+    def check(self):
+        """check_boolean's verdict, or None without a zero."""
+        return check_boolean(self.s) if self.s.zero is not None else None
 
     @cached_property
     def bs(self):
-        if self._bs is not None:
-            return self._bs
-        if self.s.zero is None:
-            return None
-        rep = check_boolean(self.s)
-        return rep.structure if rep.boolean else None
+        return self.check.structure if self.check else None
+
+    @cached_property
+    def fundamental(self):
+        return is_fundamental(self.s).fundamental
 
     @cached_property
     def atom_set(self):
@@ -103,6 +111,10 @@ class SgpContext:
     @cached_property
     def ideals(self):
         return enumerate_additive_ideals(self.bs)
+
+    @cached_property
+    def zero_simplifying(self):
+        return is_zero_simplifying(self.bs, self.ideals).holds
 
     @cached_property
     def eps_reports(self):
@@ -115,6 +127,10 @@ class SgpContext:
     @cached_property
     def tm(self):
         return type_monoid(self.bs)
+
+    @cached_property
+    def triple(self):
+        return ideal_triple(self.bs, self.tm, self.ideals)
 
     @cached_property
     def decomposition(self):
@@ -222,8 +238,19 @@ def law_mu_separating(c):
 
 
 def law_universal_groupoid(c):
-    if not c.filters.all_principal:
-        return ("non-principal-filter",)
+    """Every proper filter is principal: a raw scan of all 2^k subsets for
+    a filter missing from enumerate_filters, which is the witness."""
+    s = c.s
+    if s.size > FILTER_SCAN_CAP:
+        raise _Skip(
+            f"raw subset scan capped at FILTER_SCAN_CAP={FILTER_SCAN_CAP}, "
+            f"carrier has {s.size} elements"
+        )
+    principal = {f.carrier for f in c.filters.proper}
+    for m in range(1, 1 << s.size):
+        subset = frozenset(i for i in range(s.size) if m >> i & 1)
+        if s.zero not in subset and subset not in principal and _is_filter(s, subset):
+            return (tuple(sorted(subset)),)
     return None
 
 
@@ -487,8 +514,24 @@ def law_smallest(c):
 
 
 def law_toby(c):
-    is_zero_simplifying(c.bs)  # asserts pencils match ideal enumeration
-    return None
+    """0-simplifying, as decided from the ideals, agrees with pencil
+    domination: every nonzero idempotent e lies in the least additive ideal
+    around every nonzero idempotent f.
+
+    The one-element structure is exempt: domination is vacuous there, yet
+    {0} is both trivial ideals.  On disagreement the witness is (e, f): the
+    first pair not dominated when the ideals say 0-simplifying, or the last
+    pair scanned when every pair is dominated although they say it is not.
+    """
+    s = c.s
+    if s.size == 1:
+        return None
+    nonzero = [e for e in s.idempotents if e != s.zero]
+    for e in nonzero:
+        for f in nonzero:
+            if not preceq(c.bs, e, f).holds:
+                return (e, f) if c.zero_simplifying else None
+    return None if c.zero_simplifying else (e, f)
 
 
 def _is_additive_congruence(s, cls):
@@ -620,7 +663,7 @@ def law_ale(c):
 
 
 def law_main_finite(c):
-    cert = theta_iso(c.bs)
+    cert = c.decomposition.theta
     if not cert.verified or cert.target.structure.size != c.bs.size:
         return ("theta-unverified",)
     return None
@@ -639,10 +682,9 @@ def law_finite(c):
 
 
 def law_finite_stuff(c):
-    fund = is_fundamental(c.s).fundamental
     trivial_groups = all(h == 1 for (_n, h, _name) in c.decomposition.signature)
-    if fund != trivial_groups:
-        return (fund, c.decomposition.signature)
+    if c.fundamental != trivial_groups:
+        return (c.fundamental, c.decomposition.signature)
     return None
 
 
@@ -660,16 +702,14 @@ def law_discrete_topology(c):
 
 
 def law_order_isomorphisms(c):
-    trip = ideal_triple(c.bs, c.tm)
-    if not trip.matched:
+    if not c.triple.matched:
         return ("ideal-posets-differ",)
     return None
 
 
 def law_rain(c):
-    trip = ideal_triple(c.bs, c.tm)
-    if not trip.simple_iff_rank_one:
-        return (c.tm.rank, len(trip.additive_ideals))
+    if not c.triple.simple_iff_rank_one:
+        return (c.tm.rank, len(c.triple.additive_ideals))
     return None
 
 
@@ -685,7 +725,7 @@ def law_type_monoid_basics(c):
 
 
 def law_type_fundamental(c):
-    if not mu_type_invariance(c.bs):
+    if not mu_type_invariance(c.bs, c.tm, c.mu):
         return ("mu-invariance",)
     return None
 
@@ -870,7 +910,7 @@ def run_laws(obj, keys=None):
         table = GROUPOID_LAWS
         applies = lambda kind: (True, None)  # noqa: E731
     else:
-        ctx = SgpContext(obj)
+        ctx = Analysis(obj)
         table = SEMIGROUP_LAWS
         applies = lambda kind: _applicable(kind, ctx)  # noqa: E731
     for key, kind, fn in table:

@@ -12,15 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boolean import BoolInvSgp, check_boolean, direct_product, theta_iso
+from .boolean import BoolInvSgp, ThetaIso, check_boolean, direct_product, theta_iso
 from .core import InvSgp
 from .errors import DimensionMismatch, NotAGroup, NotMonoid, TooLarge
-from .groupoid import (
-    canonical_group_key,
-    component_form,
-    coordinatize,
-    group_name,
-)
+from .groupoid import canonical_group_key, coordinatize, group_name
 
 
 @dataclass(frozen=True)
@@ -189,6 +184,7 @@ class DecompositionCertificate:
     product: BoolInvSgp
     iso: tuple  # source id -> product id, fully table-checked
     verified: bool
+    theta: ThetaIso  # the verified atom duality the iso runs through
 
 
 def decompose(bs):
@@ -259,4 +255,5 @@ def decompose(bs):
         product=product,
         iso=tuple(iso),
         verified=verified,
+        theta=theta,
     )

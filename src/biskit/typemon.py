@@ -13,7 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .boolean import as_boolean, direct_product, atoms_groupoid
+from .boolean import (
+    as_boolean,
+    atoms_groupoid,
+    direct_product,
+    enumerate_additive_ideals,
+    idempotent_ideals,
+)
 from .core import d_relation_idempotents, mu_and_quotient
 from .errors import TooLarge
 from .groupoid import component_form
@@ -124,34 +130,16 @@ class IdealTriple:
     simple_iff_rank_one: bool
 
 
-def ideal_triple(bs, tm=None):
-    from .boolean import enumerate_additive_ideals, is_zero_simplifying
-
+def ideal_triple(bs, tm=None, ideals=None):
+    """Match the three ideal posets of bs; tm and ideals are computed here
+    unless passed in."""
     bs = as_boolean(bs)
     s = bs.base
     if tm is None:
         tm = type_monoid(bs)
-    idem = s.idempotents
-
-    idem_ideals = []
-    for bits in itertools.product((False, True), repeat=len(idem)):
-        fset = frozenset(e for e, b in zip(idem, bits) if b)
-        if s.zero not in fset:
-            continue
-        if any(s.leq[e2][e] and e2 not in fset for e in fset for e2 in idem):
-            continue
-        if any(s.join_table[e][f] not in fset for e in fset for f in fset):
-            continue
-        if any(
-            s.table[s.table[s.inv[a]][e]][a] not in fset
-            for e in fset
-            for a in range(s.size)
-        ):
-            continue
-        idem_ideals.append(fset)
-    idem_ideals.sort(key=lambda f: (len(f), sorted(f)))
-
-    ideals = enumerate_additive_ideals(bs)
+    if ideals is None:
+        ideals = enumerate_additive_ideals(bs)
+    idem_ideals = idempotent_ideals(s)
     supports = sorted(
         (frozenset(t) for r in range(tm.rank + 1)
          for t in itertools.combinations(range(tm.rank), r)),
@@ -162,11 +150,10 @@ def ideal_triple(bs, tm=None):
     if matched:
         to_idem = {i.carrier: frozenset(x for x in i.carrier if s.is_idempotent(x))
                    for i in ideals}
-        matched = sorted(to_idem.values(), key=lambda f: (len(f), sorted(f))) == [
-            frozenset(f) for f in idem_ideals
-        ]
+        matched = (
+            sorted(to_idem.values(), key=lambda f: (len(f), sorted(f))) == idem_ideals
+        )
     if matched:
-        back = {}
         for i in ideals:
             induced = frozenset(x for x in range(s.size)
                                 if s.d[x] in to_idem[i.carrier])
@@ -194,8 +181,7 @@ def ideal_triple(bs, tm=None):
                         matched = False
                         break
 
-    zs = is_zero_simplifying(bs).holds
-    simple_iff = (tm.rank == 1) == zs == (len(ideals) == 2)
+    simple_iff = (tm.rank == 1) == (len(ideals) == 2)
     return IdealTriple(
         tuple(idem_ideals), ideals, tuple(supports), matched, simple_iff
     )
@@ -437,12 +423,17 @@ def product_type_check(bs, bt):
     return True
 
 
-def mu_type_invariance(bs):
-    """The type data survives the maximum idempotent-separating quotient."""
+def mu_type_invariance(bs, tm=None, mu=None):
+    """The type data survives the maximum idempotent-separating quotient.
+
+    tm and mu (the type monoid and mu_and_quotient of bs) are computed here
+    unless passed in.
+    """
     bs = as_boolean(bs)
-    rep = mu_and_quotient(bs.base)
+    rep = mu if mu is not None else mu_and_quotient(bs.base)
     q = as_boolean(rep.quotient)
-    tm_s, tm_q = type_monoid(bs), type_monoid(q)
+    tm_s = tm if tm is not None else type_monoid(bs)
+    tm_q = type_monoid(q)
     if tm_s.rank != tm_q.rank:
         return False
     proj = rep.projection

@@ -19,7 +19,6 @@ from biskit.boolean import (
     Morphism,
     orthogonalize,
     preceq,
-    relative_complement,
     theta_iso,
 )
 from biskit.core import mu_and_quotient
@@ -68,7 +67,7 @@ def test_relative_complement_atom_oracle():
             for y in range(s.size):
                 if not s.leq[y][x]:
                     continue
-                z = relative_complement(bs, x, y)
+                z = bs.rc(x, y)
                 below = lambda w: {a for a in atoms if s.leq[a][w]}
                 assert below(z) == below(x) - below(y)
                 assert bs.join(z, y) == x

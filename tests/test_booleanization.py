@@ -4,6 +4,7 @@ import pytest
 
 from biskit.boolean import check_boolean, check_multiplicative
 from biskit.booleanization import (
+    FILTER_SCAN_CAP,
     booleanization_iso,
     booleanize,
     enumerate_filters,
@@ -14,6 +15,7 @@ from biskit.booleanization import (
 from biskit.core import semigroup_iso
 from biskit.corpus import corpus_semigroup
 from biskit.groupoid import groupoid_iso
+from biskit.laws import run_laws
 
 
 def test_booleanization_sizes():
@@ -66,7 +68,9 @@ def test_filters_chain3():
         frozenset({1, 2}),
     }
     assert [f.principal_at for f in fr.ultra] == [1]
-    assert fr.all_principal
+    assert s.size <= FILTER_SCAN_CAP
+    [law] = run_laws(s, keys=("universal-groupoid",))
+    assert law.status == "pass"
 
 
 def test_filters_of_a_group_are_everything_upward():

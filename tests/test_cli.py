@@ -3,10 +3,12 @@ import os
 
 import pytest
 
-from biskit.boolean import check_boolean
-from biskit.cli import Report, main
-from biskit.core import parse_semigroup
-from biskit.corpus import corpus_text
+from biskit.boolean import check_boolean, is_simple, is_zero_simplifying
+from biskit.cli import Report, build_report, main
+from biskit.core import is_fundamental, parse_semigroup
+from biskit.corpus import SEMIGROUP_BUILDERS, corpus_semigroup, corpus_text
+from biskit.rook import decompose
+from biskit.typemon import type_monoid
 
 
 @pytest.fixture
@@ -66,6 +68,37 @@ def test_analyze_timings_flag(data, capsys):
     assert main(["analyze", data("i2.ist"), "--timings"]) == 0
     out = capsys.readouterr().out
     assert "check_boolean" in out
+
+
+def test_analyze_timings_are_per_stage(data, capsys):
+    assert main(["analyze", data("i2.ist"), "--format", "json", "--timings"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    stages = ["parse_validate", "check_boolean", "ideals", "decompose", "type_monoid"]
+    assert list(timings) == stages
+    assert all(seconds >= 0 for seconds in timings.values())
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUP_BUILDERS))
+def test_build_report_matches_library_calls(name):
+    s = corpus_semigroup(name)
+    rep = build_report(s)
+    chk = check_boolean(s) if s.zero is not None else None
+    assert rep.boolean == bool(chk and chk.boolean)
+    if not rep.boolean:
+        assert rep.boolean_failure == (list(chk.failure) if chk else None)
+        assert rep.fundamental is rep.zero_simplifying is rep.simple is None
+        return
+    bs = chk.structure
+    assert rep.fundamental == is_fundamental(s).fundamental
+    assert rep.zero_simplifying == is_zero_simplifying(bs).holds
+    assert rep.simple == is_simple(bs)
+    if bs.top is None:
+        assert rep.decomposition_signature is rep.tau is None
+        return
+    assert rep.decomposition_signature == [list(x) for x in decompose(bs).signature]
+    tm = type_monoid(bs)
+    assert rep.type_monoid_rank == tm.rank
+    assert rep.tau == [[e, list(tm.tau[e])] for e in sorted(tm.tau)]
 
 
 def test_booleanize_reingests(data, tmp_path, capsys):

@@ -11,7 +11,6 @@ from biskit.core import (
     check_congruence,
     is_fundamental,
     mu_and_quotient,
-    natural_order,
     parse_semigroup,
     product_parts,
     relations,
@@ -79,7 +78,7 @@ def test_z2zero_basics():
 
 def test_natural_order_is_a_partial_order():
     s = corpus_semigroup("i2")
-    leq = natural_order(s).leq
+    leq = s.leq
     for a in range(s.size):
         assert leq[a][a]
         for b in range(s.size):

@@ -8,6 +8,9 @@ from biskit.laws import (
     CORE_LAW_KEYS,
     GROUPOID_LAWS,
     SEMIGROUP_LAWS,
+    Analysis,
+    law_toby,
+    law_universal_groupoid,
     run_laws,
 )
 
@@ -60,3 +63,25 @@ def test_selected_keys_only():
     results = run_laws(corpus_semigroup("i2"), keys=("wedge", "fish"))
     assert [r.key for r in results] == ["wedge", "fish"]
     assert all(r.status == "pass" for r in results)
+
+
+def test_toby_reports_a_wrong_zero_simplifying_verdict():
+    a = Analysis(corpus_semigroup("i2"))  # 0-simplifying
+    assert law_toby(a) is None
+    a.zero_simplifying = False
+    witness = law_toby(a)
+    assert isinstance(witness, tuple) and len(witness) == 2
+
+    a = Analysis(corpus_semigroup("powerset2"))  # not 0-simplifying
+    assert law_toby(a) is None
+    a.zero_simplifying = True
+    e, f = law_toby(a)
+    assert e in a.s.idempotents and f in a.s.idempotents
+
+
+def test_universal_groupoid_finds_an_unlisted_filter():
+    a = Analysis(corpus_semigroup("chain3"))
+    assert law_universal_groupoid(a) is None
+    dropped, *kept = a.filters.proper
+    a.filters = type(a.filters)(tuple(kept), a.filters.ultra)
+    assert law_universal_groupoid(a) == (tuple(sorted(dropped.carrier)),)
