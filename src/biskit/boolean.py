@@ -95,6 +95,12 @@ def check_boolean(s):
     Checks, in order: a zero exists; every compatible pair has a join;
     multiplication distributes over the joins that exist; every idempotent
     interval [0, f] has unique complements.
+
+    Distributivity is decided a compatible pair (a, b) at a time: the joins
+    of columns a and b must be column a v b (left), and the joins of rows a
+    and b must be row a v b (right).  A pair that fails either is scanned by
+    c, so the failure names the first c, left before right, at which it
+    breaks.
     """
     if s.zero is None:
         return BooleanCheck(False, ("no-zero",), None)
@@ -104,11 +110,17 @@ def check_boolean(s):
         for b in range(a, k):
             if s.compat[a][b] and jt[a][b] is None:
                 return BooleanCheck(False, ("missing-join", a, b), None)
+    t = s.table
+    cols = tuple(zip(*t))
     for a in range(k):
         for b in range(a, k):
             if not s.compat[a][b]:
                 continue
             j = jt[a][b]
+            if tuple([jt[x][y] for x, y in zip(cols[a], cols[b])]) == cols[j] and (
+                tuple([jt[x][y] for x, y in zip(t[a], t[b])]) == t[j]
+            ):
+                continue
             for c in range(k):
                 left = jt[s.table[c][a]][s.table[c][b]]
                 if left is None or left != s.table[c][j]:
@@ -439,15 +451,24 @@ def preceq(bs, e, f):
     """Idempotent domination: e is below f in every additive ideal sense.
 
     Holds exactly when e lies in the least additive ideal around f; the
-    witness pencil is read back out of the closure provenance and verified:
-    the domains join to e and every range sits below f.
+    witness pencil comes from read_pencil.
     """
     s = bs.base
     if e == s.zero or f == s.zero:
         raise ZeroIdempotent("pencil endpoints must be nonzero idempotents")
     if not s.is_idempotent(e) or not s.is_idempotent(f):
         raise ZeroIdempotent("pencil endpoints must be idempotents")
-    ideal = ideal_closure(bs, [f])
+    return read_pencil(bs, ideal_closure(bs, [f]), e, f)
+
+
+def read_pencil(bs, ideal, e, f):
+    """preceq(bs, e, f) given ideal, the ideal_closure of [f].
+
+    The pencil is read back out of the closure provenance and verified: the
+    domains join to e and every range sits below f.  One closure serves
+    every e.
+    """
+    s = bs.base
     if e not in ideal.carrier:
         return PencilReport(False, None)
 
@@ -634,6 +655,13 @@ def is_weakly_meet_preserving(source, target, mp):
     return True
 
 
+def kernel_of(m):
+    """The ids morphism m sends to the target's zero (none if it has no
+    zero)."""
+    z = _base(m.target).zero
+    return frozenset(x for x, y in enumerate(m.map) if z is not None and y == z)
+
+
 @dataclass(frozen=True)
 class MorphismAnalysis:
     additive: bool
@@ -644,17 +672,20 @@ class MorphismAnalysis:
     factorization: tuple | None  # (projection, embedding-like second leg)
 
 
-def analyze_morphism(m):
+def analyze_morphism(m, eps=None):
     """Break a morphism into an ideal collapse followed by an
     idempotent-separating map, checking each certified property.
+
+    eps, when given, is the caller's epsilon_quotient of the kernel and is
+    used instead of building the quotient again.  Before it is used it is
+    checked to be over the source's table and to collapse exactly the
+    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.
     """
     check_multiplicative(m.source, m.target, m.map)
     check_zero_preserving(m.source, m.target, m.map)
-    s, t = _base(m.source), _base(m.target)
+    s = _base(m.source)
     additive = is_additive_morphism(m.source, m.target, m.map)
-    kernel_carrier = frozenset(
-        x for x in range(s.size) if t.zero is not None and m.map[x] == t.zero
-    )
+    kernel_carrier = kernel_of(m)
     idem_sep = True
     for e in s.idempotents:
         for f in s.idempotents:
@@ -671,7 +702,13 @@ def analyze_morphism(m):
         assert trivial_kernel == idem_sep, (
             "idempotent separation must match kernel triviality"
         )
-        eps = epsilon_quotient(m.source, kernel)
+        if eps is None:
+            eps = epsilon_quotient(m.source, kernel)
+        elif (
+            _base(eps.projection.source).table != s.table
+            or kernel_of(eps.projection) != kernel_carrier
+        ):
+            raise NotAnIdeal(("not-the-kernel", tuple(sorted(kernel_carrier))))
         phi_map = [None] * eps.quotient.size
         for x in range(s.size):
             c = eps.projection.map[x]

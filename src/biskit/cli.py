@@ -251,25 +251,25 @@ def cmd_iso(args):
     return 0
 
 
-def _verify_one(label, obj):
-    results = run_laws(obj)
-    lines = []
-    failures = []
+def _print_law_lines(label, results):
+    print(label)
     for r in results:
         if r.status == "pass":
-            lines.append(f"  {r.key}: pass")
+            print(f"  {r.key}: pass")
         elif r.status == "skip":
-            lines.append(f"  {r.key}: skip ({r.note})")
+            print(f"  {r.key}: skip ({r.note})")
         else:
-            lines.append(f"  {r.key}: FAIL {r.witness}")
-            failures.append((r.key, r.witness))
-    print(label)
-    for ln in lines:
-        print(ln)
-    return failures
+            print(f"  {r.key}: FAIL {r.witness}")
 
 
 def cmd_verify(args):
+    """Run the law suite on each target.
+
+    Text output streams one block per target.  With --format json one list
+    is printed at the end, an object per target: {"target", "laws": [{"key",
+    "status", "witness", "note"}]}, or {"target", "error"} when it does not
+    validate.  The exit code is 1 if any target fails either way.
+    """
     targets = []
     if args.corpus:
         for name in SEMIGROUP_BUILDERS:
@@ -289,20 +289,31 @@ def cmd_verify(args):
         print("error: verify needs a path or --corpus", file=sys.stderr)
         return 2
 
+    as_json = args.format == "json"
+    report = []
     any_failure = False
     for label, load in targets:
         try:
             obj = load()
         except (BiskitError, OSError) as e:
-            print(label)
-            print(f"  validation: FAIL {type(e).__name__}: {e}")
+            error = f"{type(e).__name__}: {e}"
+            report.append({"target": label, "error": error})
+            if not as_json:
+                print(label)
+                print(f"  validation: FAIL {error}")
             any_failure = True
             continue
-        failures = _verify_one(label, obj)
+        results = run_laws(obj)
+        report.append({"target": label, "laws": [asdict(r) for r in results]})
+        if not as_json:
+            _print_law_lines(label, results)
+        failures = [r for r in results if r.status == "fail"]
         if failures:
             any_failure = True
-            key, witness = failures[0]
-            print(f"first failure: {key} witness={witness}", file=sys.stderr)
+            first = failures[0]
+            print(f"first failure: {first.key} witness={first.witness}", file=sys.stderr)
+    if as_json:
+        print(json.dumps(report, indent=2, default=repr))
     return 1 if any_failure else 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     IdempotentsDontCommute,
@@ -76,8 +77,53 @@ def _parse_table(text, allow_undefined):
     return tuple(table)
 
 
+def _check_associative(rows):
+    """Raise NotAssociative((a, b, c)) for the first triple, in
+    lexicographic order, with (a*b)*c != a*(b*c).
+
+    Decides all k^3 equations a row at a time: for fixed a and b, the
+    products (a*b)*c over every c are the row of a*b, and a*(b*c) is the row
+    of a read at the entries of the row of b.  Only a pair whose rows differ
+    is scanned by c, to name the triple.
+    """
+    if len(rows) == 1:
+        return  # the one entry is 0, and (0*0)*0 = 0 = 0*(0*0)
+    read_at = [itemgetter(*row) for row in rows]  # read_at[b](r) = r at row b
+    for a, ra in enumerate(rows):
+        if [rows[ab] for ab in ra] == [g(ra) for g in read_at]:
+            continue
+        for b, ab in enumerate(ra):
+            if rows[ab] != read_at[b](ra):
+                rb, rab = rows[b], rows[ab]
+                c = next(c for c, bc in enumerate(rb) if rab[c] != ra[bc])
+                raise NotAssociative((a, b, c))
+
+
+def _bound_table(masks):
+    """Entry [a][b] is the element x with masks[x] == masks[a] & masks[b],
+    or None.
+
+    With masks the down-set (up-set) bitsets of a partial order, this is the
+    meet (join) table: the common lower bounds of a and b form a down-set,
+    and it has a greatest element x exactly when it is the down-set of x.
+    """
+    owner = {m: x for x, m in enumerate(masks)}.get
+    return tuple(tuple(map(owner, map(m.__and__, masks))) for m in masks)
+
+
+def _mask(xs):
+    return sum(1 << x for x in xs)
+
+
 class InvSgp:
-    """A validated finite inverse semigroup on ids 0..k-1."""
+    """A validated finite inverse semigroup on ids 0..k-1.
+
+    Construction checks every entry is an id, then every associativity
+    equation (a*b)*c = a*(b*c), row by row; the first failing triple in
+    lexicographic order is the NotAssociative witness.  Then each element
+    needs exactly one inverse (NotInverse names the candidates) and the
+    idempotents must commute (IdempotentsDontCommute names a pair).
+    """
 
     def __init__(self, table):
         rows = tuple(tuple(r) for r in table)
@@ -91,9 +137,7 @@ class InvSgp:
                 if not isinstance(v, int) or not 0 <= v < k:
                     raise ParseError(f"entry {v!r} out of range in row {i}")
 
-        for a, b, c in itertools.product(range(k), repeat=3):
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise NotAssociative((a, b, c))
+        _check_associative(rows)
 
         inv = []
         for a in range(k):
@@ -188,31 +232,21 @@ class InvSgp:
 
     @cached_property
     def meet_table(self):
-        """meet_table[a][b] is the greatest lower bound id, or None."""
-        k, leq = self.size, self.leq
-        out = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                lows = [c for c in range(k) if leq[c][a] and leq[c][b]]
-                best = [c for c in lows if all(leq[x][c] for x in lows)]
-                row.append(best[0] if best else None)
-            out.append(tuple(row))
-        return tuple(out)
+        """meet_table[a][b] is the greatest lower bound id, or None.
+
+        Read off down-set bitsets: the meet is the element whose down-set is
+        down[a] & down[b], found by one dict lookup per pair.
+        """
+        return _bound_table(tuple(map(_mask, self.down)))
 
     @cached_property
     def join_table(self):
-        """join_table[a][b] is the least upper bound id, or None."""
-        k, leq = self.size, self.leq
-        out = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                ups = [c for c in range(k) if leq[a][c] and leq[b][c]]
-                best = [c for c in ups if all(leq[c][x] for x in ups)]
-                row.append(best[0] if best else None)
-            out.append(tuple(row))
-        return tuple(out)
+        """join_table[a][b] is the least upper bound id, or None.
+
+        Read off up-set bitsets: the join is the element whose up-set is
+        up[a] & up[b], found by one dict lookup per pair.
+        """
+        return _bound_table(tuple(map(_mask, self.up)))
 
     def join_of(self, xs):
         """Least upper bound of an iterable of ids, or None if it fails."""

@@ -25,8 +25,9 @@ from .boolean import (
     is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
+    kernel_of,
     orthogonalize,
-    preceq,
+    read_pencil,
 )
 from .booleanization import (
     FILTER_SCAN_CAP,
@@ -522,14 +523,16 @@ def law_toby(c):
     {0} is both trivial ideals.  On disagreement the witness is (e, f): the
     first pair not dominated when the ideals say 0-simplifying, or the last
     pair scanned when every pair is dominated although they say it is not.
+    Each f is closed once, and that closure is read for every e.
     """
     s = c.s
     if s.size == 1:
         return None
     nonzero = [e for e in s.idempotents if e != s.zero]
+    closure = {f: ideal_closure(c.bs, [f]) for f in nonzero}
     for e in nonzero:
         for f in nonzero:
-            if not preceq(c.bs, e, f).holds:
+            if not read_pencil(c.bs, closure[f], e, f).holds:
                 return (e, f) if c.zero_simplifying else None
     return None if c.zero_simplifying else (e, f)
 
@@ -590,17 +593,18 @@ def law_anja(c):
 
 
 def law_idept_sep_kernel(c):
+    """Each map reuses the cached quotient by its kernel."""
     bs = c.bs
+    eps_of = {ideal.carrier: rep for ideal, rep in c.eps_reports}
     ident = Morphism(bs, bs, tuple(range(bs.size)))
-    rep = analyze_morphism(ident)
+    rep = analyze_morphism(ident, eps_of.get(kernel_of(ident)))
     if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
         return ("identity",)
     mu = c.mu
     qrep = check_boolean(mu.quotient)
     if qrep.boolean:
-        rep = analyze_morphism(
-            Morphism(bs, qrep.structure, tuple(mu.projection))
-        )
+        proj = Morphism(bs, qrep.structure, tuple(mu.projection))
+        rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
         if not rep.idempotent_separating:
             return ("mu-projection",)
     return None
@@ -608,7 +612,7 @@ def law_idept_sep_kernel(c):
 
 def law_factorization(c):
     for ideal, rep in c.eps_reports:
-        analysis = analyze_morphism(rep.projection)
+        analysis = analyze_morphism(rep.projection, rep)
         if not analysis.additive or analysis.factorization is None:
             return (tuple(sorted(ideal.carrier)),)
     return None

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -21,9 +22,21 @@ from biskit.boolean import (
     preceq,
     theta_iso,
 )
-from biskit.core import mu_and_quotient
-from biskit.corpus import BOOLEAN_NAMES, corpus_groupoid, corpus_semigroup
-from biskit.errors import NotBoolean, NotCompatible, TooLarge
+from biskit.core import InvSgp, mu_and_quotient, table_product
+from biskit.corpus import (
+    BOOLEAN_NAMES,
+    SEMIGROUP_BUILDERS,
+    corpus_groupoid,
+    corpus_semigroup,
+    symmetric_inverse_table,
+)
+from biskit.errors import (
+    BiskitError,
+    NotAnIdeal,
+    NotBoolean,
+    NotCompatible,
+    TooLarge,
+)
 from biskit.groupoid import component_form, Gpd
 
 
@@ -267,3 +280,123 @@ def test_meet_is_greatest_lower_bound_i3(a, b):
     lower = [x for x in range(s.size) if s.leq[x][a] and s.leq[x][b]]
     assert m in lower
     assert all(s.leq[x][m] for x in lower)
+
+
+def test_analyze_morphism_reuses_the_kernel_quotient():
+    bs = boolean("i2xz2zero")
+    for ideal in enumerate_additive_ideals(bs):
+        eps = epsilon_quotient(bs, ideal)
+        fresh = analyze_morphism(eps.projection)
+        reused = analyze_morphism(eps.projection, eps)
+        assert dataclasses.replace(fresh, factorization=None) == (
+            dataclasses.replace(reused, factorization=None)
+        )
+        for got, want in zip(reused.factorization, fresh.factorization):
+            assert got.map == want.map
+            assert got.source.base.table == want.source.base.table
+            assert got.target.base.table == want.target.base.table
+
+
+def test_analyze_morphism_rejects_a_report_for_another_ideal():
+    bs = boolean("i2xz2zero")
+    ideals = enumerate_additive_ideals(bs)
+    eps = [epsilon_quotient(bs, i) for i in ideals]
+    with pytest.raises(NotAnIdeal) as info:
+        analyze_morphism(eps[1].projection, eps[2])
+    kernel = tuple(sorted(ideals[1].carrier))
+    assert info.value.witness == ("not-the-kernel", kernel)
+
+
+# -- check_boolean against the naive per-c distributivity loop --------------
+
+
+def naive_check_boolean(s):
+    """check_boolean as a scan over every c: (failure, complement table)."""
+    if s.zero is None:
+        return ("no-zero",), None
+    k = s.size
+    jt = s.join_table
+    for a in range(k):
+        for b in range(a, k):
+            if s.compat[a][b] and jt[a][b] is None:
+                return ("missing-join", a, b), None
+    for a in range(k):
+        for b in range(a, k):
+            if not s.compat[a][b]:
+                continue
+            j = jt[a][b]
+            for c in range(k):
+                left = jt[s.table[c][a]][s.table[c][b]]
+                if left is None or left != s.table[c][j]:
+                    return ("left-distributivity", c, a, b), None
+                right = jt[s.table[a][c]][s.table[b][c]]
+                if right is None or right != s.table[j][c]:
+                    return ("right-distributivity", a, b, c), None
+    complement = {}
+    idem = s.idempotents
+    for f in idem:
+        for e in idem:
+            if not s.leq[e][f]:
+                continue
+            wits = [
+                g
+                for g in idem
+                if s.leq[g][f] and s.table[g][e] == s.zero and jt[e][g] == f
+            ]
+            if len(wits) != 1:
+                return ("complement", e, f), None
+            complement[(f, e)] = wits[0]
+    return None, complement
+
+
+def assert_check_boolean_matches_oracle(s):
+    rep = check_boolean(s)
+    failure, complement = naive_check_boolean(s)
+    assert rep.failure == failure
+    assert rep.boolean == (failure is None)
+    if rep.boolean:
+        assert rep.structure.complement == complement
+
+
+ORACLE_TABLES = {
+    **SEMIGROUP_BUILDERS,
+    "symmetric_inverse_table(3)": lambda: symmetric_inverse_table(3),
+    "powerset2 x z2zero": lambda: table_product(
+        corpus_semigroup("powerset2"), corpus_semigroup("z2zero")
+    ),
+    "one element": lambda: [[0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_check_boolean_matches_oracle(name):
+    assert_check_boolean_matches_oracle(InvSgp(ORACLE_TABLES[name]()))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(SEMIGROUP_BUILDERS)), st.data())
+def test_check_boolean_matches_oracle_on_corrupted_tables(name, data):
+    table = [list(r) for r in SEMIGROUP_BUILDERS[name]()]
+    k = len(table)
+    a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    table[a][b] = v
+    try:
+        s = InvSgp(table)
+    except BiskitError:
+        return
+    assert_check_boolean_matches_oracle(s)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(BOOLEAN_NAMES), st.data())
+def test_check_boolean_matches_oracle_on_corrupted_joins(name, data):
+    # a wrong join table entry is what the distributivity scans can catch;
+    # both sides read the same corrupted table
+    s = corpus_semigroup(name)
+    k = s.size
+    a, b = (data.draw(st.integers(0, k - 1)) for _ in range(2))
+    v = data.draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    jt = [list(r) for r in s.join_table]
+    jt[a][b] = v
+    s.join_table = tuple(map(tuple, jt))
+    assert_check_boolean_matches_oracle(s)

@@ -179,6 +179,28 @@ def test_verify_detects_mutation(data, tmp_path, capsys):
     bad = tmp_path / "mut.ist"
     bad.write_text("n 7\n" + "\n".join(" ".join(r) for r in tab) + "\n")
     assert main(["verify", str(bad)]) == 1
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--format", "json"]) == 1
+    (target,) = json.loads(capsys.readouterr().out)
+    assert list(target) == ["target", "error"]
+    assert target["target"] == str(bad)
+    assert target["error"].startswith("NotAssociative: ")
+
+
+@pytest.mark.parametrize("name", ["i2.ist", "z2.grp"])
+def test_verify_json_matches_text(data, capsys, name):
+    path = data(name)
+    assert main(["verify", path]) == 0
+    text = capsys.readouterr().out
+    assert main(["verify", path, "--format", "json"]) == 0
+    (target,) = json.loads(capsys.readouterr().out)
+    assert target["target"] == path
+    lines = [path]
+    for law in target["laws"]:
+        assert list(law) == ["key", "status", "witness", "note"]
+        shown = {"pass": "pass", "skip": f"skip ({law['note']})"}[law["status"]]
+        lines.append(f"  {law['key']}: {shown}")
+    assert text.splitlines() == lines
 
 
 def test_verify_without_target_is_usage_error(capsys):
