@@ -330,7 +330,7 @@ def assert_kernels_match_oracles(table):
 
 
 KERNEL_TABLES = {
-    **{name: build for name, build in SEMIGROUP_BUILDERS.items()},
+    **SEMIGROUP_BUILDERS,
     "symmetric_inverse_table(3)": lambda: symmetric_inverse_table(3),
     "i2 x z2zero": lambda: table_product(
         corpus_semigroup("i2"), corpus_semigroup("z2zero")
