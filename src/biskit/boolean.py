@@ -11,16 +11,23 @@ elements.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb, factorial
 
 from .core import (
     InvSgp,
+    _dr_classes,
+    _mask,
     check_congruence,
     Congruence,
     quotient_table,
     table_product,
 )
 from .errors import (
+    CertificateFailed,
     NoZero,
     NotAnIdeal,
     NotBelow,
@@ -55,17 +62,29 @@ class BoolInvSgp:
     def __repr__(self):
         return f"BoolInvSgp(size={self.size})"
 
-    def rc(self, x, y):
-        """Relative complement x minus y, for y <= x.
+    @cached_property
+    def rc_table(self):
+        """rc_table[x][y] is the relative complement x minus y when y <= x,
+        and None when y is not below x.
 
-        Computed as x * (d(x) minus d(y)); the idempotent complement comes
+        x minus y is x * (d(x) minus d(y)); the idempotent complement comes
         from the witness table built by check_boolean.
         """
         b = self.base
-        if not b.leq[y][x]:
+        out = []
+        for x, row in enumerate(b.table):
+            entries = [None] * self.size
+            for y in b.down[x]:
+                entries[y] = row[self.complement[(b.d[x], b.d[y])]]
+            out.append(tuple(entries))
+        return tuple(out)
+
+    def rc(self, x, y):
+        """Relative complement x minus y, for y <= x; read off rc_table."""
+        w = self.rc_table[x][y]
+        if w is None:
             raise NotBelow((x, y))
-        g = self.complement[(b.d[x], b.d[y])]
-        return b.table[x][g]
+        return w
 
     def join(self, a, b):
         j = self.base.join_table[a][b]
@@ -111,6 +130,8 @@ def check_boolean(s):
             if s.compat[a][b] and jt[a][b] is None:
                 return BooleanCheck(False, ("missing-join", a, b), None)
     t = s.table
+    # not the cached s.cols: every quotient and product biskit builds is
+    # checked here, and caching their columns would keep them all alive
     cols = tuple(zip(*t))
     for a in range(k):
         for b in range(a, k):
@@ -163,7 +184,8 @@ def orthogonalize(bs, elems):
     """Turn a compatible family into an orthogonal one with the same join.
 
     t_i = s_i minus (join of earlier s's meet s_i).  The output is verified:
-    pairwise orthogonal, t_i <= s_i, and the joins agree.
+    pairwise orthogonal, t_i <= s_i, and the joins agree.  A violation raises
+    CertificateFailed naming it.
     """
     s = bs.base
     elems = list(elems)
@@ -178,18 +200,38 @@ def orthogonalize(bs, elems):
             sofar = x
             continue
         m = s.meet_table[sofar][x]
-        assert m is not None, "meet of compatible elements must exist"
+        if m is None:
+            raise CertificateFailed(("missing-meet", sofar, x))
         out.append(bs.rc(x, m))
         sofar = bs.join(sofar, x)
     for a, b in itertools.combinations(out, 2):
-        assert s.orth[a][b], "orthogonalize output must be orthogonal"
+        if not s.orth[a][b]:
+            raise CertificateFailed(("not-orthogonal", a, b))
     for t, x in zip(out, elems):
-        assert s.leq[t][x]
-    assert s.join_of(out) == s.join_of(elems)
+        if not s.leq[t][x]:
+            raise CertificateFailed(("not-below", t, x))
+    if s.join_of(out) != s.join_of(elems):
+        raise CertificateFailed(("join-differs", tuple(out), tuple(elems)))
     return tuple(out)
 
 
 K_OF_GROUPOID_CAP = 4096
+
+
+def _bisection_count(g):
+    """How many local bisections g has, without enumerating them.
+
+    A local bisection picks, in each connected component, a partial
+    bijection between the component's identities and one arrow per matched
+    pair.  With n identities and isotropy groups of order h that is the sum
+    over r of C(n, r)^2 r! h^r; the components multiply.
+    """
+    loops = Counter(e for e, f in zip(g.d, g.r) if e == f)
+    count = 1
+    for ids in _dr_classes(g.identities, g.d, g.r):
+        n, h = len(ids), loops[ids[0]]
+        count *= sum(comb(n, r) ** 2 * factorial(r) * h**r for r in range(n + 1))
+    return count
 
 
 def _bisections(g, cap):
@@ -198,7 +240,13 @@ def _bisections(g, cap):
     Enumerated as partial matchings between identities (a chosen arrow per
     matched pair), so nothing outside the result is ever generated.  Sorted
     by (size, membership) so the empty set is id 0 and singletons follow.
+    Raises TooLarge, naming the count and the cap, before enumerating more
+    than cap of them.
     """
+    count = _bisection_count(g)
+    if count > cap:
+        name = "K_OF_GROUPOID_CAP=" if cap == K_OF_GROUPOID_CAP else ""
+        raise TooLarge(f"local bisection count {count} above cap {name}{cap}")
     ids = g.identities
     arrows = {}
     for x in range(g.size):
@@ -206,8 +254,6 @@ def _bisections(g, cap):
     out = []
 
     def rec(i, used_r, chosen):
-        if len(out) > cap:
-            raise TooLarge(f"local bisection count above cap {cap}")
         if i == len(ids):
             out.append(frozenset(chosen))
             return
@@ -345,57 +391,96 @@ class AdditiveIdeal:
         return x in self.carrier
 
 
+def _above(partners, a):
+    """The entries of the ascending tuple partners that are greater than a."""
+    return partners[bisect_right(partners, a):]
+
+
 def verify_additive_ideal(bs, subset):
-    """Witness that subset is not an additive ideal, or None if it is."""
+    """Witness that subset is not an additive ideal, or None if it is.
+
+    Checks, in order: the zero is in; for each member a (in the subset's own
+    iteration order) and each x, x*a then a*x are in; for each compatible
+    pair a < b of members, their join is in.  A member is decided at once by
+    whether its whole column and row lie in the subset, and its joins by
+    whether the joins with its compatible partners do; only a member that
+    fails is scanned one x (one b) at a time, to name the first witness.
+    """
     s = bs.base
     if s.zero not in subset:
         return ("missing-zero",)
+    t, products = s.table, s.product_masks
+    members = subset if isinstance(subset, (set, frozenset)) else set(subset)
+    outside = ~_mask(members)
     for a in subset:
+        if not products[a] & outside:
+            continue
         for x in range(s.size):
-            if s.table[x][a] not in subset:
+            if t[x][a] not in subset:
                 return ("left-ideal", x, a)
-            if s.table[a][x] not in subset:
+            if t[a][x] not in subset:
                 return ("right-ideal", a, x)
-    for a, b in itertools.combinations(sorted(subset), 2):
-        if s.compat[a][b] and s.join_table[a][b] not in subset:
-            return ("join", a, b)
+    ordered = sorted(subset)
+    partners, jt, inside = s.compat_partners, s.join_table, members.__contains__
+    for i, a in enumerate(ordered):
+        # joins with every compatible member, a superset of the pairs a < b
+        if all(map(inside, map(jt[a].__getitem__, filter(inside, partners[a])))):
+            continue
+        for b in ordered[i + 1 :]:
+            if s.compat[a][b] and jt[a][b] not in subset:
+                return ("join", a, b)
     return None
 
 
 def ideal_closure(bs, gens):
     """Least additive ideal containing gens: close under s*x*t, then joins.
 
-    Each member records how it got in ('gen', s, x, t) or ('join', a, b),
-    so pencils can be replayed out of the closure later.
+    Each member records how it got in, ('gen', u, x, v) for the first u, v
+    in order with u*x*v equal to it, or ('join', a, b) for the first pair
+    a < b of the earliest round whose join it is, so pencils can be replayed
+    out of the closure later.  S*x*S is the union of the rows of the
+    distinct u*x; the join rounds pair each member only with its compatible
+    partners.  The result is certified with verify_additive_ideal and
+    CertificateFailed is raised if that fails.
     """
     s = bs.base
     gens = list(gens)
     if not gens:
         raise NotAnIdeal(("empty-generators",))
+    t, cols = s.table, s.cols
     prov = {}
     members = set()
     for x in gens:
-        for u in range(s.size):
-            su = s.table[u][x]
-            for v in range(s.size):
-                w = s.table[su][v]
-                if w not in members:
+        col = cols[x]
+        for ux in dict.fromkeys(col):  # distinct u*x, in order of first u
+            row = t[ux]
+            fresh = set(row).difference(members)
+            if fresh:
+                u = col.index(ux)
+                for v, w in sorted((row.index(w), w) for w in fresh):
                     members.add(w)
                     prov[w] = ("gen", u, x, v)
+    partners, jt, inside = s.compat_partners, s.join_table, members.__contains__
     changed = True
     while changed:
         changed = False
         snapshot = sorted(members)
-        for a, b in itertools.combinations(snapshot, 2):
-            if not s.compat[a][b]:
+        in_snapshot = frozenset(snapshot).__contains__
+        for a in snapshot:
+            jta = jt[a]
+            # joins with every compatible b in the snapshot, not only b > a
+            joins = map(jta.__getitem__, filter(in_snapshot, partners[a]))
+            if all(map(inside, joins)):
                 continue
-            j = s.join_table[a][b]
-            if j not in members:
-                members.add(j)
-                prov[j] = ("join", a, b)
-                changed = True
+            for b in filter(in_snapshot, _above(partners[a], a)):
+                j = jta[b]
+                if j not in members:
+                    members.add(j)
+                    prov[j] = ("join", a, b)
+                    changed = True
     bad = verify_additive_ideal(bs, members)
-    assert bad is None, f"closure failed ideal check: {bad}"
+    if bad is not None:
+        raise CertificateFailed(("closure-not-an-ideal", bad))
     return AdditiveIdeal(frozenset(members), prov)
 
 

@@ -208,6 +208,21 @@ class InvSgp:
         return tuple(x for x in range(self.size) if x != self.zero)
 
     @cached_property
+    def cols(self):
+        """cols[b] is column b of the table: the products u*b over every u."""
+        return tuple(zip(*self.table))
+
+    @cached_property
+    def product_masks(self):
+        """product_masks[a]: bitset of every u*a and a*u, column and row a.
+
+        The columns are read here rather than through cols, so that a
+        structure that only has its ideals verified does not keep them.
+        """
+        cols = zip(*self.table)
+        return tuple(_mask(set(col).union(row)) for col, row in zip(cols, self.table))
+
+    @cached_property
     def compat(self):
         """compat[a][b]: both a'*b and a*b' are idempotent."""
         k, t, inv = self.size, self.table, self.inv
@@ -218,6 +233,12 @@ class InvSgp:
             )
             for a in range(k)
         )
+
+    @cached_property
+    def compat_partners(self):
+        """compat_partners[a]: the b with compat[a][b], ascending."""
+        ids = range(self.size)
+        return tuple(tuple(itertools.compress(ids, row)) for row in self.compat)
 
     @cached_property
     def orth(self):

@@ -128,3 +128,12 @@ class NotZeroPreserving(BiskitError):
 
 class SizeCapExceeded(BiskitError):
     """Direct isomorphism search refused: carrier above the size cap."""
+
+
+class CertificateFailed(BiskitError):
+    """A construction's result failed the check that certifies it; carries
+    the witness."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"certificate failed: {witness}")

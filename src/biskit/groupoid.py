@@ -60,10 +60,17 @@ class Gpd:
                 if (rows[x][y] is not None) != (d[x] == r[y]):
                     raise NotGroupoid("composability", (x, y))
 
-        for x, y, z in itertools.product(range(m), repeat=3):
-            if d[x] == r[y] and d[y] == r[z]:
-                if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-                    raise NotGroupoid("associativity", (x, y, z))
+        # only composable triples: y ends where x starts, z where y starts
+        ending_at = {e: [] for e in identities}
+        for y in range(m):
+            ending_at[r[y]].append(y)
+        for x in range(m):
+            rx = rows[x]
+            for y in ending_at[d[x]]:
+                rxy, ry = rows[rx[y]], rows[y]
+                for z in ending_at[d[y]]:
+                    if rxy[z] != rx[ry[z]]:
+                        raise NotGroupoid("associativity", (x, y, z))
 
         self.size = m
         self.ptable = rows

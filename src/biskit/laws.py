@@ -10,12 +10,15 @@ cannot run at the instance's size reports a skip, never a silent pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem, is_not, itemgetter
 
 from .boolean import (
     BoolInvSgp,
     Morphism,
+    _above,
     analyze_morphism,
     atoms_groupoid,
     check_boolean,
@@ -77,6 +80,7 @@ class LawResult:
     status: str  # "pass" | "fail" | "skip"
     witness: tuple | None = None
     note: str | None = None
+    seconds: float = field(default=0.0, compare=False)  # time the law took
 
 
 class Analysis:
@@ -142,6 +146,14 @@ class Analysis:
         return mu_and_quotient(self.s)
 
 
+def _picker(ids):
+    """A function reading a sequence at the positions ids, as a tuple."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda row: (row[i],)
+    return itemgetter(*ids)
+
+
 # -- laws on any inverse semigroup ------------------------------------------
 
 
@@ -179,11 +191,15 @@ def law_wedge(c):
 
 
 def law_fish(c):
+    """u*(a meet b) = (u*a) meet (u*b), compared a column at a time: for
+    each pair with a meet, the meets of columns a and b against column
+    a meet b.  A pair that differs is scanned by u for the witness."""
     s = c.s
+    mt, cols = s.meet_table, s.cols
     for a in range(s.size):
-        for b in range(s.size):
-            m = s.meet_table[a][b]
-            if m is None:
+        meet_rows = tuple(map(mt.__getitem__, cols[a]))  # row u*a, every u
+        for b, m in enumerate(mt[a]):
+            if m is None or tuple(map(getitem, meet_rows, cols[b])) == cols[m]:
                 continue
             for u in range(s.size):
                 lhs = s.table[u][m]
@@ -206,10 +222,13 @@ def law_restricted_product(c):
                 and s.table[a2][b2] == s.table[a][b]
             ):
                 return (a, b)
+    pick = [_picker(d) for d in s.down]  # pick[b](row): row at down[b]
+    below = [frozenset(d) for d in s.down]
     for a in range(s.size):
+        rows = [s.table[x] for x in s.down[a]]
         for b in range(s.size):
-            prods = {s.table[x][y] for x in s.down[a] for y in s.down[b]}
-            if prods != set(s.down[s.table[a][b]]):
+            prods = set(itertools.chain.from_iterable(map(pick[b], rows)))
+            if prods != below[s.table[a][b]]:
                 return (a, b, "down-set-product")
     return None
 
@@ -292,10 +311,18 @@ def law_atom_idempotent(c):
 
 
 def law_oj(c):
+    """Orthogonality survives multiplying on either side, decided a column
+    and a row at a time per orthogonal pair; a pair that fails is scanned
+    by u for the witness."""
     s = c.s
+    orth, t, cols = s.orth, s.table, s.cols
     for a in range(s.size):
-        for b in range(s.size):
-            if not s.orth[a][b]:
+        left_rows = tuple(map(orth.__getitem__, cols[a]))  # row u*a, every u
+        right_rows = tuple(map(orth.__getitem__, t[a]))  # row a*u, every u
+        for b in itertools.compress(range(s.size), orth[a]):
+            if all(map(getitem, left_rows, cols[b])) and all(
+                map(getitem, right_rows, t[b])
+            ):
                 continue
             for u in range(s.size):
                 if not s.orth[s.table[u][a]][s.table[u][b]]:
@@ -321,15 +348,23 @@ def law_buffs(c):
 
 
 def law_definition(c):
+    """Multiplication distributes over compatible joins on both sides,
+    decided per compatible pair by the joins of columns (rows) a and b
+    against column (row) a v b; a pair that fails is scanned by u."""
     bs = c.bs
     s = bs.base
+    jt, t, cols = s.join_table, s.table, s.cols
     for a in range(s.size):
-        for b in range(s.size):
-            if not s.compat[a][b]:
-                continue
-            j = s.join_table[a][b]
+        left_rows = tuple(map(jt.__getitem__, cols[a]))  # row u*a, every u
+        right_rows = tuple(map(jt.__getitem__, t[a]))  # row a*u, every u
+        for b in s.compat_partners[a]:
+            j = jt[a][b]
             if j is None:
                 return (a, b, "missing-join")
+            if tuple(map(getitem, left_rows, cols[b])) == cols[j] and (
+                tuple(map(getitem, right_rows, t[b])) == t[j]
+            ):
+                continue
             for u in range(s.size):
                 if s.join_table[s.table[u][a]][s.table[u][b]] != s.table[u][j]:
                     return (u, a, b, "left")
@@ -347,35 +382,71 @@ def law_meets_semisimple(c):
     return None
 
 
+def _eggs_scan(s, combo, join):
+    """The first u, as combo + (u,), at which u meet join differs from the
+    join of the x meet u over x in combo (or one of those is undefined);
+    None if there is none."""
+    for u in range(s.size):
+        lhs = s.meet_table[u][join]
+        if lhs is None:
+            continue
+        rhs = None
+        ok = True
+        for x in combo:
+            mx = s.meet_table[x][u]
+            if mx is None:
+                ok = False
+                break
+            rhs = mx if rhs is None else s.join_table[rhs][mx]
+            if rhs is None:
+                ok = False
+                break
+        if not ok or rhs != lhs:
+            return combo + (u,)
+    return None
+
+
 def law_eggs(c):
-    bs = c.bs
-    s = bs.base
-    for m in (2, 3):
-        for combo in itertools.combinations(range(s.size), m):
-            join = combo[0]
-            for x in combo[1:]:
-                join = s.join_table[join][x] if join is not None else None
-                if join is None:
-                    break
-            if join is None:
-                continue
-            for u in range(s.size):
-                lhs = s.meet_table[u][join]
-                if lhs is None:
-                    continue
-                rhs = None
-                ok = True
-                for x in combo:
-                    mx = s.meet_table[x][u]
-                    if mx is None:
-                        ok = False
-                        break
-                    rhs = mx if rhs is None else s.join_table[rhs][mx]
-                    if rhs is None:
-                        ok = False
-                        break
-                if not ok or rhs != lhs:
-                    return combo + (u,)
+    """Meets distribute over the joins of pairs and triples: for every u,
+    u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].
+
+    All pairs come first, then all triples, each in lexicographic order, and
+    only those whose joins are defined are enumerated.  A combo is decided a
+    whole column at a time: the rows x, y [and z] of the meet table, joined
+    entry by entry, against column x v y [v z].  A combo whose rows hold an
+    undefined meet or join, or that differs, is scanned by u.
+    """
+    s = c.bs.base
+    k, mt, jt = s.size, s.meet_table, s.join_table
+    mcols = tuple(zip(*mt))  # mcols[j][u] = u meet j
+    defined = [None not in row for row in mt]
+
+    def joinable(a, j):  # the b > a with j v b defined, ascending
+        return itertools.compress(
+            range(a + 1, k), map(is_not, jt[j][a + 1 :], itertools.repeat(None))
+        )
+
+    def join_meets(rhs, x):  # rhs v (x meet u) over every u, if all defined
+        if rhs is None or None in rhs or not defined[x]:
+            return None
+        return tuple(map(getitem, map(jt.__getitem__, rhs), mt[x]))
+
+    def witness(combo, join, rhs):
+        return None if rhs == mcols[join] else _eggs_scan(s, combo, join)
+
+    for a in range(k):
+        for b in joinable(a, a):
+            w = witness((a, b), jt[a][b], join_meets(mt[a], b))
+            if w is not None:
+                return w
+    for a in range(k):
+        for b in joinable(a, a):
+            j = jt[a][b]
+            rab = join_meets(mt[a], b)
+            for c3 in joinable(b, j):
+                w = witness((a, b, c3), jt[j][c3], join_meets(rab, c3))
+                if w is not None:
+                    return w
     return None
 
 
@@ -412,25 +483,46 @@ def law_pork(c):
 
 
 def law_orthogonal(c):
+    """orthogonalize certifies its result (raising on any violated post) for
+    every pairwise compatible pair, then triple, of nonzero elements, in
+    lexicographic order; only those are enumerated, from the compatible
+    partners of each element."""
     bs = c.bs
     s = bs.base
-    for m in (2, 3):
-        for combo in itertools.combinations(range(s.size), m):
-            if s.zero in combo:
-                continue
-            if not all(
-                s.compat[a][b] for a, b in itertools.combinations(combo, 2)
-            ):
-                continue
-            orthogonalize(bs, combo)  # raises on any violated post
+    nonzero = s.nonzero()
+
+    def later(a):  # the nonzero b > a compatible with a, ascending
+        return [b for b in _above(s.compat_partners[a], a) if b != s.zero]
+
+    for a in nonzero:
+        for b in later(a):
+            orthogonalize(bs, (a, b))
+    for a in nonzero:
+        for b in later(a):
+            for c3 in later(b):
+                if s.compat[a][c3]:
+                    orthogonalize(bs, (a, b, c3))
     return None
 
 
 def law_setminus_2(c):
+    """a*(x minus t) = a*x minus a*t and (x minus t)*a = x*a minus t*a for
+    every t <= x, decided per (x, t) a column and a row at a time from the
+    relative-complement table; a pair that fails is scanned by a."""
     bs = c.bs
     s = bs.base
+    rct, tab, cols = bs.rc_table, s.table, s.cols
     for x in range(s.size):
+        left_rows = tuple(map(rct.__getitem__, cols[x]))  # row a*x, every a
+        right_rows = tuple(map(rct.__getitem__, tab[x]))  # row x*a, every a
         for t in s.down[x]:
+            w = rct[x][t]
+            if (
+                w is not None
+                and tuple(map(getitem, left_rows, cols[t])) == cols[w]
+                and tuple(map(getitem, right_rows, tab[t])) == tab[w]
+            ):
+                continue
             w = bs.rc(x, t)
             for a in range(s.size):
                 if s.table[a][w] != bs.rc(s.table[a][x], s.table[a][t]):
@@ -440,20 +532,52 @@ def law_setminus_2(c):
     return None
 
 
+def _setminus_4_scan(bs, pairs, x, t):
+    """law setminus-4 for one outer pair (x, t), scanned over every inner
+    pair (u, v): the witness, or None."""
+    s = bs.base
+    st = bs.rc(x, t)
+    for u, v in pairs:
+        uv = bs.rc(u, v)
+        lhs = s.table[st][uv]
+        inner = s.join_table[s.table[x][v]][s.table[t][u]]
+        if inner is None:
+            return (x, t, u, v, "inner-join-missing")
+        if lhs != bs.rc(s.table[x][u], inner):
+            return (x, t, u, v)
+    return None
+
+
 def law_setminus_4(c):
+    """(x minus t)*(u minus v) = x*u minus ((x*v) v (t*u)) for all pairs of
+    down-pairs t <= x and v <= u, in order.
+
+    Per outer (x, t) every inner (u, v) is decided at once, reading rows
+    through itemgetters over the down-pairs.  An outer pair that differs,
+    or meets an undefined join or complement, is scanned one inner pair at
+    a time for the witness.
+    """
     bs = c.bs
     s = bs.base
+    rct, jt, tab = bs.rc_table, s.join_table, s.table
     pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
-    for x, t in pairs:
-        st = bs.rc(x, t)
-        for u, v in pairs:
-            uv = bs.rc(u, v)
-            lhs = s.table[st][uv]
-            inner = s.join_table[s.table[x][v]][s.table[t][u]]
-            if inner is None:
-                return (x, t, u, v, "inner-join-missing")
-            if lhs != bs.rc(s.table[x][u], inner):
-                return (x, t, u, v)
+    at_u, at_v = (_picker(ids) for ids in zip(*pairs))
+    uvs = tuple(rct[u][v] for u, v in pairs)
+    at_uv = None if None in uvs else _picker(uvs)
+    for x in range(s.size):
+        xv_rows = tuple(map(jt.__getitem__, at_v(tab[x])))  # row x*v, each v
+        xu_rows = tuple(map(rct.__getitem__, at_u(tab[x])))  # row x*u, each u
+        for t in s.down[x]:
+            st = rct[x][t]
+            if at_uv is not None and st is not None:
+                inner = tuple(map(getitem, xv_rows, at_u(tab[t])))
+                if None not in inner and (
+                    tuple(map(getitem, xu_rows, inner)) == at_uv(tab[st])
+                ):
+                    continue
+            w = _setminus_4_scan(bs, pairs, x, t)
+            if w is not None:
+                return w
     return None
 
 
@@ -906,7 +1030,9 @@ def run_laws(obj, keys=None):
     """Run every applicable law on an InvSgp, BoolInvSgp, or Gpd.
 
     Returns LawResults in registry order.  Failures carry the witness; laws
-    whose preconditions or size caps rule them out report a skip.
+    whose preconditions or size caps rule them out report a skip.  Each
+    result carries the seconds its law took, including the shared results
+    it was the first to need.
     """
     results = []
     if isinstance(obj, Gpd):
@@ -920,25 +1046,26 @@ def run_laws(obj, keys=None):
     for key, kind, fn in table:
         if keys is not None and key not in keys:
             continue
-        ok, why = applies(kind)
-        if not ok:
-            results.append(LawResult(key, "skip", None, why))
-            continue
-        try:
-            witness = fn(ctx)
-        except _Skip as e:
-            results.append(LawResult(key, "skip", None, str(e)))
-            continue
-        except (TooLarge, SizeCapExceeded, Undecided) as e:
-            results.append(LawResult(key, "skip", None, f"{type(e).__name__}: {e}"))
-            continue
-        except (BiskitError, AssertionError) as e:
-            results.append(
-                LawResult(key, "fail", ("raised", type(e).__name__, str(e)[:200]))
-            )
-            continue
-        if witness is None:
-            results.append(LawResult(key, "pass"))
-        else:
-            results.append(LawResult(key, "fail", tuple(witness)))
+        start = time.perf_counter()
+        status, witness, note = _run_law(kind, fn, ctx, applies)
+        seconds = round(time.perf_counter() - start, 6)
+        results.append(LawResult(key, status, witness, note, seconds))
     return results
+
+
+def _run_law(kind, fn, ctx, applies):
+    """One law's (status, witness, note)."""
+    ok, why = applies(kind)
+    if not ok:
+        return "skip", None, why
+    try:
+        witness = fn(ctx)
+    except _Skip as e:
+        return "skip", None, str(e)
+    except (TooLarge, SizeCapExceeded, Undecided) as e:
+        return "skip", None, f"{type(e).__name__}: {e}"
+    except (BiskitError, AssertionError) as e:
+        return "fail", ("raised", type(e).__name__, str(e)[:200]), None
+    if witness is None:
+        return "pass", None, None
+    return "fail", tuple(witness), None

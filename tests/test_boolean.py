@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biskit.boolean import (
+    _bisection_count,
+    _bisections,
     analyze_morphism,
     as_boolean,
     atoms_groupoid,
@@ -22,9 +24,10 @@ from biskit.boolean import (
     preceq,
     theta_iso,
 )
-from biskit.core import InvSgp, mu_and_quotient, table_product
+from biskit.core import InvSgp, mu_and_quotient, restricted_groupoid, table_product
 from biskit.corpus import (
     BOOLEAN_NAMES,
+    GROUPOID_BUILDERS,
     SEMIGROUP_BUILDERS,
     corpus_groupoid,
     corpus_semigroup,
@@ -37,7 +40,7 @@ from biskit.errors import (
     NotCompatible,
     TooLarge,
 )
-from biskit.groupoid import component_form, Gpd
+from biskit.groupoid import component_form, Gpd, reconstruct
 
 
 def boolean(name):
@@ -113,8 +116,33 @@ def test_k_of_groupoid_counts():
 
 
 def test_k_of_groupoid_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="local bisection count 8 above cap 4$"):
         k_of_groupoid(corpus_groupoid("disc3"), cap=4)
+    # I3's nonzero part: 34 * 139 * 7 local bisections over its three
+    # components, refused before any is enumerated
+    g = restricted_groupoid(corpus_semigroup("i3"))
+    with pytest.raises(TooLarge) as info:
+        k_of_groupoid(g)
+    assert str(info.value) == (
+        "local bisection count 33082 above cap K_OF_GROUPOID_CAP=4096"
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(corpus_groupoid(name) for name in sorted(GROUPOID_BUILDERS)),
+        *(
+            restricted_groupoid(corpus_semigroup(name))
+            for name in ("i2", "b2", "m2z2zero", "i2xz2zero")
+        ),
+        reconstruct(component_form(corpus_groupoid("conn2z2"))),
+        Gpd([]),
+    ],
+    ids=repr,
+)
+def test_bisection_count_matches_enumeration(g):
+    assert _bisection_count(g) == len(_bisections(g, cap=10_000))
 
 
 def test_k_is_boolean_with_inclusion_order():

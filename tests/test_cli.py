@@ -197,7 +197,8 @@ def test_verify_json_matches_text(data, capsys, name):
     assert target["target"] == path
     lines = [path]
     for law in target["laws"]:
-        assert list(law) == ["key", "status", "witness", "note"]
+        assert list(law) == ["key", "status", "witness", "note", "seconds"]
+        assert isinstance(law["seconds"], float) and law["seconds"] >= 0
         shown = {"pass": "pass", "skip": f"skip ({law['note']})"}[law["status"]]
         lines.append(f"  {law['key']}: {shown}")
     assert text.splitlines() == lines

@@ -1,8 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biskit.corpus import corpus_groupoid, render_grp
+from biskit.core import restricted_groupoid
+from biskit.corpus import (
+    GROUPOID_BUILDERS,
+    corpus_groupoid,
+    corpus_semigroup,
+    render_grp,
+)
 from biskit.errors import NotGroupoid, ParseError
 from biskit.groupoid import (
     Gpd,
@@ -120,3 +128,79 @@ def test_empty_groupoid_is_allowed():
     g = Gpd([])
     assert g.size == 0
     assert component_form(g).components == ()
+
+
+# -- associativity over composable triples against the full triple scan ---
+
+
+def naive_associativity_witness(rows):
+    """The first (x, y, z) of all m^3 triples, in lexicographic order, that
+    composes and has (xy)z != x(yz); rows must pass the checks Gpd makes
+    before associativity."""
+    m = len(rows)
+    inv = [
+        next(
+            y
+            for y in range(m)
+            if rows[x][y] is not None
+            and rows[y][x] is not None
+            and rows[x][rows[y][x]] == x
+            and rows[y][rows[x][y]] == y
+        )
+        for x in range(m)
+    ]
+    d = [rows[inv[x]][x] for x in range(m)]
+    r = [rows[x][inv[x]] for x in range(m)]
+    for x, y, z in itertools.product(range(m), repeat=3):
+        if d[x] == r[y] and d[y] == r[z]:
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                return (x, y, z)
+    return None
+
+
+def assert_associativity_matches_oracle(ptable):
+    try:
+        Gpd(ptable)
+        got = None
+    except NotGroupoid as e:
+        if e.axiom != "associativity":
+            return  # rejected before associativity is checked
+        got = e.witness
+    assert got == naive_associativity_witness(ptable)
+
+
+GROUPOIDS = {
+    **{name: (lambda n=name: corpus_groupoid(n)) for name in GROUPOID_BUILDERS},
+    **{
+        f"restricted {name}": (
+            lambda n=name: restricted_groupoid(corpus_semigroup(n))
+        )
+        for name in ("i2", "i3", "b2", "m2z2zero", "i2xz2zero")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_associativity_matches_oracle(name):
+    assert_associativity_matches_oracle(GROUPOIDS[name]().ptable)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GROUPOIDS)), st.data())
+def test_associativity_matches_oracle_on_corrupted_tables(name, data):
+    # a defined product moved to another arrow with the same ends keeps the
+    # table composable, so it often gets as far as associativity
+    g = GROUPOIDS[name]()
+    defined = [
+        (x, y)
+        for x in range(g.size)
+        for y in range(g.size)
+        if g.ptable[x][y] is not None
+    ]
+    rows = [list(r) for r in g.ptable]
+    for _ in range(data.draw(st.integers(1, 2))):
+        x, y = data.draw(st.sampled_from(defined))
+        p = g.ptable[x][y]
+        parallel = [z for z in range(g.size) if (g.d[z], g.r[z]) == (g.d[p], g.r[p])]
+        rows[x][y] = data.draw(st.sampled_from(parallel))
+    assert_associativity_matches_oracle(rows)

@@ -1,0 +1,376 @@
+"""The row-wise law kernels and the additive-ideal closure against the
+scalar scans they replaced.
+
+Each oracle below is the per-element loop the kernel replaced, kept
+verbatim.  Kernel and oracle must return the same witness, or raise the
+same error, on the corpus, on generated products, and on structures with
+one corrupted table entry, which is what sends the kernels down their
+fallback paths.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biskit.boolean import (
+    AdditiveIdeal,
+    enumerate_additive_ideals,
+    ideal_closure,
+    orthogonalize,
+    verify_additive_ideal,
+)
+from biskit.core import InvSgp, table_product
+from biskit.corpus import (
+    BOOLEAN_NAMES,
+    SEMIGROUP_BUILDERS,
+    corpus_semigroup,
+    symmetric_inverse_table,
+)
+from biskit.errors import CertificateFailed, NotAnIdeal
+from biskit.laws import (
+    Analysis,
+    _applicable,
+    law_definition,
+    law_eggs,
+    law_fish,
+    law_oj,
+    law_orthogonal,
+    law_restricted_product,
+    law_setminus_2,
+    law_setminus_4,
+)
+
+# -- the scalar scans -------------------------------------------------------
+
+
+def oracle_fish(c):
+    s = c.s
+    for a in range(s.size):
+        for b in range(s.size):
+            m = s.meet_table[a][b]
+            if m is None:
+                continue
+            for u in range(s.size):
+                lhs = s.table[u][m]
+                rhs = s.meet_table[s.table[u][a]][s.table[u][b]]
+                if rhs != lhs:
+                    return (u, a, b)
+    return None
+
+
+def oracle_restricted_product(c):
+    s = c.s
+    for a in range(s.size):
+        for b in range(s.size):
+            a2 = s.table[a][s.r[b]]
+            b2 = s.table[s.d[a]][b]
+            if not (
+                s.leq[a2][a]
+                and s.leq[b2][b]
+                and s.d[a2] == s.r[b2]
+                and s.table[a2][b2] == s.table[a][b]
+            ):
+                return (a, b)
+    for a in range(s.size):
+        for b in range(s.size):
+            prods = {s.table[x][y] for x in s.down[a] for y in s.down[b]}
+            if prods != set(s.down[s.table[a][b]]):
+                return (a, b, "down-set-product")
+    return None
+
+
+def oracle_oj(c):
+    s = c.s
+    for a in range(s.size):
+        for b in range(s.size):
+            if not s.orth[a][b]:
+                continue
+            for u in range(s.size):
+                if not s.orth[s.table[u][a]][s.table[u][b]]:
+                    return (a, b, u, "left")
+                if not s.orth[s.table[a][u]][s.table[b][u]]:
+                    return (a, b, u, "right")
+    return None
+
+
+def oracle_definition(c):
+    s = c.bs.base
+    for a in range(s.size):
+        for b in range(s.size):
+            if not s.compat[a][b]:
+                continue
+            j = s.join_table[a][b]
+            if j is None:
+                return (a, b, "missing-join")
+            for u in range(s.size):
+                if s.join_table[s.table[u][a]][s.table[u][b]] != s.table[u][j]:
+                    return (u, a, b, "left")
+                if s.join_table[s.table[a][u]][s.table[b][u]] != s.table[j][u]:
+                    return (a, b, u, "right")
+    return None
+
+
+def oracle_eggs(c):
+    s = c.bs.base
+    for m in (2, 3):
+        for combo in itertools.combinations(range(s.size), m):
+            join = combo[0]
+            for x in combo[1:]:
+                join = s.join_table[join][x] if join is not None else None
+                if join is None:
+                    break
+            if join is None:
+                continue
+            for u in range(s.size):
+                lhs = s.meet_table[u][join]
+                if lhs is None:
+                    continue
+                rhs = None
+                ok = True
+                for x in combo:
+                    mx = s.meet_table[x][u]
+                    if mx is None:
+                        ok = False
+                        break
+                    rhs = mx if rhs is None else s.join_table[rhs][mx]
+                    if rhs is None:
+                        ok = False
+                        break
+                if not ok or rhs != lhs:
+                    return combo + (u,)
+    return None
+
+
+def oracle_orthogonal(c):
+    bs = c.bs
+    s = bs.base
+    for m in (2, 3):
+        for combo in itertools.combinations(range(s.size), m):
+            if s.zero in combo:
+                continue
+            if not all(
+                s.compat[a][b] for a, b in itertools.combinations(combo, 2)
+            ):
+                continue
+            orthogonalize(bs, combo)
+    return None
+
+
+def oracle_setminus_2(c):
+    bs = c.bs
+    s = bs.base
+    for x in range(s.size):
+        for t in s.down[x]:
+            w = bs.rc(x, t)
+            for a in range(s.size):
+                if s.table[a][w] != bs.rc(s.table[a][x], s.table[a][t]):
+                    return (a, x, t, "left")
+                if s.table[w][a] != bs.rc(s.table[x][a], s.table[t][a]):
+                    return (a, x, t, "right")
+    return None
+
+
+def oracle_setminus_4(c):
+    bs = c.bs
+    s = bs.base
+    pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
+    for x, t in pairs:
+        st = bs.rc(x, t)
+        for u, v in pairs:
+            uv = bs.rc(u, v)
+            lhs = s.table[st][uv]
+            inner = s.join_table[s.table[x][v]][s.table[t][u]]
+            if inner is None:
+                return (x, t, u, v, "inner-join-missing")
+            if lhs != bs.rc(s.table[x][u], inner):
+                return (x, t, u, v)
+    return None
+
+
+def oracle_verify_additive_ideal(bs, subset):
+    s = bs.base
+    if s.zero not in subset:
+        return ("missing-zero",)
+    for a in subset:
+        for x in range(s.size):
+            if s.table[x][a] not in subset:
+                return ("left-ideal", x, a)
+            if s.table[a][x] not in subset:
+                return ("right-ideal", a, x)
+    for a, b in itertools.combinations(sorted(subset), 2):
+        if s.compat[a][b] and s.join_table[a][b] not in subset:
+            return ("join", a, b)
+    return None
+
+
+def oracle_ideal_closure(bs, gens):
+    s = bs.base
+    gens = list(gens)
+    if not gens:
+        raise NotAnIdeal(("empty-generators",))
+    prov = {}
+    members = set()
+    for x in gens:
+        for u in range(s.size):
+            su = s.table[u][x]
+            for v in range(s.size):
+                w = s.table[su][v]
+                if w not in members:
+                    members.add(w)
+                    prov[w] = ("gen", u, x, v)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(members)
+        for a, b in itertools.combinations(snapshot, 2):
+            if not s.compat[a][b]:
+                continue
+            j = s.join_table[a][b]
+            if j not in members:
+                members.add(j)
+                prov[j] = ("join", a, b)
+                changed = True
+    bad = oracle_verify_additive_ideal(bs, members)
+    if bad is not None:
+        raise CertificateFailed(("closure-not-an-ideal", bad))
+    return AdditiveIdeal(frozenset(members), prov)
+
+
+KERNELS = {
+    "fish": ("invsgp", law_fish, oracle_fish),
+    "restricted-product": ("invsgp", law_restricted_product, oracle_restricted_product),
+    "oj": ("zero", law_oj, oracle_oj),
+    "definition": ("boolean", law_definition, oracle_definition),
+    "eggs": ("boolean", law_eggs, oracle_eggs),
+    "orthogonal": ("boolean", law_orthogonal, oracle_orthogonal),
+    "setminus-2": ("boolean", law_setminus_2, oracle_setminus_2),
+    "setminus-4": ("boolean", law_setminus_4, oracle_setminus_4),
+}
+
+
+def outcome(fn, *args):
+    """What fn returned, or the type and text of what it raised."""
+    try:
+        return ("returned", fn(*args))
+    except Exception as e:  # noqa: BLE001 - any difference must show
+        return ("raised", type(e).__name__, str(e))
+
+
+def closure_outcome(fn, bs, gens):
+    """Carrier and provenance, in insertion order, or what fn raised."""
+    got = outcome(fn, bs, gens)
+    if got[0] == "returned":
+        ideal = got[1]
+        return ("returned", ideal.carrier, list(ideal.provenance.items()))
+    return got
+
+
+def assert_kernels_match(c):
+    for key, (kind, law, oracle) in KERNELS.items():
+        if _applicable(kind, c)[0]:
+            assert outcome(law, c) == outcome(oracle, c), key
+
+
+def assert_closures_match(bs):
+    for a in range(bs.size):
+        assert closure_outcome(ideal_closure, bs, [a]) == (
+            closure_outcome(oracle_ideal_closure, bs, [a])
+        ), a
+
+
+def assert_closures_match_on_pairs(bs):
+    for gens in itertools.combinations(range(bs.size), 2):
+        assert closure_outcome(ideal_closure, bs, gens) == (
+            closure_outcome(oracle_ideal_closure, bs, gens)
+        ), gens
+
+
+# -- uncorrupted structures -------------------------------------------------
+
+TABLES = {
+    **SEMIGROUP_BUILDERS,
+    "symmetric_inverse_table(3)": lambda: symmetric_inverse_table(3),
+    "i2 x z2zero": lambda: table_product(
+        corpus_semigroup("i2"), corpus_semigroup("z2zero")
+    ),
+    "powerset2 x z3zero": lambda: table_product(
+        corpus_semigroup("powerset2"), corpus_semigroup("z3zero")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_law_kernels_match_oracles(name):
+    c = Analysis(InvSgp(TABLES[name]()))
+    assert_kernels_match(c)
+    if c.bs is not None:
+        assert_closures_match(c.bs)
+        assert_closures_match_on_pairs(c.bs)
+        for ideal in enumerate_additive_ideals(c.bs):
+            assert verify_additive_ideal(c.bs, ideal.carrier) is None
+
+
+# -- corrupted structures ---------------------------------------------------
+
+# cached tables read off the multiplication table; a corrupted table drops
+# them so that every reader, kernel and oracle alike, sees the corruption
+FROM_TABLE = ("cols", "product_masks", "compat", "compat_partners", "orth")
+
+
+def corrupted(name, which, a, b, value):
+    """Analysis of a Boolean corpus table with entry [a][b] of one table set
+    to value."""
+    c = Analysis(corpus_semigroup(name))
+    bs, s = c.bs, c.s
+    if which == "rc_table":
+        owner = bs
+    else:
+        owner = s
+        for cached in FROM_TABLE:
+            s.__dict__.pop(cached, None)
+        bs.__dict__.pop("rc_table", None)
+    rows = [list(r) for r in getattr(owner, which)]
+    rows[a][b] = value
+    setattr(owner, which, tuple(map(tuple, rows)))
+    return c
+
+
+@st.composite
+def corruptions(draw):
+    name = draw(st.sampled_from(BOOLEAN_NAMES))
+    k = corpus_semigroup(name).size
+    which = draw(st.sampled_from(("table", "meet_table", "join_table", "rc_table")))
+    a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    ids = st.integers(0, k - 1)
+    value = draw(ids if which == "table" else st.one_of(st.none(), ids))
+    return name, which, a, b, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(corruptions())
+def test_law_kernels_match_oracles_on_corrupted_tables(corruption):
+    assert_kernels_match(corrupted(*corruption))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corruptions())
+def test_ideal_closure_matches_oracle_on_corrupted_tables(corruption):
+    assert_closures_match(corrupted(*corruption).bs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOOLEAN_NAMES), st.data())
+def test_verify_additive_ideal_matches_oracle_on_subsets(name, data):
+    bs = Analysis(corpus_semigroup(name)).bs
+    order = data.draw(st.permutations(range(bs.size)))
+    keep = data.draw(st.lists(st.booleans(), min_size=bs.size, max_size=bs.size))
+    subset = set()
+    for x, kept in zip(order, keep):
+        if kept:
+            subset.add(x)
+    for candidate in (subset, frozenset(subset)):
+        assert verify_additive_ideal(bs, candidate) == (
+            oracle_verify_additive_ideal(bs, candidate)
+        )

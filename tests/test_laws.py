@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+
+import biskit
 from biskit.corpus import (
     GROUPOID_BUILDERS,
     SEMIGROUP_BUILDERS,
@@ -85,3 +91,46 @@ def test_universal_groupoid_finds_an_unlisted_filter():
     dropped, *kept = a.filters.proper
     a.filters = type(a.filters)(tuple(kept), a.filters.ultra)
     assert law_universal_groupoid(a) == (tuple(sorted(dropped.carrier)),)
+
+
+def test_run_laws_times_each_law():
+    results = run_laws(corpus_semigroup("i2"))
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
+
+
+def test_certificates_hold_under_python_O():
+    # with asserts stripped, a wrong relative complement must still fail law
+    # orthogonal, and a closure that is not an ideal must still be refused
+    code = textwrap.dedent(
+        """
+        import biskit.boolean as boolean
+        from biskit.corpus import corpus_semigroup
+        from biskit.errors import CertificateFailed
+        from biskit.laws import run_laws
+
+        print("debug", __debug__)
+        bs = boolean.check_boolean(corpus_semigroup("i2")).structure
+        bs.rc = lambda x, y: x  # x minus y answered as x
+        (result,) = run_laws(bs, keys=("orthogonal",))
+        print(result.status, result.witness[1])
+        boolean.verify_additive_ideal = lambda bs, subset: ("left-ideal", 0, 1)
+        try:
+            boolean.ideal_closure(bs, [1])
+        except CertificateFailed as e:
+            print("closure", e.witness[0])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+    assert out.split("\n")[:3] == [
+        "debug False",
+        "fail CertificateFailed",
+        "closure closure-not-an-ideal",
+    ]
