@@ -274,13 +274,15 @@ class KOfGroupoid:
     structure: BoolInvSgp
     bisections: tuple  # id in structure -> frozenset of groupoid ids
     groupoid: Gpd
+    index: dict = field(compare=False, repr=False)  # bisection -> id in structure
 
 
 def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     """The Boolean inverse monoid of all local bisections of g.
 
     Product is the setwise partial product; the natural order comes out as
-    inclusion and the atoms as the singletons.
+    inclusion and the atoms as the singletons.  The table must pass
+    check_boolean, else CertificateFailed names the failure.
     """
     carrier = _bisections(g, cap)
     index = {a: i for i, a in enumerate(carrier)}
@@ -292,17 +294,18 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
                 g.ptable[x][y] for x in a for y in b if g.d[x] == g.r[y]
             )
             table[i][j] = index[prod]
-    base = InvSgp(table)
-    rep = check_boolean(base)
-    assert rep.boolean, f"local bisections must be Boolean: {rep.failure}"
-    return KOfGroupoid(rep.structure, tuple(carrier), g)
+    rep = check_boolean(InvSgp(table))
+    if not rep.boolean:
+        raise CertificateFailed(("bisections-not-boolean", rep.failure))
+    return KOfGroupoid(rep.structure, tuple(carrier), g, index)
 
 
 def atoms_groupoid(bs):
     """The atoms of bs under the restricted product, as a groupoid.
 
     Labels give the original atom ids.  The product of two atoms, when
-    domain meets range, is checked to be an atom again.
+    domain meets range, is checked to be an atom again; CertificateFailed
+    names a pair whose product is not.
     """
     s = bs.base
     if s.zero is None:
@@ -315,7 +318,8 @@ def atoms_groupoid(bs):
         for j, y in enumerate(ats):
             if s.d[x] == s.r[y]:
                 p = s.table[x][y]
-                assert p in index, "product of atoms with matching ends is an atom"
+                if p not in index:
+                    raise CertificateFailed(("atom-product-not-atom", x, y, p))
                 ptable[i][j] = index[p]
     return Gpd(ptable, labels=ats)
 
@@ -348,7 +352,7 @@ def theta_iso(bs):
     theta = []
     for a in range(s.size):
         below = frozenset(atom_pos[x] for x in s.down[a] if x in atom_pos)
-        theta.append(kg.bisections.index(below) if below in kg.bisections else None)
+        theta.append(kg.index.get(below))
     ok = (
         s.size == kg.structure.size
         and None not in theta

@@ -162,7 +162,7 @@ def gamma_extension(s, alpha, target, booleanization=None):
             continue
         strict = [x for x in s0.down[a] if x != a and x != s0.zero]
         jb = bsb.join_of([b.beta[x] for x in strict]) if strict else bsb.zero
-        singleton_id = b.target.bisections.index(frozenset({pos[a]}))
+        singleton_id = b.target.index[frozenset({pos[a]})]
         if b.bs.rc(b.beta[a], jb) != singleton_id:
             unique = False
         if gamma.map[singleton_id] != gamma1[a]:

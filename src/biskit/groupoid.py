@@ -150,30 +150,19 @@ def reconstruct(cf):
 
     Component c with n identities and group H becomes the set of triples
     (x, h, y) with product (x, h, y)(y, h2, z) = (x, h*h2, z); components are
-    laid out one after another.
+    laid out one after another, and within one the arrow (x, h, y) has id
+    offset + (x*n + y)*|H| + h, so ids sort by (row, column, group id).
     """
-    blocks = []
-    offset = 0
-    for comp in cf.components:
-        n, h = comp.identity_count, comp.group.size
-        blocks.append((offset, n, h, comp.group))
-        offset += n * h * n
-    total = offset
+    total = sum(c.identity_count**2 * c.group.size for c in cf.components)
     ptable = [[None] * total for _ in range(total)]
-
-    def enc(block, x, g, y):
-        off, n, h, _ = block
-        return off + (x * h + g) * n + y
-
-    for block in blocks:
-        off, n, h, grp = block
-        for x, g, y in itertools.product(range(n), range(h), range(n)):
-            i = enc(block, x, g, y)
-            for x2, g2, y2 in itertools.product(range(n), range(h), range(n)):
-                if x2 != y:
-                    continue
-                j = enc(block, x2, g2, y2)
-                ptable[i][j] = enc(block, x, grp.ptable[g][g2], y2)
+    off = 0
+    for comp in cf.components:
+        n, h, gt = comp.identity_count, comp.group.size, comp.group.ptable
+        block = [[off + (x * n + y) * h for y in range(n)] for x in range(n)]
+        for x, y, z in itertools.product(range(n), repeat=3):
+            for g, g2 in itertools.product(range(h), repeat=2):
+                ptable[block[x][y] + g][block[y][z] + g2] = block[x][z] + gt[g][g2]
+        off += n * n * h
     return Gpd(ptable)
 
 
@@ -344,6 +333,7 @@ class Coordinates:
 
     form: ComponentForm
     coord: tuple  # coord[x] = (ci, xi, g, yi)
+    rebuilt: tuple  # rebuilt[x] = the id of x's triple in reconstruct(form)
     anchors: tuple  # anchors[ci][xi] = arrow from base identity to identity xi
 
 
@@ -353,10 +343,13 @@ def coordinatize(g):
     For identity number xi in component ci the anchor a_xi runs from the
     component's least identity to that identity; the group part of an arrow
     t is then anchor(r)^-1 * t * anchor(d), a loop at the base identity.
+    Sending each arrow to its triple is an isomorphism onto reconstruct(form).
     """
     cf = component_form(g)
     all_coords = [None] * g.size
+    rebuilt = [None] * g.size
     anchors_out = []
+    off = 0  # where the component's triples start in reconstruct(form)
     for ci, comp in enumerate(cf.components):
         ids = comp.identities
         base = ids[0]
@@ -375,12 +368,15 @@ def coordinatize(g):
                 anchors.append(g.inv[back])
         pos = {e: i for i, e in enumerate(ids)}
         group_index = {x: i for i, x in enumerate(comp.group.labels)}
+        n, h = len(ids), comp.group.size
         for t in comp.member_ids:
             xi, yi = pos[g.r[t]], pos[g.d[t]]
-            loop = g.ptable[g.ptable[g.inv[anchors[xi]]][t]][anchors[yi]]
-            all_coords[t] = (ci, xi, group_index[loop], yi)
+            loop = group_index[g.ptable[g.ptable[g.inv[anchors[xi]]][t]][anchors[yi]]]
+            all_coords[t] = (ci, xi, loop, yi)
+            rebuilt[t] = off + (xi * n + yi) * h + loop
         anchors_out.append(tuple(anchors))
-    return Coordinates(cf, tuple(all_coords), tuple(anchors_out))
+        off += n * n * h
+    return Coordinates(cf, tuple(all_coords), tuple(rebuilt), tuple(anchors_out))
 
 
 def groupoid_iso(g, h):

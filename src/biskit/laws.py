@@ -31,6 +31,7 @@ from .boolean import (
     kernel_of,
     orthogonalize,
     read_pencil,
+    theta_iso,
 )
 from .booleanization import (
     FILTER_SCAN_CAP,
@@ -57,7 +58,14 @@ from .groupoid import (
     is_principal,
     reconstruct,
 )
-from .rook import decompose, identity_rook, rook_matrix, rook_mul, rook_star
+from .rook import (
+    build_Mn_G0,
+    decompose,
+    identity_rook,
+    rook_matrix,
+    rook_mul,
+    rook_star,
+)
 from .typemon import (
     ideal_triple,
     mu_type_invariance,
@@ -791,7 +799,7 @@ def law_ale(c):
 
 
 def law_main_finite(c):
-    cert = c.decomposition.theta
+    cert = theta_iso(c.bs)
     if not cert.verified or cert.target.structure.size != c.bs.size:
         return ("theta-unverified",)
     return None
@@ -801,9 +809,10 @@ def law_finite(c):
     cert = c.decomposition
     if not cert.verified:
         return ("decomposition-unverified",)
-    for factor in cert.factors:
-        again = decompose(factor.structure)
-        want = (factor.n, factor.group.size, group_name(factor.group))
+    for comp in cert.form.components:
+        n, group = comp.identity_count, comp.group
+        again = decompose(build_Mn_G0(n, group).structure)
+        want = (n, group.size, group_name(group))
         if again.signature != (want,):
             return (want, "signature-unstable")
     return None

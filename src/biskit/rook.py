@@ -9,13 +9,18 @@ joined orthogonally and the result is a rook matrix again.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .boolean import BoolInvSgp, ThetaIso, check_boolean, direct_product, theta_iso
-from .core import InvSgp
-from .errors import DimensionMismatch, NotAGroup, NotMonoid, TooLarge
-from .groupoid import canonical_group_key, coordinatize, group_name
+from .boolean import BoolInvSgp, atoms_groupoid, k_of_groupoid
+from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
+from .groupoid import (
+    Component,
+    ComponentForm,
+    canonical_group_key,
+    coordinatize,
+    group_name,
+    reconstruct,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,10 @@ def rook_matrix(base, entries):
 
 
 def rook_mul(a, b):
-    """Matrix product; each entry is an orthogonal join of entrywise terms."""
+    """Matrix product; each entry is an orthogonal join of entrywise terms.
+
+    Two terms of one entry that are not orthogonal raise CertificateFailed.
+    """
     if a.base is not b.base or a.n != b.n:
         raise DimensionMismatch("rook product needs one base and one size")
     base, n = a.base, a.n
@@ -75,7 +83,8 @@ def rook_mul(a, b):
             ]
             terms = [t for t in terms if t != s.zero]
             for t1, t2 in itertools.combinations(terms, 2):
-                assert s.orth[t1][t2], "rook product terms must be orthogonal"
+                if not s.orth[t1][t2]:
+                    raise CertificateFailed(("terms-not-orthogonal", i, j, t1, t2))
             row.append(base.join_of(terms))
         out.append(tuple(row))
     return rook_matrix(base, out)
@@ -120,58 +129,22 @@ MN_ENTRY_CAP = 64
 MN_CARRIER_CAP = 20000
 
 
-@dataclass(frozen=True)
-class MnG0:
-    structure: BoolInvSgp
-    cells: tuple  # id -> frozenset of (row, col, group id)
-    n: int
-    group: object  # the one-object Gpd the entries came from
-
-
 def build_Mn_G0(n, group):
     """Tabulate the n-by-n rook matrices over the group-with-zero on group.
 
     Entries of such a matrix are either zero or group elements, and the rook
-    conditions force at most one nonzero entry per row and per column, so
-    elements are partial one-to-one placements with group labels.
+    conditions force at most one nonzero entry per row and per column, so a
+    matrix is a local bisection of the groupoid n x H x n: this is K of that
+    groupoid, with its elements sorted by (size, (row, col, group id)s).
     """
     if not group.is_group():
         raise NotAGroup("matrix base must be a one-object groupoid")
     h = group.size
     if n * n * h > MN_ENTRY_CAP:
         raise TooLarge(f"{n}x{n} over group of order {h} exceeds entry cap")
-    count = sum(
-        math.comb(n, k) ** 2 * math.factorial(k) * h**k for k in range(n + 1)
-    )
-    if count > MN_CARRIER_CAP:
-        raise TooLarge(f"carrier {count} exceeds cap {MN_CARRIER_CAP}")
-
-    cells = []
-    for k in range(n + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.permutations(range(n), k):
-                for gs in itertools.product(range(h), repeat=k):
-                    cells.append(
-                        frozenset(zip(rows, cols, gs))
-                    )
-    cells = sorted(set(cells), key=lambda c: (len(c), sorted(c)))
-    assert len(cells) == count
-    index = {c: i for i, c in enumerate(cells)}
-    size = len(cells)
-    table = [[0] * size for _ in range(size)]
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            prod = frozenset(
-                (ra, cb, group.ptable[ga][gb])
-                for (ra, ca, ga) in a
-                for (rb, cb, gb) in b
-                if ca == rb
-            )
-            table[i][j] = index[prod]
-    base = InvSgp(table)
-    rep = check_boolean(base)
-    assert rep.boolean, f"matrix monoid must be Boolean: {rep.failure}"
-    return MnG0(rep.structure, tuple(cells), n, group)
+    # reconstruct reads only the identity count and the group of a component
+    form = ComponentForm((Component(n, group, member_ids=(), identities=()),))
+    return k_of_groupoid(reconstruct(form), cap=MN_CARRIER_CAP)
 
 
 @dataclass(frozen=True)
@@ -180,80 +153,55 @@ class DecompositionCertificate:
 
     signature: tuple  # sorted (identity count, group order, group name)
     canonical: tuple  # sorted (identity count, canonical group key)
-    factors: tuple  # of MnG0, in atom-component order
-    product: BoolInvSgp
+    form: ComponentForm  # the atom components, ordered by least identity
+    product: BoolInvSgp  # K(reconstruct(form))
     iso: tuple  # source id -> product id, fully table-checked
     verified: bool
-    theta: ThetaIso  # the verified atom duality the iso runs through
 
 
 def decompose(bs):
     """Split a finite Boolean inverse monoid along its atom components.
 
-    Component i of the atoms, with n_i identities and local group G_i,
-    contributes the n_i-by-n_i rook matrices over G_i with zero; the witness
-    isomorphism runs through atom sets coordinatized against the component
-    anchors and is re-checked entry by entry on the full tables.
+    Component i of the atoms, with n_i identities and local group G_i, is
+    rebuilt as the groupoid n_i x G_i x n_i, whose local bisections are the
+    n_i-by-n_i rook matrices over G_i with zero; the local bisections of all
+    rebuilt components together are the product of those matrix monoids.
+    Each element goes to the bisection of the rebuilt atoms below it, and
+    that map is re-checked entry by entry on the full tables.
     """
     if bs.top is None:
         raise NotMonoid("decomposition needs an identity element")
-    theta = theta_iso(bs)
-    assert theta.verified, "atom duality must verify before decomposition"
-    coords = coordinatize(theta.atoms)
+    ag = atoms_groupoid(bs)
+    coords = coordinatize(ag)
     comps = coords.form.components
-
-    factors = tuple(
-        build_Mn_G0(c.identity_count, c.group) for c in comps
-    )
     signature = tuple(
-        sorted(
-            (c.identity_count, c.group.size, group_name(c.group))
-            for c in comps
-        )
+        sorted((c.identity_count, c.group.size, group_name(c.group)) for c in comps)
     )
     canonical = tuple(
         sorted((c.identity_count, canonical_group_key(c.group)) for c in comps)
     )
+    kg = k_of_groupoid(reconstruct(coords.form))
 
-    if not factors:
-        product = check_boolean(InvSgp(((0,),))).structure
-    else:
-        product = factors[0].structure
-        for f in factors[1:]:
-            product = direct_product(product, f.structure)
-
-    s = bs.base
-    iso = []
-    for a in range(s.size):
-        atom_set = theta.target.bisections[theta.map[a]]
-        per_comp = [[] for _ in comps]
-        for t in atom_set:
-            ci, xi, g, yi = coords.coord[t]
-            per_comp[ci].append((xi, yi, g))
-        pid = 0
-        stride = 1
-        for ci, cell_list in enumerate(per_comp):
-            fi = factors[ci].cells.index(frozenset(cell_list))
-            pid += fi * stride
-            stride *= factors[ci].structure.size
-        iso.append(pid)
-
-    p = product.base
-    verified = sorted(iso) == list(range(p.size)) and s.size == p.size
-    if verified:
-        for a in range(s.size):
-            for b in range(s.size):
-                if iso[s.table[a][b]] != p.table[iso[a]][iso[b]]:
-                    verified = False
-                    break
-            if not verified:
-                break
+    s, p = bs.base, kg.structure.base
+    rebuilt = dict(zip(ag.labels, coords.rebuilt))
+    iso = tuple(
+        kg.index.get(frozenset(rebuilt[x] for x in s.down[a] if x in rebuilt))
+        for a in range(s.size)
+    )
+    verified = (
+        s.size == p.size
+        and set(iso) == set(range(p.size))
+        and all(
+            iso[s.table[a][b]] == p.table[iso[a]][iso[b]]
+            for a in range(s.size)
+            for b in range(s.size)
+        )
+    )
     return DecompositionCertificate(
         signature=signature,
         canonical=canonical,
-        factors=factors,
-        product=product,
-        iso=tuple(iso),
+        form=coords.form,
+        product=kg.structure,
+        iso=iso,
         verified=verified,
-        theta=theta,
     )

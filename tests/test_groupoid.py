@@ -13,6 +13,8 @@ from biskit.corpus import (
 )
 from biskit.errors import NotGroupoid, ParseError
 from biskit.groupoid import (
+    Component,
+    ComponentForm,
     Gpd,
     component_form,
     coordinatize,
@@ -91,6 +93,43 @@ def test_reconstruct_is_isomorphic():
         g = corpus_groupoid(name)
         rebuilt = reconstruct(component_form(g))
         assert groupoid_iso(rebuilt, g) is not None, name
+
+
+def test_reconstruct_numbers_arrows_by_row_column_group():
+    groups = [Gpd(z3_table()), Gpd([[0, 1], [1, 0]]), Gpd([[0]])]
+    form = ComponentForm(
+        tuple(Component(n, grp, (), ()) for n, grp in zip((2, 1, 3), groups))
+    )
+    g = reconstruct(form)
+    assert g.size == 2 * 2 * 3 + 1 * 1 * 2 + 3 * 3 * 1
+    want = {}  # (x, h, y) of component ci has id off + (x*n + y)*|H| + h
+    off = 0
+    for ci, (n, grp) in enumerate(zip((2, 1, 3), groups)):
+        h = grp.size
+        for x, y, k in itertools.product(range(n), range(n), range(h)):
+            want[ci, x, k, y] = off + (x * n + y) * h + k
+        off += n * n * h
+    assert sorted(want.values()) == list(range(g.size))
+    for (ci, x, k, y), i in want.items():
+        grp = groups[ci]
+        for (cj, x2, k2, y2), j in want.items():
+            if (cj, x2) == (ci, y):
+                assert g.ptable[i][j] == want[ci, x, grp.ptable[k][k2], y2]
+            else:
+                assert g.ptable[i][j] is None
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOID_BUILDERS))
+def test_coordinatize_maps_onto_the_rebuilt_groupoid(name):
+    g = corpus_groupoid(name)
+    coords = coordinatize(g)
+    rebuilt = reconstruct(coords.form)
+    f = coords.rebuilt
+    assert sorted(f) == list(range(rebuilt.size))
+    for x in range(g.size):
+        for y in range(g.size):
+            p = g.ptable[x][y]
+            assert rebuilt.ptable[f[x]][f[y]] == (None if p is None else f[p])
 
 
 def test_coordinatize_conn2z2():

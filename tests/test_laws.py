@@ -100,7 +100,9 @@ def test_run_laws_times_each_law():
 
 def test_certificates_hold_under_python_O():
     # with asserts stripped, a wrong relative complement must still fail law
-    # orthogonal, and a closure that is not an ideal must still be refused
+    # orthogonal, and a closure that is not an ideal, an atom product that is
+    # not an atom, non-orthogonal rook terms and a K(G) table that is not
+    # Boolean must still be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -118,6 +120,31 @@ def test_certificates_hold_under_python_O():
             boolean.ideal_closure(bs, [1])
         except CertificateFailed as e:
             print("closure", e.witness[0])
+
+        import biskit.rook as rook
+        from biskit.groupoid import Gpd
+        sub = boolean.check_boolean(corpus_semigroup("i2")).structure
+        sub.base.atoms = sub.base.atoms[1:]  # one atom is missing
+        try:
+            boolean.atoms_groupoid(sub)
+        except CertificateFailed as e:
+            print("atoms", e.witness[0])
+        pset = boolean.check_boolean(corpus_semigroup("powerset2")).structure
+        e1, e2 = pset.base.atoms
+        a = rook.rook_matrix(pset, [[e1, e2], [0, 0]])
+        b = rook.rook_matrix(pset, [[e1, 0], [e2, 0]])
+        pset.base.orth = [[False] * pset.size for _ in range(pset.size)]
+        try:
+            rook.rook_mul(a, b)  # entry (0, 0) joins e1 and e2
+        except CertificateFailed as e:
+            print("rook", e.witness[0])
+        from dataclasses import replace
+        real = boolean.check_boolean
+        boolean.check_boolean = lambda s: replace(real(s), boolean=False)
+        try:
+            boolean.k_of_groupoid(Gpd([[0]]))
+        except CertificateFailed as e:
+            print("k", e.witness[0])
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
@@ -129,8 +156,11 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:3] == [
+    assert out.split("\n")[:6] == [
         "debug False",
         "fail CertificateFailed",
         "closure closure-not-an-ideal",
+        "atoms atom-product-not-atom",
+        "rook terms-not-orthogonal",
+        "k bisections-not-boolean",
     ]

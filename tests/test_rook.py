@@ -1,14 +1,22 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
 
-from biskit.boolean import check_boolean
-from biskit.core import semigroup_iso
-from biskit.corpus import corpus_semigroup
-from biskit.errors import DimensionMismatch, NotMonoid
-from biskit.groupoid import Gpd
+from biskit.boolean import check_boolean, direct_product, theta_iso
+from biskit.core import InvSgp, semigroup_iso, table_product
+from biskit.corpus import (
+    BOOLEAN_NAMES,
+    corpus_semigroup,
+    symmetric_inverse_table,
+)
+from biskit.errors import DimensionMismatch, NotAGroup, NotMonoid, TooLarge
+from biskit.groupoid import Gpd, canonical_group_key, coordinatize, group_name
+import biskit.rook as rook
 from biskit.rook import (
+    MN_CARRIER_CAP,
+    MN_ENTRY_CAP,
     build_Mn_G0,
     decompose,
     diag_rook,
@@ -122,6 +130,21 @@ def test_decompose_signatures():
         assert cert.verified, name
 
 
+def test_decompose_refuses_a_map_that_is_not_multiplicative(monkeypatch):
+    # two atoms sent to each other's rebuilt arrows: not a groupoid iso
+    real = rook.coordinatize
+
+    def swapped(g):
+        c = real(g)
+        r = list(c.rebuilt)
+        r[0], r[1] = r[1], r[0]
+        return dataclasses.replace(c, rebuilt=tuple(r))
+
+    monkeypatch.setattr(rook, "coordinatize", swapped)
+    for name in ("i2", "i3", "m2z2zero"):
+        assert not decompose(boolean(name)).verified, name
+
+
 def test_decompose_iso_is_checked_entrywise():
     cert = decompose(boolean("i2xz2zero"))
     s = boolean("i2xz2zero").base
@@ -130,3 +153,160 @@ def test_decompose_iso_is_checked_entrywise():
     for a in range(s.size):
         for b in range(s.size):
             assert f[s.table[a][b]] == p.table[f[a]][f[b]]
+
+
+# -- the cell-enumerating construction, kept as the oracle ------------------
+
+
+def oracle_Mn_G0(n, group):
+    """Cells and raw table of the n-by-n rook matrices over group with zero.
+
+    Each matrix is a set of (row, col, group id) placements with distinct
+    rows and columns, sorted by (size, placements); the product is setwise.
+    """
+    h = group.size
+    cells = []
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.permutations(range(n), k):
+                for gs in itertools.product(range(h), repeat=k):
+                    cells.append(frozenset(zip(rows, cols, gs)))
+    cells = sorted(set(cells), key=lambda c: (len(c), sorted(c)))
+    assert len(cells) == mn_count(n, h)
+    index = {c: i for i, c in enumerate(cells)}
+    table = [
+        [
+            index[
+                frozenset(
+                    (ra, cb, group.ptable[ga][gb])
+                    for (ra, ca, ga) in a
+                    for (rb, cb, gb) in b
+                    if ca == rb
+                )
+            ]
+            for b in cells
+        ]
+        for a in cells
+    ]
+    return cells, table
+
+
+def oracle_decompose(bs):
+    """The factors-and-direct_product path: (signature, canonical, product,
+    iso) through the verified atom duality, one oracle Mn(G0) per component
+    and a chain of direct products.
+    """
+    theta = theta_iso(bs)
+    assert theta.verified
+    coords = coordinatize(theta.atoms)
+    comps = coords.form.components
+    signature = tuple(
+        sorted((c.identity_count, c.group.size, group_name(c.group)) for c in comps)
+    )
+    canonical = tuple(
+        sorted((c.identity_count, canonical_group_key(c.group)) for c in comps)
+    )
+    factors = []
+    for c in comps:
+        cells, table = oracle_Mn_G0(c.identity_count, c.group)
+        factors.append((cells, check_boolean(InvSgp(table)).structure))
+    product = check_boolean(InvSgp(((0,),))).structure
+    if factors:
+        product = factors[0][1]
+        for _cells, f in factors[1:]:
+            product = direct_product(product, f)
+    iso = []
+    for a in range(bs.size):
+        per_comp = [[] for _ in comps]
+        for t in theta.target.bisections[theta.map[a]]:
+            ci, xi, g, yi = coords.coord[t]
+            per_comp[ci].append((xi, yi, g))
+        pid, stride = 0, 1
+        for (cells, f), cell_list in zip(factors, per_comp):
+            pid += cells.index(frozenset(cell_list)) * stride
+            stride *= f.size
+        iso.append(pid)
+    return signature, canonical, product, tuple(iso)
+
+
+def cyclic(h):
+    return Gpd([[(i + j) % h for j in range(h)] for i in range(h)])
+
+
+def s3():
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return Gpd([[idx[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms])
+
+
+GROUPS = {
+    "trivial": lambda: cyclic(1),
+    "Z2": lambda: cyclic(2),
+    "Z3": lambda: cyclic(3),
+    "V4": lambda: Gpd([[i ^ j for j in range(4)] for i in range(4)]),
+    "S3": s3,
+}
+
+# n = 3 over V4 (709 elements) and S3 (1,999) are left out: validating their
+# tables is O(k^3), about 14 s and several minutes
+MN_CASES = [
+    (n, name)
+    for name in GROUPS
+    for n in range(1, 4)
+    if n < 3 or name in ("trivial", "Z2", "Z3")
+] + [(4, "trivial")]
+
+
+@pytest.mark.parametrize("n, name", MN_CASES)
+def test_build_Mn_G0_matches_cell_oracle(n, name):
+    group = GROUPS[name]()
+    kg = build_Mn_G0(n, group)
+    cells, table = oracle_Mn_G0(n, group)
+    assert kg.structure.base.table == tuple(tuple(r) for r in table)
+    # bisection ids are the cells' (row, col, group id), numbered row-major
+    h = group.size
+    assert kg.bisections == tuple(
+        frozenset((x * n + y) * h + g for x, y, g in cell) for cell in cells
+    )
+
+
+def test_build_Mn_G0_caps():
+    with pytest.raises(TooLarge, match="entry cap"):
+        build_Mn_G0(9, cyclic(1))  # 81 entries
+    assert MN_ENTRY_CAP < 81 and mn_count(8, 1) > MN_CARRIER_CAP
+    with pytest.raises(TooLarge, match=f"count {mn_count(8, 1)} above cap"):
+        build_Mn_G0(8, cyclic(1))
+    with pytest.raises(NotAGroup):
+        build_Mn_G0(2, Gpd([[0, None], [None, 1]]))
+
+
+DECOMPOSE_TABLES = {
+    **{name: lambda name=name: corpus_semigroup(name) for name in BOOLEAN_NAMES},
+    "symmetric_inverse_table(3)": lambda: InvSgp(symmetric_inverse_table(3)),
+    "i2 x z2zero": lambda: InvSgp(
+        table_product(corpus_semigroup("i2"), corpus_semigroup("z2zero"))
+    ),
+    "powerset2 x z3zero": lambda: InvSgp(
+        table_product(corpus_semigroup("powerset2"), corpus_semigroup("z3zero"))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_TABLES))
+def test_decompose_matches_direct_product_oracle(name):
+    bs = check_boolean(DECOMPOSE_TABLES[name]()).structure
+    cert = decompose(bs)
+    signature, canonical, old_product, old_iso = oracle_decompose(bs)
+    assert (cert.signature, cert.canonical) == (signature, canonical)
+    assert cert.verified
+    s, p = bs.base, cert.product.base
+    assert sorted(cert.iso) == list(range(p.size)) and p.size == s.size
+    for a in range(s.size):
+        for b in range(s.size):
+            assert cert.iso[s.table[a][b]] == p.table[cert.iso[a]][cert.iso[b]]
+    # the oracle's product is the same monoid under another numbering
+    q = old_product.base
+    new_of_old = {old_iso[a]: cert.iso[a] for a in range(s.size)}
+    for x in range(q.size):
+        for y in range(q.size):
+            assert new_of_old[q.table[x][y]] == p.table[new_of_old[x]][new_of_old[y]]
