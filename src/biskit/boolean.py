@@ -16,11 +16,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, factorial
+from operator import and_, itemgetter
 
 from .core import (
     InvSgp,
     _dr_classes,
     _mask,
+    _picker,
     check_congruence,
     Congruence,
     quotient_table,
@@ -115,44 +117,29 @@ def check_boolean(s):
     multiplication distributes over the joins that exist; every idempotent
     interval [0, f] has unique complements.
 
-    Distributivity is decided a compatible pair (a, b) at a time: the joins
-    of columns a and b must be column a v b (left), and the joins of rows a
-    and b must be row a v b (right).  A pair that fails either is scanned by
-    c, so the failure names the first c, left before right, at which it
-    breaks.
+    Distributivity is decided on the generators of s (InvSgp.generators):
+    if c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c hold for every
+    generator c and every compatible pair, they hold for every c.  For
+    c = m*g, c*(a v b) = m*(g*a v g*b) by the case g, and that is
+    m*g*a v m*g*b by the case m applied to the pair (g*a, g*b), which is
+    compatible again; the right side is the same with m*g read the other
+    way.  That pair can come in either order, so the generator pass walks
+    ordered compatible pairs, and a reversed pair without a join counts as a
+    failure of the pass.  When the pass fails, _distributivity_failure scans
+    every c, so the failure tuple is the one a full scan gives.
     """
     if s.zero is None:
         return BooleanCheck(False, ("no-zero",), None)
-    k = s.size
     jt = s.join_table
-    for a in range(k):
-        for b in range(a, k):
-            if s.compat[a][b] and jt[a][b] is None:
-                return BooleanCheck(False, ("missing-join", a, b), None)
-    t = s.table
-    # not the cached s.cols: every quotient and product biskit builds is
-    # checked here, and caching their columns would keep them all alive
-    cols = tuple(zip(*t))
-    for a in range(k):
-        for b in range(a, k):
-            if not s.compat[a][b]:
-                continue
-            j = jt[a][b]
-            if tuple([jt[x][y] for x, y in zip(cols[a], cols[b])]) == cols[j] and (
-                tuple([jt[x][y] for x, y in zip(t[a], t[b])]) == t[j]
-            ):
-                continue
-            for c in range(k):
-                left = jt[s.table[c][a]][s.table[c][b]]
-                if left is None or left != s.table[c][j]:
-                    return BooleanCheck(
-                        False, ("left-distributivity", c, a, b), None
-                    )
-                right = jt[s.table[a][c]][s.table[b][c]]
-                if right is None or right != s.table[j][c]:
-                    return BooleanCheck(
-                        False, ("right-distributivity", a, b, c), None
-                    )
+    for a, partners in enumerate(s.compat_partners):
+        later = _above(partners, a - 1)  # the partners b >= a
+        if None in map(jt[a].__getitem__, later):
+            b = next(b for b in later if jt[a][b] is None)
+            return BooleanCheck(False, ("missing-join", a, b), None)
+    if not _distributes_on_generators(s):
+        failure = _distributivity_failure(s)
+        if failure is not None:
+            return BooleanCheck(False, failure, None)
     complement = {}
     idem = s.idempotents
     for f in idem:
@@ -168,6 +155,63 @@ def check_boolean(s):
                 return BooleanCheck(False, ("complement", e, f), None)
             complement[(f, e)] = wits[0]
     return BooleanCheck(True, None, BoolInvSgp(s, complement, s.identity))
+
+
+def _distributes_on_generators(s):
+    """True when c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c for every
+    generator c and every ordered compatible pair (a, b), all joins defined.
+
+    Per a and c, the joins of c*a (of a*c) with c*b (with b*c) over the
+    partners b of a are read in one itemgetter call and compared with row c
+    (column c) read at the joins a v b.
+    """
+    t, jt = s.table, s.join_table
+    gens = [(t[c], tuple(map(itemgetter(c), t))) for c in s.generators]
+    for a, partners in enumerate(s.compat_partners):
+        at_partners = _picker(partners)
+        joins = at_partners(jt[a])
+        if None in joins:
+            return False
+        at_joins = _picker(joins)
+        for row, col in gens:
+            if _picker(at_partners(row))(jt[row[a]]) != at_joins(row):
+                return False
+            if _picker(at_partners(col))(jt[col[a]]) != at_joins(col):
+                return False
+    return True
+
+
+def _distributivity_failure(s):
+    """The first distributivity failure over compatible pairs a <= b, or None.
+
+    Decided a pair at a time: the joins of columns a and b must be column
+    a v b (left), and the joins of rows a and b must be row a v b (right).
+    A pair that fails either is scanned by c, so the failure names the first
+    c, left before right, at which it breaks: ("left-distributivity", c, a,
+    b) or ("right-distributivity", a, b, c).
+    """
+    k = s.size
+    t, jt = s.table, s.join_table
+    # not the cached s.cols: every quotient and product biskit builds is
+    # checked here, and caching their columns would keep them all alive
+    cols = tuple(zip(*t))
+    for a in range(k):
+        for b in range(a, k):
+            if not s.compat[a][b]:
+                continue
+            j = jt[a][b]
+            if tuple([jt[x][y] for x, y in zip(cols[a], cols[b])]) == cols[j] and (
+                tuple([jt[x][y] for x, y in zip(t[a], t[b])]) == t[j]
+            ):
+                continue
+            for c in range(k):
+                left = jt[t[c][a]][t[c][b]]
+                if left is None or left != t[c][j]:
+                    return ("left-distributivity", c, a, b)
+                right = jt[t[a][c]][t[b][c]]
+                if right is None or right != t[j][c]:
+                    return ("right-distributivity", a, b, c)
+    return None
 
 
 def as_boolean(s):
@@ -513,16 +557,19 @@ def idempotent_ideals(s):
     return out
 
 
-def enumerate_additive_ideals(bs):
+def enumerate_additive_ideals(bs, idem_ideals=None):
     """Every additive ideal of bs.
 
     An additive ideal is determined by its idempotents (x is in exactly when
-    d(x) is), so candidates are the idempotent ideals; each induced subset is
-    then re-verified against the definition directly.
+    d(x) is), so candidates are the idempotent ideals (idem_ideals, the
+    caller's idempotent_ideals(bs.base), or scanned here); each induced
+    subset is then re-verified against the definition directly.
     """
     s = bs.base
+    if idem_ideals is None:
+        idem_ideals = idempotent_ideals(s)
     out = []
-    for fset in idempotent_ideals(s):
+    for fset in idem_ideals:
         subset = frozenset(x for x in range(s.size) if s.d[x] in fset)
         if verify_additive_ideal(bs, subset) is None:
             out.append(AdditiveIdeal(subset))
@@ -677,7 +724,8 @@ def epsilon_quotient(bs, ideal):
     c has both differences a minus c and b minus c inside the ideal.
 
     The relation is verified to be an additive congruence whose kernel is
-    exactly the ideal, and the projection is checked weakly meet preserving.
+    exactly the ideal, and the projection is checked weakly meet preserving;
+    a check that fails raises CertificateFailed naming it.
     """
     s = bs.base
     if isinstance(ideal, AdditiveIdeal):
@@ -698,9 +746,11 @@ def epsilon_quotient(bs, ideal):
 
     rel = [[related(a, b) for b in range(k)] for a in range(k)]
     for a in range(k):
-        assert rel[a][a], "relation must be reflexive"
+        if not rel[a][a]:
+            raise CertificateFailed(("not-reflexive", a))
         for b in range(k):
-            assert rel[a][b] == rel[b][a], "relation must be symmetric"
+            if rel[a][b] != rel[b][a]:
+                raise CertificateFailed(("not-symmetric", a, b))
     class_of = [None] * k
     nxt = 0
     for a in range(k):
@@ -709,37 +759,68 @@ def epsilon_quotient(bs, ideal):
         class_of[a] = nxt
         for b in range(a + 1, k):
             if rel[a][b]:
-                assert class_of[b] is None, "relation must be transitive"
+                if class_of[b] is not None:
+                    raise CertificateFailed(("not-transitive", a, b))
                 class_of[b] = nxt
         nxt += 1
     for a in range(k):
         for b in range(k):
-            assert rel[a][b] == (class_of[a] == class_of[b]), (
-                "relation must be transitive"
-            )
+            if rel[a][b] != (class_of[a] == class_of[b]):
+                raise CertificateFailed(("not-transitive", a, b))
     cong = Congruence(k, tuple(class_of))
-    assert check_congruence(s, cong) is None, "ideal relation must be a congruence"
+    bad = check_congruence(s, cong)
+    if bad is not None:
+        raise CertificateFailed(("not-a-congruence", bad))
     q = InvSgp(quotient_table(s, cong))
     qrep = check_boolean(q)
-    assert qrep.boolean, "quotient by an additive ideal must be Boolean"
+    if not qrep.boolean:
+        raise CertificateFailed(("quotient-not-boolean", qrep.failure))
     proj = Morphism(bs, qrep.structure, tuple(class_of))
-    assert is_additive_morphism(bs, qrep.structure, proj.map)
+    if not is_additive_morphism(bs, qrep.structure, proj.map):
+        raise CertificateFailed(("projection-not-additive",))
     kernel = frozenset(x for x in range(k) if class_of[x] == class_of[s.zero])
-    assert kernel == carrier, "kernel must be exactly the collapsed ideal"
-    assert is_weakly_meet_preserving(bs, qrep.structure, proj.map)
+    if kernel != carrier:
+        raise CertificateFailed(("kernel-differs", tuple(sorted(kernel))))
+    if not is_weakly_meet_preserving(bs, qrep.structure, proj.map):
+        raise CertificateFailed(("projection-not-weakly-meet-preserving",))
     return EpsilonReport(cong, qrep.structure, proj)
 
 
 def is_weakly_meet_preserving(source, target, mp):
-    """Every lower bound of two images lifts below a common lower bound."""
+    """Every lower bound of two images lifts below a common lower bound.
+
+    Decided on down-set bitsets of the target.  The target elements a pair
+    (a, b) covers are those below the image of some common lower bound c;
+    the pair holds when every common lower bound of mp[a] and mp[b] is
+    covered.  With a meet m, the common lower bounds of a and b are the
+    down-set of m, so the covered bitset is built once per m.  A pair
+    without a meet takes the union over its common lower bounds itself.
+    """
     s, t = _base(source), _base(target)
-    s_down = [set(s.down[a]) for a in range(s.size)]
-    t_down = [set(t.down[u]) for u in range(t.size)]
-    for a in range(s.size):
-        for b in range(s.size):
-            images = {mp[c] for c in s_down[a] & s_down[b]}
-            for u in t_down[mp[a]] & t_down[mp[b]]:
-                if not any(t.leq[u][w] for w in images):
+    t_down = [_mask(t.down[u]) for u in range(t.size)]
+    img_down = [t_down[mp[x]] for x in range(s.size)]
+
+    def covered(lower):
+        acc = 0
+        for c in lower:
+            acc |= img_down[c]
+        return acc
+
+    # uncovered[m]: target elements below no image of an element below m;
+    # a pair without a meet reads 0 here and is decided below
+    uncovered = {None: 0}
+    for m, lower in enumerate(s.down):
+        uncovered[m] = ~covered(lower)
+    for a, meets in enumerate(s.meet_table):
+        common = map(img_down[a].__and__, img_down)
+        if any(map(and_, common, map(uncovered.__getitem__, meets))):
+            return False
+        if None not in meets:
+            continue
+        for b, m in enumerate(meets):
+            if m is None:
+                lower = set(s.down[a]).intersection(s.down[b])
+                if img_down[a] & img_down[b] & ~covered(lower):
                     return False
     return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .errors import (
     IdempotentsDontCommute,
@@ -84,7 +84,8 @@ def _check_associative(rows):
     Decides all k^3 equations a row at a time: for fixed a and b, the
     products (a*b)*c over every c are the row of a*b, and a*(b*c) is the row
     of a read at the entries of the row of b.  Only a pair whose rows differ
-    is scanned by c, to name the triple.
+    is scanned by c, to name the triple.  InvSgp runs this only after Light's
+    test has failed, to find the witness.
     """
     if len(rows) == 1:
         return  # the one entry is 0, and (0*0)*0 = 0 = 0*(0*0)
@@ -97,6 +98,73 @@ def _check_associative(rows):
                 rb, rab = rows[b], rows[ab]
                 c = next(c for c, bc in enumerate(rb) if rab[c] != ra[bc])
                 raise NotAssociative((a, b, c))
+
+
+def _picker(ids):
+    """A function reading a sequence at the positions ids, as a tuple."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda row: (row[i],)
+    return itemgetter(*ids)
+
+
+def _positions(seq, value):
+    """The indices i with seq[i] == value, ascending, found by seq.index."""
+    out, i = [], -1
+    for _ in range(seq.count(value)):
+        i = seq.index(value, i + 1)
+        out.append(i)
+    return out
+
+
+def _generators(rows):
+    """A greedy generating set of the table's product, in the order chosen.
+
+    Ids are scanned in descending order; one not yet in the closure becomes a
+    generator.  The closure grows by right multiplication m*g of its members
+    by the generators, and each (member, generator) pair is multiplied once:
+    done[i] counts the members already multiplied by generator i.  Every
+    member is g, or m*g for an earlier member m and a generator g, so the
+    closure is every product of generators.  No associativity is assumed.
+    """
+    gens, members, done = [], [], []
+    seen = set()
+    for x in range(len(rows) - 1, -1, -1):
+        if x in seen:
+            continue
+        gens.append(x)
+        done.append(0)
+        members.append(x)
+        seen.add(x)
+        grew = True
+        while grew:
+            grew = False
+            for i, g in enumerate(gens):
+                start, done[i] = done[i], len(members)
+                for m in members[start : done[i]]:
+                    w = rows[m][g]
+                    if w not in seen:
+                        seen.add(w)
+                        members.append(w)
+                        grew = True
+    return tuple(gens)
+
+
+def _light_test(rows, gens):
+    """Light's associativity test: True when (x*g)*y = x*(g*y) for every
+    generator g and all x, y.
+
+    The set of t with (x*t)*y = x*(t*y) for all x, y is closed under the
+    table's product, without assuming associativity, since (x*(s*t))*y =
+    ((x*s)*t)*y = (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y).  So when it
+    holds on a generating set it holds everywhere.  One row comparison per
+    (x, g): the row of x*g against the row of x read at the row of g.
+    """
+    for g in gens:
+        x_g = map(rows.__getitem__, map(itemgetter(g), rows))  # rows of x*g
+        if list(x_g) != list(map(_picker(rows[g]), rows)):
+            return False
+    return True
 
 
 def _bound_table(masks):
@@ -119,8 +187,11 @@ class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
     Construction checks every entry is an id, then every associativity
-    equation (a*b)*c = a*(b*c), row by row; the first failing triple in
-    lexicographic order is the NotAssociative witness.  Then each element
+    equation (a*b)*c = a*(b*c) by Light's test on a greedy generating set
+    (generators, in the order chosen): (x*g)*y = x*(g*y) for each generator
+    g and all x, y, k*|generators| row comparisons instead of k*k.  When it
+    fails, the row scan of _check_associative names the first failing triple
+    in lexicographic order as the NotAssociative witness.  Then each element
     needs exactly one inverse (NotInverse names the candidates) and the
     idempotents must commute (IdempotentsDontCommute names a pair).
     """
@@ -133,19 +204,26 @@ class InvSgp:
         for i, row in enumerate(rows):
             if len(row) != k:
                 raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+            if all(map(isinstance, row, itertools.repeat(int))) and (
+                0 <= min(row) and max(row) < k
+            ):
+                continue
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < k:
                     raise ParseError(f"entry {v!r} out of range in row {i}")
 
-        _check_associative(rows)
+        gens = _generators(rows)
+        if not _light_test(rows, gens):
+            _check_associative(rows)
 
+        # b is an inverse of a when a*b*a = a and b*a*b = b; the first
+        # condition reads column a at row a, and only b passing it are tested
+        # for the second
+        cols = tuple(zip(*rows))
         inv = []
-        for a in range(k):
-            cands = tuple(
-                b
-                for b in range(k)
-                if rows[rows[a][b]][a] == a and rows[rows[b][a]][b] == b
-            )
+        for a, (ra, ca) in enumerate(zip(rows, cols)):
+            aba = _picker(ra)(ca)
+            cands = tuple(b for b in _positions(aba, a) if rows[ca[b]][b] == b)
             if len(cands) != 1:
                 raise NotInverse(a, cands)
             inv.append(cands[0])
@@ -163,21 +241,23 @@ class InvSgp:
 
         self.size = k
         self.table = rows
+        self.generators = gens
         self.inv = tuple(inv)
         self.idempotents = idem
         self.zero = zero
         self.d = tuple(rows[inv[a]][a] for a in range(k))
         self.r = tuple(rows[a][inv[a]] for a in range(k))
-        # a <= b iff a = b * d(a)
-        self.leq = tuple(
-            tuple(rows[b][self.d[a]] == a for b in range(k)) for a in range(k)
-        )
-        self.down = tuple(
-            tuple(x for x in range(k) if self.leq[x][a]) for a in range(k)
-        )
-        self.up = tuple(
-            tuple(x for x in range(k) if self.leq[a][x]) for a in range(k)
-        )
+        # a <= b iff a = b * d(a): the up-set of a is where column d(a) is a
+        self.up = tuple(tuple(_positions(cols[da], a)) for a, da in enumerate(self.d))
+        leq, down = [], [[] for _ in range(k)]
+        for a, ups in enumerate(self.up):
+            row = [False] * k
+            for b in ups:
+                row[b] = True
+                down[b].append(a)
+            leq.append(tuple(row))
+        self.leq = tuple(leq)
+        self.down = tuple(map(tuple, down))
         if zero is None:
             self.atoms = None
         else:
@@ -225,13 +305,12 @@ class InvSgp:
     @cached_property
     def compat(self):
         """compat[a][b]: both a'*b and a*b' are idempotent."""
-        k, t, inv = self.size, self.table, self.inv
-        idem = set(self.idempotents)
+        t, inv = self.table, self.inv
+        is_idem = set(self.idempotents).__contains__
+        at_inv = _picker(inv)  # row a read at inv: a*b' over every b
         return tuple(
-            tuple(
-                t[inv[a]][b] in idem and t[a][inv[b]] in idem for b in range(k)
-            )
-            for a in range(k)
+            tuple(map(and_, map(is_idem, t[ia]), map(is_idem, at_inv(ra))))
+            for ra, ia in zip(t, inv)
         )
 
     @cached_property

@@ -13,7 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem, is_not, itemgetter
+from operator import getitem, is_not
 
 from .boolean import (
     BoolInvSgp,
@@ -25,6 +25,7 @@ from .boolean import (
     enumerate_additive_ideals,
     epsilon_quotient,
     ideal_closure,
+    idempotent_ideals,
     is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
@@ -43,6 +44,7 @@ from .booleanization import (
     principal_map_is_iso,
 )
 from .core import (
+    _picker,
     all_congruences,
     d_relation_idempotents,
     is_fundamental,
@@ -122,8 +124,12 @@ class Analysis:
         return set(self.s.atoms)
 
     @cached_property
+    def idem_ideals(self):
+        return idempotent_ideals(self.s)
+
+    @cached_property
     def ideals(self):
-        return enumerate_additive_ideals(self.bs)
+        return enumerate_additive_ideals(self.bs, self.idem_ideals)
 
     @cached_property
     def zero_simplifying(self):
@@ -143,7 +149,7 @@ class Analysis:
 
     @cached_property
     def triple(self):
-        return ideal_triple(self.bs, self.tm, self.ideals)
+        return ideal_triple(self.bs, self.tm, self.ideals, self.idem_ideals)
 
     @cached_property
     def decomposition(self):
@@ -152,14 +158,6 @@ class Analysis:
     @cached_property
     def mu(self):
         return mu_and_quotient(self.s)
-
-
-def _picker(ids):
-    """A function reading a sequence at the positions ids, as a tuple."""
-    if len(ids) == 1:
-        (i,) = ids
-        return lambda row: (row[i],)
-    return itemgetter(*ids)
 
 
 # -- laws on any inverse semigroup ------------------------------------------

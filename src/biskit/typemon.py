@@ -130,16 +130,16 @@ class IdealTriple:
     simple_iff_rank_one: bool
 
 
-def ideal_triple(bs, tm=None, ideals=None):
-    """Match the three ideal posets of bs; tm and ideals are computed here
-    unless passed in."""
+def ideal_triple(bs, tm=None, ideals=None, idem_ideals=None):
+    """Match the three ideal posets of bs; tm, ideals and idem_ideals (the
+    idempotent_ideals scan) are computed here unless passed in."""
     bs = as_boolean(bs)
     s = bs.base
     if tm is None:
         tm = type_monoid(bs)
+    idem_ideals = list(idempotent_ideals(s) if idem_ideals is None else idem_ideals)
     if ideals is None:
-        ideals = enumerate_additive_ideals(bs)
-    idem_ideals = idempotent_ideals(s)
+        ideals = enumerate_additive_ideals(bs, idem_ideals)
     supports = sorted(
         (frozenset(t) for r in range(tm.rank + 1)
          for t in itertools.combinations(range(tm.rank), r)),

@@ -1,0 +1,55 @@
+"""Generated structures for property tests: inverse subsemigroups of I4.
+
+A partial bijection of {0..3} is a frozenset of (x, f(x)) pairs.  The
+product a*b is "first a, then b".  The subsemigroup generated by a few of
+them and their inverses is closed under that product and inverse, so it is a
+real inverse semigroup, usually without the joins or the distributivity a
+Boolean one needs.
+"""
+
+from hypothesis import strategies as st
+
+POINTS = range(4)
+
+
+def then(a, b):
+    """a*b: apply a, then b, where both are defined."""
+    bm = dict(b)
+    return frozenset((x, bm[y]) for x, y in a if y in bm)
+
+
+def inverse(a):
+    return frozenset((y, x) for x, y in a)
+
+
+def generated_table(gens):
+    """(elements, table) of the inverse subsemigroup generated by gens.
+
+    Elements sort by (size, sorted pairs), as in corpus.symmetric_inverse_table,
+    so the empty map, when present, is id 0.
+    """
+    gens = set(gens) | {inverse(a) for a in gens}
+    elems = set(gens)
+    todo = list(gens)
+    while todo:  # close under right multiplication by the generators
+        m = todo.pop()
+        for g in gens:
+            w = then(m, g)
+            if w not in elems:
+                elems.add(w)
+                todo.append(w)
+    elems = sorted(elems, key=lambda f: (len(f), sorted(f)))
+    index = {f: i for i, f in enumerate(elems)}
+    return elems, [[index[then(a, b)] for b in elems] for a in elems]
+
+
+partial_bijections = st.builds(
+    lambda image, keep: frozenset((x, y) for x, y, k in zip(POINTS, image, keep) if k),
+    st.permutations(list(POINTS)),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+)
+
+# tables of the inverse subsemigroups of I4 generated by 1-3 partial bijections
+i4_subsemigroup_tables = st.lists(partial_bijections, min_size=1, max_size=3).map(
+    lambda gens: generated_table(gens)[1]
+)

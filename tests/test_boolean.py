@@ -17,6 +17,7 @@ from biskit.boolean import (
     epsilon_quotient,
     ideal_closure,
     is_simple,
+    is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
     Morphism,
@@ -41,6 +42,7 @@ from biskit.errors import (
     TooLarge,
 )
 from biskit.groupoid import component_form, Gpd, reconstruct
+from generated import generated_table, i4_subsemigroup_tables, then
 
 
 def boolean(name):
@@ -428,3 +430,112 @@ def test_check_boolean_matches_oracle_on_corrupted_joins(name, data):
     jt[a][b] = v
     s.join_table = tuple(map(tuple, jt))
     assert_check_boolean_matches_oracle(s)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in BOOLEAN_NAMES if corpus_semigroup(n).size <= 21]
+)
+def test_check_boolean_matches_oracle_on_every_join_corruption(name):
+    # every single-entry corruption of the join table: to None and, on the
+    # tables up to 7 elements, to every id.  A None on a reversed pair, such
+    # as i2's jt[1][0], must send the generator pass to the full scan
+    s = corpus_semigroup(name)
+    values = [None, *range(s.size)] if s.size <= 7 else [None]
+    clean = s.join_table
+    for a, b in itertools.product(range(s.size), repeat=2):
+        for v in values:
+            jt = [list(r) for r in clean]
+            jt[a][b] = v
+            s.join_table = tuple(map(tuple, jt))
+            assert_check_boolean_matches_oracle(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables, st.booleans())
+def test_check_boolean_matches_oracle_on_generated_structures(table, flip):
+    # real inverse semigroups, and their transposes (the opposite product):
+    # these reach no-zero, missing-join, left- and right-distributivity and
+    # complement failures without any corruption
+    assert_check_boolean_matches_oracle(InvSgp(list(zip(*table)) if flip else table))
+
+
+def test_left_distributivity_counterexample():
+    # in the inverse subsemigroup of I4 these generate, c = {0->3} times
+    # {0->0} v {2->2} is c, but c*{0->0} v c*{2->2} is the empty map
+    c = frozenset({(0, 3)})
+    gens = [c, frozenset({(0, 2), (1, 1), (2, 0), (3, 3)}),
+            frozenset({(0, 2), (1, 1), (2, 3), (3, 0)})]
+    elems, table = generated_table(gens)
+    s = InvSgp(table)
+    ids = {f: i for i, f in enumerate(elems)}
+    a, b = ids[frozenset({(0, 0)})], ids[frozenset({(2, 2)})]
+    ab = s.join_table[a][b]
+    assert then(c, elems[ab]) == c
+    assert s.join_table[s.table[ids[c]][a]][s.table[ids[c]][b]] == ids[frozenset()]
+    assert check_boolean(s).failure == ("left-distributivity", ids[c], a, b)
+    assert_check_boolean_matches_oracle(s)
+    # under the opposite product it is right distributivity that breaks
+    opposite = InvSgp(list(zip(*table)))
+    assert check_boolean(opposite).failure[0] == "right-distributivity"
+    assert_check_boolean_matches_oracle(opposite)
+
+
+# -- is_weakly_meet_preserving against the set version -----------------------
+
+
+def naive_is_weakly_meet_preserving(source, target, mp):
+    """Every lower bound of two images lifts below a common lower bound."""
+    s = getattr(source, "base", source)
+    t = getattr(target, "base", target)
+    s_down = [set(s.down[a]) for a in range(s.size)]
+    t_down = [set(t.down[u]) for u in range(t.size)]
+    for a in range(s.size):
+        for b in range(s.size):
+            images = {mp[c] for c in s_down[a] & s_down[b]}
+            for u in t_down[mp[a]] & t_down[mp[b]]:
+                if not any(t.leq[u][w] for w in images):
+                    return False
+    return True
+
+
+def law_suite_maps(s):
+    """(source, target, map) for the maps the law suite checks: the identity,
+    the projection onto the mu quotient and, when s is Boolean, each
+    epsilon_quotient projection."""
+    mu = mu_and_quotient(s)
+    maps = [(s, s, tuple(range(s.size))), (s, mu.quotient, tuple(mu.projection))]
+    bs = check_boolean(s).structure
+    if bs is not None:
+        for ideal in enumerate_additive_ideals(bs):
+            proj = epsilon_quotient(bs, ideal).projection
+            maps.append((bs, proj.target, proj.map))
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_weakly_meet_preserving_matches_oracle(name):
+    for source, target, mp in law_suite_maps(InvSgp(ORACLE_TABLES[name]())):
+        want = naive_is_weakly_meet_preserving(source, target, mp)
+        assert is_weakly_meet_preserving(source, target, mp) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(sorted(SEMIGROUP_BUILDERS)).map(
+            lambda name: SEMIGROUP_BUILDERS[name]()
+        ),
+        i4_subsemigroup_tables,
+    ),
+    st.data(),
+)
+def test_weakly_meet_preserving_matches_oracle_on_corrupted_maps(table, data):
+    # generated sources lack meets, which the bitset kernel decides on sets
+    maps = law_suite_maps(InvSgp(table))
+    source, target, mp = data.draw(st.sampled_from(maps))
+    mp = list(mp)
+    mp[data.draw(st.integers(0, len(mp) - 1))] = data.draw(
+        st.integers(0, target.size - 1)
+    )
+    want = naive_is_weakly_meet_preserving(source, target, mp)
+    assert is_weakly_meet_preserving(source, target, mp) == want

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from biskit.core import (
     InvSgp,
+    _check_associative,
+    _generators,
+    _light_test,
     adjoin_zero,
     all_congruences,
     check_congruence,
@@ -30,6 +33,7 @@ from biskit.errors import (
     SizeCapExceeded,
     TooLarge,
 )
+from generated import i4_subsemigroup_tables
 
 
 def test_parse_roundtrip():
@@ -59,6 +63,21 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_semigroup(text)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 2], [1, 0]], "entry 2 out of range in row 0"),
+        ([[0, 0], [-1, 0]], "entry -1 out of range in row 1"),
+        ([[0, 0], [0, None]], "entry None out of range in row 1"),
+        ([[0, 0], [0, 1.0]], "entry 1.0 out of range in row 1"),
+        ([[0, 0], [0]], "row 1 has 1 entries, expected 2"),
+    ],
+)
+def test_invsgp_rejects_entries_that_are_not_ids(table, message):
+    with pytest.raises(ParseError, match=message.replace(".", r"\.")):
+        InvSgp(table)
 
 
 def test_not_associative():
@@ -312,10 +331,47 @@ def naive_join_table(s):
     return tuple(out)
 
 
+def row_scan_witness(rows):
+    """The NotAssociative triple of the row scan, or None."""
+    try:
+        _check_associative(rows)
+    except NotAssociative as e:
+        return e.triple
+    return None
+
+
+def generated_closure(rows, gens):
+    """Every product of generators, by right multiplication until stable."""
+    out = set(gens)
+    todo = list(gens)
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            if rows[m][g] not in out:
+                out.add(rows[m][g])
+                todo.append(rows[m][g])
+    return out
+
+
+def assert_generators_decide_associativity(rows, want):
+    """The generators are the greedy choice and generate every id, and
+    Light's test on them accepts exactly the tables the scan finds no triple
+    in."""
+    gens = _generators(rows)
+    for i, g in enumerate(gens):
+        # the largest id the generators chosen before it do not generate
+        assert g == max(set(range(len(rows))) - generated_closure(rows, gens[:i]))
+    assert generated_closure(rows, gens) == set(range(len(rows)))
+    assert _light_test(rows, gens) == (want is None)
+
+
 def assert_kernels_match_oracles(table):
-    """Same acceptance, same NotAssociative triple, same order tables."""
+    """Same acceptance, same NotAssociative triple (of the triple scan and
+    of the row scan), same order tables."""
     rows = tuple(tuple(r) for r in table)
     want = naive_associativity_witness(rows)
+    assert row_scan_witness(rows) == want
+    assert_generators_decide_associativity(rows, want)
     try:
         s = InvSgp(rows)
     except NotAssociative as e:
@@ -352,3 +408,35 @@ def test_kernels_match_oracles_on_corrupted_tables(name, data):
     a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
     table[a][b] = v
     assert_kernels_match_oracles(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables, st.data())
+def test_kernels_match_oracles_on_generated_structures(table, data):
+    # real inverse subsemigroups of I4, up to all 209 elements: too large for
+    # the triple scan, so the row scan is the oracle; then one entry corrupted
+    rows = tuple(map(tuple, table))
+    assert_generators_decide_associativity(rows, None)
+    assert InvSgp(rows).generators == _generators(rows)
+    k = len(table)
+    a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    table[a][b] = v
+    rows = tuple(map(tuple, table))
+    want = row_scan_witness(rows)
+    assert_generators_decide_associativity(rows, want)
+    try:
+        InvSgp(rows)
+    except NotAssociative as e:
+        assert e.triple == want
+    except BiskitError:
+        assert want is None
+    else:
+        assert want is None
+
+
+def test_chain_semilattice_needs_every_id_as_a_generator():
+    # x*y = min(x, y): a set of ids is closed under the product, so the only
+    # generating set is everything
+    k = 6
+    s = InvSgp([[min(a, b) for b in range(k)] for a in range(k)])
+    assert sorted(s.generators) == list(range(k))

@@ -93,6 +93,26 @@ def test_universal_groupoid_finds_an_unlisted_filter():
     assert law_universal_groupoid(a) == (tuple(sorted(dropped.carrier)),)
 
 
+def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
+    # the additive ideals and the ideal triple read the one scan Analysis holds
+    import biskit.boolean
+    import biskit.laws
+    import biskit.typemon
+
+    calls = []
+    real = biskit.boolean.idempotent_ideals
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    for module in (biskit.boolean, biskit.laws, biskit.typemon):
+        monkeypatch.setattr(module, "idempotent_ideals", counted)
+    results = run_laws(corpus_semigroup("i2"))
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert len(calls) == 1
+
+
 def test_run_laws_times_each_law():
     results = run_laws(corpus_semigroup("i2"))
     assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
@@ -100,9 +120,10 @@ def test_run_laws_times_each_law():
 
 def test_certificates_hold_under_python_O():
     # with asserts stripped, a wrong relative complement must still fail law
-    # orthogonal, and a closure that is not an ideal, an atom product that is
-    # not an atom, non-orthogonal rook terms and a K(G) table that is not
-    # Boolean must still be refused
+    # orthogonal, and a quotient projection that is not weakly meet
+    # preserving, a closure that is not an ideal, an atom product that is not
+    # an atom, non-orthogonal rook terms and a K(G) table that is not Boolean
+    # must still be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -115,6 +136,12 @@ def test_certificates_hold_under_python_O():
         bs.rc = lambda x, y: x  # x minus y answered as x
         (result,) = run_laws(bs, keys=("orthogonal",))
         print(result.status, result.witness[1])
+        z2 = boolean.check_boolean(corpus_semigroup("z2zero")).structure
+        boolean.is_weakly_meet_preserving = lambda source, target, mp: False
+        try:
+            boolean.epsilon_quotient(z2, [z2.zero])
+        except CertificateFailed as e:
+            print("epsilon", e.witness[0])
         boolean.verify_additive_ideal = lambda bs, subset: ("left-ideal", 0, 1)
         try:
             boolean.ideal_closure(bs, [1])
@@ -156,9 +183,10 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:6] == [
+    assert out.split("\n")[:7] == [
         "debug False",
         "fail CertificateFailed",
+        "epsilon projection-not-weakly-meet-preserving",
         "closure closure-not-an-ideal",
         "atoms atom-product-not-atom",
         "rook terms-not-orthogonal",
