@@ -1,5 +1,5 @@
-"""Boolean inverse semigroups: joins, complements, ideals, and the
-atoms-to-table duality.
+"""Boolean inverse semigroups: joins, complements, ideals, local
+bisections and the atoms groupoid.
 
 A BoolInvSgp wraps a validated InvSgp that has passed check_boolean: all
 compatible pairs have joins, multiplication distributes over them, and every
@@ -35,7 +35,6 @@ from .errors import (
     NotBelow,
     NotBoolean,
     NotCompatible,
-    NotMonoid,
     NotMultiplicative,
     NotZeroPreserving,
     TooLarge,
@@ -57,7 +56,7 @@ class BoolInvSgp:
     def __init__(self, base, complement, top):
         self.base = base
         self.complement = complement  # (f, e) with e <= f, both idempotent -> f minus e
-        self.top = top  # identity element, or None if the base has none
+        self.top = top  # identity element; None only in a hand-built wrapper
         self.size = base.size
         self.zero = base.zero
 
@@ -115,7 +114,9 @@ def check_boolean(s):
 
     Checks, in order: a zero exists; every compatible pair has a join;
     multiplication distributes over the joins that exist; every idempotent
-    interval [0, f] has unique complements.
+    interval [0, f] has unique complements.  A table that passes has an
+    identity, the join of all its idempotents; one without raises
+    CertificateFailed(("no-identity",)).
 
     Distributivity is decided on the generators of s (InvSgp.generators):
     if c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c hold for every
@@ -154,6 +155,9 @@ def check_boolean(s):
             if len(wits) != 1:
                 return BooleanCheck(False, ("complement", e, f), None)
             complement[(f, e)] = wits[0]
+    if s.identity is None:
+        # the join e of all idempotents is one: e*x = e*r(x)*x = r(x)*x = x
+        raise CertificateFailed(("no-identity",))
     return BooleanCheck(True, None, BoolInvSgp(s, complement, s.identity))
 
 
@@ -366,65 +370,6 @@ def atoms_groupoid(bs):
                     raise CertificateFailed(("atom-product-not-atom", x, y, p))
                 ptable[i][j] = index[p]
     return Gpd(ptable, labels=ats)
-
-
-@dataclass(frozen=True)
-class ThetaIso:
-    """Certificate that a -> (atoms below a) is an isomorphism onto K(A)."""
-
-    source: BoolInvSgp
-    atoms: Gpd
-    target: KOfGroupoid
-    map: tuple  # source id -> target id
-    verified: bool
-
-
-def theta_iso(bs):
-    """Check the duality: a Boolean inverse monoid is the local bisections
-    of its own atoms.
-
-    Every claim is verified on the tables: the map is a bijection, sends
-    products to products and compatible joins to joins, and every element is
-    the join of its atoms.
-    """
-    s = bs.base
-    if bs.top is None:
-        raise NotMonoid("duality needs an identity element")
-    ag = atoms_groupoid(bs)
-    kg = k_of_groupoid(ag)
-    atom_pos = {a: i for i, a in enumerate(ag.labels)}
-    theta = []
-    for a in range(s.size):
-        below = frozenset(atom_pos[x] for x in s.down[a] if x in atom_pos)
-        theta.append(kg.index.get(below))
-    ok = (
-        s.size == kg.structure.size
-        and None not in theta
-        and sorted(theta) == list(range(s.size))
-    )
-    if ok:
-        kt = kg.structure.base.table
-        for a in range(s.size):
-            if s.join_of(x for x in s.down[a] if x in atom_pos) != a and a != s.zero:
-                ok = False
-                break
-            for b in range(s.size):
-                if theta[s.table[a][b]] != kt[theta[a]][theta[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-    if ok:
-        for a in range(s.size):
-            for b in range(s.size):
-                if s.compat[a][b]:
-                    j = theta[s.join_table[a][b]]
-                    if j != kg.structure.base.join_table[theta[a]][theta[b]]:
-                        ok = False
-                        break
-            if not ok:
-                break
-    return ThetaIso(bs, ag, kg, tuple(theta), ok)
 
 
 # -- additive ideals ------------------------------------------------------

@@ -23,13 +23,12 @@ from .boolean import (
     is_additive_morphism,
     k_of_groupoid,
 )
-from .core import InvSgp, adjoin_zero, restricted_groupoid, semigroup_iso
+from .core import InvSgp, adjoin_zero, restricted_groupoid
 from .errors import (
     NotBoolean,
     NotHomomorphism,
     NotMultiplicative,
     NotZeroPreserving,
-    SizeCapExceeded,
     TargetNotBoolean,
 )
 from .groupoid import Gpd, groupoid_iso
@@ -59,11 +58,10 @@ def booleanize(s):
     g = restricted_groupoid(s0)
     pos = {lab: i for i, lab in enumerate(g.labels)}
     kg = k_of_groupoid(g)
-    index = {a: i for i, a in enumerate(kg.bisections)}
     beta = []
     for a in range(s0.size):
         below = frozenset(pos[x] for x in s0.down[a] if x != s0.zero)
-        beta.append(index[below])
+        beta.append(kg.index[below])
     assert len(set(beta)) == s0.size, "beta must be injective"
     kt = kg.structure.base.table
     for a in range(s0.size):
@@ -285,32 +283,24 @@ class BooleanizationIso:
     induced: tuple | None  # id map between the two Booleanizations
 
 
-def booleanization_iso(s, t, direct_cross_check_cap=0):
+def booleanization_iso(s, t):
     """Compare Booleanizations through the nonzero-part groupoids.
 
     The groupoids determine the Booleanizations: a groupoid isomorphism
     induces a bisection-by-bisection map, which is re-checked as a table
-    isomorphism.  Optionally cross-check with a direct table search when the
-    Booleanizations are small enough.
+    isomorphism.
     """
     b_s, b_t = booleanize(s), booleanize(t)
     gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
     if gmap is None:
         return BooleanizationIso(False, None, None)
-    t_index = {a: i for i, a in enumerate(b_t.target.bisections)}
     induced = []
     for aset in b_s.target.bisections:
         image = frozenset(gmap[x] for x in aset)
-        induced.append(t_index[image])
+        induced.append(b_t.target.index[image])
     sb, tb = b_s.bs.base, b_t.bs.base
     assert sorted(induced) == list(range(tb.size))
     for a in range(sb.size):
         for b2 in range(sb.size):
             assert induced[sb.table[a][b2]] == tb.table[induced[a]][induced[b2]]
-    if direct_cross_check_cap and sb.size <= direct_cross_check_cap:
-        try:
-            direct = semigroup_iso(sb, tb, cap=direct_cross_check_cap)
-        except SizeCapExceeded:
-            direct = None
-        assert direct is not None, "direct search must confirm the iso"
     return BooleanizationIso(True, gmap, tuple(induced))

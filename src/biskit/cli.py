@@ -93,12 +93,11 @@ def build_report(s, timings=None):
         rep.zero_simplifying = a.zero_simplifying
         rep.simple = a.zero_simplifying and a.fundamental
         mark("ideals")
-        if a.bs.top is not None:
-            rep.decomposition_signature = _listify(a.decomposition.signature)
-            mark("decompose")
-            rep.type_monoid_rank = a.tm.rank
-            rep.tau = [[e, list(a.tm.tau[e])] for e in sorted(a.tm.tau)]
-            mark("type_monoid")
+        rep.decomposition_signature = _listify(a.decomposition.signature)
+        mark("decompose")
+        rep.type_monoid_rank = a.tm.rank
+        rep.tau = [[e, list(a.tm.tau[e])] for e in sorted(a.tm.tau)]
+        mark("type_monoid")
     if timings is not None:
         rep.timings = timings
     return rep

@@ -431,14 +431,21 @@ def groupoid_iso(g, h):
         cj, phi = match[ci]
         out[t] = inv_coord_h[(cj, xi, phi[gg], yi)]
 
-    if sorted(out) != list(range(h.size)):
-        return None
+    return tuple(out) if is_groupoid_iso(g, h, out) else None
+
+
+def is_groupoid_iso(g, h, mp):
+    """True when mp (g id -> h id) is a bijection carrying g's partial table
+    onto h's: a product is defined exactly where the product of the images
+    is, and then mp of it is that product."""
+    if len(mp) != g.size or sorted(mp) != list(range(h.size)):
+        return False
     for x in range(g.size):
         for y in range(g.size):
             p = g.ptable[x][y]
-            q = h.ptable[out[x]][out[y]]
+            q = h.ptable[mp[x]][mp[y]]
             if (p is None) != (q is None):
-                return None
-            if p is not None and out[p] != q:
-                return None
-    return tuple(out)
+                return False
+            if p is not None and mp[p] != q:
+                return False
+    return True

@@ -3,8 +3,9 @@
 Each law quantifies an identity or a structural claim over all applicable
 tuples of one structure and returns the first counterexample as a witness
 tuple, or None.  Laws are grouped by what they need: any inverse semigroup,
-one with zero, a Boolean one, a Boolean monoid, or a groupoid.  A law that
-cannot run at the instance's size reports a skip, never a silent pass.
+one with zero, a Boolean one (a finite Boolean table is a monoid), or a
+groupoid.  A law that cannot run at the instance's size reports a skip,
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .boolean import (
     kernel_of,
     orthogonalize,
     read_pencil,
-    theta_iso,
 )
 from .booleanization import (
     FILTER_SCAN_CAP,
@@ -61,12 +61,12 @@ from .groupoid import (
     reconstruct,
 )
 from .rook import (
-    build_Mn_G0,
     decompose,
     identity_rook,
     rook_matrix,
     rook_mul,
     rook_star,
+    theta_iso,
 )
 from .typemon import (
     ideal_triple,
@@ -753,8 +753,6 @@ def law_ale(c):
     s = bs.base
     if s.size > ROOK_ENUM_CAP:
         raise _Skip(f"2x2 matrix enumeration capped at {ROOK_ENUM_CAP}")
-    if bs.top is None:
-        raise _Skip("needs an identity")
     mats = []
     for quad in itertools.product(range(s.size), repeat=4):
         entries = [list(quad[:2]), list(quad[2:])]
@@ -793,26 +791,21 @@ def law_ale(c):
     return None
 
 
-# -- laws needing a Boolean monoid -------------------------------------------
-
-
 def law_main_finite(c):
-    cert = theta_iso(c.bs)
-    if not cert.verified or cert.target.structure.size != c.bs.size:
+    if not theta_iso(c.bs, c.decomposition).verified:
         return ("theta-unverified",)
     return None
 
 
 def law_finite(c):
+    """The product of matrix monoids decomposes again, verified, into the
+    same signature."""
     cert = c.decomposition
     if not cert.verified:
         return ("decomposition-unverified",)
-    for comp in cert.form.components:
-        n, group = comp.identity_count, comp.group
-        again = decompose(build_Mn_G0(n, group).structure)
-        want = (n, group.size, group_name(group))
-        if again.signature != (want,):
-            return (want, "signature-unstable")
+    again = decompose(cert.product)
+    if not again.verified or again.signature != cert.signature:
+        return (cert.signature, again.signature, "signature-unstable")
     return None
 
 
@@ -982,15 +975,15 @@ SEMIGROUP_LAWS = (
     ("idept-sep-kernel", "boolean", law_idept_sep_kernel),
     ("factorization", "boolean", law_factorization),
     ("ale", "boolean", law_ale),
-    ("main-finite", "boolean-monoid", law_main_finite),
-    ("finite", "boolean-monoid", law_finite),
-    ("finite-stuff", "boolean-monoid", law_finite_stuff),
-    ("discrete-topology", "boolean-monoid", law_discrete_topology),
-    ("order-isomorphisms", "boolean-monoid", law_order_isomorphisms),
-    ("rain", "boolean-monoid", law_rain),
-    ("type-monoid-basics", "boolean-monoid", law_type_monoid_basics),
-    ("type-fundamental", "boolean-monoid", law_type_fundamental),
-    ("butterfly", "boolean-monoid", law_butterfly),
+    ("main-finite", "boolean", law_main_finite),
+    ("finite", "boolean", law_finite),
+    ("finite-stuff", "boolean", law_finite_stuff),
+    ("discrete-topology", "boolean", law_discrete_topology),
+    ("order-isomorphisms", "boolean", law_order_isomorphisms),
+    ("rain", "boolean", law_rain),
+    ("type-monoid-basics", "boolean", law_type_monoid_basics),
+    ("type-fundamental", "boolean", law_type_fundamental),
+    ("butterfly", "boolean", law_butterfly),
 )
 
 GROUPOID_LAWS = (
@@ -1026,10 +1019,6 @@ def _applicable(kind, ctx):
         return (ctx.s.zero is not None), "no zero"
     if kind == "boolean":
         return (ctx.bs is not None), "not Boolean"
-    if kind == "boolean-monoid":
-        if ctx.bs is None:
-            return False, "not Boolean"
-        return (ctx.bs.top is not None), "no identity"
     raise ValueError(kind)
 
 

@@ -1,5 +1,6 @@
-"""Rook matrices over a Boolean inverse semigroup, and the decomposition of
-a finite Boolean inverse monoid into matrix monoids over groups with zero.
+"""Rook matrices over a Boolean inverse semigroup, the decomposition of a
+finite Boolean inverse monoid into matrix monoids over groups with zero, and
+the atom duality read off that decomposition.
 
 A rook matrix keeps its rows range-orthogonal and its columns
 domain-orthogonal, so the entrywise products in a matrix product can be
@@ -11,14 +12,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .boolean import BoolInvSgp, atoms_groupoid, k_of_groupoid
+from .boolean import BoolInvSgp, KOfGroupoid, atoms_groupoid, k_of_groupoid
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
     Component,
     ComponentForm,
+    Gpd,
     canonical_group_key,
     coordinatize,
     group_name,
+    is_groupoid_iso,
     reconstruct,
 )
 
@@ -154,9 +157,15 @@ class DecompositionCertificate:
     signature: tuple  # sorted (identity count, group order, group name)
     canonical: tuple  # sorted (identity count, canonical group key)
     form: ComponentForm  # the atom components, ordered by least identity
-    product: BoolInvSgp  # K(reconstruct(form))
+    atoms: Gpd  # the atoms groupoid G(S)
+    rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(form)
+    target: KOfGroupoid  # K(reconstruct(form))
     iso: tuple  # source id -> product id, fully table-checked
     verified: bool
+
+    @property
+    def product(self):
+        return self.target.structure
 
 
 def decompose(bs):
@@ -167,7 +176,8 @@ def decompose(bs):
     n_i-by-n_i rook matrices over G_i with zero; the local bisections of all
     rebuilt components together are the product of those matrix monoids.
     Each element goes to the bisection of the rebuilt atoms below it, and
-    that map is re-checked entry by entry on the full tables.
+    that map is re-checked entry by entry on the full tables.  This is the
+    one place K is built for a structure's atoms; theta_iso reads it.
     """
     if bs.top is None:
         raise NotMonoid("decomposition needs an identity element")
@@ -201,7 +211,46 @@ def decompose(bs):
         signature=signature,
         canonical=canonical,
         form=coords.form,
-        product=kg.structure,
+        atoms=ag,
+        rebuilt=coords.rebuilt,
+        target=kg,
         iso=iso,
         verified=verified,
+    )
+
+
+@dataclass(frozen=True)
+class ThetaIso:
+    """Certificate that a -> (atoms below a) is an isomorphism onto K(G(S)).
+
+    K(G(S)) is read through rebuilt, an isomorphism of G(S) onto the rebuilt
+    atoms groupoid R = target.groupoid: the atoms below a are the preimage
+    under rebuilt of the bisection target.bisections[map[a]] of R.
+    """
+
+    source: BoolInvSgp
+    atoms: Gpd  # G(S)
+    rebuilt: tuple  # G(S) id -> R id
+    target: KOfGroupoid  # K(R), the decomposition's product
+    map: tuple  # source id -> target id
+    verified: bool
+
+
+def theta_iso(bs, decomposition=None):
+    """Check the duality: a finite Boolean inverse monoid is the local
+    bisections of its own atoms.
+
+    decomposition, decompose(bs) when not given, sends a to the bisection
+    {rebuilt(x) : x an atom below a} of R and has checked that map as an
+    isomorphism S -> K(R) on the full tables.  What is left is that rebuilt
+    carries G(S) onto R, checked on the m-by-m partial tables of the m
+    atoms; then K(rebuilt) is an isomorphism K(G(S)) -> K(R), and composing
+    its inverse gives a -> (atoms below a) as an isomorphism S -> K(G(S)).
+    An isomorphism preserves the natural order, hence joins and atoms, so
+    every element is the join of the atoms below it.
+    """
+    cert = decomposition if decomposition is not None else decompose(bs)
+    carried = is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt)
+    return ThetaIso(
+        bs, cert.atoms, cert.rebuilt, cert.target, cert.iso, cert.verified and carried
     )

@@ -21,7 +21,7 @@ from .boolean import (
     idempotent_ideals,
 )
 from .core import d_relation_idempotents, mu_and_quotient
-from .errors import TooLarge
+from .errors import CertificateFailed, TooLarge
 from .groupoid import component_form
 from .rook import rook_matrix, rook_mul, rook_star
 
@@ -45,6 +45,7 @@ def type_monoid(bs):
     The axioms are re-checked on the result: zero maps to the zero vector,
     orthogonal joins add, equivalent idempotents agree, and the count vector
     separates exactly the idempotent classes connected through the carrier.
+    A check that fails raises CertificateFailed naming it.
     """
     bs = as_boolean(bs)
     s = bs.base
@@ -64,30 +65,32 @@ def type_monoid(bs):
     tau = {}
     for e in s.idempotents:
         below = {x for x in s.down[e] if x in atom_set}
-        assert all(s.is_idempotent(x) for x in below)
+        if not all(s.is_idempotent(x) for x in below):
+            raise CertificateFailed(("atom-below-idempotent-not-idempotent", e))
         tau[e] = tuple(len(below & a) for a in atomic)
 
-    assert tau[s.zero] == (0,) * rank
+    if tau[s.zero] != (0,) * rank:
+        raise CertificateFailed(("zero-type-not-zero", tau[s.zero]))
     for e in s.idempotents:
         for f in s.idempotents:
             if s.orth[e][f]:
                 j = s.join_table[e][f]
-                tau_sum = tuple(x + y for x, y in zip(tau[e], tau[f]))
-                assert tau[j] == tau_sum, "orthogonal joins must add"
+                if tau[j] != tuple(x + y for x, y in zip(tau[e], tau[f])):
+                    raise CertificateFailed(("orthogonal-join-types-do-not-add", e, f))
     dcls = {}
     for i, block in enumerate(d_relation_idempotents(s)):
         for e in block:
             dcls[e] = i
     for e in s.idempotents:
         for f in s.idempotents:
-            assert (tau[e] == tau[f]) == (dcls[e] == dcls[f]), (
-                "count vectors must separate exactly the connected classes"
-            )
+            if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
+                raise CertificateFailed(("types-do-not-separate-classes", e, f))
     for e in s.idempotents:
         for f in s.idempotents:
             if s.leq[e][f]:
                 rest = tau[bs.rc(f, e)]
-                assert tau[f] == tuple(x + y for x, y in zip(tau[e], rest))
+                if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
+                    raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, components, atomic, tau)
 
 

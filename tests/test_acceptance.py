@@ -14,7 +14,6 @@ from biskit.boolean import (
     epsilon_quotient,
     is_additive_morphism,
     is_weakly_meet_preserving,
-    theta_iso,
 )
 from biskit.booleanization import (
     FILTER_SCAN_CAP,
@@ -34,7 +33,7 @@ from biskit.corpus import (
 )
 from biskit.groupoid import Gpd, groupoid_iso
 from biskit.laws import CORE_LAW_KEYS, _is_additive_congruence, run_laws
-from biskit.rook import build_Mn_G0, decompose
+from biskit.rook import build_Mn_G0, decompose, theta_iso
 from biskit.typemon import (
     ideal_triple,
     mu_type_invariance,

@@ -23,7 +23,6 @@ from biskit.boolean import (
     Morphism,
     orthogonalize,
     preceq,
-    theta_iso,
 )
 from biskit.core import InvSgp, mu_and_quotient, restricted_groupoid, table_product
 from biskit.corpus import (
@@ -36,12 +35,14 @@ from biskit.corpus import (
 )
 from biskit.errors import (
     BiskitError,
+    CertificateFailed,
     NotAnIdeal,
     NotBoolean,
     NotCompatible,
     TooLarge,
 )
 from biskit.groupoid import component_form, Gpd, reconstruct
+from biskit.rook import theta_iso
 from generated import generated_table, i4_subsemigroup_tables, then
 
 
@@ -162,6 +163,29 @@ def test_atoms_groupoid_i2():
     assert set(ag.labels) == set(bs.base.atoms)
     cf = component_form(ag)
     assert [(c.identity_count, c.group.size) for c in cf.components] == [(2, 1)]
+
+
+def test_boolean_corpus_tables_are_monoids():
+    # the join of all idempotents is an identity of a finite Boolean table
+    for name in BOOLEAN_NAMES:
+        s = corpus_semigroup(name)
+        assert check_boolean(s).structure.top == s.identity is not None, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_boolean_generated_tables_are_monoids(table):
+    s = InvSgp(table)
+    chk = check_boolean(s)
+    if chk.boolean:
+        assert chk.structure.top == s.identity is not None
+
+
+def test_check_boolean_refuses_a_boolean_table_without_identity():
+    s = corpus_semigroup("i2")
+    s.identity = None
+    with pytest.raises(CertificateFailed, match="no-identity"):
+        check_boolean(s)
 
 
 def test_theta_on_m2z2zero():

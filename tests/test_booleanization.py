@@ -122,12 +122,13 @@ def test_booleanization_iso_positive():
 
 
 def test_booleanization_iso_direct_cross_check():
-    rep = booleanization_iso(
-        corpus_semigroup("chain3"),
-        corpus_semigroup("antichain3"),
-        direct_cross_check_cap=8,
-    )
+    # a direct table search confirms the iso found through the groupoids
+    s, t = corpus_semigroup("chain3"), corpus_semigroup("antichain3")
+    rep = booleanization_iso(s, t)
     assert rep.isomorphic
+    bs, bt = booleanize(s).bs.base, booleanize(t).bs.base
+    assert bs.size <= 8
+    assert semigroup_iso(bs, bt, cap=8) is not None
 
 
 def test_booleanization_iso_negative():

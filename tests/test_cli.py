@@ -92,9 +92,6 @@ def test_build_report_matches_library_calls(name):
     assert rep.fundamental == is_fundamental(s).fundamental
     assert rep.zero_simplifying == is_zero_simplifying(bs).holds
     assert rep.simple == is_simple(bs)
-    if bs.top is None:
-        assert rep.decomposition_signature is rep.tau is None
-        return
     assert rep.decomposition_signature == [list(x) for x in decompose(bs).signature]
     tm = type_monoid(bs)
     assert rep.type_monoid_rank == tm.rank

@@ -21,6 +21,7 @@ from biskit.groupoid import (
     group_iso,
     group_name,
     groupoid_iso,
+    is_groupoid_iso,
     parse_groupoid,
     reconstruct,
 )
@@ -161,6 +162,15 @@ def test_groupoid_iso_relabelled():
             v = g.ptable[inv[a]][inv[b]]
             pt[a][b] = None if v is None else perm[v]
     assert groupoid_iso(Gpd(pt), g) is not None
+
+
+def test_is_groupoid_iso_needs_a_bijection():
+    disc2 = Gpd([[0, None], [None, 1]])
+    disc3 = Gpd([[0, None, None], [None, 1, None], [None, None, 2]])
+    assert is_groupoid_iso(disc3, disc3, (2, 0, 1))
+    assert not is_groupoid_iso(disc2, disc3, (0, 1))  # an embedding, not onto
+    assert not is_groupoid_iso(disc3, disc2, (0, 1, 1))
+    assert not is_groupoid_iso(corpus_groupoid("z2"), corpus_groupoid("z2"), (1, 0))
 
 
 def test_empty_groupoid_is_allowed():

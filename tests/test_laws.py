@@ -113,6 +113,28 @@ def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
     assert len(calls) == 1
 
 
+def test_k_of_i3_built_twice_per_structure(monkeypatch):
+    # decompose builds K of the rebuilt atoms once and law main-finite reads
+    # it; law finite decomposes that product once more
+    import biskit.boolean
+
+    built = []
+    real = biskit.boolean.k_of_groupoid
+
+    def counted(g, *args, **kwargs):
+        kg = real(g, *args, **kwargs)
+        built.append(kg.structure.size)
+        return kg
+
+    for module in list(sys.modules.values()):
+        if module is not None and getattr(module, "__name__", "").startswith("biskit"):
+            if getattr(module, "k_of_groupoid", None) is real:
+                monkeypatch.setattr(module, "k_of_groupoid", counted)
+    results = run_laws(corpus_semigroup("i3"))
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert built == [34, 34]
+
+
 def test_run_laws_times_each_law():
     results = run_laws(corpus_semigroup("i2"))
     assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
@@ -122,8 +144,9 @@ def test_certificates_hold_under_python_O():
     # with asserts stripped, a wrong relative complement must still fail law
     # orthogonal, and a quotient projection that is not weakly meet
     # preserving, a closure that is not an ideal, an atom product that is not
-    # an atom, non-orthogonal rook terms and a K(G) table that is not Boolean
-    # must still be refused
+    # an atom, non-orthogonal rook terms, type vectors that do not separate
+    # the idempotent classes and a K(G) table that is not Boolean must still
+    # be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -165,6 +188,12 @@ def test_certificates_hold_under_python_O():
             rook.rook_mul(a, b)  # entry (0, 0) joins e1 and e2
         except CertificateFailed as e:
             print("rook", e.witness[0])
+        import biskit.typemon as typemon
+        typemon.d_relation_idempotents = lambda s: [[e] for e in s.idempotents]
+        try:  # i2's two atomic idempotents now sit in different classes
+            typemon.type_monoid(boolean.check_boolean(corpus_semigroup("i2")).structure)
+        except CertificateFailed as e:
+            print("type", e.witness[0])
         from dataclasses import replace
         real = boolean.check_boolean
         boolean.check_boolean = lambda s: replace(real(s), boolean=False)
@@ -183,12 +212,13 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:7] == [
+    assert out.split("\n")[:8] == [
         "debug False",
         "fail CertificateFailed",
         "epsilon projection-not-weakly-meet-preserving",
         "closure closure-not-an-ideal",
         "atoms atom-product-not-atom",
         "rook terms-not-orthogonal",
+        "type types-do-not-separate-classes",
         "k bisections-not-boolean",
     ]

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import math
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
 
-from biskit.boolean import check_boolean, direct_product, theta_iso
+from biskit.boolean import atoms_groupoid, check_boolean, direct_product, k_of_groupoid
 from biskit.core import InvSgp, semigroup_iso, table_product
 from biskit.corpus import (
     BOOLEAN_NAMES,
@@ -25,8 +27,10 @@ from biskit.rook import (
     rook_mul,
     rook_star,
     rook_violation,
+    theta_iso,
     zero_rook,
 )
+from generated import i4_subsemigroup_tables
 
 
 def boolean(name):
@@ -191,12 +195,59 @@ def oracle_Mn_G0(n, group):
     return cells, table
 
 
+OracleTheta = namedtuple("OracleTheta", "atoms target map verified")
+
+
+def oracle_theta_iso(bs):
+    """The duality checked on K(G(S)) itself: a -> (atoms below a) is
+    tabulated into the local bisections of the atoms groupoid and checked as
+    a bijection that preserves products and compatible joins, with every
+    element the join of its atoms.
+    """
+    s = bs.base
+    ag = atoms_groupoid(bs)
+    kg = k_of_groupoid(ag)
+    atom_pos = {a: i for i, a in enumerate(ag.labels)}
+    theta = []
+    for a in range(s.size):
+        below = frozenset(atom_pos[x] for x in s.down[a] if x in atom_pos)
+        theta.append(kg.index.get(below))
+    ok = (
+        s.size == kg.structure.size
+        and None not in theta
+        and sorted(theta) == list(range(s.size))
+    )
+    if ok:
+        kt = kg.structure.base.table
+        for a in range(s.size):
+            if s.join_of(x for x in s.down[a] if x in atom_pos) != a and a != s.zero:
+                ok = False
+                break
+            for b in range(s.size):
+                if theta[s.table[a][b]] != kt[theta[a]][theta[b]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+    if ok:
+        for a in range(s.size):
+            for b in range(s.size):
+                if s.compat[a][b]:
+                    j = theta[s.join_table[a][b]]
+                    if j != kg.structure.base.join_table[theta[a]][theta[b]]:
+                        ok = False
+                        break
+            if not ok:
+                break
+    return OracleTheta(ag, kg, tuple(theta), ok)
+
+
 def oracle_decompose(bs):
     """The factors-and-direct_product path: (signature, canonical, product,
     iso) through the verified atom duality, one oracle Mn(G0) per component
     and a chain of direct products.
     """
-    theta = theta_iso(bs)
+    theta = oracle_theta_iso(bs)
     assert theta.verified
     coords = coordinatize(theta.atoms)
     comps = coords.form.components
@@ -310,3 +361,49 @@ def test_decompose_matches_direct_product_oracle(name):
     for x in range(q.size):
         for y in range(q.size):
             assert new_of_old[q.table[x][y]] == p.table[new_of_old[x]][new_of_old[y]]
+
+
+def assert_theta_matches_oracle(bs):
+    """theta_iso, read off the decomposition, agrees with the direct check on
+    K(G(S)): the same verdict, and each element's bisection carried through
+    rebuilt."""
+    new, old = theta_iso(bs), oracle_theta_iso(bs)
+    assert new.verified == old.verified
+    assert new.atoms.ptable == old.atoms.ptable
+    for a in range(bs.size):
+        want = frozenset(new.rebuilt[x] for x in old.target.bisections[old.map[a]])
+        assert new.target.bisections[new.map[a]] == want
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_TABLES))
+def test_theta_iso_matches_direct_oracle(name):
+    bs = check_boolean(DECOMPOSE_TABLES[name]()).structure
+    assert_theta_matches_oracle(bs)
+    assert theta_iso(bs).verified
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_theta_iso_matches_direct_oracle_on_generated_structures(table):
+    chk = check_boolean(InvSgp(table))
+    if chk.boolean:
+        assert_theta_matches_oracle(chk.structure)
+
+
+def test_theta_iso_reads_the_held_decomposition():
+    bs = boolean("i2xz2zero")
+    cert = decompose(bs)
+    theta = theta_iso(bs, cert)
+    assert theta.verified
+    assert theta.target is cert.target and theta.map is cert.iso
+    # rebuilt must carry the atoms groupoid onto the rebuilt one: sending an
+    # identity where an arrow between two identities goes breaks that
+    g = cert.atoms
+    i = g.identities[0]
+    j = next(x for x in range(g.size) if g.d[x] != g.r[x])
+    swapped = list(cert.rebuilt)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    bad = dataclasses.replace(cert, rebuilt=tuple(swapped))
+    assert not theta_iso(bs, bad).verified
+    # and the decomposition's iso must be verified
+    assert not theta_iso(bs, dataclasses.replace(cert, verified=False)).verified

@@ -1,0 +1,33 @@
+"""The benchmark's per-layer tracer, loaded from bench/ as the benchmark
+loads it: entering it fails if a name its metrics read is gone from biskit."""
+
+import importlib.util
+import os
+
+import biskit.laws
+import biskit.rook
+from biskit.corpus import corpus_semigroup
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(BENCH, "tracing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_enters_records_and_restores():
+    tracing = load_tracing()
+    decompose, theta_iso = biskit.rook.decompose, biskit.rook.theta_iso
+    with tracing.Tracer() as tracer:
+        assert biskit.rook.decompose is not decompose
+        biskit.laws.run_laws(corpus_semigroup("i2"))
+    assert biskit.rook.decompose is decompose
+    assert biskit.rook.theta_iso is theta_iso
+    calls, _self_s = tracing.span_stats(tracer.spans, tracer.excluded)
+    for name in ("decompose", "theta_iso", "k_of_groupoid", "laws.main-finite"):
+        assert calls[name] >= 1, name
