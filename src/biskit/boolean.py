@@ -331,17 +331,22 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     Product is the setwise partial product; the natural order comes out as
     inclusion and the atoms as the singletons.  The table must pass
     check_boolean, else CertificateFailed names the failure.
+
+    r is injective on a bisection b, so an arrow x composes with at most one
+    y in b, the one with r(y) = d(x): each product is |a| lookups in b's
+    range dict rather than a scan of all |a|*|b| pairs.
     """
     carrier = _bisections(g, cap)
     index = {a: i for i, a in enumerate(carrier)}
-    n = len(carrier)
-    table = [[0] * n for _ in range(n)]
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            prod = frozenset(
-                g.ptable[x][y] for x in a for y in b if g.d[x] == g.r[y]
-            )
-            table[i][j] = index[prod]
+    pt, d, r = g.ptable, g.d, g.r
+    by_range = [{r[y]: y for y in b} for b in carrier]
+    table = [
+        [
+            index[frozenset([pt[x][rb[d[x]]] for x in a if d[x] in rb])]
+            for rb in by_range
+        ]
+        for a in carrier
+    ]
     rep = check_boolean(InvSgp(table))
     if not rep.boolean:
         raise CertificateFailed(("bisections-not-boolean", rep.failure))
@@ -479,25 +484,26 @@ def ideal_closure(bs, gens):
 
 def idempotent_ideals(s):
     """Every set of idempotents that contains the zero and is downward
-    closed, join closed, and closed under conjugation, by a scan of all
-    subsets of idempotents; ascending by size, then by members."""
-    idem = s.idempotents
+    closed, join closed, and closed under conjugation; ascending by size,
+    then by members.
+
+    Such a set holds the join m of all its members (join closed) and lies
+    below it, so, being downward closed, it is the down-set of m.  The
+    candidates are therefore the |E| down-sets s.down[m] of the idempotents
+    m, not the 2^|E| subsets of E; each is tested for the zero, for joins (a
+    pair without a join rejects it) and for conjugation.
+    """
+    t, inv, jt = s.table, s.inv, s.join_table
     out = []
-    for bits in itertools.product((False, True), repeat=len(idem)):
-        fset = frozenset(e for e, b in zip(idem, bits) if b)
-        if s.zero not in fset:
-            continue
-        if any(s.leq[e2][e] and e2 not in fset for e in fset for e2 in idem):
-            continue
-        if any(s.join_table[e][f] not in fset for e in fset for f in fset):
-            continue
-        if any(
-            s.table[s.table[s.inv[a]][e]][a] not in fset
+    for m in s.idempotents:
+        fset = frozenset(s.down[m])
+        inside = fset.__contains__
+        if s.zero in fset and all(
+            all(map(inside, map(jt[e].__getitem__, fset)))
+            and all(inside(t[t[ia][e]][a]) for a, ia in enumerate(inv))
             for e in fset
-            for a in range(s.size)
         ):
-            continue
-        out.append(fset)
+            out.append(fset)
     out.sort(key=lambda f: (len(f), sorted(f)))
     return out
 
@@ -545,9 +551,10 @@ def preceq(bs, e, f):
 def read_pencil(bs, ideal, e, f):
     """preceq(bs, e, f) given ideal, the ideal_closure of [f].
 
-    The pencil is read back out of the closure provenance and verified: the
-    domains join to e and every range sits below f.  One closure serves
-    every e.
+    The pencil is read back out of the closure provenance and verified: each
+    member carries its leaf's domain, the domains join to e and every range
+    sits below f; CertificateFailed names a check that fails.  One closure
+    serves every e.
     """
     s = bs.base
     if e not in ideal.carrier:
@@ -569,11 +576,14 @@ def read_pencil(bs, ideal, e, f):
     pencil = []
     for _u, v, c in leaves:
         x = s.table[s.table[f][v]][s.d[c]]
-        assert s.d[x] == s.d[c], "pencil member must carry the leaf domain"
-        assert s.leq[s.r[x]][f], "pencil range must sit below f"
+        if s.d[x] != s.d[c]:
+            raise CertificateFailed(("pencil-domain-differs", x, c))
+        if not s.leq[s.r[x]][f]:
+            raise CertificateFailed(("pencil-range-not-below", x, f))
         pencil.append(x)
     pencil = tuple(dict.fromkeys(pencil))
-    assert s.join_of(s.d[x] for x in pencil) == e
+    if s.join_of(s.d[x] for x in pencil) != e:
+        raise CertificateFailed(("pencil-join-differs", pencil, e))
     return PencilReport(True, pencil)
 
 
@@ -716,19 +726,23 @@ def epsilon_quotient(bs, ideal):
     bad = check_congruence(s, cong)
     if bad is not None:
         raise CertificateFailed(("not-a-congruence", bad))
-    q = InvSgp(quotient_table(s, cong))
-    qrep = check_boolean(q)
-    if not qrep.boolean:
-        raise CertificateFailed(("quotient-not-boolean", qrep.failure))
-    proj = Morphism(bs, qrep.structure, tuple(class_of))
-    if not is_additive_morphism(bs, qrep.structure, proj.map):
+    table = quotient_table(s, cong)
+    if table == s.table:  # the zero ideal of a structure: nothing collapses
+        quotient = bs
+    else:
+        qrep = check_boolean(InvSgp(table))
+        if not qrep.boolean:
+            raise CertificateFailed(("quotient-not-boolean", qrep.failure))
+        quotient = qrep.structure
+    proj = Morphism(bs, quotient, tuple(class_of))
+    if not is_additive_morphism(bs, quotient, proj.map):
         raise CertificateFailed(("projection-not-additive",))
     kernel = frozenset(x for x in range(k) if class_of[x] == class_of[s.zero])
     if kernel != carrier:
         raise CertificateFailed(("kernel-differs", tuple(sorted(kernel))))
-    if not is_weakly_meet_preserving(bs, qrep.structure, proj.map):
+    if not is_weakly_meet_preserving(bs, quotient, proj.map):
         raise CertificateFailed(("projection-not-weakly-meet-preserving",))
-    return EpsilonReport(cong, qrep.structure, proj)
+    return EpsilonReport(cong, quotient, proj)
 
 
 def is_weakly_meet_preserving(source, target, mp):

@@ -15,6 +15,7 @@ from functools import cached_property
 from operator import and_, itemgetter
 
 from .errors import (
+    CertificateFailed,
     IdempotentsDontCommute,
     NoZero,
     NotAssociative,
@@ -551,7 +552,9 @@ def mu_and_quotient(s):
     Two elements are related exactly when they share domain and range
     idempotents and conjugate every idempotent identically.  The relation is
     re-checked as a congruence and for idempotent separation before the
-    quotient is built.
+    quotient is built; CertificateFailed names a check that fails.  When mu
+    is trivial (s is fundamental) the quotient table is s's own and s is
+    returned as the quotient rather than validated again.
     """
     t, inv, idem = s.table, s.inv, s.idempotents
 
@@ -562,14 +565,15 @@ def mu_and_quotient(s):
     mu = congruence_from_key(s, key)
     bad = check_congruence(s, mu)
     if bad is not None:
-        raise AssertionError(f"conjugation relation failed congruence check: {bad}")
+        raise CertificateFailed(("mu-not-a-congruence", bad))
     seen = {}
     for e in idem:
         c = mu.class_of[e]
         if c in seen:
-            raise AssertionError(f"idempotents {seen[c]} and {e} collapsed")
+            raise CertificateFailed(("mu-collapses-idempotents", seen[c], e))
         seen[c] = e
-    quotient = InvSgp(quotient_table(s, mu))
+    table = quotient_table(s, mu)
+    quotient = s if table == s.table else InvSgp(table)
     return MuReport(mu, quotient, mu.class_of)
 
 

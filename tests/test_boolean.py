@@ -16,6 +16,7 @@ from biskit.boolean import (
     enumerate_additive_ideals,
     epsilon_quotient,
     ideal_closure,
+    idempotent_ideals,
     is_simple,
     is_weakly_meet_preserving,
     is_zero_simplifying,
@@ -502,6 +503,64 @@ def test_left_distributivity_counterexample():
     opposite = InvSgp(list(zip(*table)))
     assert check_boolean(opposite).failure[0] == "right-distributivity"
     assert_check_boolean_matches_oracle(opposite)
+
+
+# -- idempotent_ideals against the scan of every subset of idempotents -------
+
+
+def oracle_idempotent_ideals(s):
+    """idempotent_ideals as a scan of all 2^|E| subsets of idempotents.
+
+    Compared only on real tables, never with a corrupted join_table: that
+    idempotent_ideals need test only the down-sets rests on join_table being
+    the join of the natural order, which InvSgp derives itself.
+    """
+    idem = s.idempotents
+    out = []
+    for bits in itertools.product((False, True), repeat=len(idem)):
+        fset = frozenset(e for e, b in zip(idem, bits) if b)
+        if s.zero not in fset:
+            continue
+        if any(s.leq[e2][e] and e2 not in fset for e in fset for e2 in idem):
+            continue
+        if any(s.join_table[e][f] not in fset for e in fset for f in fset):
+            continue
+        if any(
+            s.table[s.table[s.inv[a]][e]][a] not in fset
+            for e in fset
+            for a in range(s.size)
+        ):
+            continue
+        out.append(fset)
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
+
+
+IDEAL_ORACLE_TABLES = {
+    **ORACLE_TABLES,
+    "symmetric_inverse_table(4)": lambda: symmetric_inverse_table(4),
+    **{
+        f"{a} x {b}": lambda a=a, b=b: table_product(
+            corpus_semigroup(a), corpus_semigroup(b)
+        )
+        for a, b in (("i2", "z2zero"), ("powerset2", "z3zero"))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_ORACLE_TABLES))
+def test_idempotent_ideals_match_subset_scan(name):
+    s = InvSgp(IDEAL_ORACLE_TABLES[name]())
+    assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_idempotent_ideals_match_subset_scan_on_generated_structures(table):
+    # mostly not Boolean: down-sets fail on a pair without a join or on
+    # conjugation, and some tables have no zero at all
+    s = InvSgp(table)
+    assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
 
 
 # -- is_weakly_meet_preserving against the set version -----------------------

@@ -113,6 +113,27 @@ def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_ideal_closure_per_idempotent(monkeypatch):
+    # laws toby and smallest read the closures Analysis holds, one per
+    # idempotent, rather than closing each element again
+    import biskit.boolean
+    import biskit.laws
+
+    calls = []
+    real = biskit.boolean.ideal_closure
+
+    def counted(bs, gens):
+        calls.append(tuple(gens))
+        return real(bs, gens)
+
+    for module in (biskit.boolean, biskit.laws):
+        monkeypatch.setattr(module, "ideal_closure", counted)
+    s = corpus_semigroup("i3")
+    results = run_laws(s)
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert sorted(calls) == [(e,) for e in s.idempotents]
+
+
 def test_k_of_i3_built_twice_per_structure(monkeypatch):
     # decompose builds K of the rebuilt atoms once and law main-finite reads
     # it; law finite decomposes that product once more
@@ -143,10 +164,11 @@ def test_run_laws_times_each_law():
 def test_certificates_hold_under_python_O():
     # with asserts stripped, a wrong relative complement must still fail law
     # orthogonal, and a quotient projection that is not weakly meet
-    # preserving, a closure that is not an ideal, an atom product that is not
-    # an atom, non-orthogonal rook terms, type vectors that do not separate
-    # the idempotent classes and a K(G) table that is not Boolean must still
-    # be refused
+    # preserving, a pencil range not below f (read by law toby), a closure
+    # that is not an ideal, an atom product that is not an atom,
+    # non-orthogonal rook terms, type vectors that do not separate the
+    # idempotent classes, a K(G) table that is not Boolean and a mu relation
+    # that is not a congruence must still be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -165,6 +187,13 @@ def test_certificates_hold_under_python_O():
             boolean.epsilon_quotient(z2, [z2.zero])
         except CertificateFailed as e:
             print("epsilon", e.witness[0])
+        from biskit.laws import Analysis, law_toby
+        i2 = boolean.check_boolean(corpus_semigroup("i2")).structure
+        i2.base.leq = [[False] * i2.size for _ in range(i2.size)]
+        try:
+            law_toby(Analysis(i2))
+        except CertificateFailed as e:
+            print("pencil", e.witness[0])
         boolean.verify_additive_ideal = lambda bs, subset: ("left-ideal", 0, 1)
         try:
             boolean.ideal_closure(bs, [1])
@@ -201,6 +230,12 @@ def test_certificates_hold_under_python_O():
             boolean.k_of_groupoid(Gpd([[0]]))
         except CertificateFailed as e:
             print("k", e.witness[0])
+        import biskit.core as core
+        core.check_congruence = lambda s, cong: (0, 1, 0, "left")
+        try:
+            core.mu_and_quotient(corpus_semigroup("i2"))
+        except CertificateFailed as e:
+            print("mu", e.witness[0])
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
@@ -212,13 +247,15 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:8] == [
+    assert out.split("\n")[:10] == [
         "debug False",
         "fail CertificateFailed",
         "epsilon projection-not-weakly-meet-preserving",
+        "pencil pencil-range-not-below",
         "closure closure-not-an-ideal",
         "atoms atom-product-not-atom",
         "rook terms-not-orthogonal",
         "type types-do-not-separate-classes",
         "k bisections-not-boolean",
+        "mu mu-not-a-congruence",
     ]

@@ -6,10 +6,18 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings
 
-from biskit.boolean import atoms_groupoid, check_boolean, direct_product, k_of_groupoid
+from biskit.boolean import (
+    _bisections,
+    atoms_groupoid,
+    check_boolean,
+    direct_product,
+    k_of_groupoid,
+)
 from biskit.core import InvSgp, semigroup_iso, table_product
 from biskit.corpus import (
     BOOLEAN_NAMES,
+    GROUPOID_BUILDERS,
+    corpus_groupoid,
     corpus_semigroup,
     symmetric_inverse_table,
 )
@@ -341,6 +349,37 @@ DECOMPOSE_TABLES = {
         table_product(corpus_semigroup("powerset2"), corpus_semigroup("z3zero"))
     ),
 }
+
+
+def oracle_k_table(g):
+    """K(g)'s table by the setwise product of every pair of bisections,
+    each arrow of one tried against each arrow of the other."""
+    carrier = _bisections(g, cap=10_000)
+    index = {a: i for i, a in enumerate(carrier)}
+    return tuple(
+        tuple(
+            index[frozenset(g.ptable[x][y] for x in a for y in b if g.d[x] == g.r[y])]
+            for b in carrier
+        )
+        for a in carrier
+    )
+
+
+K_ORACLE_GROUPOIDS = {
+    **{name: lambda name=name: corpus_groupoid(name) for name in GROUPOID_BUILDERS},
+    **{
+        f"atoms of {name}": lambda name=name: atoms_groupoid(
+            check_boolean(DECOMPOSE_TABLES[name]()).structure
+        )
+        for name in DECOMPOSE_TABLES
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_ORACLE_GROUPOIDS))
+def test_k_of_groupoid_matches_pairwise_product_oracle(name):
+    g = K_ORACLE_GROUPOIDS[name]()
+    assert k_of_groupoid(g).structure.base.table == oracle_k_table(g)
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_TABLES))
