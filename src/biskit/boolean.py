@@ -634,7 +634,23 @@ def _base(s):
 
 
 def check_multiplicative(source, target, mp):
+    """Raise NotMultiplicative((a, b)) for the first pair, in lexicographic
+    order, with mp[a*b] != mp[a]*mp[b].
+
+    The b with mp[a*b] = mp[a]*mp[b] for every a are closed under the
+    product of the two associative tables: mp[a*g*h] = mp[a*g]*mp[h] =
+    mp[a]*mp[g]*mp[h] = mp[a]*mp[g*h].  So it is decided on the source's
+    generators, one column each: column g mapped by mp against the target's
+    column mp[g] read at mp.  Only when that fails are the pairs scanned.
+    """
     s, t = _base(source), _base(target)
+
+    def column_holds(g):
+        col = tuple(map(itemgetter(mp[g]), t.table))  # x*mp[g], every x
+        return [mp[ag] for ag in map(itemgetter(g), s.table)] == [col[x] for x in mp]
+
+    if all(map(column_holds, s.generators)):
+        return
     for a in range(s.size):
         for b in range(s.size):
             if mp[s.table[a][b]] != t.table[mp[a]][mp[b]]:
@@ -692,20 +708,16 @@ def epsilon_quotient(bs, ideal):
         raise NotAnIdeal(bad)
 
     k = s.size
-
-    def related(a, b):
-        for c in s.down[a]:
-            if s.leq[c][b] and bs.rc(a, c) in carrier and bs.rc(b, c) in carrier:
-                return True
-        return False
-
-    rel = [[related(a, b) for b in range(k)] for a in range(k)]
-    for a in range(k):
-        if not rel[a][a]:
+    # cut[a]: bitset of the c <= a with a minus c in the ideal; a and b are
+    # related exactly when some c lies in both cut[a] and cut[b]
+    cut = [_mask(c for c in s.down[a] if bs.rc(a, c) in carrier) for a in range(k)]
+    rel = [tuple(map(bool, map(ca.__and__, cut))) for ca in cut]
+    for a, (row, col) in enumerate(zip(rel, zip(*rel))):
+        if not row[a]:
             raise CertificateFailed(("not-reflexive", a))
-        for b in range(k):
-            if rel[a][b] != rel[b][a]:
-                raise CertificateFailed(("not-symmetric", a, b))
+        if row != col:
+            b = next(b for b in range(k) if row[b] != col[b])
+            raise CertificateFailed(("not-symmetric", a, b))
     class_of = [None] * k
     nxt = 0
     for a in range(k):
@@ -718,10 +730,11 @@ def epsilon_quotient(bs, ideal):
                     raise CertificateFailed(("not-transitive", a, b))
                 class_of[b] = nxt
         nxt += 1
-    for a in range(k):
-        for b in range(k):
-            if rel[a][b] != (class_of[a] == class_of[b]):
-                raise CertificateFailed(("not-transitive", a, b))
+    for a, row in enumerate(rel):
+        same = tuple(map(class_of[a].__eq__, class_of))
+        if row != same:
+            b = next(b for b in range(k) if row[b] != same[b])
+            raise CertificateFailed(("not-transitive", a, b))
     cong = Congruence(k, tuple(class_of))
     bad = check_congruence(s, cong)
     if bad is not None:
@@ -808,7 +821,8 @@ def analyze_morphism(m, eps=None):
     eps, when given, is the caller's epsilon_quotient of the kernel and is
     used instead of building the quotient again.  Before it is used it is
     checked to be over the source's table and to collapse exactly the
-    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.
+    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.  A
+    certified property that fails raises CertificateFailed naming it.
     """
     check_multiplicative(m.source, m.target, m.map)
     check_zero_preserving(m.source, m.target, m.map)
@@ -825,12 +839,12 @@ def analyze_morphism(m, eps=None):
     factorization = None
     if additive and isinstance(m.source, BoolInvSgp):
         bad = verify_additive_ideal(m.source, kernel_carrier)
-        assert bad is None, f"kernel of an additive morphism must be an ideal: {bad}"
+        if bad is not None:
+            raise CertificateFailed(("kernel-not-an-ideal", bad))
         kernel = AdditiveIdeal(kernel_carrier)
         trivial_kernel = kernel_carrier == {s.zero}
-        assert trivial_kernel == idem_sep, (
-            "idempotent separation must match kernel triviality"
-        )
+        if trivial_kernel != idem_sep:
+            raise CertificateFailed(("separation-differs-from-kernel", idem_sep))
         if eps is None:
             eps = epsilon_quotient(m.source, kernel)
         elif (
@@ -843,10 +857,8 @@ def analyze_morphism(m, eps=None):
             c = eps.projection.map[x]
             if phi_map[c] is None:
                 phi_map[c] = m.map[x]
-            else:
-                assert phi_map[c] == m.map[x], (
-                    "map must be constant on ideal congruence classes"
-                )
+            elif phi_map[c] != m.map[x]:
+                raise CertificateFailed(("not-constant-on-classes", x, c))
         phi = Morphism(eps.quotient, m.target, tuple(phi_map))
         check_multiplicative(eps.quotient, m.target, phi.map)
         phi_sep = True
@@ -855,9 +867,11 @@ def analyze_morphism(m, eps=None):
             for f in qidem:
                 if e < f and phi.map[e] == phi.map[f]:
                     phi_sep = False
-        assert phi_sep, "second factor must be idempotent separating"
+        if not phi_sep:
+            raise CertificateFailed(("second-factor-not-idempotent-separating",))
         for x in range(s.size):
-            assert phi.map[eps.projection.map[x]] == m.map[x]
+            if phi.map[eps.projection.map[x]] != m.map[x]:
+                raise CertificateFailed(("factorization-differs", x))
         factorization = (eps.projection, phi)
     return MorphismAnalysis(
         additive=additive,
@@ -872,14 +886,18 @@ def analyze_morphism(m, eps=None):
 def direct_product(bs, bt):
     """Componentwise product structure; pair (a, b) has id b*|S| + a.
 
-    Both projections are checked to be additive morphisms.
+    The product is checked Boolean and both projections additive
+    morphisms; a check that fails raises CertificateFailed naming it.
     """
     s, t = bs.base, bt.base
     prod = InvSgp(table_product(s, t))
     rep = check_boolean(prod)
-    assert rep.boolean, "product of Boolean structures must be Boolean"
+    if not rep.boolean:
+        raise CertificateFailed(("product-not-boolean", rep.failure))
     left = tuple(i % s.size for i in range(prod.size))
     right = tuple(i // s.size for i in range(prod.size))
-    assert is_additive_morphism(rep.structure, bs, left)
-    assert is_additive_morphism(rep.structure, bt, right)
+    if not is_additive_morphism(rep.structure, bs, left):
+        raise CertificateFailed(("projection-not-additive", "left"))
+    if not is_additive_morphism(rep.structure, bt, right):
+        raise CertificateFailed(("projection-not-additive", "right"))
     return rep.structure

@@ -58,24 +58,41 @@ def _parse_table(text, allow_undefined):
     body = lines[1:]
     if len(body) != k:
         raise ParseError(f"expected {k} table rows, found {len(body)}")
+    low = -1 if allow_undefined else 0
     table = []
     for i, row in enumerate(body):
         if len(row) != k:
             raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
-        ints = []
-        for tok in row:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"bad entry {tok!r} in row {i}") from None
-            if v == -1 and allow_undefined:
-                ints.append(None)
-            elif 0 <= v < k:
-                ints.append(v)
-            else:
-                raise ParseError(f"entry {v} out of range in row {i}")
-        table.append(tuple(ints))
+        try:
+            ints = list(map(int, row))
+        except ValueError:
+            ints = None
+        if ints is None or min(ints) < low or max(ints) >= k:
+            table.append(_parse_row(row, i, k, allow_undefined))
+        elif allow_undefined and -1 in ints:
+            table.append(tuple(None if v == -1 else v for v in ints))
+        else:
+            table.append(tuple(ints))
     return tuple(table)
+
+
+def _parse_row(row, i, k, allow_undefined):
+    """Row i read a token at a time, raising ParseError at the first bad
+    token or out-of-range entry; _parse_table reads a row this way only when
+    its whole-row conversion or range check has failed."""
+    ints = []
+    for tok in row:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ParseError(f"bad entry {tok!r} in row {i}") from None
+        if v == -1 and allow_undefined:
+            ints.append(None)
+        elif 0 <= v < k:
+            ints.append(v)
+        else:
+            raise ParseError(f"entry {v} out of range in row {i}")
+    return tuple(ints)
 
 
 def _check_associative(rows):

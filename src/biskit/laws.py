@@ -44,6 +44,8 @@ from .booleanization import (
     principal_map_is_iso,
 )
 from .core import (
+    _generators,
+    _light_test,
     _picker,
     all_congruences,
     d_relation_idempotents,
@@ -203,11 +205,41 @@ def law_wedge(c):
     return None
 
 
+def _fish_on_generators(t, mt):
+    """True when u*(a meet b) = (u*a) meet (u*b), the right side defined,
+    for every pair (a, b) with a meet and every u.
+
+    The u for which this holds are closed under the product of an
+    associative table: for such g and h, (g*h)*(a meet b) = g*(h*a meet h*b)
+    = g*h*a meet g*h*b, as (h*a, h*b) has a meet again.  So it is decided on
+    a greedy generating set, after Light's test has shown this table
+    associative: for each generator g and each a, row g*a of the meet table
+    read at row g, against row g read at the meets of row a.
+    """
+    gens = _generators(t)
+    if not _light_test(t, gens):
+        return False
+    met = []  # (a, the b with a meet, their meets), for each a with one
+    for a, row in enumerate(mt):
+        bs = [b for b, m in enumerate(row) if m is not None]
+        if bs:
+            met.append((a, _picker(bs), _picker([row[b] for b in bs])))
+    for g in gens:
+        tg = t[g]
+        for a, at_b, at_meets in met:
+            if at_meets(tg) != tuple(map(mt[tg[a]].__getitem__, at_b(tg))):
+                return False
+    return True
+
+
 def law_fish(c):
-    """u*(a meet b) = (u*a) meet (u*b), compared a column at a time: for
-    each pair with a meet, the meets of columns a and b against column
-    a meet b.  A pair that differs is scanned by u for the witness."""
+    """u*(a meet b) = (u*a) meet (u*b), decided on generators of the table
+    (_fish_on_generators).  When that fails the law is compared a column at
+    a time: for each pair with a meet, the meets of columns a and b against
+    column a meet b.  A pair that differs is scanned by u for the witness."""
     s = c.s
+    if _fish_on_generators(s.table, s.meet_table):
+        return None
     mt, cols = s.meet_table, s.cols
     for a in range(s.size):
         meet_rows = tuple(map(mt.__getitem__, cols[a]))  # row u*a, every u
@@ -428,11 +460,17 @@ def law_eggs(c):
     whole column at a time: the rows x, y [and z] of the meet table, joined
     entry by entry, against column x v y [v z].  A combo whose rows hold an
     undefined meet or join, or that differs, is scanned by u.
+
+    Where row a equals column a, as in a symmetric meet table, a pair's
+    comparison is that of column a joined with row b.  A pair (a, b) whose
+    row equals column j = a v b gives every triple (a, b, c) column j joined
+    with row c.  So both are made once per (column, row) and kept in holds.
     """
     s = c.bs.base
     k, mt, jt = s.size, s.meet_table, s.join_table
     mcols = tuple(zip(*mt))  # mcols[j][u] = u meet j
     defined = [None not in row for row in mt]
+    symmetric = [row == col for row, col in zip(mt, mcols)]  # row a is column a
 
     def joinable(a, j):  # the b > a with j v b defined, ascending
         return itertools.compress(
@@ -444,20 +482,35 @@ def law_eggs(c):
             return None
         return tuple(map(getitem, map(jt.__getitem__, rhs), mt[x]))
 
-    def witness(combo, join, rhs):
-        return None if rhs == mcols[join] else _eggs_scan(s, combo, join)
+    holds = {}  # (j, x): column j joined with row x equals column j v x
 
-    for a in range(k):
-        for b in joinable(a, a):
-            w = witness((a, b), jt[a][b], join_meets(mt[a], b))
-            if w is not None:
-                return w
+    def column_holds(j, x):
+        if (j, x) not in holds:
+            holds[j, x] = join_meets(mcols[j], x) == mcols[jt[j][x]]
+        return holds[j, x]
+
+    differs = set()  # the pairs whose row is not their join's column
     for a in range(k):
         for b in joinable(a, a):
             j = jt[a][b]
-            rab = join_meets(mt[a], b)
+            if symmetric[a]:
+                ok = column_holds(a, b)
+            else:
+                ok = join_meets(mt[a], b) == mcols[j]
+            if not ok:
+                differs.add((a, b))
+                w = _eggs_scan(s, (a, b), j)
+                if w is not None:
+                    return w
+    for a in range(k):
+        for b in joinable(a, a):
+            j = jt[a][b]
+            own = (a, b) in differs  # then the pair's own row is joined
+            rab = join_meets(mt[a], b) if own else None
             for c3 in joinable(b, j):
-                w = witness((a, b, c3), jt[j][c3], join_meets(rab, c3))
+                join = jt[j][c3]
+                ok = join_meets(rab, c3) == mcols[join] if own else column_holds(j, c3)
+                w = None if ok else _eggs_scan(s, (a, b, c3), join)
                 if w is not None:
                     return w
     return None

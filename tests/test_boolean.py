@@ -12,6 +12,7 @@ from biskit.boolean import (
     as_boolean,
     atoms_groupoid,
     check_boolean,
+    check_multiplicative,
     direct_product,
     enumerate_additive_ideals,
     epsilon_quotient,
@@ -40,8 +41,10 @@ from biskit.errors import (
     NotAnIdeal,
     NotBoolean,
     NotCompatible,
+    NotMultiplicative,
     TooLarge,
 )
+from biskit.booleanization import booleanize
 from biskit.groupoid import component_form, Gpd, reconstruct
 from biskit.rook import theta_iso
 from generated import generated_table, i4_subsemigroup_tables, then
@@ -622,3 +625,106 @@ def test_weakly_meet_preserving_matches_oracle_on_corrupted_maps(table, data):
     )
     want = naive_is_weakly_meet_preserving(source, target, mp)
     assert is_weakly_meet_preserving(source, target, mp) == want
+
+
+# -- check_multiplicative against the pairwise loop ---------------------------
+
+
+def oracle_check_multiplicative(source, target, mp):
+    """check_multiplicative as a scan of every pair (a, b)."""
+    s = getattr(source, "base", source)
+    t = getattr(target, "base", target)
+    for a in range(s.size):
+        for b in range(s.size):
+            if mp[s.table[a][b]] != t.table[mp[a]][mp[b]]:
+                raise NotMultiplicative((a, b))
+
+
+def multiplicative_outcome(fn, source, target, mp):
+    try:
+        return ("returned", fn(source, target, mp))
+    except NotMultiplicative as e:
+        return ("raised", e.witness)
+
+
+def multiplicative_maps(s):
+    """(source, target, map): the identity, each epsilon_quotient projection
+    when s is Boolean, and beta into the Booleanization where K(G) is under
+    its cap (not on i3 and i2xz2zero)."""
+    maps = [(s, s, tuple(range(s.size)))]
+    bs = check_boolean(s).structure if s.zero is not None else None
+    if bs is not None:
+        for ideal in enumerate_additive_ideals(bs):
+            proj = epsilon_quotient(bs, ideal).projection
+            maps.append((bs, proj.target, proj.map))
+    try:
+        b = booleanize(s)
+    except TooLarge:
+        return maps
+    maps.append((b.source0, b.bs, b.beta))
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUP_BUILDERS))
+def test_check_multiplicative_matches_oracle(name):
+    for source, target, mp in multiplicative_maps(corpus_semigroup(name)):
+        want = multiplicative_outcome(oracle_check_multiplicative, source, target, mp)
+        assert want == ("returned", None)
+        assert multiplicative_outcome(check_multiplicative, source, target, mp) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SEMIGROUP_BUILDERS)), st.data())
+def test_check_multiplicative_matches_oracle_on_changed_maps(name, data):
+    maps = multiplicative_maps(corpus_semigroup(name))
+    source, target, mp = data.draw(st.sampled_from(maps))
+    mp = list(mp)
+    mp[data.draw(st.integers(0, len(mp) - 1))] = data.draw(
+        st.integers(0, target.size - 1)
+    )
+    want = multiplicative_outcome(oracle_check_multiplicative, source, target, mp)
+    assert multiplicative_outcome(check_multiplicative, source, target, mp) == want
+
+
+# -- the epsilon relation against the scan of common lower bounds -------------
+
+
+def oracle_epsilon_classes(bs, carrier):
+    """class_of of epsilon_quotient, related(a, b) decided by scanning the
+    c below a for one below b with a minus c and b minus c in the ideal."""
+    s = bs.base
+
+    def related(a, b):
+        for c in s.down[a]:
+            if s.leq[c][b] and bs.rc(a, c) in carrier and bs.rc(b, c) in carrier:
+                return True
+        return False
+
+    class_of = [None] * s.size
+    nxt = 0
+    for a in range(s.size):
+        if class_of[a] is None:
+            for b in range(a, s.size):
+                if related(a, b):
+                    class_of[b] = nxt
+            nxt += 1
+    return tuple(class_of)
+
+
+EPSILON_TABLES = {
+    **{name: SEMIGROUP_BUILDERS[name] for name in BOOLEAN_NAMES},
+    **{
+        f"{a} x {b}": lambda a=a, b=b: table_product(
+            corpus_semigroup(a), corpus_semigroup(b)
+        )
+        for a, b in (("i2", "z2zero"), ("powerset2", "z3zero"), ("powerset2", "z2zero"))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPSILON_TABLES))
+def test_epsilon_relation_matches_oracle(name):
+    bs = check_boolean(InvSgp(EPSILON_TABLES[name]())).structure
+    for ideal in enumerate_additive_ideals(bs):
+        eps = epsilon_quotient(bs, ideal)
+        assert eps.congruence.class_of == oracle_epsilon_classes(bs, ideal.carrier)

@@ -9,6 +9,8 @@ from biskit.core import (
     _check_associative,
     _generators,
     _light_test,
+    _parse_table,
+    _tokenize,
     adjoin_zero,
     all_congruences,
     check_congruence,
@@ -63,6 +65,81 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_semigroup(text)
+
+
+def oracle_parse_table(text, allow_undefined):
+    """_parse_table as it read every token in one loop."""
+    lines = _tokenize(text)
+    if not lines:
+        raise ParseError("empty input")
+    head = lines[0]
+    if len(head) != 2 or head[0] != "n":
+        raise ParseError(f"bad header line {' '.join(head)!r}, expected 'n <k>'")
+    try:
+        k = int(head[1])
+    except ValueError:
+        raise ParseError(f"bad size {head[1]!r}") from None
+    if k < 0 or (k == 0 and not allow_undefined):
+        raise ParseError(f"bad size {k}")
+    body = lines[1:]
+    if len(body) != k:
+        raise ParseError(f"expected {k} table rows, found {len(body)}")
+    table = []
+    for i, row in enumerate(body):
+        if len(row) != k:
+            raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+        ints = []
+        for tok in row:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ParseError(f"bad entry {tok!r} in row {i}") from None
+            if v == -1 and allow_undefined:
+                ints.append(None)
+            elif 0 <= v < k:
+                ints.append(v)
+            else:
+                raise ParseError(f"entry {v} out of range in row {i}")
+        table.append(tuple(ints))
+    return tuple(table)
+
+
+def parse_outcome(fn, text, allow_undefined):
+    try:
+        return ("returned", fn(text, allow_undefined))
+    except ParseError as e:
+        return ("raised", str(e))
+
+
+@pytest.mark.parametrize("allow_undefined", [False, True])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 3\n0 1 2\n1 x 2\n2 2 2\n",  # bad token
+        "n 3\n0 1 2\n1 9 x\n2 2 2\n",  # out of range before a bad token
+        "n 3\n0 1 2\n1 1 3\n2 2 2\n",  # out of range
+        "n 3\n0 1 2\n1 -1 2\n2 2 2\n",  # -1: undefined in .grp, not in .ist
+        "n 3\n0 1 2\n1 -2 2\n2 2 2\n",
+        "n 3\n0 1 2\n1 2\n2 2 2\n",  # short row
+        "n 3\n0 1 2\n1 1.0 2\n2 2 2\n",
+        "n 3\n-1 -1 -1\n0 +1 2\n2 2 2\n",
+        "n 2\n0 1\n1 0\n",
+    ],
+)
+def test_parse_table_matches_the_token_loop(text, allow_undefined):
+    got = parse_outcome(_parse_table, text, allow_undefined)
+    assert got == parse_outcome(oracle_parse_table, text, allow_undefined)
+
+
+TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "x", "01"])
+
+
+@settings(max_examples=200)
+@given(st.lists(TOKENS, min_size=9, max_size=9), st.booleans())
+def test_parse_table_matches_the_token_loop_on_drawn_rows(tokens, allow_undefined):
+    text = "n 3\n" + "\n".join(" ".join(tokens[i : i + 3]) for i in (0, 3, 6))
+    got = parse_outcome(_parse_table, text, allow_undefined)
+    assert got == parse_outcome(oracle_parse_table, text, allow_undefined)
 
 
 @pytest.mark.parametrize(

@@ -165,10 +165,11 @@ def test_certificates_hold_under_python_O():
     # with asserts stripped, a wrong relative complement must still fail law
     # orthogonal, and a quotient projection that is not weakly meet
     # preserving, a pencil range not below f (read by law toby), a closure
-    # that is not an ideal, an atom product that is not an atom,
-    # non-orthogonal rook terms, type vectors that do not separate the
-    # idempotent classes, a K(G) table that is not Boolean and a mu relation
-    # that is not a congruence must still be refused
+    # that is not an ideal, a morphism kernel that is not an ideal, an atom
+    # product that is not an atom, non-orthogonal rook terms, type vectors
+    # that do not separate the idempotent classes, a K(G) table that is not
+    # Boolean, a direct product that is not Boolean and a mu relation that is
+    # not a congruence must still be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -199,6 +200,10 @@ def test_certificates_hold_under_python_O():
             boolean.ideal_closure(bs, [1])
         except CertificateFailed as e:
             print("closure", e.witness[0])
+        try:  # the identity's kernel {0} now reads as not an ideal
+            boolean.analyze_morphism(boolean.Morphism(bs, bs, tuple(range(bs.size))))
+        except CertificateFailed as e:
+            print("morphism", e.witness[0])
 
         import biskit.rook as rook
         from biskit.groupoid import Gpd
@@ -230,6 +235,10 @@ def test_certificates_hold_under_python_O():
             boolean.k_of_groupoid(Gpd([[0]]))
         except CertificateFailed as e:
             print("k", e.witness[0])
+        try:
+            boolean.direct_product(z2, z2)
+        except CertificateFailed as e:
+            print("product", e.witness[0])
         import biskit.core as core
         core.check_congruence = lambda s, cong: (0, 1, 0, "left")
         try:
@@ -247,15 +256,17 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:10] == [
+    assert out.split("\n")[:12] == [
         "debug False",
         "fail CertificateFailed",
         "epsilon projection-not-weakly-meet-preserving",
         "pencil pencil-range-not-below",
         "closure closure-not-an-ideal",
+        "morphism kernel-not-an-ideal",
         "atoms atom-product-not-atom",
         "rook terms-not-orthogonal",
         "type types-do-not-separate-classes",
         "k bisections-not-boolean",
+        "product product-not-boolean",
         "mu mu-not-a-congruence",
     ]
