@@ -287,9 +287,10 @@ def _bisections(g, cap):
 
     Enumerated as partial matchings between identities (a chosen arrow per
     matched pair), so nothing outside the result is ever generated.  Sorted
-    by (size, membership) so the empty set is id 0 and singletons follow.
-    Raises TooLarge, naming the count and the cap, before enumerating more
-    than cap of them.
+    by (size, membership) so the empty set is id 0 and singletons follow;
+    k_of_groupoid relies on this order, in which a minus its largest arrow
+    comes before a.  Raises TooLarge, naming the count and the cap, before
+    enumerating more than cap of them.
     """
     count = _bisection_count(g)
     if count > cap:
@@ -332,21 +333,31 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     inclusion and the atoms as the singletons.  The table must pass
     check_boolean, else CertificateFailed names the failure.
 
-    r is injective on a bisection b, so an arrow x composes with at most one
-    y in b, the one with r(y) = d(x): each product is |a| lookups in b's
-    range dict rather than a scan of all |a|*|b| pairs.
+    The table is built row by row as bitmasks of arrows.  r is injective on
+    a bisection b, so an arrow x composes with at most one y in b, the one
+    with r(y) = d(x): {x}*b is one lookup in b's range dict.  Products of
+    distinct arrows of a bisection a have distinct ranges, so the setwise
+    product distributes over the disjoint union a = (a - {top}) + {top}:
+    row a is row (a - {top}) OR-ed entry by entry with {top}*b.  With top
+    the largest arrow of a, a - {top} is a smaller bisection and comes
+    earlier in _bisections' (size, membership) order, so its row is built.
     """
     carrier = _bisections(g, cap)
     index = {a: i for i, a in enumerate(carrier)}
     pt, d, r = g.ptable, g.d, g.r
     by_range = [{r[y]: y for y in b} for b in carrier]
-    table = [
-        [
-            index[frozenset([pt[x][rb[d[x]]] for x in a if d[x] in rb])]
-            for rb in by_range
-        ]
-        for a in carrier
+    single = [  # single[x][b]: the mask of {x}*b
+        [1 << pt[x][rb[d[x]]] if d[x] in rb else 0 for rb in by_range]
+        for x in range(g.size)
     ]
+    masks = [sum(1 << x for x in a) for a in carrier]
+    mask_id = {m: i for i, m in enumerate(masks)}
+    table = [[0] * len(carrier)]  # the empty bisection is id 0
+    for m in masks[1:]:
+        top = m.bit_length() - 1
+        rest = map(masks.__getitem__, table[mask_id[m ^ (1 << top)]])
+        row = map(int.__or__, rest, single[top])
+        table.append(list(map(mask_id.__getitem__, row)))
     rep = check_boolean(InvSgp(table))
     if not rep.boolean:
         raise CertificateFailed(("bisections-not-boolean", rep.failure))

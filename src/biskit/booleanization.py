@@ -25,6 +25,7 @@ from .boolean import (
 )
 from .core import InvSgp, adjoin_zero, restricted_groupoid
 from .errors import (
+    CertificateFailed,
     NotBoolean,
     NotHomomorphism,
     NotMultiplicative,
@@ -53,6 +54,8 @@ def booleanize(s):
     beta(a) collects the nonzero elements below a; it is checked injective
     and multiplicative, and the down-set product law
     (below a) * (below b) = below(a*b) is checked setwise on nonzero parts.
+    A failed check raises CertificateFailed, naming the first failing pair
+    (a, b) for the two product checks.
     """
     s0 = s if s.zero is not None else adjoin_zero(s)
     g = restricted_groupoid(s0)
@@ -62,13 +65,14 @@ def booleanize(s):
     for a in range(s0.size):
         below = frozenset(pos[x] for x in s0.down[a] if x != s0.zero)
         beta.append(kg.index[below])
-    assert len(set(beta)) == s0.size, "beta must be injective"
+    if len(set(beta)) != s0.size:
+        raise CertificateFailed(("beta-not-injective",))
     kt = kg.structure.base.table
-    for a in range(s0.size):
-        for b in range(s0.size):
-            assert beta[s0.table[a][b]] == kt[beta[a]][beta[b]], (
-                "beta must preserve products"
-            )
+    for a in range(s0.size):  # row a: beta(a*b) against beta(a)*beta(b)
+        ka = kt[beta[a]]
+        if [beta[c] for c in s0.table[a]] != [ka[x] for x in beta]:
+            b = next(b for b in range(s0.size) if beta[s0.table[a][b]] != ka[beta[b]])
+            raise CertificateFailed(("beta-not-multiplicative", a, b))
     # down-set product law, on nonzero parts
     down_nz = [
         frozenset(x for x in s0.down[a] if x != s0.zero) for a in range(s0.size)
@@ -80,7 +84,8 @@ def booleanize(s):
                 for x in down_nz[a]
                 for y in down_nz[b]
             ) - {s0.zero}
-            assert prod == down_nz[s0.table[a][b]], "down-set product law"
+            if prod != down_nz[s0.table[a][b]]:
+                raise CertificateFailed(("down-set-product", a, b))
     return Booleanization(s, s0, g, kg, tuple(beta))
 
 

@@ -201,10 +201,10 @@ def decompose(bs):
     verified = (
         s.size == p.size
         and set(iso) == set(range(p.size))
-        and all(
-            iso[s.table[a][b]] == p.table[iso[a]][iso[b]]
+        and all(  # row a: iso(a*b) against iso(a)*iso(b) for every b
+            tuple(map(iso.__getitem__, s.table[a]))
+            == tuple(map(p.table[iso[a]].__getitem__, iso))
             for a in range(s.size)
-            for b in range(s.size)
         )
     )
     return DecompositionCertificate(

@@ -1,4 +1,5 @@
-"""Generated structures for property tests: inverse subsemigroups of I4.
+"""Generated structures for property tests: inverse subsemigroups of I4,
+and component forms of groupoids whose local bisections K(G) tabulates.
 
 A partial bijection of {0..3} is a frozenset of (x, f(x)) pairs.  The
 product a*b is "first a, then b".  The subsemigroup generated by a few of
@@ -8,6 +9,9 @@ Boolean one needs.
 """
 
 from hypothesis import strategies as st
+
+from biskit.boolean import _bisection_count
+from biskit.groupoid import Component, ComponentForm, Gpd, reconstruct
 
 POINTS = range(4)
 
@@ -52,4 +56,25 @@ partial_bijections = st.builds(
 # tables of the inverse subsemigroups of I4 generated by 1-3 partial bijections
 i4_subsemigroup_tables = st.lists(partial_bijections, min_size=1, max_size=3).map(
     lambda gens: generated_table(gens)[1]
+)
+
+
+def cyclic_group(h):
+    """Z_h as a one-object groupoid: i * j = i + j mod h."""
+    return Gpd([[(i + j) % h for j in range(h)] for i in range(h)])
+
+
+# component forms of 1-3 components, each with n <= 3 identities and a
+# cyclic group of order <= 3, whose groupoids have at most K_ORACLE_BISECTIONS
+# local bisections: under K_OF_GROUPOID_CAP, and few enough for the
+# pairwise-product oracle
+K_ORACLE_BISECTIONS = 400
+component_forms = (
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+    .map(
+        lambda nh: ComponentForm(
+            tuple(Component(n, cyclic_group(h), (), ()) for n, h in nh)
+        )
+    )
+    .filter(lambda form: _bisection_count(reconstruct(form)) <= K_ORACLE_BISECTIONS)
 )

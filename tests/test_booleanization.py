@@ -14,6 +14,7 @@ from biskit.booleanization import (
 )
 from biskit.core import semigroup_iso
 from biskit.corpus import corpus_semigroup
+from biskit.errors import CertificateFailed
 from biskit.groupoid import groupoid_iso
 from biskit.laws import run_laws
 
@@ -33,6 +34,23 @@ def test_beta_is_multiplicative_and_injective_off_zero():
         images = [b.beta[x] for x in nonzero]
         assert len(set(images)) == len(images)
         assert b.beta[s0.zero] == t.zero
+
+
+@pytest.mark.parametrize(
+    "atom_down, witness",
+    [
+        ((0,), ("beta-not-injective",)),  # atom 1 read as the zero
+        ((0, 1, 2), ("beta-not-multiplicative", 1, 2)),  # 1 read above 2
+        ((0, 1, 3), ("down-set-product", 1, 2)),  # 1 read above the top
+    ],
+)
+def test_booleanize_certificates_name_the_failure(atom_down, witness):
+    # powerset2 is 0, atoms 1 and 2, top 3; one down-set is read wrongly
+    s = corpus_semigroup("powerset2")
+    s.down = (s.down[0], atom_down, *s.down[2:])
+    with pytest.raises(CertificateFailed) as e:
+        booleanize(s)
+    assert e.value.witness == witness
 
 
 def test_booleanization_of_boolean_is_bigger():

@@ -29,9 +29,13 @@ from biskit.corpus import (
     symmetric_inverse_table,
 )
 from biskit.errors import CertificateFailed, NotAnIdeal
+from biskit.rook import identity_rook, rook_matrix, rook_mul, rook_star
 from biskit.laws import (
+    ROOK_ENUM_CAP,
     Analysis,
+    _Skip,
     _applicable,
+    law_ale,
     law_definition,
     law_eggs,
     law_fish,
@@ -190,6 +194,49 @@ def oracle_setminus_4(c):
     return None
 
 
+def oracle_ale(c):
+    bs = c.bs
+    s = bs.base
+    if s.size > ROOK_ENUM_CAP:
+        raise _Skip(f"2x2 matrix enumeration capped at {ROOK_ENUM_CAP}")
+    mats = []
+    for quad in itertools.product(range(s.size), repeat=4):
+        entries = [list(quad[:2]), list(quad[2:])]
+        try:
+            mats.append(rook_matrix(bs, entries))
+        except ValueError:
+            continue
+    ident = identity_rook(bs, 2)
+    z = s.zero
+    for a in mats:
+        if rook_mul(a, ident).entries != a.entries:
+            return (a.entries, "right-unit")
+        if rook_mul(ident, a).entries != a.entries:
+            return (a.entries, "left-unit")
+        if rook_mul(rook_mul(a, rook_star(a)), a).entries != a.entries:
+            return (a.entries, "inverse")
+        sq = rook_mul(a, a)
+        diag_idem = (
+            a.entries[0][1] == z
+            and a.entries[1][0] == z
+            and s.is_idempotent(a.entries[0][0])
+            and s.is_idempotent(a.entries[1][1])
+        )
+        if (sq.entries == a.entries) != diag_idem:
+            return (a.entries, "idempotent-shape")
+    for a in mats:
+        da = rook_mul(rook_star(a), a)
+        for b in mats:
+            entrywise = all(
+                s.leq[a.entries[i][j]][b.entries[i][j]]
+                for i in range(2)
+                for j in range(2)
+            )
+            if (rook_mul(b, da).entries == a.entries) != entrywise:
+                return (a.entries, b.entries, "order")
+    return None
+
+
 def oracle_verify_additive_ideal(bs, subset):
     s = bs.base
     if s.zero not in subset:
@@ -311,6 +358,21 @@ def test_law_kernels_match_oracles(name):
         assert_closures_match_on_pairs(c.bs)
         for ideal in enumerate_additive_ideals(c.bs):
             assert verify_additive_ideal(c.bs, ideal.carrier) is None
+
+
+@pytest.mark.parametrize("name", ("trivial", "powerset2", "z2zero", "z3zero"))
+def test_law_ale_matches_oracle(name):
+    c = Analysis(corpus_semigroup(name))
+    assert outcome(law_ale, c) == outcome(oracle_ale, c) == ("returned", None)
+
+
+def test_law_ale_matches_oracle_on_a_wrong_order():
+    # read as discrete, the order no longer matches b*(a'a) = a
+    c = Analysis(corpus_semigroup("powerset2"))
+    c.bs.base.leq = [[a == b for b in range(4)] for a in range(4)]
+    got = outcome(law_ale, c)
+    assert got == outcome(oracle_ale, c)
+    assert got[0] == "returned" and got[1][-1] == "order"
 
 
 # -- corrupted structures ---------------------------------------------------

@@ -167,9 +167,10 @@ def test_certificates_hold_under_python_O():
     # preserving, a pencil range not below f (read by law toby), a closure
     # that is not an ideal, a morphism kernel that is not an ideal, an atom
     # product that is not an atom, non-orthogonal rook terms, type vectors
-    # that do not separate the idempotent classes, a K(G) table that is not
-    # Boolean, a direct product that is not Boolean and a mu relation that is
-    # not a congruence must still be refused
+    # that do not separate the idempotent classes, a Booleanization embedding
+    # that is not injective, a K(G) table that is not Boolean, a direct
+    # product that is not Boolean and a mu relation that is not a congruence
+    # must still be refused
     code = textwrap.dedent(
         """
         import biskit.boolean as boolean
@@ -229,6 +230,18 @@ def test_certificates_hold_under_python_O():
         except CertificateFailed as e:
             print("type", e.witness[0])
         from dataclasses import replace
+        import biskit.booleanization as booleanization
+        real_k = booleanization.k_of_groupoid
+
+        def one_id(g):  # every down-set is read as the empty bisection
+            kg = real_k(g)
+            return replace(kg, index=dict.fromkeys(kg.index, 0))
+
+        booleanization.k_of_groupoid = one_id
+        try:
+            booleanization.booleanize(corpus_semigroup("powerset2"))
+        except CertificateFailed as e:
+            print("booleanize", e.witness[0])
         real = boolean.check_boolean
         boolean.check_boolean = lambda s: replace(real(s), boolean=False)
         try:
@@ -256,7 +269,7 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:12] == [
+    assert out.split("\n")[:13] == [
         "debug False",
         "fail CertificateFailed",
         "epsilon projection-not-weakly-meet-preserving",
@@ -266,6 +279,7 @@ def test_certificates_hold_under_python_O():
         "atoms atom-product-not-atom",
         "rook terms-not-orthogonal",
         "type types-do-not-separate-classes",
+        "booleanize beta-not-injective",
         "k bisections-not-boolean",
         "product product-not-boolean",
         "mu mu-not-a-congruence",

@@ -4,16 +4,17 @@ import math
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from biskit.boolean import (
+    _bisection_count,
     _bisections,
     atoms_groupoid,
     check_boolean,
     direct_product,
     k_of_groupoid,
 )
-from biskit.core import InvSgp, semigroup_iso, table_product
+from biskit.core import InvSgp, restricted_groupoid, semigroup_iso, table_product
 from biskit.corpus import (
     BOOLEAN_NAMES,
     GROUPOID_BUILDERS,
@@ -22,7 +23,13 @@ from biskit.corpus import (
     symmetric_inverse_table,
 )
 from biskit.errors import DimensionMismatch, NotAGroup, NotMonoid, TooLarge
-from biskit.groupoid import Gpd, canonical_group_key, coordinatize, group_name
+from biskit.groupoid import (
+    Gpd,
+    canonical_group_key,
+    coordinatize,
+    group_name,
+    reconstruct,
+)
 import biskit.rook as rook
 from biskit.rook import (
     MN_CARRIER_CAP,
@@ -38,7 +45,12 @@ from biskit.rook import (
     theta_iso,
     zero_rook,
 )
-from generated import i4_subsemigroup_tables
+from generated import (
+    K_ORACLE_BISECTIONS,
+    component_forms,
+    cyclic_group,
+    i4_subsemigroup_tables,
+)
 
 
 def boolean(name):
@@ -288,10 +300,6 @@ def oracle_decompose(bs):
     return signature, canonical, product, tuple(iso)
 
 
-def cyclic(h):
-    return Gpd([[(i + j) % h for j in range(h)] for i in range(h)])
-
-
 def s3():
     perms = list(itertools.permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
@@ -299,9 +307,9 @@ def s3():
 
 
 GROUPS = {
-    "trivial": lambda: cyclic(1),
-    "Z2": lambda: cyclic(2),
-    "Z3": lambda: cyclic(3),
+    "trivial": lambda: cyclic_group(1),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
     "V4": lambda: Gpd([[i ^ j for j in range(4)] for i in range(4)]),
     "S3": s3,
 }
@@ -331,10 +339,10 @@ def test_build_Mn_G0_matches_cell_oracle(n, name):
 
 def test_build_Mn_G0_caps():
     with pytest.raises(TooLarge, match="entry cap"):
-        build_Mn_G0(9, cyclic(1))  # 81 entries
+        build_Mn_G0(9, cyclic_group(1))  # 81 entries
     assert MN_ENTRY_CAP < 81 and mn_count(8, 1) > MN_CARRIER_CAP
     with pytest.raises(TooLarge, match=f"count {mn_count(8, 1)} above cap"):
-        build_Mn_G0(8, cyclic(1))
+        build_Mn_G0(8, cyclic_group(1))
     with pytest.raises(NotAGroup):
         build_Mn_G0(2, Gpd([[0, None], [None, 1]]))
 
@@ -379,6 +387,26 @@ K_ORACLE_GROUPOIDS = {
 @pytest.mark.parametrize("name", sorted(K_ORACLE_GROUPOIDS))
 def test_k_of_groupoid_matches_pairwise_product_oracle(name):
     g = K_ORACLE_GROUPOIDS[name]()
+    assert k_of_groupoid(g).structure.base.table == oracle_k_table(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(component_forms)
+def test_k_of_groupoid_matches_oracle_on_generated_forms(form):
+    g = reconstruct(form)
+    kg = k_of_groupoid(g)
+    assert kg.structure.base.table == oracle_k_table(g)
+    assert list(decompose(kg.structure).signature) == sorted(
+        (c.identity_count, c.group.size, group_name(c.group)) for c in form.components
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_k_of_groupoid_matches_oracle_on_generated_restricted_groupoids(table):
+    # disconnected groupoids whose arrows are numbered as the table's elements
+    g = restricted_groupoid(InvSgp(table))
+    assume(_bisection_count(g) <= K_ORACLE_BISECTIONS)
     assert k_of_groupoid(g).structure.base.table == oracle_k_table(g)
 
 
