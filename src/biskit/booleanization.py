@@ -52,10 +52,11 @@ def booleanize(s):
     """Local bisections of the nonzero part of s, with the order embedding.
 
     beta(a) collects the nonzero elements below a; it is checked injective
-    and multiplicative, and the down-set product law
-    (below a) * (below b) = below(a*b) is checked setwise on nonzero parts.
-    A failed check raises CertificateFailed, naming the first failing pair
-    (a, b) for the two product checks.
+    and multiplicative, and a failed check raises CertificateFailed, naming
+    the first failing pair (a, b) for the product check.  The down-set
+    product law (below a) * (below b) = below(a*b) needs no check of its own
+    on a validated table: for z <= a*b, y = b*d(z) <= b and x = a*r(y) <= a
+    give x*y = z.  Law restricted-product checks it independently.
     """
     s0 = s if s.zero is not None else adjoin_zero(s)
     g = restricted_groupoid(s0)
@@ -73,19 +74,6 @@ def booleanize(s):
         if [beta[c] for c in s0.table[a]] != [ka[x] for x in beta]:
             b = next(b for b in range(s0.size) if beta[s0.table[a][b]] != ka[beta[b]])
             raise CertificateFailed(("beta-not-multiplicative", a, b))
-    # down-set product law, on nonzero parts
-    down_nz = [
-        frozenset(x for x in s0.down[a] if x != s0.zero) for a in range(s0.size)
-    ]
-    for a in range(s0.size):
-        for b in range(s0.size):
-            prod = frozenset(
-                s0.table[x][y]
-                for x in down_nz[a]
-                for y in down_nz[b]
-            ) - {s0.zero}
-            if prod != down_nz[s0.table[a][b]]:
-                raise CertificateFailed(("down-set-product", a, b))
     return Booleanization(s, s0, g, kg, tuple(beta))
 
 
@@ -95,7 +83,6 @@ class GammaExtension:
     alpha: tuple  # source0 id -> target id, the map being extended
     morphism: Morphism  # from the Booleanization into the target
     singletons: tuple  # (source0 id, forced target value) per nonzero id
-    unique: bool  # forced-value identity held for every singleton
 
 
 def gamma_extension(s, alpha, target, booleanization=None):
@@ -105,7 +92,8 @@ def gamma_extension(s, alpha, target, booleanization=None):
     elements strictly below a; general values are orthogonal joins of
     singleton values.  The result is verified to be an additive morphism
     agreeing with alpha along beta, and each singleton value is checked
-    forced, which settles uniqueness.
+    forced, which settles uniqueness; a failed check raises CertificateFailed
+    naming it.
     """
     if not isinstance(target, BoolInvSgp):
         try:
@@ -134,30 +122,32 @@ def gamma_extension(s, alpha, target, booleanization=None):
         strict = [x for x in s0.down[a] if x != a and x != s0.zero]
         j = t.zero
         for x in strict:
-            j2 = t.join_table[j][alpha[x]]
-            assert j2 is not None, "joins below alpha(a) must exist"
-            j = j2
+            j = t.join_table[j][alpha[x]]
+            if j is None:
+                raise CertificateFailed(("join-below-alpha-missing", a, x))
         gamma1[a] = target.rc(alpha[a], j)
 
     pos = {lab: i for i, lab in enumerate(b.groupoid.labels)}
     gmap = []
-    for aset in b.target.bisections:
+    for k, aset in enumerate(b.target.bisections):
         vals = [gamma1[b.groupoid.labels[i]] for i in sorted(aset)]
         for v1, v2 in itertools.combinations(vals, 2):
-            assert t.orth[v1][v2], "singleton values must join orthogonally"
+            if not t.orth[v1][v2]:
+                raise CertificateFailed(("singletons-not-orthogonal", k, v1, v2))
         gmap.append(target.join_of(vals) if vals else t.zero)
     gamma = Morphism(b.bs, target, tuple(gmap))
 
     for a in range(s0.size):
-        assert gmap[b.beta[a]] == alpha[a], "extension must restrict to alpha"
+        if gmap[b.beta[a]] != alpha[a]:
+            raise CertificateFailed(("extension-not-alpha", a))
     check_multiplicative(b.bs, target, gamma.map)
     check_zero_preserving(b.bs, target, gamma.map)
-    assert is_additive_morphism(b.bs, target, gamma.map)
+    if not is_additive_morphism(b.bs, target, gamma.map):
+        raise CertificateFailed(("extension-not-additive",))
 
     # Uniqueness: the singleton at a equals beta(a) minus the join of beta
     # over everything strictly below, so any additive extension of alpha is
     # pinned there, and the rest are orthogonal joins of singletons.
-    unique = True
     singles = []
     bsb = b.bs.base
     for a in range(s0.size):
@@ -166,12 +156,13 @@ def gamma_extension(s, alpha, target, booleanization=None):
         strict = [x for x in s0.down[a] if x != a and x != s0.zero]
         jb = bsb.join_of([b.beta[x] for x in strict]) if strict else bsb.zero
         singleton_id = b.target.index[frozenset({pos[a]})]
-        if b.bs.rc(b.beta[a], jb) != singleton_id:
-            unique = False
-        if gamma.map[singleton_id] != gamma1[a]:
-            unique = False
+        if (
+            b.bs.rc(b.beta[a], jb) != singleton_id
+            or gamma.map[singleton_id] != gamma1[a]
+        ):
+            raise CertificateFailed(("singleton-not-forced", a))
         singles.append((a, gamma1[a]))
-    return GammaExtension(b, alpha, gamma, tuple(singles), unique)
+    return GammaExtension(b, alpha, gamma, tuple(singles))
 
 
 # -- filters ---------------------------------------------------------------
@@ -210,15 +201,17 @@ def enumerate_filters(s):
     """All proper filters of s; in a finite table each is an up-set x-up.
 
     Law universal-groupoid checks this list against a raw scan of every
-    subset, for carriers up to FILTER_SCAN_CAP.
+    subset, for carriers up to FILTER_SCAN_CAP.  An up-set that is not a
+    filter, or holds the zero, raises CertificateFailed.
     """
     nonzero = [x for x in range(s.size) if x != s.zero]
     proper = []
     for x in sorted(nonzero):
         carrier = frozenset(s.up[x])
-        assert _is_filter(s, carrier)
-        if s.zero is not None:
-            assert s.zero not in carrier
+        if not _is_filter(s, carrier):
+            raise CertificateFailed(("up-set-not-filter", x))
+        if s.zero in carrier:
+            raise CertificateFailed(("filter-holds-zero", x))
         proper.append(Filter(carrier, x))
     minimal = [
         x for x in nonzero if all(not s.leq[y][x] for y in nonzero if y != x)
@@ -238,6 +231,7 @@ def _up_closure(s, seed):
 def filter_groupoid(s, filters):
     """Partial product on filters: A*B is the up-closure of the setwise
     product, defined when the domain filter of A is the range filter of B.
+    A product that is not among filters raises CertificateFailed.
     """
     carriers = [f.carrier for f in filters]
     index = {c: i for i, c in enumerate(carriers)}
@@ -251,7 +245,8 @@ def filter_groupoid(s, filters):
             if doms[i] != rans[j]:
                 continue
             prod = _up_closure(s, {t[x][y] for x in a for y in b})
-            assert prod in index, "filter product must be a listed filter"
+            if prod not in index:
+                raise CertificateFailed(("filter-product-not-listed", i, j))
             ptable[i][j] = index[prod]
     return Gpd(ptable, labels=tuple(f.principal_at for f in filters))
 
@@ -293,19 +288,21 @@ def booleanization_iso(s, t):
 
     The groupoids determine the Booleanizations: a groupoid isomorphism
     induces a bisection-by-bisection map, which is re-checked as a table
-    isomorphism.
+    isomorphism; CertificateFailed names the first pair where it fails.
     """
     b_s, b_t = booleanize(s), booleanize(t)
     gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
     if gmap is None:
         return BooleanizationIso(False, None, None)
-    induced = []
-    for aset in b_s.target.bisections:
-        image = frozenset(gmap[x] for x in aset)
-        induced.append(b_t.target.index[image])
+    induced = tuple(
+        b_t.target.index.get(frozenset(gmap[x] for x in aset))
+        for aset in b_s.target.bisections
+    )
     sb, tb = b_s.bs.base, b_t.bs.base
-    assert sorted(induced) == list(range(tb.size))
+    if sb.size != tb.size or set(induced) != set(range(tb.size)):
+        raise CertificateFailed(("induced-not-bijective",))
     for a in range(sb.size):
         for b2 in range(sb.size):
-            assert induced[sb.table[a][b2]] == tb.table[induced[a]][induced[b2]]
-    return BooleanizationIso(True, gmap, tuple(induced))
+            if induced[sb.table[a][b2]] != tb.table[induced[a]][induced[b2]]:
+                raise CertificateFailed(("induced-not-multiplicative", a, b2))
+    return BooleanizationIso(True, gmap, induced)

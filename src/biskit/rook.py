@@ -161,7 +161,6 @@ class DecompositionCertificate:
     rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(form)
     target: KOfGroupoid  # K(reconstruct(form))
     iso: tuple  # source id -> product id, fully table-checked
-    verified: bool
 
     @property
     def product(self):
@@ -176,7 +175,8 @@ def decompose(bs):
     n_i-by-n_i rook matrices over G_i with zero; the local bisections of all
     rebuilt components together are the product of those matrix monoids.
     Each element goes to the bisection of the rebuilt atoms below it, and
-    that map is re-checked entry by entry on the full tables.  This is the
+    that map is re-checked row by row on the full tables; CertificateFailed
+    names the first row a where it fails to be multiplicative.  This is the
     one place K is built for a structure's atoms; theta_iso reads it.
     """
     if bs.top is None:
@@ -198,15 +198,13 @@ def decompose(bs):
         kg.index.get(frozenset(rebuilt[x] for x in s.down[a] if x in rebuilt))
         for a in range(s.size)
     )
-    verified = (
-        s.size == p.size
-        and set(iso) == set(range(p.size))
-        and all(  # row a: iso(a*b) against iso(a)*iso(b) for every b
-            tuple(map(iso.__getitem__, s.table[a]))
-            == tuple(map(p.table[iso[a]].__getitem__, iso))
-            for a in range(s.size)
-        )
-    )
+    if s.size != p.size or set(iso) != set(range(p.size)):
+        raise CertificateFailed(("decomposition-not-bijective",))
+    for a in range(s.size):  # row a: iso(a*b) against iso(a)*iso(b) for every b
+        if tuple(map(iso.__getitem__, s.table[a])) != tuple(
+            map(p.table[iso[a]].__getitem__, iso)
+        ):
+            raise CertificateFailed(("decomposition-not-iso", a))
     return DecompositionCertificate(
         signature=signature,
         canonical=canonical,
@@ -215,7 +213,6 @@ def decompose(bs):
         rebuilt=coords.rebuilt,
         target=kg,
         iso=iso,
-        verified=verified,
     )
 
 
@@ -233,7 +230,6 @@ class ThetaIso:
     rebuilt: tuple  # G(S) id -> R id
     target: KOfGroupoid  # K(R), the decomposition's product
     map: tuple  # source id -> target id
-    verified: bool
 
 
 def theta_iso(bs, decomposition=None):
@@ -247,10 +243,10 @@ def theta_iso(bs, decomposition=None):
     atoms; then K(rebuilt) is an isomorphism K(G(S)) -> K(R), and composing
     its inverse gives a -> (atoms below a) as an isomorphism S -> K(G(S)).
     An isomorphism preserves the natural order, hence joins and atoms, so
-    every element is the join of the atoms below it.
+    every element is the join of the atoms below it.  A rebuilt map that is
+    not a groupoid isomorphism raises CertificateFailed.
     """
     cert = decomposition if decomposition is not None else decompose(bs)
-    carried = is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt)
-    return ThetaIso(
-        bs, cert.atoms, cert.rebuilt, cert.target, cert.iso, cert.verified and carried
-    )
+    if not is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt):
+        raise CertificateFailed(("atoms-not-carried",))
+    return ThetaIso(bs, cert.atoms, cert.rebuilt, cert.target, cert.iso)

@@ -41,7 +41,6 @@ def test_beta_is_multiplicative_and_injective_off_zero():
     [
         ((0,), ("beta-not-injective",)),  # atom 1 read as the zero
         ((0, 1, 2), ("beta-not-multiplicative", 1, 2)),  # 1 read above 2
-        ((0, 1, 3), ("down-set-product", 1, 2)),  # 1 read above the top
     ],
 )
 def test_booleanize_certificates_name_the_failure(atom_down, witness):
@@ -65,7 +64,6 @@ def test_gamma_extension_of_inclusion():
     s = corpus_semigroup("b2")
     b = booleanize(s)
     g = gamma_extension(s, b.beta, b.bs, booleanization=b)
-    assert g.unique
     assert g.morphism.map == tuple(range(b.bs.size))
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+import biskit.rook as rook
 from biskit.boolean import check_boolean, is_simple, is_zero_simplifying
 from biskit.cli import Report, build_report, main
 from biskit.core import is_fundamental, parse_semigroup
@@ -19,6 +21,20 @@ def data(tmp_path):
         return str(p)
 
     return path
+
+
+@pytest.fixture
+def swapped_coordinates(monkeypatch):
+    """Send two atoms to each other's rebuilt arrows, so decompose fails."""
+    real = rook.coordinatize
+
+    def swapped(g):
+        c = real(g)
+        r = list(c.rebuilt)
+        r[0], r[1] = r[1], r[0]
+        return dataclasses.replace(c, rebuilt=tuple(r))
+
+    monkeypatch.setattr(rook, "coordinatize", swapped)
 
 
 def test_analyze_text(data, capsys):
@@ -123,6 +139,24 @@ def test_decompose(data, capsys):
 
 def test_decompose_rejects_nonboolean(data, capsys):
     assert main(["decompose", data("b2.ist")]) == 1
+
+
+def test_decompose_exits_1_on_a_failed_certificate(data, capsys, swapped_coordinates):
+    assert main(["decompose", data("m2z2zero.ist")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: CertificateFailed: ")
+    assert "decomposition-not-iso" in err
+
+
+def test_analyze_reports_an_analysis_error(data, capsys, swapped_coordinates):
+    assert main(["analyze", data("i2.ist")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: CertificateFailed: certificate failed: "
+        "('decomposition-not-bijective',)\n"
+    )
 
 
 def test_type_json(data, capsys):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -162,7 +163,11 @@ def test_run_laws_times_each_law():
 
 
 def test_certificates_hold_under_python_O():
-    # with asserts stripped, a wrong relative complement must still fail law
+    # with asserts stripped, a decomposition onto swapped coordinates, a
+    # rebuilt map that does not carry the atoms, singleton values that do not
+    # join orthogonally, an up-set read as no filter, a filter product missing
+    # from the list and a groupoid map that induces no table isomorphism must
+    # be refused; so must a wrong relative complement fail law
     # orthogonal, and a quotient projection that is not weakly meet
     # preserving, a pencil range not below f (read by law toby), a closure
     # that is not an ideal, a morphism kernel that is not an ideal, an atom
@@ -179,6 +184,68 @@ def test_certificates_hold_under_python_O():
         from biskit.laws import run_laws
 
         print("debug", __debug__)
+        from dataclasses import replace
+        import biskit.booleanization as booleanization
+        import biskit.rook as rook
+        real_coordinatize = rook.coordinatize
+
+        def swapped(g):  # two atoms sent to each other's rebuilt arrows
+            c = real_coordinatize(g)
+            r = list(c.rebuilt)
+            r[0], r[1] = r[1], r[0]
+            return replace(c, rebuilt=tuple(r))
+
+        m2 = boolean.check_boolean(corpus_semigroup("m2z2zero")).structure
+        rook.coordinatize = swapped
+        try:
+            rook.decompose(m2)
+        except CertificateFailed as e:
+            print("decompose", e.witness[0])
+        rook.coordinatize = real_coordinatize
+        cert = rook.decompose(m2)
+        g = cert.atoms
+        i = g.identities[0]
+        j = next(x for x in range(g.size) if g.d[x] != g.r[x])
+        r = list(cert.rebuilt)
+        r[i], r[j] = r[j], r[i]
+        try:
+            rook.theta_iso(m2, replace(cert, rebuilt=tuple(r)))
+        except CertificateFailed as e:
+            print("theta", e.witness[0])
+        p2 = corpus_semigroup("powerset2")
+        bp2 = booleanization.booleanize(p2)
+        target = boolean.check_boolean(bp2.bs.base).structure
+        target.rc = lambda x, y: x  # singleton values are read as alpha's
+        try:
+            booleanization.gamma_extension(p2, bp2.beta, target, booleanization=bp2)
+        except CertificateFailed as e:
+            print("gamma", e.witness[0])
+        flat = corpus_semigroup("i2")
+        flat.up = [(*up, flat.zero) for up in flat.up]  # zero read above all
+        try:
+            booleanization.enumerate_filters(flat)
+        except CertificateFailed as e:
+            print("filters", e.witness[0])
+        i2s = corpus_semigroup("i2")
+        proper = booleanization.enumerate_filters(i2s).proper
+        try:
+            booleanization.filter_groupoid(i2s, proper[1:])
+        except CertificateFailed as e:
+            print("filter-groupoid", e.witness[0])
+        real_iso = booleanization.groupoid_iso
+
+        def moved(g, h):  # the found map with its first two arrows swapped
+            m = list(real_iso(g, h))
+            m[0], m[1] = m[1], m[0]
+            return tuple(m)
+
+        booleanization.groupoid_iso = moved
+        z2zero = corpus_semigroup("z2zero")
+        try:
+            booleanization.booleanization_iso(z2zero, z2zero)
+        except CertificateFailed as e:
+            print("booleanization-iso", e.witness[0])
+        booleanization.groupoid_iso = real_iso
         bs = boolean.check_boolean(corpus_semigroup("i2")).structure
         bs.rc = lambda x, y: x  # x minus y answered as x
         (result,) = run_laws(bs, keys=("orthogonal",))
@@ -229,8 +296,6 @@ def test_certificates_hold_under_python_O():
             typemon.type_monoid(boolean.check_boolean(corpus_semigroup("i2")).structure)
         except CertificateFailed as e:
             print("type", e.witness[0])
-        from dataclasses import replace
-        import biskit.booleanization as booleanization
         real_k = booleanization.k_of_groupoid
 
         def one_id(g):  # every down-set is read as the empty bisection
@@ -269,8 +334,14 @@ def test_certificates_hold_under_python_O():
         env=env,
         check=True,
     ).stdout
-    assert out.split("\n")[:13] == [
+    assert out.split("\n")[:19] == [
         "debug False",
+        "decompose decomposition-not-iso",
+        "theta atoms-not-carried",
+        "gamma singletons-not-orthogonal",
+        "filters up-set-not-filter",
+        "filter-groupoid filter-product-not-listed",
+        "booleanization-iso induced-not-multiplicative",
         "fail CertificateFailed",
         "epsilon projection-not-weakly-meet-preserving",
         "pencil pencil-range-not-below",
@@ -284,3 +355,17 @@ def test_certificates_hold_under_python_O():
         "product product-not-boolean",
         "mu mu-not-a-congruence",
     ]
+
+
+def test_src_has_no_assert_statements():
+    # a certificate behind an assert is skipped under python -O
+    pkg = os.path.dirname(os.path.abspath(biskit.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [
+                (name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)
+            ]
+    assert found == []

@@ -22,7 +22,13 @@ from biskit.corpus import (
     corpus_semigroup,
     symmetric_inverse_table,
 )
-from biskit.errors import DimensionMismatch, NotAGroup, NotMonoid, TooLarge
+from biskit.errors import (
+    CertificateFailed,
+    DimensionMismatch,
+    NotAGroup,
+    NotMonoid,
+    TooLarge,
+)
 from biskit.groupoid import (
     Gpd,
     canonical_group_key,
@@ -149,9 +155,7 @@ def test_decompose_signatures():
         "trivial": (),
     }
     for name, sig in cases.items():
-        cert = decompose(boolean(name))
-        assert cert.signature == sig, name
-        assert cert.verified, name
+        assert decompose(boolean(name)).signature == sig, name
 
 
 def test_decompose_refuses_a_map_that_is_not_multiplicative(monkeypatch):
@@ -165,8 +169,15 @@ def test_decompose_refuses_a_map_that_is_not_multiplicative(monkeypatch):
         return dataclasses.replace(c, rebuilt=tuple(r))
 
     monkeypatch.setattr(rook, "coordinatize", swapped)
-    for name in ("i2", "i3", "m2z2zero"):
-        assert not decompose(boolean(name)).verified, name
+    cases = {
+        "i2": ("decomposition-not-bijective",),
+        "i3": ("decomposition-not-bijective",),
+        "m2z2zero": ("decomposition-not-iso", 1),
+    }
+    for name, witness in cases.items():
+        with pytest.raises(CertificateFailed) as e:
+            decompose(boolean(name))
+        assert e.value.witness == witness, name
 
 
 def test_decompose_iso_is_checked_entrywise():
@@ -416,7 +427,6 @@ def test_decompose_matches_direct_product_oracle(name):
     cert = decompose(bs)
     signature, canonical, old_product, old_iso = oracle_decompose(bs)
     assert (cert.signature, cert.canonical) == (signature, canonical)
-    assert cert.verified
     s, p = bs.base, cert.product.base
     assert sorted(cert.iso) == list(range(p.size)) and p.size == s.size
     for a in range(s.size):
@@ -432,10 +442,14 @@ def test_decompose_matches_direct_product_oracle(name):
 
 def assert_theta_matches_oracle(bs):
     """theta_iso, read off the decomposition, agrees with the direct check on
-    K(G(S)): the same verdict, and each element's bisection carried through
-    rebuilt."""
-    new, old = theta_iso(bs), oracle_theta_iso(bs)
-    assert new.verified == old.verified
+    K(G(S)): it raises exactly where the oracle fails, and otherwise carries
+    each element's bisection through rebuilt."""
+    old = oracle_theta_iso(bs)
+    if not old.verified:
+        with pytest.raises(CertificateFailed):
+            theta_iso(bs)
+        return
+    new = theta_iso(bs)
     assert new.atoms.ptable == old.atoms.ptable
     for a in range(bs.size):
         want = frozenset(new.rebuilt[x] for x in old.target.bisections[old.map[a]])
@@ -446,7 +460,7 @@ def assert_theta_matches_oracle(bs):
 def test_theta_iso_matches_direct_oracle(name):
     bs = check_boolean(DECOMPOSE_TABLES[name]()).structure
     assert_theta_matches_oracle(bs)
-    assert theta_iso(bs).verified
+    assert oracle_theta_iso(bs).verified
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,7 +475,6 @@ def test_theta_iso_reads_the_held_decomposition():
     bs = boolean("i2xz2zero")
     cert = decompose(bs)
     theta = theta_iso(bs, cert)
-    assert theta.verified
     assert theta.target is cert.target and theta.map is cert.iso
     # rebuilt must carry the atoms groupoid onto the rebuilt one: sending an
     # identity where an arrow between two identities goes breaks that
@@ -471,6 +484,6 @@ def test_theta_iso_reads_the_held_decomposition():
     swapped = list(cert.rebuilt)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     bad = dataclasses.replace(cert, rebuilt=tuple(swapped))
-    assert not theta_iso(bs, bad).verified
-    # and the decomposition's iso must be verified
-    assert not theta_iso(bs, dataclasses.replace(cert, verified=False)).verified
+    with pytest.raises(CertificateFailed) as e:
+        theta_iso(bs, bad)
+    assert e.value.witness == ("atoms-not-carried",)
