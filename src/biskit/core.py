@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, itemgetter
+from operator import and_, eq, itemgetter
 
 from .errors import (
     CertificateFailed,
@@ -176,11 +176,12 @@ def _light_test(rows, gens):
     table's product, without assuming associativity, since (x*(s*t))*y =
     ((x*s)*t)*y = (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y).  So when it
     holds on a generating set it holds everywhere.  One row comparison per
-    (x, g): the row of x*g against the row of x read at the row of g.
+    (x, g): the row of x*g against the row of x read at the row of g, one x
+    at a time, so no copy of the table is held.
     """
     for g in gens:
         x_g = map(rows.__getitem__, map(itemgetter(g), rows))  # rows of x*g
-        if list(x_g) != list(map(_picker(rows[g]), rows)):
+        if not all(map(eq, x_g, map(_picker(rows[g]), rows))):
             return False
     return True
 

@@ -29,5 +29,12 @@ def test_tracer_enters_records_and_restores():
     assert biskit.rook.decompose is decompose
     assert biskit.rook.theta_iso is theta_iso
     calls, _self_s = tracing.span_stats(tracer.spans, tracer.excluded)
-    for name in ("decompose", "theta_iso", "k_of_groupoid", "laws.main-finite"):
+    for name in (
+        "decompose",
+        "theta_iso",
+        "k_of_groupoid",
+        "laws.main-finite",
+        "laws.setminus-4",
+        "laws.restricted-product",
+    ):
         assert calls[name] >= 1, name
