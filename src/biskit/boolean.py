@@ -320,18 +320,30 @@ def _bisections(g, cap):
 
 @dataclass(frozen=True)
 class KOfGroupoid:
-    structure: BoolInvSgp
-    bisections: tuple  # id in structure -> frozenset of groupoid ids
+    table: tuple = field(repr=False)  # rows of ids: table[a][b] is a*b
+    bisections: tuple  # id -> frozenset of groupoid ids
     groupoid: Gpd
-    index: dict = field(compare=False, repr=False)  # bisection -> id in structure
+    index: dict = field(compare=False, repr=False)  # bisection -> id
+
+    @cached_property
+    def structure(self):
+        """The table validated by check_boolean on first read; a table that
+        fails it raises CertificateFailed naming the failure."""
+        rep = check_boolean(InvSgp(self.table))
+        if not rep.boolean:
+            raise CertificateFailed(("bisections-not-boolean", rep.failure))
+        return rep.structure
 
 
 def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     """The Boolean inverse monoid of all local bisections of g.
 
     Product is the setwise partial product; the natural order comes out as
-    inclusion and the atoms as the singletons.  The table must pass
-    check_boolean, else CertificateFailed names the failure.
+    inclusion and the atoms as the singletons.  The table is validated like
+    any other when structure is first read: it must pass check_boolean, else
+    CertificateFailed names the failure.  A caller that proves the table
+    isomorphic to a validated one, as rook.decompose does row by row, needs
+    no second validation: the table is the validated one relabelled.
 
     The table is built row by row as bitmasks of arrows.  r is injective on
     a bisection b, so an arrow x composes with at most one y in b, the one
@@ -352,16 +364,13 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     ]
     masks = [sum(1 << x for x in a) for a in carrier]
     mask_id = {m: i for i, m in enumerate(masks)}
-    table = [[0] * len(carrier)]  # the empty bisection is id 0
+    table = [(0,) * len(carrier)]  # the empty bisection is id 0
     for m in masks[1:]:
         top = m.bit_length() - 1
         rest = map(masks.__getitem__, table[mask_id[m ^ (1 << top)]])
         row = map(int.__or__, rest, single[top])
-        table.append(list(map(mask_id.__getitem__, row)))
-    rep = check_boolean(InvSgp(table))
-    if not rep.boolean:
-        raise CertificateFailed(("bisections-not-boolean", rep.failure))
-    return KOfGroupoid(rep.structure, tuple(carrier), g, index)
+        table.append(tuple(map(mask_id.__getitem__, row)))
+    return KOfGroupoid(tuple(table), tuple(carrier), g, index)
 
 
 def atoms_groupoid(bs):

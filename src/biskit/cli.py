@@ -118,7 +118,11 @@ def _read_semigroup(path):
 
 
 def _size_cap():
-    return int(os.environ.get("BISKIT_SIZE_CAP", DEFAULT_SIZE_CAP))
+    value = os.environ.get("BISKIT_SIZE_CAP", str(DEFAULT_SIZE_CAP))
+    try:
+        return int(value)
+    except ValueError:
+        raise BiskitError(f"BISKIT_SIZE_CAP={value!r} is not an integer") from None
 
 
 def cmd_analyze(args):

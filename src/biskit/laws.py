@@ -118,6 +118,12 @@ class Analysis:
         return self.check.structure if self.check else None
 
     @cached_property
+    def associative_generators(self):
+        """_associative_generators of the table the laws read: one Light's
+        test for laws fish, restricted-product and setminus-4."""
+        return _associative_generators(self.s.table)
+
+    @cached_property
     def fundamental(self):
         return is_fundamental(self.s).fundamental
 
@@ -207,24 +213,24 @@ def law_wedge(c):
 
 def _associative_generators(t):
     """core._generators of table t when Light's test on them shows t
-    associative, else None.  The generator passes below recompute them from
-    the table they read, so their closure arguments hold on any table."""
+    associative, else None.  The generator passes below take this result
+    for the table they read, so their closure arguments hold on any table."""
     gens = _generators(t)
     return gens if _light_test(t, gens) else None
 
 
-def _fish_on_generators(t, mt):
+def _fish_on_generators(t, mt, gens):
     """True when u*(a meet b) = (u*a) meet (u*b), the right side defined,
     for every pair (a, b) with a meet and every u.
 
     The u for which this holds are closed under the product of an
     associative table: for such g and h, (g*h)*(a meet b) = g*(h*a meet h*b)
     = g*h*a meet g*h*b, as (h*a, h*b) has a meet again.  So it is decided on
-    a greedy generating set, after Light's test has shown this table
-    associative: for each generator g and each a, row g*a of the meet table
-    read at row g, against row g read at the meets of row a.
+    gens, _associative_generators(t), once Light's test has shown t
+    associative (gens is None when it has not): for each generator g and
+    each a, row g*a of the meet table read at row g, against row g read at
+    the meets of row a.
     """
-    gens = _associative_generators(t)
     if gens is None:
         return False
     met = []  # (a, the b with a meet, their meets), for each a with one
@@ -246,7 +252,7 @@ def law_fish(c):
     a time: for each pair with a meet, the meets of columns a and b against
     column a meet b.  A pair that differs is scanned by u for the witness."""
     s = c.s
-    if _fish_on_generators(s.table, s.meet_table):
+    if _fish_on_generators(s.table, s.meet_table, c.associative_generators):
         return None
     mt, cols = s.meet_table, s.cols
     for a in range(s.size):
@@ -286,9 +292,9 @@ def law_restricted_product(c):
     an associative table, whose setwise product is associative too: for
     such b and c, down(a)*down(b*c) = down(a)*(down(b)*down(c)) =
     (down(a)*down(b))*down(c) = down(a*b)*down(c) = down(a*b*c).  Every id
-    is a product of generators, so after Light's test on the recomputed
-    generators only b among them is checked.  When that fails every pair is
-    scanned for the witness.
+    is a product of generators, so after Light's test on the generators
+    (Analysis.associative_generators) only b among them is checked.  When
+    that fails every pair is scanned for the witness.
     """
     s = c.s
     for a in range(s.size):
@@ -302,7 +308,7 @@ def law_restricted_product(c):
                 and s.table[a2][b2] == s.table[a][b]
             ):
                 return (a, b)
-    gens = _associative_generators(s.table)
+    gens = c.associative_generators
     if gens is not None and _down_set_products(s, gens) is None:
         return None
     return _down_set_products(s, range(s.size))
@@ -642,15 +648,15 @@ def _setminus_4_scan(bs, pairs, x, t):
     return None
 
 
-def _setminus_4_on_generators(bs, pairs):
+def _setminus_4_on_generators(bs, pairs, gens):
     """None when law setminus-4 holds on every pair of down-pairs, decided
-    on generators of the table; else the name of the first check below
-    that fails.
+    on gens, _associative_generators of the table; else the name of the
+    first check below that fails.
 
     Write x-t for the relative complement, read off rc_table, and P for the
     down-pairs t <= x.  Checked on the tables read, every complement and
     join named being defined:
-      F0  Light's test holds on the recomputed generators g;
+      F0  Light's test holds on the generators g (gens is not None);
       F1  x-t is defined on P, and for every u, (u, 0) is in P, u-0 = u
           and u v 0 = u;
       F2  u*d(v) = v for every (u, v) in P;
@@ -667,7 +673,6 @@ def _setminus_4_on_generators(bs, pairs):
     """
     s = bs.base
     tab, rct, jt, d = s.table, bs.rc_table, s.join_table, s.d
-    gens = _associative_generators(tab)
     if gens is None:
         return "F0"
     z, one = s.zero, s.identity
@@ -747,7 +752,7 @@ def law_setminus_4(c):
     bs = c.bs
     s = bs.base
     pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
-    if _setminus_4_on_generators(bs, pairs) is None:
+    if _setminus_4_on_generators(bs, pairs, c.associative_generators) is None:
         return None
     return _setminus_4_rows(bs, pairs)
 

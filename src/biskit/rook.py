@@ -178,6 +178,11 @@ def decompose(bs):
     that map is re-checked row by row on the full tables; CertificateFailed
     names the first row a where it fails to be multiplicative.  This is the
     one place K is built for a structure's atoms; theta_iso reads it.
+
+    The check also certifies K's table, which is therefore not validated
+    here: iso is a bijection and iso(a*b) = iso(a)*iso(b) on every row, so
+    K's table is the validated table of bs relabelled by iso and passes
+    every check bs passed.  Reading product validates it all the same.
     """
     if bs.top is None:
         raise NotMonoid("decomposition needs an identity element")
@@ -192,17 +197,17 @@ def decompose(bs):
     )
     kg = k_of_groupoid(reconstruct(coords.form))
 
-    s, p = bs.base, kg.structure.base
+    s, p = bs.base, kg.table
     rebuilt = dict(zip(ag.labels, coords.rebuilt))
     iso = tuple(
         kg.index.get(frozenset(rebuilt[x] for x in s.down[a] if x in rebuilt))
         for a in range(s.size)
     )
-    if s.size != p.size or set(iso) != set(range(p.size)):
+    if s.size != len(kg.bisections) or set(iso) != set(range(s.size)):
         raise CertificateFailed(("decomposition-not-bijective",))
     for a in range(s.size):  # row a: iso(a*b) against iso(a)*iso(b) for every b
         if tuple(map(iso.__getitem__, s.table[a])) != tuple(
-            map(p.table[iso[a]].__getitem__, iso)
+            map(p[iso[a]].__getitem__, iso)
         ):
             raise CertificateFailed(("decomposition-not-iso", a))
     return DecompositionCertificate(

@@ -7,10 +7,16 @@ import pytest
 import biskit.rook as rook
 from biskit.boolean import check_boolean, is_simple, is_zero_simplifying
 from biskit.cli import Report, build_report, main
-from biskit.core import is_fundamental, parse_semigroup
-from biskit.corpus import SEMIGROUP_BUILDERS, corpus_semigroup, corpus_text
+from biskit.core import InvSgp, is_fundamental, parse_semigroup
+from biskit.corpus import (
+    SEMIGROUP_BUILDERS,
+    corpus_semigroup,
+    corpus_text,
+    symmetric_inverse_table,
+)
 from biskit.rook import decompose
 from biskit.typemon import type_monoid
+from test_rook import counted_validations
 
 
 @pytest.fixture
@@ -159,6 +165,16 @@ def test_analyze_reports_an_analysis_error(data, capsys, swapped_coordinates):
     )
 
 
+def test_build_report_validates_i4_once():
+    # K of I4's atoms is certified by decompose's isomorphism onto the
+    # validated input, and analyze never reads its structure
+    table = symmetric_inverse_table(4)
+    with counted_validations() as counts:
+        rep = build_report(InvSgp(table))
+    assert rep.decomposition_signature == [[4, 1, "trivial"]]
+    assert counts == {"InvSgp": 1, "check_boolean": 1}
+
+
 def test_type_json(data, capsys):
     assert main(["type", data("i2xz2zero.ist"), "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
@@ -187,6 +203,15 @@ def test_iso_direct_respects_size_cap(data, capsys, monkeypatch):
     rc = main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"])
     assert rc == 1
     assert "SizeCapExceeded" in capsys.readouterr().err
+
+
+def test_iso_direct_names_a_bad_size_cap(data, capsys, monkeypatch):
+    monkeypatch.setenv("BISKIT_SIZE_CAP", "abc")
+    rc = main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: BiskitError: BISKIT_SIZE_CAP='abc' is not an integer\n"
 
 
 def test_verify_good_file(data, capsys):

@@ -108,7 +108,8 @@ SETMINUS_4_PREMISES = {
 @pytest.mark.parametrize("premise", sorted(SETMINUS_4_PREMISES))
 def test_setminus_4_pass_declines_on_a_failed_premise(premise):
     c = SETMINUS_4_PREMISES[premise]()
-    assert _setminus_4_on_generators(c.bs, down_pairs(c.s)) == premise
+    gens = _associative_generators(c.s.table)
+    assert _setminus_4_on_generators(c.bs, down_pairs(c.s), gens) == premise
     assert outcome(law_setminus_4, c) == outcome(oracle_setminus_4, c)
 
 

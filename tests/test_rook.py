@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import itertools
 import math
-from collections import namedtuple
+import sys
+from collections import Counter, namedtuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
+import biskit.boolean
 from biskit.boolean import (
     _bisection_count,
     _bisections,
@@ -487,3 +490,79 @@ def test_theta_iso_reads_the_held_decomposition():
     with pytest.raises(CertificateFailed) as e:
         theta_iso(bs, bad)
     assert e.value.witness == ("atoms-not-carried",)
+
+
+# -- K of the rebuilt atoms, certified by decompose's isomorphism -----------
+
+
+@contextlib.contextmanager
+def counted_validations():
+    """Count InvSgp constructions ("InvSgp") and check_boolean calls
+    ("check_boolean") inside the block, wherever biskit makes them."""
+    counts = Counter()
+    init, check = InvSgp.__init__, biskit.boolean.check_boolean
+
+    def counted_init(self, table):
+        counts["InvSgp"] += 1
+        init(self, table)
+
+    def counted_check(s):
+        counts["check_boolean"] += 1
+        return check(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InvSgp, "__init__", counted_init)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("biskit") and (
+                getattr(module, "check_boolean", None) is check
+            ):
+                mp.setattr(module, "check_boolean", counted_check)
+        yield counts
+
+
+def assert_k_validated_only_when_read(bs):
+    with counted_validations() as counts:
+        cert = decompose(bs)
+        assert counts["InvSgp"] == counts["check_boolean"] == 0
+        product = cert.product
+        assert cert.product is product
+        assert counts == {"InvSgp": 1, "check_boolean": 1}
+    assert product.base.table == oracle_k_table(cert.target.groupoid)
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_decompose_leaves_k_unvalidated_until_read(name):
+    assert_k_validated_only_when_read(boolean(name))
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(i4_subsemigroup_tables)
+def test_decompose_leaves_k_unvalidated_on_generated_structures(table):
+    chk = check_boolean(InvSgp(table))
+    assume(chk.boolean)
+    assert_k_validated_only_when_read(chk.structure)
+
+
+@pytest.mark.parametrize("name", [n for n in BOOLEAN_NAMES if n != "trivial"])
+def test_decompose_refuses_a_corrupted_k_table(name, monkeypatch):
+    # K(R) is not validated on this path, so the row check alone must refuse
+    # a table with its last entry changed, at the row sent to the last id
+    bs = boolean(name)
+    last = len(bs.base.table) - 1
+    row = decompose(bs).iso.index(last)
+    real = rook.k_of_groupoid
+
+    def corrupted(g):
+        kg = real(g)
+        rows = [list(r) for r in kg.table]
+        rows[last][last] = (rows[last][last] + 1) % len(rows)
+        return dataclasses.replace(kg, table=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(rook, "k_of_groupoid", corrupted)
+    with pytest.raises(CertificateFailed) as e:
+        decompose(bs)
+    assert e.value.witness == ("decomposition-not-iso", row)
