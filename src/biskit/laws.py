@@ -120,7 +120,8 @@ class Analysis:
     @cached_property
     def associative_generators(self):
         """_associative_generators of the table the laws read: one Light's
-        test for laws fish, restricted-product and setminus-4."""
+        test for laws fish, restricted-product, oj, setminus-2 and
+        setminus-4."""
         return _associative_generators(self.s.table)
 
     @cached_property
@@ -229,31 +230,34 @@ def _fish_on_generators(t, mt, gens):
     gens, _associative_generators(t), once Light's test has shown t
     associative (gens is None when it has not): for each generator g and
     each a, row g*a of the meet table read at row g, against row g read at
-    the meets of row a.
+    the meets of row a.  Where row a is total its b are all ids, so row g*a
+    is read at row g by one picker of row g, made once per generator.
     """
     if gens is None:
         return False
-    met = []  # (a, the b with a meet, their meets), for each a with one
+    met = []  # (a, the b with a meet or None for every b, their meets), per a
     for a, row in enumerate(mt):
+        if None not in row:
+            met.append((a, None, _picker(row)))
+            continue
         bs = [b for b, m in enumerate(row) if m is not None]
         if bs:
             met.append((a, _picker(bs), _picker([row[b] for b in bs])))
     for g in gens:
         tg = t[g]
+        at_g = _picker(tg)
         for a, at_b, at_meets in met:
-            if at_meets(tg) != tuple(map(mt[tg[a]].__getitem__, at_b(tg))):
+            row = mt[tg[a]]  # row g*a
+            gb = at_g(row) if at_b is None else tuple(map(row.__getitem__, at_b(tg)))
+            if at_meets(tg) != gb:
                 return False
     return True
 
 
-def law_fish(c):
-    """u*(a meet b) = (u*a) meet (u*b), decided on generators of the table
-    (_fish_on_generators).  When that fails the law is compared a column at
-    a time: for each pair with a meet, the meets of columns a and b against
-    column a meet b.  A pair that differs is scanned by u for the witness."""
-    s = c.s
-    if _fish_on_generators(s.table, s.meet_table, c.associative_generators):
-        return None
+def _fish_columns(s):
+    """law fish compared a column at a time: for each pair with a meet, the
+    meets of columns a and b against column a meet b.  A pair that differs
+    is scanned by u for the witness."""
     mt, cols = s.meet_table, s.cols
     for a in range(s.size):
         meet_rows = tuple(map(mt.__getitem__, cols[a]))  # row u*a, every u
@@ -266,6 +270,15 @@ def law_fish(c):
                 if rhs != lhs:
                     return (u, a, b)
     return None
+
+
+def law_fish(c):
+    """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
+    _fish_columns, which names the witness."""
+    s = c.s
+    if _fish_on_generators(s.table, s.meet_table, c.associative_generators):
+        return None
+    return _fish_columns(s)
 
 
 def _down_set_products(s, b_ids):
@@ -389,11 +402,41 @@ def law_atom_idempotent(c):
     return None
 
 
-def law_oj(c):
-    """Orthogonality survives multiplying on either side, decided a column
-    and a row at a time per orthogonal pair; a pair that fails is scanned
-    by u for the witness."""
-    s = c.s
+def _on_generator_sides(s, gens, pairs, holds):
+    """True when holds(side, xs, ys) for side row g and for side column g of
+    each generator g, xs and ys being side read at the first and at the
+    second ids of pairs.  So laws oj and setminus-2 check that a property of
+    (u*x, u*y), and one of (x*u, y*u), holds for every pair and every u: the
+    u that have it are closed under the product of an associative table, and
+    every id is a product of gens, _associative_generators of the table.
+    False when gens is None (Light's test failed) or pairs is empty."""
+    if gens is None or not pairs:
+        return False
+    at_x, at_y = (_picker(ids) for ids in zip(*pairs))
+    for g in gens:
+        for side in (s.table[g], s.cols[g]):  # g*x and x*g, every x
+            if not holds(side, at_x(side), at_y(side)):
+                return False
+    return True
+
+
+def _oj_on_generators(s, gens):
+    """True when (u*a, u*b) and (a*u, b*u) are orthogonal for every
+    orthogonal pair (a, b) and every u, by _on_generator_sides: if g and h
+    keep every orthogonal pair orthogonal, so does g*h, as (g*h*a, g*h*b) =
+    (g*(h*a), g*(h*b)); the same holds on the right."""
+    elems, orth = range(s.size), s.orth
+    pairs = [(a, b) for a in elems for b in itertools.compress(elems, orth[a])]
+
+    def holds(side, xs, ys):
+        return all(map(getitem, map(orth.__getitem__, xs), ys))
+
+    return _on_generator_sides(s, gens, pairs, holds)
+
+
+def _oj_columns(s):
+    """law oj decided a column and a row at a time per orthogonal pair; a
+    pair that fails is scanned by u for the witness."""
     orth, t, cols = s.orth, s.table, s.cols
     for a in range(s.size):
         left_rows = tuple(map(orth.__getitem__, cols[a]))  # row u*a, every u
@@ -409,6 +452,15 @@ def law_oj(c):
                 if not s.orth[s.table[a][u]][s.table[b][u]]:
                     return (a, b, u, "right")
     return None
+
+
+def law_oj(c):
+    """Orthogonality survives multiplying on either side: _oj_on_generators,
+    else _oj_columns, which names the witness."""
+    s = c.s
+    if _oj_on_generators(s, c.associative_generators):
+        return None
+    return _oj_columns(s)
 
 
 def law_buffs(c):
@@ -485,69 +537,81 @@ def _eggs_scan(s, combo, join):
     return None
 
 
-def law_eggs(c):
-    """Meets distribute over the joins of pairs and triples: for every u,
-    u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].
+def _eggs_triples_follow(mt, jt):
+    """True when every meet is defined (M), the meet table equals its
+    transpose (S), so does the join table, undefined joins included (J), and
+    x v x = x for every x (I); see law_eggs."""
+    ids = range(len(mt))
+    return (
+        not any(None in row for row in mt)
+        and list(map(tuple, mt)) == list(zip(*mt))
+        and list(map(tuple, jt)) == list(zip(*jt))
+        and list(map(getitem, jt, ids)) == list(ids)
+    )
 
-    All pairs come first, then all triples, each in lexicographic order, and
-    only those whose joins are defined are enumerated.  A combo is decided a
-    whole column at a time: the rows x, y [and z] of the meet table, joined
-    entry by entry, against column x v y [v z].  A combo whose rows hold an
-    undefined meet or join, or that differs, is scanned by u.
 
-    Where row a equals column a, as in a symmetric meet table, a pair's
-    comparison is that of column a joined with row b.  A pair (a, b) whose
-    row equals column j = a v b gives every triple (a, b, c) column j joined
-    with row c.  So both are made once per (column, row) and kept in holds.
-    """
-    s = c.bs.base
+def _eggs_combos(s, m):
+    """law eggs on its pairs (m = 2) or triples (m = 3) whose joins are
+    defined, in lexicographic order: the first witness, or None.  Each is
+    decided a column at a time, rows x, y [and z] of the meet table joined
+    entry by entry against column x v y [v z]; one that holds an undefined
+    meet or join, or differs, is scanned by u."""
     k, mt, jt = s.size, s.meet_table, s.join_table
     mcols = tuple(zip(*mt))  # mcols[j][u] = u meet j
     defined = [None not in row for row in mt]
-    symmetric = [row == col for row, col in zip(mt, mcols)]  # row a is column a
 
     def joinable(a, j):  # the b > a with j v b defined, ascending
         return itertools.compress(
             range(a + 1, k), map(is_not, jt[j][a + 1 :], itertools.repeat(None))
         )
 
-    def join_meets(rhs, x):  # rhs v (x meet u) over every u, if all defined
-        if rhs is None or None in rhs or not defined[x]:
+    def join_rows(ids):  # row i of the join table for each i, if all defined
+        return None if ids is None or None in ids else tuple(map(jt.__getitem__, ids))
+
+    def join_meets(rows, x):  # rows[u] at x meet u over every u, if all defined
+        if rows is None or not defined[x]:
             return None
-        return tuple(map(getitem, map(jt.__getitem__, rhs), mt[x]))
+        return tuple(map(getitem, rows, mt[x]))
 
-    holds = {}  # (j, x): column j joined with row x equals column j v x
-
-    def column_holds(j, x):
-        if (j, x) not in holds:
-            holds[j, x] = join_meets(mcols[j], x) == mcols[jt[j][x]]
-        return holds[j, x]
-
-    differs = set()  # the pairs whose row is not their join's column
+    meet_rows = [join_rows(row) for row in mt]  # read once per row a
     for a in range(k):
         for b in joinable(a, a):
             j = jt[a][b]
-            if symmetric[a]:
-                ok = column_holds(a, b)
+            ab = join_meets(meet_rows[a], b)  # (a meet u) v (b meet u), each u
+            if m == 2:
+                combos = (((a, b), j, ab),)
             else:
-                ok = join_meets(mt[a], b) == mcols[j]
-            if not ok:
-                differs.add((a, b))
-                w = _eggs_scan(s, (a, b), j)
-                if w is not None:
-                    return w
-    for a in range(k):
-        for b in joinable(a, a):
-            j = jt[a][b]
-            own = (a, b) in differs  # then the pair's own row is joined
-            rab = join_meets(mt[a], b) if own else None
-            for c3 in joinable(b, j):
-                join = jt[j][c3]
-                ok = join_meets(rab, c3) == mcols[join] if own else column_holds(j, c3)
-                w = None if ok else _eggs_scan(s, (a, b, c3), join)
-                if w is not None:
-                    return w
+                rows = join_rows(ab)
+                combos = (
+                    ((a, b, c), jt[j][c], join_meets(rows, c)) for c in joinable(b, j)
+                )
+            for combo, join, rhs in combos:
+                if rhs != mcols[join]:
+                    w = _eggs_scan(s, combo, join)
+                    if w is not None:
+                        return w
     return None
+
+
+def law_eggs(c):
+    """Meets distribute over the joins of pairs and triples: for every u,
+    u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].  All
+    pairs come first, then all triples (_eggs_combos).
+
+    When every pair holds and _eggs_triples_follow, so do the triples.
+    Write P(a, b) for the law on a pair a < b; take a < b < c with j = a v b
+    and j v c defined.  By M every meet read is defined, and by P(a, b) and
+    S, (a meet u) v (b meet u) = u meet j = j meet u for every u: the
+    triple's right side is (j meet u) v (c meet u).  If j < c, P(j, c) makes
+    it u meet (j v c).  If c < j, J makes c v j = j v c, so (c, j) was a
+    pair, and turns P(c, j) into the same equation.  If c = j, I and S make
+    it j meet u = u meet (j v j).
+    """
+    s = c.bs.base
+    w = _eggs_combos(s, 2)
+    if w is None and not _eggs_triples_follow(s.meet_table, s.join_table):
+        w = _eggs_combos(s, 3)
+    return w
 
 
 def law_chicken(c):
@@ -605,11 +669,32 @@ def law_orthogonal(c):
     return None
 
 
-def law_setminus_2(c):
-    """a*(x minus t) = a*x minus a*t and (x minus t)*a = x*a minus t*a for
-    every t <= x, decided per (x, t) a column and a row at a time from the
-    relative-complement table; a pair that fails is scanned by a."""
-    bs = c.bs
+def _setminus_2_on_generators(bs, gens):
+    """True when a*(x-t) = a*x - a*t and (x-t)*a = x*a - t*a for every a
+    and every down-pair t <= x, by _on_generator_sides.  Write x-t for the
+    relative complement, read off rc_table, and P for the down-pairs.  With
+    x-t defined on P, if g and h send P into P on the left and keep the left
+    half, so does g*h: (g*h)*(x-t) = g*(h*x - h*t) = g*h*x - g*h*t, as
+    (h*x, h*t) is in P.  The same holds on the right."""
+    s, rct = bs.base, bs.rc_table
+    pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
+    sts = [rct[x][t] for x, t in pairs]  # x-t, each pair
+    if None in sts or not pairs:
+        return False
+    below = [frozenset(ds) for ds in s.down]
+    at_st = _picker(sts)
+
+    def holds(side, xs, ts):
+        if not all(map(frozenset.__contains__, map(below.__getitem__, xs), ts)):
+            return False
+        return at_st(side) == tuple(map(getitem, map(rct.__getitem__, xs), ts))
+
+    return _on_generator_sides(s, gens, pairs, holds)
+
+
+def _setminus_2_columns(bs):
+    """law setminus-2 decided per (x, t) a column and a row at a time from
+    the relative-complement table; a pair that fails is scanned by a."""
     s = bs.base
     rct, tab, cols = bs.rc_table, s.table, s.cols
     for x in range(s.size):
@@ -630,6 +715,15 @@ def law_setminus_2(c):
                 if s.table[w][a] != bs.rc(s.table[x][a], s.table[t][a]):
                     return (a, x, t, "right")
     return None
+
+
+def law_setminus_2(c):
+    """a*(x minus t) = a*x minus a*t and (x minus t)*a = x*a minus t*a for
+    every t <= x: _setminus_2_on_generators, else _setminus_2_columns, which
+    names the witness."""
+    if _setminus_2_on_generators(c.bs, c.associative_generators):
+        return None
+    return _setminus_2_columns(c.bs)
 
 
 def _setminus_4_scan(bs, pairs, x, t):
@@ -895,7 +989,9 @@ def law_anja(c):
 
 
 def law_idept_sep_kernel(c):
-    """Each map reuses the cached quotient by its kernel."""
+    """Each map reuses the cached quotient by its kernel; a mu quotient
+    that is the input itself (a fundamental structure) is not checked
+    again."""
     bs = c.bs
     eps_of = {ideal.carrier: rep for ideal, rep in c.eps_reports}
     ident = Morphism(bs, bs, tuple(range(bs.size)))
@@ -903,9 +999,9 @@ def law_idept_sep_kernel(c):
     if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
         return ("identity",)
     mu = c.mu
-    qrep = check_boolean(mu.quotient)
-    if qrep.boolean:
-        proj = Morphism(bs, qrep.structure, tuple(mu.projection))
+    q = bs if mu.quotient is bs.base else check_boolean(mu.quotient).structure
+    if q is not None:
+        proj = Morphism(bs, q, tuple(mu.projection))
         rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
         if not rep.idempotent_separating:
             return ("mu-projection",)

@@ -430,13 +430,16 @@ def mu_type_invariance(bs, tm=None, mu=None):
     """The type data survives the maximum idempotent-separating quotient.
 
     tm and mu (the type monoid and mu_and_quotient of bs) are computed here
-    unless passed in.
+    unless passed in.  A quotient that is bs's own table (bs fundamental) is
+    read as bs, with its type monoid.
     """
     bs = as_boolean(bs)
     rep = mu if mu is not None else mu_and_quotient(bs.base)
-    q = as_boolean(rep.quotient)
     tm_s = tm if tm is not None else type_monoid(bs)
-    tm_q = type_monoid(q)
+    if rep.quotient is bs.base:
+        tm_q = tm_s
+    else:
+        tm_q = type_monoid(as_boolean(rep.quotient))
     if tm_s.rank != tm_q.rank:
         return False
     proj = rep.projection

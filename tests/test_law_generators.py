@@ -1,7 +1,8 @@
-"""Laws restricted-product and setminus-4 decided on generators.
+"""Laws restricted-product, setminus-4, setminus-2, oj and fish decided on
+generators, and law eggs' triples decided from its pairs.
 
-On valid Boolean tables the generator passes must decide both laws with no
-full scan.  On a table corrupted against one premise of a pass, the pass
+On valid Boolean tables these passes must decide the laws with no full
+scan.  On a table corrupted against one premise of a pass, the pass
 must decline, and the law's outcome must still be its scalar oracle's.
 """
 
@@ -15,14 +16,27 @@ from biskit.laws import (
     Analysis,
     _associative_generators,
     _down_set_products,
+    _eggs_combos,
+    _eggs_triples_follow,
+    _fish_on_generators,
+    _oj_on_generators,
+    _setminus_2_on_generators,
     _setminus_4_on_generators,
+    law_eggs,
+    law_fish,
+    law_oj,
     law_restricted_product,
+    law_setminus_2,
     law_setminus_4,
 )
 from generated import i4_subsemigroup_tables
 from test_law_kernels import (
     corrupted,
+    oracle_eggs,
+    oracle_fish,
+    oracle_oj,
     oracle_restricted_product,
+    oracle_setminus_2,
     oracle_setminus_4,
     outcome,
 )
@@ -41,8 +55,22 @@ def refuse_full_scans(mp):
             raise AssertionError("restricted-product ran its full scan")
         return _down_set_products(s, b_ids)
 
+    def pairs_only(s, m):
+        if m == 3:
+            raise AssertionError("eggs enumerated its triples")
+        return _eggs_combos(s, m)
+
+    def refuse(law):
+        def scan(s):
+            raise AssertionError(f"{law} ran its full scan")
+
+        return scan
+
     mp.setattr(laws, "_setminus_4_rows", refuse_rows)
     mp.setattr(laws, "_down_set_products", gens_only)
+    mp.setattr(laws, "_eggs_combos", pairs_only)
+    for law in ("fish", "oj", "setminus_2"):
+        mp.setattr(laws, f"_{law}_columns", refuse(law))
 
 
 def assert_decided_on_generators(table):
@@ -50,8 +78,15 @@ def assert_decided_on_generators(table):
     assert c.bs is not None
     with pytest.MonkeyPatch.context() as mp:
         refuse_full_scans(mp)
-        assert law_restricted_product(c) is None
-        assert law_setminus_4(c) is None
+        for law in (
+            law_restricted_product,
+            law_setminus_4,
+            law_eggs,
+            law_setminus_2,
+            law_oj,
+            law_fish,
+        ):
+            assert law(c) is None, law.__name__
 
 
 BOOLEAN_TABLES = {
@@ -123,3 +158,72 @@ def test_restricted_product_pass_declines_without_light_test():
     got = outcome(law_restricted_product, c)
     assert got == outcome(oracle_restricted_product, c)
     assert got == ("returned", (12, 14, "down-set-product"))
+
+
+def eggs_declines(c):
+    return not _eggs_triples_follow(c.s.meet_table, c.s.join_table)
+
+
+def setminus_2_declines(c):
+    return not _setminus_2_on_generators(c.bs, _associative_generators(c.s.table))
+
+
+def oj_declines(c):
+    return not _oj_on_generators(c.s, _associative_generators(c.s.table))
+
+
+def fish_declines(c):
+    gens = _associative_generators(c.s.table)
+    return not _fish_on_generators(c.s.table, c.s.meet_table, gens)
+
+
+# one corruption per premise of the passes of laws eggs, setminus-2, oj and
+# fish, each breaking that premise alone: (the corrupted Analysis, the
+# passes that must decline on it, the laws then compared with their
+# oracles).  On the I and J tables every pair of law eggs holds, so it is
+# the triples that name the witness
+EGGS = (law_eggs, oracle_eggs)
+PASS_PREMISES = {
+    # 5 meet 5 read as undefined, the meet table still symmetric
+    "M": (lambda: corrupted("i2", "meet_table", 5, 5, None), [eggs_declines], [EGGS]),
+    # 6 meet 3 read as 4, while 3 meet 6 is 3
+    "S": (lambda: corrupted("i2", "meet_table", 6, 3, 4), [eggs_declines], [EGGS]),
+    # 5 v 5 read as 0
+    "I": (lambda: corrupted("i2", "join_table", 5, 5, 0), [eggs_declines], [EGGS]),
+    # 6 v 4 read as 0, while 4 v 6 is 6
+    "J": (lambda: corrupted("i2", "join_table", 6, 4, 0), [eggs_declines], [EGGS]),
+    "rc_table": (  # 6 minus 3 read as 6
+        lambda: corrupted("i2", "rc_table", 6, 3, 6),
+        [setminus_2_declines],
+        [(law_setminus_2, oracle_setminus_2)],
+    ),
+    "orth": (  # 5 and 6 read as orthogonal
+        lambda: corrupted("i2", "orth", 5, 6, True),
+        [oj_declines],
+        [(law_oj, oracle_oj)],
+    ),
+    "Light": (  # not associative
+        lambda: corrupted("z3zero", "table", 0, 2, 3),
+        [setminus_2_declines, oj_declines, fish_declines],
+        [
+            (law_setminus_2, oracle_setminus_2),
+            (law_oj, oracle_oj),
+            (law_fish, oracle_fish),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("premise", sorted(PASS_PREMISES))
+def test_passes_decline_on_a_failed_premise(premise):
+    make, declines, laws_and_oracles = PASS_PREMISES[premise]
+    c = make()
+    for declined in declines:
+        assert declined(c), declined.__name__
+    if premise in ("I", "J"):
+        assert _eggs_combos(c.s, 2) is None
+        assert len(outcome(law_eggs, c)[1]) == 4  # a triple and its u
+    for law, oracle in laws_and_oracles:
+        got = outcome(law, c)
+        assert got == outcome(oracle, c), law.__name__
+        assert got[0] == "returned"

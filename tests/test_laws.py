@@ -5,21 +5,27 @@ import sys
 import textwrap
 
 import biskit
+import biskit.typemon
+from biskit.core import InvSgp
 from biskit.corpus import (
     GROUPOID_BUILDERS,
     SEMIGROUP_BUILDERS,
     corpus_groupoid,
     corpus_semigroup,
+    symmetric_inverse_table,
 )
 from biskit.laws import (
     CORE_LAW_KEYS,
     GROUPOID_LAWS,
     SEMIGROUP_LAWS,
     Analysis,
+    law_idept_sep_kernel,
     law_toby,
+    law_type_fundamental,
     law_universal_groupoid,
     run_laws,
 )
+from test_rook import counted_validations
 
 
 def test_core_law_keys_registered():
@@ -155,6 +161,50 @@ def test_k_of_i3_built_twice_per_structure(monkeypatch):
     results = run_laws(corpus_semigroup("i3"))
     assert [r.key for r in results if r.status == "fail"] == []
     assert built == [34, 34]
+
+
+def counted_type_monoids(monkeypatch):
+    """The structures type_monoid is called on, wherever biskit calls it."""
+    calls = []
+    real = biskit.typemon.type_monoid
+
+    def counted(bs):
+        calls.append(bs)
+        return real(bs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("biskit") and (
+            getattr(module, "type_monoid", None) is real
+        ):
+            monkeypatch.setattr(module, "type_monoid", counted)
+    return calls
+
+
+def test_fundamental_mu_quotient_is_not_checked_again(monkeypatch):
+    # I4 is fundamental, so its mu quotient is the input: laws
+    # idept-sep-kernel and type-fundamental read its one check_boolean
+    # verdict and its one type monoid
+    type_monoids = counted_type_monoids(monkeypatch)
+    s = InvSgp(symmetric_inverse_table(4))
+    with counted_validations() as counts:
+        results = run_laws(s)
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert counts["check_boolean"] == 3
+    assert len(type_monoids) == 1
+
+
+def test_non_fundamental_mu_quotient_is_checked(monkeypatch):
+    # the quotient of i2 x z2zero by mu is a smaller table, checked once by
+    # law idept-sep-kernel and given its own type monoid by type-fundamental
+    c = Analysis(corpus_semigroup("i2xz2zero"))
+    c.tm, c.eps_reports
+    assert c.mu.quotient.size < c.s.size
+    type_monoids = counted_type_monoids(monkeypatch)
+    with counted_validations() as counts:
+        assert law_idept_sep_kernel(c) is None
+    assert counts["check_boolean"] == 1
+    assert law_type_fundamental(c) is None
+    assert [t.base for t in type_monoids] == [c.mu.quotient]
 
 
 def test_run_laws_times_each_law():

@@ -36,5 +36,9 @@ def test_tracer_enters_records_and_restores():
         "laws.main-finite",
         "laws.setminus-4",
         "laws.restricted-product",
+        "laws.eggs",
+        "laws.oj",
+        "laws.setminus-2",
+        "laws.fish",
     ):
         assert calls[name] >= 1, name
