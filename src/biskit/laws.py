@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem, is_not, itemgetter
+from operator import getitem, itemgetter
 
 from .boolean import (
     BoolInvSgp,
@@ -120,9 +120,15 @@ class Analysis:
     @cached_property
     def associative_generators(self):
         """_associative_generators of the table the laws read: one Light's
-        test for laws fish, restricted-product, oj, setminus-2 and
-        setminus-4."""
+        test for laws fish, restricted-product, oj and setminus-2, whose
+        pass law setminus-4 reads."""
         return _associative_generators(self.s.table)
+
+    @cached_property
+    def setminus_2_on_generators(self):
+        """_setminus_2_on_generators: law setminus-2's decision, and a
+        premise of law setminus-4's pass."""
+        return _setminus_2_on_generators(self.bs, self.associative_generators)
 
     @cached_property
     def fundamental(self):
@@ -254,31 +260,27 @@ def _fish_on_generators(t, mt, gens):
     return True
 
 
-def _fish_columns(s):
-    """law fish compared a column at a time: for each pair with a meet, the
-    meets of columns a and b against column a meet b.  A pair that differs
-    is scanned by u for the witness."""
-    mt, cols = s.meet_table, s.cols
+def _fish_scan(s):
+    """law fish on every pair (a, b) with a meet, then every u: the first
+    (u, a, b) that fails, or None."""
     for a in range(s.size):
-        meet_rows = tuple(map(mt.__getitem__, cols[a]))  # row u*a, every u
-        for b, m in enumerate(mt[a]):
-            if m is None or tuple(map(getitem, meet_rows, cols[b])) == cols[m]:
+        for b in range(s.size):
+            m = s.meet_table[a][b]
+            if m is None:
                 continue
             for u in range(s.size):
-                lhs = s.table[u][m]
-                rhs = s.meet_table[s.table[u][a]][s.table[u][b]]
-                if rhs != lhs:
+                if s.meet_table[s.table[u][a]][s.table[u][b]] != s.table[u][m]:
                     return (u, a, b)
     return None
 
 
 def law_fish(c):
     """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
-    _fish_columns, which names the witness."""
+    _fish_scan, which names the witness."""
     s = c.s
     if _fish_on_generators(s.table, s.meet_table, c.associative_generators):
         return None
-    return _fish_columns(s)
+    return _fish_scan(s)
 
 
 def _down_set_products(s, b_ids):
@@ -434,18 +436,11 @@ def _oj_on_generators(s, gens):
     return _on_generator_sides(s, gens, pairs, holds)
 
 
-def _oj_columns(s):
-    """law oj decided a column and a row at a time per orthogonal pair; a
-    pair that fails is scanned by u for the witness."""
-    orth, t, cols = s.orth, s.table, s.cols
+def _oj_scan(s):
+    """law oj on every orthogonal pair (a, b), then every u: the first
+    (a, b, u, side) that fails, or None."""
     for a in range(s.size):
-        left_rows = tuple(map(orth.__getitem__, cols[a]))  # row u*a, every u
-        right_rows = tuple(map(orth.__getitem__, t[a]))  # row a*u, every u
-        for b in itertools.compress(range(s.size), orth[a]):
-            if all(map(getitem, left_rows, cols[b])) and all(
-                map(getitem, right_rows, t[b])
-            ):
-                continue
+        for b in itertools.compress(range(s.size), s.orth[a]):
             for u in range(s.size):
                 if not s.orth[s.table[u][a]][s.table[u][b]]:
                     return (a, b, u, "left")
@@ -456,11 +451,11 @@ def _oj_columns(s):
 
 def law_oj(c):
     """Orthogonality survives multiplying on either side: _oj_on_generators,
-    else _oj_columns, which names the witness."""
+    else _oj_scan, which names the witness."""
     s = c.s
     if _oj_on_generators(s, c.associative_generators):
         return None
-    return _oj_columns(s)
+    return _oj_scan(s)
 
 
 def law_buffs(c):
@@ -513,7 +508,7 @@ def law_meets_semisimple(c):
     return None
 
 
-def _eggs_scan(s, combo, join):
+def _eggs_at(s, combo, join):
     """The first u, as combo + (u,), at which u meet join differs from the
     join of the x meet u over x in combo (or one of those is undefined);
     None if there is none."""
@@ -550,53 +545,48 @@ def _eggs_triples_follow(mt, jt):
     )
 
 
-def _eggs_combos(s, m):
-    """law eggs on its pairs (m = 2) or triples (m = 3) whose joins are
-    defined, in lexicographic order: the first witness, or None.  Each is
-    decided a column at a time, rows x, y [and z] of the meet table joined
-    entry by entry against column x v y [v z]; one that holds an undefined
-    meet or join, or differs, is scanned by u."""
+def _eggs_pairs(s):
+    """law eggs on its pairs a < b whose join is defined, in lexicographic
+    order: the first witness, or None.  Each is decided a column at a time,
+    rows a and b of the meet table joined entry by entry against column
+    a v b; one that holds an undefined meet or join, or differs, is scanned
+    by u (_eggs_at)."""
     k, mt, jt = s.size, s.meet_table, s.join_table
     mcols = tuple(zip(*mt))  # mcols[j][u] = u meet j
-    defined = [None not in row for row in mt]
-
-    def joinable(a, j):  # the b > a with j v b defined, ascending
-        return itertools.compress(
-            range(a + 1, k), map(is_not, jt[j][a + 1 :], itertools.repeat(None))
-        )
-
-    def join_rows(ids):  # row i of the join table for each i, if all defined
-        return None if ids is None or None in ids else tuple(map(jt.__getitem__, ids))
-
-    def join_meets(rows, x):  # rows[u] at x meet u over every u, if all defined
-        if rows is None or not defined[x]:
-            return None
-        return tuple(map(getitem, rows, mt[x]))
-
-    meet_rows = [join_rows(row) for row in mt]  # read once per row a
+    # row (a meet u) of the join table for each u, read once per row a
+    meet_rows = [None if None in row else tuple(map(jt.__getitem__, row)) for row in mt]
     for a in range(k):
-        for b in joinable(a, a):
+        rows = meet_rows[a]
+        for b in range(a + 1, k):
             j = jt[a][b]
-            ab = join_meets(meet_rows[a], b)  # (a meet u) v (b meet u), each u
-            if m == 2:
-                combos = (((a, b), j, ab),)
-            else:
-                rows = join_rows(ab)
-                combos = (
-                    ((a, b, c), jt[j][c], join_meets(rows, c)) for c in joinable(b, j)
-                )
-            for combo, join, rhs in combos:
-                if rhs != mcols[join]:
-                    w = _eggs_scan(s, combo, join)
-                    if w is not None:
-                        return w
+            if j is None:
+                continue
+            # (a meet u) v (b meet u) for each u, if all those meets are defined
+            ab = None if rows is None or None in mt[b] else tuple(map(getitem, rows, mt[b]))
+            if ab != mcols[j]:
+                w = _eggs_at(s, (a, b), j)
+                if w is not None:
+                    return w
+    return None
+
+
+def _eggs_triples_scan(s):
+    """law eggs on its triples a < b < c with (a v b) v c defined, in
+    lexicographic order, each scanned by u: the first witness, or None."""
+    jt = s.join_table
+    for a, b, c in itertools.combinations(range(s.size), 3):
+        j = jt[a][b]
+        if j is not None and jt[j][c] is not None:
+            w = _eggs_at(s, (a, b, c), jt[j][c])
+            if w is not None:
+                return w
     return None
 
 
 def law_eggs(c):
     """Meets distribute over the joins of pairs and triples: for every u,
     u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].  All
-    pairs come first, then all triples (_eggs_combos).
+    pairs come first (_eggs_pairs), then all triples (_eggs_triples_scan).
 
     When every pair holds and _eggs_triples_follow, so do the triples.
     Write P(a, b) for the law on a pair a < b; take a < b < c with j = a v b
@@ -608,9 +598,9 @@ def law_eggs(c):
     it j meet u = u meet (j v j).
     """
     s = c.bs.base
-    w = _eggs_combos(s, 2)
+    w = _eggs_pairs(s)
     if w is None and not _eggs_triples_follow(s.meet_table, s.join_table):
-        w = _eggs_combos(s, 3)
+        w = _eggs_triples_scan(s)
     return w
 
 
@@ -692,22 +682,12 @@ def _setminus_2_on_generators(bs, gens):
     return _on_generator_sides(s, gens, pairs, holds)
 
 
-def _setminus_2_columns(bs):
-    """law setminus-2 decided per (x, t) a column and a row at a time from
-    the relative-complement table; a pair that fails is scanned by a."""
+def _setminus_2_scan(bs):
+    """law setminus-2 on every down-pair (x, t), then every a: the first
+    (a, x, t, side) that fails, or None."""
     s = bs.base
-    rct, tab, cols = bs.rc_table, s.table, s.cols
     for x in range(s.size):
-        left_rows = tuple(map(rct.__getitem__, cols[x]))  # row a*x, every a
-        right_rows = tuple(map(rct.__getitem__, tab[x]))  # row x*a, every a
         for t in s.down[x]:
-            w = rct[x][t]
-            if (
-                w is not None
-                and tuple(map(getitem, left_rows, cols[t])) == cols[w]
-                and tuple(map(getitem, right_rows, tab[t])) == tab[w]
-            ):
-                continue
             w = bs.rc(x, t)
             for a in range(s.size):
                 if s.table[a][w] != bs.rc(s.table[a][x], s.table[a][t]):
@@ -719,79 +699,65 @@ def _setminus_2_columns(bs):
 
 def law_setminus_2(c):
     """a*(x minus t) = a*x minus a*t and (x minus t)*a = x*a minus t*a for
-    every t <= x: _setminus_2_on_generators, else _setminus_2_columns, which
+    every t <= x: _setminus_2_on_generators, else _setminus_2_scan, which
     names the witness."""
-    if _setminus_2_on_generators(c.bs, c.associative_generators):
+    if c.setminus_2_on_generators:
         return None
-    return _setminus_2_columns(c.bs)
+    return _setminus_2_scan(c.bs)
 
 
-def _setminus_4_scan(bs, pairs, x, t):
-    """law setminus-4 for one outer pair (x, t), scanned over every inner
-    pair (u, v): the witness, or None."""
+def _setminus_4_scan(bs, pairs):
+    """law setminus-4 on every outer pair (x, t), then every inner pair
+    (u, v): the first witness, or None."""
     s = bs.base
-    st = bs.rc(x, t)
-    for u, v in pairs:
-        uv = bs.rc(u, v)
-        lhs = s.table[st][uv]
-        inner = s.join_table[s.table[x][v]][s.table[t][u]]
-        if inner is None:
-            return (x, t, u, v, "inner-join-missing")
-        if lhs != bs.rc(s.table[x][u], inner):
-            return (x, t, u, v)
+    for x, t in pairs:
+        st = bs.rc(x, t)
+        for u, v in pairs:
+            uv = bs.rc(u, v)
+            lhs = s.table[st][uv]
+            inner = s.join_table[s.table[x][v]][s.table[t][u]]
+            if inner is None:
+                return (x, t, u, v, "inner-join-missing")
+            if lhs != bs.rc(s.table[x][u], inner):
+                return (x, t, u, v)
     return None
 
 
-def _setminus_4_on_generators(bs, pairs, gens):
-    """None when law setminus-4 holds on every pair of down-pairs, decided
-    on gens, _associative_generators of the table; else the name of the
-    first check below that fails.
+def _setminus_4_on_generators(bs, pairs, setminus_2):
+    """None when law setminus-4 holds on every pair of down-pairs, given
+    setminus_2, law setminus-2's pass (Analysis.setminus_2_on_generators);
+    else the name of the first check below that fails.
 
     Write x-t for the relative complement, read off rc_table, and P for the
     down-pairs t <= x.  Checked on the tables read, every complement and
     join named being defined:
-      F0  Light's test holds on the generators g (gens is not None);
-      F1  x-t is defined on P, and for every u, (u, 0) is in P, u-0 = u
-          and u v 0 = u;
+      setminus-2  law setminus-2's pass holds: after Light's test on the
+          generators, with x-t defined on P, it shows (x*u, t*u) in P and
+          (x-t)*u = x*u - t*u for every u and every (x, t) in P;
+      F1  for every u, (u, 0) is in P, u-0 = u and u v 0 = u;
       F2  u*d(v) = v for every (u, v) in P;
-      F3  (x*g, t*g) is in P for every (x, t) in P;
-      G   (x-t)*g = x*g - t*g for every (x, t) in P;
       H   (x-t)*(1-f) = x - (x*f v t) for every f = d(v) and (x, t) in P.
-    Every id is g or m*g for a product m of generators, so by F0, F3 and G,
-    induction gives (x*u, t*u) in P and (x-t)*u = x*u - t*u for every u.
     H on (u, 0), with F1 and F2, gives u-v = u*(1-f) for f = d(v).  Then
     (x-t)*(u-v) = ((x-t)*u)*(1-f) = (x*u - t*u)*(1-f) = x*u - (x*u*f v t*u)
-    by H on (x*u, t*u), and x*u*f = x*v by F2: the law, with its inner join
-    and outer complement defined.  No join is assumed associative or
-    distributive, and 0 and 1 need only have the properties checked.
+    by setminus-2 and H on (x*u, t*u), and x*u*f = x*v by F2: the law, with
+    its inner join and outer complement defined.  No join is assumed
+    associative or distributive, and 0 and 1 need only have the properties
+    checked.
     """
+    if not setminus_2:
+        return "setminus-2"
     s = bs.base
     tab, rct, jt, d = s.table, bs.rc_table, s.join_table, s.d
-    if gens is None:
-        return "F0"
     z, one = s.zero, s.identity
-    below = [frozenset(ds) for ds in s.down]
-    xs, ts = (list(ids) for ids in zip(*pairs))
-    sts = list(map(getitem, map(rct.__getitem__, xs), ts))  # x-t, each pair
-    if (
-        None in sts
-        or z is None
-        or any(
-            z not in below[u] or rct[u][z] != u or jt[u][z] != u for u in range(s.size)
-        )
+    if z is None or any(
+        z not in s.down[u] or rct[u][z] != u or jt[u][z] != u for u in range(s.size)
     ):
         return "F1"
-    x_rows, t_rows, st_rows = (list(map(tab.__getitem__, ids)) for ids in (xs, ts, sts))
+    xs, ts = (list(ids) for ids in zip(*pairs))
+    sts = list(map(getitem, map(rct.__getitem__, xs), ts))  # x-t, each pair
+    x_rows, st_rows = list(map(tab.__getitem__, xs)), list(map(tab.__getitem__, sts))
     if list(map(getitem, x_rows, map(d.__getitem__, ts))) != ts:
         return "F2"
-    for g in gens:
-        at_g = itemgetter(g)
-        xgs, tgs = list(map(at_g, x_rows)), list(map(at_g, t_rows))
-        if not all(map(frozenset.__contains__, map(below.__getitem__, xgs), tgs)):
-            return "F3"
-        xg_rows = map(rct.__getitem__, xgs)  # complements of x*g
-        if list(map(at_g, st_rows)) != list(map(getitem, xg_rows, tgs)):
-            return "G"
     for f in set(map(d.__getitem__, ts)):
         c = rct[one][f] if one is not None else None
         if c is None:
@@ -805,50 +771,21 @@ def _setminus_4_on_generators(bs, pairs, gens):
     return None
 
 
-def _setminus_4_rows(bs, pairs):
-    """law setminus-4 over the down-pairs, a row at a time: per outer
-    (x, t) every inner (u, v) is decided at once, reading rows through
-    itemgetters over the down-pairs.  An outer pair that differs, or meets
-    an undefined join or complement, is scanned one inner pair at a time for
-    the witness."""
-    s = bs.base
-    rct, jt, tab = bs.rc_table, s.join_table, s.table
-    at_u, at_v = (_picker(ids) for ids in zip(*pairs))
-    uvs = tuple(rct[u][v] for u, v in pairs)
-    at_uv = None if None in uvs else _picker(uvs)
-    for x in range(s.size):
-        xv_rows = tuple(map(jt.__getitem__, at_v(tab[x])))  # row x*v, each v
-        xu_rows = tuple(map(rct.__getitem__, at_u(tab[x])))  # row x*u, each u
-        for t in s.down[x]:
-            st = rct[x][t]
-            if at_uv is not None and st is not None:
-                inner = tuple(map(getitem, xv_rows, at_u(tab[t])))
-                if None not in inner and (
-                    tuple(map(getitem, xu_rows, inner)) == at_uv(tab[st])
-                ):
-                    continue
-            w = _setminus_4_scan(bs, pairs, x, t)
-            if w is not None:
-                return w
-    return None
-
-
 def law_setminus_4(c):
     """(x minus t)*(u minus v) = x*u minus ((x*v) v (t*u)) for all pairs of
     down-pairs t <= x and v <= u, in order.
 
-    Decided on generators of the table and the idempotents d(v)
-    (_setminus_4_on_generators): |generators| + |E| columns over the
-    down-pairs, 4 + 16 over I4's 1,473, instead of every inner pair per
-    outer pair.  When any of its checks fails, every pair is compared a row
-    at a time (_setminus_4_rows), which names the witness.
+    Decided by law setminus-2's pass and the idempotents d(v)
+    (_setminus_4_on_generators): |E| columns over the down-pairs, 16 over
+    I4's 1,473, instead of every inner pair per outer pair.  When any of its
+    checks fails, _setminus_4_scan names the witness.
     """
     bs = c.bs
     s = bs.base
     pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
-    if _setminus_4_on_generators(bs, pairs, c.associative_generators) is None:
+    if _setminus_4_on_generators(bs, pairs, c.setminus_2_on_generators) is None:
         return None
-    return _setminus_4_rows(bs, pairs)
+    return _setminus_4_scan(bs, pairs)
 
 
 def law_setminus_1_corrected(c):
@@ -1282,7 +1219,7 @@ CORE_LAW_KEYS = (
 
 
 def _applicable(kind, ctx):
-    if kind == "invsgp":
+    if kind in ("invsgp", "groupoid"):
         return True, None
     if kind == "zero":
         return (ctx.s.zero is not None), "no zero"
@@ -1301,26 +1238,22 @@ def run_laws(obj, keys=None):
     """
     results = []
     if isinstance(obj, Gpd):
-        ctx = GpdContext(obj)
-        table = GROUPOID_LAWS
-        applies = lambda kind: (True, None)  # noqa: E731
+        ctx, table = GpdContext(obj), GROUPOID_LAWS
     else:
-        ctx = Analysis(obj)
-        table = SEMIGROUP_LAWS
-        applies = lambda kind: _applicable(kind, ctx)  # noqa: E731
+        ctx, table = Analysis(obj), SEMIGROUP_LAWS
     for key, kind, fn in table:
         if keys is not None and key not in keys:
             continue
         start = time.perf_counter()
-        status, witness, note = _run_law(kind, fn, ctx, applies)
+        status, witness, note = _run_law(kind, fn, ctx)
         seconds = round(time.perf_counter() - start, 6)
         results.append(LawResult(key, status, witness, note, seconds))
     return results
 
 
-def _run_law(kind, fn, ctx, applies):
+def _run_law(kind, fn, ctx):
     """One law's (status, witness, note)."""
-    ok, why = applies(kind)
+    ok, why = _applicable(kind, ctx)
     if not ok:
         return "skip", None, why
     try:

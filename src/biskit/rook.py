@@ -18,7 +18,6 @@ from .groupoid import (
     Component,
     ComponentForm,
     Gpd,
-    canonical_group_key,
     coordinatize,
     group_name,
     is_groupoid_iso,
@@ -155,7 +154,6 @@ class DecompositionCertificate:
     """S recognized as a product of matrix monoids over groups with zero."""
 
     signature: tuple  # sorted (identity count, group order, group name)
-    canonical: tuple  # sorted (identity count, canonical group key)
     form: ComponentForm  # the atom components, ordered by least identity
     atoms: Gpd  # the atoms groupoid G(S)
     rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(form)
@@ -192,9 +190,6 @@ def decompose(bs):
     signature = tuple(
         sorted((c.identity_count, c.group.size, group_name(c.group)) for c in comps)
     )
-    canonical = tuple(
-        sorted((c.identity_count, canonical_group_key(c.group)) for c in comps)
-    )
     kg = k_of_groupoid(reconstruct(coords.form))
 
     s, p = bs.base, kg.table
@@ -212,7 +207,6 @@ def decompose(bs):
             raise CertificateFailed(("decomposition-not-iso", a))
     return DecompositionCertificate(
         signature=signature,
-        canonical=canonical,
         form=coords.form,
         atoms=ag,
         rebuilt=coords.rebuilt,

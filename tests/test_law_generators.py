@@ -16,7 +16,7 @@ from biskit.laws import (
     Analysis,
     _associative_generators,
     _down_set_products,
-    _eggs_combos,
+    _eggs_pairs,
     _eggs_triples_follow,
     _fish_on_generators,
     _oj_on_generators,
@@ -47,30 +47,26 @@ def down_pairs(s):
 
 
 def refuse_full_scans(mp):
-    def refuse_rows(bs, pairs):
-        raise AssertionError("setminus-4 ran its full scan")
-
     def gens_only(s, b_ids):
         if isinstance(b_ids, range):
             raise AssertionError("restricted-product ran its full scan")
         return _down_set_products(s, b_ids)
 
-    def pairs_only(s, m):
-        if m == 3:
-            raise AssertionError("eggs enumerated its triples")
-        return _eggs_combos(s, m)
+    def refuse(scan):
+        def refused(*args):
+            raise AssertionError(f"{scan} ran")
 
-    def refuse(law):
-        def scan(s):
-            raise AssertionError(f"{law} ran its full scan")
+        return refused
 
-        return scan
-
-    mp.setattr(laws, "_setminus_4_rows", refuse_rows)
     mp.setattr(laws, "_down_set_products", gens_only)
-    mp.setattr(laws, "_eggs_combos", pairs_only)
-    for law in ("fish", "oj", "setminus_2"):
-        mp.setattr(laws, f"_{law}_columns", refuse(law))
+    for scan in (
+        "_fish_scan",
+        "_oj_scan",
+        "_setminus_2_scan",
+        "_setminus_4_scan",
+        "_eggs_triples_scan",
+    ):
+        mp.setattr(laws, scan, refuse(scan))
 
 
 def assert_decided_on_generators(table):
@@ -127,24 +123,27 @@ def wrong_d(name, v):
     return c
 
 
-# one corruption per check of _setminus_4_on_generators, each failing it
-# first; the F0 and H tables are ones the law fails, where the pass with that
-# check left out would accept
+# corruptions, each failing one check of _setminus_4_on_generators first:
+# (that check, the table).  The F0, F3 and G tables, named for checks the
+# pass now takes from law setminus-2's pass, fail its setminus-2 premise.
+# The law fails on the F0 and H tables, where the pass without that check
+# would accept
 SETMINUS_4_PREMISES = {
-    "F0": lambda: corrupted("z3zero", "table", 0, 2, 3),  # not associative
-    "F1": lambda: corrupted("i2", "rc_table", 3, 0, 0),  # 3 minus 0 read as 0
-    "F2": lambda: wrong_d("i2", 3),
-    "F3": lambda: corrupted("i2", "down", 5, 2, 0),  # 4 <= 5 dropped from P
-    "G": lambda: corrupted("i2", "rc_table", 6, 3, 6),  # a wrong complement
-    "H": lambda: corrupted("z2zero", "join_table", 0, 2, 0),  # a wrong join
+    "F0": ("setminus-2", lambda: corrupted("z3zero", "table", 0, 2, 3)),  # not associative
+    "F1": ("F1", lambda: corrupted("i2", "join_table", 3, 0, 6)),  # 3 v 0 read as 6
+    "F2": ("F2", lambda: wrong_d("i2", 3)),
+    "F3": ("setminus-2", lambda: corrupted("i2", "down", 5, 2, 0)),  # 4 <= 5 dropped
+    "G": ("setminus-2", lambda: corrupted("i2", "rc_table", 6, 3, 6)),  # a wrong complement
+    "H": ("H", lambda: corrupted("z2zero", "join_table", 0, 2, 0)),  # a wrong join
 }
 
 
-@pytest.mark.parametrize("premise", sorted(SETMINUS_4_PREMISES))
-def test_setminus_4_pass_declines_on_a_failed_premise(premise):
-    c = SETMINUS_4_PREMISES[premise]()
-    gens = _associative_generators(c.s.table)
-    assert _setminus_4_on_generators(c.bs, down_pairs(c.s), gens) == premise
+@pytest.mark.parametrize("name", sorted(SETMINUS_4_PREMISES))
+def test_setminus_4_pass_declines_on_a_failed_premise(name):
+    premise, make = SETMINUS_4_PREMISES[name]
+    c = make()
+    got = _setminus_4_on_generators(c.bs, down_pairs(c.s), c.setminus_2_on_generators)
+    assert got == premise
     assert outcome(law_setminus_4, c) == outcome(oracle_setminus_4, c)
 
 
@@ -221,7 +220,7 @@ def test_passes_decline_on_a_failed_premise(premise):
     for declined in declines:
         assert declined(c), declined.__name__
     if premise in ("I", "J"):
-        assert _eggs_combos(c.s, 2) is None
+        assert _eggs_pairs(c.s) is None
         assert len(outcome(law_eggs, c)[1]) == 4  # a triple and its u
     for law, oracle in laws_and_oracles:
         got = outcome(law, c)

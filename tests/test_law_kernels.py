@@ -1,11 +1,13 @@
-"""The row-wise law kernels and the additive-ideal closure against the
-scalar scans they replaced.
+"""The laws with a pass or a row-wise kernel, and the additive-ideal
+closure, against the scalar scans they replaced.
 
-Each oracle below is the per-element loop the kernel replaced, kept
-verbatim.  Kernel and oracle must return the same witness, or raise the
-same error, on the corpus, on generated products, and on structures with
-one corrupted table entry, which is what sends the kernels down their
-fallback paths.
+Each oracle below is the per-element loop a law's pass or kernel replaced,
+kept verbatim.  Laws fish, oj, setminus-2 and setminus-4, and law eggs on
+its triples, fall back to the same loop when their pass declines, which
+names the witness.  Law and oracle must return the same witness, or raise
+the same error, on the corpus, on generated products, on structures with
+one corrupted table entry, which makes the passes decline, and on the
+corpus with every pass made to decline.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biskit.laws as laws
 from biskit.boolean import (
     AdditiveIdeal,
     enumerate_additive_ideals,
@@ -350,7 +353,7 @@ TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
-def test_law_kernels_match_oracles(name):
+def test_law_kernels_match_oracles(name, monkeypatch):
     c = Analysis(InvSgp(TABLES[name]()))
     assert_kernels_match(c)
     if c.bs is not None:
@@ -358,6 +361,11 @@ def test_law_kernels_match_oracles(name):
         assert_closures_match_on_pairs(c.bs)
         for ideal in enumerate_additive_ideals(c.bs):
             assert verify_additive_ideal(c.bs, ideal.carrier) is None
+    # every pass declined: each law's plain scan runs on a valid table
+    declined = Analysis(InvSgp(TABLES[name]()))
+    declined.associative_generators = None
+    monkeypatch.setattr(laws, "_eggs_triples_follow", lambda mt, jt: False)
+    assert_kernels_match(declined)
 
 
 @pytest.mark.parametrize("name", ("trivial", "powerset2", "z2zero", "z3zero"))

@@ -399,8 +399,22 @@ def test_certificates_hold_under_python_O():
     ]
 
 
+def unused_imports(tree):
+    """The names a module's top-level imports bind and the module never
+    reads, `from __future__ import annotations` aside."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "annotations"
+    }
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
 def test_src_has_no_assert_statements():
-    # a certificate behind an assert is skipped under python -O
+    # a certificate behind an assert is skipped under python -O; an unused
+    # import is left behind by deleted code (__init__.py imports to re-export)
     pkg = os.path.dirname(os.path.abspath(biskit.__file__))
     found = []
     for name in sorted(os.listdir(pkg)):
@@ -410,4 +424,6 @@ def test_src_has_no_assert_statements():
             found += [
                 (name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)
             ]
+            if name != "__init__.py":
+                found += [(name, unused) for unused in unused_imports(tree)]
     assert found == []
