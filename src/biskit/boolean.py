@@ -69,14 +69,17 @@ class BoolInvSgp:
         and None when y is not below x.
 
         x minus y is x * (d(x) minus d(y)); the idempotent complement comes
-        from the witness table built by check_boolean.
+        from the witness table built by check_boolean.  A y in down[x] with
+        no witness for (d(x), d(y)), as when down is overwritten after
+        validation, is not below x either.
         """
         b = self.base
         out = []
         for x, row in enumerate(b.table):
             entries = [None] * self.size
             for y in b.down[x]:
-                entries[y] = row[self.complement[(b.d[x], b.d[y])]]
+                c = self.complement.get((b.d[x], b.d[y]))
+                entries[y] = None if c is None else row[c]
             out.append(tuple(entries))
         return tuple(out)
 

@@ -260,15 +260,16 @@ def cmd_iso(args):
     return 0
 
 
-def _print_law_lines(label, results):
+def _print_law_lines(label, results, timings):
     print(label)
     for r in results:
         if r.status == "pass":
-            print(f"  {r.key}: pass")
+            line = f"  {r.key}: pass"
         elif r.status == "skip":
-            print(f"  {r.key}: skip ({r.note})")
+            line = f"  {r.key}: skip ({r.note})"
         else:
-            print(f"  {r.key}: FAIL {r.witness}")
+            line = f"  {r.key}: FAIL {r.witness}"
+        print(f"{line} [{r.seconds} s]" if timings else line)
 
 
 def cmd_verify(args):
@@ -277,7 +278,9 @@ def cmd_verify(args):
     Text output streams one block per target.  With --format json one list
     is printed at the end, an object per target: {"target", "laws": [{"key",
     "status", "witness", "note"}]}, or {"target", "error"} when it does not
-    validate.  The exit code is 1 if any target fails either way.
+    validate.  With --timings each law also gets the seconds it took, as
+    "seconds" in JSON and "[... s]" after its text line.  The exit code is
+    1 if any target fails either way.
     """
     targets = []
     if args.corpus:
@@ -313,9 +316,13 @@ def cmd_verify(args):
             any_failure = True
             continue
         results = run_laws(obj)
-        report.append({"target": label, "laws": [asdict(r) for r in results]})
+        laws = [asdict(r) for r in results]
+        if not args.timings:
+            for law in laws:
+                del law["seconds"]
+        report.append({"target": label, "laws": laws})
         if not as_json:
-            _print_law_lines(label, results)
+            _print_law_lines(label, results, args.timings)
         failures = [r for r in results if r.status == "fail"]
         if failures:
             any_failure = True
@@ -368,6 +375,7 @@ def make_parser():
     sp.add_argument("path", nargs="?", help=".ist or .grp file")
     sp.add_argument("--corpus", action="store_true", help="verify bundled corpus")
     sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--timings", action="store_true", help="seconds per law")
     sp.set_defaults(fn=cmd_verify)
 
     return p

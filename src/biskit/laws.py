@@ -47,6 +47,7 @@ from .core import (
     _generators,
     _light_test,
     _picker,
+    _positions,
     all_congruences,
     d_relation_idempotents,
     is_fundamental,
@@ -129,6 +130,11 @@ class Analysis:
         """_setminus_2_on_generators: law setminus-2's decision, and a
         premise of law setminus-4's pass."""
         return _setminus_2_on_generators(self.bs, self.associative_generators)
+
+    @cached_property
+    def atom_splits(self):
+        """_atom_splits of the tables laws definition and eggs read."""
+        return _atom_splits(self.bs)
 
     @cached_property
     def fundamental(self):
@@ -302,6 +308,12 @@ def law_restricted_product(c):
     """Every product a*b is a2*b2 with a2 = a*r(b) <= a, b2 = d(a)*b <= b
     and d(a2) = r(b2), and down(a)*down(b) = down(a*b) setwise.
 
+    The first part is read a row a at a time, with the b grouped by
+    e = r(b): a2 = a*e is one id per group, and b2 = f*b depends on a
+    through f = d(a) only.  So for each f, whether every f*b <= b, r(b2) for
+    each group (-1 when it is not one id) and the pickers of each group's
+    b2 are found once.  A row that fails is scanned by b for the witness.
+
     The down-set pass is decided on generators of the table.  The b with
     down(a)*down(b) = down(a*b) for every a are closed under the product of
     an associative table, whose setwise product is associative too: for
@@ -312,17 +324,32 @@ def law_restricted_product(c):
     that fails every pair is scanned for the witness.
     """
     s = c.s
-    for a in range(s.size):
-        for b in range(s.size):
-            a2 = s.table[a][s.r[b]]
-            b2 = s.table[s.d[a]][b]
-            if not (
-                s.leq[a2][a]
-                and s.leq[b2][b]
-                and s.d[a2] == s.r[b2]
-                and s.table[a2][b2] == s.table[a][b]
-            ):
-                return (a, b)
+    t, leq, d, r = s.table, s.leq, s.d, s.r
+    ids, es = range(s.size), sorted(set(r))
+    at_e = [_picker(_positions(r, e)) for e in es]  # a row at the b with r(b) = e
+    per_f = {}
+    for f in set(d):
+        b2s = [at(t[f]) for at in at_e]
+        r_b2 = ({r[b2] for b2 in group} for group in b2s)
+        per_f[f] = (
+            all(map(getitem, map(leq.__getitem__, t[f]), ids)),
+            tuple(rs.pop() if len(rs) == 1 else -1 for rs in r_b2),
+            list(map(_picker, b2s)),
+        )
+    for a, row in enumerate(t):
+        below, r_b2, at_b2 = per_f[d[a]]
+        a2s = [row[e] for e in es]
+        if not (
+            below
+            and all(leq[a2][a] for a2 in a2s)
+            and tuple(map(d.__getitem__, a2s)) == r_b2
+            and all(at(t[a2]) == at_b(row) for at, at_b, a2 in zip(at_b2, at_e, a2s))
+        ):
+            for b in ids:
+                a2, b2 = row[r[b]], t[d[a]][b]
+                ordered = leq[a2][a] and leq[b2][b]
+                if not (ordered and d[a2] == r[b2] and t[a2][b2] == row[b]):
+                    return (a, b)
     gens = c.associative_generators
     if gens is not None and _down_set_products(s, gens) is None:
         return None
@@ -473,24 +500,86 @@ def law_buffs(c):
 # -- laws needing a Boolean structure ----------------------------------------
 
 
-def law_definition(c):
-    """Multiplication distributes over compatible joins on both sides,
-    decided per compatible pair by the joins of columns (rows) a and b
-    against column (row) a v b; a pair that fails is scanned by u."""
-    bs = c.bs
+def _atom_splits(bs):
+    """The split (x, y, α) of each x with two or more atoms below it, when
+    the premises below hold on the tables read; else None.
+
+    Write beta(x) for the bitmask of the atoms in down[x], bit i standing
+    for atoms[i]; it serves only as a labelling of the ids.  Checked:
+      B1  beta is injective;
+      B2  beta(0) = 0, and beta(atoms[i]) = 1 << i;
+      B3  join_table[p][q] is the id whose beta is beta(p) | beta(q), or
+          None when there is none, for every p and q;
+      B4  for each x with two or more bits, α is the atom of its highest
+          bit, y = x - α (rc_table), and beta(y) = beta(x) without α.
+    By B1 and B2 only 0 has no bit and only the atoms have one, so the
+    splits reach every other x, and |beta(y)| = |beta(x)| - 1.
+    """
     s = bs.base
-    jt, t, cols = s.join_table, s.table, s.cols
+    atoms, jt, rct = s.atoms, s.join_table, bs.rc_table
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    beta = [sum(map(bit.__getitem__, bit.keys() & down)) for down in s.down]
+    owner = {b: x for x, b in enumerate(beta)}
+    if len(owner) < s.size or beta[s.zero] or any(beta[a] != b for a, b in bit.items()):
+        return None
+    get = owner.get
+    if any(tuple(map(get, map(b.__or__, beta))) != row for b, row in zip(beta, jt)):
+        return None
+    splits = []
+    for x, b in enumerate(beta):
+        if b & (b - 1):
+            a = atoms[b.bit_length() - 1]
+            y = rct[x][a]
+            if y is None or beta[y] != b ^ bit[a]:
+                return None
+            splits.append((x, y, a))
+    return splits
+
+
+def _joins_extend(jt, rows, splits):
+    """True when rows[x] is the entrywise join (jt) of rows[y] and rows[α]
+    for every split (x, y, α)."""
+    return all(
+        tuple(map(getitem, map(jt.__getitem__, rows[y]), rows[a])) == rows[x]
+        for x, y, a in splits
+    )
+
+
+def _definition_by_atoms(s, splits):
+    """True when law definition holds, shown from splits, the checked
+    _atom_splits (Analysis.atom_splits), and these, checked on the tables
+    read:
+      D1  the zero row and the zero column of the table are all 0;
+      D2  every compatible pair has a join;
+      D3  column x is the entrywise join of columns y and α, and row x that
+          of rows y and α, for each split (x, y, α).
+    For every u and x, beta(u*x) is the union of the beta(u*β) over the
+    atoms β <= x, by induction on |beta(x)|: x = 0 by D1, an atom at once,
+    and else u*x = (u*y) v (u*α) by D3, whose beta is beta(u*y) | beta(u*α)
+    by B3.  So for a compatible (a, b), with j = a v b (D2) and beta(j) =
+    beta(a) | beta(b) (B3), beta(u*j) = beta(u*a) | beta(u*b): an id has
+    that beta, so B3 makes (u*a) v (u*b) defined and equal to u*j.  The
+    same holds on the right.  No join is assumed a least upper bound, and
+    no product is assumed to keep a pair compatible.
+    """
+    if splits is None:
+        return False
+    t, cols, jt, z = s.table, s.cols, s.join_table, s.zero
+    if set(t[z]) != {z} or set(cols[z]) != {z}:
+        return False
+    if any(None in map(row.__getitem__, ps) for row, ps in zip(jt, s.compat_partners)):
+        return False
+    return _joins_extend(jt, cols, splits) and _joins_extend(jt, t, splits)
+
+
+def _definition_scan(s):
+    """law definition on every compatible pair (a, b), then every u: the
+    first witness, or None."""
     for a in range(s.size):
-        left_rows = tuple(map(jt.__getitem__, cols[a]))  # row u*a, every u
-        right_rows = tuple(map(jt.__getitem__, t[a]))  # row a*u, every u
         for b in s.compat_partners[a]:
-            j = jt[a][b]
+            j = s.join_table[a][b]
             if j is None:
                 return (a, b, "missing-join")
-            if tuple(map(getitem, left_rows, cols[b])) == cols[j] and (
-                tuple(map(getitem, right_rows, t[b])) == t[j]
-            ):
-                continue
             for u in range(s.size):
                 if s.join_table[s.table[u][a]][s.table[u][b]] != s.table[u][j]:
                     return (u, a, b, "left")
@@ -499,36 +588,21 @@ def law_definition(c):
     return None
 
 
+def law_definition(c):
+    """Multiplication distributes over compatible joins on both sides:
+    _definition_by_atoms, else _definition_scan, which names the witness."""
+    s = c.bs.base
+    if _definition_by_atoms(s, c.atom_splits):
+        return None
+    return _definition_scan(s)
+
+
 def law_meets_semisimple(c):
     s = c.bs.base
     for a in range(s.size):
         for b in range(s.size):
             if s.meet_table[a][b] is None:
                 return (a, b)
-    return None
-
-
-def _eggs_at(s, combo, join):
-    """The first u, as combo + (u,), at which u meet join differs from the
-    join of the x meet u over x in combo (or one of those is undefined);
-    None if there is none."""
-    for u in range(s.size):
-        lhs = s.meet_table[u][join]
-        if lhs is None:
-            continue
-        rhs = None
-        ok = True
-        for x in combo:
-            mx = s.meet_table[x][u]
-            if mx is None:
-                ok = False
-                break
-            rhs = mx if rhs is None else s.join_table[rhs][mx]
-            if rhs is None:
-                ok = False
-                break
-        if not ok or rhs != lhs:
-            return combo + (u,)
     return None
 
 
@@ -545,48 +619,57 @@ def _eggs_triples_follow(mt, jt):
     )
 
 
-def _eggs_pairs(s):
-    """law eggs on its pairs a < b whose join is defined, in lexicographic
-    order: the first witness, or None.  Each is decided a column at a time,
-    rows a and b of the meet table joined entry by entry against column
-    a v b; one that holds an undefined meet or join, or differs, is scanned
-    by u (_eggs_at)."""
-    k, mt, jt = s.size, s.meet_table, s.join_table
-    mcols = tuple(zip(*mt))  # mcols[j][u] = u meet j
-    # row (a meet u) of the join table for each u, read once per row a
-    meet_rows = [None if None in row else tuple(map(jt.__getitem__, row)) for row in mt]
-    for a in range(k):
-        rows = meet_rows[a]
-        for b in range(a + 1, k):
-            j = jt[a][b]
+def _eggs_pairs_by_atoms(s, splits):
+    """True when law eggs holds on every pair, shown from splits, the
+    checked _atom_splits (Analysis.atom_splits), and these, checked on the
+    tables read:
+      E1  every meet is defined;
+      E2  the meet table equals its transpose;
+      E3  the zero row of the meet table is all 0;
+      E4  row x of the meet table is the entrywise join of rows y and α,
+          for each split (x, y, α).
+    As for _definition_by_atoms, by E3, E4 and B3 beta(x meet u) is the
+    union of the beta(β meet u) over the atoms β <= x.  So for a pair with
+    j = a v b, beta(j) = beta(a) | beta(b) (B3) and, by E2, beta(u meet j)
+    = beta(a meet u) | beta(b meet u): by B3 that is the join of the two
+    meets, all defined by E1.
+    """
+    if splits is None:
+        return False
+    mt, z = s.meet_table, s.zero
+    if any(None in row for row in mt) or list(map(tuple, mt)) != list(zip(*mt)):
+        return False
+    return set(mt[z]) == {z} and _joins_extend(s.join_table, mt, splits)
+
+
+def _eggs_scan(s, m):
+    """law eggs on its m-tuples a < b [< c] whose join (a v b) [v c] is
+    defined, in lexicographic order, then every u with u meet that join
+    defined: the first witness, or None."""
+    mt, jt = s.meet_table, s.join_table
+    for combo in itertools.combinations(range(s.size), m):
+        j = combo[0]
+        for x in combo[1:]:
+            j = jt[j][x]
             if j is None:
-                continue
-            # (a meet u) v (b meet u) for each u, if all those meets are defined
-            ab = None if rows is None or None in mt[b] else tuple(map(getitem, rows, mt[b]))
-            if ab != mcols[j]:
-                w = _eggs_at(s, (a, b), j)
-                if w is not None:
-                    return w
-    return None
-
-
-def _eggs_triples_scan(s):
-    """law eggs on its triples a < b < c with (a v b) v c defined, in
-    lexicographic order, each scanned by u: the first witness, or None."""
-    jt = s.join_table
-    for a, b, c in itertools.combinations(range(s.size), 3):
-        j = jt[a][b]
-        if j is not None and jt[j][c] is not None:
-            w = _eggs_at(s, (a, b, c), jt[j][c])
-            if w is not None:
-                return w
+                break
+        if j is None:
+            continue
+        for u in range(s.size):
+            rhs = mt[combo[0]][u]  # the join of the x meet u, None if one is
+            for x in combo[1:]:
+                mx = mt[x][u]
+                rhs = None if rhs is None or mx is None else jt[rhs][mx]
+            if mt[u][j] is not None and rhs != mt[u][j]:
+                return combo + (u,)
     return None
 
 
 def law_eggs(c):
     """Meets distribute over the joins of pairs and triples: for every u,
     u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].  All
-    pairs come first (_eggs_pairs), then all triples (_eggs_triples_scan).
+    pairs come first, decided by _eggs_pairs_by_atoms, else by _eggs_scan;
+    then all triples, scanned unless they follow from the pairs.
 
     When every pair holds and _eggs_triples_follow, so do the triples.
     Write P(a, b) for the law on a pair a < b; take a < b < c with j = a v b
@@ -598,9 +681,9 @@ def law_eggs(c):
     it j meet u = u meet (j v j).
     """
     s = c.bs.base
-    w = _eggs_pairs(s)
+    w = None if _eggs_pairs_by_atoms(s, c.atom_splits) else _eggs_scan(s, 2)
     if w is None and not _eggs_triples_follow(s.meet_table, s.join_table):
-        w = _eggs_triples_scan(s)
+        w = _eggs_scan(s, 3)
     return w
 
 

@@ -253,11 +253,28 @@ def test_verify_json_matches_text(data, capsys, name):
     assert target["target"] == path
     lines = [path]
     for law in target["laws"]:
-        assert list(law) == ["key", "status", "witness", "note", "seconds"]
-        assert isinstance(law["seconds"], float) and law["seconds"] >= 0
+        assert list(law) == ["key", "status", "witness", "note"]
         shown = {"pass": "pass", "skip": f"skip ({law['note']})"}[law["status"]]
         lines.append(f"  {law['key']}: {shown}")
     assert text.splitlines() == lines
+    assert main(["verify", path, "--format", "json", "--timings"]) == 0
+    (timed,) = json.loads(capsys.readouterr().out)
+    for law, untimed in zip(timed["laws"], target["laws"]):
+        assert list(law) == ["key", "status", "witness", "note", "seconds"]
+        assert isinstance(law["seconds"], float) and law["seconds"] >= 0
+        assert {**law, "seconds": None} == {**untimed, "seconds": None}
+    assert main(["verify", path, "--timings"]) == 0
+    timed_lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" [", 1)[0] for line in timed_lines] == lines
+    assert all(line.endswith(" s]") for line in timed_lines[1:])
+
+
+def test_verify_json_is_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["verify", "--corpus", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_verify_without_target_is_usage_error(capsys):

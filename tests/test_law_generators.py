@@ -1,5 +1,6 @@
 """Laws restricted-product, setminus-4, setminus-2, oj and fish decided on
-generators, and law eggs' triples decided from its pairs.
+generators, laws definition and eggs by the atom decomposition, and law
+eggs' triples decided from its pairs.
 
 On valid Boolean tables these passes must decide the laws with no full
 scan.  On a table corrupted against one premise of a pass, the pass
@@ -15,13 +16,17 @@ from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup, symmetric_inverse_tab
 from biskit.laws import (
     Analysis,
     _associative_generators,
+    _atom_splits,
+    _definition_by_atoms,
     _down_set_products,
-    _eggs_pairs,
+    _eggs_pairs_by_atoms,
+    _eggs_scan,
     _eggs_triples_follow,
     _fish_on_generators,
     _oj_on_generators,
     _setminus_2_on_generators,
     _setminus_4_on_generators,
+    law_definition,
     law_eggs,
     law_fish,
     law_oj,
@@ -32,6 +37,7 @@ from biskit.laws import (
 from generated import i4_subsemigroup_tables
 from test_law_kernels import (
     corrupted,
+    oracle_definition,
     oracle_eggs,
     oracle_fish,
     oracle_oj,
@@ -64,12 +70,13 @@ def refuse_full_scans(mp):
         "_oj_scan",
         "_setminus_2_scan",
         "_setminus_4_scan",
-        "_eggs_triples_scan",
+        "_definition_scan",
+        "_eggs_scan",
     ):
         mp.setattr(laws, scan, refuse(scan))
 
 
-def assert_decided_on_generators(table):
+def assert_decided_without_scans(table):
     c = Analysis(InvSgp(table))
     assert c.bs is not None
     with pytest.MonkeyPatch.context() as mp:
@@ -77,6 +84,7 @@ def assert_decided_on_generators(table):
         for law in (
             law_restricted_product,
             law_setminus_4,
+            law_definition,
             law_eggs,
             law_setminus_2,
             law_oj,
@@ -94,7 +102,7 @@ BOOLEAN_TABLES = {
 
 @pytest.mark.parametrize("name", sorted(BOOLEAN_TABLES))
 def test_generator_passes_decide_boolean_tables(name):
-    assert_decided_on_generators(BOOLEAN_TABLES[name]())
+    assert_decided_without_scans(BOOLEAN_TABLES[name]())
 
 
 def is_boolean(table):
@@ -108,7 +116,7 @@ def is_boolean(table):
 )
 @given(i4_subsemigroup_tables.filter(is_boolean))
 def test_generator_passes_decide_generated_boolean_tables(table):
-    assert_decided_on_generators(table)
+    assert_decided_without_scans(table)
 
 
 def wrong_d(name, v):
@@ -163,6 +171,22 @@ def eggs_declines(c):
     return not _eggs_triples_follow(c.s.meet_table, c.s.join_table)
 
 
+def splits_decline(c):
+    return _atom_splits(c.bs) is None
+
+
+def definition_declines(c):
+    """The shared atom premises hold, and law definition's own fail."""
+    splits = _atom_splits(c.bs)
+    return splits is not None and not _definition_by_atoms(c.s, splits)
+
+
+def eggs_pairs_decline(c):
+    """The shared atom premises hold, and law eggs' own fail."""
+    splits = _atom_splits(c.bs)
+    return splits is not None and not _eggs_pairs_by_atoms(c.s, splits)
+
+
 def setminus_2_declines(c):
     return not _setminus_2_on_generators(c.bs, _associative_generators(c.s.table))
 
@@ -176,13 +200,71 @@ def fish_declines(c):
     return not _fish_on_generators(c.s.table, c.s.meet_table, gens)
 
 
-# one corruption per premise of the passes of laws eggs, setminus-2, oj and
-# fish, each breaking that premise alone: (the corrupted Analysis, the
-# passes that must decline on it, the laws then compared with their
-# oracles).  On the I and J tables every pair of law eggs holds, so it is
-# the triples that name the witness
+# one corruption per premise of the passes of laws definition, eggs,
+# setminus-2, oj and fish, each breaking that premise alone: (the corrupted
+# Analysis, the passes that must decline on it, the laws then compared with
+# their oracles).  On the I and J tables every pair of law eggs holds, so it
+# is the triples that name the witness.  On the zero, compatible-join and
+# extension tables the law fails, where the pass without that premise would
+# accept
+DEFINITION = (law_definition, oracle_definition)
 EGGS = (law_eggs, oracle_eggs)
 PASS_PREMISES = {
+    # 4 <= 5 dropped: 5 and 1 have the same atoms below, which the join
+    # premise sees as well
+    "beta": (
+        lambda: corrupted("i2", "down", 5, 2, 0),
+        [splits_decline],
+        [DEFINITION, EGGS],
+    ),
+    # 1 v 2 read as 6, whose atoms are not those of 1 and 2
+    "join-union": (
+        lambda: corrupted("i2", "join_table", 1, 2, 6),
+        [splits_decline],
+        [DEFINITION, EGGS],
+    ),
+    # 5 minus 4 read as 0, not 1
+    "split": (
+        lambda: corrupted("i2", "rc_table", 5, 4, 0),
+        [splits_decline],
+        [DEFINITION, EGGS],
+    ),
+    # 0 * 0 read as 1
+    "zero": (
+        lambda: corrupted("i2", "table", 0, 0, 1),
+        [definition_declines],
+        [DEFINITION],
+    ),
+    # 0 meet 0 read as 1
+    "meet-zero": (
+        lambda: corrupted("i2", "meet_table", 0, 0, 1),
+        [eggs_pairs_decline],
+        [EGGS],
+    ),
+    # 1 and 2 read as compatible, with no join, by 1 * 2 read as 0
+    "compatible-join": (
+        lambda: corrupted("z2zero", "table", 1, 2, 0),
+        [definition_declines],
+        [DEFINITION],
+    ),
+    # 6 * 5 read as 2, not (6 * 1) v (6 * 4) = 6
+    "column-extension": (
+        lambda: corrupted("i2", "table", 6, 5, 2),
+        [definition_declines],
+        [DEFINITION],
+    ),
+    # 1 * 2 read as 3, so 5 * 2 = 2 is not (1 * 2) v (4 * 2) = 6
+    "row-extension": (
+        lambda: corrupted("i2", "table", 1, 2, 3),
+        [definition_declines],
+        [DEFINITION],
+    ),
+    # 5 meet 5 read as 4, not (1 meet 5) v (4 meet 5) = 5
+    "meet-extension": (
+        lambda: corrupted("i2", "meet_table", 5, 5, 4),
+        [eggs_pairs_decline],
+        [EGGS],
+    ),
     # 5 meet 5 read as undefined, the meet table still symmetric
     "M": (lambda: corrupted("i2", "meet_table", 5, 5, None), [eggs_declines], [EGGS]),
     # 6 meet 3 read as 4, while 3 meet 6 is 3
@@ -220,7 +302,7 @@ def test_passes_decline_on_a_failed_premise(premise):
     for declined in declines:
         assert declined(c), declined.__name__
     if premise in ("I", "J"):
-        assert _eggs_pairs(c.s) is None
+        assert _eggs_scan(c.s, 2) is None
         assert len(outcome(law_eggs, c)[1]) == 4  # a triple and its u
     for law, oracle in laws_and_oracles:
         got = outcome(law, c)

@@ -2,9 +2,9 @@
 closure, against the scalar scans they replaced.
 
 Each oracle below is the per-element loop a law's pass or kernel replaced,
-kept verbatim.  Laws fish, oj, setminus-2 and setminus-4, and law eggs on
-its triples, fall back to the same loop when their pass declines, which
-names the witness.  Law and oracle must return the same witness, or raise
+kept verbatim.  Laws fish, oj, setminus-2, setminus-4, definition and eggs
+fall back to the same loop when their pass declines, which names the
+witness.  Law and oracle must return the same witness, or raise
 the same error, on the corpus, on generated products, on structures with
 one corrupted table entry, which makes the passes decline, and on the
 corpus with every pass made to decline.
@@ -364,6 +364,7 @@ def test_law_kernels_match_oracles(name, monkeypatch):
     # every pass declined: each law's plain scan runs on a valid table
     declined = Analysis(InvSgp(TABLES[name]()))
     declined.associative_generators = None
+    declined.atom_splits = None
     monkeypatch.setattr(laws, "_eggs_triples_follow", lambda mt, jt: False)
     assert_kernels_match(declined)
 

@@ -412,18 +412,42 @@ def unused_imports(tree):
     return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
+def unreferenced_private_defs(trees):
+    """(module, name) of each top-level function or class named _name that
+    no module reads: not as a name, an attribute or an imported name."""
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    return [
+        (name, n.name)
+        for name, tree in trees.items()
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        and n.name.startswith("_")
+        and not n.name.startswith("__")
+        and n.name not in used
+    ]
+
+
 def test_src_has_no_assert_statements():
     # a certificate behind an assert is skipped under python -O; an unused
-    # import is left behind by deleted code (__init__.py imports to re-export)
+    # import is left behind by deleted code (__init__.py imports to
+    # re-export), and so is a private helper no module reads any more
     pkg = os.path.dirname(os.path.abspath(biskit.__file__))
-    found = []
+    found, trees = [], {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                tree = ast.parse(fh.read(), name)
+                tree = trees[name] = ast.parse(fh.read(), name)
             found += [
                 (name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)
             ]
             if name != "__init__.py":
                 found += [(name, unused) for unused in unused_imports(tree)]
-    assert found == []
+    assert found + unreferenced_private_defs(trees) == []
