@@ -14,13 +14,14 @@ import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, factorial
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 
 from .core import (
     InvSgp,
     _dr_classes,
+    _ids,
     _mask,
     _picker,
     check_congruence,
@@ -644,12 +645,23 @@ def is_simple(bs):
 
 @dataclass(frozen=True)
 class Morphism:
+    """A map of ids.  additive and weakly_meet_preserving are decided on
+    first read and kept; cached_property writes __dict__, frozen or not."""
+
     source: object  # InvSgp or BoolInvSgp
     target: object
     map: tuple
 
     def __call__(self, x):
         return self.map[x]
+
+    @cached_property
+    def additive(self):
+        return is_additive_morphism(self.source, self.target, self.map)
+
+    @cached_property
+    def weakly_meet_preserving(self):
+        return is_weakly_meet_preserving(self.source, self.target, self.map)
 
 
 def _base(s):
@@ -695,14 +707,11 @@ def is_additive_morphism(source, target, mp):
         check_zero_preserving(source, target, mp)
     except (NotMultiplicative, NotZeroPreserving):
         return False
-    for a in range(s.size):
-        for b in range(a, s.size):
-            if s.compat[a][b]:
-                j = s.join_table[a][b]
-                if j is None:
-                    continue
-                if t.join_table[mp[a]][mp[b]] != mp[j]:
-                    return False
+    for a, partners in enumerate(s.compat_partners):
+        ja, ta = s.join_table[a], t.join_table[mp[a]]
+        for b in partners:
+            if ja[b] is not None and ta[mp[b]] != mp[ja[b]]:
+                return False
     return True
 
 
@@ -722,22 +731,23 @@ def epsilon_quotient(bs, ideal):
     a check that fails raises CertificateFailed naming it.
     """
     s = bs.base
-    if isinstance(ideal, AdditiveIdeal):
-        carrier = ideal.carrier
-    else:
-        carrier = frozenset(ideal)
+    carrier = ideal.carrier if isinstance(ideal, AdditiveIdeal) else frozenset(ideal)
     bad = verify_additive_ideal(bs, carrier)
     if bad is not None:
         raise NotAnIdeal(bad)
 
     k = s.size
-    # cut[a]: bitset of the c <= a with a minus c in the ideal; a and b are
-    # related exactly when some c lies in both cut[a] and cut[b]
-    cut = [_mask(c for c in s.down[a] if bs.rc(a, c) in carrier) for a in range(k)]
-    # rel[a][b] = cut[a] & cut[b] != 0 is symmetric by construction
-    rel = [tuple(map(bool, map(ca.__and__, cut))) for ca in cut]
+    # cut[a]: the c <= a with a minus c in the ideal; a and b are related
+    # exactly when some c lies in both cut[a] and cut[b]
+    cut = [[c for c in s.down[a] if bs.rc(a, c) in carrier] for a in range(k)]
+    holders = [0] * k  # holders[c]: bitset of the a with c in cut[a]
+    for a, below in enumerate(cut):
+        for c in below:
+            holders[c] |= 1 << a
+    # rel[a]: bitset of the b related to a, symmetric by construction
+    rel = [reduce(or_, map(holders.__getitem__, below), 0) for below in cut]
     for a, row in enumerate(rel):
-        if not row[a]:
+        if not row >> a & 1:
             raise CertificateFailed(("not-reflexive", a))
     class_of = [None] * k
     nxt = 0
@@ -745,16 +755,17 @@ def epsilon_quotient(bs, ideal):
         if class_of[a] is not None:
             continue
         class_of[a] = nxt
-        for b in range(a + 1, k):
-            if rel[a][b]:
-                if class_of[b] is not None:
-                    raise CertificateFailed(("not-transitive", a, b))
-                class_of[b] = nxt
+        for b in _ids(rel[a] >> a + 1 << a + 1):  # the b > a related to a
+            if class_of[b] is not None:
+                raise CertificateFailed(("not-transitive", a, b))
+            class_of[b] = nxt
         nxt += 1
+    same = [0] * nxt  # same[i]: bitset of class i
+    for a, i in enumerate(class_of):
+        same[i] |= 1 << a
     for a, row in enumerate(rel):
-        same = tuple(map(class_of[a].__eq__, class_of))
-        if row != same:
-            b = next(b for b in range(k) if row[b] != same[b])
+        if row != same[class_of[a]]:
+            b = next(_ids(row ^ same[class_of[a]]))
             raise CertificateFailed(("not-transitive", a, b))
     cong = Congruence(k, tuple(class_of))
     bad = check_congruence(s, cong)
@@ -769,12 +780,12 @@ def epsilon_quotient(bs, ideal):
             raise CertificateFailed(("quotient-not-boolean", qrep.failure))
         quotient = qrep.structure
     proj = Morphism(bs, quotient, tuple(class_of))
-    if not is_additive_morphism(bs, quotient, proj.map):
+    if not proj.additive:
         raise CertificateFailed(("projection-not-additive",))
     kernel = frozenset(x for x in range(k) if class_of[x] == class_of[s.zero])
     if kernel != carrier:
         raise CertificateFailed(("kernel-differs", tuple(sorted(kernel))))
-    if not is_weakly_meet_preserving(bs, quotient, proj.map):
+    if not proj.weakly_meet_preserving:
         raise CertificateFailed(("projection-not-weakly-meet-preserving",))
     return EpsilonReport(cong, quotient, proj)
 
@@ -842,21 +853,23 @@ def analyze_morphism(m, eps=None):
     eps, when given, is the caller's epsilon_quotient of the kernel and is
     used instead of building the quotient again.  Before it is used it is
     checked to be over the source's table and to collapse exactly the
-    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.  A
+    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.
+    When eps.projection is m (same source, target and map), its
+    certificates are read.  An additive map is multiplicative and zero
+    preserving; only one that is not is checked again, for the witness.  A
     certified property that fails raises CertificateFailed naming it.
     """
-    check_multiplicative(m.source, m.target, m.map)
-    check_zero_preserving(m.source, m.target, m.map)
+    if eps is not None and eps.projection == m:
+        m = eps.projection
+    additive = m.additive
+    if not additive:
+        check_multiplicative(m.source, m.target, m.map)
+        check_zero_preserving(m.source, m.target, m.map)
     s = _base(m.source)
-    additive = is_additive_morphism(m.source, m.target, m.map)
     kernel_carrier = kernel_of(m)
-    idem_sep = True
-    for e in s.idempotents:
-        for f in s.idempotents:
-            if e < f and m.map[e] == m.map[f]:
-                idem_sep = False
+    idem_sep = len({m.map[e] for e in s.idempotents}) == len(s.idempotents)
     kernel = None
-    wmp = is_weakly_meet_preserving(m.source, m.target, m.map)
+    wmp = m.weakly_meet_preserving
     factorization = None
     if additive and isinstance(m.source, BoolInvSgp):
         bad = verify_additive_ideal(m.source, kernel_carrier)
@@ -882,13 +895,8 @@ def analyze_morphism(m, eps=None):
                 raise CertificateFailed(("not-constant-on-classes", x, c))
         phi = Morphism(eps.quotient, m.target, tuple(phi_map))
         check_multiplicative(eps.quotient, m.target, phi.map)
-        phi_sep = True
         qidem = eps.quotient.base.idempotents
-        for e in qidem:
-            for f in qidem:
-                if e < f and phi.map[e] == phi.map[f]:
-                    phi_sep = False
-        if not phi_sep:
+        if len({phi.map[e] for e in qidem}) < len(qidem):
             raise CertificateFailed(("second-factor-not-idempotent-separating",))
         for x in range(s.size):
             if phi.map[eps.projection.map[x]] != m.map[x]:

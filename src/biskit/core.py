@@ -202,6 +202,13 @@ def _mask(xs):
     return sum(1 << x for x in xs)
 
 
+def _ids(m):
+    """The positions of the bits set in m, ascending."""
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
+
+
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
@@ -290,15 +297,6 @@ class InvSgp:
                 break
 
     # -- basic algebra ------------------------------------------------
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def mul_all(self, *xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self.table[acc][x]
-        return acc
 
     def is_idempotent(self, a):
         return self.table[a][a] == a
@@ -497,18 +495,6 @@ class Congruence:
     size: int
     class_of: tuple
 
-    def classes(self):
-        out = {}
-        for x, c in enumerate(self.class_of):
-            out.setdefault(c, []).append(x)
-        return tuple(tuple(v) for _, v in sorted(out.items()))
-
-    def related(self, a, b):
-        return self.class_of[a] == self.class_of[b]
-
-    def is_trivial(self):
-        return len(set(self.class_of)) == self.size
-
 
 def congruence_from_key(s, key):
     """Group ids by key(x) and renumber classes by least member."""
@@ -526,8 +512,27 @@ def congruence_from_key(s, key):
 
 
 def check_congruence(s, cong):
-    """Return a witness (a, b, c, side) if cong is not a congruence."""
+    """Return a witness (a, b, c, side) if cong is not a congruence.
+
+    The c with x ~ y => cx ~ cy are closed under the product of an
+    associative table, c*d*x = c*(d*x) ~ c*(d*y), and so on the right; so
+    for each of s.generators (which passed Light's test) row g and column g
+    read through class_of must be constant on classes.  Only when that
+    fails does _congruence_scan name the witness."""
     cls = cong.class_of
+    first = {}
+    at_first = _picker([first.setdefault(c, x) for x, c in enumerate(cls)])
+    for g in s.generators:
+        row = tuple(map(cls.__getitem__, s.table[g]))
+        col = tuple(map(cls.__getitem__, map(itemgetter(g), s.table)))
+        if at_first(row) != row or at_first(col) != col:
+            return _congruence_scan(s, cls)
+    return None
+
+
+def _congruence_scan(s, cls):
+    """The first (rep, b, c, side), rep a class's least member and b another:
+    c*rep, c*b (left) or rep*c, b*c (right) in different classes; or None."""
     t = s.table
     classes = {}
     for x in range(s.size):
@@ -544,8 +549,11 @@ def check_congruence(s, cong):
 
 
 def quotient_table(s, cong):
-    """Multiplication table on congruence classes (classes renumbered 0..)."""
+    """Multiplication table on congruence classes (classes renumbered 0..);
+    under the identity numbering, the table itself."""
     cls = cong.class_of
+    if cls == tuple(range(s.size)):
+        return s.table
     reps = {}
     for x in range(s.size):
         reps.setdefault(cls[x], x)
@@ -605,9 +613,8 @@ def all_congruences(s, cap=9):
         for ci, block in enumerate(part):
             for x in block:
                 class_of[x] = ci
-        cong = Congruence(s.size, tuple(class_of))
-        if check_congruence(s, cong) is None:
-            out.append(cong)
+        if _congruence_scan(s, class_of) is None:
+            out.append(Congruence(s.size, tuple(class_of)))
     return out
 
 

@@ -80,9 +80,6 @@ class Gpd:
         self.identities = identities
         self.labels = labels if labels is not None else tuple(range(m))
 
-    def mul(self, x, y):
-        return self.ptable[x][y]
-
     def arrows(self, src, dst):
         """Elements with domain identity src and range identity dst."""
         return tuple(

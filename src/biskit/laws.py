@@ -27,7 +27,6 @@ from .boolean import (
     epsilon_quotient,
     ideal_closure,
     idempotent_ideals,
-    is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
     kernel_of,
@@ -679,9 +678,15 @@ def law_eggs(c):
     it u meet (j v c).  If c < j, J makes c v j = j v c, so (c, j) was a
     pair, and turns P(c, j) into the same equation.  If c = j, I and S make
     it j meet u = u meet (j v j).
+
+    When _eggs_pairs_by_atoms holds, so does _eggs_triples_follow: M and S
+    are its E1 and E2; by B3 jt[p][q] and jt[q][p] are both the owner of
+    beta(p) | beta(q), or None (J), and jt[x][x] is x by B1 (I).
     """
     s = c.bs.base
-    w = None if _eggs_pairs_by_atoms(s, c.atom_splits) else _eggs_scan(s, 2)
+    if _eggs_pairs_by_atoms(s, c.atom_splits):
+        return None
+    w = _eggs_scan(s, 2)
     if w is None and not _eggs_triples_follow(s.meet_table, s.join_table):
         w = _eggs_scan(s, 3)
     return w
@@ -1001,30 +1006,31 @@ def law_noise(c):
 
 def law_anja(c):
     for ideal, rep in c.eps_reports:
-        if not is_weakly_meet_preserving(
-            c.bs, rep.quotient, rep.projection.map
-        ):
+        if not rep.projection.weakly_meet_preserving:
             return (tuple(sorted(ideal.carrier)),)
     return None
 
 
 def law_idept_sep_kernel(c):
-    """Each map reuses the cached quotient by its kernel; a mu quotient
-    that is the input itself (a fundamental structure) is not checked
-    again."""
+    """Each map reuses the cached quotient by its kernel, and its
+    projection's certificates when it is that projection; a mu quotient
+    that is the input (a fundamental structure) is not checked again."""
     bs = c.bs
     eps_of = {ideal.carrier: rep for ideal, rep in c.eps_reports}
     ident = Morphism(bs, bs, tuple(range(bs.size)))
     rep = analyze_morphism(ident, eps_of.get(kernel_of(ident)))
     if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
         return ("identity",)
-    mu = c.mu
-    q = bs if mu.quotient is bs.base else check_boolean(mu.quotient).structure
-    if q is not None:
-        proj = Morphism(bs, q, tuple(mu.projection))
-        rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
-        if not rep.idempotent_separating:
-            return ("mu-projection",)
+    mu, q = c.mu, bs
+    if mu.quotient is not bs.base:
+        check = check_boolean(mu.quotient)
+        if not check.boolean:
+            return ("mu-quotient-not-boolean", check.failure)
+        q = check.structure
+    proj = Morphism(bs, q, tuple(mu.projection))
+    rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
+    if not rep.idempotent_separating:
+        return ("mu-projection",)
     return None
 
 

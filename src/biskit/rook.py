@@ -31,9 +31,6 @@ class RookMatrix:
     n: int
     entries: tuple  # n rows of n ids into base
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
 
 def rook_violation(base, n, entries):
     """Witness against the rook conditions, or None.

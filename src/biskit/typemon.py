@@ -35,9 +35,6 @@ class TypeMonoid:
     atomic_idempotents: tuple  # per component, frozenset of atomic idempotents
     tau: dict  # idempotent id -> tuple of per-component counts
 
-    def vector(self, e):
-        return self.tau[e]
-
 
 def type_monoid(bs):
     """Compute the component count and the per-idempotent count vectors.

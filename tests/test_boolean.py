@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from biskit.boolean import (
     atoms_groupoid,
     check_boolean,
     check_multiplicative,
+    check_zero_preserving,
     direct_product,
     enumerate_additive_ideals,
     epsilon_quotient,
     ideal_closure,
     idempotent_ideals,
+    is_additive_morphism,
     is_simple,
     is_weakly_meet_preserving,
     is_zero_simplifying,
@@ -26,7 +29,15 @@ from biskit.boolean import (
     orthogonalize,
     preceq,
 )
-from biskit.core import InvSgp, mu_and_quotient, restricted_groupoid, table_product
+from biskit.core import (
+    Congruence,
+    InvSgp,
+    check_congruence,
+    mu_and_quotient,
+    quotient_table,
+    restricted_groupoid,
+    table_product,
+)
 from biskit.corpus import (
     BOOLEAN_NAMES,
     GROUPOID_BUILDERS,
@@ -42,6 +53,7 @@ from biskit.errors import (
     NotBoolean,
     NotCompatible,
     NotMultiplicative,
+    NotZeroPreserving,
     TooLarge,
 )
 from biskit.booleanization import booleanize
@@ -664,12 +676,35 @@ def multiplicative_maps(s):
     return maps
 
 
+def oracle_is_additive_morphism(source, target, mp):
+    """is_additive_morphism with the joins compared over every pair a <= b
+    of ids."""
+    s = getattr(source, "base", source)
+    t = getattr(target, "base", target)
+    try:
+        oracle_check_multiplicative(source, target, mp)
+        check_zero_preserving(source, target, mp)
+    except (NotMultiplicative, NotZeroPreserving):
+        return False
+    for a in range(s.size):
+        for b in range(a, s.size):
+            if s.compat[a][b]:
+                j = s.join_table[a][b]
+                if j is not None and t.join_table[mp[a]][mp[b]] != mp[j]:
+                    return False
+    return True
+
+
 @pytest.mark.parametrize("name", sorted(SEMIGROUP_BUILDERS))
 def test_check_multiplicative_matches_oracle(name):
+    # beta into the Booleanization of a Boolean table is multiplicative but
+    # does not preserve joins, so is_additive_morphism answers both ways
     for source, target, mp in multiplicative_maps(corpus_semigroup(name)):
         want = multiplicative_outcome(oracle_check_multiplicative, source, target, mp)
         assert want == ("returned", None)
         assert multiplicative_outcome(check_multiplicative, source, target, mp) == want
+        want = oracle_is_additive_morphism(source, target, mp)
+        assert is_additive_morphism(source, target, mp) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -683,6 +718,8 @@ def test_check_multiplicative_matches_oracle_on_changed_maps(name, data):
     )
     want = multiplicative_outcome(oracle_check_multiplicative, source, target, mp)
     assert multiplicative_outcome(check_multiplicative, source, target, mp) == want
+    want = oracle_is_additive_morphism(source, target, mp)
+    assert is_additive_morphism(source, target, mp) == want
 
 
 # -- the epsilon relation against the scan of common lower bounds -------------
@@ -727,3 +764,157 @@ def test_epsilon_relation_matches_oracle(name):
     for ideal in enumerate_additive_ideals(bs):
         eps = epsilon_quotient(bs, ideal)
         assert eps.congruence.class_of == oracle_epsilon_classes(bs, ideal.carrier)
+
+
+def oracle_epsilon_relation(bs, carrier):
+    """epsilon_quotient's relation checks on rows of k flags: ("classes",
+    class_of), or ("raised", witness) when the relation is not reflexive or
+    not transitive."""
+    s, k = bs.base, bs.size
+    cut = [sum(1 << c for c in s.down[a] if bs.rc(a, c) in carrier) for a in range(k)]
+    rel = [tuple(map(bool, map(ca.__and__, cut))) for ca in cut]
+    for a, row in enumerate(rel):
+        if not row[a]:
+            return ("raised", ("not-reflexive", a))
+    class_of = [None] * k
+    nxt = 0
+    for a in range(k):
+        if class_of[a] is not None:
+            continue
+        class_of[a] = nxt
+        for b in range(a + 1, k):
+            if rel[a][b]:
+                if class_of[b] is not None:
+                    return ("raised", ("not-transitive", a, b))
+                class_of[b] = nxt
+        nxt += 1
+    for a, row in enumerate(rel):
+        same = tuple(map(class_of[a].__eq__, class_of))
+        if row != same:
+            b = next(b for b in range(k) if row[b] != same[b])
+            return ("raised", ("not-transitive", a, b))
+    return ("classes", tuple(class_of))
+
+
+def test_epsilon_relation_matches_oracle_on_wrong_complements():
+    # 2,000 seeded draws of up to thirty differences a minus c answered
+    # wrongly, mostly as 0 (inside the ideal), else as an id outside it, and
+    # in half the draws every difference of one a outside it: the relation
+    # then often fails to be reflexive or transitive, with witnesses chosen
+    # among several candidates
+    rng = random.Random(0)
+    names = sorted(EPSILON_TABLES)
+    structures = [check_boolean(InvSgp(EPSILON_TABLES[n]())).structure for n in names]
+    complements = [bs.rc for bs in structures]
+    for _ in range(2000):
+        i = rng.randrange(len(names))
+        bs, real = structures[i], complements[i]
+        ideal = rng.choice(enumerate_additive_ideals(bs))
+        outside = [x for x in range(bs.size) if x not in ideal.carrier]
+        outside = outside or [bs.base.zero]
+        down_pairs = [(a, c) for a in range(bs.size) for c in bs.base.down[a]]
+        wrong = {
+            rng.choice(down_pairs): rng.choice([bs.base.zero] * 4 + outside[:1])
+            for _ in range(rng.randint(0, 30))
+        }
+        if rng.random() < 0.5:
+            a = rng.randrange(bs.size)
+            wrong.update({(a, c): outside[0] for c in bs.base.down[a]})
+        bs.rc = lambda a, c: wrong.get((a, c), real(a, c))
+        want = oracle_epsilon_relation(bs, ideal.carrier)
+        try:
+            got = ("classes", epsilon_quotient(bs, ideal).congruence.class_of)
+        except CertificateFailed as e:
+            got = ("raised", e.witness)
+        if want[0] == "classes" and got[0] == "raised":  # a later certificate
+            assert got[1][0] not in ("not-reflexive", "not-transitive")
+        else:
+            assert got == want
+
+
+# -- check_congruence against the scan of every class member ------------------
+
+
+def oracle_check_congruence(s, cong):
+    """check_congruence as a scan: each class's least member against every
+    other member b, at every c, left side before right."""
+    cls = cong.class_of
+    t = s.table
+    classes = {}
+    for x in range(s.size):
+        classes.setdefault(cls[x], []).append(x)
+    for members in classes.values():
+        rep = members[0]
+        for b in members[1:]:
+            for c in range(s.size):
+                if cls[t[c][rep]] != cls[t[c][b]]:
+                    return (rep, b, c, "left")
+                if cls[t[rep][c]] != cls[t[b][c]]:
+                    return (rep, b, c, "right")
+    return None
+
+
+CONGRUENCE_TABLES = {**SEMIGROUP_BUILDERS, **EPSILON_TABLES}
+
+
+def law_suite_congruences(s):
+    """mu and, when s is Boolean, every epsilon congruence of s."""
+    congs = [mu_and_quotient(s).mu]
+    bs = check_boolean(s).structure if s.zero is not None else None
+    if bs is not None:
+        congs += [
+            epsilon_quotient(bs, i).congruence for i in enumerate_additive_ideals(bs)
+        ]
+    return congs
+
+
+@pytest.mark.parametrize("name", sorted(CONGRUENCE_TABLES))
+def test_check_congruence_matches_oracle(name):
+    # each congruence, then each with one element moved to a class of its own
+    s = InvSgp(CONGRUENCE_TABLES[name]())
+    for cong in law_suite_congruences(s):
+        assert check_congruence(s, cong) is None
+        assert oracle_check_congruence(s, cong) is None
+        for x in range(s.size):
+            cls = list(cong.class_of)
+            cls[x] = s.size
+            moved = Congruence(s.size, tuple(cls))
+            assert check_congruence(s, moved) == oracle_check_congruence(s, moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CONGRUENCE_TABLES)), st.data())
+def test_check_congruence_matches_oracle_on_edited_classes(name, data):
+    # one to three entries of a congruence's class_of set to any class id,
+    # merging classes, splitting them or moving elements between them
+    s = InvSgp(CONGRUENCE_TABLES[name]())
+    cls = list(data.draw(st.sampled_from(law_suite_congruences(s))).class_of)
+    for _ in range(data.draw(st.integers(1, 3))):
+        cls[data.draw(st.integers(0, s.size - 1))] = data.draw(st.integers(0, s.size))
+    cong = Congruence(s.size, tuple(cls))
+    assert check_congruence(s, cong) == oracle_check_congruence(s, cong)
+
+
+def test_check_congruence_reads_both_sides():
+    # on b2 this partition is respected by left translations and not by
+    # right ones; under the opposite product it is the other way round
+    s = corpus_semigroup("b2")
+    op = InvSgp(tuple(zip(*s.table)))
+    cong = Congruence(s.size, (0, 1, 2, 1, 2))
+    assert check_congruence(s, cong) == oracle_check_congruence(s, cong) == (1, 3, 1, "right")
+    assert check_congruence(op, cong) == oracle_check_congruence(op, cong)
+    assert check_congruence(op, cong)[3] == "left"
+
+
+def test_quotient_table_under_a_one_to_one_numbering():
+    # the identity numbering gives the table itself; a rotation of the ids
+    # gives the table relabelled
+    for name in SEMIGROUP_BUILDERS:
+        s = corpus_semigroup(name)
+        k = s.size
+        assert quotient_table(s, Congruence(k, tuple(range(k)))) is s.table
+        cls = (*range(1, k), 0)
+        q = quotient_table(s, Congruence(k, cls))
+        assert all(
+            q[cls[a]][cls[b]] == cls[s.table[a][b]] for a in range(k) for b in range(k)
+        )

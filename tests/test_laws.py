@@ -3,9 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from dataclasses import replace
 
 import biskit
+import biskit.boolean
 import biskit.typemon
+from biskit.boolean import check_boolean
 from biskit.core import InvSgp
 from biskit.corpus import (
     GROUPOID_BUILDERS,
@@ -205,6 +209,38 @@ def test_non_fundamental_mu_quotient_is_checked(monkeypatch):
     assert counts["check_boolean"] == 1
     assert law_type_fundamental(c) is None
     assert [t.base for t in type_monoids] == [c.mu.quotient]
+
+
+def test_one_certificate_per_map(monkeypatch):
+    # run_laws on I4 checks two maps: the identity (the projection onto the
+    # quotient by {0}) and the projection onto the quotient by everything.
+    # epsilon_quotient decides each once; laws anja, idept-sep-kernel and
+    # factorization read those certificates
+    calls = Counter()
+    for name in ("is_additive_morphism", "is_weakly_meet_preserving"):
+        real = getattr(biskit.boolean, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("biskit") and (
+                getattr(module, name, None) is real
+            ):
+                monkeypatch.setattr(module, name, counted)
+    results = run_laws(InvSgp(symmetric_inverse_table(4)))
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert calls == {"is_additive_morphism": 2, "is_weakly_meet_preserving": 2}
+
+
+def test_idept_sep_kernel_fails_on_a_mu_quotient_that_is_not_boolean():
+    c = Analysis(corpus_semigroup("i2xz2zero"))
+    chain = corpus_semigroup("chain3")
+    c.mu = replace(c.mu, quotient=chain)
+    failure = check_boolean(chain).failure
+    assert failure is not None
+    assert law_idept_sep_kernel(c) == ("mu-quotient-not-boolean", failure)
 
 
 def test_run_laws_times_each_law():
@@ -412,11 +448,11 @@ def unused_imports(tree):
     return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
-def unreferenced_private_defs(trees):
-    """(module, name) of each top-level function or class named _name that
-    no module reads: not as a name, an attribute or an imported name."""
+def names_read(trees):
+    """Every name the trees read: as a name, an attribute or an imported
+    name."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
                 used.add(n.id)
@@ -424,6 +460,13 @@ def unreferenced_private_defs(trees):
                 used.add(n.attr)
             elif isinstance(n, ast.alias):
                 used.add(n.name)
+    return used
+
+
+def unreferenced_private_defs(trees):
+    """(module, name) of each top-level function or class named _name that
+    no module reads."""
+    used = names_read(trees.values())
     return [
         (name, n.name)
         for name, tree in trees.items()
@@ -435,19 +478,43 @@ def unreferenced_private_defs(trees):
     ]
 
 
+def unreferenced_methods(trees, readers):
+    """(module, class, name) of each non-dunder method of a class in trees
+    whose name no tree in readers reads."""
+    used = names_read(readers)
+    return [
+        (name, cls.name, f.name)
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        and not f.name.startswith("__")
+        and f.name not in used
+    ]
+
+
+def parsed_modules(directory):
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                trees[name] = ast.parse(fh.read(), name)
+    return trees
+
+
 def test_src_has_no_assert_statements():
     # a certificate behind an assert is skipped under python -O; an unused
     # import is left behind by deleted code (__init__.py imports to
-    # re-export), and so is a private helper no module reads any more
-    pkg = os.path.dirname(os.path.abspath(biskit.__file__))
-    found, trees = [], {}
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name)) as fh:
-                tree = trees[name] = ast.parse(fh.read(), name)
-            found += [
-                (name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)
-            ]
-            if name != "__init__.py":
-                found += [(name, unused) for unused in unused_imports(tree)]
+    # re-export), and so is a private helper no module reads any more, or a
+    # method nothing in src/ or tests/ calls
+    trees = parsed_modules(os.path.dirname(os.path.abspath(biskit.__file__)))
+    found = []
+    for name, tree in trees.items():
+        found += [(name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        if name != "__init__.py":
+            found += [(name, unused) for unused in unused_imports(tree)]
+    tests = parsed_modules(os.path.dirname(os.path.abspath(__file__)))
+    readers = [*trees.values(), *tests.values()]
     assert found + unreferenced_private_defs(trees) == []
+    assert unreferenced_methods(trees, readers) == []
