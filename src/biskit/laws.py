@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import getitem, itemgetter
 
 from .boolean import (
@@ -27,6 +27,7 @@ from .boolean import (
     epsilon_quotient,
     ideal_closure,
     idempotent_ideals,
+    is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
     kernel_of,
@@ -52,7 +53,14 @@ from .core import (
     is_fundamental,
     mu_and_quotient,
 )
-from .errors import BiskitError, SizeCapExceeded, TooLarge, Undecided
+from .errors import (
+    BiskitError,
+    NotBelow,
+    NotCompatible,
+    SizeCapExceeded,
+    TooLarge,
+    Undecided,
+)
 from .groupoid import (
     Gpd,
     component_form,
@@ -728,21 +736,54 @@ def law_orthogonal(c):
     """orthogonalize certifies its result (raising on any violated post) for
     every pairwise compatible pair, then triple, of nonzero elements, in
     lexicographic order; only those are enumerated, from the compatible
-    partners of each element."""
+    partners of each element.
+
+    Each step orthogonalize takes is computed once.  step(x, y) adds y to a
+    family with join x: m = x meet y is defined, t = y - m and j = x v y are
+    (bs.rc and bs.join do not raise), orth[x][t], x <= x, t <= y and
+    join_of([x, t]) = j; it gives (t, j).  orthogonalize((a, b)) reads
+    compat[a][b] and step(a, b).  orthogonalize((a, b, c)) reads compat of
+    (a, c), and of (a, b) and (b, c), pairs that have passed already;
+    step(a, b) = (t2, j), step(j, c) = (t3, J), and orth of (a, t3) and
+    (t2, t3).  Its join check holds as join_of folds left:
+    join_of([a, t2, t3]) = j v t3 = J = join_of([a, b, c]).  A family with a
+    failed read goes to orthogonalize itself, which raises its witness in
+    the same order, or returns when that read is one it does not make
+    (orth[j][t3], j <= j).
+    """
     bs = c.bs
     s = bs.base
+    meet, orth, leq, compat = s.meet_table, s.orth, s.leq, s.compat
+    # later[a]: the nonzero b > a compatible with a, ascending
+    later = [
+        [b for b in _above(p, a) if b != s.zero]
+        for a, p in enumerate(s.compat_partners)
+    ]
+
+    @cache
+    def step(x, y):
+        m = meet[x][y]
+        if m is None:
+            return None
+        try:
+            t, j = bs.rc(y, m), bs.join(x, y)
+        except (NotBelow, NotCompatible):
+            return None
+        ok = orth[x][t] and leq[x][x] and leq[t][y] and s.join_of([x, t]) == j
+        return (t, j) if ok else None
+
     nonzero = s.nonzero()
-
-    def later(a):  # the nonzero b > a compatible with a, ascending
-        return [b for b in _above(s.compat_partners[a], a) if b != s.zero]
-
     for a in nonzero:
-        for b in later(a):
-            orthogonalize(bs, (a, b))
+        for b in later[a]:
+            if not (compat[a][b] and step(a, b)):
+                orthogonalize(bs, (a, b))
     for a in nonzero:
-        for b in later(a):
-            for c3 in later(b):
-                if s.compat[a][c3]:
+        ca, oa = compat[a], orth[a]
+        for b in later[a]:
+            ab = step(a, b)  # (t2, j)
+            for c3 in filter(ca.__getitem__, later[b]):
+                jc = ab and step(ab[1], c3)  # (t3, J)
+                if not (jc and oa[jc[0]] and orth[ab[0]][jc[0]]):
                     orthogonalize(bs, (a, b, c3))
     return None
 
@@ -1004,9 +1045,42 @@ def law_noise(c):
     return None
 
 
+def _meets_preserved(p):
+    """Whether map p sends each meet to the meet of the images, compared
+    one row of the source's meet table at a time; None when a premise of
+    law anja's argument fails on the tables read: a meet table with an
+    undefined entry, or p not monotone on down-sets."""
+    s, t, mp = p.source.base, p.target.base, p.map
+    smt, tmt = s.meet_table, t.meet_table
+    tables = (smt,) if tmt is smt else (smt, tmt)
+    if any(None in row for mt in tables for row in mt):
+        return None
+    t_down, image = [frozenset(d) for d in t.down], mp.__getitem__
+    if not all(t_down[mp[x]].issuperset(map(image, d)) for x, d in enumerate(s.down)):
+        return None
+    at_images = _picker(mp)  # row u of tmt read at every p(b)
+    return all(_picker(row)(mp) == at_images(tmt[mp[a]]) for a, row in enumerate(smt))
+
+
 def law_anja(c):
+    """Each epsilon projection p is weakly meet preserving: every lower
+    bound of p(a) and p(b) lies below p(x) for some common lower bound x of
+    a and b.  Decided here, not read from the certificate epsilon_quotient
+    raised on.
+
+    When both meet tables are total and p is monotone on down-sets, that is
+    p(a meet b) = p(a) meet p(b) for all a, b (_meets_preserved).  With m =
+    a meet b, the lower bounds that lift are those below p(m), and those of
+    p(a) and p(b) are the ones below p(a) meet p(b), which is above p(m):
+    all lift exactly when the two are equal.  When a premise fails on the
+    tables read, is_weakly_meet_preserving decides afresh.
+    """
     for ideal, rep in c.eps_reports:
-        if not rep.projection.weakly_meet_preserving:
+        p = rep.projection
+        holds = _meets_preserved(p)
+        if holds is None:
+            holds = is_weakly_meet_preserving(p.source, p.target, p.map)
+        if not holds:
             return (tuple(sorted(ideal.carrier)),)
     return None
 

@@ -1,6 +1,7 @@
 """Laws restricted-product, setminus-4, setminus-2, oj and fish decided on
-generators, laws definition and eggs by the atom decomposition, and law
-eggs' triples decided from its pairs.
+generators, laws definition and eggs by the atom decomposition, law eggs'
+triples decided from its pairs, and law orthogonal's families from the
+steps orthogonalize takes.
 
 On valid Boolean tables these passes must decide the laws with no full
 scan.  On a table corrupted against one premise of a pass, the pass
@@ -30,6 +31,7 @@ from biskit.laws import (
     law_eggs,
     law_fish,
     law_oj,
+    law_orthogonal,
     law_restricted_product,
     law_setminus_2,
     law_setminus_4,
@@ -72,6 +74,7 @@ def refuse_full_scans(mp):
         "_setminus_4_scan",
         "_definition_scan",
         "_eggs_scan",
+        "orthogonalize",  # law orthogonal's fallback, one family at a time
     ):
         mp.setattr(laws, scan, refuse(scan))
 
@@ -89,6 +92,7 @@ def assert_decided_without_scans(table):
             law_setminus_2,
             law_oj,
             law_fish,
+            law_orthogonal,
         ):
             assert law(c) is None, law.__name__
 

@@ -7,7 +7,8 @@ fall back to the same loop when their pass declines, which names the
 witness.  Law and oracle must return the same witness, or raise
 the same error, on the corpus, on generated products, on structures with
 one corrupted table entry, which makes the passes decline, and on the
-corpus with every pass made to decline.
+corpus with every pass made to decline.  Law orthogonal calls
+orthogonalize, its oracle's loop, on each family its cached steps miss.
 """
 
 import itertools
@@ -439,6 +440,57 @@ def test_law_kernels_match_oracles_on_corrupted_i3(corruption):
 def test_law_kernels_match_oracles_on_generated_structures(table):
     # law fish applies to every one of these, law eggs to the Boolean ones
     assert_kernels_match(Analysis(InvSgp(table)))
+
+
+# law orthogonal on powerset2 (0, atoms 1 and 2, top 3), one corruption per
+# read of a step or a triple: (table, a, b, value).  Its pairs (1, 2), (1, 3)
+# and (2, 3) give (t, j) = (2, 3), (2, 3) and (1, 3); its one triple
+# (1, 2, 3) reads step (1, 2) and step (3, 3) = (0, 3)
+ORTHOGONAL_CORRUPTIONS = {
+    "missing meet": ("meet_table", 1, 2, None),
+    "rc raising": ("rc_table", 2, 0, None),
+    "missing join": ("join_table", 1, 2, None),
+    "orth false": ("orth", 1, 2, False),
+    "x not below x": ("leq", 1, 1, False),
+    "t not below y": ("leq", 2, 3, False),
+    "join differs": ("join_table", 1, 3, 1),
+    "triple-only orth miss of a": ("orth", 1, 0, False),
+    "triple-only orth miss of t2": ("orth", 2, 0, False),
+    "triple-only missing meet": ("meet_table", 3, 3, None),
+    "miss orthogonalize accepts": ("leq", 3, 3, False),  # j <= j, step (3, 3)
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORTHOGONAL_CORRUPTIONS))
+def test_law_orthogonal_matches_oracle_on_each_read(kind):
+    corruption = ("powerset2", *ORTHOGONAL_CORRUPTIONS[kind])
+    got = outcome(law_orthogonal, corrupted(*corruption))
+    assert got == outcome(oracle_orthogonal, corrupted(*corruption))
+    assert got[0] == ("returned" if kind == "miss orthogonalize accepts" else "raised")
+
+
+def test_law_orthogonal_reads_compat_as_orthogonalize_does():
+    # pairs are read off compat_partners; a compat flag corrupted after that
+    # fails the pair as orthogonalize does, which the oracle never calls
+    c = Analysis(corpus_semigroup("powerset2"))
+    c.s.compat_partners
+    rows = [list(r) for r in c.s.compat]
+    rows[2][3] = False
+    c.s.compat = tuple(map(tuple, rows))
+    got = outcome(law_orthogonal, c)
+    assert got == outcome(orthogonalize, c.bs, (2, 3))
+    assert got[1] == "NotCompatible"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BOOLEAN_NAMES), st.sampled_from(("orth", "leq")), st.data())
+def test_law_orthogonal_matches_oracle_on_corrupted_order_tables(name, which, data):
+    k = corpus_semigroup(name).size
+    a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    corruption = (name, which, a, b, data.draw(st.booleans()))
+    assert outcome(law_orthogonal, corrupted(*corruption)) == (
+        outcome(oracle_orthogonal, corrupted(*corruption))
+    )
 
 
 @settings(max_examples=150, deadline=None)

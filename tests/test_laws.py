@@ -23,6 +23,7 @@ from biskit.laws import (
     GROUPOID_LAWS,
     SEMIGROUP_LAWS,
     Analysis,
+    law_anja,
     law_idept_sep_kernel,
     law_toby,
     law_type_fundamental,
@@ -234,6 +235,72 @@ def test_one_certificate_per_map(monkeypatch):
     assert calls == {"is_additive_morphism": 2, "is_weakly_meet_preserving": 2}
 
 
+def test_one_ideal_certificate_per_carrier(monkeypatch):
+    # run_laws on I4 meets two additive ideals, {0} and everything, in
+    # ideal_closure, enumerate_additive_ideals, epsilon_quotient and
+    # analyze_morphism: each carrier is verified once
+    carriers = []
+    real = biskit.boolean.verify_additive_ideal
+
+    def counted(bs, subset):
+        carriers.append(frozenset(subset))
+        return real(bs, subset)
+
+    monkeypatch.setattr(biskit.boolean, "verify_additive_ideal", counted)
+    s = InvSgp(symmetric_inverse_table(4))
+    results = run_laws(s)
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert sorted(map(len, carriers)) == [1, s.size]
+
+
+def forced_report(bs, mp, target=None):
+    """Analysis of bs whose one epsilon report, for the ideal {0}, projects
+    onto target (bs itself by default) by mp, its cached
+    weakly-meet-preserving verdict forced to True."""
+    c = Analysis(bs)
+    target = target or bs
+    proj = biskit.boolean.Morphism(bs, target, mp)
+    proj.__dict__["weakly_meet_preserving"] = True
+    ideal = biskit.boolean.AdditiveIdeal(frozenset({bs.zero}))
+    c.eps_reports = [(ideal, biskit.boolean.EpsilonReport(None, target, proj))]
+    return c
+
+
+def powerset2_without_a_meet():
+    """powerset2 with the meet of its atoms 1 and 2 read as undefined."""
+    bs = check_boolean(corpus_semigroup("powerset2")).structure
+    rows = [list(r) for r in bs.base.meet_table]
+    rows[1][2] = None
+    bs.base.meet_table = tuple(map(tuple, rows))
+    return bs
+
+
+def test_anja_decides_without_the_cached_verdict(monkeypatch):
+    # powerset2 is 0, atoms 1 and 2, top 3.  Sending both atoms to the top
+    # is monotone and takes 1 meet 2 = 0 to 0, not to 3 meet 3 = 3
+    bs = check_boolean(corpus_semigroup("powerset2")).structure
+    calls = []
+    real = biskit.laws.is_weakly_meet_preserving
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(biskit.laws, "is_weakly_meet_preserving", counted)
+    assert law_anja(forced_report(bs, (0, 1, 2, 3))) is None
+    assert law_anja(forced_report(bs, (0, 3, 3, 3))) == ((0,),)
+    assert calls == []
+    # 1 <= 3 but 3 <= 1 fails: not monotone, so the verdict is computed
+    # afresh, and the lower bounds of p(1) = p(2) = 3 do not lift below p(0)
+    assert law_anja(forced_report(bs, (0, 3, 3, 1))) == ((0,),)
+    assert calls == [(0, 3, 3, 1)]
+    # an undefined meet in the source or the target table: decided afresh
+    identity = (0, 1, 2, 3)
+    assert law_anja(forced_report(powerset2_without_a_meet(), identity)) is None
+    assert law_anja(forced_report(bs, identity, powerset2_without_a_meet())) is None
+    assert calls == [(0, 3, 3, 1), identity, identity]
+
+
 def test_idept_sep_kernel_fails_on_a_mu_quotient_that_is_not_boolean():
     c = Analysis(corpus_semigroup("i2xz2zero"))
     chain = corpus_semigroup("chain3")
@@ -402,6 +469,16 @@ def test_certificates_hold_under_python_O():
             core.mu_and_quotient(corpus_semigroup("i2"))
         except CertificateFailed as e:
             print("mu", e.witness[0])
+        from biskit.laws import law_anja
+        # a projection sending both atoms to the top, its cached verdict
+        # forced to True
+        top = pset.top
+        proj = boolean.Morphism(pset, pset, (0, top, top, top))
+        proj.__dict__["weakly_meet_preserving"] = True
+        ideal = boolean.AdditiveIdeal(frozenset({0}))
+        a = Analysis(pset)
+        a.eps_reports = [(ideal, boolean.EpsilonReport(None, pset, proj))]
+        print("anja", law_anja(a))
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
@@ -433,6 +510,8 @@ def test_certificates_hold_under_python_O():
         "product product-not-boolean",
         "mu mu-not-a-congruence",
     ]
+    # and law anja must refuse a projection that does not preserve meets
+    assert out.split("\n")[18] == "anja ((0,),)"
 
 
 def unused_imports(tree):
