@@ -271,19 +271,24 @@ def orthogonalize(bs, elems):
 K_OF_GROUPOID_CAP = 4096
 
 
-def _bisection_count(g):
-    """How many local bisections g has, without enumerating them.
+def _bisection_count(identities, d, r, cap=None):
+    """How many local bisections a groupoid has, without enumerating them.
 
-    A local bisection picks, in each connected component, a partial
-    bijection between the component's identities and one arrow per matched
-    pair.  With n identities and isotropy groups of order h that is the sum
-    over r of C(n, r)^2 r! h^r; the components multiply.
+    The groupoid is given by its identities and the domain d and range r of
+    each arrow.  A local bisection picks, in each connected component, a
+    partial bijection between the component's identities and one arrow per
+    matched pair.  With n identities and isotropy groups of order h that is
+    the sum over m of C(n, m)^2 m! h^m; the components multiply.  With a
+    cap, a count above it raises TooLarge naming the count and the cap.
     """
-    loops = Counter(e for e, f in zip(g.d, g.r) if e == f)
+    loops = Counter(e for e, f in zip(d, r) if e == f)
     count = 1
-    for ids in _dr_classes(g.identities, g.d, g.r):
+    for ids in _dr_classes(identities, d, r):
         n, h = len(ids), loops[ids[0]]
-        count *= sum(comb(n, r) ** 2 * factorial(r) * h**r for r in range(n + 1))
+        count *= sum(comb(n, m) ** 2 * factorial(m) * h**m for m in range(n + 1))
+    if cap is not None and count > cap:
+        name = "K_OF_GROUPOID_CAP=" if cap == K_OF_GROUPOID_CAP else ""
+        raise TooLarge(f"local bisection count {count} above cap {name}{cap}")
     return count
 
 
@@ -293,14 +298,11 @@ def _bisections(g, cap):
     Enumerated as partial matchings between identities (a chosen arrow per
     matched pair), so nothing outside the result is ever generated.  Sorted
     by (size, membership) so the empty set is id 0 and singletons follow;
-    k_of_groupoid relies on this order, in which a minus its largest arrow
+    KOfGroupoid relies on this order, in which a minus its largest arrow
     comes before a.  Raises TooLarge, naming the count and the cap, before
     enumerating more than cap of them.
     """
-    count = _bisection_count(g)
-    if count > cap:
-        name = "K_OF_GROUPOID_CAP=" if cap == K_OF_GROUPOID_CAP else ""
-        raise TooLarge(f"local bisection count {count} above cap {name}{cap}")
+    _bisection_count(g.identities, g.d, g.r, cap)
     ids = g.identities
     arrows = {}
     for x in range(g.size):
@@ -325,10 +327,66 @@ def _bisections(g, cap):
 
 @dataclass(frozen=True)
 class KOfGroupoid:
-    table: tuple = field(repr=False)  # rows of ids: table[a][b] is a*b
+    """The local bisections of a groupoid under the setwise product.
+
+    A bisection b is read as the bitmask of its arrows.  r is injective on
+    b, so an arrow x composes with at most one y in b, the one with r(y) =
+    d(x): single[x][b], the mask of {x}*b, is one lookup in b's range dict.
+    The setwise product a*b is the union over the arrows x of a of {x}*b.
+    Its terms have distinct ranges, so a*b is (a - {top})*b OR-ed with
+    {top}*b, top the largest arrow of a; a - {top} comes earlier in
+    _bisections' (size, membership) order.  column(c) reads every b*c that
+    way, and table, every product, is built on first read.  A product mask
+    that is not a bisection raises CertificateFailed.
+    """
+
     bisections: tuple  # id -> frozenset of groupoid ids
     groupoid: Gpd
     index: dict = field(compare=False, repr=False)  # bisection -> id
+
+    @cached_property
+    def _steps(self):
+        """(single, steps, mask_id): steps lists (id of b - {top}, top) for
+        each id b > 0, top its largest arrow; mask_id reads a mask as an id."""
+        g = self.groupoid
+        pt, d, r = g.ptable, g.d, g.r
+        by_range = [{r[y]: y for y in b} for b in self.bisections]
+        single = [
+            [1 << pt[x][rb[d[x]]] if d[x] in rb else 0 for rb in by_range]
+            for x in range(g.size)
+        ]
+        masks = [sum(1 << x for x in a) for a in self.bisections]
+        mask_id = {m: i for i, m in enumerate(masks)}
+        steps = []
+        for m in masks[1:]:
+            top = m.bit_length() - 1
+            steps.append((mask_id[m ^ (1 << top)], top))
+        return single, steps, mask_id
+
+    def _ids(self, masks):
+        *_, mask_id = self._steps
+        try:
+            return tuple(map(mask_id.__getitem__, masks))
+        except KeyError as e:
+            raise CertificateFailed(("product-not-a-bisection", e.args[0])) from None
+
+    def column(self, c):
+        """b*c for every id b, as ids."""
+        single, steps, _ = self._steps
+        at_c = [row[c] for row in single]
+        col = [0]  # the empty bisection is id 0
+        for rest, top in steps:
+            col.append(col[rest] | at_c[top])
+        return self._ids(col)
+
+    @cached_property
+    def table(self):
+        """Rows of ids, table[a][b] = a*b, built a row at a time."""
+        single, steps, _ = self._steps
+        rows = [(0,) * (len(steps) + 1)]
+        for rest, top in steps:
+            rows.append(tuple(map(or_, rows[rest], single[top])))
+        return tuple(map(self._ids, rows))
 
     @cached_property
     def structure(self):
@@ -344,38 +402,17 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     """The Boolean inverse monoid of all local bisections of g.
 
     Product is the setwise partial product; the natural order comes out as
-    inclusion and the atoms as the singletons.  The table is validated like
-    any other when structure is first read: it must pass check_boolean, else
-    CertificateFailed names the failure.  A caller that proves the table
-    isomorphic to a validated one, as rook.decompose does row by row, needs
-    no second validation: the table is the validated one relabelled.
-
-    The table is built row by row as bitmasks of arrows.  r is injective on
-    a bisection b, so an arrow x composes with at most one y in b, the one
-    with r(y) = d(x): {x}*b is one lookup in b's range dict.  Products of
-    distinct arrows of a bisection a have distinct ranges, so the setwise
-    product distributes over the disjoint union a = (a - {top}) + {top}:
-    row a is row (a - {top}) OR-ed entry by entry with {top}*b.  With top
-    the largest arrow of a, a - {top} is a smaller bisection and comes
-    earlier in _bisections' (size, membership) order, so its row is built.
+    inclusion and the atoms as the singletons.  Only the bisections are
+    enumerated here: the table is built when first read, and validated like
+    any other when structure is first read (check_boolean, else
+    CertificateFailed names the failure).  Every reader of the table in
+    biskit goes through structure: law finite, booleanize, the groupoid laws
+    and build_Mn_G0.  rook.decompose reads neither: it checks its map
+    against column products, on the generators of a validated table, and
+    that proves the product it reads the validated one relabelled.
     """
     carrier = _bisections(g, cap)
-    index = {a: i for i, a in enumerate(carrier)}
-    pt, d, r = g.ptable, g.d, g.r
-    by_range = [{r[y]: y for y in b} for b in carrier]
-    single = [  # single[x][b]: the mask of {x}*b
-        [1 << pt[x][rb[d[x]]] if d[x] in rb else 0 for rb in by_range]
-        for x in range(g.size)
-    ]
-    masks = [sum(1 << x for x in a) for a in carrier]
-    mask_id = {m: i for i, m in enumerate(masks)}
-    table = [(0,) * len(carrier)]  # the empty bisection is id 0
-    for m in masks[1:]:
-        top = m.bit_length() - 1
-        rest = map(masks.__getitem__, table[mask_id[m ^ (1 << top)]])
-        row = map(int.__or__, rest, single[top])
-        table.append(tuple(map(mask_id.__getitem__, row)))
-    return KOfGroupoid(tuple(table), tuple(carrier), g, index)
+    return KOfGroupoid(tuple(carrier), g, {a: i for i, a in enumerate(carrier)})
 
 
 def atoms_groupoid(bs):
@@ -424,27 +461,30 @@ def verify_additive_ideal(bs, subset):
 
     Checks, in order: the zero is in; for each member a (in the subset's own
     iteration order) and each x, x*a then a*x are in; for each compatible
-    pair a < b of members, their join is in.  A member is decided at once by
-    whether its whole column and row lie in the subset, and its joins by
-    whether the joins with its compatible partners do; only a member that
-    fails is scanned one x (one b) at a time, to name the first witness.
+    pair a < b of members, their join is in.
+
+    The products are decided on the generators g: g*a and a*g in the subset
+    for every member a.  The x with x*a and a*x in the subset for every
+    member a are closed under the product, as (x*y)*a = x*(y*a) and
+    a*(x*y) = (a*x)*y, and the generators generate S.  Only when that fails
+    are the members scanned one x at a time, to name the first witness.  A
+    member's joins are decided by whether the joins with its compatible
+    partners are in; only one that fails is scanned one b at a time.
     """
     s = bs.base
     if s.zero not in subset:
         return ("missing-zero",)
-    t, products = s.table, s.product_masks
+    t = s.table
     members = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    outside = ~_mask(members)
-    for a in subset:
-        if not products[a] & outside:
-            continue
-        for x in range(s.size):
-            if t[x][a] not in subset:
-                return ("left-ideal", x, a)
-            if t[a][x] not in subset:
-                return ("right-ideal", a, x)
+    inside = members.__contains__
+    if not all(
+        all(map(inside, map(t[g].__getitem__, members)))
+        and all(map(inside, map(itemgetter(g), map(t.__getitem__, members))))
+        for g in s.generators
+    ):
+        return _ideal_scan(t, subset)
     ordered = sorted(subset)
-    partners, jt, inside = s.compat_partners, s.join_table, members.__contains__
+    partners, jt = s.compat_partners, s.join_table
     for i, a in enumerate(ordered):
         # joins with every compatible member, a superset of the pairs a < b
         if all(map(inside, map(jt[a].__getitem__, filter(inside, partners[a])))):
@@ -452,6 +492,18 @@ def verify_additive_ideal(bs, subset):
         for b in ordered[i + 1 :]:
             if s.compat[a][b] and jt[a][b] not in subset:
                 return ("join", a, b)
+    return None
+
+
+def _ideal_scan(t, subset):
+    """The first ("left-ideal", x, a) or ("right-ideal", a, x), for the
+    members a in subset's order and each x, with x*a or a*x outside it."""
+    for a in subset:
+        for x in range(len(t)):
+            if t[x][a] not in subset:
+                return ("left-ideal", x, a)
+            if t[a][x] not in subset:
+                return ("right-ideal", a, x)
     return None
 
 

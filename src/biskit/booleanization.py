@@ -14,9 +14,11 @@ import itertools
 from dataclasses import dataclass
 
 from .boolean import (
+    K_OF_GROUPOID_CAP,
     BoolInvSgp,
     KOfGroupoid,
     Morphism,
+    _bisection_count,
     as_boolean,
     check_multiplicative,
     check_zero_preserving,
@@ -57,8 +59,19 @@ def booleanize(s):
     product law (below a) * (below b) = below(a*b) needs no check of its own
     on a validated table: for z <= a*b, y = b*d(z) <= b and x = a*r(y) <= a
     give x*y = z.  Law restricted-product checks it independently.
+
+    The bisections are counted from s0's own domains and ranges first, so
+    a structure above K_OF_GROUPOID_CAP raises TooLarge before the
+    restricted groupoid is built.
     """
     s0 = s if s.zero is not None else adjoin_zero(s)
+    nonzero = s0.nonzero()
+    _bisection_count(
+        [e for e in s0.idempotents if e != s0.zero],
+        [s0.d[x] for x in nonzero],
+        [s0.r[x] for x in nonzero],
+        K_OF_GROUPOID_CAP,
+    )
     g = restricted_groupoid(s0)
     pos = {lab: i for i, lab in enumerate(g.labels)}
     kg = k_of_groupoid(g)

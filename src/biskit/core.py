@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import and_, eq, itemgetter
+from functools import cached_property, reduce
+from operator import and_, eq, itemgetter, or_
 
 from .errors import (
     CertificateFailed,
@@ -58,28 +58,26 @@ def _parse_table(text, allow_undefined):
     body = lines[1:]
     if len(body) != k:
         raise ParseError(f"expected {k} table rows, found {len(body)}")
-    low = -1 if allow_undefined else 0
+    spelled = {str(v): v for v in range(k)}  # the canonical spelling of each id
+    if allow_undefined:
+        spelled["-1"] = None
+    read = spelled.__getitem__
     table = []
     for i, row in enumerate(body):
         if len(row) != k:
             raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
         try:
-            ints = list(map(int, row))
-        except ValueError:
-            ints = None
-        if ints is None or min(ints) < low or max(ints) >= k:
+            table.append(tuple(map(read, row)))
+        except KeyError:
             table.append(_parse_row(row, i, k, allow_undefined))
-        elif allow_undefined and -1 in ints:
-            table.append(tuple(None if v == -1 else v for v in ints))
-        else:
-            table.append(tuple(ints))
     return tuple(table)
 
 
 def _parse_row(row, i, k, allow_undefined):
     """Row i read a token at a time, raising ParseError at the first bad
     token or out-of-range entry; _parse_table reads a row this way only when
-    its whole-row conversion or range check has failed."""
+    a token of it is not the canonical spelling of an entry, as "01", "+1"
+    or "1_0", which int reads, are not."""
     ints = []
     for tok in row:
         try:
@@ -310,16 +308,6 @@ class InvSgp:
         return tuple(zip(*self.table))
 
     @cached_property
-    def product_masks(self):
-        """product_masks[a]: bitset of every u*a and a*u, column and row a.
-
-        The columns are read here rather than through cols, so that a
-        structure that only has its ideals verified does not keep them.
-        """
-        cols = zip(*self.table)
-        return tuple(_mask(set(col).union(row)) for col, row in zip(cols, self.table))
-
-    @cached_property
     def compat(self):
         """compat[a][b]: both a'*b and a*b' are idempotent."""
         t, inv = self.table, self.inv
@@ -338,14 +326,20 @@ class InvSgp:
 
     @cached_property
     def orth(self):
-        """orth[a][b]: a'*b = a*b' = 0.  Only meaningful with a zero."""
+        """orth[a][b]: a'*b = a*b' = 0.  Only meaningful with a zero.
+
+        Row a is read at the b where row a' holds the zero, the only b that
+        can pass."""
         if self.zero is None:
             raise NoZero("orthogonality needs a zero")
         k, t, inv, z = self.size, self.table, self.inv, self.zero
-        return tuple(
-            tuple(t[inv[a]][b] == z and t[a][inv[b]] == z for b in range(k))
-            for a in range(k)
-        )
+        out = []
+        for ra, ia in zip(t, inv):
+            row = [False] * k
+            for b in _positions(t[ia], z):
+                row[b] = ra[inv[b]] == z
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def meet_table(self):
@@ -361,9 +355,25 @@ class InvSgp:
         """join_table[a][b] is the least upper bound id, or None.
 
         Read off up-set bitsets: the join is the element whose up-set is
-        up[a] & up[b], found by one dict lookup per pair.
+        up[a] & up[b], found by one dict lookup.  Only the b below some c in
+        up[a] are looked up; for any other b that AND is empty, and no
+        element has an empty up-set (a <= a), so the entry is None.  Which
+        b lie below c is read off up too.
         """
-        return _bound_table(tuple(map(_mask, self.up)))
+        k, ups = self.size, self.up
+        masks = tuple(map(_mask, ups))
+        owner = {m: x for x, m in enumerate(masks)}.get
+        below = [0] * k  # below[c]: the b with c in up[b]
+        for b, up in enumerate(ups):
+            for c in up:
+                below[c] |= 1 << b
+        table = []
+        for ua, up in zip(masks, ups):
+            row = [None] * k
+            for b in _ids(reduce(or_, map(below.__getitem__, up))):
+                row[b] = owner(ua & masks[b])
+            table.append(tuple(row))
+        return tuple(table)
 
     def join_of(self, xs):
         """Least upper bound of an iterable of ids, or None if it fails."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .boolean import BoolInvSgp, KOfGroupoid, atoms_groupoid, k_of_groupoid
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
@@ -155,7 +156,7 @@ class DecompositionCertificate:
     atoms: Gpd  # the atoms groupoid G(S)
     rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(form)
     target: KOfGroupoid  # K(reconstruct(form))
-    iso: tuple  # source id -> product id, fully table-checked
+    iso: tuple  # source id -> product id, checked on the generators
 
     @property
     def product(self):
@@ -169,15 +170,24 @@ def decompose(bs):
     rebuilt as the groupoid n_i x G_i x n_i, whose local bisections are the
     n_i-by-n_i rook matrices over G_i with zero; the local bisections of all
     rebuilt components together are the product of those matrix monoids.
-    Each element goes to the bisection of the rebuilt atoms below it, and
-    that map is re-checked row by row on the full tables; CertificateFailed
-    names the first row a where it fails to be multiplicative.  This is the
-    one place K is built for a structure's atoms; theta_iso reads it.
+    Each element goes to the bisection of the rebuilt atoms below it.  This
+    is the one place K is built for a structure's atoms; theta_iso reads it.
 
-    The check also certifies K's table, which is therefore not validated
-    here: iso is a bijection and iso(a*b) = iso(a)*iso(b) on every row, so
-    K's table is the validated table of bs relabelled by iso and passes
-    every check bs passed.  Reading product validates it all the same.
+    iso is checked to be a bijection onto K(R), R the rebuilt groupoid, and
+    multiplicative on the generators of S only, one column of K each:
+    iso(a*g) = iso(a)*iso(g) for every a.  That suffices.  The b with
+    iso(a*b) = iso(a)*iso(b) for every a are closed under the product: for
+    two of them b and c, iso(a*(b*c)) = iso((a*b)*c) = iso(a*b)*iso(c) =
+    (iso(a)*iso(b))*iso(c) = iso(a)*(iso(b)*iso(c)) = iso(a)*iso(b*c), since
+    S is associative (validated) and so is the setwise product of
+    bisections of the validated groupoid R.  The generators generate S, so
+    iso is multiplicative everywhere.  When the check fails, the rows of
+    K's table are scanned, and CertificateFailed names the first row a
+    where iso fails to be multiplicative.
+
+    K's table is therefore neither built nor validated here: it is the
+    validated table of bs relabelled by iso.  Every reader of it goes
+    through product, which validates it all the same.
     """
     if bs.top is None:
         raise NotMonoid("decomposition needs an identity element")
@@ -189,7 +199,7 @@ def decompose(bs):
     )
     kg = k_of_groupoid(reconstruct(coords.form))
 
-    s, p = bs.base, kg.table
+    s = bs.base
     rebuilt = dict(zip(ag.labels, coords.rebuilt))
     iso = tuple(
         kg.index.get(frozenset(rebuilt[x] for x in s.down[a] if x in rebuilt))
@@ -197,11 +207,23 @@ def decompose(bs):
     )
     if s.size != len(kg.bisections) or set(iso) != set(range(s.size)):
         raise CertificateFailed(("decomposition-not-bijective",))
-    for a in range(s.size):  # row a: iso(a*b) against iso(a)*iso(b) for every b
-        if tuple(map(iso.__getitem__, s.table[a])) != tuple(
-            map(p[iso[a]].__getitem__, iso)
-        ):
-            raise CertificateFailed(("decomposition-not-iso", a))
+
+    def column_holds(g):  # iso(a*g) against iso(a)*iso(g), every a
+        col = kg.column(iso[g])
+        got = map(iso.__getitem__, map(itemgetter(g), s.table))
+        return tuple(got) == tuple(map(col.__getitem__, iso))
+
+    if not all(map(column_holds, s.generators)):
+        # K's table holds the products its columns hold, so some row
+        # differs too, and the scan names the first
+        p = kg.table
+        a = next(
+            a
+            for a, row in enumerate(s.table)
+            if tuple(map(iso.__getitem__, row))
+            != tuple(map(p[iso[a]].__getitem__, iso))
+        )
+        raise CertificateFailed(("decomposition-not-iso", a))
     return DecompositionCertificate(
         signature=signature,
         form=coords.form,
@@ -234,10 +256,12 @@ def theta_iso(bs, decomposition=None):
 
     decomposition, decompose(bs) when not given, sends a to the bisection
     {rebuilt(x) : x an atom below a} of R and has checked that map as an
-    isomorphism S -> K(R) on the full tables.  What is left is that rebuilt
-    carries G(S) onto R, checked on the m-by-m partial tables of the m
-    atoms; then K(rebuilt) is an isomorphism K(G(S)) -> K(R), and composing
-    its inverse gives a -> (atoms below a) as an isomorphism S -> K(G(S)).
+    isomorphism S -> K(R) on the generators of S.  K's table is not read
+    here either; every reader of it goes through KOfGroupoid.structure,
+    which validates it.  What is left is that rebuilt carries G(S) onto R,
+    checked on the m-by-m partial tables of the m atoms; then K(rebuilt) is
+    an isomorphism K(G(S)) -> K(R), and composing its inverse gives a ->
+    (atoms below a) as an isomorphism S -> K(G(S)).
     An isomorphism preserves the natural order, hence joins and atoms, so
     every element is the join of the atoms below it.  A rebuilt map that is
     not a groupoid isomorphism raises CertificateFailed.

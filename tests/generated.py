@@ -59,6 +59,11 @@ i4_subsemigroup_tables = st.lists(partial_bijections, min_size=1, max_size=3).ma
 )
 
 
+def bisection_count(g):
+    """How many local bisections the groupoid g has."""
+    return _bisection_count(g.identities, g.d, g.r)
+
+
 def cyclic_group(h):
     """Z_h as a one-object groupoid: i * j = i + j mod h."""
     return Gpd([[(i + j) % h for j in range(h)] for i in range(h)])
@@ -76,5 +81,5 @@ component_forms = (
             tuple(Component(n, cyclic_group(h), (), ()) for n, h in nh)
         )
     )
-    .filter(lambda form: _bisection_count(reconstruct(form)) <= K_ORACLE_BISECTIONS)
+    .filter(lambda form: bisection_count(reconstruct(form)) <= K_ORACLE_BISECTIONS)
 )

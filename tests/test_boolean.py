@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biskit.boolean import (
-    _bisection_count,
     _bisections,
     analyze_morphism,
     as_boolean,
@@ -28,6 +27,7 @@ from biskit.boolean import (
     Morphism,
     orthogonalize,
     preceq,
+    verify_additive_ideal,
 )
 from biskit.core import (
     Congruence,
@@ -59,7 +59,7 @@ from biskit.errors import (
 from biskit.booleanization import booleanize
 from biskit.groupoid import component_form, Gpd, reconstruct
 from biskit.rook import theta_iso
-from generated import generated_table, i4_subsemigroup_tables, then
+from generated import bisection_count, generated_table, i4_subsemigroup_tables, then
 
 
 def boolean(name):
@@ -161,7 +161,7 @@ def test_k_of_groupoid_cap():
     ids=repr,
 )
 def test_bisection_count_matches_enumeration(g):
-    assert _bisection_count(g) == len(_bisections(g, cap=10_000))
+    assert bisection_count(g) == len(_bisections(g, cap=10_000))
 
 
 def test_k_is_boolean_with_inclusion_order():
@@ -575,6 +575,59 @@ def test_idempotent_ideals_match_subset_scan_on_generated_structures(table):
     # conjugation, and some tables have no zero at all
     s = InvSgp(table)
     assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
+
+
+def oracle_verify_additive_ideal(bs, subset):
+    """verify_additive_ideal by the plain scan: every member against every
+    x, then every pair of members."""
+    s = bs.base
+    if s.zero not in subset:
+        return ("missing-zero",)
+    t = s.table
+    for a in subset:
+        for x in range(s.size):
+            if t[x][a] not in subset:
+                return ("left-ideal", x, a)
+            if t[a][x] not in subset:
+                return ("right-ideal", a, x)
+    ordered = sorted(subset)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if s.compat[a][b] and s.join_table[a][b] not in subset:
+                return ("join", a, b)
+    return None
+
+
+@st.composite
+def ideal_candidates(draw):
+    """(s, members in a drawn order): an ideal of s read off an idempotent
+    ideal, the same with one member removed, or a drawn set with the zero."""
+    named = st.sampled_from(sorted(IDEAL_ORACLE_TABLES)).map(
+        lambda name: IDEAL_ORACLE_TABLES[name]()
+    )
+    s = InvSgp(draw(st.one_of(named, i4_subsemigroup_tables)))
+    fsets = idempotent_ideals(s)
+    kind = draw(st.sampled_from(("ideal", "ideal-minus-one", "drawn")))
+    if kind == "drawn" or not fsets:
+        members = {x for x in range(s.size) if draw(st.booleans())}
+        members.add(s.zero if s.zero is not None else 0)
+    else:
+        fset = draw(st.sampled_from(fsets))
+        members = {x for x in range(s.size) if s.d[x] in fset}
+        if kind == "ideal-minus-one":
+            members.discard(draw(st.sampled_from(sorted(members))))
+    return s, draw(st.permutations(sorted(members)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_candidates())
+def test_verify_additive_ideal_matches_the_plain_scan(candidate):
+    s, order = candidate
+    bs = dataclasses.make_dataclass("Wrapped", ["base"])(s)
+    for subset in (order, frozenset(order)):
+        assert verify_additive_ideal(bs, subset) == oracle_verify_additive_ideal(
+            bs, subset
+        )
 
 
 # -- is_weakly_meet_preserving against the set version -----------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import biskit.booleanization as booleanization
 from biskit.boolean import check_boolean, check_multiplicative
 from biskit.booleanization import (
     FILTER_SCAN_CAP,
@@ -12,8 +13,8 @@ from biskit.booleanization import (
     gamma_extension,
     principal_map_is_iso,
 )
-from biskit.core import semigroup_iso
-from biskit.corpus import corpus_semigroup
+from biskit.core import InvSgp, semigroup_iso
+from biskit.corpus import corpus_semigroup, symmetric_inverse_table
 from biskit.errors import CertificateFailed
 from biskit.groupoid import groupoid_iso
 from biskit.laws import run_laws
@@ -156,3 +157,18 @@ def test_booleanization_iso_negative():
 def test_booleanization_of_z2_is_z2zero():
     b = booleanize(corpus_semigroup("z2-group"))
     assert semigroup_iso(b.bs.base, corpus_semigroup("z2zero")) is not None
+
+
+def test_booleanization_finite_skips_above_the_cap_before_the_groupoid(monkeypatch):
+    # I4 has 83,135,918,096,825 local bisections: the count read off I4's own
+    # domains and ranges refuses it, so its restricted groupoid is never built
+    def refused(s):
+        raise AssertionError("restricted_groupoid ran")
+
+    monkeypatch.setattr(booleanization, "restricted_groupoid", refused)
+    (r,) = run_laws(InvSgp(symmetric_inverse_table(4)), keys=("booleanization-finite",))
+    assert (r.status, r.note) == (
+        "skip",
+        "TooLarge: local bisection count 83135918096825 above cap "
+        "K_OF_GROUPOID_CAP=4096",
+    )

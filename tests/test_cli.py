@@ -4,14 +4,17 @@ import os
 
 import pytest
 
+import biskit.boolean
 import biskit.rook as rook
-from biskit.boolean import check_boolean, is_simple, is_zero_simplifying
+from biskit.boolean import KOfGroupoid, check_boolean, is_simple, is_zero_simplifying
 from biskit.cli import Report, build_report, main
 from biskit.core import InvSgp, is_fundamental, parse_semigroup
 from biskit.corpus import (
+    BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
     corpus_semigroup,
     corpus_text,
+    render_ist,
     symmetric_inverse_table,
 )
 from biskit.rook import decompose
@@ -173,6 +176,36 @@ def test_build_report_validates_i4_once():
         rep = build_report(InvSgp(table))
     assert rep.decomposition_signature == [[4, 1, "trivial"]]
     assert counts == {"InvSgp": 1, "check_boolean": 1}
+
+
+def refuse_full_scans(mp):
+    """Make analyze's slow paths raise: the distributivity scan, the ideal
+    product scan and K's table."""
+
+    def refuse(what):
+        def refused(*args):
+            raise AssertionError(f"{what} ran")
+
+        return refused
+
+    mp.setattr(biskit.boolean, "_distributivity_failure", refuse("distributivity"))
+    mp.setattr(biskit.boolean, "_ideal_scan", refuse("ideal scan"))
+    mp.setattr(KOfGroupoid, "table", property(refuse("KOfGroupoid.table")))
+
+
+@pytest.mark.parametrize("name", ["i4", *BOOLEAN_NAMES])
+def test_analyze_decides_without_scans(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.ist"
+    if name == "i4":
+        path.write_text(render_ist(symmetric_inverse_table(4)))
+    else:
+        path.write_text(corpus_text(f"{name}.ist"))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    want = capsys.readouterr().out
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_full_scans(mp)
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_type_json(data, capsys):

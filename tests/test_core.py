@@ -30,6 +30,7 @@ from biskit.corpus import (
 )
 from biskit.errors import (
     BiskitError,
+    NoZero,
     NotAssociative,
     ParseError,
     SizeCapExceeded,
@@ -131,7 +132,9 @@ def test_parse_table_matches_the_token_loop(text, allow_undefined):
     assert got == parse_outcome(oracle_parse_table, text, allow_undefined)
 
 
-TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "x", "01"])
+TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "-2", "x", "01", "-0", "+1", "007", "1_0"]
+)
 
 
 @settings(max_examples=200)
@@ -408,6 +411,15 @@ def naive_join_table(s):
     return tuple(out)
 
 
+def naive_orth(s):
+    """orth by its definition: a'*b and a*b' both the zero."""
+    t, inv, z = s.table, s.inv, s.zero
+    return tuple(
+        tuple(t[inv[a]][b] == z and t[a][inv[b]] == z for b in range(s.size))
+        for a in range(s.size)
+    )
+
+
 def row_scan_witness(rows):
     """The NotAssociative triple of the row scan, or None."""
     try:
@@ -444,7 +456,7 @@ def assert_generators_decide_associativity(rows, want):
 
 def assert_kernels_match_oracles(table):
     """Same acceptance, same NotAssociative triple (of the triple scan and
-    of the row scan), same order tables."""
+    of the row scan), same order tables, same orthogonality."""
     rows = tuple(tuple(r) for r in table)
     want = naive_associativity_witness(rows)
     assert row_scan_witness(rows) == want
@@ -460,6 +472,11 @@ def assert_kernels_match_oracles(table):
     assert want is None
     assert s.meet_table == naive_meet_table(s)
     assert s.join_table == naive_join_table(s)
+    if s.zero is None:
+        with pytest.raises(NoZero):
+            s.orth
+    else:
+        assert s.orth == naive_orth(s)
 
 
 KERNEL_TABLES = {
@@ -494,7 +511,10 @@ def test_kernels_match_oracles_on_generated_structures(table, data):
     # the triple scan, so the row scan is the oracle; then one entry corrupted
     rows = tuple(map(tuple, table))
     assert_generators_decide_associativity(rows, None)
-    assert InvSgp(rows).generators == _generators(rows)
+    s = InvSgp(rows)
+    assert s.generators == _generators(rows)
+    if s.zero is not None:
+        assert s.orth == naive_orth(s)
     k = len(table)
     a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
     table[a][b] = v

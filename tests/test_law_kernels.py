@@ -389,7 +389,7 @@ def test_law_ale_matches_oracle_on_a_wrong_order():
 
 # cached tables read off the multiplication table; a corrupted table drops
 # them so that every reader, kernel and oracle alike, sees the corruption
-FROM_TABLE = ("cols", "product_masks", "compat", "compat_partners", "orth")
+FROM_TABLE = ("cols", "compat", "compat_partners", "orth")
 
 
 def corrupted(name, which, a, b, value):

@@ -198,6 +198,21 @@ def test_fundamental_mu_quotient_is_not_checked_again(monkeypatch):
     assert len(type_monoids) == 1
 
 
+def test_verify_builds_one_k_table_on_i4(monkeypatch):
+    # decompose checks its map on columns of K; only law finite reads the
+    # product, so K's table is built once
+    built = []
+    real = biskit.boolean.KOfGroupoid.table.func
+
+    def counted(kg):
+        built.append(len(kg.bisections))
+        return real(kg)
+
+    monkeypatch.setattr(biskit.boolean.KOfGroupoid, "table", property(counted))
+    run_laws(InvSgp(symmetric_inverse_table(4)))
+    assert built == [209]
+
+
 def test_non_fundamental_mu_quotient_is_checked(monkeypatch):
     # the quotient of i2 x z2zero by mu is a smaller table, checked once by
     # law idept-sep-kernel and given its own type monoid by type-fundamental
@@ -479,6 +494,17 @@ def test_certificates_hold_under_python_O():
         a = Analysis(pset)
         a.eps_reports = [(ideal, boolean.EpsilonReport(None, pset, proj))]
         print("anja", law_anja(a))
+
+        def exchanged(g):  # i2's arrows between its two identities exchanged,
+            c = real_coordinatize(g)  # a bijection onto K, not multiplicative
+            r = c.rebuilt
+            return replace(c, rebuilt=(r[0], r[2], r[1], r[3]))
+
+        rook.coordinatize = exchanged
+        try:
+            rook.decompose(boolean.check_boolean(corpus_semigroup("i2")).structure)
+        except CertificateFailed as e:
+            print("decompose-generators", e.witness[0])
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
@@ -512,6 +538,7 @@ def test_certificates_hold_under_python_O():
     ]
     # and law anja must refuse a projection that does not preserve meets
     assert out.split("\n")[18] == "anja ((0,),)"
+    assert out.split("\n")[19] == "decompose-generators decomposition-not-iso"
 
 
 def unused_imports(tree):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 import biskit.boolean
 from biskit.boolean import (
-    _bisection_count,
+    KOfGroupoid,
     _bisections,
     atoms_groupoid,
     check_boolean,
@@ -55,6 +55,7 @@ from biskit.rook import (
 )
 from generated import (
     K_ORACLE_BISECTIONS,
+    bisection_count,
     component_forms,
     cyclic_group,
     i4_subsemigroup_tables,
@@ -416,7 +417,7 @@ def test_k_of_groupoid_matches_oracle_on_generated_forms(form):
 def test_k_of_groupoid_matches_oracle_on_generated_restricted_groupoids(table):
     # disconnected groupoids whose arrows are numbered as the table's elements
     g = restricted_groupoid(InvSgp(table))
-    assume(_bisection_count(g) <= K_ORACLE_BISECTIONS)
+    assume(bisection_count(g) <= K_ORACLE_BISECTIONS)
     assert k_of_groupoid(g).structure.base.table == oracle_k_table(g)
 
 
@@ -543,22 +544,144 @@ def test_decompose_leaves_k_unvalidated_on_generated_structures(table):
     assert_k_validated_only_when_read(chk.structure)
 
 
-@pytest.mark.parametrize("name", [n for n in BOOLEAN_NAMES if n != "trivial"])
-def test_decompose_refuses_a_corrupted_k_table(name, monkeypatch):
-    # K(R) is not validated on this path, so the row check alone must refuse
-    # a table with its last entry changed, at the row sent to the last id
-    bs = boolean(name)
-    last = len(bs.base.table) - 1
-    row = decompose(bs).iso.index(last)
+def swap_rebuilt(mp, i, j):
+    """Make decompose read rebuilt with arrows i and j exchanged."""
+    real = coordinatize
+
+    def swapped(g):
+        c = real(g)
+        r = list(c.rebuilt)
+        r[i], r[j] = r[j], r[i]
+        return dataclasses.replace(c, rebuilt=tuple(r))
+
+    mp.setattr(rook, "coordinatize", swapped)
+
+
+def swap_k_ids(mp, i, j):
+    """Make decompose read K's index with ids i and j exchanged."""
     real = rook.k_of_groupoid
 
-    def corrupted(g):
+    def swapped(g):
         kg = real(g)
-        rows = [list(r) for r in kg.table]
-        rows[last][last] = (rows[last][last] + 1) % len(rows)
-        return dataclasses.replace(kg, table=tuple(map(tuple, rows)))
+        to = {i: j, j: i}
+        index = {b: to.get(x, x) for b, x in kg.index.items()}
+        return dataclasses.replace(kg, index=index)
 
-    monkeypatch.setattr(rook, "k_of_groupoid", corrupted)
-    with pytest.raises(CertificateFailed) as e:
-        decompose(bs)
-    assert e.value.witness == ("decomposition-not-iso", row)
+    mp.setattr(rook, "k_of_groupoid", swapped)
+
+
+def oracle_decompose_witness(bs, iso, p):
+    """decompose's witness for the map iso into the K table p, by the
+    full-row scan, or None when the map holds."""
+    s = bs.base
+    if None in iso or sorted(iso) != list(range(len(p))):
+        return ("decomposition-not-bijective",)
+    for a in range(s.size):
+        if any(iso[s.table[a][b]] != p[iso[a]][iso[b]] for b in range(s.size)):
+            return ("decomposition-not-iso", a)
+    return None
+
+
+@pytest.mark.parametrize("name", [n for n in BOOLEAN_NAMES if n != "trivial"])
+def test_decompose_refuses_a_corrupted_k_table(name, monkeypatch):
+    # K(R) is neither built nor validated on this path: decompose checks its
+    # map on the generators.  Each exchange of two rebuilt arrows, and of id
+    # 1 with another id of K, must get the full-row oracle's outcome,
+    # witness included; some of them keep the map a bijection that is not
+    # multiplicative
+    bs = boolean(name)
+    s, cert = bs.base, decompose(bs)
+    p = oracle_k_table(cert.target.groupoid)
+    index = {a: i for i, a in enumerate(_bisections(cert.target.groupoid, 10_000))}
+    cases = []
+    for i, j in itertools.combinations(range(len(cert.rebuilt)), 2):
+        r = list(cert.rebuilt)
+        r[i], r[j] = r[j], r[i]
+        pos = dict(zip(cert.atoms.labels, r))
+        iso = [
+            index.get(frozenset(pos[x] for x in s.down[a] if x in pos))
+            for a in range(s.size)
+        ]
+        cases.append((swap_rebuilt, i, j, iso))
+    for j in range(2, len(p)):
+        to = {1: j, j: 1}
+        cases.append((swap_k_ids, 1, j, [to.get(x, x) for x in cert.iso]))
+    seen = set()
+    for swap, i, j, iso in cases:
+        want = oracle_decompose_witness(bs, iso, p)
+        with monkeypatch.context() as mp:
+            swap(mp, i, j)
+            try:
+                decompose(bs)
+                got = None
+            except CertificateFailed as e:
+                got = e.witness
+        assert got == want, (swap.__name__, i, j)
+        seen.add(want and want[0])
+    assert "decomposition-not-iso" in seen
+
+
+@pytest.mark.parametrize("name", sorted(K_ORACLE_GROUPOIDS))
+def test_k_column_matches_pairwise_product_oracle(name):
+    g = K_ORACLE_GROUPOIDS[name]()
+    kg, table = k_of_groupoid(g), oracle_k_table(g)
+    for c in range(len(table)):
+        assert kg.column(c) == tuple(row[c] for row in table)
+    assert "table" not in kg.__dict__
+
+
+@settings(max_examples=25, deadline=None)
+@given(component_forms)
+def test_k_column_matches_oracle_on_generated_forms(form):
+    g = reconstruct(form)
+    kg, table = k_of_groupoid(g), oracle_k_table(g)
+    for c in range(len(table)):
+        assert kg.column(c) == tuple(row[c] for row in table)
+
+
+def refuse_k_tables(mp):
+    def refused(kg):
+        raise AssertionError("KOfGroupoid.table built")
+
+    mp.setattr(KOfGroupoid, "table", property(refused))
+
+
+NO_K_TABLES = {
+    **DECOMPOSE_TABLES,
+    "symmetric_inverse_table(4)": lambda: InvSgp(symmetric_inverse_table(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_K_TABLES))
+def test_decompose_builds_no_k_table(name, monkeypatch):
+    bs = check_boolean(NO_K_TABLES[name]()).structure
+    refuse_k_tables(monkeypatch)
+    decompose(bs)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(i4_subsemigroup_tables)
+def test_decompose_builds_no_k_table_on_generated_structures(table):
+    chk = check_boolean(InvSgp(table))
+    assume(chk.boolean)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_k_tables(mp)
+        decompose(chk.structure)
+
+
+def test_a_product_outside_k_is_refused():
+    # identity 0 times itself read as arrow 1 (domain 5, range 0): the
+    # product of the two identities, {1, 5}, has two arrows at domain 5
+    g = corpus_groupoid("conn2z2")
+    rows = [list(r) for r in g.ptable]
+    rows[0][0] = 1
+    g.ptable = tuple(map(tuple, rows))
+    kg = k_of_groupoid(g)
+    for read in (lambda: kg.table, lambda: kg.column(kg.index[frozenset({0, 5})])):
+        with pytest.raises(CertificateFailed) as e:
+            read()
+        assert e.value.witness == ("product-not-a-bisection", 0b100010)
