@@ -466,10 +466,12 @@ def verify_additive_ideal(bs, subset):
     The products are decided on the generators g: g*a and a*g in the subset
     for every member a.  The x with x*a and a*x in the subset for every
     member a are closed under the product, as (x*y)*a = x*(y*a) and
-    a*(x*y) = (a*x)*y, and the generators generate S.  Only when that fails
-    are the members scanned one x at a time, to name the first witness.  A
-    member's joins are decided by whether the joins with its compatible
-    partners are in; only one that fails is scanned one b at a time.
+    a*(x*y) = (a*x)*y, and the generators, InvSgp.associative_generators,
+    generate S.  When Light's test failed on the table read, or the pass
+    fails, the members are scanned one x at a time, to name the first
+    witness.  A member's joins are decided by whether the joins with its
+    compatible partners are in; only one that fails is scanned one b at a
+    time.
     """
     s = bs.base
     if s.zero not in subset:
@@ -477,10 +479,11 @@ def verify_additive_ideal(bs, subset):
     t = s.table
     members = subset if isinstance(subset, (set, frozenset)) else set(subset)
     inside = members.__contains__
-    if not all(
+    gens = s.associative_generators
+    if gens is None or not all(
         all(map(inside, map(t[g].__getitem__, members)))
         and all(map(inside, map(itemgetter(g), map(t.__getitem__, members))))
-        for g in s.generators
+        for g in gens
     ):
         return _ideal_scan(t, subset)
     ordered = sorted(subset)
@@ -867,8 +870,11 @@ def is_weakly_meet_preserving(source, target, mp):
     covered.  With a meet m, the common lower bounds of a and b are the
     down-set of m, so the covered bitset is built once per m.  A pair
     without a meet takes the union over its common lower bounds itself.
+    A map onto the one point 0, with 0 below every element, holds at once.
     """
     s, t = _base(source), _base(target)
+    if t.size == 1 and set(mp) == {0} and all(s.zero in d for d in s.down):
+        return True  # each pair has the lower bound 0, whose image covers t
     t_down = [_mask(t.down[u]) for u in range(t.size)]
     img_down = [t_down[mp[x]] for x in range(s.size)]
 

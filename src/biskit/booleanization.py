@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import is_not
 
 from .boolean import (
     K_OF_GROUPOID_CAP,
@@ -25,7 +26,7 @@ from .boolean import (
     is_additive_morphism,
     k_of_groupoid,
 )
-from .core import InvSgp, adjoin_zero, restricted_groupoid
+from .core import InvSgp, _picker, adjoin_zero, restricted_groupoid
 from .errors import (
     CertificateFailed,
     NotBoolean,
@@ -259,24 +260,27 @@ def filter_groupoid(s, filters):
 
 
 def principal_map_is_iso(s, sub_ids, fg):
-    """Check x -> x-up matches the restricted product on the given ids."""
-    pos = {x: i for i, x in enumerate(sub_ids)}
-    if fg.size != len(sub_ids):
-        return False
+    """Check x -> x-up matches the restricted product on the given ids, a
+    row x at a time: where row x of fg is defined, as one tuple, against
+    the y with r(y) = d(x), then the products at those entries only."""
     want = {x: pos_f for pos_f, x in enumerate(fg.labels)}
+    if fg.size != len(sub_ids) or not all(x in want for x in sub_ids):
+        return False
+    if not sub_ids:
+        return True
+    at_cols, nones = _picker([want[y] for y in sub_ids]), itertools.repeat(None)
+    per_d = {}  # d(x) -> the pattern, and pickers of the defined entries and y
+    for e in {s.d[x] for x in sub_ids}:
+        ks = [k for k, y in enumerate(sub_ids) if s.r[y] == e]
+        at_ys = ks and _picker([sub_ids[k] for k in ks])
+        per_d[e] = (tuple(s.r[y] == e for y in sub_ids), ks and _picker(ks), at_ys)
     for x in sub_ids:
-        if x not in want:
+        got = at_cols(fg.ptable[want[x]])
+        pattern, at_defined, at_ys = per_d[s.d[x]]
+        if tuple(map(is_not, got, nones)) != pattern or (
+            at_ys and tuple(map(want.get, at_ys(s.table[x]))) != at_defined(got)
+        ):
             return False
-    for x in sub_ids:
-        for y in sub_ids:
-            defined = s.d[x] == s.r[y]
-            p = fg.ptable[want[x]][want[y]]
-            if defined != (p is not None):
-                return False
-            if defined:
-                prod = s.table[x][y]
-                if prod not in want or want[prod] != p:
-                    return False
     return True
 
 

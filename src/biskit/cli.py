@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 from .boolean import check_boolean
 from .booleanization import booleanize, booleanization_iso
@@ -333,7 +334,10 @@ def cmd_verify(args):
     return 1 if any_failure else 0
 
 
+@cache
 def make_parser():
+    """The argparse tree, built once per process; main looks up the
+    subcommand's handler, cmd_<command>, when it runs."""
     p = argparse.ArgumentParser(
         prog="biskit",
         description="finite inverse semigroup and Boolean inverse monoid tool",
@@ -348,20 +352,16 @@ def make_parser():
     sp = sub.add_parser("analyze", help="full structural report")
     common(sp)
     sp.add_argument("--timings", action="store_true")
-    sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("booleanize", help="write the Booleanization table")
     common(sp)
     sp.add_argument("--out", help="output path (default stdout)")
-    sp.set_defaults(fn=cmd_booleanize)
 
     sp = sub.add_parser("decompose", help="matrix-monoid product signature")
     common(sp)
-    sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("type", help="type monoid rank and counts")
     common(sp)
-    sp.set_defaults(fn=cmd_type)
 
     sp = sub.add_parser("iso", help="isomorphism tests")
     sp.add_argument("paths", nargs=2, help="two .ist files")
@@ -369,22 +369,19 @@ def make_parser():
     sp.add_argument(
         "--mode", choices=("booleanization", "direct"), default="booleanization"
     )
-    sp.set_defaults(fn=cmd_iso)
 
     sp = sub.add_parser("verify", help="run the law suite")
     sp.add_argument("path", nargs="?", help=".ist or .grp file")
     sp.add_argument("--corpus", action="store_true", help="verify bundled corpus")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--timings", action="store_true", help="seconds per law")
-    sp.set_defaults(fn=cmd_verify)
 
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = make_parser().parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

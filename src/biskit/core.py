@@ -184,6 +184,14 @@ def _light_test(rows, gens):
     return True
 
 
+def _associative_generators(rows):
+    """_generators of rows when Light's test on them shows rows
+    associative, else None.  The generator passes take this result for the
+    table they read, so their closure arguments hold on any table."""
+    gens = _generators(rows)
+    return gens if _light_test(rows, gens) else None
+
+
 def _bound_table(masks):
     """Entry [a][b] is the element x with masks[x] == masks[a] & masks[b],
     or None.
@@ -266,6 +274,7 @@ class InvSgp:
         self.size = k
         self.table = rows
         self.generators = gens
+        self._associative = (rows, gens)  # Light's test held on rows
         self.inv = tuple(inv)
         self.idempotents = idem
         self.zero = zero
@@ -301,6 +310,17 @@ class InvSgp:
 
     def nonzero(self):
         return tuple(x for x in range(self.size) if x != self.zero)
+
+    @property
+    def associative_generators(self):
+        """_associative_generators(self.table), kept with the table it was
+        found for: a table set in place of the validated one is tested."""
+        rows, gens = self._associative
+        if rows is not self.table:
+            rows = self.table
+            gens = _associative_generators(rows)
+            self._associative = (rows, gens)
+        return gens
 
     @cached_property
     def cols(self):

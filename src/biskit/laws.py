@@ -44,8 +44,7 @@ from .booleanization import (
     principal_map_is_iso,
 )
 from .core import (
-    _generators,
-    _light_test,
+    _mask,
     _picker,
     _positions,
     all_congruences,
@@ -55,6 +54,7 @@ from .core import (
 )
 from .errors import (
     BiskitError,
+    CertificateFailed,
     NotBelow,
     NotCompatible,
     SizeCapExceeded,
@@ -127,10 +127,10 @@ class Analysis:
 
     @cached_property
     def associative_generators(self):
-        """_associative_generators of the table the laws read: one Light's
-        test for laws fish, restricted-product, oj and setminus-2, whose
-        pass law setminus-4 reads."""
-        return _associative_generators(self.s.table)
+        """InvSgp.associative_generators of the table the laws read, for laws
+        fish, restricted-product, oj, setminus-2 and setminus-4, carre and
+        discrete-topology."""
+        return self.s.associative_generators
 
     @cached_property
     def setminus_2_on_generators(self):
@@ -142,6 +142,11 @@ class Analysis:
     def atom_splits(self):
         """_atom_splits of the tables laws definition and eggs read."""
         return _atom_splits(self.bs)
+
+    @cached_property
+    def filter_order(self):
+        """_filter_order of the tables laws carre and discrete-topology read."""
+        return _filter_order(self.s, self.associative_generators)
 
     @cached_property
     def fundamental(self):
@@ -229,14 +234,6 @@ def law_wedge(c):
             if m is None or m != s.table[a][s.d[b]]:
                 return (a, b, m)
     return None
-
-
-def _associative_generators(t):
-    """core._generators of table t when Light's test on them shows t
-    associative, else None.  The generator passes below take this result
-    for the table they read, so their closure arguments hold on any table."""
-    gens = _generators(t)
-    return gens if _light_test(t, gens) else None
 
 
 def _fish_on_generators(t, mt, gens):
@@ -404,9 +401,77 @@ def law_universal_groupoid(c):
     return None
 
 
-def law_carre(c):
+def _filter_order(s, gens):
+    """True when these hold on s.up, s.inv and s.table, writing a <= b for
+    b in up[a]; False when one fails or gens is None (Light's test failed,
+    Analysis.associative_generators):
+      P1  the up-sets are pairwise distinct, and a <= a;
+      P2  a <= b implies up[b] lies within up[a];
+      P3  a <= b implies a' <= b';
+      P4  a <= b implies a*g <= b*g and g*a <= g*b, for each g in gens.
+    The y with u*y <= v*y for every pair u <= v are closed under the
+    product of an associative table, as (u*g)*h = u*(g*h) and u*g <= v*g is
+    such a pair again.  So are those on the left, and gens generate S, so
+    P4 holds for every y.  Then x >= a and y >= b give x*y >= a*y >= a*b
+    (P2), and the up-closure of up[a]*up[b], which holds a*b (P1), is
+    up[a*b].  With P3 the domain filter of up[a] is up[a'*a], and the range
+    filter of up[b] is up[b*b'].
+    """
+    if gens is None:
+        return False
+    t, inv, up = s.table, s.inv, s.up
+    masks = [_mask(u) for u in up]
+    if len(set(masks)) < s.size or not all(m >> a & 1 for a, m in enumerate(masks)):
+        return False
+    pairs = [(a, b) for a, ups in enumerate(up) for b in ups]
+    if any(masks[b] & ~masks[a] or not masks[inv[a]] >> inv[b] & 1 for a, b in pairs):
+        return False
+    return all(
+        masks[t[a][g]] >> t[b][g] & 1 and masks[t[g][a]] >> t[g][b] & 1
+        for g in gens
+        for a, b in pairs
+    )
+
+
+def _filter_groupoid(c, filters):
+    """filter_groupoid(c.s, filters), read off the table when c.filter_order
+    holds and P5, each carrier is frozenset(up[principal_at]), does too.
+    By _filter_order the filters at a and b then compose when a'*a = b*b'
+    (P1), to the up-set of a*b, listed only as the filter at a*b.  Read in
+    the scan's (i, j) order, an unlisted product raises the same witness,
+    and Gpd validates the table as it does the scan's.  When a premise
+    fails, filter_groupoid, the setwise scan, decides.
+    """
     s = c.s
-    fg = filter_groupoid(s, c.filters.proper)
+    t, inv, up = s.table, s.inv, s.up
+    carriers = (frozenset(up[f.principal_at]) for f in filters)
+    if not c.filter_order or any(f.carrier != u for f, u in zip(filters, carriers)):
+        return filter_groupoid(s, filters)
+    at = [f.principal_at for f in filters]
+    pos = {a: i for i, a in enumerate(at)}  # the last filter at a, as in the scan
+    by_range = {}
+    for j, b in enumerate(at):
+        by_range.setdefault(t[b][inv[b]], []).append(j)
+    ptable = [[None] * len(at) for _ in at]
+    for i, a in enumerate(at):
+        ta = t[a]
+        for j in by_range.get(t[inv[a]][a], ()):
+            p = pos.get(ta[at[j]])
+            if p is None:
+                raise CertificateFailed(("filter-product-not-listed", i, j))
+            ptable[i][j] = p
+    return Gpd(ptable, labels=tuple(at))
+
+
+def law_carre(c):
+    """x -> up[x] is an isomorphism from the nonzero elements under the
+    restricted product onto the proper filters under the up-closed setwise
+    product.  When the order is compatible with product and inversion
+    (_filter_order), up[a]*up[b] closes up to up[a*b], defined exactly when
+    a'*a = b*b', so _filter_groupoid reads the filter groupoid off the
+    table; else the setwise scan builds it."""
+    s = c.s
+    fg = _filter_groupoid(c, c.filters.proper)
     nonzero = [x for x in range(s.size) if x != s.zero]
     if not principal_map_is_iso(s, nonzero, fg):
         return ("filter-groupoid-mismatch",)
@@ -1049,7 +1114,8 @@ def _meets_preserved(p):
     """Whether map p sends each meet to the meet of the images, compared
     one row of the source's meet table at a time; None when a premise of
     law anja's argument fails on the tables read: a meet table with an
-    undefined entry, or p not monotone on down-sets."""
+    undefined entry, or p not monotone on down-sets.  The identity onto
+    the same table, and the map onto the one-point table, need no row."""
     s, t, mp = p.source.base, p.target.base, p.map
     smt, tmt = s.meet_table, t.meet_table
     tables = (smt,) if tmt is smt else (smt, tmt)
@@ -1058,6 +1124,8 @@ def _meets_preserved(p):
     t_down, image = [frozenset(d) for d in t.down], mp.__getitem__
     if not all(t_down[mp[x]].issuperset(map(image, d)) for x, d in enumerate(s.down)):
         return None
+    if tmt is smt and mp == tuple(range(s.size)) or tmt == ((0,),) and set(mp) == {0}:
+        return True  # every row compared with itself, or both sides all 0
     at_images = _picker(mp)  # row u of tmt read at every p(b)
     return all(_picker(row)(mp) == at_images(tmt[mp[a]]) for a, row in enumerate(smt))
 
@@ -1186,13 +1254,19 @@ def law_finite_stuff(c):
 
 
 def law_discrete_topology(c):
+    """The ultrafilters are the up-sets of the atoms, and x -> up[x] is an
+    isomorphism from the atoms under the restricted product onto their
+    groupoid.  As for law carre, when the order is compatible with product
+    and inversion (_filter_order), up[a]*up[b] closes up to up[a*b],
+    defined exactly when a'*a = b*b', and _filter_groupoid reads it off the
+    table; else the setwise scan builds it."""
     s = c.s
     ultra = c.filters.ultra
     if len(ultra) != len(s.atoms):
         return (len(ultra), len(s.atoms))
     if {f.principal_at for f in ultra} != c.atom_set:
         return ("ultrafilter-generators",)
-    ufg = filter_groupoid(s, ultra)
+    ufg = _filter_groupoid(c, ultra)
     if not principal_map_is_iso(s, list(s.atoms), ufg):
         return ("ultrafilter-groupoid",)
     return None

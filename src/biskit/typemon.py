@@ -344,6 +344,7 @@ def type_via_matrices(bs, n, tm=None):
 
     separation_ok = True
     zero_fill = (s.zero,) * (n - 2)
+    shift_ok = {}  # f -> the shift checks below, which read f only
     for e in idem:
         for f in idem:
             d1 = (e,) + (s.zero,) * (n - 1)
@@ -352,16 +353,17 @@ def type_via_matrices(bs, n, tm=None):
             if any(s.table[a][b] != s.zero for a, b in zip(d1, d2)):
                 separation_ok = False
                 continue
-            # single-entry shift matrix relating diag(f,0,..) to diag(0,f,..)
-            y = [[s.zero] * n for _ in range(n)]
-            y[1][0] = f
-            ym = rook_matrix(bs, y)
-            if not (
-                _is_diag(rook_mul(rook_star(ym), ym), shifted, s.zero)
-                and _is_diag(rook_mul(ym, rook_star(ym)), d2, s.zero)
-            ):
-                separation_ok = False
-            if class_of[shifted] != class_of[d2]:
+            if f not in shift_ok:
+                # single-entry shift matrix relating diag(f,0,..) to diag(0,f,..)
+                y = [[s.zero] * n for _ in range(n)]
+                y[1][0] = f
+                ym = rook_matrix(bs, y)
+                shift_ok[f] = (
+                    _is_diag(rook_mul(rook_star(ym), ym), shifted, s.zero)
+                    and _is_diag(rook_mul(ym, rook_star(ym)), d2, s.zero)
+                    and class_of[shifted] == class_of[d2]
+                )
+            if not shift_ok[f]:
                 separation_ok = False
             both = tuple(s.join_table[a][b] for a, b in zip(d1, d2))
             want = tuple(x + yv for x, yv in zip(tm.tau[e], tm.tau[f]))

@@ -1,7 +1,8 @@
 """Laws restricted-product, setminus-4, setminus-2, oj and fish decided on
 generators, laws definition and eggs by the atom decomposition, law eggs'
-triples decided from its pairs, and law orthogonal's families from the
-steps orthogonalize takes.
+triples decided from its pairs, law orthogonal's families from the
+steps orthogonalize takes, and laws carre and discrete-topology from the
+order's compatibility with product and inversion.
 
 On valid Boolean tables these passes must decide the laws with no full
 scan.  On a table corrupted against one premise of a pass, the pass
@@ -12,22 +13,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import biskit.laws as laws
-from biskit.core import InvSgp
-from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup, symmetric_inverse_table
+from biskit.booleanization import Filter, FilterReport, filter_groupoid
+from biskit.core import InvSgp, _associative_generators, _generators
+from biskit.corpus import (
+    BOOLEAN_NAMES,
+    SEMIGROUP_BUILDERS,
+    corpus_semigroup,
+    symmetric_inverse_table,
+)
 from biskit.laws import (
     Analysis,
-    _associative_generators,
     _atom_splits,
     _definition_by_atoms,
     _down_set_products,
     _eggs_pairs_by_atoms,
     _eggs_scan,
     _eggs_triples_follow,
+    _filter_groupoid,
     _fish_on_generators,
     _oj_on_generators,
     _setminus_2_on_generators,
     _setminus_4_on_generators,
+    law_carre,
     law_definition,
+    law_discrete_topology,
     law_eggs,
     law_fish,
     law_oj,
@@ -39,7 +48,9 @@ from biskit.laws import (
 from generated import i4_subsemigroup_tables
 from test_law_kernels import (
     corrupted,
+    oracle_carre,
     oracle_definition,
+    oracle_discrete_topology,
     oracle_eggs,
     oracle_fish,
     oracle_oj,
@@ -54,17 +65,18 @@ def down_pairs(s):
     return [(x, t) for x in range(s.size) for t in s.down[x]]
 
 
+def refuse(scan):
+    def refused(*args):
+        raise AssertionError(f"{scan} ran")
+
+    return refused
+
+
 def refuse_full_scans(mp):
     def gens_only(s, b_ids):
         if isinstance(b_ids, range):
             raise AssertionError("restricted-product ran its full scan")
         return _down_set_products(s, b_ids)
-
-    def refuse(scan):
-        def refused(*args):
-            raise AssertionError(f"{scan} ran")
-
-        return refused
 
     mp.setattr(laws, "_down_set_products", gens_only)
     for scan in (
@@ -75,6 +87,7 @@ def refuse_full_scans(mp):
         "_definition_scan",
         "_eggs_scan",
         "orthogonalize",  # law orthogonal's fallback, one family at a time
+        "filter_groupoid",  # the setwise filter scan of carre and discrete-topology
     ):
         mp.setattr(laws, scan, refuse(scan))
 
@@ -93,6 +106,8 @@ def assert_decided_without_scans(table):
             law_oj,
             law_fish,
             law_orthogonal,
+            law_carre,
+            law_discrete_topology,
         ):
             assert law(c) is None, law.__name__
 
@@ -163,7 +178,7 @@ def test_restricted_product_pass_declines_without_light_test():
     # not associative, yet every generator passes the down-set check; the
     # law must not read that as a proof
     c = corrupted("m2z2zero", "table", 12, 14, 1)
-    gens = laws._generators(c.s.table)
+    gens = _generators(c.s.table)
     assert _down_set_products(c.s, gens) is None
     assert _associative_generators(c.s.table) is None
     got = outcome(law_restricted_product, c)
@@ -312,3 +327,126 @@ def test_passes_decline_on_a_failed_premise(premise):
         got = outcome(law, c)
         assert got == outcome(oracle, c), law.__name__
         assert got[0] == "returned"
+
+
+# -- the filter groupoid read off the table ----------------------------------
+
+
+def assert_filter_groupoids_match_the_scan(table):
+    c = Analysis(InvSgp(table))
+    for filters in (c.filters.proper, c.filters.ultra):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "filter_groupoid", refuse("filter_groupoid"))
+            got = _filter_groupoid(c, filters)
+        want = filter_groupoid(c.s, filters)
+        assert (got.ptable, got.labels) == (want.ptable, want.labels)
+
+
+FILTER_TABLES = {
+    **{name: lambda n=name: corpus_semigroup(n).table for name in SEMIGROUP_BUILDERS},
+    "symmetric_inverse_table(3)": lambda: symmetric_inverse_table(3),
+    "symmetric_inverse_table(4)": lambda: symmetric_inverse_table(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_TABLES))
+def test_filter_groupoid_off_the_table_matches_the_scan(name):
+    assert_filter_groupoids_match_the_scan(FILTER_TABLES[name]())
+
+
+@settings(max_examples=50, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_filter_groupoid_off_generated_tables_matches_the_scan(table):
+    # Boolean or not, with a zero or without
+    assert_filter_groupoids_match_the_scan(table)
+
+
+def with_up(name, ids, ups):
+    """Analysis of a Boolean corpus table with up[a] read as ups for each a
+    in ids; the Boolean check and the meet table are read before."""
+    c = Analysis(corpus_semigroup(name))
+    c.bs, c.s.meet_table
+    c.s.up = tuple(ups if a in ids else u for a, u in enumerate(c.s.up))
+    return c
+
+
+def with_inv(name, a, value):
+    """Analysis of a Boolean corpus table with the inverse of a read as
+    value; the Boolean check is read before."""
+    c = Analysis(corpus_semigroup(name))
+    c.bs
+    inv = list(c.s.inv)
+    inv[a] = value
+    c.s.inv = tuple(inv)
+    return c
+
+
+def with_filter(name, k, carrier):
+    """Analysis of a corpus table whose k-th proper filter, an ultrafilter
+    too, has the given carrier."""
+    c = Analysis(corpus_semigroup(name))
+    report = c.filters
+    f = report.proper[k]
+    moved = Filter(frozenset(carrier), f.principal_at)
+    c.filters = FilterReport(
+        tuple(moved if g is f else g for g in report.proper),
+        tuple(moved if g is f else g for g in report.ultra),
+    )
+    return c
+
+
+def without_first_filter(name):
+    c = Analysis(corpus_semigroup(name))
+    c.filters = FilterReport(c.filters.proper[1:], c.filters.ultra)
+    return c
+
+
+# one corruption per premise of the filter pass, each breaking that premise
+# alone: powerset2 is 0, atoms 1 and 2, top 3; z2zero is the group {1, 2}
+# with a zero 0 adjoined; i2 is 0, the idempotent atoms 1 and 4, the atoms 2
+# and 3 (each the other's inverse), the identity 5 and the swap 6.  On the
+# P5 and subset tables _filter_order holds; on the subset table the pass
+# reads the groupoid and raises the scan's witness
+FILTER_PREMISES = {
+    "P1 up[a] misses a": lambda: with_up("powerset2", (3,), ()),
+    "P1 two equal up-sets": lambda: with_up("z2zero", (1, 2), (1, 2)),
+    "P2 not transitive": lambda: with_up("powerset2", (1,), (0, 1, 3)),  # 1 <= 0 <= 2
+    "P3 inverse not monotone": lambda: with_inv("powerset2", 3, 0),  # 1 <= 3, 1' not <= 3' = 0
+    # 1 <= 2, but 1*1 = 1 is not below 2*1 = 0
+    "P4 product not monotone": lambda: with_up("powerset2", (1,), (1, 2, 3)),
+    "P5 carrier not up[a]": lambda: with_filter("i2", 0, {1}),
+    "Light": lambda: corrupted("z3zero", "table", 0, 2, 3),  # not associative
+    "subset": lambda: without_first_filter("i2"),
+}
+# the premises without which the groupoid read off the table would differ
+# from the scan's on these tables; "a <= a" fails alone only at the top of
+# powerset2, whose filter, read either way, has no member to multiply
+NEEDED = ("P1 two equal up-sets", "P2 not transitive", "P3", "P4")
+
+
+@pytest.mark.parametrize("premise", sorted(FILTER_PREMISES))
+def test_filter_pass_declines_on_a_failed_premise(premise, monkeypatch):
+    make = FILTER_PREMISES[premise]
+    c = make()
+    assert c.filter_order is premise.startswith(("P5", "subset"))
+    scans = []
+
+    def counted(s, filters):
+        scans.append(filters)
+        return filter_groupoid(s, filters)
+
+    monkeypatch.setattr(laws, "filter_groupoid", counted)
+    for law, oracle in (
+        (law_carre, oracle_carre),
+        (law_discrete_topology, oracle_discrete_topology),
+    ):
+        assert outcome(law, c) == outcome(oracle, c), law.__name__
+    assert bool(scans) is (premise != "subset")
+    if premise == "subset":
+        got = outcome(law_carre, c)
+        assert got[:2] == ("raised", "CertificateFailed")
+        assert "filter-product-not-listed" in got[2]
+    if premise.startswith(NEEDED):
+        forced = make()
+        forced.filter_order = True
+        assert outcome(law_carre, forced) != outcome(oracle_carre, make())
