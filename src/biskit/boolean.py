@@ -23,6 +23,7 @@ from .core import (
     _dr_classes,
     _ids,
     _mask,
+    _on_generators,
     _picker,
     check_congruence,
     Congruence,
@@ -123,16 +124,9 @@ def check_boolean(s):
     identity, the join of all its idempotents; one without raises
     CertificateFailed(("no-identity",)).
 
-    Distributivity is decided on the generators of s (InvSgp.generators):
-    if c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c hold for every
-    generator c and every compatible pair, they hold for every c.  For
-    c = m*g, c*(a v b) = m*(g*a v g*b) by the case g, and that is
-    m*g*a v m*g*b by the case m applied to the pair (g*a, g*b), which is
-    compatible again; the right side is the same with m*g read the other
-    way.  That pair can come in either order, so the generator pass walks
-    ordered compatible pairs, and a reversed pair without a join counts as a
-    failure of the pass.  When the pass fails, _distributivity_failure scans
-    every c, so the failure tuple is the one a full scan gives.
+    Distributivity is decided on generators (_distributes_on_generators).
+    When the pass fails, _distributivity_failure scans every c, so the
+    failure tuple is the one a full scan gives.
     """
     if s.zero is None:
         return BooleanCheck(False, ("no-zero",), None)
@@ -168,26 +162,36 @@ def check_boolean(s):
 
 def _distributes_on_generators(s):
     """True when c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c for every
-    generator c and every ordered compatible pair (a, b), all joins defined.
+    c and every ordered compatible pair (a, b), all joins defined, decided
+    on generators (_on_generators).
 
-    Per a and c, the joins of c*a (of a*c) with c*b (with b*c) over the
-    partners b of a are read in one itemgetter call and compared with row c
-    (column c) read at the joins a v b.
+    The c that distribute over every ordered compatible pair are closed
+    under the product: for m and g among them, m*g*(a v b) = m*(g*a v g*b)
+    = m*g*a v m*g*b, as (g*a, g*b) is compatible again, and the same on the
+    right.  That pair can come in either order, so the pass walks ordered
+    pairs, and a reversed pair without a join fails it.  Per a and c, the
+    joins of c*a (of a*c) with c*b (with b*c) over the partners b of a are
+    read in one itemgetter call and compared with row c (column c) read at
+    the joins a v b; the pickers of each a are made once.
     """
     t, jt = s.table, s.join_table
-    gens = [(t[c], tuple(map(itemgetter(c), t))) for c in s.generators]
+    per_a = []  # (a, a picker of its partners, a picker of its joins), per a
     for a, partners in enumerate(s.compat_partners):
         at_partners = _picker(partners)
         joins = at_partners(jt[a])
         if None in joins:
             return False
-        at_joins = _picker(joins)
-        for row, col in gens:
-            if _picker(at_partners(row))(jt[row[a]]) != at_joins(row):
-                return False
-            if _picker(at_partners(col))(jt[col[a]]) != at_joins(col):
-                return False
-    return True
+        per_a.append((a, at_partners, _picker(joins)))
+
+    def holds(c):
+        row, col = t[c], tuple(map(itemgetter(c), t))
+        return all(
+            _picker(at_partners(row))(jt[row[a]]) == at_joins(row)
+            and _picker(at_partners(col))(jt[col[a]]) == at_joins(col)
+            for a, at_partners, at_joins in per_a
+        )
+
+    return _on_generators(s, holds)
 
 
 def _distributivity_failure(s):
@@ -463,15 +467,13 @@ def verify_additive_ideal(bs, subset):
     iteration order) and each x, x*a then a*x are in; for each compatible
     pair a < b of members, their join is in.
 
-    The products are decided on the generators g: g*a and a*g in the subset
-    for every member a.  The x with x*a and a*x in the subset for every
-    member a are closed under the product, as (x*y)*a = x*(y*a) and
-    a*(x*y) = (a*x)*y, and the generators, InvSgp.associative_generators,
-    generate S.  When Light's test failed on the table read, or the pass
-    fails, the members are scanned one x at a time, to name the first
-    witness.  A member's joins are decided by whether the joins with its
-    compatible partners are in; only one that fails is scanned one b at a
-    time.
+    The products are decided on generators g (_on_generators): g*a and a*g
+    in the subset for every member a.  The x with x*a and a*x in the subset
+    for every member a are closed under the product, as (x*y)*a = x*(y*a)
+    and a*(x*y) = (a*x)*y.  When the pass declines, the members are scanned
+    one x at a time, to name the first witness.  A member's joins are
+    decided by whether the joins with its compatible partners are in; only
+    one that fails is scanned one b at a time.
     """
     s = bs.base
     if s.zero not in subset:
@@ -479,12 +481,13 @@ def verify_additive_ideal(bs, subset):
     t = s.table
     members = subset if isinstance(subset, (set, frozenset)) else set(subset)
     inside = members.__contains__
-    gens = s.associative_generators
-    if gens is None or not all(
-        all(map(inside, map(t[g].__getitem__, members)))
-        and all(map(inside, map(itemgetter(g), map(t.__getitem__, members))))
-        for g in gens
-    ):
+
+    def holds(g):
+        return all(map(inside, map(t[g].__getitem__, members))) and all(
+            map(inside, map(itemgetter(g), map(t.__getitem__, members)))
+        )
+
+    if not _on_generators(s, holds):
         return _ideal_scan(t, subset)
     ordered = sorted(subset)
     partners, jt = s.compat_partners, s.join_table
@@ -743,11 +746,13 @@ def check_multiplicative(source, target, mp):
     """Raise NotMultiplicative((a, b)) for the first pair, in lexicographic
     order, with mp[a*b] != mp[a]*mp[b].
 
+    Decided on the source's generators (_on_generators), one column each:
+    column g mapped by mp against the target's column mp[g] read at mp.
     The b with mp[a*b] = mp[a]*mp[b] for every a are closed under the
-    product of the two associative tables: mp[a*g*h] = mp[a*g]*mp[h] =
-    mp[a]*mp[g]*mp[h] = mp[a]*mp[g*h].  So it is decided on the source's
-    generators, one column each: column g mapped by mp against the target's
-    column mp[g] read at mp.  Only when that fails are the pairs scanned.
+    product when both tables are associative: mp[a*g*h] = mp[a*g]*mp[h] =
+    mp[a]*mp[g]*mp[h] = mp[a]*mp[g*h].  So the pass also needs Light's test
+    to hold on the target's table.  Only when the pass declines are the
+    pairs scanned.
     """
     s, t = _base(source), _base(target)
 
@@ -755,7 +760,7 @@ def check_multiplicative(source, target, mp):
         col = tuple(map(itemgetter(mp[g]), t.table))  # x*mp[g], every x
         return [mp[ag] for ag in map(itemgetter(g), s.table)] == [col[x] for x in mp]
 
-    if all(map(column_holds, s.generators)):
+    if _on_generators(t, lambda h: True) and _on_generators(s, column_holds):
         return
     for a in range(s.size):
         for b in range(s.size):

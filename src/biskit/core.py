@@ -186,10 +186,26 @@ def _light_test(rows, gens):
 
 def _associative_generators(rows):
     """_generators of rows when Light's test on them shows rows
-    associative, else None.  The generator passes take this result for the
-    table they read, so their closure arguments hold on any table."""
+    associative, else None."""
     gens = _generators(rows)
     return gens if _light_test(rows, gens) else None
+
+
+def _on_generators(s, holds):
+    """True when Light's test holds on the table s reads and holds(g) for
+    every generator g; else False, and the caller's plain scan decides.
+
+    The closure argument of every generator pass: each caller asks whether
+    P(y), itself quantified over every x, holds for every id y, and says
+    why the y with P(y) are closed under the product of an associative
+    table.  Every id is a generator or m*g for an earlier member m and a
+    generator g (_generators, which assumes no associativity), so P holds
+    for every id once it holds on the generators.  They are Light-tested on
+    the table s reads now (s.associative_generators), not the one s was
+    built with.
+    """
+    gens = s.associative_generators
+    return gens is not None and all(map(holds, gens))
 
 
 def _bound_table(masks):
@@ -220,8 +236,8 @@ class InvSgp:
 
     Construction checks every entry is an id, then every associativity
     equation (a*b)*c = a*(b*c) by Light's test on a greedy generating set
-    (generators, in the order chosen): (x*g)*y = x*(g*y) for each generator
-    g and all x, y, k*|generators| row comparisons instead of k*k.  When it
+    (_associative_generators): (x*g)*y = x*(g*y) for each generator g and
+    all x, y, k*|generators| row comparisons instead of k*k.  When it
     fails, the row scan of _check_associative names the first failing triple
     in lexicographic order as the NotAssociative witness.  Then each element
     needs exactly one inverse (NotInverse names the candidates) and the
@@ -244,8 +260,8 @@ class InvSgp:
                 if not isinstance(v, int) or not 0 <= v < k:
                     raise ParseError(f"entry {v!r} out of range in row {i}")
 
-        gens = _generators(rows)
-        if not _light_test(rows, gens):
+        gens = _associative_generators(rows)
+        if gens is None:
             _check_associative(rows)
 
         # b is an inverse of a when a*b*a = a and b*a*b = b; the first
@@ -273,7 +289,6 @@ class InvSgp:
 
         self.size = k
         self.table = rows
-        self.generators = gens
         self._associative = (rows, gens)  # Light's test held on rows
         self.inv = tuple(inv)
         self.idempotents = idem
@@ -315,12 +330,9 @@ class InvSgp:
     def associative_generators(self):
         """_associative_generators(self.table), kept with the table it was
         found for: a table set in place of the validated one is tested."""
-        rows, gens = self._associative
-        if rows is not self.table:
-            rows = self.table
-            gens = _associative_generators(rows)
-            self._associative = (rows, gens)
-        return gens
+        if self._associative[0] is not self.table:
+            self._associative = (self.table, _associative_generators(self.table))
+        return self._associative[1]
 
     @cached_property
     def cols(self):
@@ -544,20 +556,21 @@ def congruence_from_key(s, key):
 def check_congruence(s, cong):
     """Return a witness (a, b, c, side) if cong is not a congruence.
 
-    The c with x ~ y => cx ~ cy are closed under the product of an
-    associative table, c*d*x = c*(d*x) ~ c*(d*y), and so on the right; so
-    for each of s.generators (which passed Light's test) row g and column g
-    read through class_of must be constant on classes.  Only when that
-    fails does _congruence_scan name the witness."""
-    cls = cong.class_of
+    Decided on generators (_on_generators): row g and column g of each,
+    read through class_of, must be constant on classes.  The c with
+    x ~ y => cx ~ cy and xc ~ yc are closed under the product, as
+    c*d*x = c*(d*x) ~ c*(d*y) and x*c*d = (x*c)*d ~ (y*c)*d.  Only when the
+    pass fails does _congruence_scan name the witness."""
+    t, cls = s.table, cong.class_of
     first = {}
     at_first = _picker([first.setdefault(c, x) for x, c in enumerate(cls)])
-    for g in s.generators:
-        row = tuple(map(cls.__getitem__, s.table[g]))
-        col = tuple(map(cls.__getitem__, map(itemgetter(g), s.table)))
-        if at_first(row) != row or at_first(col) != col:
-            return _congruence_scan(s, cls)
-    return None
+
+    def holds(g):
+        row = tuple(map(cls.__getitem__, t[g]))
+        col = tuple(map(cls.__getitem__, map(itemgetter(g), t)))
+        return at_first(row) == row and at_first(col) == col
+
+    return None if _on_generators(s, holds) else _congruence_scan(s, cls)
 
 
 def _congruence_scan(s, cls):
@@ -675,11 +688,6 @@ def table_product(s, t):
                     j = b2 * ks + a2
                     out[i][j] = t.table[b1][b2] * ks + s.table[a1][a2]
     return tuple(tuple(row) for row in out)
-
-
-def product_parts(i, s):
-    """Decode a product id back into (left id, right id)."""
-    return i % s.size, i // s.size
 
 
 DEFAULT_SIZE_CAP = 24

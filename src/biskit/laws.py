@@ -45,6 +45,7 @@ from .booleanization import (
 )
 from .core import (
     _mask,
+    _on_generators,
     _picker,
     _positions,
     all_congruences,
@@ -126,17 +127,10 @@ class Analysis:
         return self.check.structure if self.check else None
 
     @cached_property
-    def associative_generators(self):
-        """InvSgp.associative_generators of the table the laws read, for laws
-        fish, restricted-product, oj, setminus-2 and setminus-4, carre and
-        discrete-topology."""
-        return self.s.associative_generators
-
-    @cached_property
     def setminus_2_on_generators(self):
         """_setminus_2_on_generators: law setminus-2's decision, and a
         premise of law setminus-4's pass."""
-        return _setminus_2_on_generators(self.bs, self.associative_generators)
+        return _setminus_2_on_generators(self.bs)
 
     @cached_property
     def atom_splits(self):
@@ -146,7 +140,7 @@ class Analysis:
     @cached_property
     def filter_order(self):
         """_filter_order of the tables laws carre and discrete-topology read."""
-        return _filter_order(self.s, self.associative_generators)
+        return _filter_order(self.s)
 
     @cached_property
     def fundamental(self):
@@ -227,30 +221,26 @@ def law_order_dr_monotone(c):
 def law_wedge(c):
     s = c.s
     for a in range(s.size):
-        for b in range(s.size):
-            if not s.compat[a][b]:
-                continue
+        for b in s.compat_partners[a]:
             m = s.meet_table[a][b]
             if m is None or m != s.table[a][s.d[b]]:
                 return (a, b, m)
     return None
 
 
-def _fish_on_generators(t, mt, gens):
+def _fish_on_generators(s):
     """True when u*(a meet b) = (u*a) meet (u*b), the right side defined,
     for every pair (a, b) with a meet and every u.
 
-    The u for which this holds are closed under the product of an
-    associative table: for such g and h, (g*h)*(a meet b) = g*(h*a meet h*b)
-    = g*h*a meet g*h*b, as (h*a, h*b) has a meet again.  So it is decided on
-    gens, _associative_generators(t), once Light's test has shown t
-    associative (gens is None when it has not): for each generator g and
-    each a, row g*a of the meet table read at row g, against row g read at
-    the meets of row a.  Where row a is total its b are all ids, so row g*a
-    is read at row g by one picker of row g, made once per generator.
+    Decided on generators (_on_generators): the u for which this holds are
+    closed under the product, as (g*h)*(a meet b) = g*(h*a meet h*b) =
+    g*h*a meet g*h*b, (h*a, h*b) having a meet again.  For each generator g
+    and each a, row g*a of the meet table is read at row g, against row g
+    read at the meets of row a.  Where row a is total its b are all ids, so
+    row g*a is read at row g by one picker of row g, made once per
+    generator.
     """
-    if gens is None:
-        return False
+    t, mt = s.table, s.meet_table
     met = []  # (a, the b with a meet or None for every b, their meets), per a
     for a, row in enumerate(mt):
         if None not in row:
@@ -259,7 +249,8 @@ def _fish_on_generators(t, mt, gens):
         bs = [b for b, m in enumerate(row) if m is not None]
         if bs:
             met.append((a, _picker(bs), _picker([row[b] for b in bs])))
-    for g in gens:
+
+    def holds(g):
         tg = t[g]
         at_g = _picker(tg)
         for a, at_b, at_meets in met:
@@ -267,7 +258,9 @@ def _fish_on_generators(t, mt, gens):
             gb = at_g(row) if at_b is None else tuple(map(row.__getitem__, at_b(tg)))
             if at_meets(tg) != gb:
                 return False
-    return True
+        return True
+
+    return _on_generators(s, holds)
 
 
 def _fish_scan(s):
@@ -287,25 +280,26 @@ def _fish_scan(s):
 def law_fish(c):
     """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
     _fish_scan, which names the witness."""
-    s = c.s
-    if _fish_on_generators(s.table, s.meet_table, c.associative_generators):
+    if _fish_on_generators(c.s):
         return None
-    return _fish_scan(s)
+    return _fish_scan(c.s)
 
 
-def _down_set_products(s, b_ids):
-    """(a, b, "down-set-product") for the first a, then b in b_ids, whose
-    setwise product down(a)*down(b) is not down(a*b), or None."""
-    t = s.table
-    pick = {b: _picker(s.down[b]) for b in b_ids}  # pick[b](row): row at down[b]
-    below = [frozenset(d) for d in s.down]
-    for a in range(s.size):
-        rows = [t[x] for x in s.down[a]]
-        for b in b_ids:
-            prods = set(itertools.chain.from_iterable(map(pick[b], rows)))
-            if prods != below[t[a][b]]:
-                return (a, b, "down-set-product")
-    return None
+def _down_sets_multiply(s):
+    """multiplies(a, b): the setwise product down(a)*down(b) is down(a*b)."""
+    t, down, chain = s.table, s.down, itertools.chain.from_iterable
+    pick = list(map(_picker, down))  # pick[b](row): row at down[b]
+    rows = [[t[x] for x in d] for d in down]  # rows[a]: the rows of down[a]
+    below = list(map(frozenset, down))
+    return lambda a, b: set(chain(map(pick[b], rows[a]))) == below[t[a][b]]
+
+
+def _down_set_products(s, multiplies):
+    """(a, b, "down-set-product") for the first a, then b, with not
+    multiplies(a, b), or None."""
+    ids = range(s.size)
+    bad = ((a, b) for a in ids for b in ids if not multiplies(a, b))
+    return next(((a, b, "down-set-product") for a, b in bad), None)
 
 
 def law_restricted_product(c):
@@ -318,14 +312,12 @@ def law_restricted_product(c):
     each group (-1 when it is not one id) and the pickers of each group's
     b2 are found once.  A row that fails is scanned by b for the witness.
 
-    The down-set pass is decided on generators of the table.  The b with
-    down(a)*down(b) = down(a*b) for every a are closed under the product of
-    an associative table, whose setwise product is associative too: for
-    such b and c, down(a)*down(b*c) = down(a)*(down(b)*down(c)) =
-    (down(a)*down(b))*down(c) = down(a*b)*down(c) = down(a*b*c).  Every id
-    is a product of generators, so after Light's test on the generators
-    (Analysis.associative_generators) only b among them is checked.  When
-    that fails every pair is scanned for the witness.
+    The down-set part is decided on generators b (_on_generators).  The b
+    with down(a)*down(b) = down(a*b) for every a are closed under the
+    product, the setwise product of an associative table being associative
+    too: down(a)*down(b*c) = (down(a)*down(b))*down(c) = down(a*b)*down(c)
+    = down(a*b*c).  When the pass declines every pair is scanned for the
+    witness.
     """
     s = c.s
     t, leq, d, r = s.table, s.leq, s.d, s.r
@@ -354,10 +346,10 @@ def law_restricted_product(c):
                 ordered = leq[a2][a] and leq[b2][b]
                 if not (ordered and d[a2] == r[b2] and t[a2][b2] == row[b]):
                     return (a, b)
-    gens = c.associative_generators
-    if gens is not None and _down_set_products(s, gens) is None:
+    multiplies = _down_sets_multiply(s)
+    if _on_generators(s, lambda b: all(multiplies(a, b) for a in ids)):
         return None
-    return _down_set_products(s, range(s.size))
+    return _down_set_products(s, multiplies)
 
 
 def law_mu_separating(c):
@@ -401,24 +393,20 @@ def law_universal_groupoid(c):
     return None
 
 
-def _filter_order(s, gens):
+def _filter_order(s):
     """True when these hold on s.up, s.inv and s.table, writing a <= b for
-    b in up[a]; False when one fails or gens is None (Light's test failed,
-    Analysis.associative_generators):
+    b in up[a]; False when one fails:
       P1  the up-sets are pairwise distinct, and a <= a;
       P2  a <= b implies up[b] lies within up[a];
       P3  a <= b implies a' <= b';
-      P4  a <= b implies a*g <= b*g and g*a <= g*b, for each g in gens.
-    The y with u*y <= v*y for every pair u <= v are closed under the
-    product of an associative table, as (u*g)*h = u*(g*h) and u*g <= v*g is
-    such a pair again.  So are those on the left, and gens generate S, so
-    P4 holds for every y.  Then x >= a and y >= b give x*y >= a*y >= a*b
-    (P2), and the up-closure of up[a]*up[b], which holds a*b (P1), is
-    up[a*b].  With P3 the domain filter of up[a] is up[a'*a], and the range
-    filter of up[b] is up[b*b'].
+      P4  a <= b implies a*y <= b*y and y*a <= y*b, for each y.
+    P4 is decided on generators (_on_generators): the y with u*y <= v*y for
+    every pair u <= v are closed under the product, as (u*g)*h = u*(g*h)
+    and u*g <= v*g is such a pair again, and so are those on the left.
+    Then x >= a and y >= b give x*y >= a*y >= a*b (P2), and the up-closure
+    of up[a]*up[b], which holds a*b (P1), is up[a*b].  With P3 the domain
+    filter of up[a] is up[a'*a], and the range filter of up[b] is up[b*b'].
     """
-    if gens is None:
-        return False
     t, inv, up = s.table, s.inv, s.up
     masks = [_mask(u) for u in up]
     if len(set(masks)) < s.size or not all(m >> a & 1 for a, m in enumerate(masks)):
@@ -426,10 +414,12 @@ def _filter_order(s, gens):
     pairs = [(a, b) for a, ups in enumerate(up) for b in ups]
     if any(masks[b] & ~masks[a] or not masks[inv[a]] >> inv[b] & 1 for a, b in pairs):
         return False
-    return all(
-        masks[t[a][g]] >> t[b][g] & 1 and masks[t[g][a]] >> t[g][b] & 1
-        for g in gens
-        for a, b in pairs
+    return _on_generators(
+        s,
+        lambda g: all(
+            masks[t[a][g]] >> t[b][g] & 1 and masks[t[g][a]] >> t[g][b] & 1
+            for a, b in pairs
+        ),
     )
 
 
@@ -503,25 +493,26 @@ def law_atom_idempotent(c):
     return None
 
 
-def _on_generator_sides(s, gens, pairs, holds):
-    """True when holds(side, xs, ys) for side row g and for side column g of
-    each generator g, xs and ys being side read at the first and at the
-    second ids of pairs.  So laws oj and setminus-2 check that a property of
-    (u*x, u*y), and one of (x*u, y*u), holds for every pair and every u: the
-    u that have it are closed under the product of an associative table, and
-    every id is a product of gens, _associative_generators of the table.
-    False when gens is None (Light's test failed) or pairs is empty."""
-    if gens is None or not pairs:
+def _on_generator_sides(s, pairs, holds):
+    """_on_generators with holds(side, xs, ys) for side row g and for side
+    column g of each generator g, xs and ys being side read at the first
+    and at the second ids of pairs.  So laws oj and setminus-2 check that a
+    property of (u*x, u*y), and one of (x*u, y*u), holds for every pair and
+    every u, once the u that have it are closed under the product.  False
+    when pairs is empty."""
+    if not pairs:
         return False
     at_x, at_y = (_picker(ids) for ids in zip(*pairs))
-    for g in gens:
-        for side in (s.table[g], s.cols[g]):  # g*x and x*g, every x
-            if not holds(side, at_x(side), at_y(side)):
-                return False
-    return True
+    return _on_generators(
+        s,
+        lambda g: all(
+            holds(side, at_x(side), at_y(side))
+            for side in (s.table[g], s.cols[g])  # g*x and x*g, every x
+        ),
+    )
 
 
-def _oj_on_generators(s, gens):
+def _oj_on_generators(s):
     """True when (u*a, u*b) and (a*u, b*u) are orthogonal for every
     orthogonal pair (a, b) and every u, by _on_generator_sides: if g and h
     keep every orthogonal pair orthogonal, so does g*h, as (g*h*a, g*h*b) =
@@ -532,7 +523,7 @@ def _oj_on_generators(s, gens):
     def holds(side, xs, ys):
         return all(map(getitem, map(orth.__getitem__, xs), ys))
 
-    return _on_generator_sides(s, gens, pairs, holds)
+    return _on_generator_sides(s, pairs, holds)
 
 
 def _oj_scan(s):
@@ -551,10 +542,9 @@ def _oj_scan(s):
 def law_oj(c):
     """Orthogonality survives multiplying on either side: _oj_on_generators,
     else _oj_scan, which names the witness."""
-    s = c.s
-    if _oj_on_generators(s, c.associative_generators):
+    if _oj_on_generators(c.s):
         return None
-    return _oj_scan(s)
+    return _oj_scan(c.s)
 
 
 def law_buffs(c):
@@ -853,7 +843,7 @@ def law_orthogonal(c):
     return None
 
 
-def _setminus_2_on_generators(bs, gens):
+def _setminus_2_on_generators(bs):
     """True when a*(x-t) = a*x - a*t and (x-t)*a = x*a - t*a for every a
     and every down-pair t <= x, by _on_generator_sides.  Write x-t for the
     relative complement, read off rc_table, and P for the down-pairs.  With
@@ -873,7 +863,7 @@ def _setminus_2_on_generators(bs, gens):
             return False
         return at_st(side) == tuple(map(getitem, map(rct.__getitem__, xs), ts))
 
-    return _on_generator_sides(s, gens, pairs, holds)
+    return _on_generator_sides(s, pairs, holds)
 
 
 def _setminus_2_scan(bs):
@@ -925,9 +915,9 @@ def _setminus_4_on_generators(bs, pairs, setminus_2):
     Write x-t for the relative complement, read off rc_table, and P for the
     down-pairs t <= x.  Checked on the tables read, every complement and
     join named being defined:
-      setminus-2  law setminus-2's pass holds: after Light's test on the
-          generators, with x-t defined on P, it shows (x*u, t*u) in P and
-          (x-t)*u = x*u - t*u for every u and every (x, t) in P;
+      setminus-2  law setminus-2's pass holds: on the generators
+          (_on_generators), with x-t defined on P, it shows (x*u, t*u) in
+          P and (x-t)*u = x*u - t*u for every u and every (x, t) in P;
       F1  for every u, (u, 0) is in P, u-0 = u and u v 0 = u;
       F2  u*d(v) = v for every (u, v) in P;
       H   (x-t)*(1-f) = x - (x*f v t) for every f = d(v) and (x, t) in P.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .boolean import BoolInvSgp, KOfGroupoid, atoms_groupoid, k_of_groupoid
+from .core import _on_generators
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
     Component,
@@ -102,11 +103,6 @@ def rook_star(a):
     )
 
 
-def zero_rook(base, n):
-    z = base.base.zero
-    return rook_matrix(base, [[z] * n for _ in range(n)])
-
-
 def identity_rook(base, n):
     if base.top is None:
         raise NotMonoid("identity matrix needs an identity entry")
@@ -114,14 +110,6 @@ def identity_rook(base, n):
     return rook_matrix(
         base,
         [[base.top if i == j else z for j in range(n)] for i in range(n)],
-    )
-
-
-def diag_rook(base, n, diagonal):
-    z = base.base.zero
-    return rook_matrix(
-        base,
-        [[diagonal[i] if i == j else z for j in range(n)] for i in range(n)],
     )
 
 
@@ -174,16 +162,14 @@ def decompose(bs):
     is the one place K is built for a structure's atoms; theta_iso reads it.
 
     iso is checked to be a bijection onto K(R), R the rebuilt groupoid, and
-    multiplicative on the generators of S only, one column of K each:
-    iso(a*g) = iso(a)*iso(g) for every a.  That suffices.  The b with
-    iso(a*b) = iso(a)*iso(b) for every a are closed under the product: for
-    two of them b and c, iso(a*(b*c)) = iso((a*b)*c) = iso(a*b)*iso(c) =
-    (iso(a)*iso(b))*iso(c) = iso(a)*(iso(b)*iso(c)) = iso(a)*iso(b*c), since
-    S is associative (validated) and so is the setwise product of
-    bisections of the validated groupoid R.  The generators generate S, so
-    iso is multiplicative everywhere.  When the check fails, the rows of
-    K's table are scanned, and CertificateFailed names the first row a
-    where iso fails to be multiplicative.
+    multiplicative on generators g of S (_on_generators), one column of K
+    each: iso(a*g) = iso(a)*iso(g) for every a.  The b with iso(a*b) =
+    iso(a)*iso(b) for every a are closed under the product, as iso(a*b*c) =
+    iso(a*b)*iso(c) = iso(a)*iso(b)*iso(c) = iso(a)*iso(b*c), the setwise
+    product of bisections of the validated groupoid R being associative.
+    When the pass declines, the rows of K's table are scanned, and
+    CertificateFailed names the first row a where iso fails to be
+    multiplicative.
 
     K's table is therefore neither built nor validated here: it is the
     validated table of bs relabelled by iso.  Every reader of it goes
@@ -213,9 +199,10 @@ def decompose(bs):
         got = map(iso.__getitem__, map(itemgetter(g), s.table))
         return tuple(got) == tuple(map(col.__getitem__, iso))
 
-    if not all(map(column_holds, s.generators)):
-        # K's table holds the products its columns hold, so some row
-        # differs too, and the scan names the first
+    if not _on_generators(s, column_holds):
+        # some row differs: a failed column's products are K's, and were
+        # iso multiplicative onto K's associative product, the table read
+        # would be associative too, and pass Light's test
         p = kg.table
         a = next(
             a

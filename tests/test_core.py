@@ -17,7 +17,6 @@ from biskit.core import (
     is_fundamental,
     mu_and_quotient,
     parse_semigroup,
-    product_parts,
     relations,
     semigroup_iso,
     table_product,
@@ -268,15 +267,14 @@ def test_table_product_parts():
     table = table_product(s, t)
     p = InvSgp(table)
     assert p.size == s.size * t.size
-    for i in range(p.size):
-        a, b = product_parts(i, s)
-        assert i == b * s.size + a
-    # projections are multiplicative
+    k = s.size
+    # pair (a, b) has id b*k + a, so id i is the pair (i % k, i // k), and
+    # the projections read that way are multiplicative
     for i in range(p.size):
         for j in range(p.size):
-            ai, bi = product_parts(i, s)
-            aj, bj = product_parts(j, s)
-            ak, bk = product_parts(p.table[i][j], s)
+            ai, bi = i % k, i // k
+            aj, bj = j % k, j // k
+            ak, bk = p.table[i][j] % k, p.table[i][j] // k
             assert ak == s.table[ai][aj]
             assert bk == t.table[bi][bj]
 
@@ -512,7 +510,7 @@ def test_kernels_match_oracles_on_generated_structures(table, data):
     rows = tuple(map(tuple, table))
     assert_generators_decide_associativity(rows, None)
     s = InvSgp(rows)
-    assert s.generators == _generators(rows)
+    assert s.associative_generators == _generators(rows)
     if s.zero is not None:
         assert s.orth == naive_orth(s)
     k = len(table)
@@ -536,4 +534,4 @@ def test_chain_semilattice_needs_every_id_as_a_generator():
     # generating set is everything
     k = 6
     s = InvSgp([[min(a, b) for b in range(k)] for a in range(k)])
-    assert sorted(s.generators) == list(range(k))
+    assert sorted(s.associative_generators) == list(range(k))

@@ -418,9 +418,10 @@ def test_law_kernels_match_oracles(name, monkeypatch):
         assert_closures_match_on_pairs(c.bs)
         for ideal in enumerate_additive_ideals(c.bs):
             assert verify_additive_ideal(c.bs, ideal.carrier) is None
-    # every pass declined: each law's plain scan runs on a valid table
+    # every pass declined, Light's test read as failed on the table: each
+    # law's plain scan runs on a valid table
     declined = Analysis(InvSgp(TABLES[name]()))
-    declined.associative_generators = None
+    declined.s._associative = (declined.s.table, None)
     declined.atom_splits = None
     monkeypatch.setattr(laws, "_eggs_triples_follow", lambda mt, jt: False)
     assert_kernels_match(declined)
@@ -467,10 +468,10 @@ def corrupted(name, which, a, b, value):
 
 
 @st.composite
-def corruptions(draw, names=BOOLEAN_NAMES):
+def corruptions(draw, names=BOOLEAN_NAMES, tables=("table", "meet_table", "join_table", "rc_table")):
     name = draw(st.sampled_from(names))
     k = corpus_semigroup(name).size
-    which = draw(st.sampled_from(("table", "meet_table", "join_table", "rc_table")))
+    which = draw(st.sampled_from(tables))
     a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
     ids = st.integers(0, k - 1)
     value = draw(ids if which == "table" else st.one_of(st.none(), ids))

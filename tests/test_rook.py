@@ -44,14 +44,12 @@ from biskit.rook import (
     MN_ENTRY_CAP,
     build_Mn_G0,
     decompose,
-    diag_rook,
     identity_rook,
     rook_matrix,
     rook_mul,
     rook_star,
     rook_violation,
     theta_iso,
-    zero_rook,
 )
 from generated import (
     K_ORACLE_BISECTIONS,
@@ -104,7 +102,7 @@ def test_mul_associative_and_star_antihomomorphism():
 def test_identity_and_zero():
     bs = boolean("z2zero")
     e = identity_rook(bs, 2)
-    z = zero_rook(bs, 2)
+    z = rook_matrix(bs, [[bs.zero] * 2] * 2)
     for m in all_rooks(bs, 2):
         assert rook_mul(e, m).entries == m.entries
         assert rook_mul(m, e).entries == m.entries
@@ -116,13 +114,6 @@ def test_identity_rook_needs_a_top():
     no_top = type(bs)(bs.base, bs.complement, None)
     with pytest.raises(NotMonoid):
         identity_rook(no_top, 2)
-
-
-def test_diag_rook():
-    bs = boolean("powerset2")
-    m = diag_rook(bs, 2, (3, 1))
-    assert m.entries[0][0] == 3 and m.entries[1][1] == 1
-    assert m.entries[0][1] == bs.zero
 
 
 def mn_count(n, h):
