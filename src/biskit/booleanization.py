@@ -82,12 +82,10 @@ def booleanize(s):
         beta.append(kg.index[below])
     if len(set(beta)) != s0.size:
         raise CertificateFailed(("beta-not-injective",))
-    kt = kg.structure.base.table
-    for a in range(s0.size):  # row a: beta(a*b) against beta(a)*beta(b)
-        ka = kt[beta[a]]
-        if [beta[c] for c in s0.table[a]] != [ka[x] for x in beta]:
-            b = next(b for b in range(s0.size) if beta[s0.table[a][b]] != ka[beta[b]])
-            raise CertificateFailed(("beta-not-multiplicative", a, b))
+    try:
+        check_multiplicative(s0, kg.structure, beta)
+    except NotMultiplicative as ex:
+        raise CertificateFailed(("beta-not-multiplicative", *ex.witness)) from None
     return Booleanization(s, s0, g, kg, tuple(beta))
 
 
@@ -299,7 +297,8 @@ def booleanization_iso(s, t):
 
     The groupoids determine the Booleanizations: a groupoid isomorphism
     induces a bisection-by-bisection map, which is re-checked as a table
-    isomorphism; CertificateFailed names the first pair where it fails.
+    isomorphism (a bijection, then check_multiplicative); CertificateFailed
+    names the first pair where it fails.
     """
     b_s, b_t = booleanize(s), booleanize(t)
     gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
@@ -312,8 +311,8 @@ def booleanization_iso(s, t):
     sb, tb = b_s.bs.base, b_t.bs.base
     if sb.size != tb.size or set(induced) != set(range(tb.size)):
         raise CertificateFailed(("induced-not-bijective",))
-    for a in range(sb.size):
-        for b2 in range(sb.size):
-            if induced[sb.table[a][b2]] != tb.table[induced[a]][induced[b2]]:
-                raise CertificateFailed(("induced-not-multiplicative", a, b2))
+    try:
+        check_multiplicative(b_s.bs, b_t.bs, induced)
+    except NotMultiplicative as ex:
+        raise CertificateFailed(("induced-not-multiplicative", *ex.witness)) from None
     return BooleanizationIso(True, gmap, induced)

@@ -80,12 +80,6 @@ class Gpd:
         self.identities = identities
         self.labels = labels if labels is not None else tuple(range(m))
 
-    def arrows(self, src, dst):
-        """Elements with domain identity src and range identity dst."""
-        return tuple(
-            x for x in range(self.size) if self.d[x] == src and self.r[x] == dst
-        )
-
     def is_group(self):
         return self.size >= 1 and len(self.identities) == 1 and all(
             v is not None for row in self.ptable for v in row
@@ -164,7 +158,6 @@ def reconstruct(cf):
 
 
 GROUP_ISO_CAP = 64
-CANONICAL_TABLE_CAP = 16
 
 
 def _element_orders(g):
@@ -180,62 +173,23 @@ def _element_orders(g):
     return tuple(orders)
 
 
-def _generating_sequences(g, length):
-    """Ordered tuples of the given length that generate the whole group."""
+def _generating_sequence(g):
+    """The first tuple of ids that generates the whole group, shortest
+    first and then in lexicographic order."""
     e = g.identities[0]
-    out = []
-    for seq in itertools.product(range(g.size), repeat=length):
-        closure = {e}
-        frontier = [e]
-        while frontier:
-            x = frontier.pop()
-            for s in seq:
-                y = g.ptable[x][s]
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) == g.size:
-            out.append(seq)
-    return out
-
-
-def _bfs_labelling(g, seq):
-    """Deterministic relabelling: identity first, then closure under seq."""
-    e = g.identities[0]
-    order = [e]
-    seen = {e}
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for s in seq:
-            y = g.ptable[x][s]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    pos = {x: i for i, x in enumerate(order)}
-    return tuple(
-        tuple(pos[g.ptable[order[i]][order[j]]] for j in range(g.size))
-        for i in range(g.size)
-    )
-
-
-def canonical_group_key(g):
-    """Isomorphism-invariant key for a group.
-
-    Up to 16 elements: the lexicographically least relabelled table over all
-    generating sequences of minimal length.  Above that: size plus the order
-    profile (cheap but only a necessary invariant; callers confirm with an
-    explicit isomorphism search).
-    """
-    if not g.is_group():
-        raise NotAGroup("canonical key needs a one-object groupoid")
-    if g.size > CANONICAL_TABLE_CAP:
-        return ("profile", g.size, tuple(sorted(_element_orders(g))))
-    for length in range(0 if g.size == 1 else 1, g.size + 1):
-        seqs = _generating_sequences(g, length)
-        if seqs:
-            return ("table", min(_bfs_labelling(g, seq) for seq in seqs))
+    for length in range(1, g.size + 1):
+        for seq in itertools.product(range(g.size), repeat=length):
+            closure = {e}
+            frontier = [e]
+            while frontier:
+                x = frontier.pop()
+                for s in seq:
+                    y = g.ptable[x][s]
+                    if y not in closure:
+                        closure.add(y)
+                        frontier.append(y)
+            if len(closure) == g.size:
+                return seq
     raise AssertionError("group without generating sequence")
 
 
@@ -272,11 +226,7 @@ def group_iso(a, b, cap=GROUP_ISO_CAP):
     orders_a, orders_b = _element_orders(a), _element_orders(b)
     if sorted(orders_a) != sorted(orders_b):
         return None
-    for length in range(1, n + 1):
-        seqs = _generating_sequences(a, length)
-        if seqs:
-            gens = seqs[0]
-            break
+    gens = _generating_sequence(a)
     by_order = {}
     for y in range(n):
         by_order.setdefault(orders_b[y], []).append(y)
@@ -301,11 +251,7 @@ def group_iso(a, b, cap=GROUP_ISO_CAP):
         if len(phi) != n:
             return None
         out = tuple(phi[x] for x in range(n))
-        for x in range(n):
-            for y in range(n):
-                if out[a.ptable[x][y]] != b.ptable[out[x]][out[y]]:
-                    return None
-        return out
+        return out if is_groupoid_iso(a, b, out) else None
 
     cand_lists = [by_order.get(orders_a[s], []) for s in gens]
     for images in itertools.product(*cand_lists):
@@ -379,10 +325,11 @@ def coordinatize(g):
 def groupoid_iso(g, h):
     """Explicit isomorphism g -> h as an id tuple, or None.
 
-    Components are matched by (identity count, canonical group key); matched
-    components are then coordinatized and mapped triple-by-triple through an
-    explicit local group isomorphism.  The candidate is fully re-checked
-    against both partial tables before being returned.
+    Components are matched by (identity count, sorted element orders) and
+    kept only where group_iso finds a local group isomorphism; matched
+    components are then coordinatized and mapped triple-by-triple through
+    it.  The candidate is fully re-checked against both partial tables
+    before being returned.
     """
     cg, ch = coordinatize(g), coordinatize(h)
     comps_g, comps_h = cg.form.components, ch.form.components
@@ -390,7 +337,7 @@ def groupoid_iso(g, h):
         return None
 
     def sig(comp):
-        return (comp.identity_count, canonical_group_key(comp.group))
+        return (comp.identity_count, sorted(_element_orders(comp.group)))
 
     sig_g = [sig(c) for c in comps_g]
     sig_h = [sig(c) for c in comps_h]

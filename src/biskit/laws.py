@@ -668,23 +668,10 @@ def law_meets_semisimple(c):
     return None
 
 
-def _eggs_triples_follow(mt, jt):
-    """True when every meet is defined (M), the meet table equals its
-    transpose (S), so does the join table, undefined joins included (J), and
-    x v x = x for every x (I); see law_eggs."""
-    ids = range(len(mt))
-    return (
-        not any(None in row for row in mt)
-        and list(map(tuple, mt)) == list(zip(*mt))
-        and list(map(tuple, jt)) == list(zip(*jt))
-        and list(map(getitem, jt, ids)) == list(ids)
-    )
-
-
 def _eggs_pairs_by_atoms(s, splits):
-    """True when law eggs holds on every pair, shown from splits, the
-    checked _atom_splits (Analysis.atom_splits), and these, checked on the
-    tables read:
+    """True when law eggs holds on every pair and every triple, shown from
+    splits, the checked _atom_splits (Analysis.atom_splits), and these,
+    checked on the tables read:
       E1  every meet is defined;
       E2  the meet table equals its transpose;
       E3  the zero row of the meet table is all 0;
@@ -694,7 +681,10 @@ def _eggs_pairs_by_atoms(s, splits):
     union of the beta(β meet u) over the atoms β <= x.  So for a pair with
     j = a v b, beta(j) = beta(a) | beta(b) (B3) and, by E2, beta(u meet j)
     = beta(a meet u) | beta(b meet u): by B3 that is the join of the two
-    meets, all defined by E1.
+    meets, all defined by E1.  A triple splits the same way: with
+    j = (a v b) v c, beta(j) = beta(a) | beta(b) | beta(c) by B3 twice, so
+    beta(u meet j) = beta(a meet u) | beta(b meet u) | beta(c meet u); by
+    the pair case and B3 that is the join of u meet (a v b) and c meet u.
     """
     if splits is None:
         return False
@@ -729,30 +719,13 @@ def _eggs_scan(s, m):
 
 def law_eggs(c):
     """Meets distribute over the joins of pairs and triples: for every u,
-    u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].  All
-    pairs come first, decided by _eggs_pairs_by_atoms, else by _eggs_scan;
-    then all triples, scanned unless they follow from the pairs.
-
-    When every pair holds and _eggs_triples_follow, so do the triples.
-    Write P(a, b) for the law on a pair a < b; take a < b < c with j = a v b
-    and j v c defined.  By M every meet read is defined, and by P(a, b) and
-    S, (a meet u) v (b meet u) = u meet j = j meet u for every u: the
-    triple's right side is (j meet u) v (c meet u).  If j < c, P(j, c) makes
-    it u meet (j v c).  If c < j, J makes c v j = j v c, so (c, j) was a
-    pair, and turns P(c, j) into the same equation.  If c = j, I and S make
-    it j meet u = u meet (j v j).
-
-    When _eggs_pairs_by_atoms holds, so does _eggs_triples_follow: M and S
-    are its E1 and E2; by B3 jt[p][q] and jt[q][p] are both the owner of
-    beta(p) | beta(q), or None (J), and jt[x][x] is x by B1 (I).
-    """
+    u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].
+    Decided by _eggs_pairs_by_atoms, which covers triples too; when it
+    declines, _eggs_scan names the first witness, pairs before triples."""
     s = c.bs.base
     if _eggs_pairs_by_atoms(s, c.atom_splits):
         return None
-    w = _eggs_scan(s, 2)
-    if w is None and not _eggs_triples_follow(s.meet_table, s.join_table):
-        w = _eggs_scan(s, 3)
-    return w
+    return _eggs_scan(s, 2) or _eggs_scan(s, 3)
 
 
 def law_chicken(c):

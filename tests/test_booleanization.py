@@ -148,6 +148,29 @@ def test_booleanization_iso_direct_cross_check():
     assert semigroup_iso(bs, bt, cap=8) is not None
 
 
+@pytest.mark.parametrize(
+    "name, swap, pair", [("i2", (1, 2), (1, 2)), ("b2", (0, 1), (1, 3))]
+)
+def test_booleanization_iso_names_the_first_pair_not_multiplied(
+    name, swap, pair, monkeypatch
+):
+    # the groupoid map found, with two arrows exchanged, still induces a
+    # bijection; the witness is the first pair a plain scan finds
+    s = corpus_semigroup(name)
+    b = booleanize(s)
+    m = list(groupoid_iso(b.groupoid, b.groupoid))
+    i, j = swap
+    m[i], m[j] = m[j], m[i]
+    monkeypatch.setattr(booleanization, "groupoid_iso", lambda g, h: tuple(m))
+    f = [b.target.index[frozenset(m[x] for x in a)] for a in b.target.bisections]
+    t, ids = b.bs.base.table, range(b.bs.size)
+    first = next((a, c) for a in ids for c in ids if f[t[a][c]] != t[f[a]][f[c]])
+    assert first == pair
+    with pytest.raises(CertificateFailed) as e:
+        booleanization_iso(s, s)
+    assert e.value.witness == ("induced-not-multiplicative", *pair)
+
+
 def test_booleanization_iso_negative():
     rep = booleanization_iso(corpus_semigroup("b2"), corpus_semigroup("z2zero"))
     assert not rep.isomorphic

@@ -16,6 +16,7 @@ from biskit.groupoid import (
     Component,
     ComponentForm,
     Gpd,
+    _element_orders,
     component_form,
     coordinatize,
     group_iso,
@@ -162,6 +163,41 @@ def test_groupoid_iso_relabelled():
             v = g.ptable[inv[a]][inv[b]]
             pt[a][b] = None if v is None else perm[v]
     assert groupoid_iso(Gpd(pt), g) is not None
+
+
+def z4_by_z4_table(twisted):
+    """Z4 x Z4 on ids 4a + b, or with twisted Z4 x| Z4:
+    (a1, b1)(a2, b2) = (a1 + (-1)^b1 * a2, b1 + b2)."""
+    pairs = list(itertools.product(range(4), repeat=2))
+    sign = [(-1) ** b if twisted else 1 for _, b in pairs]
+    return [
+        [4 * ((a1 + s * a2) % 4) + (b1 + b2) % 4 for a2, b2 in pairs]
+        for (a1, b1), s in zip(pairs, sign)
+    ]
+
+
+def test_groups_with_the_same_element_orders_are_told_apart():
+    # Z4 x Z4 and Z4 x| Z4: order 16, one identity, three elements of order
+    # 2 and twelve of order 4, only the first abelian
+    z4z4, twisted = Gpd(z4_by_z4_table(False)), Gpd(z4_by_z4_table(True))
+    assert sorted(_element_orders(z4z4)) == sorted(_element_orders(twisted))
+    assert sorted(_element_orders(z4z4)) == [1] + [2] * 3 + [4] * 12
+    assert any(
+        twisted.ptable[x][y] != twisted.ptable[y][x]
+        for x in range(16)
+        for y in range(16)
+    )
+    assert group_iso(z4z4, twisted) is None
+    assert groupoid_iso(z4z4, twisted) is None
+    # both as components of one groupoid, against it with its ids reversed:
+    # the components then tie on their signature in the other order
+    g = reconstruct(
+        ComponentForm((Component(1, z4z4, (), ()), Component(1, twisted, (), ())))
+    )
+    h = Gpd([[None if v is None else 31 - v for v in r[::-1]] for r in g.ptable[::-1]])
+    assert group_iso(component_form(h).components[0].group, twisted) is not None
+    mp = groupoid_iso(g, h)
+    assert mp is not None and is_groupoid_iso(g, h, mp)
 
 
 def test_is_groupoid_iso_needs_a_bijection():

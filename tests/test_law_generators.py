@@ -28,7 +28,6 @@ from biskit.laws import (
     _down_sets_multiply,
     _eggs_pairs_by_atoms,
     _eggs_scan,
-    _eggs_triples_follow,
     _filter_groupoid,
     _fish_on_generators,
     _oj_on_generators,
@@ -183,7 +182,7 @@ def test_restricted_product_pass_declines_without_light_test():
 
 
 def eggs_declines(c):
-    return not _eggs_triples_follow(c.s.meet_table, c.s.join_table)
+    return not _eggs_pairs_by_atoms(c.s, _atom_splits(c.bs))
 
 
 def splits_decline(c):

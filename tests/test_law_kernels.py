@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import biskit.laws as laws
 from biskit.boolean import (
     AdditiveIdeal,
     enumerate_additive_ideals,
@@ -410,7 +409,7 @@ TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
-def test_law_kernels_match_oracles(name, monkeypatch):
+def test_law_kernels_match_oracles(name):
     c = Analysis(InvSgp(TABLES[name]()))
     assert_kernels_match(c)
     if c.bs is not None:
@@ -423,7 +422,6 @@ def test_law_kernels_match_oracles(name, monkeypatch):
     declined = Analysis(InvSgp(TABLES[name]()))
     declined.s._associative = (declined.s.table, None)
     declined.atom_splits = None
-    monkeypatch.setattr(laws, "_eggs_triples_follow", lambda mt, jt: False)
     assert_kernels_match(declined)
 
 

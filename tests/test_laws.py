@@ -624,3 +624,50 @@ def test_src_has_no_assert_statements():
     readers = [*trees.values(), *tests.values()]
     assert found + unreferenced_private_defs(trees) == []
     assert unreferenced_methods(trees, readers) == []
+
+
+def unread_functions(trees, readers):
+    """(module, name) of each function or method defined in trees, dunders
+    and the cmd_* handlers cli.main looks up by name aside, that no tree in
+    readers reads outside its own def: a function as a name or an imported
+    name, a method as an attribute."""
+    reads = set()  # (tree key, line, read as an attribute, name)
+    for key, tree in readers.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.alias):
+                reads.add((key, n.lineno, False, n.name))
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add((key, n.lineno, False, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add((key, n.lineno, True, n.attr))
+    unread = []
+    for key, tree in trees.items():
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        methods = {id(f) for c in classes for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith(("__", "cmd_")):
+                continue
+            own = range(f.lineno, f.end_lineno + 1)
+            if not any(
+                (name, attr) == (f.name, id(f) in methods)
+                and not (where == key and line in own)
+                for where, line, attr, name in reads
+            ):
+                unread.append((key[1], f.name))
+    return unread
+
+
+def test_every_function_in_src_is_read():
+    # a function or method nothing calls is left behind by deleted code
+    here = os.path.dirname(os.path.abspath(__file__))
+    dirs = {
+        "src": os.path.dirname(os.path.abspath(biskit.__file__)),
+        "tests": here,
+        "bench": os.path.join(os.path.dirname(here), "bench"),
+    }
+    trees = {
+        d: {(d, name): tree for name, tree in parsed_modules(path).items()}
+        for d, path in dirs.items()
+    }
+    readers = {**trees["src"], **trees["tests"], **trees["bench"]}
+    assert unread_functions(trees["src"], readers) == []
