@@ -650,9 +650,9 @@ def read_pencil(bs, ideal, e, f):
     """preceq(bs, e, f) given ideal, the ideal_closure of [f].
 
     The pencil is read back out of the closure provenance and verified: each
-    member carries its leaf's domain, the domains join to e and every range
-    sits below f; CertificateFailed names a check that fails.  One closure
-    serves every e.
+    member carries its leaf's domain, and _check_pencil's range and join
+    certificates hold; CertificateFailed names a check that fails.  One
+    closure serves every e.
     """
     s = bs.base
     if e not in ideal.carrier:
@@ -676,13 +676,21 @@ def read_pencil(bs, ideal, e, f):
         x = s.table[s.table[f][v]][s.d[c]]
         if s.d[x] != s.d[c]:
             raise CertificateFailed(("pencil-domain-differs", x, c))
-        if not s.leq[s.r[x]][f]:
-            raise CertificateFailed(("pencil-range-not-below", x, f))
         pencil.append(x)
     pencil = tuple(dict.fromkeys(pencil))
+    _check_pencil(s, pencil, e, f)
+    return PencilReport(True, pencil)
+
+
+def _check_pencil(s, pencil, e, f):
+    """Raise CertificateFailed unless pencil is one from e to f: every
+    range r(x) lies below f, and the domains d(x) join to e.  The
+    certificates of read_pencil and of law toby."""
+    for x in pencil:
+        if not s.leq[s.r[x]][f]:
+            raise CertificateFailed(("pencil-range-not-below", x, f))
     if s.join_of(s.d[x] for x in pencil) != e:
         raise CertificateFailed(("pencil-join-differs", pencil, e))
-    return PencilReport(True, pencil)
 
 
 @dataclass(frozen=True)
@@ -875,11 +883,16 @@ def is_weakly_meet_preserving(source, target, mp):
     covered.  With a meet m, the common lower bounds of a and b are the
     down-set of m, so the covered bitset is built once per m.  A pair
     without a meet takes the union over its common lower bounds itself.
-    A map onto the one point 0, with 0 below every element, holds at once.
+    A map onto the one point 0, with 0 below every element, holds at once,
+    and so does the identity onto the source's own structure, with each
+    element below itself.
     """
     s, t = _base(source), _base(target)
     if t.size == 1 and set(mp) == {0} and all(s.zero in d for d in s.down):
         return True  # each pair has the lower bound 0, whose image covers t
+    identity = tuple(mp) == tuple(range(s.size))
+    if t is s and identity and all(c in d for c, d in enumerate(s.down)):
+        return True  # each common lower bound c of a and b covers itself
     t_down = [_mask(t.down[u]) for u in range(t.size)]
     img_down = [t_down[mp[x]] for x in range(s.size)]
 

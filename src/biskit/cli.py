@@ -310,19 +310,21 @@ def cmd_verify(args):
             obj = load()
         except (BiskitError, OSError) as e:
             error = f"{type(e).__name__}: {e}"
-            report.append({"target": label, "error": error})
-            if not as_json:
+            if as_json:
+                report.append({"target": label, "error": error})
+            else:
                 print(label)
                 print(f"  validation: FAIL {error}")
             any_failure = True
             continue
         results = run_laws(obj)
-        laws = [asdict(r) for r in results]
-        if not args.timings:
-            for law in laws:
-                del law["seconds"]
-        report.append({"target": label, "laws": laws})
-        if not as_json:
+        if as_json:
+            laws = [asdict(r) for r in results]
+            if not args.timings:
+                for law in laws:
+                    del law["seconds"]
+            report.append({"target": label, "laws": laws})
+        else:
             _print_law_lines(label, results, args.timings)
         failures = [r for r in results if r.status == "fail"]
         if failures:

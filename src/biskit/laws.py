@@ -20,6 +20,7 @@ from .boolean import (
     BoolInvSgp,
     Morphism,
     _above,
+    _check_pencil,
     analyze_morphism,
     atoms_groupoid,
     check_boolean,
@@ -32,7 +33,6 @@ from .boolean import (
     k_of_groupoid,
     kernel_of,
     orthogonalize,
-    read_pencil,
 )
 from .booleanization import (
     FILTER_SCAN_CAP,
@@ -44,6 +44,7 @@ from .booleanization import (
     principal_map_is_iso,
 )
 from .core import (
+    _dr_classes,
     _mask,
     _on_generators,
     _picker,
@@ -160,10 +161,34 @@ class Analysis:
 
     @cached_property
     def closures(self):
-        """closures[e]: ideal_closure of [e], for each idempotent e.  The
-        closure of any x is that of d(x), since x is in an additive ideal
-        exactly when d(x) is."""
-        return {e: ideal_closure(self.bs, [e]) for e in self.s.idempotents}
+        """closures[e]: an ideal_closure whose carrier is that of [e], for
+        each idempotent e.  The closure of any x is that of d(x), since x is
+        in an additive ideal exactly when d(x) is.
+
+        One closure is run per set of atom components (_atom_components),
+        of the first idempotent with that set; its provenance is that
+        idempotent's, so readers take the carrier only.  The closure of e
+        depends only on the components that meet the atoms below e:
+          (i)   E(S) is a finite Boolean algebra (check_boolean), so e is
+                the join of the atoms below it;
+          (ii)  an additive ideal, closed under products and joins, holds e
+                exactly when it holds those atoms;
+          (iii) for an atom x, d(x) and r(x) are atoms, and an ideal holds
+                d(x) iff it holds x = x*d(x) iff it holds r(x) = x*x'.
+        So the ideals holding e are those holding every atom of its
+        components.  When the premise, every atom's d and r an idempotent
+        atom, fails on the tables, each idempotent is closed alone.  Law
+        smallest checks every carrier is the least ideal holding it.
+        """
+        es = self.s.idempotents
+        keys = _atom_components(self.s)
+        if keys is None:
+            keys = {e: e for e in es}
+        by_key = {}
+        for e in es:
+            if keys[e] not in by_key:
+                by_key[keys[e]] = ideal_closure(self.bs, [e])
+        return {e: by_key[keys[e]] for e in es}
 
     @cached_property
     def zero_simplifying(self):
@@ -357,7 +382,8 @@ def law_mu_separating(c):
     rep = c.mu  # construction re-checks congruence and separation
     if s.size > CONGRUENCE_SCAN_CAP:
         raise _Skip(
-            f"construction verified, maximality scan capped at {CONGRUENCE_SCAN_CAP}"
+            "construction verified, maximality scan capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
         )
     mu_cls = rep.mu.class_of
     for cong in all_congruences(s):
@@ -988,6 +1014,22 @@ def law_dichotomy(c):
     return None
 
 
+def _atom_components(s):
+    """keys[e]: the set of atom components that meet the atoms below e,
+    for each idempotent e, as a frozenset of component indices; None unless
+    every atom's d and r is an idempotent atom.  The components are the
+    classes of the idempotent atoms (_dr_classes) under an edge d(x)-r(x)
+    for each atom x: those of the atoms groupoid, without building it."""
+    atoms = s.atoms
+    idem_atoms = [a for a in atoms if s.is_idempotent(a)]
+    ds, rs = [s.d[x] for x in atoms], [s.r[x] for x in atoms]
+    if not set(idem_atoms).issuperset(ds + rs):
+        return None
+    comp = {a: i for i, ids in enumerate(_dr_classes(idem_atoms, ds, rs)) for a in ids}
+    keys = (frozenset(comp[a] for a in s.down[e] if a in comp) for e in s.idempotents)
+    return dict(zip(s.idempotents, keys))
+
+
 def law_smallest(c):
     """The closure of each a, read as that of d(a), holds a, is one of the
     ideals and lies in every ideal holding a."""
@@ -1014,17 +1056,51 @@ def law_toby(c):
     {0} is both trivial ideals.  On disagreement the witness is (e, f): the
     first pair not dominated when the ideals say 0-simplifying, or the last
     pair scanned when every pair is dominated although they say it is not.
-    Each f's closure is read from Analysis.closures for every e.
+
+    Domination is read off the atom pencils (_atom_pencils), each checked
+    by read_pencil's range and join certificates (_check_pencil).  An atom
+    pencil exists exactly when any pencil does: if e is the join of the
+    d(xi), with every r(xi) <= f, each atom α <= e lies below some d(xi),
+    and xi*α is an atom with domain α and range below r(xi) <= f.  So e is
+    not dominated by f when some atom α <= e has no such arrow.
     """
     s = c.s
     if s.size == 1:
         return None
+    pencil = _atom_pencils(s)
     nonzero = [e for e in s.idempotents if e != s.zero]
     for e in nonzero:
         for f in nonzero:
-            if not read_pencil(c.bs, c.closures[f], e, f).holds:
+            p = pencil(e, f)
+            if p is None:
                 return (e, f) if c.zero_simplifying else None
+            _check_pencil(s, p, e, f)
     return None if c.zero_simplifying else (e, f)
+
+
+def _atom_pencils(s):
+    """pencil(e, f): for each idempotent atom α <= e, ascending, the first
+    atom x with d(x) = α and r(x) <= f, read off down; None when some α has
+    none.  The atoms from each α are found once per f."""
+    by_domain = {}  # by_domain[α]: the atoms x with d(x) = α, ascending
+    for x in s.atoms:
+        by_domain.setdefault(s.d[x], []).append(x)
+    idem_atoms = {a for a in s.atoms if s.is_idempotent(a)}
+    below = {e: [a for a in s.down[e] if a in idem_atoms] for e in s.idempotents}
+
+    @cache
+    def arrows(f):  # arrows(f)[α]: the first atom from α with range below f
+        below_f = frozenset(s.down[f])
+        return {
+            a: next((x for x in by_domain.get(a, ()) if s.r[x] in below_f), None)
+            for a in idem_atoms
+        }
+
+    def pencil(e, f):
+        p = tuple(map(arrows(f).__getitem__, below[e]))
+        return None if None in p else p
+
+    return pencil
 
 
 def _is_additive_congruence(s, cls):
@@ -1057,7 +1133,8 @@ def law_noise(c):
             return (tuple(sorted(ideal.carrier)), "kernel-mismatch")
     if s.size > CONGRUENCE_SCAN_CAP:
         raise _Skip(
-            f"kernels verified, minimality scan capped at {CONGRUENCE_SCAN_CAP}"
+            "kernels verified, minimality scan capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
         )
     for ideal, rep in c.eps_reports:
         eps_cls = rep.congruence.class_of
@@ -1151,7 +1228,10 @@ def law_ale(c):
     bs = c.bs
     s = bs.base
     if s.size > ROOK_ENUM_CAP:
-        raise _Skip(f"2x2 matrix enumeration capped at {ROOK_ENUM_CAP}")
+        raise _Skip(
+            f"2x2 matrix enumeration capped at ROOK_ENUM_CAP={ROOK_ENUM_CAP}, "
+            f"carrier has {s.size} elements"
+        )
     mats = []
     for quad in itertools.product(range(s.size), repeat=4):
         entries = [list(quad[:2]), list(quad[2:])]

@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from biskit.boolean import (
     AdditiveIdeal,
+    _check_pencil,
     enumerate_additive_ideals,
     ideal_closure,
     is_weakly_meet_preserving,
     orthogonalize,
+    preceq,
     verify_additive_ideal,
 )
 from biskit.booleanization import (
@@ -44,6 +46,8 @@ from biskit.rook import identity_rook, rook_matrix, rook_mul, rook_star
 from biskit.laws import (
     ROOK_ENUM_CAP,
     Analysis,
+    _atom_components,
+    _atom_pencils,
     _meets_preserved,
     _Skip,
     _applicable,
@@ -58,6 +62,7 @@ from biskit.laws import (
     law_restricted_product,
     law_setminus_2,
     law_setminus_4,
+    law_toby,
 )
 from generated import i4_subsemigroup_tables
 
@@ -212,7 +217,10 @@ def oracle_ale(c):
     bs = c.bs
     s = bs.base
     if s.size > ROOK_ENUM_CAP:
-        raise _Skip(f"2x2 matrix enumeration capped at {ROOK_ENUM_CAP}")
+        raise _Skip(
+            f"2x2 matrix enumeration capped at ROOK_ENUM_CAP={ROOK_ENUM_CAP}, "
+            f"carrier has {s.size} elements"
+        )
     mats = []
     for quad in itertools.product(range(s.size), repeat=4):
         entries = [list(quad[:2]), list(quad[2:])]
@@ -644,3 +652,93 @@ def test_plain_projections_match_the_full_checks(name):
             assert got is oracle_weakly_meet_preserving(p) is True
         assert _meets_preserved(p) is oracle_meets_preserved(p) is True
     assert kinds == {"identity", "point"}
+
+
+# -- the atoms groupoid: closures, pencils, the identity --------------------
+
+# Boolean inverse subsemigroups of I4
+boolean_i4_tables = i4_subsemigroup_tables.filter(
+    lambda table: Analysis(InvSgp(table)).bs is not None
+)
+
+# distinct closures Analysis runs: one per set of components of the atoms
+# groupoid, which has none on trivial, two on powerset2 and i2xz2zero, and
+# one on the others
+CLOSURE_RUNS = {
+    "trivial": 1,
+    "powerset2": 4,
+    "z2zero": 2,
+    "z3zero": 2,
+    "i2": 2,
+    "i3": 2,
+    "i2xz2zero": 4,
+    "m2z2zero": 2,
+}
+
+
+def assert_closures_per_idempotent(c):
+    for e in c.s.idempotents:
+        assert c.closures[e].carrier == ideal_closure(c.bs, [e]).carrier, e
+
+
+def assert_atom_pencils_match_preceq(c):
+    s = c.s
+    pencil = _atom_pencils(s)
+    nonzero = [e for e in s.idempotents if e != s.zero]
+    for e in nonzero:
+        for f in nonzero:
+            p = pencil(e, f)
+            assert (p is not None) == preceq(c.bs, e, f).holds, (e, f)
+            if p is not None:
+                _check_pencil(s, p, e, f)
+    assert law_toby(c) is None
+
+
+def assert_identity_shortcut_matches_scan(bs):
+    ids = tuple(range(bs.size))
+    twin = InvSgp(bs.base.table)  # equal tables, so the scan decides
+    assert twin is not bs.base
+    assert is_weakly_meet_preserving(bs, bs, ids) is True
+    assert is_weakly_meet_preserving(bs, twin, ids) is True
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_closures_per_component_set_match_closures_per_idempotent(name):
+    c = Analysis(corpus_semigroup(name))
+    assert_closures_per_idempotent(c)
+    runs = {id(ideal) for ideal in c.closures.values()}
+    assert len(runs) == CLOSURE_RUNS[name]
+
+
+def test_closures_when_an_atom_domain_is_no_atom():
+    # i2's atom 1 read with domain 5, the identity: the premise fails, so
+    # each idempotent is closed alone, and the carriers are unchanged
+    closures = Analysis(corpus_semigroup("i2")).closures
+    want = {e: ideal.carrier for e, ideal in closures.items()}
+    c = Analysis(corpus_semigroup("i2"))
+    c.s.compat_partners, c.s.cols  # read before d is changed
+    d = list(c.s.d)
+    d[c.s.atoms[0]] = c.s.identity
+    c.s.d = tuple(d)
+    assert _atom_components(c.s) is None
+    assert {e: ideal.carrier for e, ideal in c.closures.items()} == want
+    assert len({id(ideal) for ideal in c.closures.values()}) == len(c.s.idempotents)
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_atom_pencils_match_preceq(name):
+    assert_atom_pencils_match_preceq(Analysis(corpus_semigroup(name)))
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_identity_shortcut_matches_the_scan(name):
+    assert_identity_shortcut_matches_scan(Analysis(corpus_semigroup(name)).bs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolean_i4_tables)
+def test_atoms_groupoid_readings_on_generated_structures(table):
+    c = Analysis(InvSgp(table))
+    assert_closures_per_idempotent(c)
+    assert_atom_pencils_match_preceq(c)
+    assert_identity_shortcut_matches_scan(c.bs)
