@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, eq, itemgetter, or_
+from operator import eq, itemgetter, or_
 
 from .errors import (
     CertificateFailed,
@@ -136,16 +136,22 @@ def _positions(seq, value):
 def _generators(rows):
     """A greedy generating set of the table's product, in the order chosen.
 
-    Ids are scanned in descending order; one not yet in the closure becomes a
-    generator.  The closure grows by right multiplication m*g of its members
-    by the generators, and each (member, generator) pair is multiplied once:
-    done[i] counts the members already multiplied by generator i.  Every
-    member is g, or m*g for an earlier member m and a generator g, so the
-    closure is every product of generators.  No associativity is assumed.
+    Ids are scanned by descending |xS|, the number of distinct entries in
+    row x, ties by descending id; one not yet in the closure becomes a
+    generator.  If x = y*z in an associative table, xS = y(zS) is within yS,
+    so |xS| <= |yS|: the scan ranks a product's left factor no lower than
+    the product, and a low element is not picked before the elements that
+    generate it.  The closure grows by right multiplication m*g of its
+    members by the generators, and each (member, generator) pair is
+    multiplied once: done[i] counts the members already multiplied by
+    generator i.  Every member is g, or m*g for an earlier member m and a
+    generator g, so the closure is every product of generators, whatever
+    the scan order.  No associativity is assumed.
     """
     gens, members, done = [], [], []
     seen = set()
-    for x in range(len(rows) - 1, -1, -1):
+    order = sorted(zip(map(len, map(set, rows)), range(len(rows))), reverse=True)
+    for _, x in order:
         if x in seen:
             continue
         gens.append(x)
@@ -341,20 +347,34 @@ class InvSgp:
 
     @cached_property
     def compat(self):
-        """compat[a][b]: both a'*b and a*b' are idempotent."""
-        t, inv = self.table, self.inv
-        is_idem = set(self.idempotents).__contains__
-        at_inv = _picker(inv)  # row a read at inv: a*b' over every b
-        return tuple(
-            tuple(map(and_, map(is_idem, t[ia]), map(is_idem, at_inv(ra))))
-            for ra, ia in zip(t, inv)
-        )
+        """compat[a][b]: both a'*b and a*b' are idempotent, as a dense row
+        per a, set from compat_partners."""
+        k = self.size
+        out = []
+        for partners in self.compat_partners:
+            row = [False] * k
+            for b in partners:
+                row[b] = True
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def compat_partners(self):
-        """compat_partners[a]: the b with compat[a][b], ascending."""
+        """compat_partners[a]: the b with a'*b and a*b' idempotent, ascending.
+
+        Only the b where row a' holds an idempotent are read at row a, at b'.
+        """
+        t, inv = self.table, self.inv
+        is_idem = set(self.idempotents).__contains__
         ids = range(self.size)
-        return tuple(tuple(itertools.compress(ids, row)) for row in self.compat)
+        return tuple(
+            tuple(
+                b
+                for b in itertools.compress(ids, map(is_idem, t[ia]))
+                if is_idem(ra[inv[b]])
+            )
+            for ra, ia in zip(t, inv)
+        )
 
     @cached_property
     def orth(self):
@@ -649,7 +669,9 @@ def mu_and_quotient(s):
 def all_congruences(s, cap=9):
     """Every congruence of s, by exhausting set partitions.  Small s only."""
     if s.size > cap:
-        raise TooLarge(f"congruence enumeration capped at {cap} elements")
+        raise TooLarge(
+            f"congruence enumeration capped at cap={cap}, carrier has {s.size} elements"
+        )
     out = []
     for part in _set_partitions(list(range(s.size))):
         class_of = [0] * s.size
@@ -702,7 +724,8 @@ def semigroup_iso(s, t, cap=DEFAULT_SIZE_CAP):
     if s.size != t.size:
         return None
     if s.size > cap:
-        raise SizeCapExceeded(f"carrier {s.size} above cap {cap}")
+        name = "DEFAULT_SIZE_CAP=" if cap == DEFAULT_SIZE_CAP else ""
+        raise SizeCapExceeded(f"carrier has {s.size} elements, above cap {name}{cap}")
     k = s.size
 
     def profile(u):

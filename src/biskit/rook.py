@@ -129,7 +129,10 @@ def build_Mn_G0(n, group):
         raise NotAGroup("matrix base must be a one-object groupoid")
     h = group.size
     if n * n * h > MN_ENTRY_CAP:
-        raise TooLarge(f"{n}x{n} over group of order {h} exceeds entry cap")
+        raise TooLarge(
+            f"{n}x{n} over group of order {h} has {n * n * h} entries, "
+            f"above entry cap MN_ENTRY_CAP={MN_ENTRY_CAP}"
+        )
     # reconstruct reads only the identity count and the group of a component
     form = ComponentForm((Component(n, group, member_ids=(), identities=()),))
     return k_of_groupoid(reconstruct(form), cap=MN_CARRIER_CAP)

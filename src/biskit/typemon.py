@@ -297,7 +297,10 @@ def type_via_matrices(bs, n, tm=None):
         tm = type_monoid(bs)
     idem = s.idempotents
     if len(idem) ** n > MATRIX_IDEMPOTENT_CAP:
-        raise TooLarge(f"{len(idem)}^{n} diagonal idempotents exceed cap")
+        raise TooLarge(
+            f"{len(idem)}^{n} = {len(idem) ** n} diagonal idempotents, "
+            f"above cap MATRIX_IDEMPOTENT_CAP={MATRIX_IDEMPOTENT_CAP}"
+        )
     atomic, edges = _atom_edges(s)
 
     diags = list(itertools.product(idem, repeat=n))

@@ -235,7 +235,8 @@ def test_iso_direct_respects_size_cap(data, capsys, monkeypatch):
     monkeypatch.setenv("BISKIT_SIZE_CAP", "3")
     rc = main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"])
     assert rc == 1
-    assert "SizeCapExceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: SizeCapExceeded: carrier has 7 elements, above cap 3\n"
 
 
 def test_iso_direct_names_a_bad_size_cap(data, capsys, monkeypatch):

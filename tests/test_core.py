@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -300,8 +302,12 @@ def test_iso_negative():
 
 def test_iso_size_cap():
     s = corpus_semigroup("i2")
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="^carrier has 7 elements, above cap 3$"):
         semigroup_iso(s, s, cap=3)
+    big = InvSgp(table_product(s, s))
+    with pytest.raises(SizeCapExceeded) as info:
+        semigroup_iso(big, big)
+    assert str(info.value) == "carrier has 49 elements, above cap DEFAULT_SIZE_CAP=24"
 
 
 def test_fundamental():
@@ -332,8 +338,11 @@ def test_all_congruences_small():
     assert any(len(set(c.class_of)) == 1 for c in congs)
     for c in congs:
         assert check_congruence(s, c) is None
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge) as info:
         all_congruences(corpus_semigroup("i3"))
+    assert str(info.value) == (
+        "congruence enumeration capped at cap=9, carrier has 34 elements"
+    )
 
 
 @settings(max_examples=30)
@@ -418,6 +427,27 @@ def naive_orth(s):
     )
 
 
+def naive_compat(s):
+    """compat by its definition: a'*b and a*b' both idempotent."""
+    t, inv = s.table, s.inv
+    return tuple(
+        tuple(
+            s.is_idempotent(t[inv[a]][b]) and s.is_idempotent(t[a][inv[b]])
+            for b in range(s.size)
+        )
+        for a in range(s.size)
+    )
+
+
+def assert_compat_matches_oracle(s):
+    want = naive_compat(s)
+    assert s.compat == want
+    ids = range(s.size)
+    assert s.compat_partners == tuple(
+        tuple(itertools.compress(ids, row)) for row in want
+    )
+
+
 def row_scan_witness(rows):
     """The NotAssociative triple of the row scan, or None."""
     try:
@@ -440,14 +470,22 @@ def generated_closure(rows, gens):
     return out
 
 
+def scan_order(rows):
+    """Ids by descending (distinct entries of their row, id)."""
+    return sorted(range(len(rows)), key=lambda x: (len(set(rows[x])), x), reverse=True)
+
+
 def assert_generators_decide_associativity(rows, want):
     """The generators are the greedy choice and generate every id, and
     Light's test on them accepts exactly the tables the scan finds no triple
     in."""
     gens = _generators(rows)
+    order = scan_order(rows)
     for i, g in enumerate(gens):
-        # the largest id the generators chosen before it do not generate
-        assert g == max(set(range(len(rows))) - generated_closure(rows, gens[:i]))
+        # the first id in scan order the generators chosen before it do not
+        # generate
+        closure = generated_closure(rows, gens[:i])
+        assert g == next(x for x in order if x not in closure)
     assert generated_closure(rows, gens) == set(range(len(rows)))
     assert _light_test(rows, gens) == (want is None)
 
@@ -470,6 +508,7 @@ def assert_kernels_match_oracles(table):
     assert want is None
     assert s.meet_table == naive_meet_table(s)
     assert s.join_table == naive_join_table(s)
+    assert_compat_matches_oracle(s)
     if s.zero is None:
         with pytest.raises(NoZero):
             s.orth
@@ -511,6 +550,7 @@ def test_kernels_match_oracles_on_generated_structures(table, data):
     assert_generators_decide_associativity(rows, None)
     s = InvSgp(rows)
     assert s.associative_generators == _generators(rows)
+    assert_compat_matches_oracle(s)
     if s.zero is not None:
         assert s.orth == naive_orth(s)
     k = len(table)
@@ -535,3 +575,40 @@ def test_chain_semilattice_needs_every_id_as_a_generator():
     k = 6
     s = InvSgp([[min(a, b) for b in range(k)] for a in range(k)])
     assert sorted(s.associative_generators) == list(range(k))
+
+
+def relabel(rows, perm):
+    """The table with every id a renamed to perm[a]."""
+    out = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return tuple(map(tuple, out))
+
+
+I4 = tuple(map(tuple, symmetric_inverse_table(4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(len(I4))))
+def test_relabelled_i4_has_at_most_five_generators(perm):
+    # the descending-id scan needed up to 16 on relabelled copies of I4
+    assert len(_generators(relabel(I4, perm))) <= 5
+
+
+def load_bench_inputs():
+    """bench/inputs.py, which writes the benchmark's seeded input files."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_i4_inputs_have_at_most_five_generators():
+    inputs = load_bench_inputs()
+    for seed in range(1, 31):
+        files, _ = inputs.i4_inputs(seed)
+        (text,) = files.values()
+        s = parse_semigroup(text)
+        assert len(s.associative_generators) <= 5, seed

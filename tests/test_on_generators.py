@@ -9,21 +9,32 @@ and no module may read generators except through the helper.
 
 import ast
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biskit
+import biskit.core
 from biskit.boolean import (
     _distributes_on_generators,
     _distributivity_failure,
     check_boolean,
     check_multiplicative,
 )
-from biskit.core import Congruence, _congruence_scan, check_congruence
-from biskit.corpus import corpus_semigroup
-from biskit.errors import NotMultiplicative
-from test_law_kernels import corrupted, corruptions
+from biskit.core import (
+    Congruence,
+    InvSgp,
+    _congruence_scan,
+    check_congruence,
+    mu_and_quotient,
+)
+from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
+from biskit.errors import BiskitError, NotMultiplicative
+from biskit.rook import decompose
+from generated import i4_subsemigroup_tables
+from test_core import generated_closure, relabel
+from test_law_kernels import FROM_TABLE, corrupted, corruptions
 
 
 @st.composite
@@ -83,6 +94,81 @@ def test_generator_passes_match_scans_on_corrupted_products(drawn):
     for source, target in ((s, pristine), (pristine, s)):
         got = multiplicative_witness(source, target, ids)
         assert got == pairwise_witness(source, target, ids)
+
+
+# -- decisions that do not depend on the generating set ------------------------
+
+
+def descending_id_generators(rows):
+    """The generating set of a scan of ids from the top: the largest id not
+    yet generated, until every id is."""
+    gens, closure = [], set()
+    for x in reversed(range(len(rows))):
+        if x not in closure:
+            gens.append(x)
+            closure = generated_closure(rows, gens)
+    return tuple(gens)
+
+
+def decisions(s, congruences):
+    """check_boolean's failure and complements, check_congruence on each
+    congruence, and decompose's iso, each with its witness on failure."""
+    check = check_boolean(s)
+    got = [check.failure, [check_congruence(s, c) for c in congruences]]
+    if check.boolean:
+        bs = check.structure
+        got += [bs.complement, bs.top]
+        try:
+            cert = decompose(bs)
+        except BiskitError as e:
+            got.append((type(e).__name__, e.args))
+        else:
+            got.append((cert.signature, cert.iso))
+    return got
+
+
+def corrupt(s, a, b, value):
+    """Set entry [a][b] of s's table to value after validation."""
+    for cached in FROM_TABLE:
+        s.__dict__.pop(cached, None)
+    rows = [list(r) for r in s.table]
+    rows[a][b] = value
+    s.table = tuple(map(tuple, rows))
+
+
+@st.composite
+def tables_and_corruptions(draw):
+    """A relabelled Boolean corpus table or inverse subsemigroup of I4, an
+    entry of it to set or None to keep the table, and classes of at most
+    three."""
+    if draw(st.booleans()):
+        table = corpus_semigroup(draw(st.sampled_from(BOOLEAN_NAMES))).table
+    else:
+        table = draw(i4_subsemigroup_tables)
+    k = len(table)
+    ids = st.integers(0, k - 1)
+    entry = draw(st.none() | st.tuples(ids, ids, ids))
+    classes = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    return relabel(table, draw(st.permutations(range(k)))), entry, tuple(classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_corruptions())
+def test_decisions_do_not_depend_on_the_generating_set(drawn):
+    # check_boolean, check_congruence on mu's classes and on drawn ones, and
+    # decompose, with the generating set of the scan by row size and of the
+    # scan from the top
+    table, entry, classes = drawn
+    got = []
+    for generators in (biskit.core._generators, descending_id_generators):
+        with mock.patch.object(biskit.core, "_generators", generators):
+            s = InvSgp(table)
+            congruences = (mu_and_quotient(s).mu, Congruence(s.size, classes))
+            if entry is not None:
+                corrupt(s, *entry)
+            assert s.associative_generators in (None, generators(s.table))
+            got.append(decisions(s, congruences))
+    assert got[0] == got[1]
 
 
 # -- no generators read but through the helper --------------------------------

@@ -340,8 +340,11 @@ def test_build_Mn_G0_matches_cell_oracle(n, name):
 
 
 def test_build_Mn_G0_caps():
-    with pytest.raises(TooLarge, match="entry cap"):
-        build_Mn_G0(9, cyclic_group(1))  # 81 entries
+    with pytest.raises(TooLarge, match="entry cap") as info:
+        build_Mn_G0(9, cyclic_group(1))
+    assert str(info.value) == (
+        "9x9 over group of order 1 has 81 entries, above entry cap MN_ENTRY_CAP=64"
+    )
     assert MN_ENTRY_CAP < 81 and mn_count(8, 1) > MN_CARRIER_CAP
     with pytest.raises(TooLarge, match=f"count {mn_count(8, 1)} above cap"):
         build_Mn_G0(8, cyclic_group(1))

@@ -105,8 +105,11 @@ def test_matrix_oracle_atom_sums_cover_small_vectors():
 
 
 def test_matrix_oracle_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge) as info:
         type_via_matrices(boolean("i3"), 6)
+    assert str(info.value) == (
+        "8^6 = 262144 diagonal idempotents, above cap MATRIX_IDEMPOTENT_CAP=100000"
+    )
     with pytest.raises(TooLarge):
         type_via_matrices(boolean("i2"), 1)
 
