@@ -114,6 +114,31 @@ class BoolInvSgp:
             raise NotCompatible((a, b))
         return m
 
+    @cached_property
+    def atoms_groupoid(self):
+        """The atoms under the restricted product, as a groupoid G(S), built
+        on first read.
+
+        Labels give the original atom ids.  The product of two atoms, when
+        domain meets range, is checked to be an atom again; CertificateFailed
+        names a pair whose product is not.
+        """
+        s = self.base
+        if s.zero is None:
+            raise NoZero("atoms need a zero")
+        ats = s.atoms
+        index = {a: i for i, a in enumerate(ats)}
+        m = len(ats)
+        ptable = [[None] * m for _ in range(m)]
+        for i, x in enumerate(ats):
+            for j, y in enumerate(ats):
+                if s.d[x] == s.r[y]:
+                    p = s.table[x][y]
+                    if p not in index:
+                        raise CertificateFailed(("atom-product-not-atom", x, y, p))
+                    ptable[i][j] = index[p]
+        return Gpd(ptable, labels=ats)
+
 
 def check_boolean(s):
     """Decide the Boolean axioms for s, returning witnesses on failure.
@@ -419,30 +444,6 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     return KOfGroupoid(tuple(carrier), g, {a: i for i, a in enumerate(carrier)})
 
 
-def atoms_groupoid(bs):
-    """The atoms of bs under the restricted product, as a groupoid.
-
-    Labels give the original atom ids.  The product of two atoms, when
-    domain meets range, is checked to be an atom again; CertificateFailed
-    names a pair whose product is not.
-    """
-    s = bs.base
-    if s.zero is None:
-        raise NoZero("atoms need a zero")
-    ats = s.atoms
-    index = {a: i for i, a in enumerate(ats)}
-    m = len(ats)
-    ptable = [[None] * m for _ in range(m)]
-    for i, x in enumerate(ats):
-        for j, y in enumerate(ats):
-            if s.d[x] == s.r[y]:
-                p = s.table[x][y]
-                if p not in index:
-                    raise CertificateFailed(("atom-product-not-atom", x, y, p))
-                ptable[i][j] = index[p]
-    return Gpd(ptable, labels=ats)
-
-
 # -- additive ideals ------------------------------------------------------
 
 
@@ -605,18 +606,16 @@ def idempotent_ideals(s):
     return out
 
 
-def enumerate_additive_ideals(bs, idem_ideals=None):
+def enumerate_additive_ideals(bs, idem_ideals):
     """Every additive ideal of bs.
 
     An additive ideal is determined by its idempotents (x is in exactly when
-    d(x) is), so candidates are the idempotent ideals (idem_ideals, the
-    caller's idempotent_ideals(bs.base), or scanned here); each induced
-    subset is then re-verified against the definition directly, unless its
-    carrier has passed on bs before (_ideal_witness).
+    d(x) is), so candidates are the idempotent ideals idem_ideals, the
+    caller's idempotent_ideals(bs.base); each induced subset is then
+    re-verified against the definition directly, unless its carrier has
+    passed on bs before (_ideal_witness).
     """
     s = bs.base
-    if idem_ideals is None:
-        idem_ideals = idempotent_ideals(s)
     out = []
     for fset in idem_ideals:
         subset = frozenset(x for x in range(s.size) if s.d[x] in fset)
@@ -699,27 +698,18 @@ class ZeroSimplifying:
     witness: AdditiveIdeal | None  # a proper nonzero ideal when not
 
 
-def is_zero_simplifying(bs, ideals=None):
+def is_zero_simplifying(bs, ideals):
     """No additive ideals besides {0} and everything.
 
-    Decided from the additive ideals alone (enumerated here unless passed
-    in), each of which enumerate_additive_ideals has checked with
+    Decided from the additive ideals alone, the caller's
+    enumerate_additive_ideals(bs, ...), each checked there with
     verify_additive_ideal.  On one element {0} is everything, so there is
     only one ideal and the answer is no.  The second characterisation,
     pencil domination between all nonzero idempotents, is cross-checked in
     law toby.
     """
-    if ideals is None:
-        ideals = enumerate_additive_ideals(bs)
     proper = [i for i in ideals if 1 < len(i.carrier) < bs.size]
     return ZeroSimplifying(len(ideals) == 2, proper[0] if proper else None)
-
-
-def is_simple(bs):
-    """Zero-simplifying and fundamental at once."""
-    from .core import is_fundamental
-
-    return is_zero_simplifying(bs).holds and is_fundamental(bs.base).fundamental
 
 
 # -- quotients by ideals, morphisms ---------------------------------------
@@ -938,21 +928,22 @@ class MorphismAnalysis:
     factorization: tuple | None  # (projection, embedding-like second leg)
 
 
-def analyze_morphism(m, eps=None):
+def analyze_morphism(m, eps):
     """Break a morphism into an ideal collapse followed by an
     idempotent-separating map, checking each certified property.
 
-    eps, when given, is the caller's epsilon_quotient of the kernel and is
-    used instead of building the quotient again.  Before it is used it is
+    eps is the caller's epsilon_quotient of m's kernel, read only when m is
+    additive and its kernel an additive ideal.  Before it is used it is
     checked to be over the source's table and to collapse exactly the
-    kernel; otherwise NotAnIdeal(("not-the-kernel", kernel)) is raised.
-    When eps.projection is m (same source, target and map), its
-    certificates are read.  An additive map is multiplicative and zero
-    preserving; only one that is not is checked again, for the witness.  A
-    certified property that fails raises CertificateFailed naming it.  The
-    factorization m = phi . projection needs no check of its own: phi is
-    read off m class by class, and not-constant-on-classes has compared
-    m at every member of each class with the value phi takes there.
+    kernel; otherwise, or when it is None, NotAnIdeal(("not-the-kernel",
+    kernel)) is raised.  When eps.projection is m (same source, target and
+    map), its certificates are read.  An additive map is multiplicative and
+    zero preserving; only one that is not is checked again, for the
+    witness.  A certified property that fails raises CertificateFailed
+    naming it.  The factorization m = phi . projection needs no check of
+    its own: phi is read off m class by class, and not-constant-on-classes
+    has compared m at every member of each class with the value phi takes
+    there.
     """
     if eps is not None and eps.projection == m:
         m = eps.projection
@@ -974,10 +965,9 @@ def analyze_morphism(m, eps=None):
         trivial_kernel = kernel_carrier == {s.zero}
         if trivial_kernel != idem_sep:
             raise CertificateFailed(("separation-differs-from-kernel", idem_sep))
-        if eps is None:
-            eps = epsilon_quotient(m.source, kernel)
-        elif (
-            _base(eps.projection.source).table != s.table
+        if (
+            eps is None
+            or _base(eps.projection.source).table != s.table
             or kernel_of(eps.projection) != kernel_carrier
         ):
             raise NotAnIdeal(("not-the-kernel", tuple(sorted(kernel_carrier))))

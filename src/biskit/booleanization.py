@@ -97,8 +97,8 @@ class GammaExtension:
     singletons: tuple  # (source0 id, forced target value) per nonzero id
 
 
-def gamma_extension(s, alpha, target, booleanization=None):
-    """Extend a morphism s -> target through the Booleanization of s.
+def gamma_extension(b, alpha, target):
+    """Extend a morphism s -> target through b, the Booleanization of s.
 
     The singleton value at a is alpha(a) minus the join of alpha over the
     elements strictly below a; general values are orthogonal joins of
@@ -112,8 +112,7 @@ def gamma_extension(s, alpha, target, booleanization=None):
             target = as_boolean(target)
         except NotBoolean as ex:
             raise TargetNotBoolean(str(ex)) from None
-    b = booleanization if booleanization is not None else booleanize(s)
-    s0 = b.source0
+    s, s0 = b.source, b.source0
     t = target.base
     alpha = list(alpha)
     if len(alpha) == s.size and s0.size == s.size + 1:

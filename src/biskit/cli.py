@@ -118,6 +118,15 @@ def _read_semigroup(path):
         return parse_semigroup(fh.read())
 
 
+def _read_boolean(path):
+    """The table at path as a BoolInvSgp, or None once the Boolean axiom it
+    fails is printed as an error line."""
+    chk = check_boolean(_read_semigroup(path))
+    if not chk.boolean:
+        print(f"error: NotBoolean: {chk.failure}", file=sys.stderr)
+    return chk.structure
+
+
 def _size_cap():
     value = os.environ.get("BISKIT_SIZE_CAP", str(DEFAULT_SIZE_CAP))
     try:
@@ -137,12 +146,7 @@ def cmd_analyze(args):
     timings = None
     if args.timings:
         timings = {"parse_validate": round(time.perf_counter() - start, 6)}
-    try:
-        rep = build_report(s, timings)
-    except BiskitError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    print_report(rep, args.format)
+    print_report(build_report(s, timings), args.format)
     return 0
 
 
@@ -159,12 +163,7 @@ def render_booleanization(b):
 
 
 def cmd_booleanize(args):
-    try:
-        s = _read_semigroup(args.path)
-        b = booleanize(s)
-    except (BiskitError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    b = booleanize(_read_semigroup(args.path))
     text = render_booleanization(b)
     if args.out:
         with open(args.out, "w") as fh:
@@ -178,16 +177,10 @@ def cmd_booleanize(args):
 def cmd_decompose(args):
     """Print the signature once decompose's certificate has held; a failed
     certificate raises CertificateFailed and exits 1 like any other error."""
-    try:
-        s = _read_semigroup(args.path)
-        chk = check_boolean(s)
-        if not chk.boolean:
-            print(f"error: NotBoolean: {chk.failure}", file=sys.stderr)
-            return 1
-        cert = decompose(chk.structure)
-    except (BiskitError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    bs = _read_boolean(args.path)
+    if bs is None:
         return 1
+    cert = decompose(bs)
     if args.format == "json":
         print(
             json.dumps(
@@ -206,16 +199,10 @@ def cmd_decompose(args):
 
 
 def cmd_type(args):
-    try:
-        s = _read_semigroup(args.path)
-        chk = check_boolean(s)
-        if not chk.boolean:
-            print(f"error: NotBoolean: {chk.failure}", file=sys.stderr)
-            return 1
-        tm = type_monoid(chk.structure)
-    except (BiskitError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    bs = _read_boolean(args.path)
+    if bs is None:
         return 1
+    tm = type_monoid(bs)
     if args.format == "json":
         print(
             json.dumps(
@@ -234,20 +221,15 @@ def cmd_type(args):
 
 
 def cmd_iso(args):
-    try:
-        s = _read_semigroup(args.paths[0])
-        t = _read_semigroup(args.paths[1])
-        if args.mode == "direct":
-            mapping = semigroup_iso(s, t, cap=_size_cap())
-            isomorphic = mapping is not None
-            cert = mapping
-        else:
-            rep = booleanization_iso(s, t)
-            isomorphic = rep.isomorphic
-            cert = rep.induced
-    except (BiskitError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    s = _read_semigroup(args.paths[0])
+    t = _read_semigroup(args.paths[1])
+    if args.mode == "direct":
+        cert = semigroup_iso(s, t, cap=_size_cap())
+        isomorphic = cert is not None
+    else:
+        rep = booleanization_iso(s, t)
+        isomorphic = rep.isomorphic
+        cert = rep.induced
     if args.format == "json":
         print(
             json.dumps(
@@ -382,8 +364,14 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a BiskitError or OSError it raises is printed as
+    one `error:` line on stderr and exits 1."""
     args = make_parser().parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except (BiskitError, OSError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

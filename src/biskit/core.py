@@ -457,31 +457,6 @@ def adjoin_zero(s):
     return InvSgp(table)
 
 
-@dataclass(frozen=True)
-class Relations:
-    """Pairwise relation record for a fixed pair (a, b)."""
-
-    compatible: bool
-    orthogonal: bool | None  # None when the structure has no zero
-    meet: int | None
-    join: int | None
-
-
-def relations(s, a, b):
-    """Compatibility, orthogonality, meet and join of the pair (a, b).
-
-    Orthogonality is None for a zero-free structure; s.orth raises NoZero
-    there instead.
-    """
-    orth = s.orth[a][b] if s.zero is not None else None
-    return Relations(
-        compatible=s.compat[a][b],
-        orthogonal=orth,
-        meet=s.meet_table[a][b],
-        join=s.join_table[a][b],
-    )
-
-
 def _dr_classes(nodes, d, r):
     """Classes of nodes joined by some x with d[x] and r[x] in the class.
 

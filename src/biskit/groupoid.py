@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import _dr_classes, _parse_table
 from .errors import NotAGroup, NotGroupoid, Undecided
@@ -80,6 +81,12 @@ class Gpd:
         self.identities = identities
         self.labels = labels if labels is not None else tuple(range(m))
 
+    @cached_property
+    def form(self):
+        """component_form(self), built on first read; every reader of a
+        groupoid's components reads it here."""
+        return component_form(self)
+
     def is_group(self):
         return self.size >= 1 and len(self.identities) == 1 and all(
             v is not None for row in self.ptable for v in row
@@ -119,7 +126,8 @@ def _local_group(g, e):
 
 
 def component_form(g):
-    """Split g into connected components with one local group each."""
+    """Split g into connected components with one local group each; read
+    as g.form."""
     comps = []
     for ids in _dr_classes(g.identities, g.d, g.r):
         members = tuple(
@@ -263,11 +271,11 @@ def group_iso(a, b, cap=GROUP_ISO_CAP):
 
 def is_principal(g):
     """All local groups trivial: at most one arrow between two identities."""
-    return all(c.group.size == 1 for c in component_form(g).components)
+    return all(c.group.size == 1 for c in g.form.components)
 
 
 def is_connected(g):
-    return len(component_form(g).components) <= 1
+    return len(g.form.components) <= 1
 
 
 @dataclass(frozen=True)
@@ -288,7 +296,7 @@ def coordinatize(g):
     t is then anchor(r)^-1 * t * anchor(d), a loop at the base identity.
     Sending each arrow to its triple is an isomorphism onto reconstruct(form).
     """
-    cf = component_form(g)
+    cf = g.form
     all_coords = [None] * g.size
     rebuilt = [None] * g.size
     anchors_out = []

@@ -22,7 +22,6 @@ from .boolean import (
     _above,
     _check_pencil,
     analyze_morphism,
-    atoms_groupoid,
     check_boolean,
     enumerate_additive_ideals,
     epsilon_quotient,
@@ -65,7 +64,6 @@ from .errors import (
 )
 from .groupoid import (
     Gpd,
-    component_form,
     group_name,
     groupoid_iso,
     is_connected,
@@ -109,7 +107,9 @@ class Analysis:
     """One structure and the results derived from it, each computed once.
 
     cli.build_report and every law read these properties instead of calling
-    the builders again.  Only results more than one reader needs are kept.
+    the builders again, and the builders that need one of them take it as
+    a required argument, so each is computed here only.  Only results more
+    than one reader needs are kept.
     """
 
     def __init__(self, s):
@@ -496,7 +496,7 @@ def law_carre(c):
 
 def law_booleanization_finite(c):
     b = booleanize(c.s)
-    gamma = gamma_extension(c.s, b.beta, b.bs, booleanization=b)
+    gamma = gamma_extension(b, b.beta, b.bs)
     n = b.bs.size
     if gamma.morphism.map != tuple(range(n)):
         return ("unit-extension-not-identity",)
@@ -1356,7 +1356,7 @@ def law_butterfly(c):
 
 def glaw_connected_groupoids(c):
     g = c.g
-    rebuilt = reconstruct(c.cf)
+    rebuilt = reconstruct(g.form)
     if groupoid_iso(g, rebuilt) is None:
         return ("reconstruction-differs",)
     return None
@@ -1376,7 +1376,7 @@ def glaw_groupoids(c):
             if s.leq[i][j] != (a <= b):
                 return (i, j, "order-not-inclusion")
     pos = {next(iter(kg.bisections[i])): i for i in singles}
-    ag = atoms_groupoid(kg.structure)
+    ag = kg.structure.atoms_groupoid
     if ag.size != g.size:
         return ("atom-groupoid-size",)
     for x in range(g.size):
@@ -1393,10 +1393,9 @@ def glaw_groupoids(c):
 
 
 def glaw_bordeaux1(c):
-    kg = c.kg.structure
-    if is_fundamental(kg.base).fundamental != is_principal(c.g):
+    if c.k.fundamental != is_principal(c.g):
         return ("fundamental-vs-principal",)
-    if is_zero_simplifying(kg).holds != is_connected(c.g):
+    if c.k.zero_simplifying != is_connected(c.g):
         return ("simplifying-vs-connected",)
     return None
 
@@ -1404,8 +1403,8 @@ def glaw_bordeaux1(c):
 def glaw_local_bisections_rook(c):
     if not is_connected(c.g):
         raise _Skip("stated for connected groupoids")
-    cert = decompose(c.kg.structure)
-    comp = c.cf.components[0]
+    cert = c.k.decomposition
+    comp = c.g.form.components[0]
     want = (
         comp.identity_count,
         comp.group.size,
@@ -1417,16 +1416,19 @@ def glaw_local_bisections_rook(c):
 
 
 class GpdContext:
+    """One groupoid g and its local bisections K(g), with one Analysis of
+    K(g)'s structure that the groupoid laws read."""
+
     def __init__(self, g):
         self.g = g
 
     @cached_property
-    def cf(self):
-        return component_form(self.g)
-
-    @cached_property
     def kg(self):
         return k_of_groupoid(self.g)
+
+    @cached_property
+    def k(self):
+        return Analysis(self.kg.structure)
 
 
 SEMIGROUP_LAWS = (

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolean import BoolInvSgp, KOfGroupoid, atoms_groupoid, k_of_groupoid
+from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
 from .core import _on_generators
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
@@ -180,7 +180,7 @@ def decompose(bs):
     """
     if bs.top is None:
         raise NotMonoid("decomposition needs an identity element")
-    ag = atoms_groupoid(bs)
+    ag = bs.atoms_groupoid
     coords = coordinatize(ag)
     comps = coords.form.components
     signature = tuple(
@@ -240,11 +240,11 @@ class ThetaIso:
     map: tuple  # source id -> target id
 
 
-def theta_iso(bs, decomposition=None):
+def theta_iso(bs, decomposition):
     """Check the duality: a finite Boolean inverse monoid is the local
     bisections of its own atoms.
 
-    decomposition, decompose(bs) when not given, sends a to the bisection
+    decomposition, the caller's decompose(bs), sends a to the bisection
     {rebuilt(x) : x an atom below a} of R and has checked that map as an
     isomorphism S -> K(R) on the generators of S.  K's table is not read
     here either; every reader of it goes through KOfGroupoid.structure,
@@ -256,7 +256,7 @@ def theta_iso(bs, decomposition=None):
     every element is the join of the atoms below it.  A rebuilt map that is
     not a groupoid isomorphism raises CertificateFailed.
     """
-    cert = decomposition if decomposition is not None else decompose(bs)
+    cert = decomposition
     if not is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt):
         raise CertificateFailed(("atoms-not-carried",))
     return ThetaIso(bs, cert.atoms, cert.rebuilt, cert.target, cert.iso)

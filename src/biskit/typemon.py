@@ -13,16 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .boolean import (
-    as_boolean,
-    atoms_groupoid,
-    direct_product,
-    enumerate_additive_ideals,
-    idempotent_ideals,
-)
-from .core import d_relation_idempotents, mu_and_quotient
+from .boolean import as_boolean
+from .core import d_relation_idempotents
 from .errors import CertificateFailed, TooLarge
-from .groupoid import component_form
 from .rook import rook_matrix, rook_mul, rook_star
 
 MATRIX_IDEMPOTENT_CAP = 100_000
@@ -46,11 +39,10 @@ def type_monoid(bs):
     """
     bs = as_boolean(bs)
     s = bs.base
-    ag = atoms_groupoid(bs)
-    cf = component_form(ag)
+    ag = bs.atoms_groupoid
     comps = sorted(
-        cf.components, key=lambda c: min(ag.labels[t] for t in c.member_ids)
-    ) if cf.components else []
+        ag.form.components, key=lambda c: min(ag.labels[t] for t in c.member_ids)
+    )
     components = tuple(
         frozenset(ag.labels[t] for t in c.member_ids) for c in comps
     )
@@ -130,16 +122,12 @@ class IdealTriple:
     simple_iff_rank_one: bool
 
 
-def ideal_triple(bs, tm=None, ideals=None, idem_ideals=None):
-    """Match the three ideal posets of bs; tm, ideals and idem_ideals (the
-    idempotent_ideals scan) are computed here unless passed in."""
-    bs = as_boolean(bs)
+def ideal_triple(bs, tm, ideals, idem_ideals):
+    """Match the three ideal posets of bs, given its type monoid tm, its
+    additive ideals and its idempotent ideals (the idempotent_ideals
+    scan)."""
     s = bs.base
-    if tm is None:
-        tm = type_monoid(bs)
-    idem_ideals = list(idempotent_ideals(s) if idem_ideals is None else idem_ideals)
-    if ideals is None:
-        ideals = enumerate_additive_ideals(bs, idem_ideals)
+    idem_ideals = list(idem_ideals)
     supports = sorted(
         (frozenset(t) for r in range(tm.rank + 1)
          for t in itertools.combinations(range(tm.rank), r)),
@@ -280,21 +268,19 @@ class MatrixOracle:
     atom_sums: tuple  # ((atoms...), class id, vector) rows for sums <= n atoms
 
 
-def type_via_matrices(bs, n, tm=None):
+def type_via_matrices(bs, n, tm):
     """Recompute the idempotent equivalence inside n-by-n rook matrices.
 
     Diagonal idempotent tuples are classed by explicit matrix reachability:
     two tuples fall together only after a witness matrix X with X*X and XX*
     the two diagonals has been constructed and multiplied out.  The
-    resulting partition must agree with summed count vectors, and every
-    pairwise sum must be realizable by orthogonal diagonal representatives.
+    resulting partition must agree with summed count vectors, tm's, and
+    every pairwise sum must be realizable by orthogonal diagonal
+    representatives.
     """
-    bs = as_boolean(bs)
     s = bs.base
     if n < 2:
         raise TooLarge("truncation needs n >= 2")
-    if tm is None:
-        tm = type_monoid(bs)
     idem = s.idempotents
     if len(idem) ** n > MATRIX_IDEMPOTENT_CAP:
         raise TooLarge(
@@ -390,63 +376,19 @@ def type_via_matrices(bs, n, tm=None):
     )
 
 
-def product_type_check(bs, bt):
-    """Types over a direct product are the two types side by side."""
-    bs, bt = as_boolean(bs), as_boolean(bt)
-    p = direct_product(bs, bt)
-    tm_p, tm_s, tm_t = type_monoid(p), type_monoid(bs), type_monoid(bt)
-    if tm_p.rank != tm_s.rank + tm_t.rank:
-        return False
-    ks = bs.base.size
-    sides = []
-    for comp in tm_p.atomic_idempotents:
-        e = min(comp)
-        a, b = e % ks, e // ks
-        if b == bt.base.zero:
-            side = ("left", next(
-                i for i, c in enumerate(tm_s.atomic_idempotents) if a in c
-            ))
-        else:
-            side = ("right", next(
-                i for i, c in enumerate(tm_t.atomic_idempotents) if b in c
-            ))
-        sides.append(side)
-    if sorted(sides) != sorted(
-        [("left", i) for i in range(tm_s.rank)]
-        + [("right", i) for i in range(tm_t.rank)]
-    ):
-        return False
-    for e in bs.base.idempotents:
-        for f in bt.base.idempotents:
-            pid = f * ks + e
-            vec = tm_p.tau[pid]
-            for ci, side in enumerate(sides):
-                tag, i = side
-                want = tm_s.tau[e][i] if tag == "left" else tm_t.tau[f][i]
-                if vec[ci] != want:
-                    return False
-    return True
-
-
-def mu_type_invariance(bs, tm=None, mu=None):
+def mu_type_invariance(bs, tm, mu):
     """The type data survives the maximum idempotent-separating quotient.
 
-    tm and mu (the type monoid and mu_and_quotient of bs) are computed here
-    unless passed in.  A quotient that is bs's own table (bs fundamental) is
-    read as bs, with its type monoid.
+    tm and mu are the caller's type monoid and mu_and_quotient of bs.  A
+    quotient that is bs's own table (bs fundamental) is read as bs, with
+    its type monoid.
     """
-    bs = as_boolean(bs)
-    rep = mu if mu is not None else mu_and_quotient(bs.base)
-    tm_s = tm if tm is not None else type_monoid(bs)
-    if rep.quotient is bs.base:
-        tm_q = tm_s
-    else:
-        tm_q = type_monoid(as_boolean(rep.quotient))
-    if tm_s.rank != tm_q.rank:
+    tm_q = tm if mu.quotient is bs.base else type_monoid(as_boolean(mu.quotient))
+    if tm.rank != tm_q.rank:
         return False
-    proj = rep.projection
+    proj = mu.projection
     match = []
-    for comp in tm_s.atomic_idempotents:
+    for comp in tm.atomic_idempotents:
         images = {proj[e] for e in comp}
         targets = [
             i for i, c in enumerate(tm_q.atomic_idempotents) if images & c
@@ -457,8 +399,8 @@ def mu_type_invariance(bs, tm=None, mu=None):
     if sorted(match) != list(range(tm_q.rank)):
         return False
     for e in bs.base.idempotents:
-        vec_s = tm_s.tau[e]
+        vec_s = tm.tau[e]
         vec_q = tm_q.tau[proj[e]]
-        if any(vec_s[i] != vec_q[match[i]] for i in range(tm_s.rank)):
+        if any(vec_s[i] != vec_q[match[i]] for i in range(tm.rank)):
             return False
     return True

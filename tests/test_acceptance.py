@@ -8,9 +8,7 @@ import time
 
 from biskit.boolean import (
     as_boolean,
-    atoms_groupoid,
     check_boolean,
-    enumerate_additive_ideals,
     epsilon_quotient,
     is_additive_morphism,
     is_weakly_meet_preserving,
@@ -32,7 +30,7 @@ from biskit.corpus import (
     corpus_text,
 )
 from biskit.groupoid import Gpd, groupoid_iso
-from biskit.laws import CORE_LAW_KEYS, _is_additive_congruence, run_laws
+from biskit.laws import CORE_LAW_KEYS, Analysis, _is_additive_congruence, run_laws
 from biskit.rook import build_Mn_G0, decompose, theta_iso
 from biskit.typemon import (
     ideal_triple,
@@ -53,7 +51,7 @@ def test_criterion_01_theta_duality():
     for name in THETA_NAMES:
         bs = boolean(name)
         t0 = time.monotonic()
-        th = theta_iso(bs)
+        th = theta_iso(bs, decompose(bs))
         elapsed = time.monotonic() - t0
         k = th.target.structure.base
         assert sorted(th.map) == list(range(bs.size)), name
@@ -106,7 +104,7 @@ def test_criterion_03_booleanization_universal_property():
             alphas.append(mp)
     assert len(alphas) > 1
     for alpha in alphas:
-        g = gamma_extension(b2, alpha, target, booleanization=bb2)
+        g = gamma_extension(bb2, alpha, target)
         for x in range(5):
             assert g.morphism.map[bb2.beta[x]] == alpha[x]
         assert is_additive_morphism(bb2.bs, target, g.morphism.map)
@@ -143,14 +141,14 @@ def test_criterion_05_filters():
             bs = boolean(name)
             assert len(fr.ultra) == len(s.atoms), name
             fg = filter_groupoid(s, fr.ultra)
-            assert groupoid_iso(fg, atoms_groupoid(bs)) is not None, name
+            assert groupoid_iso(fg, bs.atoms_groupoid) is not None, name
 
 
 def test_criterion_06_ideal_congruence_machinery():
     for name in BOOLEAN_NAMES:
         bs = boolean(name)
         s = bs.base
-        ideals = enumerate_additive_ideals(bs)
+        ideals = Analysis(bs).ideals
         congs = list(all_congruences(s)) if s.size <= 9 else None
         for ideal in ideals:
             rep = epsilon_quotient(bs, ideal)
@@ -199,13 +197,14 @@ def test_criterion_08_type_monoid():
     for name in BOOLEAN_NAMES:
         bs = boolean(name)
         # the count-vector laws are asserted during construction
-        t = type_monoid(bs)
-        assert refinement_check(t), name
-        assert ideal_triple(bs, t).matched, name
-        assert mu_type_invariance(bs), name
+        a = Analysis(bs)
+        assert refinement_check(a.tm), name
+        assert ideal_triple(bs, a.tm, a.ideals, a.idem_ideals).matched, name
+        assert mu_type_invariance(bs, a.tm, a.mu), name
     for name in ("i2", "z2zero", "i2xz2zero"):
         for n in (2, 3):
-            mo = type_via_matrices(boolean(name), n)
+            bs = boolean(name)
+            mo = type_via_matrices(bs, n, type_monoid(bs))
             assert mo.partition_agrees, (name, n)
             assert mo.witnesses_verified, (name, n)
             assert mo.separation_ok, (name, n)

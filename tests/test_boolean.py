@@ -10,7 +10,6 @@ from biskit.boolean import (
     _bisections,
     analyze_morphism,
     as_boolean,
-    atoms_groupoid,
     check_boolean,
     check_multiplicative,
     check_zero_preserving,
@@ -20,7 +19,6 @@ from biskit.boolean import (
     ideal_closure,
     idempotent_ideals,
     is_additive_morphism,
-    is_simple,
     is_weakly_meet_preserving,
     is_zero_simplifying,
     k_of_groupoid,
@@ -57,13 +55,18 @@ from biskit.errors import (
     TooLarge,
 )
 from biskit.booleanization import booleanize
-from biskit.groupoid import component_form, Gpd, reconstruct
-from biskit.rook import theta_iso
+from biskit.groupoid import Gpd, reconstruct
+from biskit.laws import Analysis
+from biskit.rook import decompose, theta_iso
 from generated import bisection_count, generated_table, i4_subsemigroup_tables, then
 
 
 def boolean(name):
     return check_boolean(corpus_semigroup(name)).structure
+
+
+def additive_ideals(bs):
+    return enumerate_additive_ideals(bs, idempotent_ideals(bs.base))
 
 
 def test_check_boolean_failures():
@@ -155,7 +158,7 @@ def test_k_of_groupoid_cap():
             restricted_groupoid(corpus_semigroup(name))
             for name in ("i2", "b2", "m2z2zero", "i2xz2zero")
         ),
-        reconstruct(component_form(corpus_groupoid("conn2z2"))),
+        reconstruct(corpus_groupoid("conn2z2").form),
         Gpd([]),
     ],
     ids=repr,
@@ -174,11 +177,11 @@ def test_k_is_boolean_with_inclusion_order():
 
 def test_atoms_groupoid_i2():
     bs = boolean("i2")
-    ag = atoms_groupoid(bs)
+    ag = bs.atoms_groupoid
     assert ag.size == 4
     assert set(ag.labels) == set(bs.base.atoms)
-    cf = component_form(ag)
-    assert [(c.identity_count, c.group.size) for c in cf.components] == [(2, 1)]
+    assert [(c.identity_count, c.group.size) for c in ag.form.components] == [(2, 1)]
+    assert bs.atoms_groupoid is ag and ag.form is ag.form  # built once each
 
 
 def test_boolean_corpus_tables_are_monoids():
@@ -206,7 +209,7 @@ def test_check_boolean_refuses_a_boolean_table_without_identity():
 
 def test_theta_on_m2z2zero():
     bs = boolean("m2z2zero")
-    th = theta_iso(bs)
+    th = theta_iso(bs, decompose(bs))
     assert sorted(th.map) == list(range(bs.size))
 
 
@@ -235,7 +238,7 @@ def test_additive_ideals_against_raw_scan():
             )
             if ok:
                 found.add(frozenset(sub))
-        ideals = enumerate_additive_ideals(bs)
+        ideals = additive_ideals(bs)
         assert {i.carrier for i in ideals} == found, name
 
 
@@ -279,18 +282,23 @@ def test_zero_simplifying_corpus():
         "m2z2zero": True,
     }
     for name, want in expected.items():
-        assert is_zero_simplifying(boolean(name)).holds == want, name
+        bs = boolean(name)
+        assert is_zero_simplifying(bs, additive_ideals(bs)).holds == want, name
 
 
 def test_simple_corpus():
-    assert is_simple(boolean("i2"))
-    assert not is_simple(boolean("z2zero"))  # not fundamental
-    assert not is_simple(boolean("powerset2"))  # not 0-simplifying
+    def simple(name):
+        a = Analysis(boolean(name))
+        return a.zero_simplifying and a.fundamental
+
+    assert simple("i2")
+    assert not simple("z2zero")  # not fundamental
+    assert not simple("powerset2")  # not 0-simplifying
 
 
 def test_epsilon_quotient_z2zero():
     bs = boolean("z2zero")
-    ideals = enumerate_additive_ideals(bs)
+    ideals = additive_ideals(bs)
     by_size = {len(i.carrier): i for i in ideals}
     rep = epsilon_quotient(bs, by_size[1])
     assert rep.quotient.size == bs.size
@@ -306,7 +314,7 @@ def test_epsilon_collapses_one_product_factor():
                 epsilon_quotient(bs, i).projection.map
             )
         )
-        for i in enumerate_additive_ideals(bs)
+        for i in additive_ideals(bs)
     )
     assert sizes == [1, 3, 7, 21]
 
@@ -314,7 +322,7 @@ def test_epsilon_collapses_one_product_factor():
 def test_analyze_identity_morphism():
     bs = boolean("i2")
     m = Morphism(bs, bs, tuple(range(bs.size)))
-    rep = analyze_morphism(m)
+    rep = analyze_morphism(m, epsilon_quotient(bs, [bs.zero]))
     assert rep.additive
     assert rep.kernel_carrier == frozenset({bs.zero})
     assert rep.idempotent_separating
@@ -326,7 +334,8 @@ def test_analyze_mu_projection():
     mu = mu_and_quotient(s)
     bs = boolean("m2z2zero")
     bq = as_boolean(mu.quotient)
-    rep = analyze_morphism(Morphism(bs, bq, tuple(mu.projection)))
+    eps = epsilon_quotient(bs, [s.zero])
+    rep = analyze_morphism(Morphism(bs, bq, tuple(mu.projection)), eps)
     assert rep.idempotent_separating
     assert rep.kernel_carrier == frozenset({s.zero})
     assert rep.additive
@@ -353,9 +362,9 @@ def test_meet_is_greatest_lower_bound_i3(a, b):
 
 def test_analyze_morphism_reuses_the_kernel_quotient():
     bs = boolean("i2xz2zero")
-    for ideal in enumerate_additive_ideals(bs):
+    for ideal in additive_ideals(bs):
         eps = epsilon_quotient(bs, ideal)
-        fresh = analyze_morphism(eps.projection)
+        fresh = analyze_morphism(eps.projection, epsilon_quotient(bs, ideal))
         reused = analyze_morphism(eps.projection, eps)
         assert dataclasses.replace(fresh, factorization=None) == (
             dataclasses.replace(reused, factorization=None)
@@ -368,12 +377,13 @@ def test_analyze_morphism_reuses_the_kernel_quotient():
 
 def test_analyze_morphism_rejects_a_report_for_another_ideal():
     bs = boolean("i2xz2zero")
-    ideals = enumerate_additive_ideals(bs)
+    ideals = additive_ideals(bs)
     eps = [epsilon_quotient(bs, i) for i in ideals]
-    with pytest.raises(NotAnIdeal) as info:
-        analyze_morphism(eps[1].projection, eps[2])
     kernel = tuple(sorted(ideals[1].carrier))
-    assert info.value.witness == ("not-the-kernel", kernel)
+    for other in (eps[2], None):
+        with pytest.raises(NotAnIdeal) as info:
+            analyze_morphism(eps[1].projection, other)
+        assert info.value.witness == ("not-the-kernel", kernel)
 
 
 # -- check_boolean against the naive per-c distributivity loop --------------
@@ -656,7 +666,7 @@ def law_suite_maps(s):
     maps = [(s, s, tuple(range(s.size))), (s, mu.quotient, tuple(mu.projection))]
     bs = check_boolean(s).structure
     if bs is not None:
-        for ideal in enumerate_additive_ideals(bs):
+        for ideal in additive_ideals(bs):
             proj = epsilon_quotient(bs, ideal).projection
             maps.append((bs, proj.target, proj.map))
     return maps
@@ -718,7 +728,7 @@ def multiplicative_maps(s):
     maps = [(s, s, tuple(range(s.size)))]
     bs = check_boolean(s).structure if s.zero is not None else None
     if bs is not None:
-        for ideal in enumerate_additive_ideals(bs):
+        for ideal in additive_ideals(bs):
             proj = epsilon_quotient(bs, ideal).projection
             maps.append((bs, proj.target, proj.map))
     try:
@@ -814,7 +824,7 @@ EPSILON_TABLES = {
 @pytest.mark.parametrize("name", sorted(EPSILON_TABLES))
 def test_epsilon_relation_matches_oracle(name):
     bs = check_boolean(InvSgp(EPSILON_TABLES[name]())).structure
-    for ideal in enumerate_additive_ideals(bs):
+    for ideal in additive_ideals(bs):
         eps = epsilon_quotient(bs, ideal)
         assert eps.congruence.class_of == oracle_epsilon_classes(bs, ideal.carrier)
 
@@ -862,7 +872,7 @@ def test_epsilon_relation_matches_oracle_on_wrong_complements():
     for _ in range(2000):
         i = rng.randrange(len(names))
         bs, real = structures[i], complements[i]
-        ideal = rng.choice(enumerate_additive_ideals(bs))
+        ideal = rng.choice(additive_ideals(bs))
         outside = [x for x in range(bs.size) if x not in ideal.carrier]
         outside = outside or [bs.base.zero]
         down_pairs = [(a, c) for a in range(bs.size) for c in bs.base.down[a]]
@@ -916,7 +926,7 @@ def law_suite_congruences(s):
     bs = check_boolean(s).structure if s.zero is not None else None
     if bs is not None:
         congs += [
-            epsilon_quotient(bs, i).congruence for i in enumerate_additive_ideals(bs)
+            epsilon_quotient(bs, i).congruence for i in additive_ideals(bs)
         ]
     return congs
 

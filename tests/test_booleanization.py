@@ -64,7 +64,7 @@ def test_booleanization_of_boolean_is_bigger():
 def test_gamma_extension_of_inclusion():
     s = corpus_semigroup("b2")
     b = booleanize(s)
-    g = gamma_extension(s, b.beta, b.bs, booleanization=b)
+    g = gamma_extension(b, b.beta, b.bs)
     assert g.morphism.map == tuple(range(b.bs.size))
 
 
@@ -74,7 +74,7 @@ def test_gamma_needs_a_coherent_alpha():
     alpha = list(b.beta)
     alpha[1], alpha[2] = alpha[2], alpha[1]  # no longer multiplicative
     with pytest.raises(Exception):
-        gamma_extension(s, tuple(alpha), b.bs, booleanization=b)
+        gamma_extension(b, tuple(alpha), b.bs)
 
 
 def test_filters_chain3():
@@ -114,13 +114,11 @@ def test_filter_groupoid_matches_restricted_product():
 
 
 def test_ultrafilter_groupoid_is_the_atoms():
-    from biskit.boolean import atoms_groupoid
-
     s = corpus_semigroup("i3")
     bs = check_boolean(s).structure
     fr = enumerate_filters(s)
     fg = filter_groupoid(s, fr.ultra)
-    assert groupoid_iso(fg, atoms_groupoid(bs)) is not None
+    assert groupoid_iso(fg, bs.atoms_groupoid) is not None
 
 
 def test_booleanization_iso_positive():

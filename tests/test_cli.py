@@ -6,7 +6,13 @@ import pytest
 
 import biskit.boolean
 import biskit.rook as rook
-from biskit.boolean import KOfGroupoid, check_boolean, is_simple, is_zero_simplifying
+from biskit.boolean import (
+    KOfGroupoid,
+    check_boolean,
+    enumerate_additive_ideals,
+    idempotent_ideals,
+    is_zero_simplifying,
+)
 from biskit.cli import Report, build_report, main
 from biskit.core import InvSgp, is_fundamental, parse_semigroup
 from biskit.corpus import (
@@ -115,8 +121,10 @@ def test_build_report_matches_library_calls(name):
         return
     bs = chk.structure
     assert rep.fundamental == is_fundamental(s).fundamental
-    assert rep.zero_simplifying == is_zero_simplifying(bs).holds
-    assert rep.simple == is_simple(bs)
+    ideals = enumerate_additive_ideals(bs, idempotent_ideals(s))
+    zero_simplifying = is_zero_simplifying(bs, ideals).holds
+    assert rep.zero_simplifying == zero_simplifying
+    assert rep.simple == (zero_simplifying and is_fundamental(s).fundamental)
     assert rep.decomposition_signature == [list(x) for x in decompose(bs).signature]
     tm = type_monoid(bs)
     assert rep.type_monoid_rank == tm.rank
@@ -139,6 +147,14 @@ def test_booleanize_stdout(data, capsys):
     assert out.startswith("n 4\n")
 
 
+def test_booleanize_to_a_missing_directory_is_one_error_line(data, tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "x.ist")
+    assert main(["booleanize", data("i2.ist"), "--out", out_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: {out_path!r}\n"
+
+
 def test_decompose(data, capsys):
     assert main(["decompose", data("m2z2zero.ist")]) == 0
     out = capsys.readouterr().out
@@ -148,6 +164,9 @@ def test_decompose(data, capsys):
 
 def test_decompose_rejects_nonboolean(data, capsys):
     assert main(["decompose", data("b2.ist")]) == 1
+    for command in ("decompose", "type"):
+        assert main([command, data("z2-group.ist")]) == 1
+        assert capsys.readouterr().err.endswith("error: NotBoolean: ('no-zero',)\n")
 
 
 def test_decompose_exits_1_on_a_failed_certificate(data, capsys, swapped_coordinates):

@@ -19,7 +19,6 @@ from biskit.core import (
     is_fundamental,
     mu_and_quotient,
     parse_semigroup,
-    relations,
     semigroup_iso,
     table_product,
 )
@@ -220,17 +219,16 @@ def test_relations_symmetry():
     s = corpus_semigroup("i2")
     for a in range(s.size):
         for b in range(s.size):
-            rab = relations(s, a, b)
-            rba = relations(s, b, a)
-            assert rab.compatible == rba.compatible
-            assert rab.orthogonal == rba.orthogonal
-            assert rab.meet == rba.meet
-            assert rab.join == rba.join
+            assert s.compat[a][b] == s.compat[b][a]
+            assert s.orth[a][b] == s.orth[b][a]
+            assert s.meet_table[a][b] == s.meet_table[b][a]
+            assert s.join_table[a][b] == s.join_table[b][a]
 
 
 def test_relations_zero_free():
     s = corpus_semigroup("z2-group")
-    assert relations(s, 0, 1).orthogonal is None
+    with pytest.raises(NoZero):
+        s.orth
 
 
 def test_compatible_meet_formula():
@@ -238,9 +236,8 @@ def test_compatible_meet_formula():
     s = corpus_semigroup("i3")
     for a in range(s.size):
         for b in range(s.size):
-            r = relations(s, a, b)
-            if r.compatible:
-                assert r.meet == s.table[a][s.d[b]]
+            if s.compat[a][b]:
+                assert s.meet_table[a][b] == s.table[a][s.d[b]]
 
 
 def test_meet_oracle_i2():
@@ -260,7 +257,7 @@ def test_meet_oracle_i2():
     for a in range(7):
         for b in range(7):
             want = by_graph.get(graphs[a] & graphs[b])
-            assert relations(s, a, b).meet == want
+            assert s.meet_table[a][b] == want
 
 
 def test_table_product_parts():

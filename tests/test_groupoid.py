@@ -17,7 +17,6 @@ from biskit.groupoid import (
     ComponentForm,
     Gpd,
     _element_orders,
-    component_form,
     coordinatize,
     group_iso,
     group_name,
@@ -71,7 +70,7 @@ def test_component_form_shapes():
         "conn2z2": [(2, 2)],
     }
     for name, shape in cases.items():
-        cf = component_form(corpus_groupoid(name))
+        cf = corpus_groupoid(name).form
         got = [(c.identity_count, c.group.size) for c in cf.components]
         assert got == shape, name
 
@@ -93,7 +92,7 @@ def test_group_iso_distinguishes_z4_v4():
 def test_reconstruct_is_isomorphic():
     for name in ("trivial1", "pair2", "disc3", "z2", "z2pair2", "conn2z2"):
         g = corpus_groupoid(name)
-        rebuilt = reconstruct(component_form(g))
+        rebuilt = reconstruct(g.form)
         assert groupoid_iso(rebuilt, g) is not None, name
 
 
@@ -195,7 +194,7 @@ def test_groups_with_the_same_element_orders_are_told_apart():
         ComponentForm((Component(1, z4z4, (), ()), Component(1, twisted, (), ())))
     )
     h = Gpd([[None if v is None else 31 - v for v in r[::-1]] for r in g.ptable[::-1]])
-    assert group_iso(component_form(h).components[0].group, twisted) is not None
+    assert group_iso(h.form.components[0].group, twisted) is not None
     mp = groupoid_iso(g, h)
     assert mp is not None and is_groupoid_iso(g, h, mp)
 
@@ -212,7 +211,7 @@ def test_is_groupoid_iso_needs_a_bijection():
 def test_empty_groupoid_is_allowed():
     g = Gpd([])
     assert g.size == 0
-    assert component_form(g).components == ()
+    assert g.form.components == ()
 
 
 # -- associativity over composable triples against the full triple scan ---

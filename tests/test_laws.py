@@ -5,11 +5,14 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import biskit
 import biskit.boolean
+import biskit.groupoid
 import biskit.typemon
 from biskit.boolean import check_boolean
+from biskit.cli import build_report
 from biskit.core import InvSgp
 from biskit.corpus import (
     GROUPOID_BUILDERS,
@@ -132,7 +135,7 @@ def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
         calls.append(s)
         return real(s)
 
-    for module in (biskit.boolean, biskit.laws, biskit.typemon):
+    for module in (biskit.boolean, biskit.laws):
         monkeypatch.setattr(module, "idempotent_ideals", counted)
     results = run_laws(corpus_semigroup("i2"))
     assert [r.key for r in results if r.status == "fail"] == []
@@ -181,6 +184,60 @@ def test_k_of_i3_built_twice_per_structure(monkeypatch):
     results = run_laws(corpus_semigroup("i3"))
     assert [r.key for r in results if r.status == "fail"] == []
     assert built == [34, 34]
+
+
+def counted_groupoid_builds(monkeypatch):
+    """(structures, groupoids): each BoolInvSgp whose atoms groupoid is
+    built, and each Gpd whose component form is built, in build order."""
+    structures, groupoids = [], []
+    real = biskit.boolean.BoolInvSgp.atoms_groupoid.func
+
+    def atoms_groupoid(bs):
+        structures.append(bs)
+        return real(bs)
+
+    prop = cached_property(atoms_groupoid)
+    prop.__set_name__(biskit.boolean.BoolInvSgp, "atoms_groupoid")
+    monkeypatch.setattr(biskit.boolean.BoolInvSgp, "atoms_groupoid", prop)
+    real_form = biskit.groupoid.component_form
+
+    def component_form(g):
+        groupoids.append(g)
+        return real_form(g)
+
+    monkeypatch.setattr(biskit.groupoid, "component_form", component_form)
+    return structures, groupoids
+
+
+def test_analyze_builds_the_atoms_groupoid_and_its_form_once(monkeypatch):
+    # decompose and type_monoid read the one atoms groupoid of I4 and its
+    # one component form
+    structures, groupoids = counted_groupoid_builds(monkeypatch)
+    build_report(InvSgp(symmetric_inverse_table(4)))
+    assert len(structures) == 1
+    assert groupoids == [structures[0].atoms_groupoid]
+
+
+def test_verify_builds_two_atoms_groupoids_and_forms_on_i4(monkeypatch):
+    # one for S, read by laws main-finite and the type monoid laws, and one
+    # for the product law finite decomposes again
+    structures, groupoids = counted_groupoid_builds(monkeypatch)
+    s = InvSgp(symmetric_inverse_table(4))
+    results = run_laws(s)
+    assert [r.key for r in results if r.status == "fail"] == []
+    assert len(structures) == 2 and structures[0].base is s
+    assert groupoids == [bs.atoms_groupoid for bs in structures]
+
+
+def test_groupoid_laws_build_the_input_form_once(monkeypatch):
+    # laws connected-groupoids, bordeaux1 and local-bisections-rook, and
+    # groupoid_iso, read g.form
+    _structures, groupoids = counted_groupoid_builds(monkeypatch)
+    for name in GROUPOID_BUILDERS:
+        g = corpus_groupoid(name)
+        results = run_laws(g)
+        assert [r.key for r in results if r.status == "fail"] == [], name
+        assert sum(x is g for x in groupoids) == 1, name
 
 
 def counted_type_monoids(monkeypatch):
@@ -399,7 +456,7 @@ def test_certificates_hold_under_python_O():
         target = boolean.check_boolean(bp2.bs.base).structure
         target.rc = lambda x, y: x  # singleton values are read as alpha's
         try:
-            booleanization.gamma_extension(p2, bp2.beta, target, booleanization=bp2)
+            booleanization.gamma_extension(bp2, bp2.beta, target)
         except CertificateFailed as e:
             print("gamma", e.witness[0])
         i2s = corpus_semigroup("i2")
@@ -445,7 +502,8 @@ def test_certificates_hold_under_python_O():
         except CertificateFailed as e:
             print("closure", e.witness[0])
         try:  # the identity's kernel {0} now reads as not an ideal
-            boolean.analyze_morphism(boolean.Morphism(bs, bs, tuple(range(bs.size))))
+            ident = boolean.Morphism(bs, bs, tuple(range(bs.size)))
+            boolean.analyze_morphism(ident, None)  # refused before eps is read
         except CertificateFailed as e:
             print("morphism", e.witness[0])
 
@@ -454,7 +512,7 @@ def test_certificates_hold_under_python_O():
         sub = boolean.check_boolean(corpus_semigroup("i2")).structure
         sub.base.atoms = sub.base.atoms[1:]  # one atom is missing
         try:
-            boolean.atoms_groupoid(sub)
+            sub.atoms_groupoid
         except CertificateFailed as e:
             print("atoms", e.witness[0])
         pset = boolean.check_boolean(corpus_semigroup("powerset2")).structure
@@ -686,3 +744,103 @@ def test_every_function_in_src_is_read():
     }
     readers = {**trees["src"], **trees["tests"], **trees["bench"]}
     assert unread_functions(trees["src"], readers) == []
+
+
+def _is_none_test(test, names):
+    """(name, True) for `name is None`, (name, False) for `name is not
+    None`, name in names; None for any other test."""
+    if (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(test.left, ast.Name)
+        and test.left.id in names
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        return test.left.id, isinstance(test.ops[0], ast.Is)
+    return None
+
+
+def recomputed_defaults(trees):
+    """(module, function, parameter) for each parameter defaulting to None
+    that its function replaces, when it is None, by a call to a function or
+    class defined in trees: `if p is None: p = f(...)`, or `p if p is not
+    None else f(...)` (either way round)."""
+    defined = {
+        n.name
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def calls_defined(nodes):
+        return any(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) in defined
+            for node in nodes
+            for n in ast.walk(node)
+        )
+
+    found = []
+    for key, tree in trees.items():
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            a = f.args
+            positional = [*a.posonlyargs, *a.args]
+            pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults)]
+            pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            nones = {
+                p.arg
+                for p, d in pairs
+                if isinstance(d, ast.Constant) and d.value is None
+            }
+            for n in ast.walk(f):
+                if not isinstance(n, (ast.If, ast.IfExp)):
+                    continue
+                hit = _is_none_test(n.test, nones)
+                if hit is None:
+                    continue
+                name, is_none = hit
+                branch = n.body if is_none else n.orelse
+                if calls_defined(branch if isinstance(branch, list) else [branch]):
+                    found.append((key, f.name, name))
+    return sorted(set(found))
+
+
+def test_no_parameter_is_computed_unless_passed_in():
+    # a derived input is computed in one place (laws.Analysis) and passed
+    # on as a required argument, not rebuilt by a default of None
+    trees = parsed_modules(os.path.dirname(os.path.abspath(biskit.__file__)))
+    assert recomputed_defaults(trees) == []
+
+
+def test_recomputed_defaults_finds_each_form():
+    source = textwrap.dedent(
+        """
+        def build(s):
+            return s
+
+        def a(s, x=None):
+            if x is None:
+                x = build(s)
+            return x
+
+        def b(s, *, x=None):
+            return x if x is not None else build(s)
+
+        def c(s, x=None):
+            return build(s) if x is None else x
+
+        def kept(s, labels=None, keys=None, timings=None):
+            labels = labels if labels is not None else tuple(range(s))
+            if keys is not None and s not in keys:
+                return None
+            if timings is not None:
+                timings["s"] = s
+            return labels
+        """
+    )
+    found = recomputed_defaults({"m.py": ast.parse(source)})
+    assert found == [("m.py", "a", "x"), ("m.py", "b", "x"), ("m.py", "c", "x")]

@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from biskit.boolean import check_boolean
+from biskit.boolean import check_boolean, direct_product
 from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
 from biskit.errors import TooLarge
+from biskit.laws import Analysis
 from biskit.typemon import (
     ideal_triple,
     mu_type_invariance,
-    product_type_check,
     refinement_check,
     type_monoid,
     type_via_matrices,
@@ -80,7 +80,8 @@ def test_refinement_all_boolean_corpus():
 def test_ideal_triple_counts():
     expected = {"i2": 2, "z2zero": 2, "i2xz2zero": 4, "powerset2": 4, "m2z2zero": 2}
     for name, n in expected.items():
-        tri = ideal_triple(boolean(name))
+        a = Analysis(boolean(name))
+        tri = ideal_triple(a.bs, a.tm, a.ideals, a.idem_ideals)
         assert tri.matched, name
         assert len(tri.additive_ideals) == n, name
         assert len(tri.idempotent_ideals) == n, name
@@ -90,7 +91,8 @@ def test_ideal_triple_counts():
 
 def test_matrix_oracle_runs_clean():
     for name, n in itertools.product(("i2", "z2zero", "i2xz2zero"), (2, 3)):
-        mo = type_via_matrices(boolean(name), n)
+        bs = boolean(name)
+        mo = type_via_matrices(bs, n, type_monoid(bs))
         assert mo.partition_agrees, (name, n)
         assert mo.witnesses_verified, (name, n)
         assert mo.separation_ok, (name, n)
@@ -105,18 +107,58 @@ def test_matrix_oracle_atom_sums_cover_small_vectors():
 
 
 def test_matrix_oracle_cap():
+    i3 = boolean("i3")
     with pytest.raises(TooLarge) as info:
-        type_via_matrices(boolean("i3"), 6)
+        type_via_matrices(i3, 6, type_monoid(i3))
     assert str(info.value) == (
         "8^6 = 262144 diagonal idempotents, above cap MATRIX_IDEMPOTENT_CAP=100000"
     )
+    i2 = boolean("i2")
     with pytest.raises(TooLarge):
-        type_via_matrices(boolean("i2"), 1)
+        type_via_matrices(i2, 1, type_monoid(i2))
 
 
 def test_mu_invariance():
     for name in BOOLEAN_NAMES:
-        assert mu_type_invariance(boolean(name)), name
+        a = Analysis(boolean(name))
+        assert mu_type_invariance(a.bs, a.tm, a.mu), name
+
+
+def product_type_check(bs, bt):
+    """Types over a direct product are the two types side by side."""
+    p = direct_product(bs, bt)
+    tm_p, tm_s, tm_t = type_monoid(p), type_monoid(bs), type_monoid(bt)
+    if tm_p.rank != tm_s.rank + tm_t.rank:
+        return False
+    ks = bs.base.size
+    sides = []
+    for comp in tm_p.atomic_idempotents:
+        e = min(comp)
+        a, b = e % ks, e // ks
+        if b == bt.base.zero:
+            side = ("left", next(
+                i for i, c in enumerate(tm_s.atomic_idempotents) if a in c
+            ))
+        else:
+            side = ("right", next(
+                i for i, c in enumerate(tm_t.atomic_idempotents) if b in c
+            ))
+        sides.append(side)
+    if sorted(sides) != sorted(
+        [("left", i) for i in range(tm_s.rank)]
+        + [("right", i) for i in range(tm_t.rank)]
+    ):
+        return False
+    for e in bs.base.idempotents:
+        for f in bt.base.idempotents:
+            pid = f * ks + e
+            vec = tm_p.tau[pid]
+            for ci, side in enumerate(sides):
+                tag, i = side
+                want = tm_s.tau[e][i] if tag == "left" else tm_t.tau[f][i]
+                if vec[ci] != want:
+                    return False
+    return True
 
 
 def test_product_type_concatenates():
