@@ -641,11 +641,15 @@ def mu_and_quotient(s):
     return MuReport(mu, quotient, mu.class_of)
 
 
-def all_congruences(s, cap=9):
+CONGRUENCE_SCAN_CAP = 9
+
+
+def all_congruences(s):
     """Every congruence of s, by exhausting set partitions.  Small s only."""
-    if s.size > cap:
+    if s.size > CONGRUENCE_SCAN_CAP:
         raise TooLarge(
-            f"congruence enumeration capped at cap={cap}, carrier has {s.size} elements"
+            "congruence enumeration capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
         )
     out = []
     for part in _set_partitions(list(range(s.size))):
@@ -656,6 +660,27 @@ def all_congruences(s, cap=9):
         if _congruence_scan(s, class_of) is None:
             out.append(Congruence(s.size, tuple(class_of)))
     return out
+
+
+def _first_split(cls, other):
+    """The first pair (x, y) in one class of cls and in two of other."""
+    ids = range(len(cls))
+    pairs = ((x, y) for x in ids for y in ids if cls[x] == cls[y])
+    return next(((x, y) for x, y in pairs if other[x] != other[y]), None)
+
+
+def _is_additive_congruence(s, cls):
+    """Whether classes cls relate a2 v b2, defined, to a v b for every
+    compatible pair (a, b) with a join, a2 related to a and b2 to b."""
+    jt = s.join_table
+    return all(
+        (j2 := jt[a2][b2]) is not None and cls[j2] == cls[jt[a][b]]
+        for a, partners in enumerate(s.compat_partners)
+        for b in partners
+        if jt[a][b] is not None
+        for a2 in _positions(cls, cls[a])
+        for b2 in _positions(cls, cls[b])
+    )
 
 
 def _set_partitions(xs):

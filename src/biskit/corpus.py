@@ -68,26 +68,18 @@ def b2_table():
 def symmetric_inverse_table(n):
     """Partial one-to-one maps on n points under composition.
 
-    Elements are pair sets {(x, f(x))}; ids order by (size, sorted pairs),
-    so the empty map (the zero) is id 0.
+    A map is its image tuple, -1 where undefined; ids order by (size,
+    sorted pairs (x, f(x))), so the empty map (the zero) is id 0.  Row f,
+    column g is f after g.
     """
-    elems = []
-    points = range(n)
-    for k in range(n + 1):
-        for dom in itertools.combinations(points, k):
-            for img in itertools.permutations(points, k):
-                elems.append(frozenset(zip(dom, img)))
-    elems = sorted(set(elems), key=lambda f: (len(f), sorted(f)))
-    index = {f: i for i, f in enumerate(elems)}
-
-    def compose(f, g):
-        gm = dict(g)
-        fm = dict(f)
-        return frozenset(
-            (x, fm[gx]) for x, gx in gm.items() if gx in fm
-        )
-
-    return [[index[compose(f, g)] for g in elems] for f in elems]
+    maps = [
+        f
+        for f in itertools.product(range(-1, n), repeat=n)
+        if len({y for y in f if y >= 0}) == n - f.count(-1)
+    ]
+    maps.sort(key=lambda f: (n - f.count(-1), [p for p in enumerate(f) if p[1] >= 0]))
+    index = {f: i for i, f in enumerate(maps)}
+    return [[index[tuple(y if y < 0 else f[y] for y in g)] for g in maps] for f in maps]
 
 
 def i2xz2zero_table():

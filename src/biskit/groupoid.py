@@ -216,18 +216,21 @@ def group_name(g):
     return f"G{n}"
 
 
-def group_iso(a, b, cap=GROUP_ISO_CAP):
+def group_iso(a, b):
     """Explicit isomorphism between one-object groupoids, or None.
 
     Backtracks over images of a minimal generating sequence, pruning by
-    element order.  Groups above the cap raise Undecided rather than search.
+    element order.  A group above GROUP_ISO_CAP raises Undecided instead.
     """
     if not a.is_group() or not b.is_group():
         raise NotAGroup("group_iso needs one-object groupoids")
     if a.size != b.size:
         return None
-    if a.size > cap:
-        raise Undecided(f"group isomorphism search capped at {cap}")
+    if a.size > GROUP_ISO_CAP:
+        raise Undecided(
+            f"group isomorphism search capped at GROUP_ISO_CAP={GROUP_ISO_CAP}, "
+            f"group has order {a.size}"
+        )
     n = a.size
     if n == 1:
         return (0,)

@@ -17,6 +17,7 @@ from functools import cache, cached_property
 from operator import getitem, itemgetter
 
 from .boolean import (
+    BooleanCheck,
     BoolInvSgp,
     Morphism,
     _above,
@@ -43,7 +44,10 @@ from .booleanization import (
     principal_map_is_iso,
 )
 from .core import (
+    CONGRUENCE_SCAN_CAP,
     _dr_classes,
+    _first_split,
+    _is_additive_congruence,
     _mask,
     _on_generators,
     _picker,
@@ -57,6 +61,7 @@ from .errors import (
     BiskitError,
     CertificateFailed,
     NotBelow,
+    NotBoolean,
     NotCompatible,
     SizeCapExceeded,
     TooLarge,
@@ -86,12 +91,17 @@ from .typemon import (
     type_via_matrices,
 )
 
-CONGRUENCE_SCAN_CAP = 9
 ROOK_ENUM_CAP = 4  # brute-force 2x2 matrix enumeration is |S|^4 candidates
 
 
 class _Skip(Exception):
     """Raised inside a law to report inapplicability at this size."""
+
+
+def _skip_above(s, cap, name, what):
+    """Skip, naming the cap and the carrier size, when s is larger than cap."""
+    if s.size > cap:
+        raise _Skip(f"{what} capped at {name}={cap}, carrier has {s.size} elements")
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,7 @@ class Analysis:
 
     def __init__(self, s):
         if isinstance(s, BoolInvSgp):
-            self.s, self.bs = s.base, s
+            self.s, self.bs, self.check = s.base, s, BooleanCheck(True, None, s)
         else:
             self.s = s
 
@@ -217,6 +227,22 @@ class Analysis:
     @cached_property
     def mu(self):
         return mu_and_quotient(self.s)
+
+    @cached_property
+    def mu_check(self):
+        q = self.mu.quotient
+        return self.check if q is self.s else check_boolean(q)
+
+    @cached_property
+    def mu_tm(self):
+        check = self.mu_check
+        if not check.boolean:
+            raise NotBoolean(check.failure)
+        return self.tm if check.structure is self.bs else type_monoid(check.structure)
+
+    @cached_property
+    def congruences(self):
+        return all_congruences(self.s)
 
 
 # -- laws on any inverse semigroup ------------------------------------------
@@ -378,27 +404,15 @@ def law_restricted_product(c):
 
 
 def law_mu_separating(c):
-    s = c.s
-    rep = c.mu  # construction re-checks congruence and separation
-    if s.size > CONGRUENCE_SCAN_CAP:
-        raise _Skip(
-            "construction verified, maximality scan capped at "
-            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
-        )
-    mu_cls = rep.mu.class_of
-    for cong in all_congruences(s):
+    mu_cls = c.mu.mu.class_of  # construction re-checks congruence and separation
+    what = "construction verified, maximality scan"
+    _skip_above(c.s, CONGRUENCE_SCAN_CAP, "CONGRUENCE_SCAN_CAP", what)
+    es = c.s.idempotents
+    for cong in c.congruences:
         cls = cong.class_of
-        separating = not any(
-            e != f and cls[e] == cls[f]
-            for e in s.idempotents
-            for f in s.idempotents
-        )
-        if not separating:
-            continue
-        for x in range(s.size):
-            for y in range(s.size):
-                if cls[x] == cls[y] and mu_cls[x] != mu_cls[y]:
-                    return (x, y)
+        separating = len(set(map(cls.__getitem__, es))) == len(es)
+        if separating and (split := _first_split(cls, mu_cls)):
+            return split
     return None
 
 
@@ -406,11 +420,7 @@ def law_universal_groupoid(c):
     """Every proper filter is principal: a raw scan of all 2^k subsets for
     a filter missing from enumerate_filters, which is the witness."""
     s = c.s
-    if s.size > FILTER_SCAN_CAP:
-        raise _Skip(
-            f"raw subset scan capped at FILTER_SCAN_CAP={FILTER_SCAN_CAP}, "
-            f"carrier has {s.size} elements"
-        )
+    _skip_above(s, FILTER_SCAN_CAP, "FILTER_SCAN_CAP", "raw subset scan")
     principal = {f.carrier for f in c.filters.proper}
     for m in range(1, 1 << s.size):
         subset = frozenset(i for i in range(s.size) if m >> i & 1)
@@ -1103,50 +1113,22 @@ def _atom_pencils(s):
     return pencil
 
 
-def _is_additive_congruence(s, cls):
-    for a in range(s.size):
-        for b in range(s.size):
-            if not s.compat[a][b] or s.join_table[a][b] is None:
-                continue
-            for a2 in range(s.size):
-                if cls[a2] != cls[a]:
-                    continue
-                for b2 in range(s.size):
-                    if cls[b2] != cls[b]:
-                        continue
-                    j2 = s.join_table[a2][b2]
-                    if j2 is None or cls[j2] != cls[s.join_table[a][b]]:
-                        return False
-    return True
-
-
 def law_noise(c):
-    bs = c.bs
-    s = bs.base
+    s = c.s
     for ideal, rep in c.eps_reports:
-        kernel = frozenset(
-            x
-            for x in range(s.size)
-            if rep.projection.map[x] == rep.quotient.base.zero
-        )
-        if kernel != ideal.carrier:
+        if kernel_of(rep.projection) != ideal.carrier:
             return (tuple(sorted(ideal.carrier)), "kernel-mismatch")
-    if s.size > CONGRUENCE_SCAN_CAP:
-        raise _Skip(
-            "kernels verified, minimality scan capped at "
-            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
-        )
+    what = "kernels verified, minimality scan"
+    _skip_above(s, CONGRUENCE_SCAN_CAP, "CONGRUENCE_SCAN_CAP", what)
+    additive = {}  # kernel -> the classes of each additive congruence with it
+    for cong in c.congruences:
+        cls = cong.class_of
+        if _is_additive_congruence(s, cls):
+            additive.setdefault(frozenset(_positions(cls, cls[s.zero])), []).append(cls)
     for ideal, rep in c.eps_reports:
-        eps_cls = rep.congruence.class_of
-        for cong in all_congruences(s):
-            cls = cong.class_of
-            kern = frozenset(x for x in range(s.size) if cls[x] == cls[s.zero])
-            if kern != ideal.carrier or not _is_additive_congruence(s, cls):
-                continue
-            for x in range(s.size):
-                for y in range(s.size):
-                    if eps_cls[x] == eps_cls[y] and cls[x] != cls[y]:
-                        return (tuple(sorted(ideal.carrier)), x, y)
+        for cls in additive.get(ideal.carrier, ()):
+            if split := _first_split(rep.congruence.class_of, cls):
+                return (tuple(sorted(ideal.carrier)), *split)
     return None
 
 
@@ -1195,21 +1177,18 @@ def law_anja(c):
 
 def law_idept_sep_kernel(c):
     """Each map reuses the cached quotient by its kernel, and its
-    projection's certificates when it is that projection; a mu quotient
-    that is the input (a fundamental structure) is not checked again."""
+    projection's certificates when it is that projection; the mu quotient
+    is read as checked once (Analysis.mu_check)."""
     bs = c.bs
     eps_of = {ideal.carrier: rep for ideal, rep in c.eps_reports}
     ident = Morphism(bs, bs, tuple(range(bs.size)))
     rep = analyze_morphism(ident, eps_of.get(kernel_of(ident)))
     if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
         return ("identity",)
-    mu, q = c.mu, bs
-    if mu.quotient is not bs.base:
-        check = check_boolean(mu.quotient)
-        if not check.boolean:
-            return ("mu-quotient-not-boolean", check.failure)
-        q = check.structure
-    proj = Morphism(bs, q, tuple(mu.projection))
+    check = c.mu_check
+    if not check.boolean:
+        return ("mu-quotient-not-boolean", check.failure)
+    proj = Morphism(bs, check.structure, tuple(c.mu.projection))
     rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
     if not rep.idempotent_separating:
         return ("mu-projection",)
@@ -1227,11 +1206,7 @@ def law_factorization(c):
 def law_ale(c):
     bs = c.bs
     s = bs.base
-    if s.size > ROOK_ENUM_CAP:
-        raise _Skip(
-            f"2x2 matrix enumeration capped at ROOK_ENUM_CAP={ROOK_ENUM_CAP}, "
-            f"carrier has {s.size} elements"
-        )
+    _skip_above(s, ROOK_ENUM_CAP, "ROOK_ENUM_CAP", "2x2 matrix enumeration")
     mats = []
     for quad in itertools.product(range(s.size), repeat=4):
         entries = [list(quad[:2]), list(quad[2:])]
@@ -1339,7 +1314,7 @@ def law_type_monoid_basics(c):
 
 
 def law_type_fundamental(c):
-    if not mu_type_invariance(c.bs, c.tm, c.mu):
+    if not mu_type_invariance(c.bs, c.tm, c.mu, c.mu_tm):
         return ("mu-invariance",)
     return None
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
+from .boolean import BoolInvSgp, KOfGroupoid, _bisection_count, k_of_groupoid
 from .core import _on_generators
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
@@ -135,7 +135,13 @@ def build_Mn_G0(n, group):
         )
     # reconstruct reads only the identity count and the group of a component
     form = ComponentForm((Component(n, group, member_ids=(), identities=()),))
-    return k_of_groupoid(reconstruct(form), cap=MN_CARRIER_CAP)
+    g = reconstruct(form)
+    count = _bisection_count(g.identities, g.d, g.r)
+    if count > MN_CARRIER_CAP:
+        raise TooLarge(
+            f"local bisection count {count} above cap MN_CARRIER_CAP={MN_CARRIER_CAP}"
+        )
+    return k_of_groupoid(g, cap=None)
 
 
 @dataclass(frozen=True)

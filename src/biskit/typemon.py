@@ -126,53 +126,48 @@ def ideal_triple(bs, tm, ideals, idem_ideals):
     """Match the three ideal posets of bs, given its type monoid tm, its
     additive ideals and its idempotent ideals (the idempotent_ideals
     scan)."""
-    s = bs.base
     idem_ideals = list(idem_ideals)
     supports = sorted(
         (frozenset(t) for r in range(tm.rank + 1)
          for t in itertools.combinations(range(tm.rank), r)),
-        key=lambda f: (len(f), sorted(f)),
+        key=_by_size,
     )
-
-    matched = len(idem_ideals) == len(ideals) == len(supports)
-    if matched:
-        to_idem = {i.carrier: frozenset(x for x in i.carrier if s.is_idempotent(x))
-                   for i in ideals}
-        matched = (
-            sorted(to_idem.values(), key=lambda f: (len(f), sorted(f))) == idem_ideals
-        )
-    if matched:
-        for i in ideals:
-            induced = frozenset(x for x in range(s.size)
-                                if s.d[x] in to_idem[i.carrier])
-            if induced != i.carrier:
-                matched = False
-                break
-        if matched:
-            supp = {}
-            for i in ideals:
-                v = frozenset(
-                    ci
-                    for e in i.carrier
-                    if s.is_idempotent(e)
-                    for ci in range(tm.rank)
-                    if tm.tau[e][ci]
-                )
-                supp[i.carrier] = v
-            matched = sorted(
-                supp.values(), key=lambda f: (len(f), sorted(f))
-            ) == list(supports) and len(set(supp.values())) == len(ideals)
-            if matched:
-                pairs = list(supp.items())
-                for (c1, v1), (c2, v2) in itertools.product(pairs, repeat=2):
-                    if (c1 <= c2) != (v1 <= v2):
-                        matched = False
-                        break
-
     simple_iff = (tm.rank == 1) == (len(ideals) == 2)
     return IdealTriple(
-        tuple(idem_ideals), ideals, tuple(supports), matched, simple_iff
+        tuple(idem_ideals), ideals, tuple(supports),
+        _ideals_match(bs.base, tm, ideals, idem_ideals, supports), simple_iff,
     )
+
+
+def _by_size(f):
+    """Sort key of a set: by size, then by its sorted members."""
+    return (len(f), sorted(f))
+
+
+def _ideals_match(s, tm, ideals, idem_ideals, supports):
+    """Whether the additive ideals match the idempotent ideals and the
+    supports one to one: each carrier's idempotents form an idempotent
+    ideal whose induced set (the x with d(x) in it) is the carrier, and the
+    carriers' supports, read off tau, are the supports, in the same order
+    of inclusion."""
+    if not len(idem_ideals) == len(ideals) == len(supports):
+        return False
+    to_idem = {i.carrier: frozenset(filter(s.is_idempotent, i.carrier)) for i in ideals}
+    if sorted(to_idem.values(), key=_by_size) != idem_ideals:
+        return False
+    for carrier, idem in to_idem.items():
+        if frozenset(x for x in range(s.size) if s.d[x] in idem) != carrier:
+            return False
+    supp = {
+        c: frozenset(ci for e in idem for ci in range(tm.rank) if tm.tau[e][ci])
+        for c, idem in to_idem.items()
+    }
+    if sorted(supp.values(), key=_by_size) != supports:
+        return False
+    if len(set(supp.values())) != len(ideals):
+        return False
+    pairs = itertools.product(supp.items(), repeat=2)
+    return all((c1 <= c2) == (v1 <= v2) for (c1, v1), (c2, v2) in pairs)
 
 
 # -- matrix truncation oracle ----------------------------------------------
@@ -376,14 +371,13 @@ def type_via_matrices(bs, n, tm):
     )
 
 
-def mu_type_invariance(bs, tm, mu):
+def mu_type_invariance(bs, tm, mu, tm_q):
     """The type data survives the maximum idempotent-separating quotient.
 
-    tm and mu are the caller's type monoid and mu_and_quotient of bs.  A
-    quotient that is bs's own table (bs fundamental) is read as bs, with
-    its type monoid.
+    tm and mu are the caller's type monoid and mu_and_quotient of bs, and
+    tm_q is the type monoid of mu's quotient (tm itself when bs is
+    fundamental).
     """
-    tm_q = tm if mu.quotient is bs.base else type_monoid(as_boolean(mu.quotient))
     if tm.rank != tm_q.rank:
         return False
     proj = mu.projection

@@ -200,7 +200,7 @@ def test_criterion_08_type_monoid():
         a = Analysis(bs)
         assert refinement_check(a.tm), name
         assert ideal_triple(bs, a.tm, a.ideals, a.idem_ideals).matched, name
-        assert mu_type_invariance(bs, a.tm, a.mu), name
+        assert mu_type_invariance(bs, a.tm, a.mu, a.mu_tm), name
     for name in ("i2", "z2zero", "i2xz2zero"):
         for n in (2, 3):
             bs = boolean(name)

@@ -15,7 +15,7 @@ from biskit.booleanization import (
 )
 from biskit.core import InvSgp, semigroup_iso
 from biskit.corpus import corpus_semigroup, symmetric_inverse_table
-from biskit.errors import CertificateFailed
+from biskit.errors import CertificateFailed, NotMultiplicative
 from biskit.groupoid import groupoid_iso
 from biskit.laws import run_laws
 
@@ -75,6 +75,18 @@ def test_gamma_needs_a_coherent_alpha():
     alpha[1], alpha[2] = alpha[2], alpha[1]  # no longer multiplicative
     with pytest.raises(Exception):
         gamma_extension(b, tuple(alpha), b.bs)
+
+
+def test_gamma_extension_names_the_pair_a_non_multiplicative_extension_breaks():
+    # joins of two singletons read as 0: every value on a beta(a) is still
+    # alpha(a), but {0, 1} * {0} = {0} now maps to 0 * alpha(a)
+    b = booleanize(corpus_semigroup("powerset2"))
+    target = check_boolean(b.bs.base).structure
+    join_of = target.join_of
+    target.join_of = lambda xs: target.zero if len(xs) == 2 else join_of(xs)
+    with pytest.raises(NotMultiplicative) as info:
+        gamma_extension(b, b.beta, target)
+    assert info.value.witness == (1, 4)
 
 
 def test_filters_chain3():

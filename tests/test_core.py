@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biskit.core import (
+    CONGRUENCE_SCAN_CAP,
     InvSgp,
     _check_associative,
     _generators,
@@ -35,8 +36,11 @@ from biskit.errors import (
     ParseError,
     SizeCapExceeded,
     TooLarge,
+    Undecided,
 )
-from generated import i4_subsemigroup_tables
+from biskit.groupoid import GROUP_ISO_CAP, Gpd, group_iso
+from biskit.rook import MN_CARRIER_CAP, build_Mn_G0
+from generated import cyclic_group, i4_subsemigroup_tables
 
 
 def test_parse_roundtrip():
@@ -338,8 +342,44 @@ def test_all_congruences_small():
     with pytest.raises(TooLarge) as info:
         all_congruences(corpus_semigroup("i3"))
     assert str(info.value) == (
-        "congruence enumeration capped at cap=9, carrier has 34 elements"
+        "congruence enumeration capped at CONGRUENCE_SCAN_CAP=9, "
+        "carrier has 34 elements"
     )
+
+
+def _chain(n):
+    """The n-element chain, a semilattice: a*b = min(a, b)."""
+    return InvSgp([[min(a, b) for b in range(n)] for a in range(n)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: group_iso(*[cyclic_group(GROUP_ISO_CAP + 1)] * 2),
+            Undecided,
+            f"group isomorphism search capped at GROUP_ISO_CAP={GROUP_ISO_CAP}, "
+            f"group has order {GROUP_ISO_CAP + 1}",
+        ),
+        (
+            lambda: build_Mn_G0(7, Gpd([[0]])),
+            TooLarge,
+            f"local bisection count 130922 above cap MN_CARRIER_CAP={MN_CARRIER_CAP}",
+        ),
+        (
+            lambda: all_congruences(_chain(CONGRUENCE_SCAN_CAP + 1)),
+            TooLarge,
+            "congruence enumeration capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, "
+            f"carrier has {CONGRUENCE_SCAN_CAP + 1} elements",
+        ),
+    ],
+    ids=["group_iso", "build_Mn_G0", "all_congruences"],
+)
+def test_caps_name_their_constant_and_the_value_that_hit_it(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 @settings(max_examples=30)

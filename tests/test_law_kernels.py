@@ -13,6 +13,7 @@ orthogonalize, its oracle's loop, on each family its cached steps miss.
 """
 
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from biskit.boolean import (
     AdditiveIdeal,
+    Morphism,
     _check_pencil,
     ideal_closure,
     is_weakly_meet_preserving,
@@ -33,7 +35,13 @@ from biskit.booleanization import (
     filter_groupoid,
     principal_map_is_iso,
 )
-from biskit.core import InvSgp, table_product
+from biskit.core import (
+    CONGRUENCE_SCAN_CAP,
+    Congruence,
+    InvSgp,
+    all_congruences,
+    table_product,
+)
 from biskit.corpus import (
     BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
@@ -56,6 +64,8 @@ from biskit.laws import (
     law_discrete_topology,
     law_eggs,
     law_fish,
+    law_mu_separating,
+    law_noise,
     law_oj,
     law_orthogonal,
     law_restricted_product,
@@ -258,6 +268,78 @@ def oracle_ale(c):
     return None
 
 
+def oracle_mu_separating(c):
+    s = c.s
+    rep = c.mu  # construction re-checks congruence and separation
+    if s.size > CONGRUENCE_SCAN_CAP:
+        raise _Skip(
+            "construction verified, maximality scan capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
+        )
+    mu_cls = rep.mu.class_of
+    for cong in all_congruences(s):
+        cls = cong.class_of
+        separating = not any(
+            e != f and cls[e] == cls[f]
+            for e in s.idempotents
+            for f in s.idempotents
+        )
+        if not separating:
+            continue
+        for x in range(s.size):
+            for y in range(s.size):
+                if cls[x] == cls[y] and mu_cls[x] != mu_cls[y]:
+                    return (x, y)
+    return None
+
+
+def oracle_is_additive_congruence(s, cls):
+    for a in range(s.size):
+        for b in range(s.size):
+            if not s.compat[a][b] or s.join_table[a][b] is None:
+                continue
+            for a2 in range(s.size):
+                if cls[a2] != cls[a]:
+                    continue
+                for b2 in range(s.size):
+                    if cls[b2] != cls[b]:
+                        continue
+                    j2 = s.join_table[a2][b2]
+                    if j2 is None or cls[j2] != cls[s.join_table[a][b]]:
+                        return False
+    return True
+
+
+def oracle_noise(c):
+    bs = c.bs
+    s = bs.base
+    for ideal, rep in c.eps_reports:
+        kernel = frozenset(
+            x
+            for x in range(s.size)
+            if rep.projection.map[x] == rep.quotient.base.zero
+        )
+        if kernel != ideal.carrier:
+            return (tuple(sorted(ideal.carrier)), "kernel-mismatch")
+    if s.size > CONGRUENCE_SCAN_CAP:
+        raise _Skip(
+            "kernels verified, minimality scan capped at "
+            f"CONGRUENCE_SCAN_CAP={CONGRUENCE_SCAN_CAP}, carrier has {s.size} elements"
+        )
+    for ideal, rep in c.eps_reports:
+        eps_cls = rep.congruence.class_of
+        for cong in all_congruences(s):
+            cls = cong.class_of
+            kern = frozenset(x for x in range(s.size) if cls[x] == cls[s.zero])
+            if kern != ideal.carrier or not oracle_is_additive_congruence(s, cls):
+                continue
+            for x in range(s.size):
+                for y in range(s.size):
+                    if eps_cls[x] == eps_cls[y] and cls[x] != cls[y]:
+                        return (tuple(sorted(ideal.carrier)), x, y)
+    return None
+
+
 def oracle_principal_map_is_iso(s, sub_ids, fg):
     pos = {x: i for i, x in enumerate(sub_ids)}
     if fg.size != len(sub_ids):
@@ -445,6 +527,70 @@ def test_law_ale_matches_oracle_on_a_wrong_order():
     got = outcome(law_ale, c)
     assert got == outcome(oracle_ale, c)
     assert got[0] == "returned" and got[1][-1] == "order"
+
+
+# -- the congruence laws ----------------------------------------------------
+
+
+def reversed_ids(table):
+    """The same table with id x renamed k - 1 - x, so the zero is no longer
+    id 0."""
+    k = len(table)
+    return [[k - 1 - table[k - 1 - a][k - 1 - b] for b in range(k)] for a in range(k)]
+
+
+def congruence_corrupted(name, kind):
+    """Analysis of a corpus table, its ids reversed when name ends in
+    "-reversed", with its mu or first epsilon report replaced, so that laws
+    mu-separating and noise name a witness: mu read as equality, epsilon
+    read as relating everything, or the projection sending everything to
+    the zero."""
+    base, flip = name.removesuffix("-reversed"), name.endswith("-reversed")
+    table = [list(row) for row in corpus_semigroup(base).table]
+    c = Analysis(InvSgp(reversed_ids(table) if flip else table))
+    k = c.s.size
+    if kind == "mu-equality":
+        c.mu = replace(c.mu, mu=Congruence(k, tuple(range(k))))
+    elif kind != "none" and c.bs is not None:
+        (ideal, rep), *rest = c.eps_reports
+        if kind == "eps-universal":
+            rep = replace(rep, congruence=Congruence(k, (0,) * k))
+        else:
+            zero = rep.quotient.zero
+            rep = replace(rep, projection=Morphism(c.bs, rep.quotient, (zero,) * k))
+        c.eps_reports = [(ideal, rep), *rest]
+    return c
+
+
+SCANNED = [n for n in SEMIGROUP_BUILDERS if corpus_semigroup(n).size <= CONGRUENCE_SCAN_CAP]
+CONGRUENCE_CORRUPTIONS = ("none", "mu-equality", "eps-universal", "eps-kernel")
+
+
+@pytest.mark.parametrize("kind", CONGRUENCE_CORRUPTIONS)
+@pytest.mark.parametrize("name", [*SCANNED, *(f"{n}-reversed" for n in SCANNED), "i3"])
+def test_congruence_laws_match_oracles(name, kind):
+    # the shared scan, the first split and the per-congruence additivity
+    # give the old witnesses and skip notes
+    c = congruence_corrupted(name, kind)
+    for applies, law, oracle in (
+        ("invsgp", law_mu_separating, oracle_mu_separating),
+        ("boolean", law_noise, oracle_noise),
+    ):
+        if _applicable(applies, c)[0]:
+            assert outcome(law, c) == outcome(oracle, c), law.__name__
+
+
+def test_congruence_law_corruptions_reach_the_witnesses():
+    witnesses = {
+        (name, kind, law.__name__): outcome(law, congruence_corrupted(name, kind))[1]
+        for name in SCANNED
+        for kind in CONGRUENCE_CORRUPTIONS[1:]
+        for law in (law_mu_separating, law_noise)
+        if kind == "mu-equality" or corpus_semigroup(name).zero is not None
+    }
+    named = {key for key, w in witnesses.items() if isinstance(w, tuple)}
+    assert {law for _n, _k, law in named} == {"law_mu_separating", "law_noise"}
+    assert {kind for _n, kind, _l in named} == set(CONGRUENCE_CORRUPTIONS[1:])
 
 
 # -- corrupted structures ---------------------------------------------------

@@ -7,8 +7,11 @@ from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
+import pytest
+
 import biskit
 import biskit.boolean
+import biskit.core
 import biskit.groupoid
 import biskit.typemon
 from biskit.boolean import check_boolean
@@ -21,6 +24,7 @@ from biskit.corpus import (
     corpus_semigroup,
     symmetric_inverse_table,
 )
+from biskit.errors import NotBoolean
 from biskit.laws import (
     CONGRUENCE_SCAN_CAP,
     CORE_LAW_KEYS,
@@ -299,6 +303,36 @@ def test_non_fundamental_mu_quotient_is_checked(monkeypatch):
     assert [t.base for t in type_monoids] == [c.mu.quotient]
 
 
+@pytest.mark.parametrize("name", [*SEMIGROUP_BUILDERS, "i4"])
+def test_each_congruence_result_is_built_once(name, monkeypatch):
+    # laws mu-separating and noise read one congruence scan; laws
+    # idept-sep-kernel and type-fundamental read one check_boolean and one
+    # type monoid of the mu quotient, the input's own when it is fundamental
+    builders = (
+        (biskit.core, "all_congruences"),
+        (biskit.boolean, "check_boolean"),
+        (biskit.typemon, "type_monoid"),
+    )
+    args = {}  # builder name -> the structure of each call, held so no id is reused
+    for module, fn in builders:
+        real, seen = getattr(module, fn), args.setdefault(fn, [])
+
+        def counted(s, real=real, seen=seen):
+            seen.append(s)
+            return real(s)
+
+        for holder in list(sys.modules.values()):
+            if getattr(holder, "__name__", "").startswith("biskit") and (
+                getattr(holder, fn, None) is real
+            ):
+                monkeypatch.setattr(holder, fn, counted)
+    s = InvSgp(symmetric_inverse_table(4)) if name == "i4" else corpus_semigroup(name)
+    results = run_laws(s)
+    assert [r.key for r in results if r.status == "fail"] == []
+    repeats = {fn: len(seen) - len(set(map(id, seen))) for fn, seen in args.items()}
+    assert repeats == {"all_congruences": 0, "check_boolean": 0, "type_monoid": 0}
+
+
 def test_one_certificate_per_map(monkeypatch):
     # run_laws on I4 checks two maps: the identity (the projection onto the
     # quotient by {0}) and the projection onto the quotient by everything.
@@ -389,12 +423,16 @@ def test_anja_decides_without_the_cached_verdict(monkeypatch):
 
 
 def test_idept_sep_kernel_fails_on_a_mu_quotient_that_is_not_boolean():
+    # law type-fundamental reads the same verdict, and raises its failure
     c = Analysis(corpus_semigroup("i2xz2zero"))
     chain = corpus_semigroup("chain3")
     c.mu = replace(c.mu, quotient=chain)
     failure = check_boolean(chain).failure
     assert failure is not None
     assert law_idept_sep_kernel(c) == ("mu-quotient-not-boolean", failure)
+    with pytest.raises(NotBoolean) as info:
+        law_type_fundamental(c)
+    assert info.value.witness == failure
 
 
 def test_run_laws_times_each_law():

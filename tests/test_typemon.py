@@ -1,8 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from biskit.boolean import check_boolean, direct_product
+from biskit.boolean import AdditiveIdeal, check_boolean, direct_product
 from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
 from biskit.errors import TooLarge
 from biskit.laws import Analysis
@@ -89,6 +90,22 @@ def test_ideal_triple_counts():
         assert tri.simple_iff_rank_one, name
 
 
+def test_ideal_triple_needs_inclusion_order_to_match():
+    # a semilattice 0..7 read with the carriers {0}, {0, x} for x = 1..6 and
+    # everything, and tau giving the supports {}, {0}, {1}, {2}, {0, 1},
+    # {0, 2}, {1, 2} and {0, 1, 2}: counts, sorted supports and induced sets
+    # agree, but {0, 1} is below no carrier whose support holds {0}'s
+    s = SimpleNamespace(size=8, d=tuple(range(8)), is_idempotent=lambda x: True)
+    supports = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    tau = {x: tuple(int(i in supp) for i in range(3)) for x, supp in enumerate(supports)}
+    tm = SimpleNamespace(rank=3, tau=tau)
+    carriers = [frozenset({0, x}) for x in range(7)] + [frozenset(range(8))]
+    triple = ideal_triple(
+        SimpleNamespace(base=s), tm, [AdditiveIdeal(c) for c in carriers], carriers
+    )
+    assert not triple.matched
+
+
 def test_matrix_oracle_runs_clean():
     for name, n in itertools.product(("i2", "z2zero", "i2xz2zero"), (2, 3)):
         bs = boolean(name)
@@ -121,7 +138,7 @@ def test_matrix_oracle_cap():
 def test_mu_invariance():
     for name in BOOLEAN_NAMES:
         a = Analysis(boolean(name))
-        assert mu_type_invariance(a.bs, a.tm, a.mu), name
+        assert mu_type_invariance(a.bs, a.tm, a.mu, a.mu_tm), name
 
 
 def product_type_check(bs, bt):
