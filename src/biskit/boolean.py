@@ -228,21 +228,18 @@ def _distributivity_failure(s):
     c, left before right, at which it breaks: ("left-distributivity", c, a,
     b) or ("right-distributivity", a, b, c).
     """
-    k = s.size
     t, jt = s.table, s.join_table
     # not the cached s.cols: every quotient and product biskit builds is
     # checked here, and caching their columns would keep them all alive
     cols = tuple(zip(*t))
-    for a in range(k):
-        for b in range(a, k):
-            if not s.compat[a][b]:
-                continue
+    for a, partners in enumerate(s.compat_partners):
+        for b in _above(partners, a - 1):  # the partners b >= a
             j = jt[a][b]
             if tuple([jt[x][y] for x, y in zip(cols[a], cols[b])]) == cols[j] and (
                 tuple([jt[x][y] for x, y in zip(t[a], t[b])]) == t[j]
             ):
                 continue
-            for c in range(k):
+            for c in range(s.size):
                 left = jt[t[c][a]][t[c][b]]
                 if left is None or left != t[c][j]:
                     return ("left-distributivity", c, a, b)
@@ -272,7 +269,7 @@ def orthogonalize(bs, elems):
     s = bs.base
     elems = list(elems)
     for a, b in itertools.combinations(elems, 2):
-        if not s.compat[a][b]:
+        if b not in s.compat_partners[a]:
             raise NotCompatible((a, b))
     out = []
     sofar = None
@@ -333,9 +330,6 @@ def _bisections(g, cap):
     """
     _bisection_count(g.identities, g.d, g.r, cap)
     ids = g.identities
-    arrows = {}
-    for x in range(g.size):
-        arrows.setdefault((g.d[x], g.r[x]), []).append(x)
     out = []
 
     def rec(i, used_r, chosen):
@@ -347,7 +341,7 @@ def _bisections(g, cap):
         for f in ids:
             if f in used_r:
                 continue
-            for x in arrows.get((e, f), ()):
+            for x in g.hom.get((e, f), ()):
                 rec(i + 1, used_r | {f}, chosen + [x])
 
     rec(0, frozenset(), [])
@@ -490,14 +484,13 @@ def verify_additive_ideal(bs, subset):
 
     if not _on_generators(s, holds):
         return _ideal_scan(t, subset)
-    ordered = sorted(subset)
     partners, jt = s.compat_partners, s.join_table
-    for i, a in enumerate(ordered):
+    for a in sorted(subset):
         # joins with every compatible member, a superset of the pairs a < b
         if all(map(inside, map(jt[a].__getitem__, filter(inside, partners[a])))):
             continue
-        for b in ordered[i + 1 :]:
-            if s.compat[a][b] and jt[a][b] not in subset:
+        for b in filter(inside, _above(partners[a], a)):
+            if jt[a][b] not in subset:
                 return ("join", a, b)
     return None
 
@@ -921,7 +914,6 @@ def kernel_of(m):
 @dataclass(frozen=True)
 class MorphismAnalysis:
     additive: bool
-    kernel: AdditiveIdeal | None  # verified ideal when the map is additive
     kernel_carrier: frozenset
     idempotent_separating: bool
     weakly_meet_preserving: bool
@@ -954,14 +946,12 @@ def analyze_morphism(m, eps):
     s = _base(m.source)
     kernel_carrier = kernel_of(m)
     idem_sep = len({m.map[e] for e in s.idempotents}) == len(s.idempotents)
-    kernel = None
     wmp = m.weakly_meet_preserving
     factorization = None
     if additive and isinstance(m.source, BoolInvSgp):
         bad = _ideal_witness(m.source, kernel_carrier)
         if bad is not None:
             raise CertificateFailed(("kernel-not-an-ideal", bad))
-        kernel = AdditiveIdeal(kernel_carrier)
         trivial_kernel = kernel_carrier == {s.zero}
         if trivial_kernel != idem_sep:
             raise CertificateFailed(("separation-differs-from-kernel", idem_sep))
@@ -986,7 +976,6 @@ def analyze_morphism(m, eps):
         factorization = (eps.projection, phi)
     return MorphismAnalysis(
         additive=additive,
-        kernel=kernel,
         kernel_carrier=kernel_carrier,
         idempotent_separating=idem_sep,
         weakly_meet_preserving=wmp,

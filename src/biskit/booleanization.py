@@ -90,10 +90,7 @@ def booleanize(s):
 
 @dataclass(frozen=True)
 class GammaExtension:
-    booleanization: Booleanization
-    alpha: tuple  # source0 id -> target id, the map being extended
     morphism: Morphism  # from the Booleanization into the target
-    singletons: tuple  # (source0 id, forced target value) per nonzero id
 
 
 def gamma_extension(b, alpha, target):
@@ -158,7 +155,6 @@ def gamma_extension(b, alpha, target):
     # Uniqueness: the singleton at a equals beta(a) minus the join of beta
     # over everything strictly below, so any additive extension of alpha is
     # pinned there, and the rest are orthogonal joins of singletons.
-    singles = []
     bsb = b.bs.base
     for a in range(s0.size):
         if a == s0.zero:
@@ -171,8 +167,7 @@ def gamma_extension(b, alpha, target):
             or gamma.map[singleton_id] != gamma1[a]
         ):
             raise CertificateFailed(("singleton-not-forced", a))
-        singles.append((a, gamma1[a]))
-    return GammaExtension(b, alpha, gamma, tuple(singles))
+    return GammaExtension(gamma)
 
 
 # -- filters ---------------------------------------------------------------
@@ -286,7 +281,6 @@ def principal_map_is_iso(s, sub_ids, fg):
 @dataclass(frozen=True)
 class BooleanizationIso:
     isomorphic: bool
-    groupoid_map: tuple | None
     induced: tuple | None  # id map between the two Booleanizations
 
 
@@ -301,7 +295,7 @@ def booleanization_iso(s, t):
     b_s, b_t = booleanize(s), booleanize(t)
     gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
     if gmap is None:
-        return BooleanizationIso(False, None, None)
+        return BooleanizationIso(False, None)
     induced = tuple(
         b_t.target.index.get(frozenset(gmap[x] for x in aset))
         for aset in b_s.target.bisections
@@ -313,4 +307,4 @@ def booleanization_iso(s, t):
         check_multiplicative(b_s.bs, b_t.bs, induced)
     except NotMultiplicative as ex:
         raise CertificateFailed(("induced-not-multiplicative", *ex.witness)) from None
-    return BooleanizationIso(True, gmap, induced)
+    return BooleanizationIso(True, induced)

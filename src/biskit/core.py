@@ -346,21 +346,9 @@ class InvSgp:
         return tuple(zip(*self.table))
 
     @cached_property
-    def compat(self):
-        """compat[a][b]: both a'*b and a*b' are idempotent, as a dense row
-        per a, set from compat_partners."""
-        k = self.size
-        out = []
-        for partners in self.compat_partners:
-            row = [False] * k
-            for b in partners:
-                row[b] = True
-            out.append(tuple(row))
-        return tuple(out)
-
-    @cached_property
     def compat_partners(self):
-        """compat_partners[a]: the b with a'*b and a*b' idempotent, ascending.
+        """compat_partners[a]: the b with a'*b and a*b' idempotent, ascending;
+        the one form of the compatibility relation.
 
         Only the b where row a' holds an idempotent are read at row a, at b'.
         """

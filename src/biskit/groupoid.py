@@ -87,6 +87,16 @@ class Gpd:
         groupoid's components reads it here."""
         return component_form(self)
 
+    @cached_property
+    def hom(self):
+        """hom[(e, f)]: the arrows from identity e to identity f, ascending,
+        for each pair with one.  Built on first read; every reader of the
+        arrows between two identities reads them here."""
+        hom = {}
+        for x, ends in enumerate(zip(self.d, self.r)):
+            hom.setdefault(ends, []).append(x)
+        return {ends: tuple(xs) for ends, xs in hom.items()}
+
     def is_group(self):
         return self.size >= 1 and len(self.identities) == 1 and all(
             v is not None for row in self.ptable for v in row
@@ -116,10 +126,10 @@ class ComponentForm:
 
 def _local_group(g, e):
     """Loops at identity e, relabelled densely; validates as one-object Gpd."""
-    loops = sorted(x for x in range(g.size) if g.d[x] == e and g.r[x] == e)
+    loops = g.hom[(e, e)]
     index = {x: i for i, x in enumerate(loops)}
     ptable = [[index[g.ptable[x][y]] for y in loops] for x in loops]
-    local = Gpd(ptable, labels=tuple(loops))
+    local = Gpd(ptable, labels=loops)
     if not local.is_group():
         raise NotAGroup(f"loops at identity {e} do not form a group")
     return local
@@ -278,7 +288,8 @@ def is_principal(g):
 
 
 def is_connected(g):
-    return len(g.form.components) <= 1
+    """Exactly one component: the empty groupoid is not connected."""
+    return len(g.form.components) == 1
 
 
 @dataclass(frozen=True)
@@ -288,38 +299,27 @@ class Coordinates:
     form: ComponentForm
     coord: tuple  # coord[x] = (ci, xi, g, yi)
     rebuilt: tuple  # rebuilt[x] = the id of x's triple in reconstruct(form)
-    anchors: tuple  # anchors[ci][xi] = arrow from base identity to identity xi
 
 
 def coordinatize(g):
     """Pick anchor arrows and express every arrow as (component, x, g, y).
 
-    For identity number xi in component ci the anchor a_xi runs from the
-    component's least identity to that identity; the group part of an arrow
-    t is then anchor(r)^-1 * t * anchor(d), a loop at the base identity.
+    For identity number xi in component ci the anchor a_xi is the least
+    arrow from the component's least identity, the base, to that identity;
+    the base is its own anchor.  A component has such an arrow for each of
+    its identities: it is joined to the base by a path of arrows, and the
+    path's arrows and their inverses compose.  The group part of an arrow t
+    is then anchor(r)^-1 * t * anchor(d), a loop at the base identity.
     Sending each arrow to its triple is an isomorphism onto reconstruct(form).
     """
     cf = g.form
     all_coords = [None] * g.size
     rebuilt = [None] * g.size
-    anchors_out = []
     off = 0  # where the component's triples start in reconstruct(form)
     for ci, comp in enumerate(cf.components):
         ids = comp.identities
         base = ids[0]
-        anchors = []
-        for e in ids:
-            if e == base:
-                anchors.append(base)
-                continue
-            fwd = [x for x in range(g.size) if g.d[x] == base and g.r[x] == e]
-            if fwd:
-                anchors.append(min(fwd))
-            else:
-                back = min(
-                    x for x in range(g.size) if g.d[x] == e and g.r[x] == base
-                )
-                anchors.append(g.inv[back])
+        anchors = [e if e == base else g.hom[(base, e)][0] for e in ids]
         pos = {e: i for i, e in enumerate(ids)}
         group_index = {x: i for i, x in enumerate(comp.group.labels)}
         n, h = len(ids), comp.group.size
@@ -328,9 +328,8 @@ def coordinatize(g):
             loop = group_index[g.ptable[g.ptable[g.inv[anchors[xi]]][t]][anchors[yi]]]
             all_coords[t] = (ci, xi, loop, yi)
             rebuilt[t] = off + (xi * n + yi) * h + loop
-        anchors_out.append(tuple(anchors))
         off += n * n * h
-    return Coordinates(cf, tuple(all_coords), tuple(rebuilt), tuple(anchors_out))
+    return Coordinates(cf, tuple(all_coords), tuple(rebuilt))
 
 
 def groupoid_iso(g, h):

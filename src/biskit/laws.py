@@ -45,7 +45,6 @@ from .booleanization import (
 )
 from .core import (
     CONGRUENCE_SCAN_CAP,
-    _dr_classes,
     _first_split,
     _is_additive_congruence,
     _mask,
@@ -168,37 +167,6 @@ class Analysis:
     @cached_property
     def ideals(self):
         return enumerate_additive_ideals(self.bs, self.idem_ideals)
-
-    @cached_property
-    def closures(self):
-        """closures[e]: an ideal_closure whose carrier is that of [e], for
-        each idempotent e.  The closure of any x is that of d(x), since x is
-        in an additive ideal exactly when d(x) is.
-
-        One closure is run per set of atom components (_atom_components),
-        of the first idempotent with that set; its provenance is that
-        idempotent's, so readers take the carrier only.  The closure of e
-        depends only on the components that meet the atoms below e:
-          (i)   E(S) is a finite Boolean algebra (check_boolean), so e is
-                the join of the atoms below it;
-          (ii)  an additive ideal, closed under products and joins, holds e
-                exactly when it holds those atoms;
-          (iii) for an atom x, d(x) and r(x) are atoms, and an ideal holds
-                d(x) iff it holds x = x*d(x) iff it holds r(x) = x*x'.
-        So the ideals holding e are those holding every atom of its
-        components.  When the premise, every atom's d and r an idempotent
-        atom, fails on the tables, each idempotent is closed alone.  Law
-        smallest checks every carrier is the least ideal holding it.
-        """
-        es = self.s.idempotents
-        keys = _atom_components(self.s)
-        if keys is None:
-            keys = {e: e for e in es}
-        by_key = {}
-        for e in es:
-            if keys[e] not in by_key:
-                by_key[keys[e]] = ideal_closure(self.bs, [e])
-        return {e: by_key[keys[e]] for e in es}
 
     @cached_property
     def zero_simplifying(self):
@@ -586,9 +554,7 @@ def law_oj(c):
 def law_buffs(c):
     s = c.s
     for a in range(s.size):
-        for b in range(s.size):
-            if not s.compat[a][b]:
-                continue
+        for b in s.compat_partners[a]:
             o = s.orth[a][b]
             if o != s.orth[s.d[a]][s.d[b]] or o != s.orth[s.r[a]][s.r[b]]:
                 return (a, b)
@@ -784,9 +750,7 @@ def law_pork(c):
     bs = c.bs
     s = bs.base
     for x in range(s.size):
-        for y in range(s.size):
-            if not s.compat[x][y]:
-                continue
+        for y in s.compat_partners[x]:
             m = s.meet_table[x][y]
             w = bs.rc(x, m)
             if not s.orth[w][y]:
@@ -805,19 +769,18 @@ def law_orthogonal(c):
     Each step orthogonalize takes is computed once.  step(x, y) adds y to a
     family with join x: m = x meet y is defined, t = y - m and j = x v y are
     (bs.rc and bs.join do not raise), orth[x][t], x <= x, t <= y and
-    join_of([x, t]) = j; it gives (t, j).  orthogonalize((a, b)) reads
-    compat[a][b] and step(a, b).  orthogonalize((a, b, c)) reads compat of
-    (a, c), and of (a, b) and (b, c), pairs that have passed already;
-    step(a, b) = (t2, j), step(j, c) = (t3, J), and orth of (a, t3) and
-    (t2, t3).  Its join check holds as join_of folds left:
-    join_of([a, t2, t3]) = j v t3 = J = join_of([a, b, c]).  A family with a
-    failed read goes to orthogonalize itself, which raises its witness in
-    the same order, or returns when that read is one it does not make
-    (orth[j][t3], j <= j).
+    join_of([x, t]) = j; it gives (t, j).  orthogonalize((a, b)) reads the
+    partners of a, which hold b, and step(a, b).  orthogonalize((a, b, c))
+    reads the partners of a and of b, which hold b and c, step(a, b) =
+    (t2, j), step(j, c) = (t3, J), and orth of (a, t3) and (t2, t3).  Its
+    join check holds as join_of folds left: join_of([a, t2, t3]) = j v t3 =
+    J = join_of([a, b, c]).  A family with a failed read goes to
+    orthogonalize itself, which raises its witness in the same order, or
+    returns when that read is one it does not make (orth[j][t3], j <= j).
     """
     bs = c.bs
     s = bs.base
-    meet, orth, leq, compat = s.meet_table, s.orth, s.leq, s.compat
+    meet, orth, leq = s.meet_table, s.orth, s.leq
     # later[a]: the nonzero b > a compatible with a, ascending
     later = [
         [b for b in _above(p, a) if b != s.zero]
@@ -839,13 +802,13 @@ def law_orthogonal(c):
     nonzero = s.nonzero()
     for a in nonzero:
         for b in later[a]:
-            if not (compat[a][b] and step(a, b)):
+            if not step(a, b):
                 orthogonalize(bs, (a, b))
     for a in nonzero:
-        ca, oa = compat[a], orth[a]
+        ca, oa = set(later[a]), orth[a]
         for b in later[a]:
             ab = step(a, b)  # (t2, j)
-            for c3 in filter(ca.__getitem__, later[b]):
+            for c3 in filter(ca.__contains__, later[b]):
                 jc = ab and step(ab[1], c3)  # (t3, J)
                 if not (jc and oa[jc[0]] and orth[ab[0]][jc[0]]):
                     orthogonalize(bs, (a, b, c3))
@@ -1024,29 +987,43 @@ def law_dichotomy(c):
     return None
 
 
-def _atom_components(s):
-    """keys[e]: the set of atom components that meet the atoms below e,
-    for each idempotent e, as a frozenset of component indices; None unless
-    every atom's d and r is an idempotent atom.  The components are the
-    classes of the idempotent atoms (_dr_classes) under an edge d(x)-r(x)
-    for each atom x: those of the atoms groupoid, without building it."""
-    atoms = s.atoms
-    idem_atoms = [a for a in atoms if s.is_idempotent(a)]
-    ds, rs = [s.d[x] for x in atoms], [s.r[x] for x in atoms]
-    if not set(idem_atoms).issuperset(ds + rs):
-        return None
-    comp = {a: i for i, ids in enumerate(_dr_classes(idem_atoms, ds, rs)) for a in ids}
-    keys = (frozenset(comp[a] for a in s.down[e] if a in comp) for e in s.idempotents)
-    return dict(zip(s.idempotents, keys))
-
-
 def law_smallest(c):
     """The closure of each a, read as that of d(a), holds a, is one of the
-    ideals and lies in every ideal holding a."""
-    s = c.s
+    ideals and lies in every ideal holding a.
+
+    x is in an additive ideal exactly when d(x) is, as x = x*d(x) and
+    d(x) = x'*x.  One ideal_closure is run per set of components of the
+    atoms groupoid that meet the atoms below an idempotent, of the first
+    idempotent with that set.  The closure of an idempotent e depends only
+    on that set:
+      (i)   E(S) is a finite Boolean algebra (check_boolean), so e is the
+            join of the atoms below it;
+      (ii)  an additive ideal, closed under products and joins, holds e
+            exactly when it holds those atoms;
+      (iii) an arrow x of the atoms groupoid runs from the identity d(x)
+            to r(x), both idempotent atoms; as x = x*d(x) = r(x)*x,
+            d(x) = x'*x and r(x) = x*x', an ideal holds d(x) iff it holds
+            x iff it holds r(x).
+    So the ideals holding e are those holding every atom of its components.
+    The three checks below find any carrier that is not the least ideal
+    holding it.
+    """
+    s, bs = c.s, c.bs
     carriers = [i.carrier for i in c.ideals]
+    ag = bs.atoms_groupoid
+    comp = {  # idempotent atom -> the index of its component
+        ag.labels[e]: i
+        for i, component in enumerate(ag.form.components)
+        for e in component.identities
+    }
+    by_key, closure = {}, {}
+    for e in s.idempotents:
+        key = frozenset(comp[x] for x in s.down[e] if x in comp)
+        if key not in by_key:
+            by_key[key] = ideal_closure(bs, [e]).carrier
+        closure[e] = by_key[key]
     for a in range(s.size):
-        cl = c.closures[s.d[a]].carrier
+        cl = closure[s.d[a]]
         if a not in cl:
             return (a, "not-in-closure")
         if cl not in carriers:
@@ -1077,7 +1054,7 @@ def law_toby(c):
     s = c.s
     if s.size == 1:
         return None
-    pencil = _atom_pencils(s)
+    pencil = _atom_pencils(c.bs)
     nonzero = [e for e in s.idempotents if e != s.zero]
     for e in nonzero:
         for f in nonzero:
@@ -1088,27 +1065,30 @@ def law_toby(c):
     return None if c.zero_simplifying else (e, f)
 
 
-def _atom_pencils(s):
+def _atom_pencils(bs):
     """pencil(e, f): for each idempotent atom α <= e, ascending, the first
-    atom x with d(x) = α and r(x) <= f, read off down; None when some α has
-    none.  The atoms from each α are found once per f."""
-    by_domain = {}  # by_domain[α]: the atoms x with d(x) = α, ascending
-    for x in s.atoms:
-        by_domain.setdefault(s.d[x], []).append(x)
-    idem_atoms = {a for a in s.atoms if s.is_idempotent(a)}
-    below = {e: [a for a in s.down[e] if a in idem_atoms] for e in s.idempotents}
+    atom x with d(x) = α and r(x) <= f, read off the atoms groupoid's hom;
+    None when some α has none.  The first arrows from each α are found once
+    per f."""
+    s, ag = bs.base, bs.atoms_groupoid
+    hom, labels = ag.hom, ag.labels
 
     @cache
-    def arrows(f):  # arrows(f)[α]: the first atom from α with range below f
-        below_f = frozenset(s.down[f])
+    def below(e):  # the identities of ag whose atom lies below e, ascending
+        down = frozenset(s.down[e])
+        return [i for i in ag.identities if labels[i] in down]
+
+    @cache
+    def arrows(f):  # arrows(f)[i]: the first arrow from i with range below f
+        ends = below(f)
         return {
-            a: next((x for x in by_domain.get(a, ()) if s.r[x] in below_f), None)
-            for a in idem_atoms
+            i: min((hom[(i, j)][0] for j in ends if (i, j) in hom), default=None)
+            for i in ag.identities
         }
 
     def pencil(e, f):
-        p = tuple(map(arrows(f).__getitem__, below[e]))
-        return None if None in p else p
+        p = tuple(map(arrows(f).__getitem__, below(e)))
+        return None if None in p else tuple(map(labels.__getitem__, p))
 
     return pencil
 

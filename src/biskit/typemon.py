@@ -173,16 +173,15 @@ def _ideals_match(s, tm, ideals, idem_ideals, supports):
 # -- matrix truncation oracle ----------------------------------------------
 
 
-def _atom_edges(s):
-    """Least witness x with d(x) = p and r(x) = q, per pair of atomic
-    idempotents; existence of a witness is the edge relation."""
-    atomic = [e for e in s.atoms if s.is_idempotent(e)]
-    wit = {}
-    for x in range(s.size):
-        p, q = s.d[x], s.r[x]
-        if p in atomic and q in atomic and (p, q) not in wit:
-            wit[(p, q)] = x
-    return atomic, wit
+def _atom_edges(bs):
+    """The atomic idempotents, ascending, and the least witness x with
+    d(x) = p and r(x) = q per pair of them with one, read off the atoms
+    groupoid: an x whose d(x) is an atom is an atom.  Existence of a
+    witness is the edge relation."""
+    ag = bs.atoms_groupoid
+    label = ag.labels.__getitem__
+    edges = {(label(p), label(q)): label(xs[0]) for (p, q), xs in ag.hom.items()}
+    return list(map(label, ag.identities)), edges
 
 
 def _slots(s, diag):
@@ -255,8 +254,6 @@ def _witness_matrix(bs, n, left, right, pairs, left_diag, right_diag, edges):
 @dataclass(frozen=True)
 class MatrixOracle:
     n: int
-    diagonal_count: int
-    class_count: int
     partition_agrees: bool  # matrix classes == summed count-vector classes
     witnesses_verified: bool  # every merge had a checked matrix witness
     separation_ok: bool  # orthogonal representatives exist for all sums
@@ -282,7 +279,7 @@ def type_via_matrices(bs, n, tm):
             f"{len(idem)}^{n} = {len(idem) ** n} diagonal idempotents, "
             f"above cap MATRIX_IDEMPOTENT_CAP={MATRIX_IDEMPOTENT_CAP}"
         )
-    atomic, edges = _atom_edges(s)
+    atomic, edges = _atom_edges(bs)
 
     diags = list(itertools.product(idem, repeat=n))
     slots = {diag: _slots(s, diag) for diag in diags}
@@ -362,8 +359,6 @@ def type_via_matrices(bs, n, tm):
 
     return MatrixOracle(
         n=n,
-        diagonal_count=len(diags),
-        class_count=len(reps),
         partition_agrees=partition_agrees,
         witnesses_verified=witnesses_verified,
         separation_ok=separation_ok,

@@ -397,11 +397,11 @@ def naive_check_boolean(s):
     jt = s.join_table
     for a in range(k):
         for b in range(a, k):
-            if s.compat[a][b] and jt[a][b] is None:
+            if b in s.compat_partners[a] and jt[a][b] is None:
                 return ("missing-join", a, b), None
     for a in range(k):
         for b in range(a, k):
-            if not s.compat[a][b]:
+            if b not in s.compat_partners[a]:
                 continue
             j = jt[a][b]
             for c in range(k):
@@ -603,7 +603,7 @@ def oracle_verify_additive_ideal(bs, subset):
     ordered = sorted(subset)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            if s.compat[a][b] and s.join_table[a][b] not in subset:
+            if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
                 return ("join", a, b)
     return None
 
@@ -751,7 +751,7 @@ def oracle_is_additive_morphism(source, target, mp):
         return False
     for a in range(s.size):
         for b in range(a, s.size):
-            if s.compat[a][b]:
+            if b in s.compat_partners[a]:
                 j = s.join_table[a][b]
                 if j is not None and t.join_table[mp[a]][mp[b]] != mp[j]:
                     return False

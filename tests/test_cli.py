@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from biskit.core import InvSgp, is_fundamental, parse_semigroup
 from biskit.corpus import (
     BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
+    corpus_path,
     corpus_semigroup,
     corpus_text,
     render_ist,
@@ -280,6 +282,20 @@ def test_verify_grp_file(data, capsys):
     assert "bordeaux1: pass" in out
 
 
+def test_verify_empty_groupoid(tmp_path, capsys):
+    # the empty groupoid validates and has no component, so it is not
+    # connected: K of it is the one-element structure, not 0-simplifying
+    path = tmp_path / "empty.grp"
+    path.write_text("n 0\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  connected-groupoids: pass",
+        "  groupoids: pass",
+        "  bordeaux1: pass",
+        "  local-bisections-rook: skip (stated for connected groupoids)",
+    ]
+
+
 def test_verify_detects_mutation(data, tmp_path, capsys):
     text = corpus_text("i2.ist")
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "n "))]
@@ -342,3 +358,34 @@ def test_unknown_command_exits_2():
 
 def test_missing_file_is_reported(capsys):
     assert main(["analyze", "/nonexistent/x.ist"]) == 1
+
+
+# reports kept byte for byte from an earlier version of the code: the
+# corpus reports do not change unless a change means them to
+REPORTS = Path(__file__).parent / "reports"
+
+
+PINNED = {  # file under REPORTS -> the argv whose stdout it holds
+    "verify-corpus.txt": ["verify", "--corpus"],
+    **{
+        f"{command}-{name}.json": [
+            command, str(corpus_path(f"{name}.ist")), "--format", "json"
+        ]
+        for command, names in (
+            ("analyze", SEMIGROUP_BUILDERS),
+            ("decompose", BOOLEAN_NAMES),
+            ("type", BOOLEAN_NAMES),
+        )
+        for name in names
+    },
+}
+
+
+def test_every_pinned_report_is_regenerated():
+    assert sorted(os.listdir(REPORTS)) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("fname", sorted(PINNED))
+def test_report_matches_the_pinned_bytes(fname, capsys):
+    assert main(PINNED[fname]) == 0
+    assert capsys.readouterr().out == (REPORTS / fname).read_text()

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biskit.core import restricted_groupoid
+from biskit.boolean import check_boolean
+from biskit.core import InvSgp, restricted_groupoid
 from biskit.corpus import (
     GROUPOID_BUILDERS,
+    SEMIGROUP_BUILDERS,
     corpus_groupoid,
     corpus_semigroup,
     render_grp,
@@ -25,6 +27,7 @@ from biskit.groupoid import (
     parse_groupoid,
     reconstruct,
 )
+from generated import i4_subsemigroup_tables
 
 
 def z3_table():
@@ -288,3 +291,87 @@ def test_associativity_matches_oracle_on_corrupted_tables(name, data):
         parallel = [z for z in range(g.size) if (g.d[z], g.r[z]) == (g.d[p], g.r[p])]
         rows[x][y] = data.draw(st.sampled_from(parallel))
     assert_associativity_matches_oracle(rows)
+
+
+# -- arrows between two identities against the scans they replaced ----------
+
+
+def naive_hom(g):
+    """The arrows from e to f, ascending, for each pair (e, f) with one,
+    found by a scan of every arrow per pair."""
+    ends = {(g.d[x], g.r[x]) for x in range(g.size)}
+    return {
+        (e, f): tuple(x for x in range(g.size) if (g.d[x], g.r[x]) == (e, f))
+        for e, f in ends
+    }
+
+
+def scanned_coordinates(g):
+    """coordinatize's (coord, rebuilt), with each anchor and the loops at
+    each base identity found by a scan of every arrow; the loops are also
+    checked to be the labels of the component's local group."""
+    coord, rebuilt, off = [None] * g.size, [None] * g.size, 0
+    for ci, comp in enumerate(g.form.components):
+        ids = comp.identities
+        base = ids[0]
+        anchors = []
+        for e in ids:
+            if e == base:
+                anchors.append(base)
+                continue
+            fwd = [x for x in range(g.size) if g.d[x] == base and g.r[x] == e]
+            if fwd:
+                anchors.append(min(fwd))
+            else:
+                back = min(x for x in range(g.size) if g.d[x] == e and g.r[x] == base)
+                anchors.append(g.inv[back])
+        loops = sorted(x for x in range(g.size) if g.d[x] == base and g.r[x] == base)
+        assert comp.group.labels == tuple(loops)
+        pos = {e: i for i, e in enumerate(ids)}
+        group_index = {x: i for i, x in enumerate(loops)}
+        n, h = len(ids), len(loops)
+        for t in comp.member_ids:
+            xi, yi = pos[g.r[t]], pos[g.d[t]]
+            loop = group_index[g.ptable[g.ptable[g.inv[anchors[xi]]][t]][anchors[yi]]]
+            coord[t] = (ci, xi, loop, yi)
+            rebuilt[t] = off + (xi * n + yi) * h + loop
+        off += n * n * h
+    return tuple(coord), tuple(rebuilt)
+
+
+def assert_arrow_readings_match_scans(g):
+    assert g.hom == naive_hom(g)
+    c = coordinatize(g)
+    assert (c.coord, c.rebuilt) == scanned_coordinates(g)
+
+
+def groupoids_of(s):
+    """The restricted groupoid of s, and its atoms groupoid when s is
+    Boolean."""
+    bs = check_boolean(s).structure
+    return [restricted_groupoid(s)] + ([bs.atoms_groupoid] if bs else [])
+
+
+READ_GROUPOIDS = {
+    **{
+        f"{name}.grp": (lambda n=name: [corpus_groupoid(n)])
+        for name in GROUPOID_BUILDERS
+    },
+    **{
+        f"{name}.ist": (lambda n=name: groupoids_of(corpus_semigroup(n)))
+        for name in SEMIGROUP_BUILDERS
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_GROUPOIDS))
+def test_arrow_readings_match_scans(name):
+    for g in READ_GROUPOIDS[name]():
+        assert_arrow_readings_match_scans(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(i4_subsemigroup_tables.filter(lambda t: check_boolean(InvSgp(t)).boolean))
+def test_arrow_readings_match_scans_on_generated_structures(table):
+    for g in groupoids_of(InvSgp(table)):
+        assert_arrow_readings_match_scans(g)

@@ -15,11 +15,13 @@ orthogonalize, its oracle's loop, on each family its cached steps miss.
 import itertools
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biskit.laws as laws
 from biskit.boolean import (
     AdditiveIdeal,
     Morphism,
@@ -39,6 +41,7 @@ from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     Congruence,
     InvSgp,
+    _dr_classes,
     all_congruences,
     table_product,
 )
@@ -53,7 +56,6 @@ from biskit.rook import identity_rook, rook_matrix, rook_mul, rook_star
 from biskit.laws import (
     ROOK_ENUM_CAP,
     Analysis,
-    _atom_components,
     _atom_pencils,
     _meets_preserved,
     _Skip,
@@ -71,8 +73,10 @@ from biskit.laws import (
     law_restricted_product,
     law_setminus_2,
     law_setminus_4,
+    law_smallest,
     law_toby,
 )
+from biskit.typemon import _atom_edges
 from generated import i4_subsemigroup_tables
 
 # -- the scalar scans -------------------------------------------------------
@@ -132,7 +136,7 @@ def oracle_definition(c):
     s = c.bs.base
     for a in range(s.size):
         for b in range(s.size):
-            if not s.compat[a][b]:
+            if b not in s.compat_partners[a]:
                 continue
             j = s.join_table[a][b]
             if j is None:
@@ -184,7 +188,7 @@ def oracle_orthogonal(c):
             if s.zero in combo:
                 continue
             if not all(
-                s.compat[a][b] for a, b in itertools.combinations(combo, 2)
+                b in s.compat_partners[a] for a, b in itertools.combinations(combo, 2)
             ):
                 continue
             orthogonalize(bs, combo)
@@ -296,7 +300,7 @@ def oracle_mu_separating(c):
 def oracle_is_additive_congruence(s, cls):
     for a in range(s.size):
         for b in range(s.size):
-            if not s.compat[a][b] or s.join_table[a][b] is None:
+            if b not in s.compat_partners[a] or s.join_table[a][b] is None:
                 continue
             for a2 in range(s.size):
                 if cls[a2] != cls[a]:
@@ -394,7 +398,7 @@ def oracle_verify_additive_ideal(bs, subset):
             if s.table[a][x] not in subset:
                 return ("right-ideal", a, x)
     for a, b in itertools.combinations(sorted(subset), 2):
-        if s.compat[a][b] and s.join_table[a][b] not in subset:
+        if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
             return ("join", a, b)
     return None
 
@@ -419,7 +423,7 @@ def oracle_ideal_closure(bs, gens):
         changed = False
         snapshot = sorted(members)
         for a, b in itertools.combinations(snapshot, 2):
-            if not s.compat[a][b]:
+            if b not in s.compat_partners[a]:
                 continue
             j = s.join_table[a][b]
             if j not in members:
@@ -597,7 +601,7 @@ def test_congruence_law_corruptions_reach_the_witnesses():
 
 # cached tables read off the multiplication table; a corrupted table drops
 # them so that every reader, kernel and oracle alike, sees the corruption
-FROM_TABLE = ("cols", "compat", "compat_partners", "orth")
+FROM_TABLE = ("cols", "compat_partners", "orth")
 
 
 def corrupted(name, which, a, b, value):
@@ -675,19 +679,6 @@ def test_law_orthogonal_matches_oracle_on_each_read(kind):
     got = outcome(law_orthogonal, corrupted(*corruption))
     assert got == outcome(oracle_orthogonal, corrupted(*corruption))
     assert got[0] == ("returned" if kind == "miss orthogonalize accepts" else "raised")
-
-
-def test_law_orthogonal_reads_compat_as_orthogonalize_does():
-    # pairs are read off compat_partners; a compat flag corrupted after that
-    # fails the pair as orthogonalize does, which the oracle never calls
-    c = Analysis(corpus_semigroup("powerset2"))
-    c.s.compat_partners
-    rows = [list(r) for r in c.s.compat]
-    rows[2][3] = False
-    c.s.compat = tuple(map(tuple, rows))
-    got = outcome(law_orthogonal, c)
-    assert got == outcome(orthogonalize, c.bs, (2, 3))
-    assert got[1] == "NotCompatible"
 
 
 @settings(max_examples=100, deadline=None)
@@ -799,14 +790,67 @@ def test_plain_projections_match_the_full_checks(name):
     assert kinds == {"identity", "point"}
 
 
-# -- the atoms groupoid: closures, pencils, the identity --------------------
+# -- the atoms groupoid: closures, pencils, edges, the identity -------------
 
 # Boolean inverse subsemigroups of I4
 boolean_i4_tables = i4_subsemigroup_tables.filter(
     lambda table: Analysis(InvSgp(table)).bs is not None
 )
 
-# distinct closures Analysis runs: one per set of components of the atoms
+
+def oracle_atom_components(s):
+    """keys[e]: the set of atom components that meet the atoms below e,
+    for each idempotent e, as a frozenset of component indices; None unless
+    every atom's d and r is an idempotent atom.  The components are the
+    classes of the idempotent atoms (_dr_classes) under an edge d(x)-r(x)
+    for each atom x, found from the table without building the groupoid."""
+    atoms = s.atoms
+    idem_atoms = [a for a in atoms if s.is_idempotent(a)]
+    ds, rs = [s.d[x] for x in atoms], [s.r[x] for x in atoms]
+    if not set(idem_atoms).issuperset(ds + rs):
+        return None
+    comp = {a: i for i, ids in enumerate(_dr_classes(idem_atoms, ds, rs)) for a in ids}
+    keys = (frozenset(comp[a] for a in s.down[e] if a in comp) for e in s.idempotents)
+    return dict(zip(s.idempotents, keys))
+
+
+def oracle_atom_pencils(s):
+    """pencil(e, f): for each idempotent atom α <= e, ascending, the first
+    atom x with d(x) = α and r(x) <= f, read off the table; None when some
+    α has none."""
+    by_domain = {}  # by_domain[α]: the atoms x with d(x) = α, ascending
+    for x in s.atoms:
+        by_domain.setdefault(s.d[x], []).append(x)
+    idem_atoms = {a for a in s.atoms if s.is_idempotent(a)}
+    below = {e: [a for a in s.down[e] if a in idem_atoms] for e in s.idempotents}
+
+    def arrows(f):  # arrows(f)[α]: the first atom from α with range below f
+        below_f = frozenset(s.down[f])
+        return {
+            a: next((x for x in by_domain.get(a, ()) if s.r[x] in below_f), None)
+            for a in idem_atoms
+        }
+
+    def pencil(e, f):
+        p = tuple(map(arrows(f).__getitem__, below[e]))
+        return None if None in p else p
+
+    return pencil
+
+
+def oracle_atom_edges(s):
+    """The atomic idempotents, and the least witness x with d(x) = p and
+    r(x) = q per pair of them with one, from a scan of every element."""
+    atomic = [e for e in s.atoms if s.is_idempotent(e)]
+    wit = {}
+    for x in range(s.size):
+        p, q = s.d[x], s.r[x]
+        if p in atomic and q in atomic and (p, q) not in wit:
+            wit[(p, q)] = x
+    return atomic, wit
+
+
+# closures law smallest runs: one per set of components of the atoms
 # groupoid, which has none on trivial, two on powerset2 and i2xz2zero, and
 # one on the others
 CLOSURE_RUNS = {
@@ -821,18 +865,34 @@ CLOSURE_RUNS = {
 }
 
 
-def assert_closures_per_idempotent(c):
+def smallest_closures(c):
+    """The generators of each ideal_closure law smallest runs, in order,
+    once they are checked against the table scan's component sets: one run
+    per set, of the first idempotent with it, whose carrier is that of
+    every idempotent with the set."""
+    c.ideals
+    with mock.patch.object(laws, "ideal_closure", wraps=ideal_closure) as spy:
+        assert law_smallest(c) is None
+    runs = [list(call.args[1]) for call in spy.call_args_list]
+    keys = oracle_atom_components(c.s)
+    first = {}
     for e in c.s.idempotents:
-        assert c.closures[e].carrier == ideal_closure(c.bs, [e]).carrier, e
+        first.setdefault(keys[e], e)
+    assert runs == [[e] for e in first.values()]
+    for e in c.s.idempotents:
+        want = ideal_closure(c.bs, [first[keys[e]]]).carrier
+        assert ideal_closure(c.bs, [e]).carrier == want, e
+    return runs
 
 
 def assert_atom_pencils_match_preceq(c):
     s = c.s
-    pencil = _atom_pencils(s)
+    pencil, oracle = _atom_pencils(c.bs), oracle_atom_pencils(s)
     nonzero = [e for e in s.idempotents if e != s.zero]
     for e in nonzero:
         for f in nonzero:
             p = pencil(e, f)
+            assert p == oracle(e, f), (e, f)
             assert (p is not None) == preceq(c.bs, e, f).holds, (e, f)
             if p is not None:
                 _check_pencil(s, p, e, f)
@@ -849,30 +909,19 @@ def assert_identity_shortcut_matches_scan(bs):
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)
 def test_closures_per_component_set_match_closures_per_idempotent(name):
-    c = Analysis(corpus_semigroup(name))
-    assert_closures_per_idempotent(c)
-    runs = {id(ideal) for ideal in c.closures.values()}
+    runs = smallest_closures(Analysis(corpus_semigroup(name)))
     assert len(runs) == CLOSURE_RUNS[name]
-
-
-def test_closures_when_an_atom_domain_is_no_atom():
-    # i2's atom 1 read with domain 5, the identity: the premise fails, so
-    # each idempotent is closed alone, and the carriers are unchanged
-    closures = Analysis(corpus_semigroup("i2")).closures
-    want = {e: ideal.carrier for e, ideal in closures.items()}
-    c = Analysis(corpus_semigroup("i2"))
-    c.s.compat_partners, c.s.cols  # read before d is changed
-    d = list(c.s.d)
-    d[c.s.atoms[0]] = c.s.identity
-    c.s.d = tuple(d)
-    assert _atom_components(c.s) is None
-    assert {e: ideal.carrier for e, ideal in c.closures.items()} == want
-    assert len({id(ideal) for ideal in c.closures.values()}) == len(c.s.idempotents)
 
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)
 def test_atom_pencils_match_preceq(name):
     assert_atom_pencils_match_preceq(Analysis(corpus_semigroup(name)))
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_atom_edges_match_the_table_scan(name):
+    bs = Analysis(corpus_semigroup(name)).bs
+    assert _atom_edges(bs) == oracle_atom_edges(bs.base)
 
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)
@@ -884,6 +933,7 @@ def test_identity_shortcut_matches_the_scan(name):
 @given(boolean_i4_tables)
 def test_atoms_groupoid_readings_on_generated_structures(table):
     c = Analysis(InvSgp(table))
-    assert_closures_per_idempotent(c)
+    smallest_closures(c)
     assert_atom_pencils_match_preceq(c)
+    assert _atom_edges(c.bs) == oracle_atom_edges(c.s)
     assert_identity_shortcut_matches_scan(c.bs)

@@ -147,9 +147,9 @@ def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
 
 
 def test_one_ideal_closure_per_atom_component_set(monkeypatch):
-    # laws toby and smallest read the closures Analysis holds, one per set
-    # of atom components: i3's atoms groupoid is connected, so the zero and
-    # the first nonzero idempotent are closed, and no other element
+    # law smallest runs one closure per set of atom components: i3's atoms
+    # groupoid is connected, so the zero and the first nonzero idempotent
+    # are closed, and no other element
     import biskit.boolean
     import biskit.laws
 
@@ -768,20 +768,86 @@ def unread_functions(trees, readers):
     return unread
 
 
-def test_every_function_in_src_is_read():
-    # a function or method nothing calls is left behind by deleted code
+def repo_trees():
+    """The parsed modules of src/, tests/ and bench/, keyed by directory and
+    then by (directory, file name)."""
     here = os.path.dirname(os.path.abspath(__file__))
     dirs = {
         "src": os.path.dirname(os.path.abspath(biskit.__file__)),
         "tests": here,
         "bench": os.path.join(os.path.dirname(here), "bench"),
     }
-    trees = {
+    return {
         d: {(d, name): tree for name, tree in parsed_modules(path).items()}
         for d, path in dirs.items()
     }
+
+
+def test_every_function_in_src_is_read():
+    # a function or method nothing calls is left behind by deleted code
+    trees = repo_trees()
     readers = {**trees["src"], **trees["tests"], **trees["bench"]}
     assert unread_functions(trees["src"], readers) == []
+
+
+def unread_fields(trees, readers, exempt):
+    """(module, class, field) of each field of a @dataclass class defined in
+    trees, the classes named in exempt aside, that no tree in readers reads
+    as an attribute."""
+    read = {
+        n.attr
+        for tree in readers.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = []
+    for key, tree in trees.items():
+        for c in ast.walk(tree):
+            if not isinstance(c, ast.ClassDef) or (key[1], c.name) in exempt:
+                continue
+            called = [getattr(d, "func", d) for d in c.decorator_list]
+            if "dataclass" not in {getattr(d, "id", None) for d in called}:
+                continue
+            for f in c.body:
+                if isinstance(f, ast.AnnAssign) and f.target.id not in read:
+                    unread.append((key[1], c.name, f.target.id))
+    return unread
+
+
+def test_every_dataclass_field_in_src_is_read():
+    # a field nothing reads holds a result no reader wants; the report
+    # classes are read whole, by asdict
+    trees = repo_trees()
+    readers = {**trees["src"], **trees["tests"], **trees["bench"]}
+    exempt = {("cli.py", "Report"), ("laws.py", "LawResult")}
+    assert unread_fields(trees["src"], readers, exempt) == []
+
+
+def test_unread_fields_finds_each_form():
+    source = textwrap.dedent(
+        """
+        from dataclasses import dataclass
+
+        @dataclass
+        class A:
+            read: int
+            unread: int
+
+        @dataclass(frozen=True)
+        class B:
+            unread: int
+
+        class Plain:
+            unread: int
+
+        def f(a):
+            return a.read
+        """
+    )
+    trees = {("src", "m.py"): ast.parse(source)}
+    found = unread_fields(trees, trees, set())
+    assert found == [("m.py", "A", "unread"), ("m.py", "B", "unread")]
+    assert unread_fields(trees, trees, {("m.py", "B")}) == [("m.py", "A", "unread")]
 
 
 def _is_none_test(test, names):

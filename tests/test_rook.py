@@ -256,7 +256,7 @@ def oracle_theta_iso(bs):
     if ok:
         for a in range(s.size):
             for b in range(s.size):
-                if s.compat[a][b]:
+                if b in s.compat_partners[a]:
                     j = theta[s.join_table[a][b]]
                     if j != kg.structure.base.join_table[theta[a]][theta[b]]:
                         ok = False
