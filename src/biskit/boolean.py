@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import comb, factorial
 from operator import and_, itemgetter, or_
 
@@ -26,7 +26,6 @@ from .core import (
     _on_generators,
     _picker,
     check_congruence,
-    Congruence,
     quotient_table,
     table_product,
 )
@@ -441,15 +440,6 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
 # -- additive ideals ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveIdeal:
-    carrier: frozenset
-    provenance: dict = field(compare=False, repr=False, default=None)
-
-    def __contains__(self, x):
-        return x in self.carrier
-
-
 def _above(partners, a):
     """The entries of the ascending tuple partners that are greater than a."""
     return partners[bisect_right(partners, a):]
@@ -521,56 +511,37 @@ def _ideal_witness(bs, subset):
 
 
 def ideal_closure(bs, gens):
-    """Least additive ideal containing gens: close under s*x*t, then joins.
+    """Least additive ideal containing gens, as a frozenset: close under
+    s*x*t, then joins.
 
-    Each member records how it got in, ('gen', u, x, v) for the first u, v
-    in order with u*x*v equal to it, or ('join', a, b) for the first pair
-    a < b of the earliest round whose join it is, so pencils can be replayed
-    out of the closure later.  S*x*S is the union of the rows of the
-    distinct u*x; the join rounds pair each member only with its compatible
-    partners.  The result is certified with verify_additive_ideal, once per
-    carrier (_ideal_witness), and CertificateFailed is raised if that
-    fails.
+    S*x*S is the union of the rows of the distinct u*x.  Each join round
+    pairs the members, ascending, with their greater compatible partners
+    among them, until a round adds nothing.  The result is certified with
+    verify_additive_ideal, once per carrier (_ideal_witness), and
+    CertificateFailed is raised if that fails.
     """
     s = bs.base
     gens = list(gens)
     if not gens:
         raise NotAnIdeal(("empty-generators",))
     t, cols = s.table, s.cols
-    prov = {}
     members = set()
     for x in gens:
-        col = cols[x]
-        for ux in dict.fromkeys(col):  # distinct u*x, in order of first u
-            row = t[ux]
-            fresh = set(row).difference(members)
-            if fresh:
-                u = col.index(ux)
-                for v, w in sorted((row.index(w), w) for w in fresh):
-                    members.add(w)
-                    prov[w] = ("gen", u, x, v)
-    partners, jt, inside = s.compat_partners, s.join_table, members.__contains__
-    changed = True
-    while changed:
-        changed = False
+        for ux in dict.fromkeys(cols[x]):  # distinct u*x, in order of first u
+            members.update(t[ux])
+    partners, jt = s.compat_partners, s.join_table
+    size = 0
+    while size != len(members):
+        size = len(members)
         snapshot = sorted(members)
         in_snapshot = frozenset(snapshot).__contains__
         for a in snapshot:
-            jta = jt[a]
-            # joins with every compatible b in the snapshot, not only b > a
-            joins = map(jta.__getitem__, filter(in_snapshot, partners[a]))
-            if all(map(inside, joins)):
-                continue
-            for b in filter(in_snapshot, _above(partners[a], a)):
-                j = jta[b]
-                if j not in members:
-                    members.add(j)
-                    prov[j] = ("join", a, b)
-                    changed = True
+            joins = filter(in_snapshot, _above(partners[a], a))
+            members.update(map(jt[a].__getitem__, joins))
     bad = _ideal_witness(bs, members)
     if bad is not None:
         raise CertificateFailed(("closure-not-an-ideal", bad))
-    return AdditiveIdeal(frozenset(members), prov)
+    return frozenset(members)
 
 
 def idempotent_ideals(s):
@@ -600,7 +571,8 @@ def idempotent_ideals(s):
 
 
 def enumerate_additive_ideals(bs, idem_ideals):
-    """Every additive ideal of bs.
+    """Every additive ideal of bs, as frozensets, ascending by size, then
+    by members.
 
     An additive ideal is determined by its idempotents (x is in exactly when
     d(x) is), so candidates are the idempotent ideals idem_ideals, the
@@ -613,71 +585,66 @@ def enumerate_additive_ideals(bs, idem_ideals):
     for fset in idem_ideals:
         subset = frozenset(x for x in range(s.size) if s.d[x] in fset)
         if _ideal_witness(bs, subset) is None:
-            out.append(AdditiveIdeal(subset))
-    out.sort(key=lambda i: (len(i.carrier), sorted(i.carrier)))
+            out.append(subset)
+    out.sort(key=lambda i: (len(i), sorted(i)))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class PencilReport:
-    holds: bool
-    pencil: tuple | None  # ids x with e = join of d(x), r(x) <= f
 
 
 def preceq(bs, e, f):
     """Idempotent domination: e is below f in every additive ideal sense.
 
-    Holds exactly when e lies in the least additive ideal around f; the
-    witness pencil comes from read_pencil.
+    Holds exactly when e lies in the least additive ideal around f, that is
+    when a pencil from e to f exists: returns the atom pencil
+    (_atom_pencils), checked by _check_pencil, or None when there is none.
     """
     s = bs.base
     if e == s.zero or f == s.zero:
         raise ZeroIdempotent("pencil endpoints must be nonzero idempotents")
     if not s.is_idempotent(e) or not s.is_idempotent(f):
         raise ZeroIdempotent("pencil endpoints must be idempotents")
-    return read_pencil(bs, ideal_closure(bs, [f]), e, f)
+    pencil = _atom_pencils(bs)(e, f)
+    if pencil is not None:
+        _check_pencil(s, pencil, e, f)
+    return pencil
 
 
-def read_pencil(bs, ideal, e, f):
-    """preceq(bs, e, f) given ideal, the ideal_closure of [f].
+def _atom_pencils(bs):
+    """pencil(e, f): for each idempotent atom α <= e, ascending, the first
+    atom x with d(x) = α and r(x) <= f, read off the atoms groupoid's hom;
+    None when some α has none.  The first arrows from each α are found once
+    per f.
 
-    The pencil is read back out of the closure provenance and verified: each
-    member carries its leaf's domain, and _check_pencil's range and join
-    certificates hold; CertificateFailed names a check that fails.  One
-    closure serves every e.
+    An atom pencil exists exactly when any pencil does: if e is the join of
+    the d(xi), with every r(xi) <= f, each atom α <= e lies below some
+    d(xi), and xi*α is an atom with domain α and range below r(xi) <= f.
     """
-    s = bs.base
-    if e not in ideal.carrier:
-        return PencilReport(False, None)
+    s, ag = bs.base, bs.atoms_groupoid
+    hom, labels = ag.hom, ag.labels
 
-    leaves = []
-    stack = [e]
-    seen = set()
-    while stack:
-        c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        tag = ideal.provenance[c]
-        if tag[0] == "gen":
-            leaves.append((tag[1], tag[3], c))  # c = u * f * v
-        else:
-            stack.extend([tag[1], tag[2]])
-    pencil = []
-    for _u, v, c in leaves:
-        x = s.table[s.table[f][v]][s.d[c]]
-        if s.d[x] != s.d[c]:
-            raise CertificateFailed(("pencil-domain-differs", x, c))
-        pencil.append(x)
-    pencil = tuple(dict.fromkeys(pencil))
-    _check_pencil(s, pencil, e, f)
-    return PencilReport(True, pencil)
+    @cache
+    def below(e):  # the identities of ag whose atom lies below e, ascending
+        down = frozenset(s.down[e])
+        return [i for i in ag.identities if labels[i] in down]
+
+    @cache
+    def arrows(f):  # arrows(f)[i]: the first arrow from i with range below f
+        ends = below(f)
+        return {
+            i: min((hom[(i, j)][0] for j in ends if (i, j) in hom), default=None)
+            for i in ag.identities
+        }
+
+    def pencil(e, f):
+        p = tuple(map(arrows(f).__getitem__, below(e)))
+        return None if None in p else tuple(map(labels.__getitem__, p))
+
+    return pencil
 
 
 def _check_pencil(s, pencil, e, f):
     """Raise CertificateFailed unless pencil is one from e to f: every
     range r(x) lies below f, and the domains d(x) join to e.  The
-    certificates of read_pencil and of law toby."""
+    certificates of preceq and of law toby."""
     for x in pencil:
         if not s.leq[s.r[x]][f]:
             raise CertificateFailed(("pencil-range-not-below", x, f))
@@ -688,7 +655,7 @@ def _check_pencil(s, pencil, e, f):
 @dataclass(frozen=True)
 class ZeroSimplifying:
     holds: bool
-    witness: AdditiveIdeal | None  # a proper nonzero ideal when not
+    witness: frozenset | None  # a proper nonzero ideal when not
 
 
 def is_zero_simplifying(bs, ideals):
@@ -701,7 +668,7 @@ def is_zero_simplifying(bs, ideals):
     pencil domination between all nonzero idempotents, is cross-checked in
     law toby.
     """
-    proper = [i for i in ideals if 1 < len(i.carrier) < bs.size]
+    proper = [i for i in ideals if 1 < len(i) < bs.size]
     return ZeroSimplifying(len(ideals) == 2, proper[0] if proper else None)
 
 
@@ -782,23 +749,18 @@ def is_additive_morphism(source, target, mp):
     return True
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
-    congruence: Congruence
-    quotient: BoolInvSgp
-    projection: Morphism
-
-
 def epsilon_quotient(bs, ideal):
     """Collapse an additive ideal: relate a, b when some common lower bound
     c has both differences a minus c and b minus c inside the ideal.
 
-    The relation is verified to be an additive congruence whose kernel is
-    exactly the ideal, and the projection is checked weakly meet preserving;
-    a check that fails raises CertificateFailed naming it.
+    Returns the projection, a Morphism onto the quotient whose map sends
+    each element to its class id.  The relation is verified to be an
+    additive congruence whose kernel is exactly the ideal, and the
+    projection is checked weakly meet preserving; a check that fails raises
+    CertificateFailed naming it.
     """
     s = bs.base
-    carrier = ideal.carrier if isinstance(ideal, AdditiveIdeal) else frozenset(ideal)
+    carrier = frozenset(ideal)
     bad = _ideal_witness(bs, carrier)
     if bad is not None:
         raise NotAnIdeal(bad)
@@ -834,11 +796,11 @@ def epsilon_quotient(bs, ideal):
         if row != same[class_of[a]]:
             b = next(_ids(row ^ same[class_of[a]]))
             raise CertificateFailed(("not-transitive", a, b))
-    cong = Congruence(k, tuple(class_of))
-    bad = check_congruence(s, cong)
+    class_of = tuple(class_of)
+    bad = check_congruence(s, class_of)
     if bad is not None:
         raise CertificateFailed(("not-a-congruence", bad))
-    table = quotient_table(s, cong)
+    table = quotient_table(s, class_of)
     if table == s.table:  # the zero ideal of a structure: nothing collapses
         quotient = bs
     else:
@@ -846,7 +808,7 @@ def epsilon_quotient(bs, ideal):
         if not qrep.boolean:
             raise CertificateFailed(("quotient-not-boolean", qrep.failure))
         quotient = qrep.structure
-    proj = Morphism(bs, quotient, tuple(class_of))
+    proj = Morphism(bs, quotient, class_of)
     if not proj.additive:
         raise CertificateFailed(("projection-not-additive",))
     kernel = frozenset(x for x in range(k) if class_of[x] == class_of[s.zero])
@@ -854,7 +816,7 @@ def epsilon_quotient(bs, ideal):
         raise CertificateFailed(("kernel-differs", tuple(sorted(kernel))))
     if not proj.weakly_meet_preserving:
         raise CertificateFailed(("projection-not-weakly-meet-preserving",))
-    return EpsilonReport(cong, quotient, proj)
+    return proj
 
 
 def is_weakly_meet_preserving(source, target, mp):
@@ -924,21 +886,21 @@ def analyze_morphism(m, eps):
     """Break a morphism into an ideal collapse followed by an
     idempotent-separating map, checking each certified property.
 
-    eps is the caller's epsilon_quotient of m's kernel, read only when m is
-    additive and its kernel an additive ideal.  Before it is used it is
-    checked to be over the source's table and to collapse exactly the
-    kernel; otherwise, or when it is None, NotAnIdeal(("not-the-kernel",
-    kernel)) is raised.  When eps.projection is m (same source, target and
-    map), its certificates are read.  An additive map is multiplicative and
-    zero preserving; only one that is not is checked again, for the
-    witness.  A certified property that fails raises CertificateFailed
-    naming it.  The factorization m = phi . projection needs no check of
-    its own: phi is read off m class by class, and not-constant-on-classes
-    has compared m at every member of each class with the value phi takes
-    there.
+    eps is the caller's epsilon_quotient of m's kernel, a projection onto
+    the quotient, read only when m is additive and its kernel an additive
+    ideal.  Before it is used it is checked to be over the source's table
+    and to collapse exactly the kernel; otherwise, or when it is None,
+    NotAnIdeal(("not-the-kernel", kernel)) is raised.  When eps is m (same
+    source, target and map), its certificates are read.  An additive map is
+    multiplicative and zero preserving; only one that is not is checked
+    again, for the witness.  A certified property that fails raises
+    CertificateFailed naming it.  The factorization m = phi . projection
+    needs no check of its own: phi is read off m class by class, and
+    not-constant-on-classes has compared m at every member of each class
+    with the value phi takes there.
     """
-    if eps is not None and eps.projection == m:
-        m = eps.projection
+    if eps is not None and eps == m:
+        m = eps
     additive = m.additive
     if not additive:
         check_multiplicative(m.source, m.target, m.map)
@@ -957,23 +919,23 @@ def analyze_morphism(m, eps):
             raise CertificateFailed(("separation-differs-from-kernel", idem_sep))
         if (
             eps is None
-            or _base(eps.projection.source).table != s.table
-            or kernel_of(eps.projection) != kernel_carrier
+            or _base(eps.source).table != s.table
+            or kernel_of(eps) != kernel_carrier
         ):
             raise NotAnIdeal(("not-the-kernel", tuple(sorted(kernel_carrier))))
-        phi_map = [None] * eps.quotient.size
+        phi_map = [None] * eps.target.size
         for x in range(s.size):
-            c = eps.projection.map[x]
+            c = eps.map[x]
             if phi_map[c] is None:
                 phi_map[c] = m.map[x]
             elif phi_map[c] != m.map[x]:
                 raise CertificateFailed(("not-constant-on-classes", x, c))
-        phi = Morphism(eps.quotient, m.target, tuple(phi_map))
-        check_multiplicative(eps.quotient, m.target, phi.map)
-        qidem = eps.quotient.base.idempotents
+        phi = Morphism(eps.target, m.target, tuple(phi_map))
+        check_multiplicative(eps.target, m.target, phi.map)
+        qidem = eps.target.base.idempotents
         if len({phi.map[e] for e in qidem}) < len(qidem):
             raise CertificateFailed(("second-factor-not-idempotent-separating",))
-        factorization = (eps.projection, phi)
+        factorization = (eps, phi)
     return MorphismAnalysis(
         additive=additive,
         kernel_carrier=kernel_carrier,

@@ -88,20 +88,15 @@ def booleanize(s):
     return Booleanization(s, s0, g, kg, tuple(beta))
 
 
-@dataclass(frozen=True)
-class GammaExtension:
-    morphism: Morphism  # from the Booleanization into the target
-
-
 def gamma_extension(b, alpha, target):
     """Extend a morphism s -> target through b, the Booleanization of s.
 
     The singleton value at a is alpha(a) minus the join of alpha over the
     elements strictly below a; general values are orthogonal joins of
-    singleton values.  The result is verified to be an additive morphism
-    agreeing with alpha along beta, and each singleton value is checked
-    forced, which settles uniqueness; a failed check raises CertificateFailed
-    naming it.
+    singleton values.  Returns that extension, a Morphism from b.bs into
+    target, verified to be additive and to agree with alpha along beta; each
+    singleton value is checked forced, which settles uniqueness.  A failed
+    check raises CertificateFailed naming it.
     """
     if not isinstance(target, BoolInvSgp):
         try:
@@ -167,7 +162,7 @@ def gamma_extension(b, alpha, target):
             or gamma.map[singleton_id] != gamma1[a]
         ):
             raise CertificateFailed(("singleton-not-forced", a))
-    return GammaExtension(gamma)
+    return gamma
 
 
 # -- filters ---------------------------------------------------------------
@@ -278,14 +273,10 @@ def principal_map_is_iso(s, sub_ids, fg):
 # -- Booleanization isomorphism --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanizationIso:
-    isomorphic: bool
-    induced: tuple | None  # id map between the two Booleanizations
-
-
 def booleanization_iso(s, t):
-    """Compare Booleanizations through the nonzero-part groupoids.
+    """Compare Booleanizations through the nonzero-part groupoids: the id
+    map between the two Booleanizations, or None when they are not
+    isomorphic.
 
     The groupoids determine the Booleanizations: a groupoid isomorphism
     induces a bisection-by-bisection map, which is re-checked as a table
@@ -295,7 +286,7 @@ def booleanization_iso(s, t):
     b_s, b_t = booleanize(s), booleanize(t)
     gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
     if gmap is None:
-        return BooleanizationIso(False, None)
+        return None
     induced = tuple(
         b_t.target.index.get(frozenset(gmap[x] for x in aset))
         for aset in b_s.target.bisections
@@ -307,4 +298,4 @@ def booleanization_iso(s, t):
         check_multiplicative(b_s.bs, b_t.bs, induced)
     except NotMultiplicative as ex:
         raise CertificateFailed(("induced-not-multiplicative", *ex.witness)) from None
-    return BooleanizationIso(True, induced)
+    return induced

@@ -225,11 +225,9 @@ def cmd_iso(args):
     t = _read_semigroup(args.paths[1])
     if args.mode == "direct":
         cert = semigroup_iso(s, t, cap=_size_cap())
-        isomorphic = cert is not None
     else:
-        rep = booleanization_iso(s, t)
-        isomorphic = rep.isomorphic
-        cert = rep.induced
+        cert = booleanization_iso(s, t)
+    isomorphic = cert is not None
     if args.format == "json":
         print(
             json.dumps(
@@ -271,7 +269,7 @@ def cmd_verify(args):
             targets.append((f"{name}.ist", lambda n=name: corpus_semigroup(n)))
         for name in GROUPOID_BUILDERS:
             targets.append((f"{name}.grp", lambda n=name: corpus_groupoid(n)))
-    elif args.path:
+    else:
         def load(path=args.path):
             with open(path) as fh:
                 text = fh.read()
@@ -280,9 +278,6 @@ def cmd_verify(args):
             return parse_semigroup(text)
 
         targets.append((args.path, load))
-    else:
-        print("error: verify needs a path or --corpus", file=sys.stderr)
-        return 2
 
     as_json = args.format == "json"
     report = []
@@ -328,9 +323,8 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, path=True):
-        if path:
-            sp.add_argument("path", help="input .ist file")
+    def common(sp):
+        sp.add_argument("path", help="input .ist file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("analyze", help="full structural report")
@@ -338,7 +332,7 @@ def make_parser():
     sp.add_argument("--timings", action="store_true")
 
     sp = sub.add_parser("booleanize", help="write the Booleanization table")
-    common(sp)
+    sp.add_argument("path", help="input .ist file")
     sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("decompose", help="matrix-monoid product signature")
@@ -355,8 +349,9 @@ def make_parser():
     )
 
     sp = sub.add_parser("verify", help="run the law suite")
-    sp.add_argument("path", nargs="?", help=".ist or .grp file")
-    sp.add_argument("--corpus", action="store_true", help="verify bundled corpus")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("path", nargs="?", help=".ist or .grp file")
+    target.add_argument("--corpus", action="store_true", help="verify bundled corpus")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--timings", action="store_true", help="seconds per law")
 

@@ -513,16 +513,9 @@ def is_fundamental(s):
     return FundamentalReport(True, None)
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """A multiplication-compatible equivalence, as a class-id array."""
-
-    size: int
-    class_of: tuple
-
-
 def congruence_from_key(s, key):
-    """Group ids by key(x) and renumber classes by least member."""
+    """Group ids by key(x), as a tuple of class ids numbered by least
+    member."""
     buckets = {}
     for x in range(s.size):
         buckets.setdefault(key(x), []).append(x)
@@ -533,18 +526,19 @@ def congruence_from_key(s, key):
         c = rank[min(v)]
         for x in v:
             class_of[x] = c
-    return Congruence(s.size, tuple(class_of))
+    return tuple(class_of)
 
 
-def check_congruence(s, cong):
-    """Return a witness (a, b, c, side) if cong is not a congruence.
+def check_congruence(s, cls):
+    """Return a witness (a, b, c, side) if the relation with class ids cls,
+    cls[x] the class of x, is not a congruence.
 
     Decided on generators (_on_generators): row g and column g of each,
-    read through class_of, must be constant on classes.  The c with
+    read through cls, must be constant on classes.  The c with
     x ~ y => cx ~ cy and xc ~ yc are closed under the product, as
     c*d*x = c*(d*x) ~ c*(d*y) and x*c*d = (x*c)*d ~ (y*c)*d.  Only when the
     pass fails does _congruence_scan name the witness."""
-    t, cls = s.table, cong.class_of
+    t = s.table
     first = {}
     at_first = _picker([first.setdefault(c, x) for x, c in enumerate(cls)])
 
@@ -574,10 +568,9 @@ def _congruence_scan(s, cls):
     return None
 
 
-def quotient_table(s, cong):
-    """Multiplication table on congruence classes (classes renumbered 0..);
-    under the identity numbering, the table itself."""
-    cls = cong.class_of
+def quotient_table(s, cls):
+    """Multiplication table on the congruence classes cls (classes
+    renumbered 0..); under the identity numbering, the table itself."""
     if cls == tuple(range(s.size)):
         return s.table
     reps = {}
@@ -593,9 +586,8 @@ def quotient_table(s, cong):
 
 @dataclass(frozen=True)
 class MuReport:
-    mu: Congruence
+    mu: tuple  # class ids: id in s -> id in quotient
     quotient: InvSgp
-    projection: tuple  # id in s -> id in quotient
 
 
 def mu_and_quotient(s):
@@ -620,20 +612,21 @@ def mu_and_quotient(s):
         raise CertificateFailed(("mu-not-a-congruence", bad))
     seen = {}
     for e in idem:
-        c = mu.class_of[e]
+        c = mu[e]
         if c in seen:
             raise CertificateFailed(("mu-collapses-idempotents", seen[c], e))
         seen[c] = e
     table = quotient_table(s, mu)
     quotient = s if table == s.table else InvSgp(table)
-    return MuReport(mu, quotient, mu.class_of)
+    return MuReport(mu, quotient)
 
 
 CONGRUENCE_SCAN_CAP = 9
 
 
 def all_congruences(s):
-    """Every congruence of s, by exhausting set partitions.  Small s only."""
+    """Every congruence of s, each as its tuple of class ids, by exhausting
+    set partitions.  Small s only."""
     if s.size > CONGRUENCE_SCAN_CAP:
         raise TooLarge(
             "congruence enumeration capped at "
@@ -646,7 +639,7 @@ def all_congruences(s):
             for x in block:
                 class_of[x] = ci
         if _congruence_scan(s, class_of) is None:
-            out.append(Congruence(s.size, tuple(class_of)))
+            out.append(tuple(class_of))
     return out
 
 

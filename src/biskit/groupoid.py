@@ -83,8 +83,8 @@ class Gpd:
 
     @cached_property
     def form(self):
-        """component_form(self), built on first read; every reader of a
-        groupoid's components reads it here."""
+        """component_form(self), the tuple of Components, built on first
+        read; every reader of a groupoid's components reads it here."""
         return component_form(self)
 
     @cached_property
@@ -119,11 +119,6 @@ class Component:
     identities: tuple  # identities in the component, ascending
 
 
-@dataclass(frozen=True)
-class ComponentForm:
-    components: tuple  # of Component, ordered by least identity
-
-
 def _local_group(g, e):
     """Loops at identity e, relabelled densely; validates as one-object Gpd."""
     loops = g.hom[(e, e)]
@@ -136,8 +131,8 @@ def _local_group(g, e):
 
 
 def component_form(g):
-    """Split g into connected components with one local group each; read
-    as g.form."""
+    """Split g into connected components with one local group each, as a
+    tuple of Components ordered by least identity; read as g.form."""
     comps = []
     for ids in _dr_classes(g.identities, g.d, g.r):
         members = tuple(
@@ -151,21 +146,22 @@ def component_form(g):
                 identities=ids,
             )
         )
-    return ComponentForm(tuple(comps))
+    return tuple(comps)
 
 
-def reconstruct(cf):
-    """Rebuild a groupoid from (identity count, local group) data alone.
+def reconstruct(form):
+    """Rebuild a groupoid from the (identity count, local group) data of
+    each Component in form alone.
 
     Component c with n identities and group H becomes the set of triples
     (x, h, y) with product (x, h, y)(y, h2, z) = (x, h*h2, z); components are
     laid out one after another, and within one the arrow (x, h, y) has id
     offset + (x*n + y)*|H| + h, so ids sort by (row, column, group id).
     """
-    total = sum(c.identity_count**2 * c.group.size for c in cf.components)
+    total = sum(c.identity_count**2 * c.group.size for c in form)
     ptable = [[None] * total for _ in range(total)]
     off = 0
-    for comp in cf.components:
+    for comp in form:
         n, h, gt = comp.identity_count, comp.group.size, comp.group.ptable
         block = [[off + (x * n + y) * h for y in range(n)] for x in range(n)]
         for x, y, z in itertools.product(range(n), repeat=3):
@@ -284,21 +280,21 @@ def group_iso(a, b):
 
 def is_principal(g):
     """All local groups trivial: at most one arrow between two identities."""
-    return all(c.group.size == 1 for c in g.form.components)
+    return all(c.group.size == 1 for c in g.form)
 
 
 def is_connected(g):
     """Exactly one component: the empty groupoid is not connected."""
-    return len(g.form.components) == 1
+    return len(g.form) == 1
 
 
 @dataclass(frozen=True)
 class Coordinates:
-    """Triple form of a groupoid: arrow -> (component, row, group id, col)."""
+    """Triple form of a groupoid g: arrow -> (component, row, group id, col),
+    component ci being g.form[ci]."""
 
-    form: ComponentForm
     coord: tuple  # coord[x] = (ci, xi, g, yi)
-    rebuilt: tuple  # rebuilt[x] = the id of x's triple in reconstruct(form)
+    rebuilt: tuple  # rebuilt[x] = the id of x's triple in reconstruct(g.form)
 
 
 def coordinatize(g):
@@ -310,13 +306,13 @@ def coordinatize(g):
     its identities: it is joined to the base by a path of arrows, and the
     path's arrows and their inverses compose.  The group part of an arrow t
     is then anchor(r)^-1 * t * anchor(d), a loop at the base identity.
-    Sending each arrow to its triple is an isomorphism onto reconstruct(form).
+    Sending each arrow to its triple is an isomorphism onto
+    reconstruct(g.form).
     """
-    cf = g.form
     all_coords = [None] * g.size
     rebuilt = [None] * g.size
-    off = 0  # where the component's triples start in reconstruct(form)
-    for ci, comp in enumerate(cf.components):
+    off = 0  # where the component's triples start in reconstruct(g.form)
+    for ci, comp in enumerate(g.form):
         ids = comp.identities
         base = ids[0]
         anchors = [e if e == base else g.hom[(base, e)][0] for e in ids]
@@ -329,7 +325,7 @@ def coordinatize(g):
             all_coords[t] = (ci, xi, loop, yi)
             rebuilt[t] = off + (xi * n + yi) * h + loop
         off += n * n * h
-    return Coordinates(cf, tuple(all_coords), tuple(rebuilt))
+    return Coordinates(tuple(all_coords), tuple(rebuilt))
 
 
 def groupoid_iso(g, h):
@@ -342,7 +338,7 @@ def groupoid_iso(g, h):
     before being returned.
     """
     cg, ch = coordinatize(g), coordinatize(h)
-    comps_g, comps_h = cg.form.components, ch.form.components
+    comps_g, comps_h = g.form, h.form
     if len(comps_g) != len(comps_h):
         return None
 

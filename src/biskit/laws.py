@@ -21,6 +21,7 @@ from .boolean import (
     BoolInvSgp,
     Morphism,
     _above,
+    _atom_pencils,
     _check_pencil,
     analyze_morphism,
     check_boolean,
@@ -173,7 +174,8 @@ class Analysis:
         return is_zero_simplifying(self.bs, self.ideals).holds
 
     @cached_property
-    def eps_reports(self):
+    def eps_projections(self):
+        """(ideal, its epsilon_quotient projection), per additive ideal."""
         return [(i, epsilon_quotient(self.bs, i)) for i in self.ideals]
 
     @cached_property
@@ -372,12 +374,11 @@ def law_restricted_product(c):
 
 
 def law_mu_separating(c):
-    mu_cls = c.mu.mu.class_of  # construction re-checks congruence and separation
+    mu_cls = c.mu.mu  # construction re-checks congruence and separation
     what = "construction verified, maximality scan"
     _skip_above(c.s, CONGRUENCE_SCAN_CAP, "CONGRUENCE_SCAN_CAP", what)
     es = c.s.idempotents
-    for cong in c.congruences:
-        cls = cong.class_of
+    for cls in c.congruences:
         separating = len(set(map(cls.__getitem__, es))) == len(es)
         if separating and (split := _first_split(cls, mu_cls)):
             return split
@@ -476,7 +477,7 @@ def law_booleanization_finite(c):
     b = booleanize(c.s)
     gamma = gamma_extension(b, b.beta, b.bs)
     n = b.bs.size
-    if gamma.morphism.map != tuple(range(n)):
+    if gamma.map != tuple(range(n)):
         return ("unit-extension-not-identity",)
     return None
 
@@ -1009,26 +1010,25 @@ def law_smallest(c):
     holding it.
     """
     s, bs = c.s, c.bs
-    carriers = [i.carrier for i in c.ideals]
     ag = bs.atoms_groupoid
     comp = {  # idempotent atom -> the index of its component
         ag.labels[e]: i
-        for i, component in enumerate(ag.form.components)
+        for i, component in enumerate(ag.form)
         for e in component.identities
     }
     by_key, closure = {}, {}
     for e in s.idempotents:
         key = frozenset(comp[x] for x in s.down[e] if x in comp)
         if key not in by_key:
-            by_key[key] = ideal_closure(bs, [e]).carrier
+            by_key[key] = ideal_closure(bs, [e])
         closure[e] = by_key[key]
     for a in range(s.size):
         cl = closure[s.d[a]]
         if a not in cl:
             return (a, "not-in-closure")
-        if cl not in carriers:
+        if cl not in c.ideals:
             return (a, "closure-not-an-ideal")
-        for carrier in carriers:
+        for carrier in c.ideals:
             if a in carrier and not cl <= carrier:
                 return (a, "closure-not-least")
     return None
@@ -1044,12 +1044,10 @@ def law_toby(c):
     first pair not dominated when the ideals say 0-simplifying, or the last
     pair scanned when every pair is dominated although they say it is not.
 
-    Domination is read off the atom pencils (_atom_pencils), each checked
-    by read_pencil's range and join certificates (_check_pencil).  An atom
-    pencil exists exactly when any pencil does: if e is the join of the
-    d(xi), with every r(xi) <= f, each atom α <= e lies below some d(xi),
-    and xi*α is an atom with domain α and range below r(xi) <= f.  So e is
-    not dominated by f when some atom α <= e has no such arrow.
+    Domination is read off the atom pencils (_atom_pencils), as preceq
+    reads it, each checked by the range and join certificates
+    (_check_pencil).  An atom pencil exists exactly when any pencil does, so
+    e is not dominated by f when some atom α <= e has no arrow into f.
     """
     s = c.s
     if s.size == 1:
@@ -1065,50 +1063,21 @@ def law_toby(c):
     return None if c.zero_simplifying else (e, f)
 
 
-def _atom_pencils(bs):
-    """pencil(e, f): for each idempotent atom α <= e, ascending, the first
-    atom x with d(x) = α and r(x) <= f, read off the atoms groupoid's hom;
-    None when some α has none.  The first arrows from each α are found once
-    per f."""
-    s, ag = bs.base, bs.atoms_groupoid
-    hom, labels = ag.hom, ag.labels
-
-    @cache
-    def below(e):  # the identities of ag whose atom lies below e, ascending
-        down = frozenset(s.down[e])
-        return [i for i in ag.identities if labels[i] in down]
-
-    @cache
-    def arrows(f):  # arrows(f)[i]: the first arrow from i with range below f
-        ends = below(f)
-        return {
-            i: min((hom[(i, j)][0] for j in ends if (i, j) in hom), default=None)
-            for i in ag.identities
-        }
-
-    def pencil(e, f):
-        p = tuple(map(arrows(f).__getitem__, below(e)))
-        return None if None in p else tuple(map(labels.__getitem__, p))
-
-    return pencil
-
-
 def law_noise(c):
     s = c.s
-    for ideal, rep in c.eps_reports:
-        if kernel_of(rep.projection) != ideal.carrier:
-            return (tuple(sorted(ideal.carrier)), "kernel-mismatch")
+    for ideal, p in c.eps_projections:
+        if kernel_of(p) != ideal:
+            return (tuple(sorted(ideal)), "kernel-mismatch")
     what = "kernels verified, minimality scan"
     _skip_above(s, CONGRUENCE_SCAN_CAP, "CONGRUENCE_SCAN_CAP", what)
     additive = {}  # kernel -> the classes of each additive congruence with it
-    for cong in c.congruences:
-        cls = cong.class_of
+    for cls in c.congruences:
         if _is_additive_congruence(s, cls):
             additive.setdefault(frozenset(_positions(cls, cls[s.zero])), []).append(cls)
-    for ideal, rep in c.eps_reports:
-        for cls in additive.get(ideal.carrier, ()):
-            if split := _first_split(rep.congruence.class_of, cls):
-                return (tuple(sorted(ideal.carrier)), *split)
+    for ideal, p in c.eps_projections:
+        for cls in additive.get(ideal, ()):
+            if split := _first_split(p.map, cls):
+                return (tuple(sorted(ideal)), *split)
     return None
 
 
@@ -1145,13 +1114,12 @@ def law_anja(c):
     all lift exactly when the two are equal.  When a premise fails on the
     tables read, is_weakly_meet_preserving decides afresh.
     """
-    for ideal, rep in c.eps_reports:
-        p = rep.projection
+    for ideal, p in c.eps_projections:
         holds = _meets_preserved(p)
         if holds is None:
             holds = is_weakly_meet_preserving(p.source, p.target, p.map)
         if not holds:
-            return (tuple(sorted(ideal.carrier)),)
+            return (tuple(sorted(ideal)),)
     return None
 
 
@@ -1160,7 +1128,7 @@ def law_idept_sep_kernel(c):
     projection's certificates when it is that projection; the mu quotient
     is read as checked once (Analysis.mu_check)."""
     bs = c.bs
-    eps_of = {ideal.carrier: rep for ideal, rep in c.eps_reports}
+    eps_of = dict(c.eps_projections)
     ident = Morphism(bs, bs, tuple(range(bs.size)))
     rep = analyze_morphism(ident, eps_of.get(kernel_of(ident)))
     if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
@@ -1168,7 +1136,7 @@ def law_idept_sep_kernel(c):
     check = c.mu_check
     if not check.boolean:
         return ("mu-quotient-not-boolean", check.failure)
-    proj = Morphism(bs, check.structure, tuple(c.mu.projection))
+    proj = Morphism(bs, check.structure, c.mu.mu)
     rep = analyze_morphism(proj, eps_of.get(kernel_of(proj)))
     if not rep.idempotent_separating:
         return ("mu-projection",)
@@ -1176,10 +1144,10 @@ def law_idept_sep_kernel(c):
 
 
 def law_factorization(c):
-    for ideal, rep in c.eps_reports:
-        analysis = analyze_morphism(rep.projection, rep)
+    for ideal, p in c.eps_projections:
+        analysis = analyze_morphism(p, p)
         if not analysis.additive or analysis.factorization is None:
-            return (tuple(sorted(ideal.carrier)),)
+            return (tuple(sorted(ideal)),)
     return None
 
 
@@ -1278,7 +1246,7 @@ def law_order_isomorphisms(c):
 
 def law_rain(c):
     if not c.triple.simple_iff_rank_one:
-        return (c.tm.rank, len(c.triple.additive_ideals))
+        return (c.tm.rank, len(c.ideals))
     return None
 
 
@@ -1359,7 +1327,7 @@ def glaw_local_bisections_rook(c):
     if not is_connected(c.g):
         raise _Skip("stated for connected groupoids")
     cert = c.k.decomposition
-    comp = c.g.form.components[0]
+    comp = c.g.form[0]
     want = (
         comp.identity_count,
         comp.group.size,
@@ -1436,25 +1404,6 @@ GROUPOID_LAWS = (
     ("local-bisections-rook", "groupoid", glaw_local_bisections_rook),
 )
 
-# criterion names cmd_verify must be able to report individually
-CORE_LAW_KEYS = (
-    "l-and-r-order",
-    "wedge",
-    "fish",
-    "oj",
-    "buffs",
-    "restricted-product",
-    "eggs",
-    "chicken",
-    "pork",
-    "orthogonal",
-    "setminus-2",
-    "setminus-4",
-    "setminus-1-corrected",
-    "setminus-5-corrected",
-)
-
-
 def _applicable(kind, ctx):
     if kind in ("invsgp", "groupoid"):
         return True, None
@@ -1465,7 +1414,7 @@ def _applicable(kind, ctx):
     raise ValueError(kind)
 
 
-def run_laws(obj, keys=None):
+def run_laws(obj):
     """Run every applicable law on an InvSgp, BoolInvSgp, or Gpd.
 
     Returns LawResults in registry order.  Failures carry the witness; laws
@@ -1479,8 +1428,6 @@ def run_laws(obj, keys=None):
     else:
         ctx, table = Analysis(obj), SEMIGROUP_LAWS
     for key, kind, fn in table:
-        if keys is not None and key not in keys:
-            continue
         start = time.perf_counter()
         status, witness, note = _run_law(kind, fn, ctx)
         seconds = round(time.perf_counter() - start, 6)

@@ -18,7 +18,6 @@ from .core import _on_generators
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
     Component,
-    ComponentForm,
     Gpd,
     coordinatize,
     group_name,
@@ -134,8 +133,7 @@ def build_Mn_G0(n, group):
             f"above entry cap MN_ENTRY_CAP={MN_ENTRY_CAP}"
         )
     # reconstruct reads only the identity count and the group of a component
-    form = ComponentForm((Component(n, group, member_ids=(), identities=()),))
-    g = reconstruct(form)
+    g = reconstruct((Component(n, group, member_ids=(), identities=()),))
     count = _bisection_count(g.identities, g.d, g.r)
     if count > MN_CARRIER_CAP:
         raise TooLarge(
@@ -149,10 +147,9 @@ class DecompositionCertificate:
     """S recognized as a product of matrix monoids over groups with zero."""
 
     signature: tuple  # sorted (identity count, group order, group name)
-    form: ComponentForm  # the atom components, ordered by least identity
     atoms: Gpd  # the atoms groupoid G(S)
-    rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(form)
-    target: KOfGroupoid  # K(reconstruct(form))
+    rebuilt: tuple  # atoms-groupoid id -> its triple's id in reconstruct(atoms.form)
+    target: KOfGroupoid  # K(reconstruct(atoms.form))
     iso: tuple  # source id -> product id, checked on the generators
 
     @property
@@ -188,11 +185,10 @@ def decompose(bs):
         raise NotMonoid("decomposition needs an identity element")
     ag = bs.atoms_groupoid
     coords = coordinatize(ag)
-    comps = coords.form.components
     signature = tuple(
-        sorted((c.identity_count, c.group.size, group_name(c.group)) for c in comps)
+        sorted((c.identity_count, c.group.size, group_name(c.group)) for c in ag.form)
     )
-    kg = k_of_groupoid(reconstruct(coords.form))
+    kg = k_of_groupoid(reconstruct(ag.form))
 
     s = bs.base
     rebuilt = dict(zip(ag.labels, coords.rebuilt))
@@ -222,28 +218,11 @@ def decompose(bs):
         raise CertificateFailed(("decomposition-not-iso", a))
     return DecompositionCertificate(
         signature=signature,
-        form=coords.form,
         atoms=ag,
         rebuilt=coords.rebuilt,
         target=kg,
         iso=iso,
     )
-
-
-@dataclass(frozen=True)
-class ThetaIso:
-    """Certificate that a -> (atoms below a) is an isomorphism onto K(G(S)).
-
-    K(G(S)) is read through rebuilt, an isomorphism of G(S) onto the rebuilt
-    atoms groupoid R = target.groupoid: the atoms below a are the preimage
-    under rebuilt of the bisection target.bisections[map[a]] of R.
-    """
-
-    source: BoolInvSgp
-    atoms: Gpd  # G(S)
-    rebuilt: tuple  # G(S) id -> R id
-    target: KOfGroupoid  # K(R), the decomposition's product
-    map: tuple  # source id -> target id
 
 
 def theta_iso(bs, decomposition):
@@ -257,12 +236,14 @@ def theta_iso(bs, decomposition):
     which validates it.  What is left is that rebuilt carries G(S) onto R,
     checked on the m-by-m partial tables of the m atoms; then K(rebuilt) is
     an isomorphism K(G(S)) -> K(R), and composing its inverse gives a ->
-    (atoms below a) as an isomorphism S -> K(G(S)).
+    (atoms below a) as an isomorphism S -> K(G(S)): the atoms below a are
+    the preimage under rebuilt of the bisection target.bisections[iso[a]].
     An isomorphism preserves the natural order, hence joins and atoms, so
-    every element is the join of the atoms below it.  A rebuilt map that is
-    not a groupoid isomorphism raises CertificateFailed.
+    every element is the join of the atoms below it.  Returns the
+    decomposition once rebuilt is checked; a rebuilt map that is not a
+    groupoid isomorphism raises CertificateFailed.
     """
     cert = decomposition
     if not is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt):
         raise CertificateFailed(("atoms-not-carried",))
-    return ThetaIso(bs, cert.atoms, cert.rebuilt, cert.target, cert.iso)
+    return cert

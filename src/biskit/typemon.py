@@ -41,7 +41,7 @@ def type_monoid(bs):
     s = bs.base
     ag = bs.atoms_groupoid
     comps = sorted(
-        ag.form.components, key=lambda c: min(ag.labels[t] for t in c.member_ids)
+        ag.form, key=lambda c: min(ag.labels[t] for t in c.member_ids)
     )
     components = tuple(
         frozenset(ag.labels[t] for t in c.member_ids) for c in comps
@@ -113,10 +113,9 @@ def refinement_check(tm):
 @dataclass(frozen=True)
 class IdealTriple:
     """Three posets that must be one: idempotent ideals, additive ideals,
-    and coordinate supports of the count-vector monoid."""
+    and coordinate supports of the count-vector monoid; the first two are
+    ideal_triple's inputs."""
 
-    idempotent_ideals: tuple
-    additive_ideals: tuple
     supports: tuple
     matched: bool
     simple_iff_rank_one: bool
@@ -126,17 +125,14 @@ def ideal_triple(bs, tm, ideals, idem_ideals):
     """Match the three ideal posets of bs, given its type monoid tm, its
     additive ideals and its idempotent ideals (the idempotent_ideals
     scan)."""
-    idem_ideals = list(idem_ideals)
     supports = sorted(
         (frozenset(t) for r in range(tm.rank + 1)
          for t in itertools.combinations(range(tm.rank), r)),
         key=_by_size,
     )
     simple_iff = (tm.rank == 1) == (len(ideals) == 2)
-    return IdealTriple(
-        tuple(idem_ideals), ideals, tuple(supports),
-        _ideals_match(bs.base, tm, ideals, idem_ideals, supports), simple_iff,
-    )
+    matched = _ideals_match(bs.base, tm, ideals, idem_ideals, supports)
+    return IdealTriple(tuple(supports), matched, simple_iff)
 
 
 def _by_size(f):
@@ -152,8 +148,8 @@ def _ideals_match(s, tm, ideals, idem_ideals, supports):
     of inclusion."""
     if not len(idem_ideals) == len(ideals) == len(supports):
         return False
-    to_idem = {i.carrier: frozenset(filter(s.is_idempotent, i.carrier)) for i in ideals}
-    if sorted(to_idem.values(), key=_by_size) != idem_ideals:
+    to_idem = {c: frozenset(filter(s.is_idempotent, c)) for c in ideals}
+    if sorted(to_idem.values(), key=_by_size) != list(idem_ideals):
         return False
     for carrier, idem in to_idem.items():
         if frozenset(x for x in range(s.size) if s.d[x] in idem) != carrier:
@@ -253,7 +249,6 @@ def _witness_matrix(bs, n, left, right, pairs, left_diag, right_diag, edges):
 
 @dataclass(frozen=True)
 class MatrixOracle:
-    n: int
     partition_agrees: bool  # matrix classes == summed count-vector classes
     witnesses_verified: bool  # every merge had a checked matrix witness
     separation_ok: bool  # orthogonal representatives exist for all sums
@@ -358,7 +353,6 @@ def type_via_matrices(bs, n, tm):
             atom_sums.append((combo, class_of[diag], sums[diag]))
 
     return MatrixOracle(
-        n=n,
         partition_agrees=partition_agrees,
         witnesses_verified=witnesses_verified,
         separation_ok=separation_ok,
@@ -375,7 +369,7 @@ def mu_type_invariance(bs, tm, mu, tm_q):
     """
     if tm.rank != tm_q.rank:
         return False
-    proj = mu.projection
+    proj = mu.mu
     match = []
     for comp in tm.atomic_idempotents:
         images = {proj[e] for e in comp}

@@ -11,7 +11,7 @@ Boolean one needs.
 from hypothesis import strategies as st
 
 from biskit.boolean import _bisection_count
-from biskit.groupoid import Component, ComponentForm, Gpd, reconstruct
+from biskit.groupoid import Component, Gpd, reconstruct
 
 POINTS = range(4)
 
@@ -76,10 +76,6 @@ def cyclic_group(h):
 K_ORACLE_BISECTIONS = 400
 component_forms = (
     st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
-    .map(
-        lambda nh: ComponentForm(
-            tuple(Component(n, cyclic_group(h), (), ()) for n, h in nh)
-        )
-    )
+    .map(lambda nh: tuple(Component(n, cyclic_group(h), (), ()) for n, h in nh))
     .filter(lambda form: bisection_count(reconstruct(form)) <= K_ORACLE_BISECTIONS)
 )

@@ -149,6 +149,14 @@ def test_booleanize_stdout(data, capsys):
     assert out.startswith("n 4\n")
 
 
+def test_booleanize_refuses_format(data, capsys):
+    # booleanize writes .ist text only
+    with pytest.raises(SystemExit) as e:
+        main(["booleanize", data("chain3.ist"), "--format", "json"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_booleanize_to_a_missing_directory_is_one_error_line(data, tmp_path, capsys):
     out_path = str(tmp_path / "missing" / "x.ist")
     assert main(["booleanize", data("i2.ist"), "--out", out_path]) == 1
@@ -347,7 +355,20 @@ def test_verify_json_is_deterministic(capsys):
 
 
 def test_verify_without_target_is_usage_error(capsys):
-    assert main(["verify"]) == 2
+    with pytest.raises(SystemExit) as e:
+        main(["verify"])
+    assert e.value.code == 2
+    assert "one of the arguments path --corpus is required" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_path_with_corpus(capsys):
+    # the path is not silently dropped for the corpus report
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "/nonexistent.ist", "--corpus"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --corpus: not allowed with argument path" in err
 
 
 def test_unknown_command_exits_2():

@@ -16,7 +16,6 @@ from biskit.corpus import (
 from biskit.errors import NotGroupoid, ParseError
 from biskit.groupoid import (
     Component,
-    ComponentForm,
     Gpd,
     _element_orders,
     coordinatize,
@@ -73,8 +72,7 @@ def test_component_form_shapes():
         "conn2z2": [(2, 2)],
     }
     for name, shape in cases.items():
-        cf = corpus_groupoid(name).form
-        got = [(c.identity_count, c.group.size) for c in cf.components]
+        got = [(c.identity_count, c.group.size) for c in corpus_groupoid(name).form]
         assert got == shape, name
 
 
@@ -101,9 +99,7 @@ def test_reconstruct_is_isomorphic():
 
 def test_reconstruct_numbers_arrows_by_row_column_group():
     groups = [Gpd(z3_table()), Gpd([[0, 1], [1, 0]]), Gpd([[0]])]
-    form = ComponentForm(
-        tuple(Component(n, grp, (), ()) for n, grp in zip((2, 1, 3), groups))
-    )
+    form = tuple(Component(n, grp, (), ()) for n, grp in zip((2, 1, 3), groups))
     g = reconstruct(form)
     assert g.size == 2 * 2 * 3 + 1 * 1 * 2 + 3 * 3 * 1
     want = {}  # (x, h, y) of component ci has id off + (x*n + y)*|H| + h
@@ -127,7 +123,7 @@ def test_reconstruct_numbers_arrows_by_row_column_group():
 def test_coordinatize_maps_onto_the_rebuilt_groupoid(name):
     g = corpus_groupoid(name)
     coords = coordinatize(g)
-    rebuilt = reconstruct(coords.form)
+    rebuilt = reconstruct(g.form)
     f = coords.rebuilt
     assert sorted(f) == list(range(rebuilt.size))
     for x in range(g.size):
@@ -193,11 +189,9 @@ def test_groups_with_the_same_element_orders_are_told_apart():
     assert groupoid_iso(z4z4, twisted) is None
     # both as components of one groupoid, against it with its ids reversed:
     # the components then tie on their signature in the other order
-    g = reconstruct(
-        ComponentForm((Component(1, z4z4, (), ()), Component(1, twisted, (), ())))
-    )
+    g = reconstruct((Component(1, z4z4, (), ()), Component(1, twisted, (), ())))
     h = Gpd([[None if v is None else 31 - v for v in r[::-1]] for r in g.ptable[::-1]])
-    assert group_iso(h.form.components[0].group, twisted) is not None
+    assert group_iso(h.form[0].group, twisted) is not None
     mp = groupoid_iso(g, h)
     assert mp is not None and is_groupoid_iso(g, h, mp)
 
@@ -214,7 +208,7 @@ def test_is_groupoid_iso_needs_a_bijection():
 def test_empty_groupoid_is_allowed():
     g = Gpd([])
     assert g.size == 0
-    assert g.form.components == ()
+    assert g.form == ()
 
 
 # -- associativity over composable triples against the full triple scan ---
@@ -311,7 +305,7 @@ def scanned_coordinates(g):
     each base identity found by a scan of every arrow; the loops are also
     checked to be the labels of the component's local group."""
     coord, rebuilt, off = [None] * g.size, [None] * g.size, 0
-    for ci, comp in enumerate(g.form.components):
+    for ci, comp in enumerate(g.form):
         ids = comp.identities
         base = ids[0]
         anchors = []

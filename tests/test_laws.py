@@ -27,7 +27,6 @@ from biskit.corpus import (
 from biskit.errors import NotBoolean
 from biskit.laws import (
     CONGRUENCE_SCAN_CAP,
-    CORE_LAW_KEYS,
     GROUPOID_LAWS,
     ROOK_ENUM_CAP,
     SEMIGROUP_LAWS,
@@ -40,6 +39,24 @@ from biskit.laws import (
     run_laws,
 )
 from test_rook import counted_validations
+
+# criterion names cmd_verify must be able to report individually
+CORE_LAW_KEYS = (
+    "l-and-r-order",
+    "wedge",
+    "fish",
+    "oj",
+    "buffs",
+    "restricted-product",
+    "eggs",
+    "chicken",
+    "pork",
+    "orthogonal",
+    "setminus-2",
+    "setminus-4",
+    "setminus-1-corrected",
+    "setminus-5-corrected",
+)
 
 
 def test_core_law_keys_registered():
@@ -87,7 +104,7 @@ def test_zero_free_skips_are_labelled():
 
 
 def test_selected_keys_only():
-    results = run_laws(corpus_semigroup("i2"), keys=("wedge", "fish"))
+    results = [r for r in run_laws(corpus_semigroup("i2")) if r.key in ("wedge", "fish")]
     assert [r.key for r in results] == ["wedge", "fish"]
     assert all(r.status == "pass" for r in results)
 
@@ -293,7 +310,7 @@ def test_non_fundamental_mu_quotient_is_checked(monkeypatch):
     # the quotient of i2 x z2zero by mu is a smaller table, checked once by
     # law idept-sep-kernel and given its own type monoid by type-fundamental
     c = Analysis(corpus_semigroup("i2xz2zero"))
-    c.tm, c.eps_reports
+    c.tm, c.eps_projections
     assert c.mu.quotient.size < c.s.size
     type_monoids = counted_type_monoids(monkeypatch)
     with counted_validations() as counts:
@@ -375,15 +392,14 @@ def test_one_ideal_certificate_per_carrier(monkeypatch):
 
 
 def forced_report(bs, mp, target=None):
-    """Analysis of bs whose one epsilon report, for the ideal {0}, projects
+    """Analysis of bs whose one epsilon projection, for the ideal {0}, maps
     onto target (bs itself by default) by mp, its cached
     weakly-meet-preserving verdict forced to True."""
     c = Analysis(bs)
     target = target or bs
     proj = biskit.boolean.Morphism(bs, target, mp)
     proj.__dict__["weakly_meet_preserving"] = True
-    ideal = biskit.boolean.AdditiveIdeal(frozenset({bs.zero}))
-    c.eps_reports = [(ideal, biskit.boolean.EpsilonReport(None, target, proj))]
+    c.eps_projections = [(frozenset({bs.zero}), proj)]
     return c
 
 
@@ -519,8 +535,10 @@ def test_certificates_hold_under_python_O():
         booleanization.groupoid_iso = real_iso
         bs = boolean.check_boolean(corpus_semigroup("i2")).structure
         bs.rc = lambda x, y: x  # x minus y answered as x
-        (result,) = run_laws(bs, keys=("orthogonal",))
+        (result,) = [r for r in run_laws(bs) if r.key == "orthogonal"]
         print(result.status, result.witness[1])
+        # a fresh i2: the laws above have kept the carriers of its ideals
+        bs = boolean.check_boolean(corpus_semigroup("i2")).structure
         z2 = boolean.check_boolean(corpus_semigroup("z2zero")).structure
         boolean.is_weakly_meet_preserving = lambda source, target, mp: False
         try:
@@ -601,9 +619,8 @@ def test_certificates_hold_under_python_O():
         top = pset.top
         proj = boolean.Morphism(pset, pset, (0, top, top, top))
         proj.__dict__["weakly_meet_preserving"] = True
-        ideal = boolean.AdditiveIdeal(frozenset({0}))
         a = Analysis(pset)
-        a.eps_reports = [(ideal, boolean.EpsilonReport(None, pset, proj))]
+        a.eps_projections = [(frozenset({0}), proj)]
         print("anja", law_anja(a))
 
         def exchanged(g):  # i2's arrows between its two identities exchanged,
@@ -790,6 +807,15 @@ def test_every_function_in_src_is_read():
     assert unread_functions(trees["src"], readers) == []
 
 
+def _dataclass_fields(c):
+    """The annotated fields of class node c when a @dataclass decorates it,
+    else None."""
+    called = [getattr(d, "func", d) for d in c.decorator_list]
+    if "dataclass" not in {getattr(d, "id", None) for d in called}:
+        return None
+    return [f for f in c.body if isinstance(f, ast.AnnAssign)]
+
+
 def unread_fields(trees, readers, exempt):
     """(module, class, field) of each field of a @dataclass class defined in
     trees, the classes named in exempt aside, that no tree in readers reads
@@ -805,13 +831,21 @@ def unread_fields(trees, readers, exempt):
         for c in ast.walk(tree):
             if not isinstance(c, ast.ClassDef) or (key[1], c.name) in exempt:
                 continue
-            called = [getattr(d, "func", d) for d in c.decorator_list]
-            if "dataclass" not in {getattr(d, "id", None) for d in called}:
-                continue
-            for f in c.body:
-                if isinstance(f, ast.AnnAssign) and f.target.id not in read:
+            for f in _dataclass_fields(c) or ():
+                if f.target.id not in read:
                     unread.append((key[1], c.name, f.target.id))
     return unread
+
+
+def one_field_dataclasses(trees):
+    """(module, class) of each @dataclass class in trees with exactly one
+    field."""
+    return [
+        (key[1], c.name)
+        for key, tree in trees.items()
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and len(_dataclass_fields(c) or ()) == 1
+    ]
 
 
 def test_every_dataclass_field_in_src_is_read():
@@ -848,6 +882,12 @@ def test_unread_fields_finds_each_form():
     found = unread_fields(trees, trees, set())
     assert found == [("m.py", "A", "unread"), ("m.py", "B", "unread")]
     assert unread_fields(trees, trees, {("m.py", "B")}) == [("m.py", "A", "unread")]
+    assert one_field_dataclasses(trees) == [("m.py", "B")]
+
+
+def test_no_dataclass_in_src_has_one_field():
+    # a one-field dataclass wraps a value its builder can return itself
+    assert one_field_dataclasses(repo_trees()["src"]) == []
 
 
 def _is_none_test(test, names):

@@ -23,7 +23,6 @@ from biskit.boolean import (
     check_multiplicative,
 )
 from biskit.core import (
-    Congruence,
     InvSgp,
     _congruence_scan,
     check_congruence,
@@ -80,7 +79,7 @@ def test_generator_passes_match_scans_on_corrupted_products(drawn):
     corruption, classes = drawn
     s = corrupted(*corruption).s
     k = s.size
-    assert check_congruence(s, Congruence(k, classes)) == _congruence_scan(s, classes)
+    assert check_congruence(s, classes) == _congruence_scan(s, classes)
 
     if _distributes_on_generators(s):
         assert _distributivity_failure(s) is None
@@ -163,7 +162,7 @@ def test_decisions_do_not_depend_on_the_generating_set(drawn):
     for generators in (biskit.core._generators, descending_id_generators):
         with mock.patch.object(biskit.core, "_generators", generators):
             s = InvSgp(table)
-            congruences = (mu_and_quotient(s).mu, Congruence(s.size, classes))
+            congruences = (mu_and_quotient(s).mu, classes)
             if entry is not None:
                 corrupt(s, *entry)
             assert s.associative_generators in (None, generators(s.table))

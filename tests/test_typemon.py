@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from biskit.boolean import AdditiveIdeal, check_boolean, direct_product
+from biskit.boolean import check_boolean, direct_product
 from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
 from biskit.errors import TooLarge
 from biskit.laws import Analysis
@@ -84,8 +84,8 @@ def test_ideal_triple_counts():
         a = Analysis(boolean(name))
         tri = ideal_triple(a.bs, a.tm, a.ideals, a.idem_ideals)
         assert tri.matched, name
-        assert len(tri.additive_ideals) == n, name
-        assert len(tri.idempotent_ideals) == n, name
+        assert len(a.ideals) == n, name
+        assert len(a.idem_ideals) == n, name
         assert len(set(tri.supports)) == n, name
         assert tri.simple_iff_rank_one, name
 
@@ -101,7 +101,7 @@ def test_ideal_triple_needs_inclusion_order_to_match():
     tm = SimpleNamespace(rank=3, tau=tau)
     carriers = [frozenset({0, x}) for x in range(7)] + [frozenset(range(8))]
     triple = ideal_triple(
-        SimpleNamespace(base=s), tm, [AdditiveIdeal(c) for c in carriers], carriers
+        SimpleNamespace(base=s), tm, carriers, carriers
     )
     assert not triple.matched
 
