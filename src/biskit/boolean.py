@@ -167,14 +167,9 @@ def check_boolean(s):
     complement = {}
     idem = s.idempotents
     for f in idem:
-        for e in idem:
-            if not s.leq[e][f]:
-                continue
-            wits = [
-                g
-                for g in idem
-                if s.leq[g][f] and s.table[g][e] == s.zero and jt[e][g] == f
-            ]
+        below = s.down[f]  # only idempotents lie below an idempotent
+        for e in below:
+            wits = [g for g in below if s.table[g][e] == s.zero and jt[e][g] == f]
             if len(wits) != 1:
                 return BooleanCheck(False, ("complement", e, f), None)
             complement[(f, e)] = wits[0]
@@ -286,7 +281,7 @@ def orthogonalize(bs, elems):
         if not s.orth[a][b]:
             raise CertificateFailed(("not-orthogonal", a, b))
     for t, x in zip(out, elems):
-        if not s.leq[t][x]:
+        if t not in s.down[x]:
             raise CertificateFailed(("not-below", t, x))
     if s.join_of(out) != s.join_of(elems):
         raise CertificateFailed(("join-differs", tuple(out), tuple(elems)))
@@ -644,9 +639,12 @@ def _atom_pencils(bs):
 def _check_pencil(s, pencil, e, f):
     """Raise CertificateFailed unless pencil is one from e to f: every
     range r(x) lies below f, and the domains d(x) join to e.  The
-    certificates of preceq and of law toby."""
+    certificates of preceq and of law toby.
+
+    r(x) <= f is read as f in up[r(x)]: the pencil reader found x through
+    down[f], so the check reads the order's other stored form."""
     for x in pencil:
-        if not s.leq[s.r[x]][f]:
+        if f not in s.up[s.r[x]]:
             raise CertificateFailed(("pencil-range-not-below", x, f))
     if s.join_of(s.d[x] for x in pencil) != e:
         raise CertificateFailed(("pencil-join-differs", pencil, e))

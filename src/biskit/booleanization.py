@@ -183,7 +183,7 @@ def _is_filter(s, subset):
                 return False
     for a in subset:
         for b in subset:
-            if not any(x in subset for x in s.down[a] if s.leq[x][b]):
+            if not any(x in subset for x in s.down[a] if x in s.down[b]):
                 return False
     return True
 
@@ -209,7 +209,7 @@ def enumerate_filters(s):
     """
     nonzero = [x for x in range(s.size) if x != s.zero]
     proper = [Filter(frozenset(s.up[x]), x) for x in nonzero]
-    minimal = {x for x in nonzero if all(not s.leq[y][x] for y in nonzero if y != x)}
+    minimal = {x for x in nonzero if set(s.down[x]) <= {x, s.zero}}
     ultra = tuple(f for f in proper if f.principal_at in minimal)
     return FilterReport(tuple(proper), ultra)
 

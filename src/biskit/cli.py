@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -17,7 +16,7 @@ from functools import cache
 
 from .boolean import check_boolean
 from .booleanization import booleanize, booleanization_iso
-from .core import DEFAULT_SIZE_CAP, parse_semigroup, semigroup_iso
+from .core import parse_semigroup, semigroup_iso
 from .corpus import (
     GROUPOID_BUILDERS,
     SEMIGROUP_BUILDERS,
@@ -127,14 +126,6 @@ def _read_boolean(path):
     return chk.structure
 
 
-def _size_cap():
-    value = os.environ.get("BISKIT_SIZE_CAP", str(DEFAULT_SIZE_CAP))
-    try:
-        return int(value)
-    except ValueError:
-        raise BiskitError(f"BISKIT_SIZE_CAP={value!r} is not an integer") from None
-
-
 def cmd_analyze(args):
     start = time.perf_counter()
     try:
@@ -224,7 +215,7 @@ def cmd_iso(args):
     s = _read_semigroup(args.paths[0])
     t = _read_semigroup(args.paths[1])
     if args.mode == "direct":
-        cert = semigroup_iso(s, t, cap=_size_cap())
+        cert = semigroup_iso(s, t)
     else:
         cert = booleanization_iso(s, t)
     isomorphic = cert is not None

@@ -301,16 +301,14 @@ class InvSgp:
         self.zero = zero
         self.d = tuple(rows[inv[a]][a] for a in range(k))
         self.r = tuple(rows[a][inv[a]] for a in range(k))
-        # a <= b iff a = b * d(a): the up-set of a is where column d(a) is a
+        # a <= b iff a = b * d(a): the up-set of a is where column d(a) is a.
+        # up and down, each the other's transpose and ascending, are the one
+        # stored form of the order: a <= b is a in down[b], or b in up[a]
         self.up = tuple(tuple(_positions(cols[da], a)) for a, da in enumerate(self.d))
-        leq, down = [], [[] for _ in range(k)]
+        down = [[] for _ in range(k)]
         for a, ups in enumerate(self.up):
-            row = [False] * k
             for b in ups:
-                row[b] = True
                 down[b].append(a)
-            leq.append(tuple(row))
-        self.leq = tuple(leq)
         self.down = tuple(map(tuple, down))
         if zero is None:
             self.atoms = None
@@ -696,17 +694,19 @@ def table_product(s, t):
 DEFAULT_SIZE_CAP = 24
 
 
-def semigroup_iso(s, t, cap=DEFAULT_SIZE_CAP):
+def semigroup_iso(s, t):
     """Search for a table isomorphism s -> t; None if there is none.
 
-    Plain backtracking with profile pruning.  Refuses carriers above cap
-    (SizeCapExceeded) rather than running unboundedly.
+    Plain backtracking with profile pruning.  Refuses carriers above
+    DEFAULT_SIZE_CAP (SizeCapExceeded) rather than running unboundedly.
     """
     if s.size != t.size:
         return None
-    if s.size > cap:
-        name = "DEFAULT_SIZE_CAP=" if cap == DEFAULT_SIZE_CAP else ""
-        raise SizeCapExceeded(f"carrier has {s.size} elements, above cap {name}{cap}")
+    if s.size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(
+            f"carrier has {s.size} elements, "
+            f"above cap DEFAULT_SIZE_CAP={DEFAULT_SIZE_CAP}"
+        )
     k = s.size
 
     def profile(u):

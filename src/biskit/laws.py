@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import getitem, itemgetter
+from operator import contains, getitem, itemgetter
 
 from .boolean import (
     BooleanCheck,
@@ -232,10 +232,9 @@ def law_l_and_r_order(c):
 def law_order_dr_monotone(c):
     s = c.s
     for a in range(s.size):
-        for b in range(s.size):
-            if s.leq[a][b]:
-                if not s.leq[s.d[a]][s.d[b]] or not s.leq[s.r[a]][s.r[b]]:
-                    return (a, b)
+        for b in s.up[a]:
+            if s.d[a] not in s.down[s.d[b]] or s.r[a] not in s.down[s.r[b]]:
+                return (a, b)
     return None
 
 
@@ -341,7 +340,7 @@ def law_restricted_product(c):
     witness.
     """
     s = c.s
-    t, leq, d, r = s.table, s.leq, s.d, s.r
+    t, down, d, r = s.table, s.down, s.d, s.r
     ids, es = range(s.size), sorted(set(r))
     at_e = [_picker(_positions(r, e)) for e in es]  # a row at the b with r(b) = e
     per_f = {}
@@ -349,7 +348,7 @@ def law_restricted_product(c):
         b2s = [at(t[f]) for at in at_e]
         r_b2 = ({r[b2] for b2 in group} for group in b2s)
         per_f[f] = (
-            all(map(getitem, map(leq.__getitem__, t[f]), ids)),
+            all(map(contains, down, t[f])),
             tuple(rs.pop() if len(rs) == 1 else -1 for rs in r_b2),
             list(map(_picker, b2s)),
         )
@@ -358,13 +357,13 @@ def law_restricted_product(c):
         a2s = [row[e] for e in es]
         if not (
             below
-            and all(leq[a2][a] for a2 in a2s)
+            and all(map(down[a].__contains__, a2s))
             and tuple(map(d.__getitem__, a2s)) == r_b2
             and all(at(t[a2]) == at_b(row) for at, at_b, a2 in zip(at_b2, at_e, a2s))
         ):
             for b in ids:
                 a2, b2 = row[r[b]], t[d[a]][b]
-                ordered = leq[a2][a] and leq[b2][b]
+                ordered = a2 in down[a] and b2 in down[b]
                 if not (ordered and d[a2] == r[b2] and t[a2][b2] == row[b]):
                     return (a, b)
     multiplies = _down_sets_multiply(s)
@@ -781,7 +780,7 @@ def law_orthogonal(c):
     """
     bs = c.bs
     s = bs.base
-    meet, orth, leq = s.meet_table, s.orth, s.leq
+    meet, orth, down = s.meet_table, s.orth, s.down
     # later[a]: the nonzero b > a compatible with a, ascending
     later = [
         [b for b in _above(p, a) if b != s.zero]
@@ -797,7 +796,7 @@ def law_orthogonal(c):
             t, j = bs.rc(y, m), bs.join(x, y)
         except (NotBelow, NotCompatible):
             return None
-        ok = orth[x][t] and leq[x][x] and leq[t][y] and s.join_of([x, t]) == j
+        ok = orth[x][t] and x in down[x] and t in down[y] and s.join_of([x, t]) == j
         return (t, j) if ok else None
 
     nonzero = s.nonzero()
@@ -961,7 +960,7 @@ def law_setminus_5_corrected(c):
     for cc in range(s.size):
         for b in s.down[cc]:
             for a in s.down[b]:
-                if not s.leq[bs.rc(cc, b)][bs.rc(cc, a)]:
+                if bs.rc(cc, b) not in s.down[bs.rc(cc, a)]:
                     return (a, b, cc)
     return None
 
@@ -1185,7 +1184,7 @@ def law_ale(c):
         da = rook_mul(rook_star(a), a)
         for k, b in enumerate(mats):
             entrywise = all(
-                s.leq[a.entries[i][j]][b.entries[i][j]]
+                a.entries[i][j] in s.down[b.entries[i][j]]
                 for i in range(2)
                 for j in range(2)
             )
@@ -1296,7 +1295,7 @@ def glaw_groupoids(c):
         return ("atoms-not-singletons",)
     for i, a in enumerate(kg.bisections):
         for j, b in enumerate(kg.bisections):
-            if s.leq[i][j] != (a <= b):
+            if (i in s.down[j]) != (a <= b):
                 return (i, j, "order-not-inclusion")
     pos = {next(iter(kg.bisections[i])): i for i in singles}
     ag = kg.structure.atoms_groupoid

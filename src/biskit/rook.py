@@ -240,10 +240,13 @@ def theta_iso(bs, decomposition):
     the preimage under rebuilt of the bisection target.bisections[iso[a]].
     An isomorphism preserves the natural order, hence joins and atoms, so
     every element is the join of the atoms below it.  Returns the
-    decomposition once rebuilt is checked; a rebuilt map that is not a
-    groupoid isomorphism raises CertificateFailed.
+    decomposition once rebuilt is checked.  CertificateFailed is raised for
+    a decomposition of another structure, one whose atoms are not bs's own
+    atoms groupoid, and for a rebuilt map that is not a groupoid isomorphism.
     """
     cert = decomposition
+    if cert.atoms is not bs.atoms_groupoid:
+        raise CertificateFailed(("decomposition-of-another-structure",))
     if not is_groupoid_iso(cert.atoms, cert.target.groupoid, cert.rebuilt):
         raise CertificateFailed(("atoms-not-carried",))
     return cert

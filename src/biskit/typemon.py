@@ -75,11 +75,10 @@ def type_monoid(bs):
             if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
     for e in s.idempotents:
-        for f in s.idempotents:
-            if s.leq[e][f]:
-                rest = tau[bs.rc(f, e)]
-                if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
-                    raise CertificateFailed(("complement-types-do-not-add", e, f))
+        for f in filter(s.is_idempotent, s.up[e]):
+            rest = tau[bs.rc(f, e)]
+            if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
+                raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, components, atomic, tau)
 
 

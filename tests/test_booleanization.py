@@ -150,7 +150,7 @@ def test_booleanization_iso_direct_cross_check():
     assert booleanization_iso(s, t) is not None
     bs, bt = booleanize(s).bs.base, booleanize(t).bs.base
     assert bs.size <= 8
-    assert semigroup_iso(bs, bt, cap=8) is not None
+    assert semigroup_iso(bs, bt) is not None
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from biskit.boolean import (
     idempotent_ideals,
     is_zero_simplifying,
 )
-from biskit.cli import Report, build_report, main
+from biskit.cli import Report, build_report, main, make_parser
 from biskit.core import InvSgp, is_fundamental, parse_semigroup
 from biskit.corpus import (
     BOOLEAN_NAMES,
@@ -149,6 +151,43 @@ def test_booleanize_stdout(data, capsys):
     assert out.startswith("n 4\n")
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_synopsis():
+    """{subcommand: {option: its choices, or None}} from the README's
+    `biskit ...` synopsis lines, the first sh block after "## CLI"."""
+    text = README.read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    out = {}
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "biskit", line
+        opts = re.findall(r"(--[a-z-]+)(?: ([a-z]+(?:\|[a-z]+)+))?", line)
+        out[words[1]] = {o: tuple(c.split("|")) if c else None for o, c in opts}
+    return out
+
+
+def parser_options():
+    """The same map, read off cli.make_parser()."""
+    (sub,) = (
+        a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            o: tuple(a.choices) if a.choices else None
+            for a in sp._actions
+            for o in a.option_strings
+            if o.startswith("--") and o != "--help"
+        }
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_readme_synopsis_names_every_parser_option():
+    assert readme_synopsis() == parser_options()
+
+
 def test_booleanize_refuses_format(data, capsys):
     # booleanize writes .ist text only
     with pytest.raises(SystemExit) as e:
@@ -260,21 +299,27 @@ def test_iso_direct_mode(data, capsys):
     assert "witness: [0, 1, 2, 3, 4, 5, 6]" in out
 
 
-def test_iso_direct_respects_size_cap(data, capsys, monkeypatch):
-    monkeypatch.setenv("BISKIT_SIZE_CAP", "3")
-    rc = main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err == "error: SizeCapExceeded: carrier has 7 elements, above cap 3\n"
+I3_ABOVE_CAP = "error: SizeCapExceeded: carrier has 34 elements, above cap DEFAULT_SIZE_CAP=24\n"
 
 
-def test_iso_direct_names_a_bad_size_cap(data, capsys, monkeypatch):
-    monkeypatch.setenv("BISKIT_SIZE_CAP", "abc")
-    rc = main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"])
+def test_iso_direct_respects_size_cap(data, capsys):
+    rc = main(["iso", data("i3.ist"), data("i3.ist"), "--mode", "direct"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: BiskitError: BISKIT_SIZE_CAP='abc' is not an integer\n"
+    assert err == I3_ABOVE_CAP
+
+
+def test_iso_direct_size_cap_ignores_the_environment(data, capsys, monkeypatch):
+    # the cap is a constant: the variable that once set it moves or breaks
+    # nothing
+    args = ["iso", data("i3.ist"), data("i3.ist"), "--mode", "direct", "--format", "json"]
+    for value in ("3", "abc", "100"):
+        monkeypatch.setenv("BISKIT_SIZE_CAP", value)
+        assert main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"]) == 0
+        assert "isomorphic: True" in capsys.readouterr().out
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", I3_ABOVE_CAP)
 
 
 def test_verify_good_file(data, capsys):

@@ -134,7 +134,11 @@ def test_mn_over_trivial_group_is_symmetric_inverse():
     m2 = build_Mn_G0(2, triv).structure.base
     m3 = build_Mn_G0(3, triv).structure.base
     assert semigroup_iso(m2, corpus_semigroup("i2")) is not None
-    assert semigroup_iso(m3, corpus_semigroup("i3"), cap=34) is not None
+    # i3 has 34 elements, above the direct search's cap: decompose's checked
+    # iso carries i3 onto K(3 x 1 x 3), whose table is m3's
+    cert = decompose(check_boolean(corpus_semigroup("i3")).structure)
+    assert cert.signature == ((3, 1, "trivial"),)
+    assert cert.target.table == m3.table
 
 
 def test_decompose_signatures():
@@ -478,6 +482,17 @@ def test_theta_iso_reads_the_held_decomposition():
     with pytest.raises(CertificateFailed) as e:
         theta_iso(bs, bad)
     assert e.value.witness == ("atoms-not-carried",)
+
+
+def test_theta_iso_refuses_a_decomposition_of_another_structure():
+    # i2 has 7 elements; z2zero's decomposition covers 3 of them
+    i2, z2zero = boolean("i2"), boolean("z2zero")
+    with pytest.raises(CertificateFailed) as e:
+        theta_iso(i2, decompose(z2zero))
+    assert e.value.witness == ("decomposition-of-another-structure",)
+    # a decomposition of an equal table built separately is another's too
+    with pytest.raises(CertificateFailed):
+        theta_iso(i2, decompose(boolean("i2")))
 
 
 # -- K of the rebuilt atoms, certified by decompose's isomorphism -----------
