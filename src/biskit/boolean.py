@@ -119,20 +119,21 @@ class BoolInvSgp:
         on first read.
 
         Labels give the original atom ids.  The product of two atoms, when
-        domain meets range, is checked to be an atom again; CertificateFailed
-        names a pair whose product is not.
+        domain meets range, both read off the table as the product is, is
+        checked to be an atom again; CertificateFailed names a pair whose
+        product is not.
         """
         s = self.base
         if s.zero is None:
             raise NoZero("atoms need a zero")
-        ats = s.atoms
+        t, inv, ats = s.table, s.inv, s.atoms
         index = {a: i for i, a in enumerate(ats)}
         m = len(ats)
         ptable = [[None] * m for _ in range(m)]
         for i, x in enumerate(ats):
             for j, y in enumerate(ats):
-                if s.d[x] == s.r[y]:
-                    p = s.table[x][y]
+                if t[inv[x]][x] == t[y][inv[y]]:
+                    p = t[x][y]
                     if p not in index:
                         raise CertificateFailed(("atom-product-not-atom", x, y, p))
                     ptable[i][j] = index[p]

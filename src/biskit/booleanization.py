@@ -41,8 +41,7 @@ from .groupoid import Gpd, groupoid_iso
 class Booleanization:
     source: InvSgp  # what the caller handed in
     source0: InvSgp  # same, or with a zero adjoined as the last id
-    groupoid: Gpd  # nonzero part of source0 under the restricted product
-    target: KOfGroupoid
+    target: KOfGroupoid  # its groupoid: source0's nonzero part, restricted product
     beta: tuple  # source0 id -> id in target.structure
 
     @property
@@ -85,7 +84,7 @@ def booleanize(s):
         check_multiplicative(s0, kg.structure, beta)
     except NotMultiplicative as ex:
         raise CertificateFailed(("beta-not-multiplicative", *ex.witness)) from None
-    return Booleanization(s, s0, g, kg, tuple(beta))
+    return Booleanization(s, s0, kg, tuple(beta))
 
 
 def gamma_extension(b, alpha, target):
@@ -129,10 +128,11 @@ def gamma_extension(b, alpha, target):
                 raise CertificateFailed(("join-below-alpha-missing", a, x))
         gamma1[a] = target.rc(alpha[a], j)
 
-    pos = {lab: i for i, lab in enumerate(b.groupoid.labels)}
+    labels = b.target.groupoid.labels
+    pos = {lab: i for i, lab in enumerate(labels)}
     gmap = []
     for k, aset in enumerate(b.target.bisections):
-        vals = [gamma1[b.groupoid.labels[i]] for i in sorted(aset)]
+        vals = [gamma1[labels[i]] for i in sorted(aset)]
         for v1, v2 in itertools.combinations(vals, 2):
             if not t.orth[v1][v2]:
                 raise CertificateFailed(("singletons-not-orthogonal", k, v1, v2))
@@ -168,12 +168,6 @@ def gamma_extension(b, alpha, target):
 # -- filters ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Filter:
-    carrier: frozenset
-    principal_at: int  # the minimum element generating the filter
-
-
 def _is_filter(s, subset):
     if not subset:
         return False
@@ -193,12 +187,13 @@ FILTER_SCAN_CAP = 12  # law universal-groupoid scans all 2^k subsets up to here
 
 @dataclass(frozen=True)
 class FilterReport:
-    proper: tuple  # of Filter
-    ultra: tuple  # of Filter, the maximal proper ones
+    proper: tuple  # of ids x, each for the filter up[x]
+    ultra: tuple  # of ids, the minimal nonzero ones: the ultrafilters' x
 
 
 def enumerate_filters(s):
-    """All proper filters of s; in a finite table each is an up-set x-up.
+    """All proper filters of s, each as the id x of its up-set up[x]: in a
+    finite table every proper filter is one.
 
     For nonzero x the up-set x-up is a proper filter with nothing to check:
     it is up-closed, as the order is transitive; down-directed, through x,
@@ -207,11 +202,9 @@ def enumerate_filters(s):
     raw scan of every subset with _is_filter, for carriers up to
     FILTER_SCAN_CAP.
     """
-    nonzero = [x for x in range(s.size) if x != s.zero]
-    proper = [Filter(frozenset(s.up[x]), x) for x in nonzero]
-    minimal = {x for x in nonzero if set(s.down[x]) <= {x, s.zero}}
-    ultra = tuple(f for f in proper if f.principal_at in minimal)
-    return FilterReport(tuple(proper), ultra)
+    nonzero = s.nonzero()
+    ultra = tuple(x for x in nonzero if set(s.down[x]) <= {x, s.zero})
+    return FilterReport(nonzero, ultra)
 
 
 def _up_closure(s, seed):
@@ -222,17 +215,18 @@ def _up_closure(s, seed):
     return frozenset(out)
 
 
-def filter_groupoid(s, filters):
-    """Partial product on filters: A*B is the up-closure of the setwise
-    product, defined when the domain filter of A is the range filter of B.
-    A product that is not among filters raises CertificateFailed.
+def filter_groupoid(s, ids):
+    """Partial product on the filters up[x], x in ids: A*B is the up-closure
+    of the setwise product, defined when the domain filter of A is the range
+    filter of B.  A product that is not among them raises CertificateFailed
+    naming the positions of A and B.
     """
-    carriers = [f.carrier for f in filters]
+    carriers = [frozenset(s.up[x]) for x in ids]
     index = {c: i for i, c in enumerate(carriers)}
     t, inv = s.table, s.inv
     doms = [_up_closure(s, {t[inv[y]][z] for y in a for z in a}) for a in carriers]
     rans = [_up_closure(s, {t[y][inv[z]] for y in b for z in b}) for b in carriers]
-    m = len(filters)
+    m = len(ids)
     ptable = [[None] * m for _ in range(m)]
     for i, a in enumerate(carriers):
         for j, b in enumerate(carriers):
@@ -242,7 +236,7 @@ def filter_groupoid(s, filters):
             if prod not in index:
                 raise CertificateFailed(("filter-product-not-listed", i, j))
             ptable[i][j] = index[prod]
-    return Gpd(ptable, labels=tuple(f.principal_at for f in filters))
+    return Gpd(ptable, labels=tuple(ids))
 
 
 def principal_map_is_iso(s, sub_ids, fg):
@@ -284,7 +278,7 @@ def booleanization_iso(s, t):
     names the first pair where it fails.
     """
     b_s, b_t = booleanize(s), booleanize(t)
-    gmap = groupoid_iso(b_s.groupoid, b_t.groupoid)
+    gmap = groupoid_iso(b_s.target.groupoid, b_t.target.groupoid)
     if gmap is None:
         return None
     induced = tuple(

@@ -50,10 +50,6 @@ class Report:
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 def _listify(x):
     if isinstance(x, (list, tuple)):
@@ -103,13 +99,12 @@ def build_report(s, timings=None):
     return rep
 
 
-def print_report(rep, fmt, out=None):
-    out = out or sys.stdout
+def print_report(rep, fmt):
     if fmt == "json":
-        print(rep.to_json(), file=out)
+        print(rep.to_json())
         return
     for key, value in asdict(rep).items():
-        print(f"{key}: {value}", file=out)
+        print(f"{key}: {value}")
 
 
 def _read_semigroup(path):

@@ -475,24 +475,30 @@ def d_relation_idempotents(s):
 def restricted_groupoid(s):
     """The partial-product structure on the nonzero ids.
 
-    x * y is kept exactly when d(x) = r(y); everything else is forgotten.
-    The result remembers which original ids its positions came from.
+    x * y is kept exactly when d(x) = r(y), both read off the table as the
+    products are; everything else is forgotten.  Row x is read only at the
+    y with r(y) = d(x).  The result remembers which original ids its
+    positions came from.  A kept product that is the zero raises
+    CertificateFailed naming x and y; on a validated table there is none,
+    as d(x*y) = y'*d(x)*y = d(y) is not the zero.
     """
     from .groupoid import Gpd  # local import, groupoid layer sits above core
 
-    carrier = list(range(s.size)) if s.zero is None else [
-        x for x in range(s.size) if x != s.zero
-    ]
+    carrier = s.nonzero()
+    t, inv = s.table, s.inv
     index = {x: i for i, x in enumerate(carrier)}
-    m = len(carrier)
-    ptable = [
-        [
-            index[s.table[x][y]] if s.d[x] == s.r[y] else None
-            for y in carrier
-        ]
-        for x in carrier
-    ]
-    return Gpd(ptable, labels=tuple(carrier))
+    by_range = {}
+    for j, y in enumerate(carrier):
+        by_range.setdefault(t[y][inv[y]], []).append((j, y))
+    ptable = [[None] * len(carrier) for _ in carrier]
+    for i, x in enumerate(carrier):
+        tx, row = t[x], ptable[i]
+        for j, y in by_range.get(t[inv[x]][x], ()):
+            p = index.get(tx[y])
+            if p is None:
+                raise CertificateFailed(("restricted-product-zero", x, y))
+            row[j] = p
+    return Gpd(ptable, labels=carrier)
 
 
 @dataclass(frozen=True)

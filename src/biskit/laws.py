@@ -56,10 +56,10 @@ from .core import (
     d_relation_idempotents,
     is_fundamental,
     mu_and_quotient,
+    restricted_groupoid,
 )
 from .errors import (
     BiskitError,
-    CertificateFailed,
     NotBelow,
     NotBoolean,
     NotCompatible,
@@ -389,7 +389,7 @@ def law_universal_groupoid(c):
     a filter missing from enumerate_filters, which is the witness."""
     s = c.s
     _skip_above(s, FILTER_SCAN_CAP, "FILTER_SCAN_CAP", "raw subset scan")
-    principal = {f.carrier for f in c.filters.proper}
+    principal = {frozenset(s.up[x]) for x in c.filters.proper}
     for m in range(1, 1 << s.size):
         subset = frozenset(i for i in range(s.size) if m >> i & 1)
         if s.zero not in subset and subset not in principal and _is_filter(s, subset):
@@ -409,7 +409,10 @@ def _filter_order(s):
     and u*g <= v*g is such a pair again, and so are those on the left.
     Then x >= a and y >= b give x*y >= a*y >= a*b (P2), and the up-closure
     of up[a]*up[b], which holds a*b (P1), is up[a*b].  With P3 the domain
-    filter of up[a] is up[a'*a], and the range filter of up[b] is up[b*b'].
+    filter of up[a] is up[a'*a], and the range filter of up[b] is up[b*b'],
+    so by P1 up[a]*up[b] is defined exactly when a'*a = b*b': x -> up[x] is
+    then an isomorphism from the restricted groupoid on the nonzero ids onto
+    the filter groupoid.
     """
     t, inv, up = s.table, s.inv, s.up
     masks = [_mask(u) for u in up]
@@ -427,46 +430,20 @@ def _filter_order(s):
     )
 
 
-def _filter_groupoid(c, filters):
-    """filter_groupoid(c.s, filters), read off the table when c.filter_order
-    holds and P5, each carrier is frozenset(up[principal_at]), does too.
-    By _filter_order the filters at a and b then compose when a'*a = b*b'
-    (P1), to the up-set of a*b, listed only as the filter at a*b.  Read in
-    the scan's (i, j) order, an unlisted product raises the same witness,
-    and Gpd validates the table as it does the scan's.  When a premise
-    fails, filter_groupoid, the setwise scan, decides.
-    """
-    s = c.s
-    t, inv, up = s.table, s.inv, s.up
-    carriers = (frozenset(up[f.principal_at]) for f in filters)
-    if not c.filter_order or any(f.carrier != u for f, u in zip(filters, carriers)):
-        return filter_groupoid(s, filters)
-    at = [f.principal_at for f in filters]
-    pos = {a: i for i, a in enumerate(at)}  # the last filter at a, as in the scan
-    by_range = {}
-    for j, b in enumerate(at):
-        by_range.setdefault(t[b][inv[b]], []).append(j)
-    ptable = [[None] * len(at) for _ in at]
-    for i, a in enumerate(at):
-        ta = t[a]
-        for j in by_range.get(t[inv[a]][a], ()):
-            p = pos.get(ta[at[j]])
-            if p is None:
-                raise CertificateFailed(("filter-product-not-listed", i, j))
-            ptable[i][j] = p
-    return Gpd(ptable, labels=tuple(at))
-
-
 def law_carre(c):
     """x -> up[x] is an isomorphism from the nonzero elements under the
     restricted product onto the proper filters under the up-closed setwise
     product.  When the order is compatible with product and inversion
-    (_filter_order), up[a]*up[b] closes up to up[a*b], defined exactly when
-    a'*a = b*b', so _filter_groupoid reads the filter groupoid off the
-    table; else the setwise scan builds it."""
+    (_filter_order) and the proper filters are the up[x] of the nonzero x,
+    up[a]*up[b] closes up to up[a*b], defined exactly when a'*a = b*b', so
+    the filter groupoid is the restricted groupoid; else the setwise scan
+    builds it."""
     s = c.s
-    fg = _filter_groupoid(c, c.filters.proper)
-    nonzero = [x for x in range(s.size) if x != s.zero]
+    nonzero = s.nonzero()
+    if c.filter_order and c.filters.proper == nonzero:
+        fg = restricted_groupoid(s)
+    else:
+        fg = filter_groupoid(s, c.filters.proper)
     if not principal_map_is_iso(s, nonzero, fg):
         return ("filter-groupoid-mismatch",)
     return None
@@ -1223,16 +1200,16 @@ def law_discrete_topology(c):
     isomorphism from the atoms under the restricted product onto their
     groupoid.  As for law carre, when the order is compatible with product
     and inversion (_filter_order), up[a]*up[b] closes up to up[a*b],
-    defined exactly when a'*a = b*b', and _filter_groupoid reads it off the
-    table; else the setwise scan builds it."""
+    defined exactly when a'*a = b*b', so the ultrafilter groupoid is the
+    atoms groupoid; else the setwise scan builds it."""
     s = c.s
     ultra = c.filters.ultra
     if len(ultra) != len(s.atoms):
         return (len(ultra), len(s.atoms))
-    if {f.principal_at for f in ultra} != c.atom_set:
+    if set(ultra) != c.atom_set:
         return ("ultrafilter-generators",)
-    ufg = _filter_groupoid(c, ultra)
-    if not principal_map_is_iso(s, list(s.atoms), ufg):
+    ufg = c.bs.atoms_groupoid if c.filter_order else filter_groupoid(s, ultra)
+    if not principal_map_is_iso(s, s.atoms, ufg):
         return ("ultrafilter-groupoid",)
     return None
 

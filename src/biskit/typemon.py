@@ -24,7 +24,6 @@ MATRIX_IDEMPOTENT_CAP = 100_000
 @dataclass(frozen=True)
 class TypeMonoid:
     rank: int
-    components: tuple  # per component, the frozenset of atom ids (all atoms)
     atomic_idempotents: tuple  # per component, frozenset of atomic idempotents
     tau: dict  # idempotent id -> tuple of per-component counts
 
@@ -43,13 +42,10 @@ def type_monoid(bs):
     comps = sorted(
         ag.form, key=lambda c: min(ag.labels[t] for t in c.member_ids)
     )
-    components = tuple(
-        frozenset(ag.labels[t] for t in c.member_ids) for c in comps
-    )
     atomic = tuple(
         frozenset(ag.labels[e] for e in c.identities) for c in comps
     )
-    rank = len(components)
+    rank = len(atomic)
     atom_set = set(s.atoms)
     tau = {}
     for e in s.idempotents:
@@ -79,7 +75,7 @@ def type_monoid(bs):
             rest = tau[bs.rc(f, e)]
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
-    return TypeMonoid(rank, components, atomic, tau)
+    return TypeMonoid(rank, atomic, tau)
 
 
 def refinement_check(tm):
@@ -115,7 +111,6 @@ class IdealTriple:
     and coordinate supports of the count-vector monoid; the first two are
     ideal_triple's inputs."""
 
-    supports: tuple
     matched: bool
     simple_iff_rank_one: bool
 
@@ -131,7 +126,7 @@ def ideal_triple(bs, tm, ideals, idem_ideals):
     )
     simple_iff = (tm.rank == 1) == (len(ideals) == 2)
     matched = _ideals_match(bs.base, tm, ideals, idem_ideals, supports)
-    return IdealTriple(tuple(supports), matched, simple_iff)
+    return IdealTriple(matched, simple_iff)
 
 
 def _by_size(f):
@@ -169,14 +164,12 @@ def _ideals_match(s, tm, ideals, idem_ideals, supports):
 
 
 def _atom_edges(bs):
-    """The atomic idempotents, ascending, and the least witness x with
-    d(x) = p and r(x) = q per pair of them with one, read off the atoms
-    groupoid: an x whose d(x) is an atom is an atom.  Existence of a
-    witness is the edge relation."""
+    """The least witness x with d(x) = p and r(x) = q per pair of atomic
+    idempotents with one, read off the atoms groupoid: an x whose d(x) is an
+    atom is an atom.  Existence of a witness is the edge relation."""
     ag = bs.atoms_groupoid
     label = ag.labels.__getitem__
-    edges = {(label(p), label(q)): label(xs[0]) for (p, q), xs in ag.hom.items()}
-    return list(map(label, ag.identities)), edges
+    return {(label(p), label(q)): label(xs[0]) for (p, q), xs in ag.hom.items()}
 
 
 def _slots(s, diag):
@@ -251,7 +244,6 @@ class MatrixOracle:
     partition_agrees: bool  # matrix classes == summed count-vector classes
     witnesses_verified: bool  # every merge had a checked matrix witness
     separation_ok: bool  # orthogonal representatives exist for all sums
-    atom_sums: tuple  # ((atoms...), class id, vector) rows for sums <= n atoms
 
 
 def type_via_matrices(bs, n, tm):
@@ -273,7 +265,7 @@ def type_via_matrices(bs, n, tm):
             f"{len(idem)}^{n} = {len(idem) ** n} diagonal idempotents, "
             f"above cap MATRIX_IDEMPOTENT_CAP={MATRIX_IDEMPOTENT_CAP}"
         )
-    atomic, edges = _atom_edges(bs)
+    edges = _atom_edges(bs)
 
     diags = list(itertools.product(idem, repeat=n))
     slots = {diag: _slots(s, diag) for diag in diags}
@@ -345,17 +337,10 @@ def type_via_matrices(bs, n, tm):
             if sums[both] != want:
                 separation_ok = False
 
-    atom_sums = []
-    for k in range(n + 1):
-        for combo in itertools.combinations_with_replacement(atomic, k):
-            diag = tuple(combo) + (s.zero,) * (n - k)
-            atom_sums.append((combo, class_of[diag], sums[diag]))
-
     return MatrixOracle(
         partition_agrees=partition_agrees,
         witnesses_verified=witnesses_verified,
         separation_ok=separation_ok,
-        atom_sums=tuple(atom_sums),
     )
 
 

@@ -67,8 +67,7 @@ def test_analyze_text(data, capsys):
 def test_analyze_json_roundtrip(data, capsys):
     assert main(["analyze", data("i2xz2zero.ist"), "--format", "json"]) == 0
     text = capsys.readouterr().out
-    rep = Report.from_json(text)
-    assert rep == Report(**json.loads(text))
+    rep = Report(**json.loads(text))
     assert rep.validity
     assert rep.type_monoid_rank == 2
     assert rep.tau[-1] == [12, [2, 1]]
@@ -186,6 +185,14 @@ def parser_options():
 
 def test_readme_synopsis_names_every_parser_option():
     assert readme_synopsis() == parser_options()
+
+
+def test_readme_library_entry_points_run():
+    # the first python block after "## Library entry points" imports names
+    # that exist
+    text = README.read_text().split("## Library entry points", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
 
 
 def test_booleanize_refuses_format(data, capsys):

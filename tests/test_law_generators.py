@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import biskit.laws as laws
-from biskit.booleanization import Filter, FilterReport, filter_groupoid
-from biskit.core import InvSgp, _generators
+from biskit.booleanization import FilterReport, filter_groupoid
+from biskit.core import InvSgp, _generators, restricted_groupoid
 from biskit.corpus import (
     BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
@@ -28,7 +28,6 @@ from biskit.laws import (
     _down_sets_multiply,
     _eggs_pairs_by_atoms,
     _eggs_scan,
-    _filter_groupoid,
     _fish_on_generators,
     _oj_on_generators,
     _setminus_2_on_generators,
@@ -323,16 +322,21 @@ def test_passes_decline_on_a_failed_premise(premise):
         assert got[0] == "returned"
 
 
-# -- the filter groupoid read off the table ----------------------------------
+# -- the filter groupoids are the restricted and the atoms groupoid ----------
 
 
 def assert_filter_groupoids_match_the_scan(table):
+    """The groupoids laws carre and discrete-topology read when the order is
+    compatible with product and inversion, against the setwise scan: the
+    restricted groupoid for the proper filters, and for a Boolean table the
+    atoms groupoid for the ultrafilters."""
     c = Analysis(InvSgp(table))
-    for filters in (c.filters.proper, c.filters.ultra):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(laws, "filter_groupoid", refuse("filter_groupoid"))
-            got = _filter_groupoid(c, filters)
-        want = filter_groupoid(c.s, filters)
+    assert c.filter_order
+    read = [(restricted_groupoid(c.s), c.filters.proper)]
+    if c.bs is not None:
+        read.append((c.bs.atoms_groupoid, c.filters.ultra))
+    for got, ids in read:
+        want = filter_groupoid(c.s, ids)
         assert (got.ptable, got.labels) == (want.ptable, want.labels)
 
 
@@ -375,20 +379,6 @@ def with_inv(name, a, value):
     return c
 
 
-def with_filter(name, k, carrier):
-    """Analysis of a corpus table whose k-th proper filter, an ultrafilter
-    too, has the given carrier."""
-    c = Analysis(corpus_semigroup(name))
-    report = c.filters
-    f = report.proper[k]
-    moved = Filter(frozenset(carrier), f.principal_at)
-    c.filters = FilterReport(
-        tuple(moved if g is f else g for g in report.proper),
-        tuple(moved if g is f else g for g in report.ultra),
-    )
-    return c
-
-
 def without_first_filter(name):
     c = Analysis(corpus_semigroup(name))
     c.filters = FilterReport(c.filters.proper[1:], c.filters.ultra)
@@ -399,8 +389,9 @@ def without_first_filter(name):
 # alone: powerset2 is 0, atoms 1 and 2, top 3; z2zero is the group {1, 2}
 # with a zero 0 adjoined; i2 is 0, the idempotent atoms 1 and 4, the atoms 2
 # and 3 (each the other's inverse), the identity 5 and the swap 6.  On the
-# P5 and subset tables _filter_order holds; on the subset table the pass
-# reads the groupoid and raises the scan's witness
+# subset table _filter_order holds, but the proper filters are not those of
+# every nonzero element: law carre scans and raises the unlisted product,
+# and law discrete-topology reads the atoms groupoid
 FILTER_PREMISES = {
     "P1 up[a] misses a": lambda: with_up("powerset2", (3,), ()),
     "P1 two equal up-sets": lambda: with_up("z2zero", (1, 2), (1, 2)),
@@ -408,13 +399,12 @@ FILTER_PREMISES = {
     "P3 inverse not monotone": lambda: with_inv("powerset2", 3, 0),  # 1 <= 3, 1' not <= 3' = 0
     # 1 <= 2, but 1*1 = 1 is not below 2*1 = 0
     "P4 product not monotone": lambda: with_up("powerset2", (1,), (1, 2, 3)),
-    "P5 carrier not up[a]": lambda: with_filter("i2", 0, {1}),
     "Light": lambda: corrupted("z3zero", "table", 0, 2, 3),  # not associative
     "subset": lambda: without_first_filter("i2"),
 }
-# the premises without which the groupoid read off the table would differ
-# from the scan's on these tables; "a <= a" fails alone only at the top of
-# powerset2, whose filter, read either way, has no member to multiply
+# the premises without which the restricted groupoid would differ from the
+# scan's filter groupoid on these tables; "a <= a" fails alone only at the
+# top of powerset2, whose filter, read either way, has no member to multiply
 NEEDED = ("P1 two equal up-sets", "P2 not transitive", "P3", "P4")
 
 
@@ -422,7 +412,7 @@ NEEDED = ("P1 two equal up-sets", "P2 not transitive", "P3", "P4")
 def test_filter_pass_declines_on_a_failed_premise(premise, monkeypatch):
     make = FILTER_PREMISES[premise]
     c = make()
-    assert c.filter_order is premise.startswith(("P5", "subset"))
+    assert c.filter_order is (premise == "subset")
     scans = []
 
     def counted(s, filters):
@@ -435,7 +425,7 @@ def test_filter_pass_declines_on_a_failed_premise(premise, monkeypatch):
         (law_discrete_topology, oracle_discrete_topology),
     ):
         assert outcome(law, c) == outcome(oracle, c), law.__name__
-    assert bool(scans) is (premise != "subset")
+    assert len(scans) == (1 if premise == "subset" else 2)
     if premise == "subset":
         got = outcome(law_carre, c)
         assert got[:2] == ("raised", "CertificateFailed")

@@ -5,9 +5,12 @@ Each oracle below is the per-element loop a law's pass or kernel replaced,
 kept verbatim.  Laws fish, oj, setminus-2, setminus-4, definition and eggs
 fall back to the same loop when their pass declines, which names the
 witness; laws carre and discrete-topology fall back to the setwise filter
-scan, filter_groupoid.  Law and oracle must return the same witness, or raise
-the same error, on the corpus, on generated products, on structures with
-one corrupted table entry, which makes the passes decline, and on the
+scan, filter_groupoid, which their oracles always run.  Where the order is
+compatible, those laws read the restricted and the atoms groupoid instead,
+which name a composable pair with an unlisted product by its ids, and the
+oracles name it so too.  Law and oracle must return the same witness, or
+raise the same error, on the corpus, on generated products, on structures
+with one corrupted table entry, which makes the passes decline, and on the
 corpus with every pass made to decline.  Law orthogonal calls
 orthogonalize, its oracle's loop, on each family its cached steps miss.
 The oracles read the order where the laws do, off down, so a corrupted
@@ -361,7 +364,17 @@ def oracle_principal_map_is_iso(s, sub_ids, fg):
 
 def oracle_carre(c):
     s = c.s
-    fg = filter_groupoid(s, c.filters.proper)
+    proper = c.filters.proper
+    try:
+        fg = filter_groupoid(s, proper)
+    except CertificateFailed as e:
+        # where law carre reads the restricted groupoid, it names a composable
+        # pair whose product is the zero by its ids
+        _, i, j = e.witness
+        x, y = proper[i], proper[j]
+        if c.filter_order and proper == s.nonzero() and s.table[x][y] == s.zero:
+            raise CertificateFailed(("restricted-product-zero", x, y)) from None
+        raise
     nonzero = [x for x in range(s.size) if x != s.zero]
     if not oracle_principal_map_is_iso(s, nonzero, fg):
         return ("filter-groupoid-mismatch",)
@@ -373,9 +386,19 @@ def oracle_discrete_topology(c):
     ultra = c.filters.ultra
     if len(ultra) != len(s.atoms):
         return (len(ultra), len(s.atoms))
-    if {f.principal_at for f in ultra} != c.atom_set:
+    if set(ultra) != c.atom_set:
         return ("ultrafilter-generators",)
-    ufg = filter_groupoid(s, ultra)
+    try:
+        ufg = filter_groupoid(s, ultra)
+    except CertificateFailed as e:
+        # where law discrete-topology reads the atoms groupoid, it names a
+        # composable pair of atoms whose product is no atom by its ids
+        _, i, j = e.witness
+        x, y = ultra[i], ultra[j]
+        p = s.table[x][y]
+        if c.filter_order and p not in c.atom_set:
+            raise CertificateFailed(("atom-product-not-atom", x, y, p)) from None
+        raise
     if not oracle_principal_map_is_iso(s, list(s.atoms), ufg):
         return ("ultrafilter-groupoid",)
     return None
@@ -823,15 +846,15 @@ def oracle_atom_pencils(s):
 
 
 def oracle_atom_edges(s):
-    """The atomic idempotents, and the least witness x with d(x) = p and
-    r(x) = q per pair of them with one, from a scan of every element."""
+    """The least witness x with d(x) = p and r(x) = q per pair of atomic
+    idempotents with one, from a scan of every element."""
     atomic = [e for e in s.atoms if s.is_idempotent(e)]
     wit = {}
     for x in range(s.size):
         p, q = s.d[x], s.r[x]
         if p in atomic and q in atomic and (p, q) not in wit:
             wit[(p, q)] = x
-    return atomic, wit
+    return wit
 
 
 # closures law smallest runs: one per set of components of the atoms

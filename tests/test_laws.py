@@ -140,7 +140,24 @@ def test_universal_groupoid_finds_an_unlisted_filter():
     assert law_universal_groupoid(a) is None
     dropped, *kept = a.filters.proper
     a.filters = type(a.filters)(tuple(kept), a.filters.ultra)
-    assert law_universal_groupoid(a) == (tuple(sorted(dropped.carrier)),)
+    assert law_universal_groupoid(a) == (a.s.up[dropped],)
+
+
+def test_run_laws_reports_a_zero_restricted_product_as_two_failures():
+    # powerset2 (0, atoms 1 and 2, top 3) with 1*1 read as 0: d(1) = r(1)
+    # = 0 on that table, so 1 * 1 is kept in the restricted groupoid and is
+    # the zero
+    s = corpus_semigroup("powerset2")
+    rows = [list(r) for r in s.table]
+    rows[1][1] = 0
+    s.table = tuple(map(tuple, rows))
+    results = run_laws(s)
+    assert [r.key for r in results] == [key for key, _, _ in SEMIGROUP_LAWS]
+    raised = ("raised", "CertificateFailed", "certificate failed: "
+              "('restricted-product-zero', 1, 1)")
+    by_key = {r.key: r for r in results}
+    for key in ("carre", "booleanization-finite"):
+        assert (by_key[key].status, by_key[key].witness) == ("fail", raised), key
 
 
 def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
