@@ -219,6 +219,9 @@ def group_name(g):
         return "V4"
     if n == 6:
         return "S3"
+    if n == 8:  # not cyclic: told apart by how many elements have order 1, 2, 4
+        counts = tuple(map(orders.count, (1, 2, 4)))
+        return {(1, 3, 4): "Z2xZ4", (1, 7, 0): "Z2^3", (1, 5, 2): "D4", (1, 1, 6): "Q8"}[counts]
     return f"G{n}"
 
 

@@ -81,6 +81,7 @@ from .rook import (
     rook_matrix,
     rook_mul,
     rook_star,
+    rook_violation,
     theta_iso,
 )
 from .typemon import (
@@ -1128,16 +1129,19 @@ def law_factorization(c):
 
 
 def law_ale(c):
+    """The 2x2 rook matrices form an inverse monoid ordered entrywise: b(a'a)
+    = a exactly when a <= b entrywise.  a'a takes few values, so b(a'a) is
+    computed once per pair (b, a'a)."""
     bs = c.bs
     s = bs.base
     _skip_above(s, ROOK_ENUM_CAP, "ROOK_ENUM_CAP", "2x2 matrix enumeration")
-    mats = []
-    for quad in itertools.product(range(s.size), repeat=4):
-        entries = [list(quad[:2]), list(quad[2:])]
-        try:
-            mats.append(rook_matrix(bs, entries))
-        except ValueError:
-            continue
+    quads = itertools.product(range(s.size), repeat=4)
+    candidates = (((p, q), (r, t)) for p, q, r, t in quads)
+    mats = [
+        rook_matrix(bs, entries)
+        for entries in candidates
+        if rook_violation(bs, 2, entries) is None
+    ]
     ident = identity_rook(bs, 2)
     z = s.zero
     for a in mats:
@@ -1156,20 +1160,37 @@ def law_ale(c):
         )
         if (sq.entries == a.entries) != diag_idem:
             return (a.entries, "idempotent-shape")
-    below = {}  # (index of b, a'a) -> b(a'a) entries; a'a takes few values
+    downs = [tuple(map(s.down.__getitem__, b.entries[0] + b.entries[1])) for b in mats]
+
+    def order_witness(a, products):
+        """(a, b, "order") for the first b, of the first len(products) of
+        mats, where b(a'a) = a and a <= b entrywise disagree, or None."""
+        flat = a.entries[0] + a.entries[1]
+        equal = [p == a.entries for p in products]
+        entrywise = [all(map(contains, d, flat)) for d in downs[: len(products)]]
+        if equal == entrywise:
+            return None
+        k = next(k for k, (e, w) in enumerate(zip(equal, entrywise)) if e != w)
+        return (a.entries, mats[k].entries, "order")
+
+    by_da = {}  # a'a entries -> b(a'a) entries for each b of mats, in order
     for a in mats:
         da = rook_mul(rook_star(a), a)
-        for k, b in enumerate(mats):
-            entrywise = all(
-                a.entries[i][j] in s.down[b.entries[i][j]]
-                for i in range(2)
-                for j in range(2)
-            )
-            key = (k, da.entries)
-            if key not in below:
-                below[key] = rook_mul(b, da).entries
-            if (below[key] == a.entries) != entrywise:
-                return (a.entries, b.entries, "order")
+        products = by_da.get(da.entries)
+        if products is None:
+            products = by_da[da.entries] = []
+            try:
+                for b in mats:
+                    products.append(rook_mul(b, da).entries)
+            except Exception:
+                # a is compared with each b before the product that raised
+                bad = order_witness(a, products)
+                if bad is not None:
+                    return bad
+                raise
+        bad = order_witness(a, products)
+        if bad is not None:
+            return bad
     return None
 
 

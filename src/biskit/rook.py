@@ -37,68 +37,73 @@ def rook_violation(base, n, entries):
     """Witness against the rook conditions, or None.
 
     Two entries in one row must have orthogonal ranges (a' * b = 0); two in
-    one column orthogonal domains (a * b' = 0).
+    one column orthogonal domains (a * b' = 0).  Every pair of positions is
+    tested, zero entries included, rows first.
     """
     s = base.base
-    z = s.zero
-    for i in range(n):
-        for j1, j2 in itertools.combinations(range(n), 2):
-            a, b = entries[i][j1], entries[i][j2]
-            if s.table[s.inv[a]][b] != z:
+    table, inv, z = s.table, s.inv, s.zero
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, row in enumerate(entries):
+        for j1, j2 in pairs:
+            if table[inv[row[j1]]][row[j2]] != z:
                 return ("row", i, j1, j2)
-    for j in range(n):
-        for i1, i2 in itertools.combinations(range(n), 2):
-            a, b = entries[i1][j], entries[i2][j]
-            if s.table[a][s.inv[b]] != z:
+    for j, col in enumerate(zip(*entries)):
+        for i1, i2 in pairs:
+            if table[col[i1]][inv[col[i2]]] != z:
                 return ("col", j, i1, i2)
     return None
 
 
-def rook_matrix(base, entries):
-    entries = tuple(tuple(r) for r in entries)
+def _checked(base, entries):
+    """The rook matrix of a square tuple of row tuples; ValueError names the
+    first rook condition it fails."""
     n = len(entries)
-    if any(len(r) != n for r in entries):
-        raise DimensionMismatch("rook matrix must be square")
     bad = rook_violation(base, n, entries)
     if bad is not None:
         raise ValueError(f"rook condition fails: {bad}")
     return RookMatrix(base, n, entries)
 
 
+def rook_matrix(base, entries):
+    entries = tuple(tuple(r) for r in entries)
+    if any(len(r) != len(entries) for r in entries):
+        raise DimensionMismatch("rook matrix must be square")
+    return _checked(base, entries)
+
+
 def rook_mul(a, b):
     """Matrix product; each entry is an orthogonal join of entrywise terms.
 
     Two terms of one entry that are not orthogonal raise CertificateFailed.
+    An entry with one nonzero term is that term, one with none the zero.
     """
     if a.base is not b.base or a.n != b.n:
         raise DimensionMismatch("rook product needs one base and one size")
-    base, n = a.base, a.n
+    base = a.base
     s = base.base
+    table, z = s.table, s.zero
+    cols = tuple(zip(*b.entries))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = [
-                s.table[a.entries[i][k]][b.entries[k][j]] for k in range(n)
-            ]
-            terms = [t for t in terms if t != s.zero]
+    for i, row in enumerate(a.entries):
+        out_row = []
+        for j, col in enumerate(cols):
+            terms = [t for x, y in zip(row, col) if (t := table[x][y]) != z]
+            if len(terms) < 2:
+                out_row.append(terms[0] if terms else z)
+                continue
             for t1, t2 in itertools.combinations(terms, 2):
                 if not s.orth[t1][t2]:
                     raise CertificateFailed(("terms-not-orthogonal", i, j, t1, t2))
-            row.append(base.join_of(terms))
-        out.append(tuple(row))
-    return rook_matrix(base, out)
+            out_row.append(base.join_of(terms))
+        out.append(tuple(out_row))
+    return _checked(base, tuple(out))
 
 
 def rook_star(a):
     """Transpose with inverted entries; a = a * a'(star) * a always holds."""
-    s = a.base.base
-    return rook_matrix(
-        a.base,
-        tuple(
-            tuple(s.inv[a.entries[j][i]] for j in range(a.n))
-            for i in range(a.n)
-        ),
+    inv = a.base.base.inv
+    return _checked(
+        a.base, tuple(tuple(map(inv.__getitem__, col)) for col in zip(*a.entries))
     )
 
 

@@ -56,9 +56,10 @@ def type_monoid(bs):
 
     if tau[s.zero] != (0,) * rank:
         raise CertificateFailed(("zero-type-not-zero", tau[s.zero]))
+    t, z = s.table, s.zero
     for e in s.idempotents:
         for f in s.idempotents:
-            if s.orth[e][f]:
+            if t[e][f] == z:  # e'f = ef' = ef: orthogonal
                 j = s.join_table[e][f]
                 if tau[j] != tuple(x + y for x, y in zip(tau[e], tau[f])):
                     raise CertificateFailed(("orthogonal-join-types-do-not-add", e, f))
@@ -80,18 +81,20 @@ def type_monoid(bs):
 
 def refinement_check(tm):
     """Whenever realized vectors satisfy a1+a2 = b1+b2, a common refinement
-    exists; and only the zero vector is invertible."""
+    exists; and only the zero vector is invertible.  The ordered pairs are
+    grouped by their sum, so only quadruples with equal sums are formed."""
     realized = sorted(set(tm.tau.values()))
 
     def add(u, v):
         return tuple(x + y for x, y in zip(u, v))
 
+    by_sum = {}
     for u, v in itertools.product(realized, repeat=2):
-        if add(u, v) == (0,) * tm.rank and (any(u) or any(v)):
-            return False
-    for a1, a2, b1, b2 in itertools.product(realized, repeat=4):
-        if add(a1, a2) != add(b1, b2):
-            continue
+        by_sum.setdefault(add(u, v), []).append((u, v))
+    if any(any(u) or any(v) for u, v in by_sum.get((0,) * tm.rank, ())):
+        return False
+    quads = (q for pairs in by_sum.values() for q in itertools.product(pairs, repeat=2))
+    for (a1, a2), (b1, b2) in quads:
         c11 = tuple(min(x, y) for x, y in zip(a1, b1))
         c12 = tuple(x - y for x, y in zip(a1, c11))
         c21 = tuple(x - y for x, y in zip(b1, c11))
@@ -234,8 +237,9 @@ def _witness_matrix(bs, n, left, right, pairs, left_diag, right_diag, edges):
         [bs.join_of(cells.get((i, j), ())) for j in range(n)] for i in range(n)
     ]
     x = rook_matrix(bs, entries)
-    dx = rook_mul(rook_star(x), x)
-    rx = rook_mul(x, rook_star(x))
+    xs = rook_star(x)
+    dx = rook_mul(xs, x)
+    rx = rook_mul(x, xs)
     return x, _is_diag(dx, right_diag, s.zero) and _is_diag(rx, left_diag, s.zero)
 
 
@@ -325,9 +329,10 @@ def type_via_matrices(bs, n, tm):
                 y = [[s.zero] * n for _ in range(n)]
                 y[1][0] = f
                 ym = rook_matrix(bs, y)
+                ys = rook_star(ym)
                 shift_ok[f] = (
-                    _is_diag(rook_mul(rook_star(ym), ym), shifted, s.zero)
-                    and _is_diag(rook_mul(ym, rook_star(ym)), d2, s.zero)
+                    _is_diag(rook_mul(ys, ym), shifted, s.zero)
+                    and _is_diag(rook_mul(ym, ys), d2, s.zero)
                     and class_of[shifted] == class_of[d2]
                 )
             if not shift_ok[f]:

@@ -26,6 +26,7 @@ from biskit.groupoid import (
     parse_groupoid,
     reconstruct,
 )
+from biskit.rook import build_Mn_G0, decompose
 from generated import i4_subsemigroup_tables
 
 
@@ -76,12 +77,59 @@ def test_component_form_shapes():
         assert got == shape, name
 
 
+def d4_table():
+    # the symmetries of a square: permutations of its corners 0..3 that
+    # keep neighbours neighbours
+    perms = [
+        p for p in itertools.permutations(range(4))
+        if all((p[(x + 1) % 4] - p[x]) % 4 in (1, 3) for x in range(4))
+    ]
+    idx = {p: i for i, p in enumerate(perms)}
+    return [[idx[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+
+
+def q8_table():
+    # the units +-1, +-i, +-j, +-k as quaternions (a, b, c, d) = a + bi + cj + dk
+    units = [tuple(sign * (i == k) for i in range(4)) for k in range(4) for sign in (1, -1)]
+    idx = {u: i for i, u in enumerate(units)}
+
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    return [[idx[mul(p, q)] for q in units] for p in units]
+
+
+# the four groups of order 8 that are not cyclic, with their names
+ORDER_8 = {
+    "Z2xZ4": [[(a // 4 + b // 4) % 2 * 4 + (a + b) % 4 for b in range(8)] for a in range(8)],
+    "Z2^3": [[a ^ b for b in range(8)] for a in range(8)],
+    "D4": d4_table(),
+    "Q8": q8_table(),
+}
+
+
 def test_group_names():
     assert group_name(Gpd([[0]])) == "trivial"
     assert group_name(Gpd([[0, 1], [1, 0]])) == "Z2"
     assert group_name(Gpd(z3_table())) == "Z3"
     assert group_name(Gpd(v4_table())) == "V4"
     assert group_name(Gpd(s3_table())) == "S3"
+    assert group_name(Gpd([[(i + j) % 8 for j in range(8)] for i in range(8)])) == "Z8"
+    for name, table in ORDER_8.items():
+        assert group_name(Gpd(table)) == name
+
+
+def test_order_8_groups_with_zero_decompose_apart():
+    # M_1(G^0) = G^0: one component of one identity with local group G
+    signatures = {decompose(build_Mn_G0(1, Gpd(t)).structure).signature for t in ORDER_8.values()}
+    assert signatures == {((1, 8, name),) for name in ORDER_8}
 
 
 def test_group_iso_distinguishes_z4_v4():

@@ -56,7 +56,7 @@ from biskit.corpus import (
     symmetric_inverse_table,
 )
 from biskit.errors import CertificateFailed, NotAnIdeal
-from biskit.rook import identity_rook, rook_matrix, rook_mul, rook_star
+from biskit.rook import identity_rook
 from biskit.laws import (
     ROOK_ENUM_CAP,
     Analysis,
@@ -81,6 +81,7 @@ from biskit.laws import (
 )
 from biskit.typemon import _atom_edges
 from generated import i4_subsemigroup_tables
+from naive_rook import rook_matrix, rook_mul, rook_star
 
 # -- the scalar scans -------------------------------------------------------
 
@@ -459,6 +460,7 @@ KERNELS = {
     "setminus-4": ("boolean", law_setminus_4, oracle_setminus_4),
     "carre": ("invsgp", law_carre, oracle_carre),
     "discrete-topology": ("boolean", law_discrete_topology, oracle_discrete_topology),
+    "ale": ("boolean", law_ale, oracle_ale),
 }
 
 
@@ -530,6 +532,38 @@ def test_law_ale_matches_oracle_on_a_wrong_order():
     got = outcome(law_ale, c)
     assert got == outcome(oracle_ale, c)
     assert got[0] == "returned" and got[1][-1] == "order"
+
+
+def test_law_ale_matches_oracle_when_a_product_raises(monkeypatch):
+    # with the order read as discrete, the witness (a, w) comes from the
+    # products b(a'a); an error planted at one of them, in turn for each b,
+    # comes out where the oracle's scan meets it before w, and the witness
+    # where it does not
+    c = Analysis(corpus_semigroup("powerset2"))
+    c.bs.base.down = tuple((b,) for b in range(4))
+    a = rook_matrix(c.bs, outcome(oracle_ale, c)[1][0])
+    da = rook_mul(rook_star(a), a).entries
+    quads = itertools.product(range(4), repeat=4)
+    candidates = [((p, q), (r, t)) for p, q, r, t in quads]
+    mats = [m for m in candidates if outcome(rook_matrix, c.bs, m)[0] == "returned"]
+
+    def planted(mul, b):
+        def mul_or_raise(x, y):
+            if (x.entries, y.entries) == (b, da):
+                raise CertificateFailed(("planted", b))
+            return mul(x, y)
+
+        return mul_or_raise
+
+    seen = set()
+    for b in mats:
+        with monkeypatch.context() as mp:
+            mp.setattr(laws, "rook_mul", planted(laws.rook_mul, b))
+            mp.setitem(globals(), "rook_mul", planted(rook_mul, b))
+            got = outcome(law_ale, c)
+            assert got == outcome(oracle_ale, c), b
+        seen.add(got[0])
+    assert seen == {"returned", "raised"}
 
 
 # -- the congruence laws ----------------------------------------------------

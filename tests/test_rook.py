@@ -7,6 +7,7 @@ from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import biskit.boolean
 from biskit.boolean import (
@@ -38,9 +39,11 @@ from biskit.groupoid import (
     reconstruct,
 )
 import biskit.rook as rook
+import naive_rook
 from biskit.rook import (
     MN_CARRIER_CAP,
     MN_ENTRY_CAP,
+    RookMatrix,
     build_Mn_G0,
     decompose,
     identity_rook,
@@ -691,3 +694,150 @@ def test_a_product_outside_k_is_refused():
         with pytest.raises(CertificateFailed) as e:
             read()
         assert e.value.witness == ("product-not-a-bisection", 0b100010)
+
+
+# -- the kernels against the position-by-position oracle -------------------
+
+
+def rook_outcome(fn, *args):
+    """What a rook function returned, a matrix read as its entries, or the
+    type and text of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as e:  # noqa: BLE001 - any difference must show
+        return ("raised", type(e).__name__, str(e))
+    return ("returned", getattr(got, "entries", got))
+
+
+def assert_checks_match(bs, candidates):
+    """rook_violation and rook_matrix agree with the oracle on each square
+    entry list; returns the rook matrices among them."""
+    mats = []
+    for entries in candidates:
+        n = len(entries)
+        assert rook_violation(bs, n, entries) == naive_rook.rook_violation(bs, n, entries)
+        got = rook_outcome(rook_matrix, bs, entries)
+        assert got == rook_outcome(naive_rook.rook_matrix, bs, entries), entries
+        if got[0] == "returned":
+            mats.append(RookMatrix(bs, n, got[1]))
+    return mats
+
+
+def assert_arithmetic_matches(mats):
+    """rook_star of each matrix and rook_mul of each pair, sizes that differ
+    included, agree with the oracle; returns the outcomes."""
+    seen = []
+    for a in mats:
+        got = rook_outcome(rook_star, a)
+        assert got == rook_outcome(naive_rook.rook_star, a), a.entries
+        seen.append(got)
+    for a, b in itertools.product(mats, repeat=2):
+        got = rook_outcome(rook_mul, a, b)
+        assert got == rook_outcome(naive_rook.rook_mul, a, b), (a.entries, b.entries)
+        seen.append(got)
+    return seen
+
+
+def square_candidates(ids, n):
+    return [
+        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for flat in itertools.product(ids, repeat=n * n)
+    ]
+
+
+SMALL_BOOLEAN = [n for n in BOOLEAN_NAMES if corpus_semigroup(n).size <= 4]
+
+
+@pytest.mark.parametrize("name", SMALL_BOOLEAN)
+def test_rook_kernels_match_oracle_on_every_small_matrix(name):
+    bs = boolean(name)
+    ids = range(bs.size)
+    candidates = square_candidates(ids, 1) + square_candidates(ids, 2)
+    assert_arithmetic_matches(assert_checks_match(bs, candidates))
+
+
+def corrupt(bs, which, a, b, value):
+    """Set entry [a][b] of the product or join table of bs's base; the
+    orthogonality table is read off the product table afresh."""
+    s = bs.base
+    rows = [list(r) for r in getattr(s, which)]
+    rows[a][b] = value
+    setattr(s, which, tuple(map(tuple, rows)))
+    s.__dict__.pop("orth", None)
+
+
+@pytest.mark.parametrize(
+    "name, errors",
+    [
+        ("z2zero", {"ValueError", "CertificateFailed"}),
+        # only powerset2 has two orthogonal nonzero terms to join
+        ("powerset2", {"ValueError", "CertificateFailed", "NotCompatible"}),
+    ],
+)
+def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
+    # the 2x2 rook matrices of the valid table, read after one entry of the
+    # product table changes or one join goes missing: every witness and
+    # error must agree
+    k = boolean(name).size
+    raised = set()
+    for which, a, b in itertools.product(("table", "join_table"), range(k), range(k)):
+        for value in (None,) if which == "join_table" else range(k):
+            bs = boolean(name)
+            if getattr(bs.base, which)[a][b] == value:
+                continue  # the entry already holds value
+            mats = assert_checks_match(bs, square_candidates(range(k), 2))
+            corrupt(bs, which, a, b, value)
+            assert_checks_match(bs, [m.entries for m in mats])
+            outcomes = assert_arithmetic_matches(mats)
+            raised |= {o[1] for o in outcomes if o[0] == "raised"}
+    assert raised == errors
+
+
+def rook_matrices(bs, n):
+    """Square entry lists over bs, about half of their entries zero."""
+    entry = st.one_of(st.just(bs.zero), st.integers(0, bs.size - 1))
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+def boolean_from_table(table):
+    chk = check_boolean(InvSgp(table))
+    assume(chk.boolean)
+    return chk.structure
+
+
+rook_bases = st.one_of(
+    st.sampled_from(BOOLEAN_NAMES).map(boolean),
+    i4_subsemigroup_tables.map(boolean_from_table),
+    component_forms.filter(lambda form: bisection_count(reconstruct(form)) <= 64).map(
+        lambda form: k_of_groupoid(reconstruct(form)).structure
+    ),
+)
+
+
+@st.composite
+def rook_cases(draw):
+    """A Boolean base, rook-matrix candidates of one size over it, and one
+    entry of its product or join table to change after they are checked."""
+    bs = draw(rook_bases)
+    n = draw(st.integers(1, 3))
+    candidates = draw(st.lists(rook_matrices(bs, n), min_size=1, max_size=8))
+    ids = st.integers(0, bs.size - 1)
+    which = draw(st.sampled_from(("table", "join_table")))
+    value = draw(ids if which == "table" else st.one_of(st.none(), ids))
+    return bs, candidates, (which, draw(ids), draw(ids), value)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(rook_cases())
+def test_rook_kernels_match_oracle_on_generated_structures(case):
+    bs, candidates, corruption = case
+    mats = assert_checks_match(bs, candidates)
+    assert_arithmetic_matches(mats)
+    corrupt(bs, *corruption)
+    assert_checks_match(bs, [m.entries for m in mats])
+    assert_arithmetic_matches(mats)

@@ -42,3 +42,25 @@ def test_tracer_enters_records_and_restores():
         "laws.fish",
     ):
         assert calls[name] >= 1, name
+
+
+def test_tracer_records_the_rook_layer():
+    # on powerset2 laws ale and butterfly both decide, so the rook kernels,
+    # the matrix oracle and the refinement check each record a span: a
+    # kernel inlined into its caller would drop out of rook_mul.calls
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        results = biskit.laws.run_laws(corpus_semigroup("powerset2"))
+    status = {r.key: r.status for r in results}
+    assert status["ale"] == status["butterfly"] == "pass"
+    calls, _self_s = tracing.span_stats(tracer.spans, tracer.excluded)
+    for name in (
+        "rook_mul",
+        "rook_matrix",
+        "rook_star",
+        "type_via_matrices",
+        "refinement_check",
+        "laws.ale",
+        "laws.butterfly",
+    ):
+        assert calls[name] >= 1, name

@@ -2,6 +2,8 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biskit.boolean import check_boolean, direct_product
 from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
@@ -77,6 +79,63 @@ def test_component_order_follows_least_atom():
 def test_refinement_all_boolean_corpus():
     for name in BOOLEAN_NAMES:
         assert refinement_check(type_monoid(boolean(name))), name
+
+
+def oracle_refinement_check(tm):
+    """refinement_check by the 4-fold scan of every quadruple of realized
+    vectors."""
+    realized = sorted(set(tm.tau.values()))
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    for u, v in itertools.product(realized, repeat=2):
+        if add(u, v) == (0,) * tm.rank and (any(u) or any(v)):
+            return False
+    for a1, a2, b1, b2 in itertools.product(realized, repeat=4):
+        if add(a1, a2) != add(b1, b2):
+            continue
+        c11 = tuple(min(x, y) for x, y in zip(a1, b1))
+        c12 = tuple(x - y for x, y in zip(a1, c11))
+        c21 = tuple(x - y for x, y in zip(b1, c11))
+        c22 = tuple(x - y for x, y in zip(a2, c21))
+        if any(x < 0 for x in c22):
+            return False
+        if add(c11, c12) != a1 or add(c21, c22) != a2:
+            return False
+        if add(c11, c21) != b1 or add(c12, c22) != b2:
+            return False
+    return True
+
+
+@st.composite
+def vector_sets(draw):
+    """A rank and a set of integer vectors of that length, read as the
+    realized types; negative entries are the only way the check fails."""
+    rank = draw(st.integers(0, 3))
+    vec = st.tuples(*[st.integers(-2, 3)] * rank)
+    return rank, draw(st.lists(vec, min_size=1, max_size=7))
+
+
+def tm_of(rank, vectors):
+    return SimpleNamespace(rank=rank, tau=dict(enumerate(vectors)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_sets())
+@example((1, [(1,), (-1,)]))  # a nonzero vector with an inverse
+@example((1, [(2,), (-1,)]))  # -1 + 2 = 2 + -1 has no refinement
+@example((2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+def test_refinement_check_matches_the_4_fold_scan(case):
+    tm = tm_of(*case)
+    assert refinement_check(tm) == oracle_refinement_check(tm)
+
+
+def test_refinement_check_reaches_both_outcomes():
+    # both outcomes, and a failure that no zero sum explains
+    assert refinement_check(tm_of(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+    assert not refinement_check(tm_of(1, [(1,), (-1,)]))
+    assert not refinement_check(tm_of(1, [(2,), (-1,)]))
 
 
 def test_ideal_triple_counts():
