@@ -25,7 +25,7 @@ from .boolean import (
     check_zero_preserving,
     k_of_groupoid,
 )
-from .core import InvSgp, _picker, adjoin_zero, restricted_groupoid
+from .core import InvSgp, _picker, adjoin_zero
 from .errors import (
     CertificateFailed,
     NotBoolean,
@@ -71,7 +71,7 @@ def booleanize(s):
         [s0.r[x] for x in nonzero],
         K_OF_GROUPOID_CAP,
     )
-    g = restricted_groupoid(s0)
+    g = s0.restricted_groupoid
     pos = {lab: i for i, lab in enumerate(g.labels)}
     kg = k_of_groupoid(g)
     beta = []

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import eq, itemgetter, or_
+from functools import cached_property
+from operator import eq, itemgetter
 
 from .errors import (
     CertificateFailed,
@@ -255,16 +255,19 @@ class InvSgp:
         k = len(rows)
         if k == 0:
             raise ParseError("empty table")
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
-            if all(map(isinstance, row, itertools.repeat(int))) and (
-                0 <= min(row) and max(row) < k
-            ):
-                continue
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < k:
-                    raise ParseError(f"entry {v!r} out of range in row {i}")
+        # one pass over every entry when each is a plain int id, as the
+        # parser's are; else row by row, to name the first bad row and entry
+        if not (
+            all(len(row) == k for row in rows)
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+            and set().union(*rows) <= set(range(k))
+        ):
+            for i, row in enumerate(rows):
+                if len(row) != k:
+                    raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+                for v in row:
+                    if not isinstance(v, int) or not 0 <= v < k:
+                        raise ParseError(f"entry {v!r} out of range in row {i}")
 
         gens = _associative_generators(rows)
         if gens is None:
@@ -296,6 +299,7 @@ class InvSgp:
         self.size = k
         self.table = rows
         self._associative = (rows, gens)  # Light's test held on rows
+        self._restricted = (None, None)  # (table, its restricted groupoid)
         self.inv = tuple(inv)
         self.idempotents = idem
         self.zero = zero
@@ -337,6 +341,14 @@ class InvSgp:
         if self._associative[0] is not self.table:
             self._associative = (self.table, _associative_generators(self.table))
         return self._associative[1]
+
+    @property
+    def restricted_groupoid(self):
+        """restricted_groupoid(self), kept with the table it was built from:
+        a table set in place of the validated one gets a fresh build."""
+        if self._restricted[0] is not self.table:
+            self._restricted = (self.table, restricted_groupoid(self))
+        return self._restricted[1]
 
     @cached_property
     def cols(self):
@@ -393,22 +405,19 @@ class InvSgp:
         """join_table[a][b] is the least upper bound id, or None.
 
         Read off up-set bitsets: the join is the element whose up-set is
-        up[a] & up[b], found by one dict lookup.  Only the b below some c in
-        up[a] are looked up; for any other b that AND is empty, and no
-        element has an empty up-set (a <= a), so the entry is None.  Which
-        b lie below c is read off up too.
+        up[a] & up[b], found by one dict lookup.  Only the compatible b are
+        looked up (compat_partners[a]): if a, b <= c then a'*b =
+        d(a)*d(c)*d(b) and a*b' = c*d(a)*d(b)*c' are idempotent, so a pair
+        with a common upper bound is compatible, and for any other pair the
+        entry is None.
         """
-        k, ups = self.size, self.up
-        masks = tuple(map(_mask, ups))
+        k = self.size
+        masks = tuple(map(_mask, self.up))
         owner = {m: x for x, m in enumerate(masks)}.get
-        below = [0] * k  # below[c]: the b with c in up[b]
-        for b, up in enumerate(ups):
-            for c in up:
-                below[c] |= 1 << b
         table = []
-        for ua, up in zip(masks, ups):
+        for ua, partners in zip(masks, self.compat_partners):
             row = [None] * k
-            for b in _ids(reduce(or_, map(below.__getitem__, up))):
+            for b in partners:
                 row[b] = owner(ua & masks[b])
             table.append(tuple(row))
         return tuple(table)
@@ -480,7 +489,8 @@ def restricted_groupoid(s):
     y with r(y) = d(x).  The result remembers which original ids its
     positions came from.  A kept product that is the zero raises
     CertificateFailed naming x and y; on a validated table there is none,
-    as d(x*y) = y'*d(x)*y = d(y) is not the zero.
+    as d(x*y) = y'*d(x)*y = d(y) is not the zero.  Readers take the one
+    build per table that s.restricted_groupoid keeps.
     """
     from .groupoid import Gpd  # local import, groupoid layer sits above core
 

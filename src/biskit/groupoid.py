@@ -3,8 +3,12 @@
 A product entry of None (or -1 in .grp text) means undefined.  Validation
 checks that each position has a unique inverse, that products are defined
 exactly when domain meets range, and that composition is associative
-wherever it types.  The empty groupoid is allowed: it is what the
-nonzero-part construction yields for the one-element semigroup.
+wherever it types.  Associativity is decided on a generating set
+(_associative_on_generators), one row comparison per generator and arrow;
+the scan over composable triples runs only to name the witness when that
+fails, or in its place on short rows, where it is cheaper.  The empty
+groupoid is allowed: it is what the nonzero-part construction yields for
+the one-element semigroup.
 """
 
 from __future__ import annotations
@@ -12,9 +16,71 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter
 
-from .core import _dr_classes, _parse_table
+from .core import _dr_classes, _parse_table, _picker
 from .errors import NotAGroup, NotGroupoid, Undecided
+
+
+_SCAN_TRIPLES_PER_ARROW = 64  # where the two cost about the same, on CPython 3.11
+
+
+def _associative_on_generators(rows, d, r, identities, ending_at):
+    """True when (x*t)*y = x*(t*y) for every composable triple, decided on
+    generators; False when a generator fails, and the triple scan decides.
+
+    Run once composability, identities and unit laws are checked.  Let T be
+    the t with (x*t)*y = x*(t*y) for all x, y with d(x) = r(t), d(t) = r(y).
+    Every identity is in T, by the unit laws.  A t in T has d(x*t) = d(t)
+    and r(t*y) = r(t), as (x*t)*d(t) = x*t and r(t)*(t*y) = t*y are
+    defined.  So for s, t in T with d(s) = r(t), and x, y composable with
+    s*t, every product below is defined and (x*(s*t))*y = ((x*s)*t)*y =
+    (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y): T is closed under composition.
+    Generators are picked by ascending id: an arrow not in the closure of the
+    identities under right multiplication by the generators so far becomes
+    one.  The closure is computed in the table, assuming no associativity,
+    so once every generator is in T, T is every arrow.  One comparison per
+    generator t and x starting where t ends: the row of x*t against the row
+    of x read at the row of t, both at the y ending where t starts.
+
+    It also declines when the composable triples number at most
+    _SCAN_TRIPLES_PER_ARROW per arrow: the scan takes one step per triple and
+    the pass some dozens per arrow, so on short rows the scan is cheaper.
+    """
+    m = len(rows)
+    if m * m <= _SCAN_TRIPLES_PER_ARROW:  # at most m**3 triples
+        return False
+    # composable triples: per x, each y ending where x starts, times the z
+    # ending where y starts
+    after = {e: sum(len(ending_at[d[y]]) for y in ys) for e, ys in ending_at.items()}
+    if sum(after[e] for e in d) <= _SCAN_TRIPLES_PER_ARROW * m:
+        return False
+    starting_at = {e: [e] for e in identities}  # the closure, by d
+    gens_at = {e: [] for e in identities}  # the generators, by r
+    seen = set(identities)
+    gens = []
+
+    def grow(todo):
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                starting_at[d[w]].append(w)
+                todo.extend(map(rows[w].__getitem__, gens_at[d[w]]))
+
+    for g in range(m):
+        if g not in seen:
+            gens.append(g)
+            gens_at[r[g]].append(g)
+            grow([rows[x][g] for x in starting_at[r[g]]])
+    for t in gens:
+        at_y = _picker(ending_at[d[t]])
+        at_ty = _picker(at_y(rows[t]))
+        xs = [rows[x] for x in starting_at[r[t]]]
+        x_t = map(rows.__getitem__, map(itemgetter(t), xs))
+        if not all(map(eq, map(at_y, x_t), map(at_ty, xs))):
+            return False
+    return True
 
 
 class Gpd:
@@ -30,48 +96,54 @@ class Gpd:
                 if v is not None and (not isinstance(v, int) or not 0 <= v < m):
                     raise NotGroupoid("entry-range", (i, v))
 
+        # defined[x]: the y with x*y defined, ascending; an inverse of x is
+        # one of them, as x*y is defined for it
+        arrows = range(m)
+        defined = [[y for y in arrows if row[y] is not None] for row in rows]
         inv = []
-        for x in range(m):
+        for x, (rx, ys) in enumerate(zip(rows, defined)):
             cands = [
                 y
-                for y in range(m)
-                if rows[x][y] is not None
-                and rows[y][x] is not None
-                and rows[x][rows[y][x]] == x
-                and rows[y][rows[x][y]] == y
+                for y in ys
+                if rows[y][x] is not None
+                and rx[rows[y][x]] == x
+                and rows[y][rx[y]] == y
             ]
             if len(cands) != 1:
                 raise NotGroupoid("unique-inverse", (x, tuple(cands)))
             inv.append(cands[0])
 
-        d = tuple(rows[inv[x]][x] for x in range(m))
-        r = tuple(rows[x][inv[x]] for x in range(m))
-        identities = tuple(sorted(x for x in range(m) if d[x] == x))
+        d = tuple(rows[inv[x]][x] for x in arrows)
+        r = tuple(rows[x][inv[x]] for x in arrows)
+        identities = tuple(x for x in arrows if d[x] == x)
         for e in identities:
             if r[e] != e or rows[e][e] != e:
                 raise NotGroupoid("identity", e)
-        for x in range(m):
+        for x in arrows:
             if d[x] not in identities or r[x] not in identities:
                 raise NotGroupoid("domain-range", x)
             if rows[x][d[x]] != x or rows[r[x]][x] != x:
                 raise NotGroupoid("unit-law", x)
 
-        for x in range(m):
-            for y in range(m):
-                if (rows[x][y] is not None) != (d[x] == r[y]):
-                    raise NotGroupoid("composability", (x, y))
-
-        # only composable triples: y ends where x starts, z where y starts
+        # x*y must be defined exactly at the y ending where x starts: row x's
+        # defined positions against one pattern per identity
         ending_at = {e: [] for e in identities}
-        for y in range(m):
+        for y in arrows:
             ending_at[r[y]].append(y)
-        for x in range(m):
-            rx = rows[x]
-            for y in ending_at[d[x]]:
-                rxy, ry = rows[rx[y]], rows[y]
-                for z in ending_at[d[y]]:
-                    if rxy[z] != rx[ry[z]]:
-                        raise NotGroupoid("associativity", (x, y, z))
+        for x in arrows:
+            if defined[x] != ending_at[d[x]]:
+                y = next(y for y in arrows if (rows[x][y] is not None) != (d[x] == r[y]))
+                raise NotGroupoid("composability", (x, y))
+
+        if not _associative_on_generators(rows, d, r, identities, ending_at):
+            # only composable triples: y ends where x starts, z where y starts
+            for x in arrows:
+                rx = rows[x]
+                for y in ending_at[d[x]]:
+                    rxy, ry = rows[rx[y]], rows[y]
+                    for z in ending_at[d[y]]:
+                        if rxy[z] != rx[ry[z]]:
+                            raise NotGroupoid("associativity", (x, y, z))
 
         self.size = m
         self.ptable = rows
@@ -133,20 +205,20 @@ def _local_group(g, e):
 def component_form(g):
     """Split g into connected components with one local group each, as a
     tuple of Components ordered by least identity; read as g.form."""
-    comps = []
-    for ids in _dr_classes(g.identities, g.d, g.r):
-        members = tuple(
-            sorted(x for x in range(g.size) if g.d[x] in set(ids))
+    classes = _dr_classes(g.identities, g.d, g.r)
+    comp_of = {e: ci for ci, ids in enumerate(classes) for e in ids}
+    members = [[] for _ in classes]
+    for x, dx in enumerate(g.d):
+        members[comp_of[dx]].append(x)
+    return tuple(
+        Component(
+            identity_count=len(ids),
+            group=_local_group(g, ids[0]),
+            member_ids=tuple(xs),
+            identities=ids,
         )
-        comps.append(
-            Component(
-                identity_count=len(ids),
-                group=_local_group(g, ids[0]),
-                member_ids=members,
-                identities=ids,
-            )
-        )
-    return tuple(comps)
+        for ids, xs in zip(classes, members)
+    )
 
 
 def reconstruct(form):

@@ -56,7 +56,6 @@ from .core import (
     d_relation_idempotents,
     is_fundamental,
     mu_and_quotient,
-    restricted_groupoid,
 )
 from .errors import (
     BiskitError,
@@ -442,7 +441,7 @@ def law_carre(c):
     s = c.s
     nonzero = s.nonzero()
     if c.filter_order and c.filters.proper == nonzero:
-        fg = restricted_groupoid(s)
+        fg = s.restricted_groupoid
     else:
         fg = filter_groupoid(s, c.filters.proper)
     if not principal_map_is_iso(s, nonzero, fg):

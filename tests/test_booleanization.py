@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import biskit.booleanization as booleanization
+import biskit.core
 from biskit.boolean import check_boolean, check_multiplicative
 from biskit.booleanization import (
     FILTER_SCAN_CAP,
@@ -15,7 +16,7 @@ from biskit.booleanization import (
 )
 from biskit.core import InvSgp, semigroup_iso
 from biskit.corpus import corpus_semigroup, symmetric_inverse_table
-from biskit.errors import CertificateFailed, NotMultiplicative
+from biskit.errors import CertificateFailed, NotMultiplicative, TooLarge
 from biskit.groupoid import groupoid_iso
 from biskit.laws import run_laws
 
@@ -185,12 +186,17 @@ def test_booleanization_of_z2_is_z2zero():
 
 def test_booleanization_finite_skips_above_the_cap_before_the_groupoid(monkeypatch):
     # I4 has 83,135,918,096,825 local bisections: the count read off I4's own
-    # domains and ranges refuses it, so its restricted groupoid is never built
+    # domains and ranges refuses it, so booleanize never builds its
+    # restricted groupoid (law carre, which runs first, builds it)
     def refused(s):
         raise AssertionError("restricted_groupoid ran")
 
-    monkeypatch.setattr(booleanization, "restricted_groupoid", refused)
-    results = run_laws(InvSgp(symmetric_inverse_table(4)))
+    s = InvSgp(symmetric_inverse_table(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(biskit.core, "restricted_groupoid", refused)
+        with pytest.raises(TooLarge):
+            booleanize(s)
+    results = run_laws(s)
     (r,) = [r for r in results if r.key == "booleanization-finite"]
     assert (r.status, r.note) == (
         "skip",

@@ -20,6 +20,7 @@ from biskit.core import (
     is_fundamental,
     mu_and_quotient,
     parse_semigroup,
+    restricted_groupoid,
     semigroup_iso,
     table_product,
 )
@@ -158,11 +159,75 @@ def test_parse_table_matches_the_token_loop_on_drawn_rows(tokens, allow_undefine
         ([[0, 0], [0, None]], "entry None out of range in row 1"),
         ([[0, 0], [0, 1.0]], "entry 1.0 out of range in row 1"),
         ([[0, 0], [0]], "row 1 has 1 entries, expected 2"),
+        ([[0, "1"], [1, 0]], "entry '1' out of range in row 0"),
     ],
 )
 def test_invsgp_rejects_entries_that_are_not_ids(table, message):
     with pytest.raises(ParseError, match=message.replace(".", r"\.")):
         InvSgp(table)
+
+
+class Id(int):
+    """An int subclass, which InvSgp and Gpd take as an id."""
+
+
+def test_invsgp_accepts_bool_and_int_subclass_entries():
+    for v in (True, Id(1)):
+        assert InvSgp([[0, 0], [0, v]]).table == ((0, 0), (0, 1))
+
+
+def row_scan_entry_error(table):
+    """The ParseError message of the row-by-row entry check, or None."""
+    k = len(table)
+    for i, row in enumerate(table):
+        if len(row) != k:
+            return f"row {i} has {len(row)} entries, expected {k}"
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < k:
+                return f"entry {v!r} out of range in row {i}"
+    return None
+
+
+ENTRIES = st.sampled_from([0, 0, 1, 1, 2, -1, True, False, Id(1), 1.0, "0", None, 2**70])
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), st.data())
+def test_entry_check_matches_the_row_scan(k, data):
+    # the one-pass check of plain int ids names the same row and entry as
+    # the row scan, or lets the table through where the scan does
+    lengths = st.integers(k - 1, k + 1) if data.draw(st.booleans()) else st.just(k)
+    table = [
+        data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        for n in (data.draw(lengths) for _ in range(k))
+    ]
+    try:
+        InvSgp(table)
+        got = None
+    except ParseError as e:
+        got = str(e)
+    except BiskitError:
+        got = None
+    assert got == row_scan_entry_error(table)
+
+
+def test_restricted_groupoid_is_kept_with_its_table():
+    # built once per table: a table set in place of the validated one gets
+    # a fresh build
+    s = corpus_semigroup("i2")
+    g = s.restricted_groupoid
+    assert s.restricted_groupoid is g
+    assert g.ptable == restricted_groupoid(s).ptable
+    s.table = tuple(map(tuple, s.table))
+    assert s.restricted_groupoid is not g
+    assert s.restricted_groupoid.ptable == g.ptable
+
+
+@settings(max_examples=30, deadline=None)
+@given(i4_subsemigroup_tables.filter(lambda t: len(t) <= 30))
+def test_join_table_matches_oracle_on_generated_structures(table):
+    s = InvSgp(table)
+    assert s.join_table == naive_join_table(s)
 
 
 def test_not_associative():

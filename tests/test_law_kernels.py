@@ -664,6 +664,16 @@ def corrupted(name, which, a, b, value):
     return c
 
 
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_a_corrupted_table_keeps_the_valid_join_table(name):
+    # join_table reads compat_partners, which a corrupted table drops; the
+    # join table itself was built by check_boolean from the valid table, so
+    # a corrupted table reaches the join kernels only through reads of it
+    c = corrupted(name, "table", 0, 0, corpus_semigroup(name).size - 1)
+    assert "join_table" in c.s.__dict__
+    assert c.s.join_table == corpus_semigroup(name).join_table
+
+
 @st.composite
 def corruptions(draw, names=BOOLEAN_NAMES, tables=("table", "meet_table", "join_table", "rc_table")):
     name = draw(st.sampled_from(names))

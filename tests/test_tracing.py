@@ -4,9 +4,10 @@ loads it: entering it fails if a name its metrics read is gone from biskit."""
 import importlib.util
 import os
 
+import biskit.cli
 import biskit.laws
 import biskit.rook
-from biskit.corpus import corpus_semigroup
+from biskit.corpus import corpus_semigroup, corpus_text
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -63,4 +64,24 @@ def test_tracer_records_the_rook_layer():
         "laws.ale",
         "laws.butterfly",
     ):
+        assert calls[name] >= 1, name
+
+
+def test_verify_builds_the_restricted_groupoid_once(tmp_path, capsys):
+    # on i2 laws carre and booleanization-finite both decide, and both read
+    # the restricted groupoid, so one build serves both; the validation
+    # layers' metrics still find their spans
+    tracing = load_tracing()
+    path = tmp_path / "i2.ist"
+    path.write_text(corpus_text("i2.ist"))
+    with tracing.Tracer() as tracer:
+        assert biskit.cli.main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  carre: pass" in out and "  booleanization-finite: pass" in out
+    calls, _self_s = tracing.span_stats(tracer.spans, tracer.excluded)
+    assert calls["restricted_groupoid"] == 1
+    # entering the tracer checked that every span a metric reads is wrapped
+    read = ("Gpd", "component_form", "join_table", "meet_table", "booleanize")
+    assert {*read, "filter_groupoid"} <= tracing.SPANS_READ
+    for name in read:
         assert calls[name] >= 1, name
