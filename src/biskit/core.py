@@ -21,8 +21,8 @@ from .errors import (
     NotAssociative,
     NotInverse,
     ParseError,
-    SizeCapExceeded,
     TooLarge,
+    Undecided,
 )
 
 
@@ -707,86 +707,109 @@ def table_product(s, t):
     return tuple(tuple(row) for row in out)
 
 
-DEFAULT_SIZE_CAP = 24
+ISO_SEARCH_CAP = 10_000  # generator images one isomorphism search may try
+
+
+def _table_invariants(rows):
+    """Per id x: (index, period, |xS|, |Sx|), which a table isomorphism
+    keeps.  x^index = x^(index + period) is the first repeat among x, x^2,
+    ..., and |xS|, |Sx| count the distinct entries of row x and column x.
+    In a group they are (1, order, n, n)."""
+    out = []
+    for x, (row, col) in enumerate(zip(rows, zip(*rows))):
+        first, p = {}, x  # first[x^n] = n
+        while p not in first:
+            first[p] = len(first) + 1
+            p = rows[p][x]
+        out.append((first[p], len(first) + 1 - first[p], len(set(row)), len(set(col))))
+    return out
+
+
+def _table_iso(rows_a, rows_b):
+    """An isomorphism of the product rows_a onto rows_b as an id tuple, or
+    None when there is none.
+
+    A map is fixed by its values on generators, so only the images of the
+    generators of rows_a (_generators) are searched, one at a time, each
+    among the ids with its _table_invariants: ascending, its own id first,
+    so a table against itself gets the identity.  After each choice phi is
+    closed under right multiplication by the chosen generators, phi(m*g) =
+    phi(m)*phi(g), each (member, generator) pair multiplied once as in
+    _generators; a member sent two ways, or two sent to one id, backtracks.
+    Trying more than ISO_SEARCH_CAP images raises Undecided.
+
+    The map found is then certified apart from the search: a bijection with
+    phi(x*g) = phi(x)*phi(g) for every x and generator g, else
+    CertificateFailed.  With both tables associative that makes phi a
+    homomorphism, by induction on a word y*g in the generators, as every id
+    is one: phi(x*(y*g)) = phi((x*y)*g) = phi(x*y)*phi(g) =
+    (phi(x)*phi(y))*phi(g) = phi(x)*phi(y*g).
+    """
+    k = len(rows_a)
+    if len(rows_b) != k:
+        return None
+    keys_a, keys_b = _table_invariants(rows_a), _table_invariants(rows_b)
+    if sorted(keys_a) != sorted(keys_b):
+        return None
+    with_key = {}
+    for y, key in enumerate(keys_b):
+        with_key.setdefault(key, []).append(y)
+    gens = _generators(rows_a)
+    cands = [sorted(with_key[keys_a[g]], key=lambda y: (y != g, y)) for g in gens]
+    phi, taken, members, done = [None] * k, [False] * k, [], []
+    tried = 0
+
+    def close():  # extend phi to the closure; False at the first clash
+        grew = True
+        while grew:
+            grew = False
+            for i, g in enumerate(gens[: len(done)]):
+                start, done[i] = done[i], len(members)
+                for m in members[start : done[i]]:
+                    w, v = rows_a[m][g], rows_b[phi[m]][phi[g]]
+                    if phi[w] is None and not taken[v]:
+                        phi[w], taken[v], grew = v, True, True
+                        members.append(w)
+                    elif phi[w] != v:
+                        return False
+        return True
+
+    def search(j):
+        nonlocal tried
+        if j == len(gens):
+            return True
+        g, size, before = gens[j], len(members), done[:]
+        for y in cands[j]:
+            if taken[y]:
+                continue
+            tried += 1
+            if tried > ISO_SEARCH_CAP:
+                raise Undecided(
+                    f"isomorphism search tried {tried} generator images, "
+                    f"above cap ISO_SEARCH_CAP={ISO_SEARCH_CAP}"
+                )
+            phi[g], taken[y] = y, True
+            members.append(g)
+            done.append(0)
+            if close() and search(j + 1):
+                return True
+            for m in members[size:]:
+                taken[phi[m]], phi[m] = False, None
+            del members[size:]
+            done[:] = before
+        return False
+
+    if not search(0):
+        return None
+    if set(phi) != set(range(k)):
+        raise CertificateFailed(("table-iso-not-bijective",))
+    for g in gens:
+        for x, w in enumerate(map(itemgetter(g), rows_a)):
+            if rows_b[phi[x]][phi[g]] != phi[w]:
+                raise CertificateFailed(("table-iso-not-multiplicative", x, g))
+    return tuple(phi)
 
 
 def semigroup_iso(s, t):
-    """Search for a table isomorphism s -> t; None if there is none.
-
-    Plain backtracking with profile pruning.  Refuses carriers above
-    DEFAULT_SIZE_CAP (SizeCapExceeded) rather than running unboundedly.
-    """
-    if s.size != t.size:
-        return None
-    if s.size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(
-            f"carrier has {s.size} elements, "
-            f"above cap DEFAULT_SIZE_CAP={DEFAULT_SIZE_CAP}"
-        )
-    k = s.size
-
-    def profile(u):
-        down_sizes = sorted(len(u.down[x]) for x in range(k))
-        return (
-            tuple(sorted(len(u.down[e]) for e in u.idempotents)),
-            down_sizes,
-            u.zero is None,
-        )
-
-    if profile(s) != profile(t):
-        return None
-
-    def elem_profile(u, x):
-        return (
-            u.is_idempotent(x),
-            x == u.zero,
-            x == u.identity,
-            len(u.down[x]),
-            len(u.up[x]),
-            u.is_idempotent(u.table[x][x]),
-        )
-
-    sprof = [elem_profile(s, x) for x in range(k)]
-    tprof = [elem_profile(t, x) for x in range(k)]
-    cands = [
-        [y for y in range(k) if tprof[y] == sprof[x]] for x in range(k)
-    ]
-    if any(not c for c in cands):
-        return None
-
-    img = [None] * k
-    used = [False] * k
-    order = sorted(range(k), key=lambda x: len(cands[x]))
-
-    def consistent(x):
-        for a in range(k):
-            if img[a] is None:
-                continue
-            ab = s.table[a][x]
-            if img[ab] is not None and t.table[img[a]][img[x]] != img[ab]:
-                return False
-            ba = s.table[x][a]
-            if img[ba] is not None and t.table[img[x]][img[a]] != img[ba]:
-                return False
-        return True
-
-    def rec(pos):
-        if pos == len(order):
-            return True
-        x = order[pos]
-        if img[x] is not None:
-            return rec(pos + 1)
-        for y in cands[x]:
-            if used[y]:
-                continue
-            img[x] = y
-            used[y] = True
-            if consistent(x) and rec(pos + 1):
-                return True
-            img[x] = None
-            used[y] = False
-        return False
-
-    if rec(0):
-        return tuple(img)
-    return None
+    """A table isomorphism s -> t as an id tuple, or None: _table_iso."""
+    return _table_iso(s.table, t.table)

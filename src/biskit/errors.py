@@ -126,10 +126,6 @@ class NotZeroPreserving(BiskitError):
         super().__init__(f"map does not send zero to zero: {witness}")
 
 
-class SizeCapExceeded(BiskitError):
-    """Direct isomorphism search refused: carrier above the size cap."""
-
-
 class CertificateFailed(BiskitError):
     """A construction's result failed the check that certifies it; carries
     the witness."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter
 
-from .core import _dr_classes, _parse_table, _picker
-from .errors import NotAGroup, NotGroupoid, Undecided
+from .core import _dr_classes, _parse_table, _picker, _table_invariants, _table_iso
+from .errors import CertificateFailed, NotAGroup, NotGroupoid
 
 
 _SCAN_TRIPLES_PER_ARROW = 64  # where the two cost about the same, on CPython 3.11
@@ -243,40 +243,10 @@ def reconstruct(form):
     return Gpd(ptable)
 
 
-GROUP_ISO_CAP = 64
-
-
 def _element_orders(g):
-    """Order of each element of a one-object groupoid (a group)."""
-    e = g.identities[0]
-    orders = []
-    for x in range(g.size):
-        acc, n = x, 1
-        while acc != e:
-            acc = g.ptable[acc][x]
-            n += 1
-        orders.append(n)
-    return tuple(orders)
-
-
-def _generating_sequence(g):
-    """The first tuple of ids that generates the whole group, shortest
-    first and then in lexicographic order."""
-    e = g.identities[0]
-    for length in range(1, g.size + 1):
-        for seq in itertools.product(range(g.size), repeat=length):
-            closure = {e}
-            frontier = [e]
-            while frontier:
-                x = frontier.pop()
-                for s in seq:
-                    y = g.ptable[x][s]
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-            if len(closure) == g.size:
-                return seq
-    raise AssertionError("group without generating sequence")
+    """Order of each element of a one-object groupoid (a group): the
+    periods of core._table_invariants."""
+    return tuple(period for _, period, _, _ in _table_invariants(g.ptable))
 
 
 def group_name(g):
@@ -300,57 +270,17 @@ def group_name(g):
 def group_iso(a, b):
     """Explicit isomorphism between one-object groupoids, or None.
 
-    Backtracks over images of a minimal generating sequence, pruning by
-    element order.  A group above GROUP_ISO_CAP raises Undecided instead.
+    core._table_iso on the two tables, all of whose entries a group
+    defines; its invariants are then the element orders.  The map is
+    re-checked as a groupoid isomorphism (is_groupoid_iso), else
+    CertificateFailed.
     """
     if not a.is_group() or not b.is_group():
         raise NotAGroup("group_iso needs one-object groupoids")
-    if a.size != b.size:
-        return None
-    if a.size > GROUP_ISO_CAP:
-        raise Undecided(
-            f"group isomorphism search capped at GROUP_ISO_CAP={GROUP_ISO_CAP}, "
-            f"group has order {a.size}"
-        )
-    n = a.size
-    if n == 1:
-        return (0,)
-    orders_a, orders_b = _element_orders(a), _element_orders(b)
-    if sorted(orders_a) != sorted(orders_b):
-        return None
-    gens = _generating_sequence(a)
-    by_order = {}
-    for y in range(n):
-        by_order.setdefault(orders_b[y], []).append(y)
-
-    def build(images):
-        ea, eb = a.identities[0], b.identities[0]
-        phi = {ea: eb}
-        frontier = [ea]
-        while frontier:
-            x = frontier.pop()
-            for s, t in zip(gens, images):
-                y = a.ptable[x][s]
-                fy = b.ptable[phi[x]][t]
-                if y in phi:
-                    if phi[y] != fy:
-                        return None
-                elif fy in phi.values():
-                    return None
-                else:
-                    phi[y] = fy
-                    frontier.append(y)
-        if len(phi) != n:
-            return None
-        out = tuple(phi[x] for x in range(n))
-        return out if is_groupoid_iso(a, b, out) else None
-
-    cand_lists = [by_order.get(orders_a[s], []) for s in gens]
-    for images in itertools.product(*cand_lists):
-        phi = build(images)
-        if phi is not None:
-            return phi
-    return None
+    phi = _table_iso(a.ptable, b.ptable)
+    if phi is not None and not is_groupoid_iso(a, b, phi):
+        raise CertificateFailed(("group-iso", phi))
+    return phi
 
 
 def is_principal(g):

@@ -62,7 +62,6 @@ from .errors import (
     NotBelow,
     NotBoolean,
     NotCompatible,
-    SizeCapExceeded,
     TooLarge,
     Undecided,
 )
@@ -1440,7 +1439,7 @@ def _run_law(kind, fn, ctx):
         witness = fn(ctx)
     except _Skip as e:
         return "skip", None, str(e)
-    except (TooLarge, SizeCapExceeded, Undecided) as e:
+    except (TooLarge, Undecided) as e:
         return "skip", None, f"{type(e).__name__}: {e}"
     except BiskitError as e:
         return "fail", ("raised", type(e).__name__, str(e)[:200]), None

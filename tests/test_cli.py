@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import biskit.boolean
+import biskit.core
 import biskit.rook as rook
 from biskit.boolean import (
     KOfGroupoid,
@@ -29,6 +30,8 @@ from biskit.corpus import (
 )
 from biskit.rook import decompose
 from biskit.typemon import type_monoid
+from test_core import load_bench_inputs
+from test_groupoid import z4_by_z4_table
 from test_rook import counted_validations
 
 
@@ -306,27 +309,50 @@ def test_iso_direct_mode(data, capsys):
     assert "witness: [0, 1, 2, 3, 4, 5, 6]" in out
 
 
-I3_ABOVE_CAP = "error: SizeCapExceeded: carrier has 34 elements, above cap DEFAULT_SIZE_CAP=24\n"
-
-
-def test_iso_direct_respects_size_cap(data, capsys):
-    rc = main(["iso", data("i3.ist"), data("i3.ist"), "--mode", "direct"])
-    assert rc == 1
+def test_iso_direct_decides_i3(data, capsys):
+    assert main(["iso", data("i3.ist"), data("i3.ist"), "--mode", "direct"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == I3_ABOVE_CAP
+    assert out == f"isomorphic: True\nwitness: {list(range(34))}\n"
+    assert err == ""
 
 
-def test_iso_direct_size_cap_ignores_the_environment(data, capsys, monkeypatch):
-    # the cap is a constant: the variable that once set it moves or breaks
-    # nothing
-    args = ["iso", data("i3.ist"), data("i3.ist"), "--mode", "direct", "--format", "json"]
-    for value in ("3", "abc", "100"):
-        monkeypatch.setenv("BISKIT_SIZE_CAP", value)
-        assert main(["iso", data("i2.ist"), data("i2.ist"), "--mode", "direct"]) == 0
-        assert "isomorphic: True" in capsys.readouterr().out
-        assert main(args) == 1
-        assert capsys.readouterr() == ("", I3_ABOVE_CAP)
+def test_iso_direct_decides_relabelled_i4(tmp_path, capsys):
+    inputs, paths = load_bench_inputs(), []
+    for seed in (1, 2):
+        files, _ = inputs.i4_inputs(seed)
+        ((name, text),) = files.items()
+        path = tmp_path / f"{seed}-{name}"
+        path.write_text(text)
+        paths.append(str(path))
+    args = ["iso", *paths, "--mode", "direct", "--format", "json"]
+    assert main(args) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["isomorphic"] is True
+    s, t = (parse_semigroup(Path(p).read_text()) for p in paths)
+    phi = got["witness"]
+    assert sorted(phi) == list(range(t.size))
+    assert all(
+        phi[s.table[x][y]] == t.table[phi[x]][phi[y]]
+        for x in range(s.size)
+        for y in range(s.size)
+    )
+
+
+def test_iso_direct_above_the_search_cap_is_one_error_line(tmp_path, capsys, monkeypatch):
+    paths = []
+    for twisted in (False, True):
+        path = tmp_path / f"z4z4-{twisted}.ist"
+        path.write_text(render_ist(z4_by_z4_table(twisted), "z4z4"))
+        paths.append(str(path))
+    assert main(["iso", *paths, "--mode", "direct"]) == 0
+    assert capsys.readouterr() == ("isomorphic: False\n", "")
+    monkeypatch.setattr(biskit.core, "ISO_SEARCH_CAP", 131)
+    assert main(["iso", *paths, "--mode", "direct"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: Undecided: isomorphism search tried 132 generator images, "
+        "above cap ISO_SEARCH_CAP=131\n",
+    )
 
 
 def test_verify_good_file(data, capsys):

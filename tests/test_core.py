@@ -1,11 +1,14 @@
 import importlib.util
 import itertools
+import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biskit.core
 from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     InvSgp,
@@ -35,14 +38,14 @@ from biskit.errors import (
     NoZero,
     NotAssociative,
     ParseError,
-    SizeCapExceeded,
     TooLarge,
     Undecided,
 )
-from biskit.groupoid import GROUP_ISO_CAP, Gpd, group_iso
+from biskit.groupoid import Gpd, group_iso
 from biskit.rook import MN_CARRIER_CAP, build_Mn_G0
-from generated import cyclic_group, i4_subsemigroup_tables
+from generated import i4_subsemigroup_tables
 from naive_order import leq
+from test_groupoid import z4_by_z4_table
 
 
 def test_parse_roundtrip():
@@ -372,18 +375,6 @@ def test_iso_negative():
     )
 
 
-def test_iso_size_cap():
-    i3 = corpus_semigroup("i3")
-    with pytest.raises(SizeCapExceeded) as info:
-        semigroup_iso(i3, i3)
-    assert str(info.value) == "carrier has 34 elements, above cap DEFAULT_SIZE_CAP=24"
-    s = corpus_semigroup("i2")
-    big = InvSgp(table_product(s, s))
-    with pytest.raises(SizeCapExceeded) as info:
-        semigroup_iso(big, big)
-    assert str(info.value) == "carrier has 49 elements, above cap DEFAULT_SIZE_CAP=24"
-
-
 def test_fundamental():
     assert is_fundamental(corpus_semigroup("i2")).fundamental
     assert is_fundamental(corpus_semigroup("i3")).fundamental
@@ -425,14 +416,20 @@ def _chain(n):
     return InvSgp([[min(a, b) for b in range(n)] for a in range(n)])
 
 
+def _z4z4_group_iso_with_cap(cap):
+    """group_iso of Z4 x Z4 against Z4 x| Z4, which tries 132 generator
+    images, with ISO_SEARCH_CAP set to cap."""
+    with mock.patch.object(biskit.core, "ISO_SEARCH_CAP", cap):
+        return group_iso(Gpd(z4_by_z4_table(False)), Gpd(z4_by_z4_table(True)))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (
-            lambda: group_iso(*[cyclic_group(GROUP_ISO_CAP + 1)] * 2),
+            lambda: _z4z4_group_iso_with_cap(131),
             Undecided,
-            f"group isomorphism search capped at GROUP_ISO_CAP={GROUP_ISO_CAP}, "
-            f"group has order {GROUP_ISO_CAP + 1}",
+            "isomorphism search tried 132 generator images, above cap ISO_SEARCH_CAP=131",
         ),
         (
             lambda: build_Mn_G0(7, Gpd([[0]])),
@@ -700,11 +697,29 @@ def relabel(rows, perm):
 I4 = tuple(map(tuple, symmetric_inverse_table(4)))
 
 
+def shuffled(n, seed):
+    """A permutation of range(n), shuffled by a seeded generator."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+# a relabelling of I4 on which the greedy scan picks 6 generators
+SIX_GENERATOR_PERM = shuffled(len(I4), 1256)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(range(len(I4))))
-def test_relabelled_i4_has_at_most_five_generators(perm):
-    # the descending-id scan needed up to 16 on relabelled copies of I4
-    assert len(_generators(relabel(I4, perm))) <= 5
+@example(SIX_GENERATOR_PERM)
+def test_relabelled_i4_generators_generate_and_each_is_new(perm):
+    # the scan bounds nothing but this: its generators generate every id,
+    # and each is the first id, in scan order, that the ones before it do
+    # not generate
+    assert_generators_decide_associativity(relabel(I4, perm), None)
+
+
+def test_the_pinned_relabelling_of_i4_has_six_generators():
+    assert len(_generators(relabel(I4, SIX_GENERATOR_PERM))) == 6
 
 
 def load_bench_inputs():
