@@ -237,17 +237,102 @@ def _ids(m):
         m &= m - 1
 
 
+def _check_entries(rows):
+    """Raise ParseError unless rows is k rows of k ids in 0..k-1.
+
+    One pass over every entry when each is a plain int id; else row by row,
+    to name the first bad row and entry.
+    """
+    k = len(rows)
+    if (
+        all(len(row) == k for row in rows)
+        and {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+        and set().union(*rows) <= set(range(k))
+    ):
+        return
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < k:
+                raise ParseError(f"entry {v!r} out of range in row {i}")
+
+
+class _ParsedRows(tuple):
+    """Rows as _parse_table read them, every entry an id in 0..k-1 already:
+    the one table InvSgp does not pass through _check_entries."""
+
+
+def _inverse_candidates(rows, a, col):
+    """The b with a*b*a = a and b*a*b = b, ascending; col is column a.
+
+    The first condition reads column a at row a, and only b passing it are
+    tested for the second.
+    """
+    aba = _picker(rows[a])(col)
+    return tuple(b for b in _positions(aba, a) if rows[col[b]][b] == b)
+
+
+def _inverse_scan(rows):
+    """The inverse of each id by the all-pairs scan of _inverse_candidates;
+    NotInverse(a, candidates) for the first a without exactly one."""
+    inv = []
+    for a, col in enumerate(zip(*rows)):
+        cands = _inverse_candidates(rows, a, col)
+        if len(cands) != 1:
+            raise NotInverse(a, cands)
+        inv.append(cands[0])
+    return inv
+
+
+def _inverses_on_generators(rows, gens):
+    """A checked inverse b of every id a, from the generators, or None.
+
+    Each generator's inverses come from _inverse_candidates; with exactly
+    one each, they are carried along the closure of _generators by
+    (m*g)' = g'*m', so every id gets one candidate.  None unless every
+    candidate b of its a passes a*b*a = a and b*a*b = b.
+    """
+    inv = [None] * len(rows)
+    for g in gens:
+        cands = _inverse_candidates(rows, g, tuple(map(itemgetter(g), rows)))
+        if len(cands) != 1:
+            return None
+        inv[g] = cands[0]
+    members = list(gens)
+    for m in members:  # the loop reaches the members it appends
+        rm, im = rows[m], inv[m]
+        for g in gens:
+            w = rm[g]
+            if inv[w] is None:
+                inv[w] = rows[inv[g]][im]
+                members.append(w)
+    for a, (ra, b) in enumerate(zip(rows, inv)):
+        if rows[ra[b]][a] != a or rows[rows[b][a]][b] != b:
+            return None
+    return inv
+
+
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
-    Construction checks every entry is an id, then every associativity
-    equation (a*b)*c = a*(b*c) by Light's test on a greedy generating set
-    (_associative_generators): (x*g)*y = x*(g*y) for each generator g and
-    all x, y, k*|generators| row comparisons instead of k*k.  When it
-    fails, the row scan of _check_associative names the first failing triple
-    in lexicographic order as the NotAssociative witness.  Then each element
-    needs exactly one inverse (NotInverse names the candidates) and the
-    idempotents must commute (IdempotentsDontCommute names a pair).
+    Construction checks every entry is an id (_check_entries; a table from
+    parse_semigroup was checked by its parser, which reads only ids), then
+    every associativity equation (a*b)*c = a*(b*c) by Light's test on a
+    greedy generating set (_associative_generators): (x*g)*y = x*(g*y) for
+    each generator g and all x, y, k*|generators| row comparisons instead of
+    k*k.  When it fails, the row scan of _check_associative names the first
+    failing triple in lexicographic order as the NotAssociative witness.
+    Then each element needs exactly one inverse and the idempotents must
+    commute.  Inverses are found on the generators and carried along their
+    closure (_inverses_on_generators), each candidate checked: when every
+    one is an inverse the table is regular, and a regular semigroup whose
+    idempotents commute has unique inverses (J. M. Howie, *Fundamentals of
+    Semigroup Theory*, 1995, Thm 5.1.1), so the all-pairs scan is not
+    needed.  Otherwise that scan runs and names the witness: NotInverse the
+    first id and its candidates, else IdempotentsDontCommute the first pair.
+    The order is read at the idempotents: a <= b iff a = b*e for an
+    idempotent e, so down[b] is the products b*e.
     """
 
     def __init__(self, table):
@@ -255,40 +340,21 @@ class InvSgp:
         k = len(rows)
         if k == 0:
             raise ParseError("empty table")
-        # one pass over every entry when each is a plain int id, as the
-        # parser's are; else row by row, to name the first bad row and entry
-        if not (
-            all(len(row) == k for row in rows)
-            and {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
-            and set().union(*rows) <= set(range(k))
-        ):
-            for i, row in enumerate(rows):
-                if len(row) != k:
-                    raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
-                for v in row:
-                    if not isinstance(v, int) or not 0 <= v < k:
-                        raise ParseError(f"entry {v!r} out of range in row {i}")
+        if type(table) is not _ParsedRows:
+            _check_entries(rows)
 
         gens = _associative_generators(rows)
         if gens is None:
             _check_associative(rows)
 
-        # b is an inverse of a when a*b*a = a and b*a*b = b; the first
-        # condition reads column a at row a, and only b passing it are tested
-        # for the second
-        cols = tuple(zip(*rows))
-        inv = []
-        for a, (ra, ca) in enumerate(zip(rows, cols)):
-            aba = _picker(ra)(ca)
-            cands = tuple(b for b in _positions(aba, a) if rows[ca[b]][b] == b)
-            if len(cands) != 1:
-                raise NotInverse(a, cands)
-            inv.append(cands[0])
-
         idem = tuple(e for e in range(k) if rows[e][e] == e)
-        for e, f in itertools.combinations(idem, 2):
-            if rows[e][f] != rows[f][e]:
-                raise IdempotentsDontCommute((e, f))
+        pairs = itertools.combinations(idem, 2)
+        clash = next(((e, f) for e, f in pairs if rows[e][f] != rows[f][e]), None)
+        inv = None if clash else _inverses_on_generators(rows, gens)
+        if inv is None:  # the all-pairs scan names the witness
+            inv = _inverse_scan(rows)
+            if clash:
+                raise IdempotentsDontCommute(clash)
 
         zero = None
         for z in idem:
@@ -305,15 +371,16 @@ class InvSgp:
         self.zero = zero
         self.d = tuple(rows[inv[a]][a] for a in range(k))
         self.r = tuple(rows[a][inv[a]] for a in range(k))
-        # a <= b iff a = b * d(a): the up-set of a is where column d(a) is a.
-        # up and down, each the other's transpose and ascending, are the one
+        # a <= b iff a = b*e for an idempotent e (then e can be d(a)).  down
+        # and up, each the other's transpose and ascending, are the one
         # stored form of the order: a <= b is a in down[b], or b in up[a]
-        self.up = tuple(tuple(_positions(cols[da], a)) for a, da in enumerate(self.d))
-        down = [[] for _ in range(k)]
-        for a, ups in enumerate(self.up):
-            for b in ups:
-                down[b].append(a)
-        self.down = tuple(map(tuple, down))
+        at_idem = _picker(idem)
+        self.down = tuple(tuple(sorted(set(at_idem(row)))) for row in rows)
+        up = [[] for _ in range(k)]
+        for b, downs in enumerate(self.down):
+            for a in downs:
+                up[a].append(b)
+        self.up = tuple(map(tuple, up))
         if zero is None:
             self.atoms = None
         else:
@@ -436,8 +503,9 @@ class InvSgp:
 
 
 def parse_semigroup(text):
-    """Parse .ist text into a validated InvSgp."""
-    return InvSgp(_parse_table(text, allow_undefined=False))
+    """Parse .ist text into a validated InvSgp; the parser has checked the
+    entries, so InvSgp does not check them again."""
+    return InvSgp(_ParsedRows(_parse_table(text, allow_undefined=False)))
 
 
 def adjoin_zero(s):

@@ -342,7 +342,6 @@ def groupoid_iso(g, h):
     it.  The candidate is fully re-checked against both partial tables
     before being returned.
     """
-    cg, ch = coordinatize(g), coordinatize(h)
     comps_g, comps_h = g.form, h.form
     if len(comps_g) != len(comps_h):
         return None
@@ -377,6 +376,7 @@ def groupoid_iso(g, h):
     if not assign(0):
         return None
 
+    cg, ch = coordinatize(g), coordinatize(h)
     inv_coord_h = {}
     for t in range(h.size):
         inv_coord_h[ch.coord[t]] = t

@@ -1,5 +1,6 @@
 """Generated structures for property tests: inverse subsemigroups of I4,
-and component forms of groupoids whose local bisections K(G) tabulates.
+subsemigroups of the full transformation monoid T3, and component forms of
+groupoids whose local bisections K(G) tabulates.
 
 A partial bijection of {0..3} is a frozenset of (x, f(x)) pairs.  The
 product a*b is "first a, then b".  The subsemigroup generated by a few of
@@ -57,6 +58,30 @@ partial_bijections = st.builds(
 i4_subsemigroup_tables = st.lists(partial_bijections, min_size=1, max_size=3).map(
     lambda gens: generated_table(gens)[1]
 )
+
+
+def transformation_table(gens):
+    """The table of the subsemigroup of T3 generated by gens, maps of
+    {0, 1, 2} as image tuples, with a*b "first a, then b" and the maps in
+    ascending order.  Often regular without commuting idempotents, so not
+    inverse."""
+    elems, todo = set(gens), list(gens)
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            w = tuple(g[y] for y in m)
+            if w not in elems:
+                elems.add(w)
+                todo.append(w)
+    elems = sorted(elems)
+    index = {f: i for i, f in enumerate(elems)}
+    return [[index[tuple(b[y] for y in a)] for b in elems] for a in elems]
+
+
+# tables of the subsemigroups of T3 generated by 1-3 maps
+t3_subsemigroup_tables = st.lists(
+    st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3
+).map(transformation_table)
 
 
 def bisection_count(g):

@@ -14,6 +14,7 @@ from biskit.core import (
     InvSgp,
     _check_associative,
     _generators,
+    _inverses_on_generators,
     _light_test,
     _parse_table,
     _tokenize,
@@ -37,14 +38,15 @@ from biskit.errors import (
     BiskitError,
     NoZero,
     NotAssociative,
+    NotInverse,
     ParseError,
     TooLarge,
     Undecided,
 )
 from biskit.groupoid import Gpd, group_iso
 from biskit.rook import MN_CARRIER_CAP, build_Mn_G0
-from generated import i4_subsemigroup_tables
-from naive_order import leq
+from generated import i4_subsemigroup_tables, t3_subsemigroup_tables, transformation_table
+from naive_order import leq, naive_structure
 from test_groupoid import z4_by_z4_table
 
 
@@ -738,3 +740,162 @@ def test_benchmark_i4_inputs_have_at_most_five_generators():
         (text,) = files.values()
         s = parse_semigroup(text)
         assert len(s.associative_generators) <= 5, seed
+
+
+# -- inverses and order after Light's test, against the all-pairs scans --------
+
+
+STRUCTURE = ("inv", "d", "r", "up", "down", "atoms", "zero", "identity")
+
+
+def validation_outcome(rows):
+    """What InvSgp(rows) gives: its derived data, or the error and witness."""
+    try:
+        s = InvSgp(rows)
+    except BiskitError as e:
+        return type(e).__name__, vars(e)
+    return {name: getattr(s, name) for name in STRUCTURE}
+
+
+def scan_outcome(rows):
+    """The same from the row scan for associativity and naive_structure."""
+    triple = row_scan_witness(rows)
+    if triple is not None:
+        return "NotAssociative", {"triple": triple}
+    try:
+        return naive_structure(rows)
+    except BiskitError as e:
+        return type(e).__name__, vars(e)
+
+
+def assert_validation_matches_scans(table):
+    rows = tuple(map(tuple, table))
+    assert validation_outcome(rows) == scan_outcome(rows)
+
+
+STRUCTURE_TABLES = {
+    **KERNEL_TABLES,
+    "I4": lambda: I4,
+    "powerset2 x z3zero": lambda: table_product(
+        corpus_semigroup("powerset2"), corpus_semigroup("z3zero")
+    ),
+    "z2zero x z2zero": lambda: table_product(
+        corpus_semigroup("z2zero"), corpus_semigroup("z2zero")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_TABLES))
+def test_structure_matches_the_all_pairs_scans(name):
+    assert_validation_matches_scans(STRUCTURE_TABLES[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(i4_subsemigroup_tables, st.integers(0, 2**32))
+def test_structure_matches_the_all_pairs_scans_on_generated_structures(table, seed):
+    assert_validation_matches_scans(table)
+    assert_validation_matches_scans(relabel(table, shuffled(len(table), seed)))
+
+
+def test_inverse_semigroups_skip_the_all_pairs_scan(monkeypatch):
+    # on an inverse semigroup every inverse carried from the generators
+    # passes its check, so the scan that names witnesses never runs
+    def scan(rows):
+        raise AssertionError("all-pairs inverse scan ran")
+
+    monkeypatch.setattr(biskit.core, "_inverse_scan", scan)
+    for name, build in STRUCTURE_TABLES.items():
+        InvSgp(build())
+    for seed in range(3):
+        InvSgp(relabel(I4, shuffled(len(I4), seed)))
+
+
+# (i, j) is id 2i + j, and (i, j)(k, l) = (i, l)
+RECTANGULAR_BAND_2X2 = [[2 * (a // 2) + b % 2 for b in range(4)] for a in range(4)]
+
+
+@pytest.mark.parametrize(
+    "table, element, candidates",
+    [
+        ([[0, 0], [1, 1]], 0, (0, 1)),  # left-zero band: a*b = a
+        ([[0, 0], [0, 0]], 1, ()),  # null semigroup: x*x = 0
+        (RECTANGULAR_BAND_2X2, 0, (0, 1, 2, 3)),
+    ],
+)
+def test_not_inverse_names_the_scans_witness(table, element, candidates):
+    with pytest.raises(NotInverse) as caught:
+        InvSgp(table)
+    assert (caught.value.element, caught.value.candidates) == (element, candidates)
+    assert_validation_matches_scans(table)
+
+
+def test_regular_tables_with_idempotents_that_do_not_commute_are_scanned():
+    # the subsemigroup of T3 generated by (2, 2, 1) and (0, 1, 1): every
+    # inverse carried from the generators passes its check, but the
+    # idempotents do not commute, so the scan runs and finds 1 with two
+    # inverses
+    table = transformation_table([(2, 2, 1), (0, 1, 1)])
+    rows = tuple(map(tuple, table))
+    assert _inverses_on_generators(rows, _generators(rows)) is not None
+    with pytest.raises(NotInverse) as caught:
+        InvSgp(table)
+    assert (caught.value.element, caught.value.candidates) == (1, (1, 4))
+    assert_validation_matches_scans(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t3_subsemigroup_tables)
+def test_transformation_semigroups_fail_as_the_scans_do(table):
+    assert_validation_matches_scans(table)
+
+
+def is_inverse_pair(rows, a, b):
+    return rows[rows[a][b]][a] == a and rows[rows[b][a]][b] == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SEMIGROUP_BUILDERS)), st.data())
+def test_inverses_on_generators_are_checked_on_any_table(name, data):
+    # on a corrupted table, associative or not, every inverse carried from
+    # the generators is checked before it is returned
+    rows = [list(r) for r in SEMIGROUP_BUILDERS[name]()]
+    k = len(rows)
+    a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    rows[a][b] = v
+    rows = tuple(map(tuple, rows))
+    inv = _inverses_on_generators(rows, _generators(rows))
+    assert inv is None or all(is_inverse_pair(rows, x, y) for x, y in enumerate(inv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SEMIGROUP_BUILDERS)), st.data())
+def test_corrupted_corpus_tables_fail_as_the_scans_do(name, data):
+    table = [list(r) for r in SEMIGROUP_BUILDERS[name]()]
+    k = len(table)
+    a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    table[a][b] = v
+    assert_validation_matches_scans(table)
+
+
+def test_parsed_entries_are_checked_once(monkeypatch):
+    # parse_semigroup's parser reads only ids 0..k-1, so InvSgp does not run
+    # the entry check on its table; a table given to InvSgp directly is
+    # checked, with the row scan's messages
+    i2 = corpus_semigroup("i2")
+    calls = []
+    check = biskit.core._check_entries
+    monkeypatch.setattr(
+        biskit.core, "_check_entries", lambda rows: calls.append(rows) or check(rows)
+    )
+    assert parse_semigroup(render_ist(i2.table, "i2")).table == i2.table
+    assert calls == []
+    assert InvSgp([list(r) for r in i2.table]).table == i2.table
+    assert len(calls) == 1
+    for table, message in [
+        ([[0, 0], [0]], "row 1 has 1 entries, expected 2"),
+        ([[0, 0], [0, 1.0]], "entry 1.0 out of range in row 1"),
+        ([[0, 2], [1, 0]], "entry 2 out of range in row 0"),
+    ]:
+        with pytest.raises(ParseError, match=message.replace(".", r"\.")):
+            InvSgp(table)
+    assert len(calls) == 4

@@ -15,6 +15,7 @@ from biskit.corpus import (
     render_grp,
     symmetric_inverse_table,
 )
+from biskit import groupoid
 from biskit.errors import NotGroupoid, ParseError
 from biskit.groupoid import (
     Component,
@@ -201,6 +202,40 @@ def test_coordinatize_conn2z2():
 
 def test_groupoid_iso_negative():
     assert groupoid_iso(corpus_groupoid("disc3"), corpus_groupoid("z2pair2")) is None
+
+
+def small_groupoids():
+    """The corpus groupoids and the restricted groupoids of the corpus
+    semigroups, of at most 8 arrows."""
+    out = {name: corpus_groupoid(name) for name in GROUPOID_BUILDERS}
+    for name in SEMIGROUP_BUILDERS:
+        g = corpus_semigroup(name).restricted_groupoid
+        if g.size <= 8:
+            out[f"G({name})"] = g
+    return out
+
+
+def brute_force_isomorphic(g, h):
+    return g.size == h.size and any(
+        is_groupoid_iso(g, h, mp) for mp in itertools.permutations(range(h.size))
+    )
+
+
+def test_groupoid_iso_decides_every_pair_of_small_groupoids(monkeypatch):
+    # coordinatize runs only on pairs whose components match, so on none
+    # that groupoid_iso rejects
+    coordinatized = []
+    monkeypatch.setattr(
+        groupoid, "coordinatize", lambda g: coordinatized.append(g) or coordinatize(g)
+    )
+    gs = small_groupoids()
+    for (a, g), (b, h) in itertools.product(gs.items(), repeat=2):
+        coordinatized.clear()
+        mp = groupoid_iso(g, h)
+        assert (mp is not None) == brute_force_isomorphic(g, h), (a, b)
+        assert mp is None or is_groupoid_iso(g, h, mp)
+        if mp is None:
+            assert coordinatized == [], (a, b)
 
 
 def test_groupoid_iso_relabelled():
