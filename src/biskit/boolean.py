@@ -23,8 +23,10 @@ from .core import (
     _dr_classes,
     _ids,
     _mask,
+    _on_generator_sides,
     _on_generators,
     _picker,
+    _translation_failure,
     check_congruence,
     quotient_table,
     table_product,
@@ -148,10 +150,6 @@ def check_boolean(s):
     interval [0, f] has unique complements.  A table that passes has an
     identity, the join of all its idempotents; one without raises
     CertificateFailed(("no-identity",)).
-
-    Distributivity is decided on generators (_distributes_on_generators).
-    When the pass fails, _distributivity_failure scans every c, so the
-    failure tuple is the one a full scan gives.
     """
     if s.zero is None:
         return BooleanCheck(False, ("no-zero",), None)
@@ -161,10 +159,9 @@ def check_boolean(s):
         if None in map(jt[a].__getitem__, later):
             b = next(b for b in later if jt[a][b] is None)
             return BooleanCheck(False, ("missing-join", a, b), None)
-    if not _distributes_on_generators(s):
-        failure = _distributivity_failure(s)
-        if failure is not None:
-            return BooleanCheck(False, failure, None)
+    failure = _distributivity_failure(s)
+    if failure is not None:
+        return BooleanCheck(False, failure, None)
     complement = {}
     idem = s.idempotents
     for f in idem:
@@ -180,68 +177,48 @@ def check_boolean(s):
     return BooleanCheck(True, None, BoolInvSgp(s, complement, s.identity))
 
 
-def _distributes_on_generators(s):
-    """True when c*(a v b) = c*a v c*b and (a v b)*c = a*c v b*c for every
-    c and every ordered compatible pair (a, b), all joins defined, decided
-    on generators (_on_generators).
+def _distributivity_failure(s):
+    """The first distributivity failure over compatible pairs a <= b, or None.
 
-    The c that distribute over every ordered compatible pair are closed
-    under the product: for m and g among them, m*g*(a v b) = m*(g*a v g*b)
-    = m*g*a v m*g*b, as (g*a, g*b) is compatible again, and the same on the
-    right.  That pair can come in either order, so the pass walks ordered
-    pairs, and a reversed pair without a join fails it.  Per a and c, the
-    joins of c*a (of a*c) with c*b (with b*c) over the partners b of a are
-    read in one itemgetter call and compared with row c (column c) read at
-    the joins a v b; the pickers of each a are made once.
+    The pass (_on_generator_sides) keeps the relation x v y = z on the
+    triples (a, b, a v b) of the ordered compatible pairs, as (c*a, c*b)
+    can come in either order; a reversed pair without a join declines it.
+    Per a and side, side[a] v side[b] over the partners b of a is read in
+    one itemgetter call, against side read at the joins a v b.  When the
+    pass declines, _translation_failure names the first c, left before
+    right: ("left-distributivity", c, a, b) or ("right-distributivity", a,
+    b, c).
     """
-    t, jt = s.table, s.join_table
+    jt = s.join_table
     per_a = []  # (a, a picker of its partners, a picker of its joins), per a
     for a, partners in enumerate(s.compat_partners):
         at_partners = _picker(partners)
         joins = at_partners(jt[a])
         if None in joins:
-            return False
+            break
         per_a.append((a, at_partners, _picker(joins)))
+    else:
 
-    def holds(c):
-        row, col = t[c], tuple(map(itemgetter(c), t))
-        return all(
-            _picker(at_partners(row))(jt[row[a]]) == at_joins(row)
-            and _picker(at_partners(col))(jt[col[a]]) == at_joins(col)
-            for a, at_partners, at_joins in per_a
-        )
+        def holds(side):
+            return all(
+                _picker(at_partners(side))(jt[side[a]]) == at_joins(side)
+                for a, at_partners, at_joins in per_a
+            )
 
-    return _on_generators(s, holds)
-
-
-def _distributivity_failure(s):
-    """The first distributivity failure over compatible pairs a <= b, or None.
-
-    Decided a pair at a time: the joins of columns a and b must be column
-    a v b (left), and the joins of rows a and b must be row a v b (right).
-    A pair that fails either is scanned by c, so the failure names the first
-    c, left before right, at which it breaks: ("left-distributivity", c, a,
-    b) or ("right-distributivity", a, b, c).
-    """
-    t, jt = s.table, s.join_table
-    # not the cached s.cols: every quotient and product biskit builds is
-    # checked here, and caching their columns would keep them all alive
-    cols = tuple(zip(*t))
-    for a, partners in enumerate(s.compat_partners):
-        for b in _above(partners, a - 1):  # the partners b >= a
-            j = jt[a][b]
-            if tuple([jt[x][y] for x, y in zip(cols[a], cols[b])]) == cols[j] and (
-                tuple([jt[x][y] for x, y in zip(t[a], t[b])]) == t[j]
-            ):
-                continue
-            for c in range(s.size):
-                left = jt[t[c][a]][t[c][b]]
-                if left is None or left != t[c][j]:
-                    return ("left-distributivity", c, a, b)
-                right = jt[t[a][c]][t[b][c]]
-                if right is None or right != t[j][c]:
-                    return ("right-distributivity", a, b, c)
-    return None
+        if _on_generator_sides(s, holds):
+            return None
+    triples = (
+        (a, b, jt[a][b])
+        for a, partners in enumerate(s.compat_partners)
+        for b in _above(partners, a - 1)  # the partners b >= a
+    )
+    bad = _translation_failure(s, triples, lambda x, y, j: jt[x][y] == j)
+    if bad is None:
+        return None
+    (a, b, _), c, side = bad
+    if side == "left":
+        return ("left-distributivity", c, a, b)
+    return ("right-distributivity", a, b, c)
 
 
 def as_boolean(s):
@@ -448,28 +425,27 @@ def verify_additive_ideal(bs, subset):
     iteration order) and each x, x*a then a*x are in; for each compatible
     pair a < b of members, their join is in.
 
-    The products are decided on generators g (_on_generators): g*a and a*g
-    in the subset for every member a.  The x with x*a and a*x in the subset
-    for every member a are closed under the product, as (x*y)*a = x*(y*a)
-    and a*(x*y) = (a*x)*y.  When the pass declines, the members are scanned
-    one x at a time, to name the first witness.  A member's joins are
-    decided by whether the joins with its compatible partners are in; only
-    one that fails is scanned one b at a time.
+    The products are decided on generators (_on_generator_sides): row g
+    and column g of each generator g, read at the members, must lie in the
+    subset.  When the pass declines, _translation_failure names the first
+    witness, the members taken in subset's order, then every x.  A member's
+    joins are decided by whether the joins with its compatible partners are
+    in; only one that fails is scanned one b at a time.
     """
     s = bs.base
     if s.zero not in subset:
         return ("missing-zero",)
-    t = s.table
     members = subset if isinstance(subset, (set, frozenset)) else set(subset)
     inside = members.__contains__
 
-    def holds(g):
-        return all(map(inside, map(t[g].__getitem__, members))) and all(
-            map(inside, map(itemgetter(g), map(t.__getitem__, members)))
-        )
+    def holds(side):
+        return all(map(inside, map(side.__getitem__, members)))
 
-    if not _on_generators(s, holds):
-        return _ideal_scan(t, subset)
+    if not _on_generator_sides(s, holds):
+        bad = _translation_failure(s, ((a,) for a in subset), inside)
+        if bad is not None:
+            (a,), x, side = bad
+            return ("left-ideal", x, a) if side == "left" else ("right-ideal", a, x)
     partners, jt = s.compat_partners, s.join_table
     for a in sorted(subset):
         # joins with every compatible member, a superset of the pairs a < b
@@ -478,18 +454,6 @@ def verify_additive_ideal(bs, subset):
         for b in filter(inside, _above(partners[a], a)):
             if jt[a][b] not in subset:
                 return ("join", a, b)
-    return None
-
-
-def _ideal_scan(t, subset):
-    """The first ("left-ideal", x, a) or ("right-ideal", a, x), for the
-    members a in subset's order and each x, with x*a or a*x outside it."""
-    for a in subset:
-        for x in range(len(t)):
-            if t[x][a] not in subset:
-                return ("left-ideal", x, a)
-            if t[a][x] not in subset:
-                return ("right-ideal", a, x)
     return None
 
 

@@ -16,7 +16,6 @@ from operator import eq, itemgetter
 
 from .errors import (
     CertificateFailed,
-    IdempotentsDontCommute,
     NoZero,
     NotAssociative,
     NotInverse,
@@ -214,6 +213,44 @@ def _on_generators(s, holds):
     return gens is not None and all(map(holds, gens))
 
 
+def _on_generator_sides(s, holds):
+    """_on_generators with holds(side) for side row g, the g*x over every
+    x, and for side column g, the x*g, of each generator g.
+
+    The translation lemma of every two-sided pass: when left multiplication
+    by g and by h keeps a relation R, u R v implying g*u R g*v, so does
+    multiplication by g*h, as (g*h)*u = g*(h*u) and h*u R h*v; the same on
+    the right (M. V. Lawson, *Inverse Semigroups*, 1998, §1.4).  So R is
+    kept by every translation once row g and column g of each generator
+    keep it.  Column g is read one entry per row, not from s.cols, so no
+    quotient or product checked here caches its columns.
+    """
+    t = s.table
+    return _on_generators(
+        s, lambda g: holds(t[g]) and holds(tuple(map(itemgetter(g), t)))
+    )
+
+
+def _translation_failure(s, tuples, related):
+    """The first (tup, u, side) with related(u*x, u*y, ...) false, side
+    "left", or related(x*u, y*u, ...) false, side "right", for the ids
+    x, y, ... of tup; or None.
+
+    The witness scan behind _on_generator_sides: tuples are taken in order
+    (they may be lazy), then u ascending, left before right.
+    """
+    t = s.table
+    for tup in tuples:
+        lefts = zip(*[map(itemgetter(x), t) for x in tup])  # (u*x, ...) per u
+        rights = zip(*map(t.__getitem__, tup))  # (x*u, ...) per u
+        for u, (left, right) in enumerate(zip(lefts, rights)):
+            if not related(*left):
+                return tup, u, "left"
+            if not related(*right):
+                return tup, u, "right"
+    return None
+
+
 def _bound_table(masks):
     """Entry [a][b] is the element x with masks[x] == masks[a] & masks[b],
     or None.
@@ -329,8 +366,10 @@ class InvSgp:
     one is an inverse the table is regular, and a regular semigroup whose
     idempotents commute has unique inverses (J. M. Howie, *Fundamentals of
     Semigroup Theory*, 1995, Thm 5.1.1), so the all-pairs scan is not
-    needed.  Otherwise that scan runs and names the witness: NotInverse the
-    first id and its candidates, else IdempotentsDontCommute the first pair.
+    needed.  Otherwise that scan runs and raises NotInverse at the first id
+    without exactly one inverse, naming its candidates.  With idempotents
+    that do not commute it always does: unique inverses in an associative
+    table make the idempotents commute (Howie, Thm 5.1.1).
     The order is read at the idempotents: a <= b iff a = b*e for an
     idempotent e, so down[b] is the products b*e.
     """
@@ -353,8 +392,6 @@ class InvSgp:
         inv = None if clash else _inverses_on_generators(rows, gens)
         if inv is None:  # the all-pairs scan names the witness
             inv = _inverse_scan(rows)
-            if clash:
-                raise IdempotentsDontCommute(clash)
 
         zero = None
         for z in idem:
@@ -615,21 +652,17 @@ def check_congruence(s, cls):
     """Return a witness (a, b, c, side) if the relation with class ids cls,
     cls[x] the class of x, is not a congruence.
 
-    Decided on generators (_on_generators): row g and column g of each,
-    read through cls, must be constant on classes.  The c with
-    x ~ y => cx ~ cy and xc ~ yc are closed under the product, as
-    c*d*x = c*(d*x) ~ c*(d*y) and x*c*d = (x*c)*d ~ (y*c)*d.  Only when the
+    Decided on generators (_on_generator_sides): row g and column g of
+    each, read through cls, must be constant on classes.  Only when the
     pass fails does _congruence_scan name the witness."""
-    t = s.table
     first = {}
     at_first = _picker([first.setdefault(c, x) for x, c in enumerate(cls)])
 
-    def holds(g):
-        row = tuple(map(cls.__getitem__, t[g]))
-        col = tuple(map(cls.__getitem__, map(itemgetter(g), t)))
-        return at_first(row) == row and at_first(col) == col
+    def holds(side):
+        side = tuple(map(cls.__getitem__, side))
+        return at_first(side) == side
 
-    return None if _on_generators(s, holds) else _congruence_scan(s, cls)
+    return None if _on_generator_sides(s, holds) else _congruence_scan(s, cls)
 
 
 def _congruence_scan(s, cls):

@@ -33,12 +33,6 @@ class NotInverse(BiskitError):
         super().__init__(f"element {element} has {what}")
 
 
-class IdempotentsDontCommute(BiskitError):
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"idempotents {pair[0]} and {pair[1]} do not commute")
-
-
 class NoZero(BiskitError):
     """Operation needs an absorbing zero and the table has none."""
 

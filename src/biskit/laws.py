@@ -49,9 +49,11 @@ from .core import (
     _first_split,
     _is_additive_congruence,
     _mask,
+    _on_generator_sides,
     _on_generators,
     _picker,
     _positions,
+    _translation_failure,
     all_congruences,
     d_relation_idempotents,
     is_fundamental,
@@ -403,29 +405,23 @@ def _filter_order(s):
       P2  a <= b implies up[b] lies within up[a];
       P3  a <= b implies a' <= b';
       P4  a <= b implies a*y <= b*y and y*a <= y*b, for each y.
-    P4 is decided on generators (_on_generators): the y with u*y <= v*y for
-    every pair u <= v are closed under the product, as (u*g)*h = u*(g*h)
-    and u*g <= v*g is such a pair again, and so are those on the left.
-    Then x >= a and y >= b give x*y >= a*y >= a*b (P2), and the up-closure
-    of up[a]*up[b], which holds a*b (P1), is up[a*b].  With P3 the domain
-    filter of up[a] is up[a'*a], and the range filter of up[b] is up[b*b'],
-    so by P1 up[a]*up[b] is defined exactly when a'*a = b*b': x -> up[x] is
-    then an isomorphism from the restricted groupoid on the nonzero ids onto
-    the filter groupoid.
+    P4 is decided on generators (_on_generator_sides).  Then x >= a and
+    y >= b give x*y >= a*y >= a*b (P2), and the up-closure of up[a]*up[b],
+    which holds a*b (P1), is up[a*b].  With P3 the domain filter of up[a]
+    is up[a'*a], and the range filter of up[b] is up[b*b'], so by P1
+    up[a]*up[b] is defined exactly when a'*a = b*b': x -> up[x] is then an
+    isomorphism from the restricted groupoid on the nonzero ids onto the
+    filter groupoid.
     """
-    t, inv, up = s.table, s.inv, s.up
+    inv, up = s.inv, s.up
     masks = [_mask(u) for u in up]
     if len(set(masks)) < s.size or not all(m >> a & 1 for a, m in enumerate(masks)):
         return False
     pairs = [(a, b) for a, ups in enumerate(up) for b in ups]
     if any(masks[b] & ~masks[a] or not masks[inv[a]] >> inv[b] & 1 for a, b in pairs):
         return False
-    return _on_generators(
-        s,
-        lambda g: all(
-            masks[t[a][g]] >> t[b][g] & 1 and masks[t[g][a]] >> t[g][b] & 1
-            for a, b in pairs
-        ),
+    return _on_generator_sides(
+        s, lambda side: all(masks[side[a]] >> side[b] & 1 for a, b in pairs)
     )
 
 
@@ -473,58 +469,36 @@ def law_atom_idempotent(c):
     return None
 
 
-def _on_generator_sides(s, pairs, holds):
-    """_on_generators with holds(side, xs, ys) for side row g and for side
-    column g of each generator g, xs and ys being side read at the first
-    and at the second ids of pairs.  So laws oj and setminus-2 check that a
-    property of (u*x, u*y), and one of (x*u, y*u), holds for every pair and
-    every u, once the u that have it are closed under the product.  False
-    when pairs is empty."""
-    if not pairs:
-        return False
-    at_x, at_y = (_picker(ids) for ids in zip(*pairs))
-    return _on_generators(
-        s,
-        lambda g: all(
-            holds(side, at_x(side), at_y(side))
-            for side in (s.table[g], s.cols[g])  # g*x and x*g, every x
-        ),
-    )
-
-
 def _oj_on_generators(s):
     """True when (u*a, u*b) and (a*u, b*u) are orthogonal for every
-    orthogonal pair (a, b) and every u, by _on_generator_sides: if g and h
-    keep every orthogonal pair orthogonal, so does g*h, as (g*h*a, g*h*b) =
-    (g*(h*a), g*(h*b)); the same holds on the right."""
+    orthogonal pair (a, b) and every u, by _on_generator_sides: row g and
+    column g of each generator g, read at the orthogonal pairs."""
     elems, orth = range(s.size), s.orth
     pairs = [(a, b) for a in elems for b in itertools.compress(elems, orth[a])]
+    if not pairs:
+        return False
+    at_a, at_b = (_picker(ids) for ids in zip(*pairs))
 
-    def holds(side, xs, ys):
-        return all(map(getitem, map(orth.__getitem__, xs), ys))
+    def holds(side):
+        return all(map(getitem, map(orth.__getitem__, at_a(side)), at_b(side)))
 
-    return _on_generator_sides(s, pairs, holds)
-
-
-def _oj_scan(s):
-    """law oj on every orthogonal pair (a, b), then every u: the first
-    (a, b, u, side) that fails, or None."""
-    for a in range(s.size):
-        for b in itertools.compress(range(s.size), s.orth[a]):
-            for u in range(s.size):
-                if not s.orth[s.table[u][a]][s.table[u][b]]:
-                    return (a, b, u, "left")
-                if not s.orth[s.table[a][u]][s.table[b][u]]:
-                    return (a, b, u, "right")
-    return None
+    return _on_generator_sides(s, holds)
 
 
 def law_oj(c):
     """Orthogonality survives multiplying on either side: _oj_on_generators,
-    else _oj_scan, which names the witness."""
-    if _oj_on_generators(c.s):
+    else _translation_failure over the orthogonal pairs (a, b), which names
+    the witness (a, b, u, side)."""
+    s = c.s
+    if _oj_on_generators(s):
         return None
-    return _oj_scan(c.s)
+    elems, orth = range(s.size), s.orth
+    pairs = ((a, b) for a in elems for b in itertools.compress(elems, orth[a]))
+    bad = _translation_failure(s, pairs, lambda x, y: orth[x][y])
+    if bad is None:
+        return None
+    (a, b), u, side = bad
+    return (a, b, u, side)
 
 
 def law_buffs(c):
@@ -612,29 +586,23 @@ def _definition_by_atoms(s, splits):
     return _joins_extend(jt, cols, splits) and _joins_extend(jt, t, splits)
 
 
-def _definition_scan(s):
-    """law definition on every compatible pair (a, b), then every u: the
-    first witness, or None."""
-    for a in range(s.size):
-        for b in s.compat_partners[a]:
-            j = s.join_table[a][b]
-            if j is None:
-                return (a, b, "missing-join")
-            for u in range(s.size):
-                if s.join_table[s.table[u][a]][s.table[u][b]] != s.table[u][j]:
-                    return (u, a, b, "left")
-                if s.join_table[s.table[a][u]][s.table[b][u]] != s.table[j][u]:
-                    return (a, b, u, "right")
-    return None
-
-
 def law_definition(c):
     """Multiplication distributes over compatible joins on both sides:
-    _definition_by_atoms, else _definition_scan, which names the witness."""
+    _definition_by_atoms, else _translation_failure over the compatible
+    pairs (a, b), in order, which names the witness (u, a, b, "left") or
+    (a, b, u, "right"); or (a, b, "missing-join") at the first pair without
+    a join, when no earlier pair fails."""
     s = c.bs.base
     if _definition_by_atoms(s, c.atom_splits):
         return None
-    return _definition_scan(s)
+    jt = s.join_table
+    pairs = [(a, b, jt[a][b]) for a, ps in enumerate(s.compat_partners) for b in ps]
+    joined = itertools.takewhile(lambda abj: abj[2] is not None, pairs)
+    bad = _translation_failure(s, joined, lambda x, y, j: jt[x][y] == j)
+    if bad is not None:
+        (a, b, _), u, side = bad
+        return (u, a, b, "left") if side == "left" else (a, b, u, "right")
+    return next(((a, b, "missing-join") for a, b, j in pairs if j is None), None)
 
 
 def law_meets_semisimple(c):
@@ -793,49 +761,40 @@ def law_orthogonal(c):
 
 def _setminus_2_on_generators(bs):
     """True when a*(x-t) = a*x - a*t and (x-t)*a = x*a - t*a for every a
-    and every down-pair t <= x, by _on_generator_sides.  Write x-t for the
-    relative complement, read off rc_table, and P for the down-pairs.  With
-    x-t defined on P, if g and h send P into P on the left and keep the left
-    half, so does g*h: (g*h)*(x-t) = g*(h*x - h*t) = g*h*x - g*h*t, as
-    (h*x, h*t) is in P.  The same holds on the right."""
+    and every down-pair t <= x, by _on_generator_sides on the relation
+    "t <= x and x-t = w" over the triples (x, t, x-t).  Write x-t for the
+    relative complement, read off rc_table, checked defined on every
+    down-pair first."""
     s, rct = bs.base, bs.rc_table
-    pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
-    sts = [rct[x][t] for x, t in pairs]  # x-t, each pair
-    if None in sts or not pairs:
+    triples = [(x, t, rct[x][t]) for x in range(s.size) for t in s.down[x]]
+    if not triples or any(st is None for _, _, st in triples):
         return False
     below = [frozenset(ds) for ds in s.down]
-    at_st = _picker(sts)
+    at_x, at_t, at_st = (_picker(ids) for ids in zip(*triples))
 
-    def holds(side, xs, ts):
+    def holds(side):
+        xs, ts = at_x(side), at_t(side)
         if not all(map(frozenset.__contains__, map(below.__getitem__, xs), ts)):
             return False
         return at_st(side) == tuple(map(getitem, map(rct.__getitem__, xs), ts))
 
-    return _on_generator_sides(s, pairs, holds)
-
-
-def _setminus_2_scan(bs):
-    """law setminus-2 on every down-pair (x, t), then every a: the first
-    (a, x, t, side) that fails, or None."""
-    s = bs.base
-    for x in range(s.size):
-        for t in s.down[x]:
-            w = bs.rc(x, t)
-            for a in range(s.size):
-                if s.table[a][w] != bs.rc(s.table[a][x], s.table[a][t]):
-                    return (a, x, t, "left")
-                if s.table[w][a] != bs.rc(s.table[x][a], s.table[t][a]):
-                    return (a, x, t, "right")
-    return None
+    return _on_generator_sides(s, holds)
 
 
 def law_setminus_2(c):
     """a*(x minus t) = a*x minus a*t and (x minus t)*a = x*a minus t*a for
-    every t <= x: _setminus_2_on_generators, else _setminus_2_scan, which
-    names the witness."""
+    every t <= x: _setminus_2_on_generators, else _translation_failure over
+    the down-pairs (x, t), which names the witness (a, x, t, side).  A
+    complement read at a pair not in the order raises NotBelow."""
     if c.setminus_2_on_generators:
         return None
-    return _setminus_2_scan(c.bs)
+    bs, s = c.bs, c.bs.base
+    triples = ((x, t, bs.rc(x, t)) for x in range(s.size) for t in s.down[x])
+    bad = _translation_failure(s, triples, lambda x, t, w: bs.rc(x, t) == w)
+    if bad is None:
+        return None
+    (x, t, _), a, side = bad
+    return (a, x, t, side)
 
 
 def _setminus_4_scan(bs, pairs):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import biskit
 import biskit.boolean
 import biskit.core
 import biskit.rook as rook
@@ -198,6 +200,28 @@ def test_readme_library_entry_points_run():
     exec(compile(block, str(README), "exec"), {})
 
 
+def readme_dotted_names():
+    """Each backticked `module.name` or `module.name(args)` of the README
+    whose module is one of biskit's, `biskit.` prefix allowed, as (the
+    module, the names after it); file names such as `rook.py` are not
+    names."""
+    modules = {path.stem for path in Path(biskit.__file__).parent.glob("*.py")}
+    dotted = r"`(?:biskit\.)?(\w+)\.([\w.]+)(?:\([^`]*\))?`"
+    found = re.findall(dotted, README.read_text())
+    return [(m, rest) for m, rest in found if m in modules and rest != "py"]
+
+
+def test_readme_dotted_names_resolve():
+    # a rename that leaves the README naming what is gone fails here
+    names = readme_dotted_names()
+    assert len(set(names)) >= 15
+    for module, rest in names:
+        obj = importlib.import_module(f"biskit.{module}")
+        for attr in rest.split("."):
+            assert hasattr(obj, attr), f"{module}.{rest}"
+            obj = getattr(obj, attr)
+
+
 def test_booleanize_refuses_format(data, capsys):
     # booleanize writes .ist text only
     with pytest.raises(SystemExit) as e:
@@ -257,8 +281,8 @@ def test_build_report_validates_i4_once():
 
 
 def refuse_full_scans(mp):
-    """Make analyze's slow paths raise: the distributivity scan, the ideal
-    product scan and K's table."""
+    """Make analyze's slow paths raise: the witness scan of the
+    distributivity and ideal product passes, and K's table."""
 
     def refuse(what):
         def refused(*args):
@@ -266,8 +290,7 @@ def refuse_full_scans(mp):
 
         return refused
 
-    mp.setattr(biskit.boolean, "_distributivity_failure", refuse("distributivity"))
-    mp.setattr(biskit.boolean, "_ideal_scan", refuse("ideal scan"))
+    mp.setattr(biskit.boolean, "_translation_failure", refuse("translation scan"))
     mp.setattr(KOfGroupoid, "table", property(refuse("KOfGroupoid.table")))
 
 

@@ -768,9 +768,20 @@ def scan_outcome(rows):
         return type(e).__name__, vars(e)
 
 
+def idempotents_commute(rows):
+    idem = [e for e in range(len(rows)) if rows[e][e] == e]
+    return all(rows[e][f] == rows[f][e] for e, f in itertools.combinations(idem, 2))
+
+
 def assert_validation_matches_scans(table):
+    """InvSgp(table) gives what the scans give; on an associative table
+    whose idempotents do not commute, that is NotInverse, the witness of
+    the all-pairs inverse scan."""
     rows = tuple(map(tuple, table))
-    assert validation_outcome(rows) == scan_outcome(rows)
+    got = validation_outcome(rows)
+    assert got == scan_outcome(rows)
+    if not idempotents_commute(rows) and row_scan_witness(rows) is None:
+        assert got[0] == "NotInverse"
 
 
 STRUCTURE_TABLES = {
@@ -823,6 +834,25 @@ RECTANGULAR_BAND_2X2 = [[2 * (a // 2) + b % 2 for b in range(4)] for a in range(
     ],
 )
 def test_not_inverse_names_the_scans_witness(table, element, candidates):
+    with pytest.raises(NotInverse) as caught:
+        InvSgp(table)
+    assert (caught.value.element, caught.value.candidates) == (element, candidates)
+    assert_validation_matches_scans(table)
+
+
+@pytest.mark.parametrize(
+    "table, element, candidates",
+    [
+        (RECTANGULAR_BAND_2X2, 0, (0, 1, 2, 3)),
+        (transformation_table([(2, 2, 1), (0, 1, 1)]), 1, (1, 4)),
+        (transformation_table([(0, 0, 0), (1, 1, 1)]), 0, (0, 1)),  # right-zero band
+    ],
+)
+def test_idempotents_that_do_not_commute_raise_not_inverse(table, element, candidates):
+    # unique inverses in an associative table make the idempotents commute
+    # (Howie 1995, Thm 5.1.1), so the inverse scan always raises first
+    rows = tuple(map(tuple, table))
+    assert not idempotents_commute(rows) and row_scan_witness(rows) is None
     with pytest.raises(NotInverse) as caught:
         InvSgp(table)
     assert (caught.value.element, caught.value.candidates) == (element, candidates)

@@ -74,10 +74,8 @@ def refuse_full_scans(mp):
     for scan in (
         "_down_set_products",
         "_fish_scan",
-        "_oj_scan",
-        "_setminus_2_scan",
+        "_translation_failure",  # the scans of laws oj, setminus-2 and definition
         "_setminus_4_scan",
-        "_definition_scan",
         "_eggs_scan",
         "orthogonalize",  # law orthogonal's fallback, one family at a time
         "filter_groupoid",  # the setwise filter scan of carre and discrete-topology
