@@ -14,20 +14,20 @@ import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from math import comb, factorial
 from operator import and_, itemgetter, or_
 
 from .core import (
     InvSgp,
     _dr_classes,
-    _ids,
     _mask,
     _on_generator_sides,
     _on_generators,
     _picker,
     _translation_failure,
     check_congruence,
+    congruence_from_key,
     quotient_table,
     table_product,
 )
@@ -269,28 +269,28 @@ def orthogonalize(bs, elems):
 K_OF_GROUPOID_CAP = 4096
 
 
-def _bisection_count(identities, d, r, cap=None):
+def _bisection_count(identities, d, r):
     """How many local bisections a groupoid has, without enumerating them.
 
     The groupoid is given by its identities and the domain d and range r of
     each arrow.  A local bisection picks, in each connected component, a
     partial bijection between the component's identities and one arrow per
     matched pair.  With n identities and isotropy groups of order h that is
-    the sum over m of C(n, m)^2 m! h^m; the components multiply.  With a
-    cap, a count above it raises TooLarge naming the count and the cap.
+    the sum over m of C(n, m)^2 m! h^m; the components multiply.  A count
+    above K_OF_GROUPOID_CAP raises TooLarge naming the count and the cap.
     """
     loops = Counter(e for e, f in zip(d, r) if e == f)
     count = 1
     for ids in _dr_classes(identities, d, r):
         n, h = len(ids), loops[ids[0]]
         count *= sum(comb(n, m) ** 2 * factorial(m) * h**m for m in range(n + 1))
-    if cap is not None and count > cap:
-        name = "K_OF_GROUPOID_CAP=" if cap == K_OF_GROUPOID_CAP else ""
-        raise TooLarge(f"local bisection count {count} above cap {name}{cap}")
+    if count > K_OF_GROUPOID_CAP:
+        cap = f"K_OF_GROUPOID_CAP={K_OF_GROUPOID_CAP}"
+        raise TooLarge(f"local bisection count {count} above cap {cap}")
     return count
 
 
-def _bisections(g, cap):
+def _bisections(g):
     """All subsets of g on which both d and r are injective.
 
     Enumerated as partial matchings between identities (a chosen arrow per
@@ -298,9 +298,9 @@ def _bisections(g, cap):
     by (size, membership) so the empty set is id 0 and singletons follow;
     KOfGroupoid relies on this order, in which a minus its largest arrow
     comes before a.  Raises TooLarge, naming the count and the cap, before
-    enumerating more than cap of them.
+    enumerating more than K_OF_GROUPOID_CAP of them.
     """
-    _bisection_count(g.identities, g.d, g.r, cap)
+    _bisection_count(g.identities, g.d, g.r)
     ids = g.identities
     out = []
 
@@ -393,7 +393,7 @@ class KOfGroupoid:
         return rep.structure
 
 
-def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
+def k_of_groupoid(g):
     """The Boolean inverse monoid of all local bisections of g.
 
     Product is the setwise partial product; the natural order comes out as
@@ -406,7 +406,7 @@ def k_of_groupoid(g, cap=K_OF_GROUPOID_CAP):
     against column products, on the generators of a validated table, and
     that proves the product it reads the validated one relabelled.
     """
-    carrier = _bisections(g, cap)
+    carrier = _bisections(g)
     return KOfGroupoid(tuple(carrier), g, {a: i for i, a in enumerate(carrier)})
 
 
@@ -713,13 +713,26 @@ def is_additive_morphism(source, target, mp):
 
 
 def epsilon_quotient(bs, ideal):
-    """Collapse an additive ideal: relate a, b when some common lower bound
-    c has both differences a minus c and b minus c inside the ideal.
+    """Collapse an additive ideal I: relate a, b when some common lower
+    bound c has both differences a minus c and b minus c in I.
+
+    The classes come from one key: with m the join of I's idempotents and
+    f = 1 minus m, a and b are related exactly when a*f = b*f.  I is closed
+    under conjugation, so a*m*a^-1 <= m, whence a*m <= m*a and, with a^-1,
+    m and f are central.  If a*f = b*f = c, then c lies below both, with
+    a - c = a*m and b - c = b*m in I.  Conversely x in I has x*f = 0, as
+    d(x) <= m; so a - c in I, for c <= a, gives a*f = c*f, since a is the
+    orthogonal join c v (a - c).  CertificateFailed names the first premise
+    that fails on the tables read: ("ideal-top-missing", m), m None when
+    undefined; ("not-the-complement", m, f) unless f*m = 0 and f v m = 1,
+    f None when 1 minus m is not tabulated;
+    ("complement-not-central", f, x) at the first x with f*x != x*f;
+    ("not-split-by-complement", a, a*f) unless a*f <= a, a - a*f in I.
 
     Returns the projection, a Morphism onto the quotient whose map sends
     each element to its class id.  The relation is verified to be an
-    additive congruence whose kernel is exactly the ideal, and the
-    projection is checked weakly meet preserving; a check that fails raises
+    additive congruence whose kernel is exactly I, and the projection is
+    checked weakly meet preserving; a check that fails raises
     CertificateFailed naming it.
     """
     s = bs.base
@@ -728,38 +741,23 @@ def epsilon_quotient(bs, ideal):
     if bad is not None:
         raise NotAnIdeal(bad)
 
-    k = s.size
-    # cut[a]: the c <= a with a minus c in the ideal; a and b are related
-    # exactly when some c lies in both cut[a] and cut[b]
-    cut = [[c for c in s.down[a] if bs.rc(a, c) in carrier] for a in range(k)]
-    holders = [0] * k  # holders[c]: bitset of the a with c in cut[a]
-    for a, below in enumerate(cut):
-        for c in below:
-            holders[c] |= 1 << a
-    # rel[a]: bitset of the b related to a, symmetric by construction
-    rel = [reduce(or_, map(holders.__getitem__, below), 0) for below in cut]
-    for a, row in enumerate(rel):
-        if not row >> a & 1:
-            raise CertificateFailed(("not-reflexive", a))
-    class_of = [None] * k
-    nxt = 0
-    for a in range(k):
-        if class_of[a] is not None:
-            continue
-        class_of[a] = nxt
-        for b in _ids(rel[a] >> a + 1 << a + 1):  # the b > a related to a
-            if class_of[b] is not None:
-                raise CertificateFailed(("not-transitive", a, b))
-            class_of[b] = nxt
-        nxt += 1
-    same = [0] * nxt  # same[i]: bitset of class i
-    for a, i in enumerate(class_of):
-        same[i] |= 1 << a
-    for a, row in enumerate(rel):
-        if row != same[class_of[a]]:
-            b = next(_ids(row ^ same[class_of[a]]))
-            raise CertificateFailed(("not-transitive", a, b))
-    class_of = tuple(class_of)
+    k, t, jt = s.size, s.table, s.join_table
+    m = s.zero
+    for e in s.idempotents:
+        if e in carrier and m is not None:
+            m = jt[m][e]
+    if m not in carrier:
+        raise CertificateFailed(("ideal-top-missing", m))
+    f = bs.rc_table[bs.top][m]
+    if f is None or t[f][m] != s.zero or jt[f][m] != bs.top:
+        raise CertificateFailed(("not-the-complement", m, f))
+    for x, row in enumerate(t):
+        if row[f] != t[f][x]:
+            raise CertificateFailed(("complement-not-central", f, x))
+    for a, row in enumerate(t):
+        if bs.rc_table[a][row[f]] not in carrier:  # None: a*f is not below a
+            raise CertificateFailed(("not-split-by-complement", a, row[f]))
+    class_of = congruence_from_key(s, lambda a: t[a][f])
     bad = check_congruence(s, class_of)
     if bad is not None:
         raise CertificateFailed(("not-a-congruence", bad))

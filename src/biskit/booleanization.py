@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from operator import is_not
 
 from .boolean import (
-    K_OF_GROUPOID_CAP,
     BoolInvSgp,
     KOfGroupoid,
     Morphism,
@@ -69,7 +68,6 @@ def booleanize(s):
         [e for e in s0.idempotents if e != s0.zero],
         [s0.d[x] for x in nonzero],
         [s0.r[x] for x in nonzero],
-        K_OF_GROUPOID_CAP,
     )
     g = s0.restricted_groupoid
     pos = {lab: i for i, lab in enumerate(g.labels)}

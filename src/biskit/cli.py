@@ -23,7 +23,7 @@ from .corpus import (
     corpus_groupoid,
     corpus_semigroup,
 )
-from .errors import BiskitError
+from .errors import BiskitError, ParseError
 from .groupoid import parse_groupoid
 from .laws import Analysis, run_laws
 from .rook import decompose
@@ -108,6 +108,10 @@ def print_report(rep, fmt):
 
 
 def _read_semigroup(path):
+    """The .ist table at path; a .grp path raises ParseError, since only
+    verify reads groupoids."""
+    if path.endswith(".grp"):
+        raise ParseError(f"{path} is a groupoid (.grp) file, which only verify reads")
     with open(path) as fh:
         return parse_semigroup(fh.read())
 

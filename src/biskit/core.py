@@ -267,13 +267,6 @@ def _mask(xs):
     return sum(1 << x for x in xs)
 
 
-def _ids(m):
-    """The positions of the bits set in m, ascending."""
-    while m:
-        yield (m & -m).bit_length() - 1
-        m &= m - 1
-
-
 def _check_entries(rows):
     """Raise ParseError unless rows is k rows of k ids in 0..k-1.
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolean import BoolInvSgp, KOfGroupoid, _bisection_count, k_of_groupoid
+from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
 from .core import _on_generators
 from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
 from .groupoid import (
@@ -118,7 +118,6 @@ def identity_rook(base, n):
 
 
 MN_ENTRY_CAP = 64
-MN_CARRIER_CAP = 20000
 
 
 def build_Mn_G0(n, group):
@@ -128,6 +127,8 @@ def build_Mn_G0(n, group):
     conditions force at most one nonzero entry per row and per column, so a
     matrix is a local bisection of the groupoid n x H x n: this is K of that
     groupoid, with its elements sorted by (size, (row, col, group id)s).
+    More than K_OF_GROUPOID_CAP matrices raise TooLarge from k_of_groupoid
+    before any is enumerated.
     """
     if not group.is_group():
         raise NotAGroup("matrix base must be a one-object groupoid")
@@ -139,12 +140,7 @@ def build_Mn_G0(n, group):
         )
     # reconstruct reads only the identity count and the group of a component
     g = reconstruct((Component(n, group, member_ids=(), identities=()),))
-    count = _bisection_count(g.identities, g.d, g.r)
-    if count > MN_CARRIER_CAP:
-        raise TooLarge(
-            f"local bisection count {count} above cap MN_CARRIER_CAP={MN_CARRIER_CAP}"
-        )
-    return k_of_groupoid(g, cap=None)
+    return k_of_groupoid(g)
 
 
 @dataclass(frozen=True)

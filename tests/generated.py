@@ -9,9 +9,10 @@ real inverse semigroup, usually without the joins or the distributivity a
 Boolean one needs.
 """
 
+from math import comb, factorial
+
 from hypothesis import strategies as st
 
-from biskit.boolean import _bisection_count
 from biskit.groupoid import Component, Gpd, reconstruct
 
 POINTS = range(4)
@@ -85,8 +86,14 @@ t3_subsemigroup_tables = st.lists(
 
 
 def bisection_count(g):
-    """How many local bisections the groupoid g has."""
-    return _bisection_count(g.identities, g.d, g.r)
+    """How many local bisections the groupoid g has, with no cap: a
+    component with n identities and local group of order h has the sum over
+    m of C(n, m)^2 m! h^m, and the components multiply."""
+    count = 1
+    for c in g.form:
+        n, h = c.identity_count, c.group.size
+        count *= sum(comb(n, m) ** 2 * factorial(m) * h**m for m in range(n + 1))
+    return count
 
 
 def cyclic_group(h):

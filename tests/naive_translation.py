@@ -5,10 +5,17 @@ witness format.
 
 _distributivity_failure keeps its pair prefilter: a pair a <= b whose
 joined rows and columns are row and column a v b is not scanned by c.
+naive_additive_ideal is verify_additive_ideal's witness from _ideal_scan
+and the joins.  refuse_full_scans makes every such scan, and K's table,
+raise where biskit reads it, so a valid table must decide without them.
 """
 
 import itertools
 from bisect import bisect_right
+
+import biskit.boolean
+import biskit.laws
+from biskit.boolean import KOfGroupoid
 
 
 def _distributivity_failure(s):
@@ -43,6 +50,21 @@ def _ideal_scan(t, subset):
                 return ("left-ideal", x, a)
             if t[a][x] not in subset:
                 return ("right-ideal", a, x)
+    return None
+
+
+def naive_additive_ideal(bs, subset):
+    """verify_additive_ideal's witness from the plain scans: the zero, the
+    products by _ideal_scan, then the joins of members a < b."""
+    s = bs.base
+    if s.zero not in subset:
+        return ("missing-zero",)
+    bad = _ideal_scan(s.table, subset)
+    if bad is not None:
+        return bad
+    for a, b in itertools.combinations(sorted(subset), 2):
+        if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
+            return ("join", a, b)
     return None
 
 
@@ -88,3 +110,28 @@ def _definition_scan(s):
                 if s.join_table[s.table[a][u]][s.table[b][u]] != s.table[j][u]:
                     return (a, b, u, "right")
     return None
+
+
+def refuse_full_scans(mp):
+    """Make the slow paths raise when they run: the witness scan of
+    check_boolean's and the ideals' generator passes, the scans the laws
+    fall back to when a pass declines, and K's table."""
+
+    def refuse(what):
+        def refused(*args):
+            raise AssertionError(f"{what} ran")
+
+        return refused
+
+    mp.setattr(biskit.boolean, "_translation_failure", refuse("translation scan"))
+    for scan in (
+        "_down_set_products",
+        "_fish_scan",
+        "_translation_failure",  # the scans of laws oj, setminus-2 and definition
+        "_setminus_4_scan",
+        "_eggs_scan",
+        "orthogonalize",  # law orthogonal's fallback, one family at a time
+        "filter_groupoid",  # the setwise filter scan of carre and discrete-topology
+    ):
+        mp.setattr(biskit.laws, scan, refuse(scan))
+    mp.setattr(KOfGroupoid, "table", property(refuse("KOfGroupoid.table")))

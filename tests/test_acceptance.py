@@ -7,7 +7,6 @@ import itertools
 import time
 
 from biskit.boolean import (
-    as_boolean,
     check_boolean,
     epsilon_quotient,
     is_additive_morphism,

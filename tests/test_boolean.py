@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biskit.boolean
 from biskit.boolean import (
+    _bisection_count,
     _bisections,
     analyze_morphism,
     as_boolean,
@@ -56,8 +57,15 @@ from biskit.booleanization import booleanize
 from biskit.groupoid import Gpd, reconstruct
 from biskit.laws import Analysis
 from biskit.rook import decompose, theta_iso
-from generated import bisection_count, generated_table, i4_subsemigroup_tables, then
+from generated import (
+    bisection_count,
+    component_forms,
+    generated_table,
+    i4_subsemigroup_tables,
+    then,
+)
 from naive_order import leq
+from naive_translation import naive_additive_ideal
 
 
 def boolean(name):
@@ -136,9 +144,12 @@ def test_k_of_groupoid_counts():
     assert k_of_groupoid(corpus_groupoid("conn2z2")).structure.size == 17
 
 
-def test_k_of_groupoid_cap():
-    with pytest.raises(TooLarge, match="local bisection count 8 above cap 4$"):
-        k_of_groupoid(corpus_groupoid("disc3"), cap=4)
+def test_k_of_groupoid_cap(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(biskit.boolean, "K_OF_GROUPOID_CAP", 4)
+        with pytest.raises(TooLarge) as info:
+            k_of_groupoid(corpus_groupoid("disc3"))
+    assert str(info.value) == "local bisection count 8 above cap K_OF_GROUPOID_CAP=4"
     # I3's nonzero part: 34 * 139 * 7 local bisections over its three
     # components, refused before any is enumerated
     g = restricted_groupoid(corpus_semigroup("i3"))
@@ -162,8 +173,11 @@ def test_k_of_groupoid_cap():
     ],
     ids=repr,
 )
-def test_bisection_count_matches_enumeration(g):
-    assert bisection_count(g) == len(_bisections(g, cap=10_000))
+def test_bisection_count_matches_enumeration(g, monkeypatch):
+    # i2 x z2zero's restricted groupoid has 5,355, above K_OF_GROUPOID_CAP
+    monkeypatch.setattr(biskit.boolean, "K_OF_GROUPOID_CAP", 10_000)
+    assert bisection_count(g) == _bisection_count(g.identities, g.d, g.r)
+    assert bisection_count(g) == len(_bisections(g))
 
 
 def test_k_is_boolean_with_inclusion_order():
@@ -560,27 +574,6 @@ def test_idempotent_ideals_match_subset_scan_on_generated_structures(table):
     assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
 
 
-def oracle_verify_additive_ideal(bs, subset):
-    """verify_additive_ideal by the plain scan: every member against every
-    x, then every pair of members."""
-    s = bs.base
-    if s.zero not in subset:
-        return ("missing-zero",)
-    t = s.table
-    for a in subset:
-        for x in range(s.size):
-            if t[x][a] not in subset:
-                return ("left-ideal", x, a)
-            if t[a][x] not in subset:
-                return ("right-ideal", a, x)
-    ordered = sorted(subset)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
-                return ("join", a, b)
-    return None
-
-
 @st.composite
 def ideal_candidates(draw):
     """(s, members in a drawn order): an ideal of s read off an idempotent
@@ -608,7 +601,7 @@ def test_verify_additive_ideal_matches_the_plain_scan(candidate):
     s, order = candidate
     bs = dataclasses.make_dataclass("Wrapped", ["base"])(s)
     for subset in (order, frozenset(order)):
-        assert verify_additive_ideal(bs, subset) == oracle_verify_additive_ideal(
+        assert verify_additive_ideal(bs, subset) == naive_additive_ideal(
             bs, subset
         )
 
@@ -794,78 +787,106 @@ EPSILON_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EPSILON_TABLES))
-def test_epsilon_relation_matches_oracle(name):
-    bs = check_boolean(InvSgp(EPSILON_TABLES[name]())).structure
+EPSILON_ORACLE_TABLES = {
+    **EPSILON_TABLES,
+    "symmetric_inverse_table(4)": lambda: symmetric_inverse_table(4),
+}
+
+
+def epsilon_structure(name):
+    return check_boolean(InvSgp(EPSILON_ORACLE_TABLES[name]())).structure
+
+
+def assert_epsilon_classes_match_oracle(bs):
     for ideal in additive_ideals(bs):
-        eps = epsilon_quotient(bs, ideal)
-        assert eps.map == oracle_epsilon_classes(bs, ideal)
+        assert epsilon_quotient(bs, ideal).map == oracle_epsilon_classes(bs, ideal)
 
 
-def oracle_epsilon_relation(bs, carrier):
-    """epsilon_quotient's relation checks on rows of k flags: ("classes",
-    class_of), or ("raised", witness) when the relation is not reflexive or
-    not transitive."""
-    s, k = bs.base, bs.size
-    cut = [sum(1 << c for c in s.down[a] if bs.rc(a, c) in carrier) for a in range(k)]
-    rel = [tuple(map(bool, map(ca.__and__, cut))) for ca in cut]
-    for a, row in enumerate(rel):
-        if not row[a]:
-            return ("raised", ("not-reflexive", a))
-    class_of = [None] * k
-    nxt = 0
-    for a in range(k):
-        if class_of[a] is not None:
-            continue
-        class_of[a] = nxt
-        for b in range(a + 1, k):
-            if rel[a][b]:
-                if class_of[b] is not None:
-                    return ("raised", ("not-transitive", a, b))
-                class_of[b] = nxt
-        nxt += 1
-    for a, row in enumerate(rel):
-        same = tuple(map(class_of[a].__eq__, class_of))
-        if row != same:
-            b = next(b for b in range(k) if row[b] != same[b])
-            return ("raised", ("not-transitive", a, b))
-    return ("classes", tuple(class_of))
+@pytest.mark.parametrize("name", sorted(EPSILON_ORACLE_TABLES))
+def test_epsilon_relation_matches_oracle(name):
+    assert_epsilon_classes_match_oracle(epsilon_structure(name))
 
 
-def test_epsilon_relation_matches_oracle_on_wrong_complements():
-    # 2,000 seeded draws of up to thirty differences a minus c answered
-    # wrongly, mostly as 0 (inside the ideal), else as an id outside it, and
-    # in half the draws every difference of one a outside it: the relation
-    # then often fails to be reflexive or transitive, with witnesses chosen
-    # among several candidates
-    rng = random.Random(0)
-    names = sorted(EPSILON_TABLES)
-    structures = [check_boolean(InvSgp(EPSILON_TABLES[n]())).structure for n in names]
-    complements = [bs.rc for bs in structures]
-    for _ in range(2000):
-        i = rng.randrange(len(names))
-        bs, real = structures[i], complements[i]
-        ideal = rng.choice(additive_ideals(bs))
+@settings(max_examples=25, deadline=None)
+@given(component_forms)
+def test_epsilon_relation_matches_oracle_on_component_forms(form):
+    # 1-3 components: every sub-product of them is an additive ideal
+    bs = k_of_groupoid(reconstruct(form)).structure
+    assert len(additive_ideals(bs)) == 2 ** len(form)
+    assert_epsilon_classes_match_oracle(bs)
+
+
+def epsilon_failure(bs, ideal):
+    """The witness of the CertificateFailed epsilon_quotient raises, or None."""
+    try:
+        epsilon_quotient(bs, ideal)
+    except CertificateFailed as e:
+        return e.witness
+    return None
+
+
+def ideal_top(bs, ideal):
+    s = bs.base
+    return max((e for e in s.idempotents if e in ideal), key=lambda e: len(s.down[e]))
+
+
+@pytest.mark.parametrize("name", sorted(EPSILON_ORACLE_TABLES))
+def test_epsilon_quotient_names_each_broken_premise(name):
+    bs = epsilon_structure(name)
+    s, t, top = bs.base, bs.base.table, bs.top
+    real_rc_table = bs.rc_table
+
+    def read_as(a, c, w):  # rc_table with entry (a, c) read as w
+        rows = list(real_rc_table)
+        rows[a] = rows[a][:c] + (w,) + rows[a][c + 1 :]
+        bs.__dict__["rc_table"] = tuple(rows)
+
+    for ideal in additive_ideals(bs):
+        m = ideal_top(bs, ideal)
+        f = bs.rc(top, m)
+        assert epsilon_failure(bs, ideal) is None  # and the carrier is kept
+        # the top idempotent m left out of a carrier that is its join's
+        rest = frozenset(ideal) - {m}
+        if m != s.zero and bs.join_of(e for e in s.idempotents if e in rest) == m:
+            bs.ideal_carriers.add(rest)
+            assert epsilon_failure(bs, rest) == ("ideal-top-missing", m)
+        # 1 minus m answered wrongly, or not at all
+        for wrong in (None, s.zero if m == s.zero else top):
+            if wrong != f:
+                read_as(top, m, wrong)
+                assert epsilon_failure(bs, ideal) == ("not-the-complement", m, wrong)
+        # a - a*f read as undefined or outside the ideal, one a at a time
         outside = [x for x in range(bs.size) if x not in ideal]
-        outside = outside or [bs.base.zero]
-        down_pairs = [(a, c) for a in range(bs.size) for c in bs.base.down[a]]
-        wrong = {
-            rng.choice(down_pairs): rng.choice([bs.base.zero] * 4 + outside[:1])
-            for _ in range(rng.randint(0, 30))
-        }
-        if rng.random() < 0.5:
-            a = rng.randrange(bs.size)
-            wrong.update({(a, c): outside[0] for c in bs.base.down[a]})
-        bs.rc = lambda a, c: wrong.get((a, c), real(a, c))
-        want = oracle_epsilon_relation(bs, ideal)
-        try:
-            got = ("classes", epsilon_quotient(bs, ideal).map)
-        except CertificateFailed as e:
-            got = ("raised", e.witness)
-        if want[0] == "classes" and got[0] == "raised":  # a later certificate
-            assert got[1][0] not in ("not-reflexive", "not-transitive")
-        else:
-            assert got == want
+        for a in range(bs.size):
+            if (a, t[a][f]) == (top, m):  # one element: that entry is f itself
+                continue
+            for diff in (None, *outside[:1]):
+                read_as(a, t[a][f], diff)
+                want = ("not-split-by-complement", a, t[a][f])
+                assert epsilon_failure(bs, ideal) == want
+        bs.__dict__["rc_table"] = real_rc_table
+    # the down-set of an idempotent that is not central: m is that
+    # idempotent and f its complement, but f is not central either
+    for e in s.idempotents:
+        if all(t[e][x] == t[x][e] for x in range(bs.size)):
+            continue
+        carrier = frozenset(s.down[e])
+        bs.ideal_carriers.add(carrier)
+        f = bs.rc(top, e)
+        x = next(x for x in range(bs.size) if t[f][x] != t[x][f])
+        assert epsilon_failure(bs, carrier) == ("complement-not-central", f, x)
+
+
+def test_epsilon_quotient_names_an_undefined_ideal_top():
+    bs = boolean("powerset2")
+    whole = frozenset(range(bs.size))
+    assert epsilon_failure(bs, whole) is None
+    s = bs.base
+    a, b = s.atoms
+    jt = [list(row) for row in s.join_table]
+    jt[a][b] = jt[b][a] = None
+    s.__dict__["join_table"] = tuple(map(tuple, jt))
+    assert epsilon_failure(bs, whole) == ("ideal-top-missing", None)
 
 
 # -- check_congruence against the scan of every class member ------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import json
@@ -13,7 +14,6 @@ import biskit.boolean
 import biskit.core
 import biskit.rook as rook
 from biskit.boolean import (
-    KOfGroupoid,
     check_boolean,
     enumerate_additive_ideals,
     idempotent_ideals,
@@ -32,6 +32,7 @@ from biskit.corpus import (
 )
 from biskit.rook import decompose
 from biskit.typemon import type_monoid
+from naive_translation import refuse_full_scans
 from test_core import load_bench_inputs
 from test_groupoid import z4_by_z4_table
 from test_rook import counted_validations
@@ -222,6 +223,32 @@ def test_readme_dotted_names_resolve():
             obj = getattr(obj, attr)
 
 
+def readme_caps():
+    """(constant, module, value) of each row of README's table of caps."""
+    text = README.read_text().split("## Caps", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([\d,]+) \|", text, re.M)
+    return {(name, module, int(value.replace(",", ""))) for name, module, value in rows}
+
+
+def src_caps():
+    """(constant, module, value) of each module-level *_CAP constant in src/."""
+    caps = set()
+    for path in Path(biskit.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                        caps.add((target.id, path.stem, ast.literal_eval(node.value)))
+    return caps
+
+
+def test_readme_caps_table_matches_src():
+    # a cap deleted, renamed or changed in src/ cannot stay in the docs,
+    # and a new one must be added to them
+    caps = src_caps()
+    assert caps and readme_caps() == caps
+
+
 def test_booleanize_refuses_format(data, capsys):
     # booleanize writes .ist text only
     with pytest.raises(SystemExit) as e:
@@ -236,6 +263,24 @@ def test_booleanize_to_a_missing_directory_is_one_error_line(data, tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: {out_path!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "decompose", "type", "booleanize", "iso"]
+)
+def test_groupoid_input_is_refused_outside_verify(command, data, capsys):
+    # pair2 has undefined entries, and z2's table would validate as a group
+    for name in ("pair2.grp", "z2.grp"):
+        path = data(name)
+        args = [path, data("i2.ist")] if command == "iso" else [path]
+        assert main([command, *args]) == 1
+        out, err = capsys.readouterr()
+        error = f"ParseError: {path} is a groupoid (.grp) file, which only verify reads"
+        if command == "analyze":
+            assert out.splitlines()[:2] == ["validity: False", f"error: {error}"]
+        else:
+            assert (out, err) == ("", f"error: {error}\n")
+    assert main(["verify", data("z2.grp")]) == 0
 
 
 def test_decompose(data, capsys):
@@ -278,20 +323,6 @@ def test_build_report_validates_i4_once():
         rep = build_report(InvSgp(table))
     assert rep.decomposition_signature == [[4, 1, "trivial"]]
     assert counts == {"InvSgp": 1, "check_boolean": 1}
-
-
-def refuse_full_scans(mp):
-    """Make analyze's slow paths raise: the witness scan of the
-    distributivity and ideal product passes, and K's table."""
-
-    def refuse(what):
-        def refused(*args):
-            raise AssertionError(f"{what} ran")
-
-        return refused
-
-    mp.setattr(biskit.boolean, "_translation_failure", refuse("translation scan"))
-    mp.setattr(KOfGroupoid, "table", property(refuse("KOfGroupoid.table")))
 
 
 @pytest.mark.parametrize("name", ["i4", *BOOLEAN_NAMES])

@@ -44,7 +44,7 @@ from biskit.errors import (
     Undecided,
 )
 from biskit.groupoid import Gpd, group_iso
-from biskit.rook import MN_CARRIER_CAP, build_Mn_G0
+from biskit.rook import build_Mn_G0
 from generated import i4_subsemigroup_tables, t3_subsemigroup_tables, transformation_table
 from naive_order import leq, naive_structure
 from test_groupoid import z4_by_z4_table
@@ -436,7 +436,7 @@ def _z4z4_group_iso_with_cap(cap):
         (
             lambda: build_Mn_G0(7, Gpd([[0]])),
             TooLarge,
-            f"local bisection count 130922 above cap MN_CARRIER_CAP={MN_CARRIER_CAP}",
+            "local bisection count 130922 above cap K_OF_GROUPOID_CAP=4096",
         ),
         (
             lambda: all_congruences(_chain(CONGRUENCE_SCAN_CAP + 1)),

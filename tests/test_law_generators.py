@@ -44,6 +44,7 @@ from biskit.laws import (
     law_setminus_4,
 )
 from generated import i4_subsemigroup_tables
+from naive_translation import refuse_full_scans
 from test_law_kernels import (
     corrupted,
     oracle_carre,
@@ -61,26 +62,6 @@ from test_law_kernels import (
 
 def down_pairs(s):
     return [(x, t) for x in range(s.size) for t in s.down[x]]
-
-
-def refuse(scan):
-    def refused(*args):
-        raise AssertionError(f"{scan} ran")
-
-    return refused
-
-
-def refuse_full_scans(mp):
-    for scan in (
-        "_down_set_products",
-        "_fish_scan",
-        "_translation_failure",  # the scans of laws oj, setminus-2 and definition
-        "_setminus_4_scan",
-        "_eggs_scan",
-        "orthogonalize",  # law orthogonal's fallback, one family at a time
-        "filter_groupoid",  # the setwise filter scan of carre and discrete-topology
-    ):
-        mp.setattr(laws, scan, refuse(scan))
 
 
 def assert_decided_without_scans(table):

@@ -2,7 +2,8 @@
 closure, against the scalar scans they replaced.
 
 Each oracle below is the per-element loop a law's pass or kernel replaced,
-kept verbatim.  Laws fish, oj, setminus-2, setminus-4, definition and eggs
+kept verbatim; those of laws oj, setminus-2 and definition, and of
+verify_additive_ideal, are the scans in tests/naive_translation.py.  Laws fish, oj, setminus-2, setminus-4, definition and eggs
 fall back to the same loop when their pass declines, which names the
 witness; laws carre and discrete-topology fall back to the setwise filter
 scan, filter_groupoid, which their oracles always run.  Where the order is
@@ -82,6 +83,12 @@ from biskit.laws import (
 from biskit.typemon import _atom_edges
 from generated import i4_subsemigroup_tables
 from naive_rook import rook_matrix, rook_mul, rook_star
+from naive_translation import (
+    _definition_scan,
+    _oj_scan,
+    _setminus_2_scan,
+    naive_additive_ideal,
+)
 
 # -- the scalar scans -------------------------------------------------------
 
@@ -123,34 +130,11 @@ def oracle_restricted_product(c):
 
 
 def oracle_oj(c):
-    s = c.s
-    for a in range(s.size):
-        for b in range(s.size):
-            if not s.orth[a][b]:
-                continue
-            for u in range(s.size):
-                if not s.orth[s.table[u][a]][s.table[u][b]]:
-                    return (a, b, u, "left")
-                if not s.orth[s.table[a][u]][s.table[b][u]]:
-                    return (a, b, u, "right")
-    return None
+    return _oj_scan(c.s)
 
 
 def oracle_definition(c):
-    s = c.bs.base
-    for a in range(s.size):
-        for b in range(s.size):
-            if b not in s.compat_partners[a]:
-                continue
-            j = s.join_table[a][b]
-            if j is None:
-                return (a, b, "missing-join")
-            for u in range(s.size):
-                if s.join_table[s.table[u][a]][s.table[u][b]] != s.table[u][j]:
-                    return (u, a, b, "left")
-                if s.join_table[s.table[a][u]][s.table[b][u]] != s.table[j][u]:
-                    return (a, b, u, "right")
-    return None
+    return _definition_scan(c.bs.base)
 
 
 def oracle_eggs(c):
@@ -200,17 +184,7 @@ def oracle_orthogonal(c):
 
 
 def oracle_setminus_2(c):
-    bs = c.bs
-    s = bs.base
-    for x in range(s.size):
-        for t in s.down[x]:
-            w = bs.rc(x, t)
-            for a in range(s.size):
-                if s.table[a][w] != bs.rc(s.table[a][x], s.table[a][t]):
-                    return (a, x, t, "left")
-                if s.table[w][a] != bs.rc(s.table[x][a], s.table[t][a]):
-                    return (a, x, t, "right")
-    return None
+    return _setminus_2_scan(c.bs)
 
 
 def oracle_setminus_4(c):
@@ -405,22 +379,6 @@ def oracle_discrete_topology(c):
     return None
 
 
-def oracle_verify_additive_ideal(bs, subset):
-    s = bs.base
-    if s.zero not in subset:
-        return ("missing-zero",)
-    for a in subset:
-        for x in range(s.size):
-            if s.table[x][a] not in subset:
-                return ("left-ideal", x, a)
-            if s.table[a][x] not in subset:
-                return ("right-ideal", a, x)
-    for a, b in itertools.combinations(sorted(subset), 2):
-        if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
-            return ("join", a, b)
-    return None
-
-
 def oracle_ideal_closure(bs, gens):
     s = bs.base
     gens = list(gens)
@@ -443,7 +401,7 @@ def oracle_ideal_closure(bs, gens):
             if j not in members:
                 members.add(j)
                 changed = True
-    bad = oracle_verify_additive_ideal(bs, members)
+    bad = naive_additive_ideal(bs, members)
     if bad is not None:
         raise CertificateFailed(("closure-not-an-ideal", bad))
     return frozenset(members)
@@ -787,7 +745,7 @@ def test_verify_additive_ideal_matches_oracle_on_subsets(name, data):
             subset.add(x)
     for candidate in (subset, frozenset(subset)):
         assert verify_additive_ideal(bs, candidate) == (
-            oracle_verify_additive_ideal(bs, candidate)
+            naive_additive_ideal(bs, candidate)
         )
 
 

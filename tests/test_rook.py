@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import biskit.boolean
 from biskit.boolean import (
+    K_OF_GROUPOID_CAP,
     KOfGroupoid,
     _bisections,
     check_boolean,
@@ -41,7 +42,6 @@ from biskit.groupoid import (
 import biskit.rook as rook
 import naive_rook
 from biskit.rook import (
-    MN_CARRIER_CAP,
     MN_ENTRY_CAP,
     RookMatrix,
     build_Mn_G0,
@@ -350,9 +350,14 @@ def test_build_Mn_G0_caps():
     assert str(info.value) == (
         "9x9 over group of order 1 has 81 entries, above entry cap MN_ENTRY_CAP=64"
     )
-    assert MN_ENTRY_CAP < 81 and mn_count(8, 1) > MN_CARRIER_CAP
+    assert MN_ENTRY_CAP < 81 and mn_count(8, 1) > K_OF_GROUPOID_CAP
     with pytest.raises(TooLarge, match=f"count {mn_count(8, 1)} above cap"):
         build_Mn_G0(8, cyclic_group(1))
+    # M_6 over the trivial group is under the entry cap; its 13,327
+    # matrices are refused before any is enumerated
+    with pytest.raises(TooLarge) as info:
+        build_Mn_G0(6, cyclic_group(1))
+    assert str(info.value) == "local bisection count 13327 above cap K_OF_GROUPOID_CAP=4096"
     with pytest.raises(NotAGroup):
         build_Mn_G0(2, Gpd([[0, None], [None, 1]]))
 
@@ -372,7 +377,7 @@ DECOMPOSE_TABLES = {
 def oracle_k_table(g):
     """K(g)'s table by the setwise product of every pair of bisections,
     each arrow of one tried against each arrow of the other."""
-    carrier = _bisections(g, cap=10_000)
+    carrier = _bisections(g)
     index = {a: i for i, a in enumerate(carrier)}
     return tuple(
         tuple(
@@ -601,7 +606,7 @@ def test_decompose_refuses_a_corrupted_k_table(name, monkeypatch):
     bs = boolean(name)
     s, cert = bs.base, decompose(bs)
     p = oracle_k_table(cert.target.groupoid)
-    index = {a: i for i, a in enumerate(_bisections(cert.target.groupoid, 10_000))}
+    index = {a: i for i, a in enumerate(_bisections(cert.target.groupoid))}
     cases = []
     for i, j in itertools.combinations(range(len(cert.rebuilt)), 2):
         r = list(cert.rebuilt)

@@ -9,8 +9,6 @@ scans they replaced (tests/naive_translation.py), on corrupted tables
 and with every pass made to decline.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,13 @@ from biskit.core import (
 )
 from biskit.corpus import BOOLEAN_NAMES, SEMIGROUP_BUILDERS, corpus_semigroup
 from biskit.laws import Analysis, law_definition, law_oj, law_setminus_2
-from naive_translation import _definition_scan, _ideal_scan, _oj_scan, _setminus_2_scan
+from naive_translation import (
+    _definition_scan,
+    _ideal_scan,
+    _oj_scan,
+    _setminus_2_scan,
+    naive_additive_ideal,
+)
 from test_law_kernels import corrupted, corruptions, outcome
 from test_on_generators import corrupt, corrupted_products_and_classes
 
@@ -137,21 +141,6 @@ def test_pinned_corruptions_reach_the_error_paths(law, corruption, want):
 
 
 # -- check_boolean's distributivity and verify_additive_ideal ------------------
-
-
-def naive_additive_ideal(bs, subset):
-    """verify_additive_ideal's witness from the plain scans: the zero, the
-    products by _ideal_scan, then the joins of members a < b."""
-    s = bs.base
-    if s.zero not in subset:
-        return ("missing-zero",)
-    bad = _ideal_scan(s.table, subset)
-    if bad is not None:
-        return bad
-    for a, b in itertools.combinations(sorted(subset), 2):
-        if b in s.compat_partners[a] and s.join_table[a][b] not in subset:
-            return ("join", a, b)
-    return None
 
 
 @settings(max_examples=200, deadline=None)
