@@ -132,8 +132,24 @@ def _positions(seq, value):
     return out
 
 
+def _reaches(rows, gens, goal):
+    """True when goal is among the ids reached from gens by right
+    multiplication m*g by the gens; no associativity is assumed."""
+    seen, at_gens = set(gens), _picker(gens)
+    members = list(gens)
+    for m in members:  # the loop reaches the members it appends
+        for w in at_gens(rows[m]):
+            if w not in seen:
+                if w == goal:
+                    return True
+                seen.add(w)
+                members.append(w)
+    return goal in seen
+
+
 def _generators(rows):
-    """A greedy generating set of the table's product, in the order chosen.
+    """An irredundant generating set of the table's product, a subsequence
+    of the greedy scan.
 
     Ids are scanned by descending |xS|, the number of distinct entries in
     row x, ties by descending id; one not yet in the closure becomes a
@@ -146,6 +162,18 @@ def _generators(rows):
     generator i.  Every member is g, or m*g for an earlier member m and a
     generator g, so the closure is every product of generators, whatever
     the scan order.  No associativity is assumed.
+
+    Then, in scan order, each generator that the others kept generate by
+    right multiplication (_reaches) is dropped, so none of those returned
+    lies in the closure of the rest.  The last one picked stays, as it is
+    not in the closure of those before it.  Only a g that is m*h for some
+    m != g and another generator h is searched for, since a member enters
+    the closure as such a product: column h holds g at some row but g.
+    A dropped g is a product of the kept ones, so every id is still a
+    product of them under the table's product, bracketed some way: enough
+    for Light's test.  In an associative table the products of the kept
+    generators are a subsemigroup holding g, so right multiplication by
+    them alone reaches every id.
     """
     gens, members, done = [], [], []
     seen = set()
@@ -168,6 +196,12 @@ def _generators(rows):
                         seen.add(w)
                         members.append(w)
                         grew = True
+    cols = {h: tuple(map(itemgetter(h), rows)) for h in gens}
+    for g in gens[:-1]:
+        others = [h for h in gens if h != g]
+        as_product = any(cols[h].count(g) > (rows[g][h] == g) for h in others)
+        if as_product and _reaches(rows, others, g):
+            gens.remove(g)
     return tuple(gens)
 
 
@@ -203,9 +237,9 @@ def _on_generators(s, holds):
     The closure argument of every generator pass: each caller asks whether
     P(y), itself quantified over every x, holds for every id y, and says
     why the y with P(y) are closed under the product of an associative
-    table.  Every id is a generator or m*g for an earlier member m and a
-    generator g (_generators, which assumes no associativity), so P holds
-    for every id once it holds on the generators.  They are Light-tested on
+    table.  In an associative table every id is a generator or m*g for an
+    earlier member m and a generator g (_generators), so P holds for every
+    id once it holds on the generators.  They are Light-tested on
     the table s reads now (s.associative_generators), not the one s was
     built with.
     """
@@ -249,18 +283,6 @@ def _translation_failure(s, tuples, related):
             if not related(*right):
                 return tup, u, "right"
     return None
-
-
-def _bound_table(masks):
-    """Entry [a][b] is the element x with masks[x] == masks[a] & masks[b],
-    or None.
-
-    With masks the down-set (up-set) bitsets of a partial order, this is the
-    meet (join) table: the common lower bounds of a and b form a down-set,
-    and it has a greatest element x exactly when it is the down-set of x.
-    """
-    owner = {m: x for x, m in enumerate(masks)}.get
-    return tuple(tuple(map(owner, map(m.__and__, masks))) for m in masks)
 
 
 def _mask(xs):
@@ -321,7 +343,8 @@ def _inverses_on_generators(rows, gens):
     Each generator's inverses come from _inverse_candidates; with exactly
     one each, they are carried along the closure of _generators by
     (m*g)' = g'*m', so every id gets one candidate.  None unless every
-    candidate b of its a passes a*b*a = a and b*a*b = b.
+    candidate b of its a passes a*b*a = a and b*a*b = b, or some id gets
+    none, as in a table that is not associative.
     """
     inv = [None] * len(rows)
     for g in gens:
@@ -337,6 +360,8 @@ def _inverses_on_generators(rows, gens):
             if inv[w] is None:
                 inv[w] = rows[inv[g]][im]
                 members.append(w)
+    if None in inv:
+        return None
     for a, (ra, b) in enumerate(zip(rows, inv)):
         if rows[ra[b]][a] != a or rows[rows[b][a]][b] != b:
             return None
@@ -349,7 +374,7 @@ class InvSgp:
     Construction checks every entry is an id (_check_entries; a table from
     parse_semigroup was checked by its parser, which reads only ids), then
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
-    greedy generating set (_associative_generators): (x*g)*y = x*(g*y) for
+    generating set (_associative_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
     k*k.  When it fails, the row scan of _check_associative names the first
     failing triple in lexicographic order as the NotAssociative witness.
@@ -492,10 +517,30 @@ class InvSgp:
     def meet_table(self):
         """meet_table[a][b] is the greatest lower bound id, or None.
 
-        Read off down-set bitsets: the meet is the element whose down-set is
-        down[a] & down[b], found by one dict lookup per pair.
+        a meet b = a*phi(a'*b), with phi(u) the greatest idempotent in
+        down[u], or None when there is none.  The common lower bounds x of a
+        and b correspond to the idempotents f <= a'*b by x = a*f and f =
+        d(x).  If f <= a'*b then f = a'*b*f = f*b'*a, so a*f = r(a)*b*f <= b,
+        b*f = b*f*b'*a = r(b*f)*a <= a, and a*f = r(a)*r(b*f)*a = b*f lies
+        below both; also f = d(a)*f, so d(a*f) = f.  Conversely x <= a, b
+        gives x = a*d(x) = b*d(x) and a'*b*d(x) = a'*x = d(a)*d(x) = d(x),
+        so d(x) <= a'*b.  Both maps keep the order, so the greatest of the
+        one set goes to the greatest of the other.  Everything below an
+        idempotent e is idempotent, so phi(u) is the idempotent e <= u with
+        as many ids in down[e] as there are idempotents in down[u].  Row a
+        is read with two pickers: phi at row a' (the a'*b over every b),
+        then row a at those phi, k standing for None.
         """
-        return _bound_table(tuple(map(_mask, self.down)))
+        k, t, down = self.size, self.table, self.down
+        phi = []
+        for below in down:
+            es = [e for e in below if t[e][e] == e]
+            e = max(es, key=lambda e: len(down[e]), default=None)
+            phi.append(k if e is None or len(down[e]) != len(es) else e)
+        return tuple(
+            _picker(_picker(t[ia])(phi))(ra + (None,))
+            for ra, ia in zip(t, self.inv)
+        )
 
     @cached_property
     def join_table(self):

@@ -606,11 +606,10 @@ def law_definition(c):
 
 
 def law_meets_semisimple(c):
-    s = c.bs.base
-    for a in range(s.size):
-        for b in range(s.size):
-            if s.meet_table[a][b] is None:
-                return (a, b)
+    """The first (a, b), row by row, without a meet; or None."""
+    for a, row in enumerate(c.bs.base.meet_table):
+        if None in row:
+            return (a, row.index(None))
     return None
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biskit.core
+from biskit.boolean import k_of_groupoid
 from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     InvSgp,
@@ -43,9 +44,15 @@ from biskit.errors import (
     TooLarge,
     Undecided,
 )
-from biskit.groupoid import Gpd, group_iso
+from biskit.groupoid import Gpd, group_iso, reconstruct
 from biskit.rook import build_Mn_G0
-from generated import i4_subsemigroup_tables, t3_subsemigroup_tables, transformation_table
+from generated import (
+    component_forms,
+    generated_table,
+    i4_subsemigroup_tables,
+    t3_subsemigroup_tables,
+    transformation_table,
+)
 from naive_order import leq, naive_structure
 from test_groupoid import z4_by_z4_table
 
@@ -233,6 +240,52 @@ def test_restricted_groupoid_is_kept_with_its_table():
 def test_join_table_matches_oracle_on_generated_structures(table):
     s = InvSgp(table)
     assert s.join_table == naive_join_table(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(i4_subsemigroup_tables)
+def test_meet_table_matches_oracle_on_generated_structures(table):
+    # about one in nine of these misses some meet
+    s = InvSgp(table)
+    assert s.meet_table == naive_meet_table(s)
+
+
+@settings(max_examples=10, deadline=None)
+@given(component_forms)
+def test_meet_table_matches_oracle_on_component_forms(form):
+    s = k_of_groupoid(reconstruct(form)).structure.base
+    assert s.meet_table == naive_meet_table(s)
+
+
+def partial_identity(points):
+    return frozenset((x, x) for x in points)
+
+
+CYCLE3 = frozenset({(0, 1), (1, 2), (2, 0)})  # a 3-cycle defined on {0, 1, 2}
+SWAP01 = frozenset({(0, 1), (1, 0), (2, 2), (3, 3)})  # (0 1), defined everywhere
+SWAP23 = frozenset({(0, 0), (1, 1), (2, 3), (3, 2)})  # (2 3), defined everywhere
+
+# tables where some pair has no meet: corpus z2-group, and inverse
+# subsemigroups of I4 by their generators (chain3, antichain3 and b2 have a
+# zero and every meet, and are in KERNEL_TABLES)
+MISSING_MEET_GENERATORS = {
+    "3-cycle and the identity": [CYCLE3, partial_identity(range(4))],
+    "S4": [SWAP01, frozenset(zip(range(4), (1, 2, 3, 0)))],
+    # id_0 and id_1 are below (2 3), id_{0,1} is not in the table
+    "(2 3), id_0 and id_1": [SWAP23, partial_identity([0]), partial_identity([1])],
+    "(0 1) and a rank-3 idempotent": [SWAP01, partial_identity(range(3))],
+}
+MISSING_MEETS = {
+    "z2-group": SEMIGROUP_BUILDERS["z2-group"](),
+    **{name: generated_table(g)[1] for name, g in MISSING_MEET_GENERATORS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_MEETS))
+def test_meet_table_matches_oracle_where_meets_are_missing(name):
+    s = InvSgp(MISSING_MEETS[name])
+    assert any(None in row for row in s.meet_table)
+    assert s.meet_table == naive_meet_table(s)
 
 
 def test_not_associative():
@@ -502,13 +555,18 @@ def naive_associativity_witness(rows):
 
 
 def naive_meet_table(s):
-    k = s.size
+    """The greatest common lower bound of each pair, or None, from leq
+    alone: the c <= a and c <= b, and among them the one every other is
+    below.  leq is read once per pair of ids."""
+    ids = range(s.size)
+    below = [[c for c in ids if leq(s, c, a)] for a in ids]
+    le = list(map(set, below))  # le[a]: the c <= a
     out = []
-    for a in range(k):
+    for a in ids:
         row = []
-        for b in range(k):
-            lows = [c for c in range(k) if leq(s, c, a) and leq(s, c, b)]
-            best = [c for c in lows if all(leq(s, x, c) for x in lows)]
+        for b in ids:
+            lows = [c for c in below[a] if c in le[b]]
+            best = [c for c in lows if le[c].issuperset(lows)]
             row.append(best[0] if best else None)
         out.append(tuple(row))
     return tuple(out)
@@ -567,7 +625,7 @@ def row_scan_witness(rows):
 
 
 def generated_closure(rows, gens):
-    """Every product of generators, by right multiplication until stable."""
+    """Every id reached from gens by right multiplication until stable."""
     out = set(gens)
     todo = list(gens)
     while todo:
@@ -579,23 +637,46 @@ def generated_closure(rows, gens):
     return out
 
 
+def product_closure(rows, gens):
+    """Every product of gens under the table's product, bracketed any way."""
+    out, new = set(gens), set(gens)
+    while new:
+        made = {rows[x][y] for x in out for y in new}
+        made |= {rows[y][x] for x in out for y in new}
+        new = made - out
+        out |= new
+    return out
+
+
 def scan_order(rows):
     """Ids by descending (distinct entries of their row, id)."""
     return sorted(range(len(rows)), key=lambda x: (len(set(rows[x])), x), reverse=True)
 
 
+def greedy_scan(rows):
+    """The ids, in scan order, that the ones chosen before do not generate."""
+    gens, closure = [], set()
+    for x in scan_order(rows):
+        if x not in closure:
+            gens.append(x)
+            closure = generated_closure(rows, gens)
+    return gens
+
+
 def assert_generators_decide_associativity(rows, want):
-    """The generators are the greedy choice and generate every id, and
-    Light's test on them accepts exactly the tables the scan finds no triple
-    in."""
+    """The generators are a subsequence of the greedy scan, none generated
+    by the others, they generate every id (by right multiplication alone
+    when the table is associative), and Light's test on them accepts
+    exactly the tables the scan finds no triple in."""
     gens = _generators(rows)
-    order = scan_order(rows)
-    for i, g in enumerate(gens):
-        # the first id in scan order the generators chosen before it do not
-        # generate
-        closure = generated_closure(rows, gens[:i])
-        assert g == next(x for x in order if x not in closure)
-    assert generated_closure(rows, gens) == set(range(len(rows)))
+    greedy = iter(greedy_scan(rows))
+    assert all(g in greedy for g in gens)  # a subsequence
+    for g in gens:
+        assert g not in generated_closure(rows, [h for h in gens if h != g])
+    every = set(range(len(rows)))
+    assert product_closure(rows, gens) == every
+    if want is None:
+        assert generated_closure(rows, gens) == every
     assert _light_test(rows, gens) == (want is None)
 
 
@@ -710,18 +791,29 @@ def shuffled(n, seed):
 SIX_GENERATOR_PERM = shuffled(len(I4), 1256)
 
 
+@settings(max_examples=5, deadline=None)
+@given(st.permutations(range(len(I4))))
+@example(list(range(len(I4))))
+def test_meet_table_matches_oracle_on_relabelled_i4(perm):
+    s = InvSgp(relabel(I4, perm))
+    assert s.meet_table == naive_meet_table(s)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(range(len(I4))))
+@example(list(range(len(I4))))
 @example(SIX_GENERATOR_PERM)
 def test_relabelled_i4_generators_generate_and_each_is_new(perm):
-    # the scan bounds nothing but this: its generators generate every id,
-    # and each is the first id, in scan order, that the ones before it do
-    # not generate
+    # pruning bounds no count but the greedy scan's: the generators are a
+    # subsequence of it, generate every id, and none is generated by the
+    # others
     assert_generators_decide_associativity(relabel(I4, perm), None)
 
 
-def test_the_pinned_relabelling_of_i4_has_six_generators():
-    assert len(_generators(relabel(I4, SIX_GENERATOR_PERM))) == 6
+def test_the_pinned_relabelling_of_i4_prunes_six_greedy_generators():
+    rows = relabel(I4, SIX_GENERATOR_PERM)
+    assert len(greedy_scan(rows)) == 6
+    assert_generators_decide_associativity(rows, None)
 
 
 def load_bench_inputs():
@@ -734,12 +826,14 @@ def load_bench_inputs():
 
 
 def test_benchmark_i4_inputs_have_at_most_five_generators():
+    # at most the greedy scan's count, which is at most 5 on these inputs
     inputs = load_bench_inputs()
     for seed in range(1, 31):
         files, _ = inputs.i4_inputs(seed)
         (text,) = files.values()
         s = parse_semigroup(text)
-        assert len(s.associative_generators) <= 5, seed
+        assert_generators_decide_associativity(s.table, None)
+        assert len(s.associative_generators) <= len(greedy_scan(s.table)) <= 5, seed
 
 
 # -- inverses and order after Light's test, against the all-pairs scans --------

@@ -699,6 +699,12 @@ def unused_imports(tree):
     return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
+def parameter_names(tree):
+    """Every parameter name of the module's functions: pytest reads one as
+    the fixture of that name, and hypothesis fills one by keyword."""
+    return {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+
+
 def names_read(trees):
     """Every name the trees read: as a name, an attribute or an imported
     name."""
@@ -757,8 +763,9 @@ def parsed_modules(directory):
 def test_src_has_no_assert_statements():
     # a certificate behind an assert is skipped under python -O; an unused
     # import is left behind by deleted code (__init__.py imports to
-    # re-export), and so is a private helper no module reads any more, or a
-    # method nothing in src/ or tests/ calls
+    # re-export), in src/ or in tests/ (where a name read as a parameter
+    # counts as read), and so is a private helper no module reads any more,
+    # or a method nothing in src/ or tests/ calls
     trees = parsed_modules(os.path.dirname(os.path.abspath(biskit.__file__)))
     found = []
     for name, tree in trees.items():
@@ -766,6 +773,9 @@ def test_src_has_no_assert_statements():
         if name != "__init__.py":
             found += [(name, unused) for unused in unused_imports(tree)]
     tests = parsed_modules(os.path.dirname(os.path.abspath(__file__)))
+    for name, tree in tests.items():
+        read = parameter_names(tree)
+        found += [("tests/" + name, u) for u in unused_imports(tree) if u not in read]
     readers = [*trees.values(), *tests.values()]
     assert found + unreferenced_private_defs(trees) == []
     assert unreferenced_methods(trees, readers) == []
