@@ -20,6 +20,7 @@ from operator import and_, itemgetter, or_
 
 from .core import (
     InvSgp,
+    _IdRows,
     _dr_classes,
     _mask,
     _on_generator_sides,
@@ -376,12 +377,14 @@ class KOfGroupoid:
 
     @cached_property
     def table(self):
-        """Rows of ids, table[a][b] = a*b, built a row at a time."""
+        """Rows of ids, table[a][b] = a*b, built a row at a time: n rows of n
+        ids, each looked up by _ids, so InvSgp does not check them again
+        (_IdRows)."""
         single, steps, _ = self._steps
         rows = [(0,) * (len(steps) + 1)]
         for rest, top in steps:
             rows.append(tuple(map(or_, rows[rest], single[top])))
-        return tuple(map(self._ids, rows))
+        return _IdRows(map(self._ids, rows))
 
     @cached_property
     def structure(self):
@@ -504,6 +507,30 @@ def ideal_closure(bs, gens):
     return frozenset(members)
 
 
+def _conjugating_generators(s):
+    """The generators of s when conjugation by them decides closure under
+    conjugation by every id, else None.
+
+    If a = g1*...*gn then a' = gn'*...*g1', so a'*e*a =
+    gn'*(...(g1'*e*g1)...)*gn, and a set closed under conjugation by each
+    generator is closed under conjugation by every id (the translation
+    argument of _on_generator_sides).  That needs the table s reads to be
+    associative, which Light's test on its generators shows
+    (_on_generators), and s.inv to turn its products around, (m*g)' =
+    g'*m' for every id m and generator g: checked one column per
+    generator, as s.inv was found for the table s was built with.
+    """
+    t, inv = s.table, s.inv
+    at_inv = _picker(inv)
+    gens = []
+
+    def carried(g):  # (m*g)' over every m, against row g' read at the m'
+        gens.append(g)  # _on_generators passes each generator in turn
+        return tuple(map(inv.__getitem__, map(itemgetter(g), t))) == at_inv(t[inv[g]])
+
+    return gens if _on_generators(s, carried) else None
+
+
 def idempotent_ideals(s):
     """Every set of idempotents that contains the zero and is downward
     closed, join closed, and closed under conjugation; ascending by size,
@@ -513,16 +540,19 @@ def idempotent_ideals(s):
     below it, so, being downward closed, it is the down-set of m.  The
     candidates are therefore the |E| down-sets s.down[m] of the idempotents
     m, not the 2^|E| subsets of E; each is tested for the zero, for joins (a
-    pair without a join rejects it) and for conjugation.
+    pair without a join rejects it) and for conjugation e -> a'*e*a, by the
+    generators a when _conjugating_generators gives them, else by every id.
     """
     t, inv, jt = s.table, s.inv, s.join_table
+    conjugators = _conjugating_generators(s) or range(s.size)
+    conjugations = [(t[inv[a]], a) for a in conjugators]  # (row a', a)
     out = []
     for m in s.idempotents:
         fset = frozenset(s.down[m])
         inside = fset.__contains__
         if s.zero in fset and all(
             all(map(inside, map(jt[e].__getitem__, fset)))
-            and all(inside(t[t[ia][e]][a]) for a, ia in enumerate(inv))
+            and all(inside(t[row[e]][a]) for row, a in conjugations)
             for e in fset
         ):
             out.append(fset)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import countOf, eq, itemgetter
 
 from .errors import (
     CertificateFailed,
@@ -25,27 +25,21 @@ from .errors import (
 )
 
 
-def _tokenize(text):
-    """Split table text into token lines; '#' starts a comment to end of line."""
-    out = []
-    for raw in text.split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
-
-
 def _parse_table(text, allow_undefined):
     """Shared .ist/.grp reader.
 
     Header line is `n <k>`, then exactly k lines of k integers each, nothing
-    after.  Entries must be in 0..k-1; -1 is allowed only when
-    allow_undefined is set and comes back as None.
+    after; '#' starts a comment to end of line, and blank lines are skipped.
+    Entries must be in 0..k-1; -1 is allowed only when allow_undefined is
+    set and comes back as None.  The lines are counted before any entry is
+    read, so a wrong row count is named ahead of a bad entry; then the
+    tokens of one row at a time are read, not the whole table's at once.
     """
-    lines = _tokenize(text)
+    content = (raw.split("#", 1)[0].strip() for raw in text.split("\n"))
+    lines = [line for line in content if line]
     if not lines:
         raise ParseError("empty input")
-    head = lines[0]
+    head = lines[0].split()
     if len(head) != 2 or head[0] != "n":
         raise ParseError(f"bad header line {' '.join(head)!r}, expected 'n <k>'")
     try:
@@ -54,15 +48,15 @@ def _parse_table(text, allow_undefined):
         raise ParseError(f"bad size {head[1]!r}") from None
     if k < 0 or (k == 0 and not allow_undefined):
         raise ParseError(f"bad size {k}")
-    body = lines[1:]
-    if len(body) != k:
-        raise ParseError(f"expected {k} table rows, found {len(body)}")
+    if len(lines) - 1 != k:
+        raise ParseError(f"expected {k} table rows, found {len(lines) - 1}")
     spelled = {str(v): v for v in range(k)}  # the canonical spelling of each id
     if allow_undefined:
         spelled["-1"] = None
     read = spelled.__getitem__
     table = []
-    for i, row in enumerate(body):
+    for i, line in enumerate(lines[1:]):
+        row = line.split()
         if len(row) != k:
             raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
         try:
@@ -169,6 +163,7 @@ def _generators(rows):
     not in the closure of those before it.  Only a g that is m*h for some
     m != g and another generator h is searched for, since a member enters
     the closure as such a product: column h holds g at some row but g.
+    Column h is counted as it is read, one entry per row, and not kept.
     A dropped g is a product of the kept ones, so every id is still a
     product of them under the table's product, bracketed some way: enough
     for Light's test.  In an associative table the products of the kept
@@ -196,10 +191,11 @@ def _generators(rows):
                         seen.add(w)
                         members.append(w)
                         grew = True
-    cols = {h: tuple(map(itemgetter(h), rows)) for h in gens}
     for g in gens[:-1]:
         others = [h for h in gens if h != g]
-        as_product = any(cols[h].count(g) > (rows[g][h] == g) for h in others)
+        as_product = any(
+            countOf(map(itemgetter(h), rows), g) > (rows[g][h] == g) for h in others
+        )
         if as_product and _reaches(rows, others, g):
             gens.remove(g)
     return tuple(gens)
@@ -310,9 +306,10 @@ def _check_entries(rows):
                 raise ParseError(f"entry {v!r} out of range in row {i}")
 
 
-class _ParsedRows(tuple):
-    """Rows as _parse_table read them, every entry an id in 0..k-1 already:
-    the one table InvSgp does not pass through _check_entries."""
+class _IdRows(tuple):
+    """Rows whose maker has checked them k rows of k ids in 0..k-1, as
+    _parse_table and KOfGroupoid.table do: the tables InvSgp does not pass
+    through _check_entries."""
 
 
 def _inverse_candidates(rows, a, col):
@@ -371,8 +368,11 @@ def _inverses_on_generators(rows, gens):
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
-    Construction checks every entry is an id (_check_entries; a table from
-    parse_semigroup was checked by its parser, which reads only ids), then
+    Construction checks every entry is an id (_check_entries), unless the
+    table is an _IdRows, whose maker checked its entries: the rows
+    parse_semigroup reads, whose parser reads only ids, and the table of
+    local bisections of KOfGroupoid, whose every product is looked up as a
+    bisection's id (CertificateFailed when it is not one).  Then
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
     generating set (_associative_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
@@ -397,7 +397,7 @@ class InvSgp:
         k = len(rows)
         if k == 0:
             raise ParseError("empty table")
-        if type(table) is not _ParsedRows:
+        if type(table) is not _IdRows:
             _check_entries(rows)
 
         gens = _associative_generators(rows)
@@ -580,7 +580,7 @@ class InvSgp:
 def parse_semigroup(text):
     """Parse .ist text into a validated InvSgp; the parser has checked the
     entries, so InvSgp does not check them again."""
-    return InvSgp(_ParsedRows(_parse_table(text, allow_undefined=False)))
+    return InvSgp(_IdRows(_parse_table(text, allow_undefined=False)))
 
 
 def adjoin_zero(s):

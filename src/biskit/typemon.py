@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .boolean import as_boolean
 from .core import d_relation_idempotents
-from .errors import CertificateFailed, TooLarge
+from .errors import CertificateFailed, NotBelow, TooLarge
 from .rook import rook_matrix, rook_mul, rook_star
 
 MATRIX_IDEMPOTENT_CAP = 100_000
@@ -33,8 +33,12 @@ def type_monoid(bs):
 
     The axioms are re-checked on the result: zero maps to the zero vector,
     orthogonal joins add, equivalent idempotents agree, and the count vector
-    separates exactly the idempotent classes connected through the carrier.
-    A check that fails raises CertificateFailed naming it.
+    separates exactly the idempotent classes connected through the carrier,
+    and e and f minus e add up to f for idempotents e <= f.  A check that
+    fails raises CertificateFailed naming it.  f minus e is read as bs.rc
+    reads it, row f at check_boolean's complement witness, but for these
+    pairs only, so bs.rc_table is not built; NotBelow is raised where bs.rc
+    would raise it.
     """
     bs = as_boolean(bs)
     s = bs.base
@@ -71,9 +75,13 @@ def type_monoid(bs):
         for f in s.idempotents:
             if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
+    d, complement = s.d, bs.complement
     for e in s.idempotents:
         for f in filter(s.is_idempotent, s.up[e]):
-            rest = tau[bs.rc(f, e)]
+            c = complement.get((d[f], d[e])) if e in s.down[f] else None
+            if c is None:
+                raise NotBelow((f, e))
+            rest = tau[t[f][c]]
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, atomic, tau)

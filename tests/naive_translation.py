@@ -114,8 +114,9 @@ def _definition_scan(s):
 
 def refuse_full_scans(mp):
     """Make the slow paths raise when they run: the witness scan of
-    check_boolean's and the ideals' generator passes, the scans the laws
-    fall back to when a pass declines, and K's table."""
+    check_boolean's and the ideals' generator passes, the conjugation by
+    every id that idempotent_ideals falls back to, the scans the laws fall
+    back to when a pass declines, and K's table."""
 
     def refuse(what):
         def refused(*args):
@@ -135,3 +136,9 @@ def refuse_full_scans(mp):
     ):
         mp.setattr(biskit.laws, scan, refuse(scan))
     mp.setattr(KOfGroupoid, "table", property(refuse("KOfGroupoid.table")))
+    conjugating = biskit.boolean._conjugating_generators  # None: every id is read
+    mp.setattr(
+        biskit.boolean,
+        "_conjugating_generators",
+        lambda s: conjugating(s) or refuse("conjugation scan")(),
+    )

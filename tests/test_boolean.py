@@ -559,10 +559,29 @@ IDEAL_ORACLE_TABLES = {
 }
 
 
+def scan_idempotent_ideals(s):
+    """idempotent_ideals with closure under conjugation decided by every id
+    a, never on the generators: e -> a'*e*a for each member e and each a."""
+    t, inv, jt = s.table, s.inv, s.join_table
+    out = []
+    for m in s.idempotents:
+        fset = frozenset(s.down[m])
+        inside = fset.__contains__
+        if s.zero in fset and all(
+            all(map(inside, map(jt[e].__getitem__, fset)))
+            and all(inside(t[t[ia][e]][a]) for a, ia in enumerate(inv))
+            for e in fset
+        ):
+            out.append(fset)
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(IDEAL_ORACLE_TABLES))
 def test_idempotent_ideals_match_subset_scan(name):
     s = InvSgp(IDEAL_ORACLE_TABLES[name]())
-    assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
+    got = idempotent_ideals(s)
+    assert got == scan_idempotent_ideals(s) == oracle_idempotent_ideals(s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -571,7 +590,48 @@ def test_idempotent_ideals_match_subset_scan_on_generated_structures(table):
     # mostly not Boolean: down-sets fail on a pair without a join or on
     # conjugation, and some tables have no zero at all
     s = InvSgp(table)
-    assert idempotent_ideals(s) == oracle_idempotent_ideals(s)
+    got = idempotent_ideals(s)
+    assert got == scan_idempotent_ideals(s) == oracle_idempotent_ideals(s)
+
+
+def with_entry(name, which, a, b, value):
+    """A Boolean corpus table validated, then entry [a][b] of its table
+    (which "table") or entry a of its inverse map (which "inv") set to
+    value; the order and joins stay those of the valid table."""
+    s = corpus_semigroup(name)
+    s.join_table
+    if which == "inv":
+        s.inv = (*s.inv[:a], value, *s.inv[a + 1 :])
+    else:
+        rows = [list(r) for r in s.table]
+        rows[a][b] = value
+        s.table = tuple(map(tuple, rows))
+    return s
+
+
+@pytest.mark.parametrize("name", ["i2", "powerset2", "z2zero", "z3zero"])
+def test_idempotent_ideals_match_the_conjugation_scan_on_every_corruption(name):
+    # powerset2 and z2zero each have corruptions that stay associative, so
+    # Light's test holds on them and the generators decide; on the rest the
+    # scan does.  A wrong inverse leaves the table associative: there it is
+    # the check (m*g)' = g'*m' that keeps the generators from deciding
+    k = corpus_semigroup(name).size
+    corruptions = [
+        *(("table", a, b, v) for a, b, v in itertools.product(range(k), repeat=3)),
+        *(("inv", a, 0, v) for a, v in itertools.product(range(k), repeat=2)),
+    ]
+    for corruption in corruptions:
+        s = with_entry(name, *corruption)
+        assert idempotent_ideals(s) == scan_idempotent_ideals(s), corruption
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOOLEAN_NAMES), st.sampled_from(("table", "inv")), st.data())
+def test_idempotent_ideals_match_the_conjugation_scan_on_corruptions(name, which, data):
+    k = corpus_semigroup(name).size
+    a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    s = with_entry(name, which, a, b, v)
+    assert idempotent_ideals(s) == scan_idempotent_ideals(s)
 
 
 @st.composite

@@ -14,6 +14,7 @@ import biskit.boolean
 import biskit.core
 import biskit.rook as rook
 from biskit.boolean import (
+    BoolInvSgp,
     check_boolean,
     enumerate_additive_ideals,
     idempotent_ideals,
@@ -323,6 +324,22 @@ def test_build_report_validates_i4_once():
         rep = build_report(InvSgp(table))
     assert rep.decomposition_signature == [[4, 1, "trivial"]]
     assert counts == {"InvSgp": 1, "check_boolean": 1}
+
+
+def test_build_report_builds_no_rc_table(monkeypatch):
+    # type_monoid reads its complements off check_boolean's witnesses, so
+    # the k*k relative complements of I4 are never built
+    made, init = [], BoolInvSgp.__init__
+
+    def kept_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(BoolInvSgp, "__init__", kept_init)
+    rep = build_report(InvSgp(symmetric_inverse_table(4)))
+    assert rep.type_monoid_rank == 1
+    assert len(made) == 1
+    assert "rc_table" not in made[0].__dict__
 
 
 @pytest.mark.parametrize("name", ["i4", *BOOLEAN_NAMES])

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,6 @@ from biskit.core import (
     _inverses_on_generators,
     _light_test,
     _parse_table,
-    _tokenize,
     adjoin_zero,
     all_congruences,
     check_congruence,
@@ -86,8 +86,19 @@ def test_parse_rejects(text):
         parse_semigroup(text)
 
 
+def _tokenize(text):
+    """Split table text into token lines; '#' starts a comment to end of line."""
+    out = []
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line.split())
+    return out
+
+
 def oracle_parse_table(text, allow_undefined):
-    """_parse_table as it read every token in one loop."""
+    """_parse_table as it read every token of the table in one loop, all
+    of them held at once (_tokenize)."""
     lines = _tokenize(text)
     if not lines:
         raise ParseError("empty input")
@@ -143,11 +154,46 @@ def parse_outcome(fn, text, allow_undefined):
         "n 3\n0 1 2\n1 1.0 2\n2 2 2\n",
         "n 3\n-1 -1 -1\n0 +1 2\n2 2 2\n",
         "n 2\n0 1\n1 0\n",
+        "n 3\n0 x 2\n1 1 1\n",  # a row missing, a bad entry in an earlier row
+        "n 3\n0 1\n1 1 1\n",  # a row missing, a short earlier row
+        "n 2\n0 9\n1 0\n1 1\n",  # a row too many, out of range before it
+        "n 2\r\n0\t1\r\n1  0\r\n# last row above\r\n",  # CRLF, tabs, comment
+        "n 2\r\n0\t1\r\n1 x\r\n",  # CRLF and a bad entry
+        "\t# lead\r\nn 2 # size\r\n0 1#\r\n\r\n1 0\t\r\n#\r\n",
     ],
 )
 def test_parse_table_matches_the_token_loop(text, allow_undefined):
     got = parse_outcome(_parse_table, text, allow_undefined)
     assert got == parse_outcome(oracle_parse_table, text, allow_undefined)
+
+
+def test_parse_table_counts_rows_before_reading_entries():
+    """The row count is named ahead of a bad entry in an earlier row."""
+    with pytest.raises(ParseError, match=r"^expected 3 table rows, found 2$"):
+        _parse_table("n 3\n0 x 2\n1 1 1\n", allow_undefined=False)
+
+
+def test_parse_table_peaks_under_half_the_token_loop():
+    """Read a row at a time, the parser holds one row's tokens, not the
+    whole table's: on 320 ids its peak traced allocation is under half of
+    the token loop's, and the rows are the same."""
+    k = 320
+    text = f"n {k}\n" + "".join(
+        " ".join(str((i * j + i) % k) for j in range(k)) + "\n" for i in range(k)
+    )
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            rows = fn(text, False)
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows, ours = peak(_parse_table)
+    oracle_rows, theirs = peak(oracle_parse_table)
+    assert rows == oracle_rows
+    assert ours < theirs / 2, (ours, theirs)
 
 
 TOKENS = st.sampled_from(
@@ -1023,3 +1069,18 @@ def test_parsed_entries_are_checked_once(monkeypatch):
         with pytest.raises(ParseError, match=message.replace(".", r"\.")):
             InvSgp(table)
     assert len(calls) == 4
+
+
+def test_k_table_entries_are_checked_once(monkeypatch):
+    # KOfGroupoid.table looks every product up as a bisection's id, so
+    # InvSgp does not run the entry check on it; a copy of it is checked
+    kg = k_of_groupoid(restricted_groupoid(corpus_semigroup("i2")))
+    calls = []
+    check = biskit.core._check_entries
+    monkeypatch.setattr(
+        biskit.core, "_check_entries", lambda rows: calls.append(rows) or check(rows)
+    )
+    assert kg.structure.size == len(kg.bisections)
+    assert calls == []
+    assert InvSgp(tuple(kg.table)).table == kg.table
+    assert len(calls) == 1

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biskit.boolean import check_boolean, direct_product
-from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup
-from biskit.errors import TooLarge
+from biskit.boolean import as_boolean, check_boolean, direct_product
+from biskit.core import InvSgp, d_relation_idempotents
+from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup, symmetric_inverse_table
+from biskit.errors import BiskitError, CertificateFailed, TooLarge
 from biskit.laws import Analysis
 from biskit.typemon import (
     ideal_triple,
     mu_type_invariance,
     refinement_check,
     type_monoid,
+    TypeMonoid,
     type_via_matrices,
 )
+from generated import i4_subsemigroup_tables
 from naive_order import leq
 
 
@@ -234,3 +237,127 @@ def test_product_type_concatenates():
     assert product_type_check(boolean("i2"), boolean("z2zero"))
     assert product_type_check(boolean("z2zero"), boolean("z3zero"))
     assert product_type_check(boolean("powerset2"), boolean("z2zero"))
+
+
+# -- type_monoid against its complement check read through bs.rc ------------
+
+
+def rc_type_monoid(bs):
+    """type_monoid with its last check reading f minus e as bs.rc(f, e),
+    off the k*k rc_table."""
+    bs = as_boolean(bs)
+    s = bs.base
+    ag = bs.atoms_groupoid
+    comps = sorted(
+        ag.form, key=lambda c: min(ag.labels[t] for t in c.member_ids)
+    )
+    atomic = tuple(
+        frozenset(ag.labels[e] for e in c.identities) for c in comps
+    )
+    rank = len(atomic)
+    atom_set = set(s.atoms)
+    tau = {}
+    for e in s.idempotents:
+        below = {x for x in s.down[e] if x in atom_set}
+        if not all(s.is_idempotent(x) for x in below):
+            raise CertificateFailed(("atom-below-idempotent-not-idempotent", e))
+        tau[e] = tuple(len(below & a) for a in atomic)
+
+    if tau[s.zero] != (0,) * rank:
+        raise CertificateFailed(("zero-type-not-zero", tau[s.zero]))
+    t, z = s.table, s.zero
+    for e in s.idempotents:
+        for f in s.idempotents:
+            if t[e][f] == z:  # e'f = ef' = ef: orthogonal
+                j = s.join_table[e][f]
+                if tau[j] != tuple(x + y for x, y in zip(tau[e], tau[f])):
+                    raise CertificateFailed(("orthogonal-join-types-do-not-add", e, f))
+    dcls = {}
+    for i, block in enumerate(d_relation_idempotents(s)):
+        for e in block:
+            dcls[e] = i
+    for e in s.idempotents:
+        for f in s.idempotents:
+            if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
+                raise CertificateFailed(("types-do-not-separate-classes", e, f))
+    for e in s.idempotents:
+        for f in filter(s.is_idempotent, s.up[e]):
+            rest = tau[bs.rc(f, e)]
+            if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
+                raise CertificateFailed(("complement-types-do-not-add", e, f))
+    return TypeMonoid(rank, atomic, tau)
+
+
+def type_outcome(fn, bs):
+    try:
+        tm = fn(bs)
+    except (BiskitError, KeyError) as e:  # KeyError: a complement not idempotent
+        return ("raised", type(e).__name__, str(e))
+    return ("returned", tm)
+
+
+def generated_boolean_structures():
+    return st.builds(check_boolean, i4_subsemigroup_tables.map(InvSgp)).filter(
+        lambda chk: chk.boolean
+    ).map(lambda chk: chk.structure)
+
+
+@pytest.mark.parametrize("name", [*BOOLEAN_NAMES, "i4"])
+def test_type_monoid_matches_the_rc_version(name):
+    def structure():
+        if name == "i4":
+            return check_boolean(InvSgp(symmetric_inverse_table(4))).structure
+        return boolean(name)
+
+    bs = structure()
+    assert type_monoid(bs) == rc_type_monoid(structure())
+    assert "rc_table" not in bs.__dict__
+
+
+@settings(max_examples=50, deadline=None)
+@given(generated_boolean_structures())
+def test_type_monoid_matches_the_rc_version_on_generated_structures(bs):
+    assert type_monoid(bs) == rc_type_monoid(bs)
+
+
+def idempotent_pairs(name):
+    """The pairs e < f of idempotents of a Boolean corpus table."""
+    s = boolean(name).base
+    return [(e, f) for f in s.idempotents for e in s.down[f] if e != f]
+
+
+@pytest.mark.parametrize("name", BOOLEAN_NAMES)
+def test_type_monoid_matches_the_rc_version_on_corruptions(name):
+    # every complement between idempotents read as another id or missing,
+    # and every pair e < f dropped from down[f]: the same result, or the
+    # same error and witness (NotBelow where bs.rc raises)
+    def outcomes(corrupt):
+        got = []
+        for fn in (type_monoid, rc_type_monoid):
+            bs = boolean(name)
+            corrupt(bs)
+            got.append(type_outcome(fn, bs))
+        return got
+
+    k, atoms = boolean(name).size, boolean(name).base.atoms
+    for e, f in idempotent_pairs(name):
+        for value in (None, *range(k)):
+            def set_complement(bs):
+                if value is None:
+                    del bs.complement[(f, e)]
+                else:
+                    bs.complement[(f, e)] = value
+
+            got, want = outcomes(set_complement)
+            assert got == want, (e, f, value)
+
+        def drop_from_down(bs):
+            s = bs.base
+            s.down = (*s.down[:f], tuple(x for x in s.down[f] if x != e), *s.down[f + 1 :])
+
+        got, want = outcomes(drop_from_down)
+        assert got == want, (e, f)
+        # types count the atoms below, so dropping any other e leaves every
+        # type as it was, and the complement of e in [0, f] is the first
+        # read to fail
+        assert got[:2] == ("raised", "CertificateFailed" if e in atoms else "NotBelow")
