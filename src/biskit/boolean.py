@@ -184,29 +184,20 @@ def _distributivity_failure(s):
     The pass (_on_generator_sides) keeps the relation x v y = z on the
     triples (a, b, a v b) of the ordered compatible pairs, as (c*a, c*b)
     can come in either order; a reversed pair without a join declines it.
-    Per a and side, side[a] v side[b] over the partners b of a is read in
-    one itemgetter call, against side read at the joins a v b.  When the
-    pass declines, _translation_failure names the first c, left before
-    right: ("left-distributivity", c, a, b) or ("right-distributivity", a,
-    b, c).
+    Per a and side, side[a] v side[b] over the partners b of a is read
+    against side read at the joins a v b (_joins_kept).  When the pass
+    declines, _translation_failure names the first c, left before right:
+    ("left-distributivity", c, a, b) or ("right-distributivity", a, b, c).
     """
     jt = s.join_table
-    per_a = []  # (a, a picker of its partners, a picker of its joins), per a
+    per_a = []  # (a, its partners, their joins a v b), per a
     for a, partners in enumerate(s.compat_partners):
-        at_partners = _picker(partners)
-        joins = at_partners(jt[a])
+        joins = _picker(partners)(jt[a])
         if None in joins:
             break
-        per_a.append((a, at_partners, _picker(joins)))
+        per_a.append((a, partners, joins))
     else:
-
-        def holds(side):
-            return all(
-                _picker(at_partners(side))(jt[side[a]]) == at_joins(side)
-                for a, at_partners, at_joins in per_a
-            )
-
-        if _on_generator_sides(s, holds):
+        if _on_generator_sides(s, _joins_kept(s, per_a)):
             return None
     triples = (
         (a, b, jt[a][b])
@@ -220,6 +211,58 @@ def _distributivity_failure(s):
     if side == "left":
         return ("left-distributivity", c, a, b)
     return ("right-distributivity", a, b, c)
+
+
+def _joins_kept(s, per_a):
+    """holds(side) of _distributivity_failure's pass: side[a] v side[b] is
+    side[a v b] for each (a, partners b, joins a v b) of per_a, one per id.
+
+    With the table's byte view, the partners and the joins of a are byte
+    strings, translated through side padded to 256 bytes; the partners'
+    images are then translated through join row side[a], made by
+    bytes.maketrans with the join at each partner and byte 255, never an
+    id, at every other byte.  That row agrees with the join table at the
+    partners, so a side it accepts is accepted by _joins_kept_by_rows too;
+    a side it declines is read again by rows, which also sees a join the
+    table holds off the partners, as one corrupted after its join table was
+    built can.  Joins outside 0..k-1, which a padded side would read as
+    0, or no byte view, leave every side to _joins_kept_by_rows.
+    """
+    k, jt = s.size, s.join_table
+    if s.byte_view is None:
+        return _joins_kept_by_rows(jt, per_a)
+    per_a_b = [(a, bytes(ps), bytes(js)) for a, ps, js in per_a]
+    every = bytes(range(256))
+    if b"".join(js for _, _, js in per_a_b).translate(None, every[:k]):
+        return _joins_kept_by_rows(jt, per_a)
+    join_rows = [
+        bytes.maketrans(ps + every.translate(None, ps), js.ljust(256, b"\xff"))
+        for _, ps, js in per_a_b
+    ]
+    pad = bytes(256 - k)
+
+    def holds(side):
+        at = bytes(side) + pad
+        return all(
+            ps.translate(at).translate(join_rows[side[a]]) == js.translate(at)
+            for a, ps, js in per_a_b
+        ) or _joins_kept_by_rows(jt, per_a)(side)
+
+    return holds
+
+
+def _joins_kept_by_rows(jt, per_a):
+    """_joins_kept on a table without a byte view: one itemgetter read of
+    the join row per a and side."""
+    per_a = [(a, _picker(partners), _picker(joins)) for a, partners, joins in per_a]
+
+    def holds(side):
+        return all(
+            _picker(at_partners(side))(jt[side[a]]) == at_joins(side)
+            for a, at_partners, at_joins in per_a
+        )
+
+    return holds
 
 
 def as_boolean(s):

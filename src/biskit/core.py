@@ -201,7 +201,33 @@ def _generators(rows):
     return tuple(gens)
 
 
-def _light_test(rows, gens):
+def _byte_view(rows):
+    """The rows as bytes, and each padded to 256 bytes as a bytes.translate
+    table, or None.
+
+    rows_b[g].translate(tables[x]) is row x read at the entries of row g,
+    the x*(g*y) over every y, in one C call.  None when the table has more
+    than 255 ids, or a row or entry that is not an id in 0..k-1, as a table
+    set in place of a validated one may have: bytes() takes 0..255, and a
+    padded table reads k..255 as 0.  255 and not 256, so that byte 255 is
+    never an id and can stand for "no join" (boolean._joins_kept).  The
+    bound is a property of the table, not a setting.
+    """
+    k = len(rows)
+    if k > 255:
+        return None
+    try:
+        rows_b = tuple(map(bytes, rows))
+    except (TypeError, ValueError):
+        return None
+    ids = bytes(range(k))
+    if any(len(row) != k for row in rows_b) or b"".join(rows_b).translate(None, ids):
+        return None
+    pad = bytes(256 - k)
+    return rows_b, tuple(row + pad for row in rows_b)
+
+
+def _light_test(rows, gens, view):
     """Light's associativity test: True when (x*g)*y = x*(g*y) for every
     generator g and all x, y.
 
@@ -210,8 +236,22 @@ def _light_test(rows, gens):
     ((x*s)*t)*y = (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y).  So when it
     holds on a generating set it holds everywhere.  One row comparison per
     (x, g): the row of x*g against the row of x read at the row of g, one x
-    at a time, so no copy of the table is held.
+    at a time, so no copy of the table is held.  With the table's byte view
+    (_byte_view) that read is row g translated through row x; without one,
+    _light_test_by_rows reads it with itemgetter.
     """
+    if view is None:
+        return _light_test_by_rows(rows, gens)
+    rows_b, tables = view
+    for g in gens:
+        x_g = map(rows_b.__getitem__, map(itemgetter(g), rows))  # rows of x*g
+        if not all(map(eq, x_g, map(rows_b[g].translate, tables))):
+            return False
+    return True
+
+
+def _light_test_by_rows(rows, gens):
+    """_light_test on a table without a byte view."""
     for g in gens:
         x_g = map(rows.__getitem__, map(itemgetter(g), rows))  # rows of x*g
         if not all(map(eq, x_g, map(_picker(rows[g]), rows))):
@@ -219,11 +259,11 @@ def _light_test(rows, gens):
     return True
 
 
-def _associative_generators(rows):
+def _associative_generators(rows, view):
     """_generators of rows when Light's test on them shows rows
-    associative, else None."""
+    associative, else None; view is rows' _byte_view."""
     gens = _generators(rows)
-    return gens if _light_test(rows, gens) else None
+    return gens if _light_test(rows, gens, view) else None
 
 
 def _on_generators(s, holds):
@@ -365,6 +405,21 @@ def _inverses_on_generators(rows, gens):
     return inv
 
 
+def _compat_partners_by_rows(t, inv, idempotents):
+    """InvSgp.compat_partners without a byte view: only the b where row a'
+    holds an idempotent are read at row a, at b'."""
+    is_idem = set(idempotents).__contains__
+    ids = range(len(t))
+    return tuple(
+        tuple(
+            b
+            for b in itertools.compress(ids, map(is_idem, t[ia]))
+            if is_idem(ra[inv[b]])
+        )
+        for ra, ia in zip(t, inv)
+    )
+
+
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
@@ -376,7 +431,8 @@ class InvSgp:
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
     generating set (_associative_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
-    k*k.  When it fails, the row scan of _check_associative names the first
+    k*k, of bytes when the table has at most 255 ids (_byte_view).  When it
+    fails, the row scan of _check_associative names the first
     failing triple in lexicographic order as the NotAssociative witness.
     Then each element needs exactly one inverse and the idempotents must
     commute.  Inverses are found on the generators and carried along their
@@ -400,7 +456,8 @@ class InvSgp:
         if type(table) is not _IdRows:
             _check_entries(rows)
 
-        gens = _associative_generators(rows)
+        view = _byte_view(rows)
+        gens = _associative_generators(rows, view)
         if gens is None:
             _check_associative(rows)
 
@@ -420,6 +477,7 @@ class InvSgp:
         self.size = k
         self.table = rows
         self._associative = (rows, gens)  # Light's test held on rows
+        self._bytes = (rows, view)
         self._restricted = (None, None)  # (table, its restricted groupoid)
         self.inv = tuple(inv)
         self.idempotents = idem
@@ -461,8 +519,17 @@ class InvSgp:
         """_associative_generators(self.table), kept with the table it was
         found for: a table set in place of the validated one is tested."""
         if self._associative[0] is not self.table:
-            self._associative = (self.table, _associative_generators(self.table))
+            gens = _associative_generators(self.table, self.byte_view)
+            self._associative = (self.table, gens)
         return self._associative[1]
+
+    @property
+    def byte_view(self):
+        """_byte_view(self.table), kept with the table it was made from: a
+        table set in place of the validated one gets a fresh view."""
+        if self._bytes[0] is not self.table:
+            self._bytes = (self.table, _byte_view(self.table))
+        return self._bytes[1]
 
     @property
     def restricted_groupoid(self):
@@ -482,19 +549,30 @@ class InvSgp:
         """compat_partners[a]: the b with a'*b and a*b' idempotent, ascending;
         the one form of the compatibility relation.
 
-        Only the b where row a' holds an idempotent are read at row a, at b'.
+        With the table's byte view, row a' and the b' read at row a (inv
+        translated through row a) are translated through a table flagging
+        the idempotents by 255; the two flags and the ids b + 1 are ANDed as
+        ints, and the zero bytes dropped, 1 taken off each id b + 1.  A table
+        of at most 255 ids keeps each b + 1 a byte.  Without a view,
+        _compat_partners_by_rows reads it.
         """
-        t, inv = self.table, self.inv
-        is_idem = set(self.idempotents).__contains__
-        ids = range(self.size)
-        return tuple(
-            tuple(
-                b
-                for b in itertools.compress(ids, map(is_idem, t[ia]))
-                if is_idem(ra[inv[b]])
-            )
-            for ra, ia in zip(t, inv)
-        )
+        t, inv, k = self.table, self.inv, self.size
+        view = self.byte_view
+        if view is None:
+            return _compat_partners_by_rows(t, inv, self.idempotents)
+        rows_b, tables = view
+        idem = set(self.idempotents)
+        flag = bytes(255 if e in idem else 0 for e in range(256))
+        ids = int.from_bytes(bytes(range(1, k + 1)), "big")
+        less_one = bytes(1) + bytes(range(255))
+        inv_b = bytes(inv)
+        out = []
+        for ia, table_a in zip(inv, tables):
+            left = int.from_bytes(rows_b[ia].translate(flag), "big")  # a'*b
+            right = int.from_bytes(inv_b.translate(table_a).translate(flag), "big")
+            both = (left & right & ids).to_bytes(k, "big")
+            out.append(tuple(both.translate(less_one, b"\0")))
+        return tuple(out)
 
     @cached_property
     def orth(self):

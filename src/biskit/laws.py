@@ -565,25 +565,35 @@ def _definition_by_atoms(s, splits):
     read:
       D1  the zero row and the zero column of the table are all 0;
       D2  every compatible pair has a join;
-      D3  column x is the entrywise join of columns y and α, and row x that
-          of rows y and α, for each split (x, y, α).
-    For every u and x, beta(u*x) is the union of the beta(u*β) over the
-    atoms β <= x, by induction on |beta(x)|: x = 0 by D1, an atom at once,
-    and else u*x = (u*y) v (u*α) by D3, whose beta is beta(u*y) | beta(u*α)
-    by B3.  So for a compatible (a, b), with j = a v b (D2) and beta(j) =
-    beta(a) | beta(b) (B3), beta(u*j) = beta(u*a) | beta(u*b): an id has
-    that beta, so B3 makes (u*a) v (u*b) defined and equal to u*j.  The
-    same holds on the right.  No join is assumed a least upper bound, and
-    no product is assumed to keep a pair compatible.
+      D3  for each generator g, row g and column g keep the splits: side[x]
+          is the join (jt) of side[y] and side[α] for each split (x, y, α),
+          decided by _on_generator_sides.
+    Let P(u) say that for every x, beta(u*x) is the union of the beta(u*β)
+    over the atoms β <= x.  D3 on row u gives P(u), by induction on
+    |beta(x)|: x = 0 by D1, an atom at once, and else u*x = (u*y) v (u*α)
+    by D3, whose beta is beta(u*y) | beta(u*α) by B3.  P(u) and P(v) give
+    P(u*v): by P(v) at x, the atoms below v*x are those below the v*β, so
+    P(u) at v*x and at each v*β gives beta(u*(v*x)) as the union of the
+    beta(u*(v*β)), and Light's test makes u*(v*x) = (u*v)*x.  So P holds
+    for every u, each a product of generators (_on_generators).  Then for a
+    compatible (a, b), with j = a v b (D2) and beta(j) = beta(a) | beta(b)
+    (B3), beta(u*j) = beta(u*a) | beta(u*b): an id has that beta, so B3
+    makes (u*a) v (u*b) defined and equal to u*j.  The right side is the
+    mirror image, from column g.  No join is assumed a least upper bound,
+    and no product is assumed to keep a pair compatible.
     """
     if splits is None:
         return False
-    t, cols, jt, z = s.table, s.cols, s.join_table, s.zero
-    if set(t[z]) != {z} or set(cols[z]) != {z}:
+    t, jt, z = s.table, s.join_table, s.zero
+    if set(t[z]) != {z} or set(map(itemgetter(z), t)) != {z}:
         return False
     if any(None in map(row.__getitem__, ps) for row, ps in zip(jt, s.compat_partners)):
         return False
-    return _joins_extend(jt, cols, splits) and _joins_extend(jt, t, splits)
+
+    def holds(side):
+        return all(jt[side[y]][side[a]] == side[x] for x, y, a in splits)
+
+    return _on_generator_sides(s, holds)
 
 
 def law_definition(c):

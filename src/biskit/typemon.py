@@ -38,7 +38,8 @@ def type_monoid(bs):
     fails raises CertificateFailed naming it.  f minus e is read as bs.rc
     reads it, row f at check_boolean's complement witness, but for these
     pairs only, so bs.rc_table is not built; NotBelow is raised where bs.rc
-    would raise it.
+    would raise it, and CertificateFailed(("complement-not-idempotent", f,
+    e, c)) where f minus e, f*c for the witness c, is not an idempotent.
     """
     bs = as_boolean(bs)
     s = bs.base
@@ -81,7 +82,9 @@ def type_monoid(bs):
             c = complement.get((d[f], d[e])) if e in s.down[f] else None
             if c is None:
                 raise NotBelow((f, e))
-            rest = tau[t[f][c]]
+            rest = tau.get(t[f][c])
+            if rest is None:
+                raise CertificateFailed(("complement-not-idempotent", f, e, c))
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, atomic, tau)

@@ -14,6 +14,7 @@ from biskit.boolean import k_of_groupoid
 from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     InvSgp,
+    _byte_view,
     _check_associative,
     _generators,
     _inverses_on_generators,
@@ -713,7 +714,8 @@ def assert_generators_decide_associativity(rows, want):
     """The generators are a subsequence of the greedy scan, none generated
     by the others, they generate every id (by right multiplication alone
     when the table is associative), and Light's test on them accepts
-    exactly the tables the scan finds no triple in."""
+    exactly the tables the scan finds no triple in, read by bytes or by
+    rows."""
     gens = _generators(rows)
     greedy = iter(greedy_scan(rows))
     assert all(g in greedy for g in gens)  # a subsequence
@@ -723,7 +725,8 @@ def assert_generators_decide_associativity(rows, want):
     assert product_closure(rows, gens) == every
     if want is None:
         assert generated_closure(rows, gens) == every
-    assert _light_test(rows, gens) == (want is None)
+    assert _light_test(rows, gens, None) == (want is None)
+    assert _light_test(rows, gens, _byte_view(rows)) == (want is None)
 
 
 def assert_kernels_match_oracles(table):

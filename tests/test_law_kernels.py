@@ -645,6 +645,10 @@ def corruptions(draw, names=BOOLEAN_NAMES, tables=("table", "meet_table", "join_
 
 @settings(max_examples=200, deadline=None)
 @given(corruptions())
+# the corrupted tables stay associative and keep every atom split, and law
+# definition's split check on the generators' rows is what fails them
+@example(("powerset2", "table", 1, 1, 0))
+@example(("powerset2", "table", 2, 2, 0))
 def test_law_kernels_match_oracles_on_corrupted_tables(corruption):
     assert_kernels_match(corrupted(*corruption))
 

@@ -282,7 +282,10 @@ def rc_type_monoid(bs):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
     for e in s.idempotents:
         for f in filter(s.is_idempotent, s.up[e]):
-            rest = tau[bs.rc(f, e)]
+            rest = tau.get(bs.rc(f, e))
+            if rest is None:
+                c = bs.complement[(s.d[f], s.d[e])]
+                raise CertificateFailed(("complement-not-idempotent", f, e, c))
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, atomic, tau)
@@ -291,7 +294,7 @@ def rc_type_monoid(bs):
 def type_outcome(fn, bs):
     try:
         tm = fn(bs)
-    except (BiskitError, KeyError) as e:  # KeyError: a complement not idempotent
+    except BiskitError as e:
         return ("raised", type(e).__name__, str(e))
     return ("returned", tm)
 
@@ -330,7 +333,8 @@ def idempotent_pairs(name):
 def test_type_monoid_matches_the_rc_version_on_corruptions(name):
     # every complement between idempotents read as another id or missing,
     # and every pair e < f dropped from down[f]: the same result, or the
-    # same error and witness (NotBelow where bs.rc raises)
+    # same error and witness (NotBelow where bs.rc raises, and
+    # complement-not-idempotent where f minus e has no type)
     def outcomes(corrupt):
         got = []
         for fn in (type_monoid, rc_type_monoid):
@@ -361,3 +365,17 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
         # type as it was, and the complement of e in [0, f] is the first
         # read to fail
         assert got[:2] == ("raised", "CertificateFailed" if e in atoms else "NotBelow")
+
+
+def test_a_complement_that_is_not_idempotent_is_named():
+    # i2 with the witness for f minus e overwritten by a non-idempotent id c
+    # whose product f*c is no idempotent either: a typed certificate
+    # failure naming f, e and c, not a KeyError
+    bs = boolean("i2")
+    s = bs.base
+    e, f = idempotent_pairs("i2")[0]
+    c = next(c for c in range(s.size) if not s.is_idempotent(s.table[f][c]))
+    bs.complement[(f, e)] = c
+    with pytest.raises(CertificateFailed) as err:
+        type_monoid(bs)
+    assert err.value.witness == ("complement-not-idempotent", f, e, c)
