@@ -530,10 +530,10 @@ def ideal_closure(bs, gens):
     gens = list(gens)
     if not gens:
         raise NotAnIdeal(("empty-generators",))
-    t, cols = s.table, s.cols
+    t = s.table
     members = set()
     for x in gens:
-        for ux in dict.fromkeys(cols[x]):  # distinct u*x, in order of first u
+        for ux in dict.fromkeys(map(itemgetter(x), t)):  # distinct u*x, by first u
             members.update(t[ux])
     partners, jt = s.compat_partners, s.join_table
     size = 0

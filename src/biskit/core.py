@@ -111,6 +111,8 @@ def _check_associative(rows):
 
 def _picker(ids):
     """A function reading a sequence at the positions ids, as a tuple."""
+    if not ids:
+        return lambda row: ()
     if len(ids) == 1:
         (i,) = ids
         return lambda row: (row[i],)
@@ -292,8 +294,8 @@ def _on_generator_sides(s, holds):
     multiplication by g*h, as (g*h)*u = g*(h*u) and h*u R h*v; the same on
     the right (M. V. Lawson, *Inverse Semigroups*, 1998, §1.4).  So R is
     kept by every translation once row g and column g of each generator
-    keep it.  Column g is read one entry per row, not from s.cols, so no
-    quotient or product checked here caches its columns.
+    keep it.  Column g is read one entry per row, so no quotient or product
+    checked here caches its columns.
     """
     t = s.table
     return _on_generators(
@@ -517,8 +519,11 @@ class InvSgp:
     @property
     def associative_generators(self):
         """_associative_generators(self.table), kept with the table it was
-        found for: a table set in place of the validated one is tested."""
+        found for: a table set in place of the validated one is tested, its
+        entries first (_check_entries), so that no generator pass reads an
+        entry outside 0..k-1 as an index."""
         if self._associative[0] is not self.table:
+            _check_entries(self.table)
             gens = _associative_generators(self.table, self.byte_view)
             self._associative = (self.table, gens)
         return self._associative[1]
@@ -538,11 +543,6 @@ class InvSgp:
         if self._restricted[0] is not self.table:
             self._restricted = (self.table, restricted_groupoid(self))
         return self._restricted[1]
-
-    @cached_property
-    def cols(self):
-        """cols[b] is column b of the table: the products u*b over every u."""
-        return tuple(zip(*self.table))
 
     @cached_property
     def compat_partners(self):

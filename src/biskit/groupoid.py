@@ -340,7 +340,7 @@ def groupoid_iso(g, h):
     kept only where group_iso finds a local group isomorphism; matched
     components are then coordinatized and mapped triple-by-triple through
     it.  The candidate is fully re-checked against both partial tables
-    before being returned.
+    (is_groupoid_iso), else CertificateFailed.
     """
     comps_g, comps_h = g.form, h.form
     if len(comps_g) != len(comps_h):
@@ -386,7 +386,9 @@ def groupoid_iso(g, h):
         cj, phi = match[ci]
         out[t] = inv_coord_h[(cj, xi, phi[gg], yi)]
 
-    return tuple(out) if is_groupoid_iso(g, h, out) else None
+    if not is_groupoid_iso(g, h, out):
+        raise CertificateFailed(("groupoid-iso", tuple(out)))
+    return tuple(out)
 
 
 def is_groupoid_iso(g, h, mp):

@@ -1231,7 +1231,7 @@ def law_type_fundamental(c):
 
 
 def law_butterfly(c):
-    rep = type_via_matrices(c.bs, 2, c.tm)
+    rep = type_via_matrices(c.bs, c.tm)
     if not (rep.partition_agrees and rep.witnesses_verified and rep.separation_ok):
         return (rep.partition_agrees, rep.witnesses_verified, rep.separation_ok)
     return None

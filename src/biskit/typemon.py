@@ -3,7 +3,7 @@
 For a finite structure the type monoid is a free commutative monoid of rank
 the number of atom components; the type of an idempotent counts its atomic
 idempotents component by component.  The matrix-truncation oracle below
-recomputes the same equivalence inside N-by-N rook matrices, with every
+recomputes the same equivalence inside 2-by-2 rook matrices, with every
 equivalence it asserts backed by an explicit matrix witness, and checks the
 two computations agree.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .boolean import as_boolean
 from .core import d_relation_idempotents
 from .errors import CertificateFailed, NotBelow, TooLarge
-from .rook import rook_matrix, rook_mul, rook_star
+from .rook import rook_matrix, rook_mul, rook_star, rook_violation
 
 MATRIX_IDEMPOTENT_CAP = 100_000
 
@@ -186,72 +186,61 @@ def _atom_edges(bs):
     return {(label(p), label(q)): label(xs[0]) for (p, q), xs in ag.hom.items()}
 
 
+def _atom_components(bs):
+    """The component, an index into bs.atoms_groupoid.form, of each atomic
+    idempotent."""
+    ag = bs.atoms_groupoid
+    return {ag.labels[e]: ci for ci, c in enumerate(ag.form) for e in c.identities}
+
+
 def _slots(s, diag):
     """Atom slots of a diagonal idempotent tuple: (slot, atomic idempotent)."""
-    out = []
     atoms = set(s.atoms)
-    for slot, e in enumerate(diag):
-        for p in s.down[e]:
-            if p in atoms:
-                out.append((slot, p))
-    return out
+    return [(slot, p) for slot, e in enumerate(diag) for p in s.down[e] if p in atoms]
 
 
-def _match_slots(left, right, edges):
-    """Perfect matching between slot lists along the witness edges, or None.
+def _match_slots(left, right, comp):
+    """Perfect matching between slot lists along the witness edges, as
+    (left slot, right slot) pairs, or None; comp is _atom_components.
 
-    Plain augmenting-path search; adjacency is witness existence.
+    _atom_edges has a witness from p to q exactly when p and q lie in one
+    component of the atoms groupoid, which has an arrow between any two of
+    its identities.  So the edges join each component's slots completely, a
+    perfect matching exists iff both lists have as many slots in every
+    component, and pairing the slots in component order is one.
     """
-    if len(left) != len(right):
+    def key(slot):
+        return comp[slot[1]]
+
+    left, right = sorted(left, key=key), sorted(right, key=key)
+    if list(map(key, left)) != list(map(key, right)):
         return None
-    match_r = [None] * len(right)
-
-    def augment(i, seen):
-        for j in range(len(right)):
-            if seen[j] or (left[i][1], right[j][1]) not in edges:
-                continue
-            seen[j] = True
-            if match_r[j] is None or augment(match_r[j], seen):
-                match_r[j] = i
-                return True
-        return False
-
-    for i in range(len(left)):
-        if not augment(i, [False] * len(right)):
-            return None
-    return tuple(
-        (match_r[j], j) for j in range(len(right)) if match_r[j] is not None
-    )
+    return tuple(zip(left, right))
 
 
-def _is_diag(m, diag, zero):
-    n = m.n
-    return all(
-        m.entries[i][j] == (diag[i] if i == j else zero)
-        for i in range(n)
-        for j in range(n)
-    )
+def _diag(a, b, zero):
+    """The entries of the 2-by-2 diagonal matrix diag(a, b)."""
+    return ((a, zero), (zero, b))
 
 
-def _witness_matrix(bs, n, left, right, pairs, left_diag, right_diag, edges):
+def _witness_verified(bs, pairs, left_diag, right_diag, edges):
     """Build the rook matrix carrying right_diag's atoms onto left_diag's
-    and verify X*X = diag(right_diag) and XX* = diag(left_diag) by matrix
-    arithmetic.  left/right are the slot lists, pairs the matching."""
-    s = bs.base
+    along pairs, the matching, and verify that it is one, X*X =
+    diag(right_diag) and XX* = diag(left_diag) by matrix arithmetic."""
+    z = bs.base.zero
     cells = {}
-    for i, j in pairs:
-        dst_slot, q = left[i]
-        src_slot, p = right[j]
+    for (dst_slot, q), (src_slot, p) in pairs:
         # entry (dst, src) needs a witness with domain p and range q
         cells.setdefault((dst_slot, src_slot), []).append(edges[(p, q)])
-    entries = [
-        [bs.join_of(cells.get((i, j), ())) for j in range(n)] for i in range(n)
-    ]
+    entries = [[bs.join_of(cells.get((i, j), ())) for j in (0, 1)] for i in (0, 1)]
+    if rook_violation(bs, 2, entries) is not None:
+        return False  # X is no rook matrix
     x = rook_matrix(bs, entries)
     xs = rook_star(x)
-    dx = rook_mul(xs, x)
-    rx = rook_mul(x, xs)
-    return x, _is_diag(dx, right_diag, s.zero) and _is_diag(rx, left_diag, s.zero)
+    return (
+        rook_mul(xs, x).entries == _diag(*right_diag, z)
+        and rook_mul(x, xs).entries == _diag(*left_diag, z)
+    )
 
 
 @dataclass(frozen=True)
@@ -261,97 +250,70 @@ class MatrixOracle:
     separation_ok: bool  # orthogonal representatives exist for all sums
 
 
-def type_via_matrices(bs, n, tm):
-    """Recompute the idempotent equivalence inside n-by-n rook matrices.
+def type_via_matrices(bs, tm):
+    """Recompute the idempotent equivalence inside 2-by-2 rook matrices.
 
-    Diagonal idempotent tuples are classed by explicit matrix reachability:
-    two tuples fall together only after a witness matrix X with X*X and XX*
+    Diagonal idempotent pairs are classed by explicit matrix reachability:
+    two pairs fall together only after a witness matrix X with X*X and XX*
     the two diagonals has been constructed and multiplied out.  The
     resulting partition must agree with summed count vectors, tm's, and
     every pairwise sum must be realizable by orthogonal diagonal
     representatives.
     """
     s = bs.base
-    if n < 2:
-        raise TooLarge("truncation needs n >= 2")
-    idem = s.idempotents
-    if len(idem) ** n > MATRIX_IDEMPOTENT_CAP:
+    idem, z = s.idempotents, s.zero
+    if len(idem) ** 2 > MATRIX_IDEMPOTENT_CAP:
         raise TooLarge(
-            f"{len(idem)}^{n} = {len(idem) ** n} diagonal idempotents, "
+            f"{len(idem)}^2 = {len(idem) ** 2} diagonal idempotents, "
             f"above cap MATRIX_IDEMPOTENT_CAP={MATRIX_IDEMPOTENT_CAP}"
         )
-    edges = _atom_edges(bs)
+    edges, comp = _atom_edges(bs), _atom_components(bs)
 
-    diags = list(itertools.product(idem, repeat=n))
+    diags = list(itertools.product(idem, repeat=2))
     slots = {diag: _slots(s, diag) for diag in diags}
-    reps = []  # (diag, class id)
-    by_total = {}
-    class_of = {}
+    by_total = {}  # the class representatives, by slot count
+    class_of = {}  # diag -> its class representative
     witnesses_verified = True
     for diag in diags:
         mine = slots[diag]
-        assigned = None
-        for rep, cid in by_total.get(len(mine), ()):
-            pairs = _match_slots(slots[rep], mine, edges)
-            if pairs is None:
-                continue
-            _, ok = _witness_matrix(
-                bs, n, slots[rep], mine, pairs, rep, diag, edges
-            )
-            assigned = cid
-            witnesses_verified = witnesses_verified and ok
-            break
-        if assigned is None:
-            assigned = len(reps)
+        reps = by_total.setdefault(len(mine), [])
+        for rep in reps:
+            pairs = _match_slots(slots[rep], mine, comp)
+            if pairs is not None:
+                witnesses_verified &= _witness_verified(bs, pairs, rep, diag, edges)
+                class_of[diag] = rep
+                break
+        else:
             reps.append(diag)
-            by_total.setdefault(len(mine), []).append((diag, assigned))
-        class_of[diag] = assigned
+            class_of[diag] = diag
 
-    def vec_sum(diag):
-        acc = (0,) * tm.rank
-        for e in diag:
-            acc = tuple(x + y for x, y in zip(acc, tm.tau[e]))
-        return acc
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
 
-    sums = {diag: vec_sum(diag) for diag in diags}
-    partition_agrees = True
-    seen_vec = {}
-    for diag in diags:
-        cid, v = class_of[diag], sums[diag]
-        if cid in seen_vec and seen_vec[cid] != v:
-            partition_agrees = False
-        seen_vec[cid] = v
-    if len(set(seen_vec.values())) != len(seen_vec):
-        partition_agrees = False
+    # the classes and the summed count vectors are one partition when
+    # class -> sum is a function and one to one
+    sums = {(e, f): add(tm.tau[e], tm.tau[f]) for e, f in diags}
+    classed = {(class_of[diag], sums[diag]) for diag in diags}
+    partition_agrees = (
+        len(classed) == len(set(class_of.values())) == len(set(sums.values()))
+    )
 
-    separation_ok = True
-    zero_fill = (s.zero,) * (n - 2)
-    shift_ok = {}  # f -> the shift checks below, which read f only
-    for e in idem:
-        for f in idem:
-            d1 = (e,) + (s.zero,) * (n - 1)
-            d2 = (s.zero, f) + zero_fill
-            shifted = (f,) + (s.zero,) * (n - 1)
-            if any(s.table[a][b] != s.zero for a, b in zip(d1, d2)):
-                separation_ok = False
-                continue
-            if f not in shift_ok:
-                # single-entry shift matrix relating diag(f,0,..) to diag(0,f,..)
-                y = [[s.zero] * n for _ in range(n)]
-                y[1][0] = f
-                ym = rook_matrix(bs, y)
-                ys = rook_star(ym)
-                shift_ok[f] = (
-                    _is_diag(rook_mul(ys, ym), shifted, s.zero)
-                    and _is_diag(rook_mul(ym, ys), d2, s.zero)
-                    and class_of[shifted] == class_of[d2]
-                )
-            if not shift_ok[f]:
-                separation_ok = False
-            both = tuple(s.join_table[a][b] for a, b in zip(d1, d2))
-            want = tuple(x + yv for x, yv in zip(tm.tau[e], tm.tau[f]))
-            if sums[both] != want:
-                separation_ok = False
+    # diag(e, 0) and diag(0, f) are orthogonal, their join diag(e, f) must
+    # sum tau[e] and tau[f], and diag(0, f) is reached from diag(f, 0) by
+    # the single-entry shift matrix with f at (1, 0)
+    jt = s.join_table
+    separation_ok = all(
+        sums[(jt[e][z], jt[z][f])] == sums[(e, f)] for e, f in diags
+    )
+    for f in idem:
+        y = rook_matrix(bs, [[z, z], [f, z]])
+        ys = rook_star(y)
+        if not (
+            rook_mul(ys, y).entries == _diag(f, z, z)
+            and rook_mul(y, ys).entries == _diag(z, f, z)
+            and class_of[(f, z)] == class_of[(z, f)]
+        ):
+            separation_ok = False
 
     return MatrixOracle(
         partition_agrees=partition_agrees,

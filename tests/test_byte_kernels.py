@@ -9,7 +9,8 @@ corpus, on generated structures relabelled by seeded permutations, on
 tables with one entry corrupted after validation, and at the boundary: 255
 ids take the byte path, 256 the general one.  Valid tables of at most 255
 ids never reach the general path, and a table overwritten with an entry
-outside 0..k-1 always does.
+outside 0..k-1 always does, where the first generator pass names the entry
+(ParseError).
 """
 
 from functools import cache
@@ -48,6 +49,7 @@ from biskit.corpus import (
     render_ist,
     symmetric_inverse_table,
 )
+from biskit.errors import ParseError
 from biskit.groupoid import reconstruct
 from generated import component_forms, cyclic_group, i4_subsemigroup_tables
 from test_core import I4, relabel, shuffled
@@ -239,21 +241,16 @@ def test_valid_tables_never_reach_the_general_path(name, tmp_path, capsys):
         assert capsys.readouterr().out == want
 
 
-# -- an entry outside 0..k-1 takes the general path ---------------------------
-
-
-def outcome(fn):
-    try:
-        return ("returned", fn())
-    except (IndexError, TypeError) as e:  # an entry read as an index
-        return ("raised", type(e).__name__, str(e))
+# -- an entry outside 0..k-1 is named before a generator pass reads it -------
 
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)
 def test_an_entry_outside_the_ids_takes_the_general_path(name):
     # bytes() takes k..255 silently, and a padded table would read them as
-    # 0; such a table has no view, so Light's test, the compatible pairs
-    # and the distributivity check end as the general path ends
+    # 0, so such a table has no view; the rows would read -1 as the last
+    # id.  A table set in place of the validated one has its entries checked
+    # before Light's test, so every generator pass over it, byte path or
+    # general, raises ParseError naming the row and the entry
     for value in (corpus_semigroup(name).size, 255, -1):
         s = corpus_semigroup(name)
         rows = [list(r) for r in s.table]
@@ -261,14 +258,18 @@ def test_an_entry_outside_the_ids_takes_the_general_path(name):
         s.table = tuple(map(tuple, rows))
         s.__dict__.pop("compat_partners", None)
         assert s.byte_view is None
-        want_gens = outcome(lambda: _light_test(s.table, _generators(s.table), None))
-        got_gens = outcome(lambda: s.associative_generators is not None)
-        assert got_gens == want_gens
-        want = outcome(lambda: _compat_partners_by_rows(s.table, s.inv, s.idempotents))
-        assert outcome(lambda: s.compat_partners) == want
-        with mock.patch.object(biskit.boolean, "_joins_kept", joins_kept_by_rows):
-            want = outcome(lambda: _distributivity_failure(s))
-        assert outcome(lambda: _distributivity_failure(s)) == want
+        named = f"entry {value} out of range in row {len(rows) - 1}"
+        with pytest.raises(ParseError) as info:
+            s.associative_generators
+        assert str(info.value) == named
+        with pytest.raises(ParseError) as info:
+            with mock.patch.object(biskit.boolean, "_joins_kept", joins_kept_by_rows):
+                _distributivity_failure(s)
+        assert str(info.value) == named
+        for run in (_distributivity_failure, check_boolean):
+            with pytest.raises(ParseError) as info:
+                run(s)
+            assert str(info.value) == named
 
 
 def test_the_view_is_kept_with_its_table():

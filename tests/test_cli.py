@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import re
@@ -222,6 +223,35 @@ def test_readme_dotted_names_resolve():
         for attr in rest.split("."):
             assert hasattr(obj, attr), f"{module}.{rest}"
             obj = getattr(obj, attr)
+
+
+def public_functions():
+    """biskit's public functions by name: each defined at the top level of
+    one of its modules, its name not starting with an underscore."""
+    out = {}
+    for path in Path(biskit.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"biskit.{path.stem}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                if not name.startswith("_"):
+                    out[name] = fn
+    return out
+
+
+def test_readme_calls_match_signatures():
+    # a signature that drifts from a backticked `name(args)` of the README
+    # fails here; args may break across lines inside the backticks
+    public = public_functions()
+    calls = re.findall(r"`(\w+)\(([^`()]*)\)`", README.read_text())
+    calls = [(name, args) for name, args in calls if name in public]
+    assert len(calls) >= 25
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, args in calls:
+        params = inspect.signature(public[name]).parameters.values()
+        want = sum(p.kind in positional for p in params)
+        assert len([a for a in args.split(",") if a.strip()]) == want, f"{name}({args})"
 
 
 def readme_caps():

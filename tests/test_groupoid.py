@@ -16,7 +16,7 @@ from biskit.corpus import (
     symmetric_inverse_table,
 )
 from biskit import groupoid
-from biskit.errors import NotGroupoid, ParseError
+from biskit.errors import CertificateFailed, NotGroupoid, ParseError
 from biskit.groupoid import (
     Component,
     Gpd,
@@ -202,6 +202,19 @@ def test_coordinatize_conn2z2():
 
 def test_groupoid_iso_negative():
     assert groupoid_iso(corpus_groupoid("disc3"), corpus_groupoid("z2pair2")) is None
+
+
+def test_groupoid_iso_raises_on_a_candidate_that_fails_its_check(monkeypatch):
+    # a local group map that is no automorphism of S3 makes the candidate
+    # wrong; the re-check names it instead of reporting "not isomorphic"
+    s3 = Gpd(s3_table())
+    wrong = next(
+        p for p in itertools.permutations(range(6)) if not is_groupoid_iso(s3, s3, p)
+    )
+    monkeypatch.setattr(groupoid, "group_iso", lambda a, b: wrong)
+    with pytest.raises(CertificateFailed) as info:
+        groupoid_iso(s3, s3)
+    assert info.value.witness == ("groupoid-iso", wrong)
 
 
 def small_groupoids():

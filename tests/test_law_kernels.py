@@ -593,7 +593,7 @@ def test_congruence_law_corruptions_reach_the_witnesses():
 
 # cached tables read off the multiplication table; a corrupted table drops
 # them so that every reader, kernel and oracle alike, sees the corruption
-FROM_TABLE = ("cols", "compat_partners", "orth")
+FROM_TABLE = ("compat_partners", "orth")
 
 
 def corrupted(name, which, a, b, value):

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biskit.boolean import as_boolean, check_boolean, direct_product
+from biskit.boolean import as_boolean, check_boolean, direct_product, k_of_groupoid
 from biskit.core import InvSgp, d_relation_idempotents
 from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup, symmetric_inverse_table
 from biskit.errors import BiskitError, CertificateFailed, TooLarge
-from biskit.laws import Analysis
+from biskit.groupoid import reconstruct
+from biskit.laws import Analysis, _run_law, law_butterfly
+from biskit import typemon
 from biskit.typemon import (
+    _atom_components,
+    _atom_edges,
+    _match_slots,
+    _slots,
     ideal_triple,
     mu_type_invariance,
     refinement_check,
@@ -18,11 +24,14 @@ from biskit.typemon import (
     TypeMonoid,
     type_via_matrices,
 )
-from generated import i4_subsemigroup_tables
+from generated import component_forms, i4_subsemigroup_tables
 from naive_order import leq
 
 
 def boolean(name):
+    """A fresh Boolean corpus structure, or I4 for "i4"."""
+    if name == "i4":
+        return check_boolean(InvSgp(symmetric_inverse_table(4))).structure
     return check_boolean(corpus_semigroup(name)).structure
 
 
@@ -170,24 +179,108 @@ def test_ideal_triple_needs_inclusion_order_to_match():
 
 
 def test_matrix_oracle_runs_clean():
-    for name, n in itertools.product(("i2", "z2zero", "i2xz2zero"), (2, 3)):
+    for name in ("i2", "z2zero", "i2xz2zero"):
         bs = boolean(name)
-        mo = type_via_matrices(bs, n, type_monoid(bs))
-        assert mo.partition_agrees, (name, n)
-        assert mo.witnesses_verified, (name, n)
-        assert mo.separation_ok, (name, n)
+        mo = type_via_matrices(bs, type_monoid(bs))
+        assert mo.partition_agrees, name
+        assert mo.witnesses_verified, name
+        assert mo.separation_ok, name
 
 
-def test_matrix_oracle_cap():
+def test_matrix_oracle_cap(monkeypatch):
     i3 = boolean("i3")
+    monkeypatch.setattr(typemon, "MATRIX_IDEMPOTENT_CAP", 63)
     with pytest.raises(TooLarge) as info:
-        type_via_matrices(i3, 6, type_monoid(i3))
+        type_via_matrices(i3, type_monoid(i3))
     assert str(info.value) == (
-        "8^6 = 262144 diagonal idempotents, above cap MATRIX_IDEMPOTENT_CAP=100000"
+        "8^2 = 64 diagonal idempotents, above cap MATRIX_IDEMPOTENT_CAP=63"
     )
-    i2 = boolean("i2")
-    with pytest.raises(TooLarge):
-        type_via_matrices(i2, 1, type_monoid(i2))
+
+
+def search_match_slots(left, right, edges):
+    """The augmenting-path search the component pairing replaced: a perfect
+    matching between slot lists along the witness edges, as (left index,
+    right index) pairs, or None."""
+    if len(left) != len(right):
+        return None
+    match_r = [None] * len(right)
+
+    def augment(i, seen):
+        for j in range(len(right)):
+            if seen[j] or (left[i][1], right[j][1]) not in edges:
+                continue
+            seen[j] = True
+            if match_r[j] is None or augment(match_r[j], seen):
+                match_r[j] = i
+                return True
+        return False
+
+    for i in range(len(left)):
+        if not augment(i, [False] * len(right)):
+            return None
+    return tuple((match_r[j], j) for j in range(len(right)))
+
+
+def assert_pairing_matches_search(bs, lists):
+    """On every ordered pair of same-size slot lists, _match_slots pairs
+    them exactly when the search matches them, one to one and along
+    witness edges."""
+    edges, comp = _atom_edges(bs), _atom_components(bs)
+    by_size = {}
+    for slots in lists:
+        by_size.setdefault(len(slots), []).append(slots)
+    for same in by_size.values():
+        for left, right in itertools.product(same, repeat=2):
+            pairs = _match_slots(left, right, comp)
+            found = search_match_slots(left, right, edges) is not None
+            assert (pairs is not None) == found, (left, right)
+            if pairs is not None:
+                assert sorted(a for a, _ in pairs) == sorted(left)
+                assert sorted(b for _, b in pairs) == sorted(right)
+                assert all((p, q) in edges for (_, q), (_, p) in pairs)
+
+
+@pytest.mark.parametrize("name", [*BOOLEAN_NAMES, "i4"])
+def test_component_pairing_matches_the_search(name):
+    bs = boolean(name)
+    s = bs.base
+    diags = itertools.product(s.idempotents, repeat=2)
+    assert_pairing_matches_search(bs, [_slots(s, diag) for diag in diags])
+
+
+@settings(max_examples=25, deadline=None)
+@given(component_forms, st.data())
+def test_component_pairing_matches_the_search_on_component_forms(form, data):
+    # each drawn slot list next to its image under a permutation of the
+    # atomic idempotents: one size, matched exactly when the permutation
+    # keeps how many slots each component has
+    bs = k_of_groupoid(reconstruct(form)).structure
+    atomic = sorted(_atom_components(bs))
+    slot = st.tuples(st.integers(0, 1), st.sampled_from(atomic))
+    lists = []
+    for _ in range(4):
+        left = data.draw(st.lists(slot, unique=True, max_size=6))
+        image = dict(zip(atomic, data.draw(st.permutations(atomic))))
+        lists += [left, [(i, image[p]) for i, p in left]]
+    assert_pairing_matches_search(bs, lists)
+
+
+@pytest.mark.parametrize("name", ["i2", "powerset2", "i2xz2zero"])
+def test_a_wrong_witness_fails_law_butterfly(name, monkeypatch):
+    # each witness read as another pair's: a matrix built with it is no rook
+    # matrix, misses a join or fails its products, so the law cannot pass
+    real = typemon._atom_edges
+    keys = sorted(real(boolean(name)))
+    for moved, source in itertools.permutations(keys, 2):
+
+        def wrong(bs):
+            edges = real(bs)
+            edges[moved] = edges[source]
+            return edges
+
+        monkeypatch.setattr(typemon, "_atom_edges", wrong)
+        status, _, _ = _run_law("boolean", law_butterfly, Analysis(boolean(name)))
+        assert status == "fail", (moved, source)
 
 
 def test_mu_invariance():
@@ -307,13 +400,8 @@ def generated_boolean_structures():
 
 @pytest.mark.parametrize("name", [*BOOLEAN_NAMES, "i4"])
 def test_type_monoid_matches_the_rc_version(name):
-    def structure():
-        if name == "i4":
-            return check_boolean(InvSgp(symmetric_inverse_table(4))).structure
-        return boolean(name)
-
-    bs = structure()
-    assert type_monoid(bs) == rc_type_monoid(structure())
+    bs = boolean(name)
+    assert type_monoid(bs) == rc_type_monoid(boolean(name))
     assert "rc_table" not in bs.__dict__
 
 
