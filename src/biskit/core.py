@@ -86,7 +86,7 @@ def _parse_row(row, i, k, allow_undefined):
     return tuple(ints)
 
 
-def _check_associative(rows):
+def _check_associativity(rows):
     """Raise NotAssociative((a, b, c)) for the first triple, in
     lexicographic order, with (a*b)*c != a*(b*c).
 
@@ -205,26 +205,19 @@ def _generators(rows):
 
 def _byte_view(rows):
     """The rows as bytes, and each padded to 256 bytes as a bytes.translate
-    table, or None.
+    table, or None when the table has more than 255 ids.
 
     rows_b[g].translate(tables[x]) is row x read at the entries of row g,
-    the x*(g*y) over every y, in one C call.  None when the table has more
-    than 255 ids, or a row or entry that is not an id in 0..k-1, as a table
-    set in place of a validated one may have: bytes() takes 0..255, and a
-    padded table reads k..255 as 0.  255 and not 256, so that byte 255 is
-    never an id and can stand for "no join" (boolean._joins_kept).  The
-    bound is a property of the table, not a setting.
+    the x*(g*y) over every y, in one C call.  rows are k rows of ids in
+    0..k-1, as _check_entries or an _IdRows maker has checked them.  255
+    and not 256, so that byte 255 is never an id and can stand for "no
+    join" (boolean._joins_kept).  The bound is a property of the table, not
+    a setting.
     """
     k = len(rows)
     if k > 255:
         return None
-    try:
-        rows_b = tuple(map(bytes, rows))
-    except (TypeError, ValueError):
-        return None
-    ids = bytes(range(k))
-    if any(len(row) != k for row in rows_b) or b"".join(rows_b).translate(None, ids):
-        return None
+    rows_b = tuple(map(bytes, rows))
     pad = bytes(256 - k)
     return rows_b, tuple(row + pad for row in rows_b)
 
@@ -261,7 +254,7 @@ def _light_test_by_rows(rows, gens):
     return True
 
 
-def _associative_generators(rows, view):
+def _tested_generators(rows, view):
     """_generators of rows when Light's test on them shows rows
     associative, else None; view is rows' _byte_view."""
     gens = _generators(rows)
@@ -277,9 +270,7 @@ def _on_generators(s, holds):
     why the y with P(y) are closed under the product of an associative
     table.  In an associative table every id is a generator or m*g for an
     earlier member m and a generator g (_generators), so P holds for every
-    id once it holds on the generators.  They are Light-tested on
-    the table s reads now (s.associative_generators), not the one s was
-    built with.
+    id once it holds on the generators, s.associative_generators.
     """
     gens = s.associative_generators
     return gens is not None and all(map(holds, gens))
@@ -431,10 +422,10 @@ class InvSgp:
     local bisections of KOfGroupoid, whose every product is looked up as a
     bisection's id (CertificateFailed when it is not one).  Then
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
-    generating set (_associative_generators): (x*g)*y = x*(g*y) for
+    generating set (_tested_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
     k*k, of bytes when the table has at most 255 ids (_byte_view).  When it
-    fails, the row scan of _check_associative names the first
+    fails, the row scan of _check_associativity names the first
     failing triple in lexicographic order as the NotAssociative witness.
     Then each element needs exactly one inverse and the idempotents must
     commute.  Inverses are found on the generators and carried along their
@@ -459,9 +450,9 @@ class InvSgp:
             _check_entries(rows)
 
         view = _byte_view(rows)
-        gens = _associative_generators(rows, view)
+        gens = _tested_generators(rows, view)
         if gens is None:
-            _check_associative(rows)
+            _check_associativity(rows)
 
         idem = tuple(e for e in range(k) if rows[e][e] == e)
         pairs = itertools.combinations(idem, 2)
@@ -478,9 +469,8 @@ class InvSgp:
 
         self.size = k
         self.table = rows
-        self._associative = (rows, gens)  # Light's test held on rows
-        self._bytes = (rows, view)
-        self._restricted = (None, None)  # (table, its restricted groupoid)
+        self.byte_view = view
+        self.associative_generators = gens  # Light's test held on them
         self.inv = tuple(inv)
         self.idempotents = idem
         self.zero = zero
@@ -517,32 +507,14 @@ class InvSgp:
         return tuple(x for x in range(self.size) if x != self.zero)
 
     @property
-    def associative_generators(self):
-        """_associative_generators(self.table), kept with the table it was
-        found for: a table set in place of the validated one is tested, its
-        entries first (_check_entries), so that no generator pass reads an
-        entry outside 0..k-1 as an index."""
-        if self._associative[0] is not self.table:
-            _check_entries(self.table)
-            gens = _associative_generators(self.table, self.byte_view)
-            self._associative = (self.table, gens)
-        return self._associative[1]
-
-    @property
-    def byte_view(self):
-        """_byte_view(self.table), kept with the table it was made from: a
-        table set in place of the validated one gets a fresh view."""
-        if self._bytes[0] is not self.table:
-            self._bytes = (self.table, _byte_view(self.table))
-        return self._bytes[1]
-
-    @property
     def restricted_groupoid(self):
-        """restricted_groupoid(self), kept with the table it was built from:
-        a table set in place of the validated one gets a fresh build."""
-        if self._restricted[0] is not self.table:
-            self._restricted = (self.table, restricted_groupoid(self))
-        return self._restricted[1]
+        """restricted_groupoid(self), built on first read and kept.  A plain
+        property: bench/tracing.py wraps each cached_property in a span of
+        its name, which would nest a second restricted_groupoid span."""
+        kept = vars(self)
+        if "restricted_groupoid" not in kept:
+            kept["restricted_groupoid"] = restricted_groupoid(self)
+        return kept["restricted_groupoid"]
 
     @cached_property
     def compat_partners(self):
@@ -711,7 +683,7 @@ def restricted_groupoid(s):
     positions came from.  A kept product that is the zero raises
     CertificateFailed naming x and y; on a validated table there is none,
     as d(x*y) = y'*d(x)*y = d(y) is not the zero.  Readers take the one
-    build per table that s.restricted_groupoid keeps.
+    build that s.restricted_groupoid keeps.
     """
     from .groupoid import Gpd  # local import, groupoid layer sits above core
 

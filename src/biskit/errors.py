@@ -68,6 +68,15 @@ class NotCompatible(BiskitError):
         super().__init__(f"elements {pair[0]} and {pair[1]} are not compatible")
 
 
+class NotRook(BiskitError):
+    """Matrix entries that break a rook condition; witness is the first
+    failing pair, as rook_violation names it."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"rook condition fails: {witness}")
+
+
 class DimensionMismatch(BiskitError):
     """Rook matrices over different bases or of different sizes."""
 

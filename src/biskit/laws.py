@@ -1148,7 +1148,7 @@ def law_ale(c):
             try:
                 for b in mats:
                     products.append(rook_mul(b, da).entries)
-            except Exception:
+            except BiskitError:
                 # a is compared with each b before the product that raised
                 bad = order_witness(a, products)
                 if bad is not None:

@@ -15,7 +15,14 @@ from operator import itemgetter
 
 from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
 from .core import _on_generators
-from .errors import CertificateFailed, DimensionMismatch, NotAGroup, NotMonoid, TooLarge
+from .errors import (
+    CertificateFailed,
+    DimensionMismatch,
+    NotAGroup,
+    NotMonoid,
+    NotRook,
+    TooLarge,
+)
 from .groupoid import (
     Component,
     Gpd,
@@ -55,12 +62,12 @@ def rook_violation(base, n, entries):
 
 
 def _checked(base, entries):
-    """The rook matrix of a square tuple of row tuples; ValueError names the
+    """The rook matrix of a square tuple of row tuples; NotRook names the
     first rook condition it fails."""
     n = len(entries)
     bad = rook_violation(base, n, entries)
     if bad is not None:
-        raise ValueError(f"rook condition fails: {bad}")
+        raise NotRook(bad)
     return RookMatrix(base, n, entries)
 
 

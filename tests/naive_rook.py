@@ -9,7 +9,7 @@ fed each other's results.
 
 import itertools
 
-from biskit.errors import CertificateFailed, DimensionMismatch
+from biskit.errors import CertificateFailed, DimensionMismatch, NotRook
 from biskit.rook import RookMatrix
 
 
@@ -36,7 +36,7 @@ def rook_matrix(base, entries):
         raise DimensionMismatch("rook matrix must be square")
     bad = rook_violation(base, n, entries)
     if bad is not None:
-        raise ValueError(f"rook condition fails: {bad}")
+        raise NotRook(bad)
     return RookMatrix(base, n, entries)
 
 

@@ -66,6 +66,7 @@ from generated import (
 )
 from naive_order import leq
 from naive_translation import naive_additive_ideal
+from unchecked import replaced, unchecked
 
 
 def boolean(name):
@@ -462,10 +463,9 @@ def test_check_boolean_matches_oracle_on_corrupted_joins(name, data):
     k = s.size
     a, b = (data.draw(st.integers(0, k - 1)) for _ in range(2))
     v = data.draw(st.one_of(st.none(), st.integers(0, k - 1)))
-    jt = [list(r) for r in s.join_table]
-    jt[a][b] = v
-    s.join_table = tuple(map(tuple, jt))
-    assert_check_boolean_matches_oracle(s)
+    assert_check_boolean_matches_oracle(
+        unchecked(s, join_table=replaced(s.join_table, a, b, v))
+    )
 
 
 @pytest.mark.parametrize(
@@ -480,10 +480,8 @@ def test_check_boolean_matches_oracle_on_every_join_corruption(name):
     clean = s.join_table
     for a, b in itertools.product(range(s.size), repeat=2):
         for v in values:
-            jt = [list(r) for r in clean]
-            jt[a][b] = v
-            s.join_table = tuple(map(tuple, jt))
-            assert_check_boolean_matches_oracle(s)
+            bad = unchecked(s, join_table=replaced(clean, a, b, v))
+            assert_check_boolean_matches_oracle(bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -595,18 +593,15 @@ def test_idempotent_ideals_match_subset_scan_on_generated_structures(table):
 
 
 def with_entry(name, which, a, b, value):
-    """A Boolean corpus table validated, then entry [a][b] of its table
-    (which "table") or entry a of its inverse map (which "inv") set to
-    value; the order and joins stay those of the valid table."""
+    """A Boolean corpus table validated, then built unchecked with entry
+    [a][b] of its table (which "table") or entry a of its inverse map
+    (which "inv") set to value; the order and joins stay those of the valid
+    table."""
     s = corpus_semigroup(name)
     s.join_table
     if which == "inv":
-        s.inv = (*s.inv[:a], value, *s.inv[a + 1 :])
-    else:
-        rows = [list(r) for r in s.table]
-        rows[a][b] = value
-        s.table = tuple(map(tuple, rows))
-    return s
+        return unchecked(s, inv=(*s.inv[:a], value, *s.inv[a + 1 :]))
+    return unchecked(s, table=replaced(s.table, a, b, value))
 
 
 @pytest.mark.parametrize("name", ["i2", "powerset2", "z2zero", "z3zero"])
@@ -896,10 +891,8 @@ def test_epsilon_quotient_names_each_broken_premise(name):
     s, t, top = bs.base, bs.base.table, bs.top
     real_rc_table = bs.rc_table
 
-    def read_as(a, c, w):  # rc_table with entry (a, c) read as w
-        rows = list(real_rc_table)
-        rows[a] = rows[a][:c] + (w,) + rows[a][c + 1 :]
-        bs.__dict__["rc_table"] = tuple(rows)
+    def read_as(a, c, w):  # bs with rc_table entry (a, c) read as w
+        return unchecked(bs, rc_table=replaced(real_rc_table, a, c, w))
 
     for ideal in additive_ideals(bs):
         m = ideal_top(bs, ideal)
@@ -913,18 +906,17 @@ def test_epsilon_quotient_names_each_broken_premise(name):
         # 1 minus m answered wrongly, or not at all
         for wrong in (None, s.zero if m == s.zero else top):
             if wrong != f:
-                read_as(top, m, wrong)
-                assert epsilon_failure(bs, ideal) == ("not-the-complement", m, wrong)
+                bad = read_as(top, m, wrong)
+                assert epsilon_failure(bad, ideal) == ("not-the-complement", m, wrong)
         # a - a*f read as undefined or outside the ideal, one a at a time
         outside = [x for x in range(bs.size) if x not in ideal]
         for a in range(bs.size):
             if (a, t[a][f]) == (top, m):  # one element: that entry is f itself
                 continue
             for diff in (None, *outside[:1]):
-                read_as(a, t[a][f], diff)
+                bad = read_as(a, t[a][f], diff)
                 want = ("not-split-by-complement", a, t[a][f])
-                assert epsilon_failure(bs, ideal) == want
-        bs.__dict__["rc_table"] = real_rc_table
+                assert epsilon_failure(bad, ideal) == want
     # the down-set of an idempotent that is not central: m is that
     # idempotent and f its complement, but f is not central either
     for e in s.idempotents:
@@ -943,9 +935,8 @@ def test_epsilon_quotient_names_an_undefined_ideal_top():
     assert epsilon_failure(bs, whole) is None
     s = bs.base
     a, b = s.atoms
-    jt = [list(row) for row in s.join_table]
-    jt[a][b] = jt[b][a] = None
-    s.__dict__["join_table"] = tuple(map(tuple, jt))
+    jt = replaced(replaced(s.join_table, a, b, None), b, a, None)
+    bs = unchecked(bs, base=unchecked(s, join_table=jt))
     assert epsilon_failure(bs, whole) == ("ideal-top-missing", None)
 
 

@@ -17,6 +17,7 @@ from biskit.corpus import corpus_semigroup, symmetric_inverse_table
 from biskit.errors import CertificateFailed, NotMultiplicative, TooLarge
 from biskit.groupoid import groupoid_iso
 from biskit.laws import run_laws
+from unchecked import unchecked
 
 
 def test_booleanization_sizes():
@@ -46,7 +47,7 @@ def test_beta_is_multiplicative_and_injective_off_zero():
 def test_booleanize_certificates_name_the_failure(atom_down, witness):
     # powerset2 is 0, atoms 1 and 2, top 3; one down-set is read wrongly
     s = corpus_semigroup("powerset2")
-    s.down = (s.down[0], atom_down, *s.down[2:])
+    s = unchecked(s, down=(s.down[0], atom_down, *s.down[2:]))
     with pytest.raises(CertificateFailed) as e:
         booleanize(s)
     assert e.value.witness == witness

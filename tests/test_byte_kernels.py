@@ -6,15 +6,12 @@ check_boolean's distributivity pass (boolean._joins_kept).  Each is compared
 with its general path, the one every larger table takes (_light_test
 without a view, _compat_partners_by_rows, _joins_kept_by_rows), on the
 corpus, on generated structures relabelled by seeded permutations, on
-tables with one entry corrupted after validation, and at the boundary: 255
-ids take the byte path, 256 the general one.  Valid tables of at most 255
-ids never reach the general path, and a table overwritten with an entry
-outside 0..k-1 always does, where the first generator pass names the entry
-(ParseError).
+tables with one entry corrupted (built unchecked from a validated table),
+and at the boundary: 255 ids take the byte path, 256 the general one.
+Valid tables of at most 255 ids never reach the general path.
 """
 
 from functools import cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +20,6 @@ from hypothesis import strategies as st
 import biskit.boolean
 import biskit.core
 from biskit.boolean import (
-    _distributivity_failure,
     _joins_kept,
     _joins_kept_by_rows,
     check_boolean,
@@ -42,14 +38,12 @@ from biskit.core import (
     table_product,
 )
 from biskit.corpus import (
-    BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
     corpus_semigroup,
     corpus_text,
     render_ist,
     symmetric_inverse_table,
 )
-from biskit.errors import ParseError
 from biskit.groupoid import reconstruct
 from generated import component_forms, cyclic_group, i4_subsemigroup_tables
 from test_core import I4, relabel, shuffled
@@ -151,7 +145,7 @@ def distributivity_pass(s, kept):
 @settings(max_examples=200, deadline=None)
 @given(corruptions(tables=("table",)))
 def test_byte_kernels_decline_as_the_general_path_on_corrupted_tables(corruption):
-    # one product of a Boolean corpus table set after validation: Light's
+    # one product of a Boolean corpus table, built unchecked: Light's
     # test fails, and the distributivity pass declines, in the same cases
     s = corrupted(*corruption).s
     rows = s.table
@@ -239,43 +233,3 @@ def test_valid_tables_never_reach_the_general_path(name, tmp_path, capsys):
             refuse_general_paths(mp)
             main(command)
         assert capsys.readouterr().out == want
-
-
-# -- an entry outside 0..k-1 is named before a generator pass reads it -------
-
-
-@pytest.mark.parametrize("name", BOOLEAN_NAMES)
-def test_an_entry_outside_the_ids_takes_the_general_path(name):
-    # bytes() takes k..255 silently, and a padded table would read them as
-    # 0, so such a table has no view; the rows would read -1 as the last
-    # id.  A table set in place of the validated one has its entries checked
-    # before Light's test, so every generator pass over it, byte path or
-    # general, raises ParseError naming the row and the entry
-    for value in (corpus_semigroup(name).size, 255, -1):
-        s = corpus_semigroup(name)
-        rows = [list(r) for r in s.table]
-        rows[-1][-1] = value
-        s.table = tuple(map(tuple, rows))
-        s.__dict__.pop("compat_partners", None)
-        assert s.byte_view is None
-        named = f"entry {value} out of range in row {len(rows) - 1}"
-        with pytest.raises(ParseError) as info:
-            s.associative_generators
-        assert str(info.value) == named
-        with pytest.raises(ParseError) as info:
-            with mock.patch.object(biskit.boolean, "_joins_kept", joins_kept_by_rows):
-                _distributivity_failure(s)
-        assert str(info.value) == named
-        for run in (_distributivity_failure, check_boolean):
-            with pytest.raises(ParseError) as info:
-                run(s)
-            assert str(info.value) == named
-
-
-def test_the_view_is_kept_with_its_table():
-    s = InvSgp(relabelled(I4, 3))
-    view = s.byte_view
-    assert s.byte_view is view
-    rows = [list(r) for r in s.table]
-    s.table = tuple(map(tuple, rows))
-    assert s.byte_view is not view and s.byte_view == view

@@ -58,6 +58,7 @@ from test_law_kernels import (
     oracle_setminus_4,
     outcome,
 )
+from unchecked import unchecked
 
 
 def down_pairs(s):
@@ -113,13 +114,12 @@ def test_generator_passes_decide_generated_boolean_tables(table):
 def wrong_d(name, v):
     """d(v) read as the first other idempotent, so u*d(v) = v fails; the
     relative complements are read off the table before."""
-    c = Analysis(corpus_semigroup(name))
-    s = c.s
-    c.bs.rc_table
+    bs = Analysis(corpus_semigroup(name)).bs
+    s = bs.base
+    bs.rc_table
     d = list(s.d)
     d[v] = next(e for e in s.idempotents if e != s.d[v])
-    s.d = tuple(d)
-    return c
+    return Analysis(unchecked(bs, base=unchecked(s, d=tuple(d))))
 
 
 # corruptions, each failing one check of _setminus_4_on_generators first:
@@ -341,21 +341,19 @@ def test_filter_groupoid_off_generated_tables_matches_the_scan(table):
 def with_up(name, ids, ups):
     """Analysis of a Boolean corpus table with up[a] read as ups for each a
     in ids; the Boolean check and the meet table are read before."""
-    c = Analysis(corpus_semigroup(name))
-    c.bs, c.s.meet_table
-    c.s.up = tuple(ups if a in ids else u for a, u in enumerate(c.s.up))
-    return c
+    bs = Analysis(corpus_semigroup(name)).bs
+    s = bs.base
+    s.meet_table
+    up = tuple(ups if a in ids else u for a, u in enumerate(s.up))
+    return Analysis(unchecked(bs, base=unchecked(s, up=up)))
 
 
 def with_inv(name, a, value):
     """Analysis of a Boolean corpus table with the inverse of a read as
     value; the Boolean check is read before."""
-    c = Analysis(corpus_semigroup(name))
-    c.bs
-    inv = list(c.s.inv)
-    inv[a] = value
-    c.s.inv = tuple(inv)
-    return c
+    bs = Analysis(corpus_semigroup(name)).bs
+    inv = (*bs.base.inv[:a], value, *bs.base.inv[a + 1 :])
+    return Analysis(unchecked(bs, base=unchecked(bs.base, inv=inv)))
 
 
 def without_first_filter(name):

@@ -56,7 +56,7 @@ from biskit.corpus import (
     corpus_semigroup,
     symmetric_inverse_table,
 )
-from biskit.errors import CertificateFailed, NotAnIdeal
+from biskit.errors import CertificateFailed, NotAnIdeal, NotRook
 from biskit.rook import identity_rook
 from biskit.laws import (
     ROOK_ENUM_CAP,
@@ -89,6 +89,7 @@ from naive_translation import (
     _setminus_2_scan,
     naive_additive_ideal,
 )
+from unchecked import FROM_TABLE, replaced, unchecked
 
 # -- the scalar scans -------------------------------------------------------
 
@@ -217,7 +218,7 @@ def oracle_ale(c):
         entries = [list(quad[:2]), list(quad[2:])]
         try:
             mats.append(rook_matrix(bs, entries))
-        except ValueError:
+        except NotRook:
             continue
     ident = identity_rook(bs, 2)
     z = s.zero
@@ -471,8 +472,7 @@ def test_law_kernels_match_oracles(name):
             assert verify_additive_ideal(c.bs, ideal) is None
     # every pass declined, Light's test read as failed on the table: each
     # law's plain scan runs on a valid table
-    declined = Analysis(InvSgp(TABLES[name]()))
-    declined.s._associative = (declined.s.table, None)
+    declined = Analysis(unchecked(InvSgp(TABLES[name]()), associative_generators=None))
     declined.atom_splits = None
     assert_kernels_match(declined)
 
@@ -483,10 +483,16 @@ def test_law_ale_matches_oracle(name):
     assert outcome(law_ale, c) == outcome(oracle_ale, c) == ("returned", None)
 
 
+def discrete_order(name):
+    """Analysis of a Boolean corpus table with its order read as discrete."""
+    bs = Analysis(corpus_semigroup(name)).bs
+    down = tuple((b,) for b in range(bs.size))
+    return Analysis(unchecked(bs, base=unchecked(bs.base, down=down)))
+
+
 def test_law_ale_matches_oracle_on_a_wrong_order():
     # read as discrete, the order no longer matches b*(a'a) = a
-    c = Analysis(corpus_semigroup("powerset2"))
-    c.bs.base.down = tuple((b,) for b in range(4))
+    c = discrete_order("powerset2")
     got = outcome(law_ale, c)
     assert got == outcome(oracle_ale, c)
     assert got[0] == "returned" and got[1][-1] == "order"
@@ -497,8 +503,7 @@ def test_law_ale_matches_oracle_when_a_product_raises(monkeypatch):
     # products b(a'a); an error planted at one of them, in turn for each b,
     # comes out where the oracle's scan meets it before w, and the witness
     # where it does not
-    c = Analysis(corpus_semigroup("powerset2"))
-    c.bs.base.down = tuple((b,) for b in range(4))
+    c = discrete_order("powerset2")
     a = rook_matrix(c.bs, outcome(oracle_ale, c)[1][0])
     da = rook_mul(rook_star(a), a).entries
     quads = itertools.product(range(4), repeat=4)
@@ -591,35 +596,27 @@ def test_congruence_law_corruptions_reach_the_witnesses():
 
 # -- corrupted structures ---------------------------------------------------
 
-# cached tables read off the multiplication table; a corrupted table drops
-# them so that every reader, kernel and oracle alike, sees the corruption
-FROM_TABLE = ("compat_partners", "orth")
-
 
 def corrupted(name, which, a, b, value):
-    """Analysis of a Boolean corpus table with entry [a][b] of one table set
-    to value.  For which "order", value says whether a lies in down[b]; the
-    tables built from the order (meets, joins, relative complements) are
-    built from the valid one first, so only reads of down see the change."""
-    c = Analysis(corpus_semigroup(name))
-    bs, s = c.bs, c.s
+    """Analysis of a Boolean corpus table, built unchecked with entry [a][b]
+    of one table set to value.  For which "order", value says whether a
+    lies in down[b]; the tables built from the order (meets, joins,
+    relative complements) are built from the valid one first, so only reads
+    of down see the change.  Any table of the base drops the FROM_TABLE
+    caches and rc_table, so that every reader, kernel and oracle alike,
+    sees the corruption; the joins and meets check_boolean built stay."""
+    bs = Analysis(corpus_semigroup(name)).bs
+    s = bs.base
     if which == "order":
         s.meet_table, s.join_table, bs.rc_table
         down = list(map(set, s.down))
         (down[b].add if value else down[b].discard)(a)
-        s.down = tuple(tuple(sorted(d)) for d in down)
-        return c
+        s = unchecked(s, down=tuple(tuple(sorted(d)) for d in down))
+        return Analysis(unchecked(bs, base=s))
     if which == "rc_table":
-        owner = bs
-    else:
-        owner = s
-        for cached in FROM_TABLE:
-            s.__dict__.pop(cached, None)
-        bs.__dict__.pop("rc_table", None)
-    rows = [list(r) for r in getattr(owner, which)]
-    rows[a][b] = value
-    setattr(owner, which, tuple(map(tuple, rows)))
-    return c
+        return Analysis(unchecked(bs, rc_table=replaced(bs.rc_table, a, b, value)))
+    s = unchecked(s, FROM_TABLE, **{which: replaced(getattr(s, which), a, b, value)})
+    return Analysis(unchecked(bs, ("rc_table",), base=s))
 
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)

@@ -1,11 +1,13 @@
 import ast
+import builtins
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
 
@@ -14,7 +16,7 @@ import biskit.boolean
 import biskit.core
 import biskit.groupoid
 import biskit.typemon
-from biskit.boolean import check_boolean
+from biskit.boolean import as_boolean, check_boolean
 from biskit.cli import build_report
 from biskit.core import InvSgp
 from biskit.corpus import (
@@ -24,13 +26,14 @@ from biskit.corpus import (
     corpus_semigroup,
     symmetric_inverse_table,
 )
-from biskit.errors import NotBoolean
+from biskit.errors import BiskitError, NotBoolean
 from biskit.laws import (
     CONGRUENCE_SCAN_CAP,
     GROUPOID_LAWS,
     ROOK_ENUM_CAP,
     SEMIGROUP_LAWS,
     Analysis,
+    _run_law,
     law_anja,
     law_idept_sep_kernel,
     law_toby,
@@ -38,7 +41,9 @@ from biskit.laws import (
     law_universal_groupoid,
     run_laws,
 )
+from biskit.rook import rook_matrix
 from test_rook import counted_validations
+from unchecked import replaced, unchecked
 
 # criterion names cmd_verify must be able to report individually
 CORE_LAW_KEYS = (
@@ -148,9 +153,7 @@ def test_run_laws_reports_a_zero_restricted_product_as_two_failures():
     # = 0 on that table, so 1 * 1 is kept in the restricted groupoid and is
     # the zero
     s = corpus_semigroup("powerset2")
-    rows = [list(r) for r in s.table]
-    rows[1][1] = 0
-    s.table = tuple(map(tuple, rows))
+    s = unchecked(s, table=replaced(s.table, 1, 1, 0))
     results = run_laws(s)
     assert [r.key for r in results] == [key for key, _, _ in SEMIGROUP_LAWS]
     raised = ("raised", "CertificateFailed", "certificate failed: "
@@ -158,6 +161,15 @@ def test_run_laws_reports_a_zero_restricted_product_as_two_failures():
     by_key = {r.key: r for r in results}
     for key in ("carre", "booleanization-finite"):
         assert (by_key[key].status, by_key[key].witness) == ("fail", raised), key
+
+
+def test_a_law_that_builds_a_broken_rook_matrix_fails():
+    # two group elements in one row of z2zero have comparable domains: the
+    # typed NotRook is a law failure, not a traceback out of verify
+    c = Analysis(as_boolean(corpus_semigroup("z2zero")))
+    got = _run_law("boolean", lambda c: rook_matrix(c.bs, [[1, 2], [0, 0]]), c)
+    raised = ("raised", "NotRook", "rook condition fails: ('row', 0, 0, 1)")
+    assert got == ("fail", raised, None)
 
 
 def test_one_idempotent_ideal_scan_per_structure(monkeypatch):
@@ -423,10 +435,8 @@ def forced_report(bs, mp, target=None):
 def powerset2_without_a_meet():
     """powerset2 with the meet of its atoms 1 and 2 read as undefined."""
     bs = check_boolean(corpus_semigroup("powerset2")).structure
-    rows = [list(r) for r in bs.base.meet_table]
-    rows[1][2] = None
-    bs.base.meet_table = tuple(map(tuple, rows))
-    return bs
+    meets = replaced(bs.base.meet_table, 1, 2, None)
+    return unchecked(bs, base=unchecked(bs.base, meet_table=meets))
 
 
 def test_anja_decides_without_the_cached_verdict(monkeypatch):
@@ -751,7 +761,10 @@ def unreferenced_methods(trees, readers):
     ]
 
 
+@cache
 def parsed_modules(directory):
+    """The parsed .py files of directory by file name, parsed once and
+    shared by every AST check, which only reads them."""
     trees = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
@@ -779,6 +792,50 @@ def test_src_has_no_assert_statements():
     readers = [*trees.values(), *tests.values()]
     assert found + unreferenced_private_defs(trees) == []
     assert unreferenced_methods(trees, readers) == []
+
+
+# the raises in src/ of no BiskitError subclass, each with why it stays
+SKIP = "a law's skip, which _run_law catches first; it is no error"
+UNTYPED_RAISES = {
+    ("laws.py", "_applicable", "ValueError"): "an unknown registry kind, a bug in biskit",
+    ("laws.py", "_skip_above", "_Skip"): SKIP,
+    ("laws.py", "glaw_local_bisections_rook", "_Skip"): SKIP,
+}
+
+
+def raised_names(tree):
+    """(enclosing function, name) of each raise of a name or a call of one,
+    and (function, None) of each bare re-raise."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((function, exc if exc is None else exc.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_src_raises_only_typed_errors():
+    # a caller catches BiskitError, as _run_law and the CLI do, so any other
+    # error escapes them as a traceback
+    untyped = set()
+    src = os.path.dirname(os.path.abspath(biskit.__file__))
+    for name, tree in parsed_modules(src).items():
+        stem = name.removesuffix(".py")
+        module = biskit if stem == "__init__" else importlib.import_module(f"biskit.{stem}")
+        for function, exc in raised_names(tree):
+            if exc is None:
+                continue
+            cls = getattr(module, exc, None) or getattr(builtins, exc)
+            if not issubclass(cls, BiskitError):
+                untyped.add((name, function, exc))
+    assert untyped == set(UNTYPED_RAISES)
 
 
 def unread_functions(trees, readers):

@@ -3,11 +3,13 @@ read, through the one closure-argument helper core._on_generators.
 
 A pass that took generators tested on another table could accept a table
 its plain scan rejects.  So on Boolean corpus tables with one product
-corrupted after construction, each pass below must agree with its scan;
-and no module may read generators except through the helper.
+corrupted (built unchecked from the valid structure, tests/unchecked.py),
+each pass below must agree with its scan; no module may read generators
+except through the helper, and no table is set but by InvSgp.__init__.
 """
 
 import ast
+import os
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +35,9 @@ from biskit.rook import decompose
 from generated import i4_subsemigroup_tables
 from naive_translation import _distributivity_failure as naive_distributivity_failure
 from test_core import generated_closure, relabel
-from test_law_kernels import FROM_TABLE, corrupted, corruptions
+from test_law_kernels import corrupted, corruptions
+from test_laws import parsed_modules
+from unchecked import FROM_TABLE, replaced, unchecked
 
 
 @st.composite
@@ -96,6 +100,18 @@ def test_generator_passes_match_scans_on_corrupted_products(drawn):
         assert got == pairwise_witness(source, target, ids)
 
 
+def test_a_corrupted_structure_is_a_new_object():
+    # the valid structure keeps its table and every field, cached ones too;
+    # the corrupted one is tested afresh: 1 * 1 read as 0 fails Light's test
+    s = corpus_semigroup("z3zero")
+    s.compat_partners, s.join_table
+    before = dict(vars(s))
+    bad = corrupt(s, 1, 1, 0)
+    assert bad is not s and vars(s) == before
+    assert bad.table[1][1] == 0 and bad.associative_generators is None
+    assert "compat_partners" not in vars(bad) and "join_table" in vars(bad)
+
+
 # -- decisions that do not depend on the generating set ------------------------
 
 
@@ -128,12 +144,8 @@ def decisions(s, congruences):
 
 
 def corrupt(s, a, b, value):
-    """Set entry [a][b] of s's table to value after validation."""
-    for cached in FROM_TABLE:
-        s.__dict__.pop(cached, None)
-    rows = [list(r) for r in s.table]
-    rows[a][b] = value
-    s.table = tuple(map(tuple, rows))
+    """s unchecked with entry [a][b] of its table set to value."""
+    return unchecked(s, FROM_TABLE, table=replaced(s.table, a, b, value))
 
 
 @st.composite
@@ -165,7 +177,7 @@ def test_decisions_do_not_depend_on_the_generating_set(drawn):
             s = InvSgp(table)
             congruences = (mu_and_quotient(s).mu, classes)
             if entry is not None:
-                corrupt(s, *entry)
+                s = corrupt(s, *entry)
             assert s.associative_generators in (None, generators(s.table))
             got.append(decisions(s, congruences))
     assert got[0] == got[1]
@@ -174,15 +186,17 @@ def test_decisions_do_not_depend_on_the_generating_set(drawn):
 # -- no generators read but through the helper --------------------------------
 
 
-def attribute_reads(tree, attr):
-    """The enclosing (class or function) names of each read of .attr."""
+def attribute_reads(tree, attr, ctx=ast.expr_context):
+    """The enclosing (class or function) names of each use of .attr: every
+    read or write, or with ctx ast.Store only the writes."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
         if isinstance(node, ast.Attribute) and node.attr == attr:
-            found.append(scope)
+            if isinstance(node.ctx, ctx):
+                found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -197,6 +211,16 @@ def test_generators_are_read_only_through_the_helper():
         tree = ast.parse(path.read_text(), filename=str(path))
         assert attribute_reads(tree, "generators") == [], path.name
         for scope in attribute_reads(tree, "associative_generators"):
-            # the helper itself, and the property InvSgp keeps them in
-            allowed = ("_on_generators",), ("InvSgp", "associative_generators")
+            # the helper itself, and the constructor that sets them
+            allowed = ("_on_generators",), ("InvSgp", "__init__")
             assert path.name == "core.py" and scope in allowed, (path.name, scope)
+
+
+def test_no_table_is_set_after_validation():
+    # a structure's table is set once, by the constructor that validates
+    # it; a corrupted structure is a new object (tests/unchecked.py)
+    found = []
+    for path in (biskit.__file__, __file__):
+        for name, tree in parsed_modules(os.path.dirname(os.path.abspath(path))).items():
+            found += [(name, scope) for scope in attribute_reads(tree, "table", ast.Store)]
+    assert found == [("core.py", ("InvSgp", "__init__"))]

@@ -31,6 +31,7 @@ from biskit.errors import (
     DimensionMismatch,
     NotAGroup,
     NotMonoid,
+    NotRook,
     TooLarge,
 )
 from biskit.groupoid import (
@@ -60,6 +61,7 @@ from generated import (
     cyclic_group,
     i4_subsemigroup_tables,
 )
+from unchecked import replaced, unchecked
 
 
 def boolean(name):
@@ -78,8 +80,9 @@ def test_rook_matrix_validation():
     with pytest.raises(DimensionMismatch):
         rook_matrix(bs, [[0, 0]])
     # two group elements in one row have comparable domains
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRook) as err:
         rook_matrix(bs, [[1, 2], [0, 0]])
+    assert err.value.witness == ("row", 0, 0, 1)
 
 
 def test_star_is_an_involution():
@@ -768,22 +771,22 @@ def test_rook_kernels_match_oracle_on_every_small_matrix(name):
     assert_arithmetic_matches(assert_checks_match(bs, candidates))
 
 
-def corrupt(bs, which, a, b, value):
-    """Set entry [a][b] of the product or join table of bs's base; the
+def corrupt(bs, mats, which, a, b, value):
+    """bs built unchecked with entry [a][b] of its base's product or join
+    table set to value, and mats, checked on bs, moved over to it; the
     orthogonality table is read off the product table afresh."""
     s = bs.base
-    rows = [list(r) for r in getattr(s, which)]
-    rows[a][b] = value
-    setattr(s, which, tuple(map(tuple, rows)))
-    s.__dict__.pop("orth", None)
+    s = unchecked(s, ("orth",), **{which: replaced(getattr(s, which), a, b, value)})
+    bs = unchecked(bs, base=s)
+    return bs, [dataclasses.replace(m, base=bs) for m in mats]
 
 
 @pytest.mark.parametrize(
     "name, errors",
     [
-        ("z2zero", {"ValueError", "CertificateFailed"}),
+        ("z2zero", {"NotRook", "CertificateFailed"}),
         # only powerset2 has two orthogonal nonzero terms to join
-        ("powerset2", {"ValueError", "CertificateFailed", "NotCompatible"}),
+        ("powerset2", {"NotRook", "CertificateFailed", "NotCompatible"}),
     ],
 )
 def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
@@ -798,7 +801,7 @@ def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
             if getattr(bs.base, which)[a][b] == value:
                 continue  # the entry already holds value
             mats = assert_checks_match(bs, square_candidates(range(k), 2))
-            corrupt(bs, which, a, b, value)
+            bs, mats = corrupt(bs, mats, which, a, b, value)
             assert_checks_match(bs, [m.entries for m in mats])
             outcomes = assert_arithmetic_matches(mats)
             raised |= {o[1] for o in outcomes if o[0] == "raised"}
@@ -850,6 +853,6 @@ def test_rook_kernels_match_oracle_on_generated_structures(case):
     bs, candidates, corruption = case
     mats = assert_checks_match(bs, candidates)
     assert_arithmetic_matches(mats)
-    corrupt(bs, *corruption)
+    bs, mats = corrupt(bs, mats, *corruption)
     assert_checks_match(bs, [m.entries for m in mats])
     assert_arithmetic_matches(mats)

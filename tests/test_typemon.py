@@ -26,6 +26,7 @@ from biskit.typemon import (
 )
 from generated import component_forms, i4_subsemigroup_tables
 from naive_order import leq
+from unchecked import unchecked
 
 
 def boolean(name):
@@ -424,28 +425,25 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
     # same error and witness (NotBelow where bs.rc raises, and
     # complement-not-idempotent where f minus e has no type)
     def outcomes(corrupt):
-        got = []
-        for fn in (type_monoid, rc_type_monoid):
-            bs = boolean(name)
-            corrupt(bs)
-            got.append(type_outcome(fn, bs))
-        return got
+        fns = (type_monoid, rc_type_monoid)
+        return [type_outcome(fn, corrupt(boolean(name))) for fn in fns]
 
     k, atoms = boolean(name).size, boolean(name).base.atoms
     for e, f in idempotent_pairs(name):
         for value in (None, *range(k)):
             def set_complement(bs):
+                complement = {**bs.complement, (f, e): value}
                 if value is None:
-                    del bs.complement[(f, e)]
-                else:
-                    bs.complement[(f, e)] = value
+                    del complement[(f, e)]
+                return unchecked(bs, complement=complement)
 
             got, want = outcomes(set_complement)
             assert got == want, (e, f, value)
 
         def drop_from_down(bs):
             s = bs.base
-            s.down = (*s.down[:f], tuple(x for x in s.down[f] if x != e), *s.down[f + 1 :])
+            down = (*s.down[:f], tuple(x for x in s.down[f] if x != e), *s.down[f + 1 :])
+            return unchecked(bs, base=unchecked(s, down=down))
 
         got, want = outcomes(drop_from_down)
         assert got == want, (e, f)
@@ -463,7 +461,7 @@ def test_a_complement_that_is_not_idempotent_is_named():
     s = bs.base
     e, f = idempotent_pairs("i2")[0]
     c = next(c for c in range(s.size) if not s.is_idempotent(s.table[f][c]))
-    bs.complement[(f, e)] = c
+    bs = unchecked(bs, complement={**bs.complement, (f, e): c})
     with pytest.raises(CertificateFailed) as err:
         type_monoid(bs)
     assert err.value.witness == ("complement-not-idempotent", f, e, c)
