@@ -222,6 +222,57 @@ def _byte_view(rows):
     return rows_b, tuple(row + pad for row in rows_b)
 
 
+def _byte_rows(rows, k):
+    """_byte_view of rows of ids in 0..k-1 or None, such as the meet and
+    join tables, with byte 255 for None and each translate table padded
+    with 255, so that None reads as None; or None when k > 255 or an entry
+    is neither None nor such an id.
+
+    A row without None is read by bytes(row) and its range checked; one
+    with None is read through a dict of the ids and None, so an entry it
+    lacks raises.  Both are C loops over the row.
+    """
+    if k > 255:
+        return None
+    ids = bytes(range(k))
+    code = dict(zip(range(k), ids))
+    code[None] = 255
+    rows_b = []
+    for row in rows:
+        try:
+            row_b = bytes(row)
+        except TypeError:  # a None, or an entry that is no int
+            try:
+                row_b = bytes(map(code.__getitem__, row))
+            except (KeyError, TypeError):
+                return None
+        except ValueError:  # an int off 0..255
+            return None
+        else:
+            if row_b.translate(None, ids):
+                return None
+        rows_b.append(row_b)
+    pad = b"\xff" * (256 - k)
+    return tuple(rows_b), tuple(row + pad for row in rows_b)
+
+
+def _flagged(flags, k):
+    """For each of flags, an int of k bytes each 0 or 255 (k at most 255),
+    the positions of its bytes 255, as bytes: the ids b + 1 are ANDed with
+    it, the zero bytes dropped and 1 taken off each."""
+    ids = int.from_bytes(bytes(range(1, k + 1)), "big")
+    less_one = bytes(1) + bytes(range(255))
+    return [(ids & f).to_bytes(k, "big").translate(less_one, b"\0") for f in flags]
+
+
+def _defined_at(rows_b, k):
+    """_flagged for rows of k bytes, 255 standing for None: the positions
+    of each row's other bytes."""
+    defined = b"\xff" * 255 + b"\0"
+    flags = (int.from_bytes(row.translate(defined), "big") for row in rows_b)
+    return _flagged(flags, k)
+
+
 def _light_test(rows, gens, view):
     """Light's associativity test: True when (x*g)*y = x*(g*y) for every
     generator g and all x, y.
@@ -523,28 +574,24 @@ class InvSgp:
 
         With the table's byte view, row a' and the b' read at row a (inv
         translated through row a) are translated through a table flagging
-        the idempotents by 255; the two flags and the ids b + 1 are ANDed as
-        ints, and the zero bytes dropped, 1 taken off each id b + 1.  A table
-        of at most 255 ids keeps each b + 1 a byte.  Without a view,
-        _compat_partners_by_rows reads it.
+        the idempotents by 255, and the two flags ANDed as ints (_flagged).
+        Without a view, _compat_partners_by_rows reads it.
         """
-        t, inv, k = self.table, self.inv, self.size
+        t, inv = self.table, self.inv
         view = self.byte_view
         if view is None:
             return _compat_partners_by_rows(t, inv, self.idempotents)
         rows_b, tables = view
-        idem = set(self.idempotents)
-        flag = bytes(255 if e in idem else 0 for e in range(256))
-        ids = int.from_bytes(bytes(range(1, k + 1)), "big")
-        less_one = bytes(1) + bytes(range(255))
-        inv_b = bytes(inv)
-        out = []
-        for ia, table_a in zip(inv, tables):
-            left = int.from_bytes(rows_b[ia].translate(flag), "big")  # a'*b
-            right = int.from_bytes(inv_b.translate(table_a).translate(flag), "big")
-            both = (left & right & ids).to_bytes(k, "big")
-            out.append(tuple(both.translate(less_one, b"\0")))
-        return tuple(out)
+        flag = bytearray(256)
+        for e in self.idempotents:
+            flag[e] = 255
+        inv_b, read = bytes(inv), int.from_bytes
+        both = (  # a'*b and a*b' idempotent
+            read(rows_b[ia].translate(flag), "big")
+            & read(inv_b.translate(table_a).translate(flag), "big")
+            for ia, table_a in zip(inv, tables)
+        )
+        return tuple(map(tuple, _flagged(both, self.size)))
 
     @cached_property
     def orth(self):
@@ -591,6 +638,14 @@ class InvSgp:
             _picker(_picker(t[ia])(phi))(ra + (None,))
             for ra, ia in zip(t, self.inv)
         )
+
+    @cached_property
+    def meet_view(self):
+        """_byte_rows of meet_table, which the law kernels of laws wedge,
+        fish and eggs read; None above 255 ids, as byte_view, or when a
+        meet is neither None nor an id.  Only laws read it, so analyze
+        never builds it."""
+        return _byte_rows(self.meet_table, self.size)
 
     @cached_property
     def join_table(self):

@@ -46,6 +46,8 @@ from .booleanization import (
 )
 from .core import (
     CONGRUENCE_SCAN_CAP,
+    _byte_rows,
+    _defined_at,
     _first_split,
     _is_additive_congruence,
     _mask,
@@ -240,7 +242,26 @@ def law_order_dr_monotone(c):
 
 
 def law_wedge(c):
+    """a meet b = a*d(b) for every compatible pair (a, b).
+
+    With the meet view (InvSgp.meet_view) row a is two reads of the
+    partners b of a as bytes: translated through meet row a, against
+    translated through d and then row a.  A meet that is None reads as
+    byte 255, never a product.  When a row differs, or without a view,
+    _wedge_scan names the first witness (a, b, a meet b)."""
     s = c.s
+    if (meets := s.meet_view) is not None:
+        d_at = bytes(s.d).ljust(256, b"\0")
+        partners = map(bytes, s.compat_partners)
+        rows = zip(partners, meets[1], s.byte_view[1])
+        if all(ps.translate(m) == ps.translate(d_at).translate(t) for ps, m, t in rows):
+            return None
+    return _wedge_scan(s)
+
+
+def _wedge_scan(s):
+    """law wedge pair by pair: the first (a, b, a meet b) that fails, b
+    ascending within a, or None."""
     for a in range(s.size):
         for b in s.compat_partners[a]:
             m = s.meet_table[a][b]
@@ -257,31 +278,49 @@ def _fish_on_generators(s):
     closed under the product, as (g*h)*(a meet b) = g*(h*a meet h*b) =
     g*h*a meet g*h*b, (h*a, h*b) having a meet again.  For each generator g
     and each a, row g*a of the meet table is read at row g, against row g
-    read at the meets of row a.  Where row a is total its b are all ids, so
-    row g*a is read at row g by one picker of row g, made once per
-    generator.
+    read at the meets of row a: _fish_kept with the meet view
+    (InvSgp.meet_view), else _fish_kept_by_rows.
     """
+    holds = _fish_kept_by_rows(s) if s.meet_view is None else _fish_kept(s)
+    return _on_generators(s, holds)
+
+
+def _fish_kept(s):
+    """holds(g) of _fish_on_generators by bytes.translate: for each a, the
+    b with a meet (core._defined_at) as bytes read through row g and then
+    through meet row g*a, against the meets of row a read through row g.
+    A meet of g*a that is None reads as byte 255, never a product."""
+    t, tables, (meet_rows, meet_tabs) = s.table, s.byte_view[1], s.meet_view
+    meets = [row.translate(None, b"\xff") for row in meet_rows]
+    per_a = list(zip(_defined_at(meet_rows, s.size), meets))  # (the b, their meets)
+
+    def holds(g):
+        table_g = tables[g]
+        return all(
+            at.translate(table_g).translate(meet_tabs[ga]) == m.translate(table_g)
+            for ga, (at, m) in zip(t[g], per_a)  # ga = g*a
+        )
+
+    return holds
+
+
+def _fish_kept_by_rows(s):
+    """_fish_kept on a table without a byte view: per a, one picker of the
+    b with a meet and one of their meets."""
     t, mt = s.table, s.meet_table
-    met = []  # (a, the b with a meet or None for every b, their meets), per a
-    for a, row in enumerate(mt):
-        if None not in row:
-            met.append((a, None, _picker(row)))
-            continue
+    met = []  # (the b with a meet, their meets), as pickers, per a
+    for row in mt:
         bs = [b for b, m in enumerate(row) if m is not None]
-        if bs:
-            met.append((a, _picker(bs), _picker([row[b] for b in bs])))
+        met.append((_picker(bs), _picker([row[b] for b in bs])))
 
     def holds(g):
         tg = t[g]
-        at_g = _picker(tg)
-        for a, at_b, at_meets in met:
-            row = mt[tg[a]]  # row g*a
-            gb = at_g(row) if at_b is None else tuple(map(row.__getitem__, at_b(tg)))
-            if at_meets(tg) != gb:
-                return False
-        return True
+        return all(
+            at_meets(tg) == tuple(map(mt[ga].__getitem__, at_b(tg)))
+            for ga, (at_b, at_meets) in zip(tg, met)  # ga = g*a
+        )
 
-    return _on_generators(s, holds)
+    return holds
 
 
 def _fish_scan(s):
@@ -300,7 +339,9 @@ def _fish_scan(s):
 
 def law_fish(c):
     """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
-    _fish_scan, which names the witness."""
+    _fish_scan, which names the witness.  With the meet view
+    (InvSgp.meet_view) each generator's row is read by translates
+    (_fish_kept)."""
     if _fish_on_generators(c.s):
         return None
     return _fish_scan(c.s)
@@ -523,7 +564,8 @@ def _atom_splits(bs):
       B1  beta is injective;
       B2  beta(0) = 0, and beta(atoms[i]) = 1 << i;
       B3  join_table[p][q] is the id whose beta is beta(p) | beta(q), or
-          None when there is none, for every p and q;
+          None when there is none, for every p and q (_joins_are_unions,
+          by translates on a table of at most 255 ids);
       B4  for each x with two or more bits, α is the atom of its highest
           bit, y = x - α (rc_table), and beta(y) = beta(x) without α.
     By B1 and B2 only 0 has no bit and only the atoms have one, so the
@@ -536,8 +578,7 @@ def _atom_splits(bs):
     owner = {b: x for x, b in enumerate(beta)}
     if len(owner) < s.size or beta[s.zero] or any(beta[a] != b for a, b in bit.items()):
         return None
-    get = owner.get
-    if any(tuple(map(get, map(b.__or__, beta))) != row for b, row in zip(beta, jt)):
+    if not _joins_are_unions(s, beta, owner):
         return None
     splits = []
     for x, b in enumerate(beta):
@@ -548,6 +589,57 @@ def _atom_splits(bs):
                 return None
             splits.append((x, y, a))
     return splits
+
+
+def _joins_are_unions(s, beta, owner):
+    """B3 of _atom_splits, given B1 and B2: join_table[p][q] is U(p, q),
+    the id whose beta is beta(p) | beta(q), or None when there is none.
+
+    With the table's byte view, and when premise D holds on beta, each row
+    U(x, .) is one bytes.translate of an earlier row, 255 standing for None:
+      D   every beta(x) without any one of its bits is beta(y) for an id y.
+    The rows of 0 and of the atoms are looked up in owner.  For x with two
+    or more bits, α the atom of its highest bit and y the id of beta(x)
+    without it (D), U(x, .) is U(y, .) read through U(α, .), 255 to 255,
+    and beta(y) < beta(x), so rows are built by ascending beta.  D makes
+    this exact.  Where U(y, q) = w, beta(w) = beta(y) | beta(q) (B1), so
+    U(α, w) = U(x, q).  Where U(y, q) is None, U(x, q) is None too:
+    beta(x) | beta(q) is beta(y) | beta(q) when q has α's bit, and
+    otherwise it loses that bit to beta(y) | beta(q), no beta, so by D it
+    is no beta either.
+
+    Join row x is then read where U(x, .) is defined (core._defined_at) and
+    compared as bytes, and it must hold None at every other q: as many
+    Nones as U(x, .) has bytes 255.  Without a byte view or without D,
+    _joins_are_unions_by_rows decides.
+    """
+    k, jt = s.size, s.join_table
+    bits = ((b, 1 << i) for b in owner for i in range(b.bit_length()) if b >> i & 1)
+    if s.byte_view is None or not all(b ^ bit in owner for b, bit in bits):
+        return _joins_are_unions_by_rows(jt, beta, owner)
+    get, none, pad = owner.get, itertools.repeat(255), b"\xff" * (256 - k)
+    rows = [None] * k
+    for b, x in sorted(owner.items()):
+        if b & (b - 1):  # two or more bits
+            top = 1 << (b.bit_length() - 1)
+            rows[x] = rows[owner[b ^ top]].translate(rows[owner[top]] + pad)
+        else:
+            rows[x] = bytes(map(get, map(b.__or__, beta), none))
+    for row_u, at, row in zip(rows, _defined_at(rows, k), jt):
+        try:
+            joins = bytes(_picker(at)(row))  # raises at a None or a non-byte
+        except (TypeError, ValueError):
+            return False
+        if joins != row_u.translate(None, b"\xff") or row.count(None) != k - len(at):
+            return False
+    return True
+
+
+def _joins_are_unions_by_rows(jt, beta, owner):
+    """_joins_are_unions on a table without a byte view: row p of the join
+    table against owner read at beta(p) | beta(q), for every q."""
+    get = owner.get
+    return all(tuple(map(get, map(b.__or__, beta))) == row for b, row in zip(beta, jt))
 
 
 def _joins_extend(jt, rows, splits):
@@ -601,7 +693,9 @@ def law_definition(c):
     _definition_by_atoms, else _translation_failure over the compatible
     pairs (a, b), in order, which names the witness (u, a, b, "left") or
     (a, b, u, "right"); or (a, b, "missing-join") at the first pair without
-    a join, when no earlier pair fails."""
+    a join, when no earlier pair fails.  This law is the first reader of
+    Analysis.atom_splits, whose join premise B3 is read by translates
+    (_joins_are_unions)."""
     s = c.bs.base
     if _definition_by_atoms(s, c.atom_splits):
         return None
@@ -640,13 +734,47 @@ def _eggs_pairs_by_atoms(s, splits):
     j = (a v b) v c, beta(j) = beta(a) | beta(b) | beta(c) by B3 twice, so
     beta(u meet j) = beta(a meet u) | beta(b meet u) | beta(c meet u); by
     the pair case and B3 that is the join of u meet (a v b) and c meet u.
+
+    With the meet view (InvSgp.meet_view) E1 is read off its bytes, no
+    meet being 255; E4 is _meets_extend.
     """
     if splits is None:
         return False
-    mt, z = s.meet_table, s.zero
-    if any(None in row for row in mt) or list(map(tuple, mt)) != list(zip(*mt)):
+    mt, z, meets = s.meet_table, s.zero, s.meet_view
+    rows, none = (mt, None) if meets is None else (meets[0], 255)
+    if any(none in row for row in rows) or list(map(tuple, mt)) != list(zip(*mt)):
         return False
-    return set(mt[z]) == {z} and _joins_extend(s.join_table, mt, splits)
+    return set(mt[z]) == {z} and _meets_extend(s, splits)
+
+
+def _meets_extend(s, splits):
+    """E4 of _eggs_pairs_by_atoms, given E1: _joins_extend on the meet
+    table.
+
+    With the meet view, when row α of the meet table holds only z and α
+    for each atom α of a split, α meet u is α or z, so the join of rows y
+    and α is row y read through join column α where row α reads α, and
+    through join column z elsewhere: two translates of row y, put together
+    by an int mask of row α.  A join that is None reads as byte 255, never
+    a meet.  Otherwise _joins_extend decides.
+    """
+    jt, z, meets = s.join_table, s.zero, s.meet_view
+    alphas = sorted({a for _, _, a in splits})
+    columns = [tuple(map(itemgetter(a), jt)) for a in (z, *alphas)]
+    cols = None if meets is None else _byte_rows(columns, s.size)
+    if cols is None or any(meets[0][a].translate(None, bytes((z, a))) for a in alphas):
+        return _joins_extend(jt, s.meet_table, splits)
+    rows, (at_z, *at_alphas), read = meets[0], cols[1], int.from_bytes
+    per_atom = {  # α: its join column, and the mask of the u with α meet u = α
+        a: (at_a, read(rows[a].translate(bytes.maketrans(bytes((a, z)), b"\xff\0"))))
+        for a, at_a in zip(alphas, at_alphas)
+    }
+    for x, y, a in splits:
+        (at_a, m), ry = per_atom[a], rows[y]
+        joins = read(ry.translate(at_a)) & m | read(ry.translate(at_z)) & ~m
+        if joins != read(rows[x]):
+            return False
+    return True
 
 
 def _eggs_scan(s, m):
@@ -675,8 +803,10 @@ def _eggs_scan(s, m):
 def law_eggs(c):
     """Meets distribute over the joins of pairs and triples: for every u,
     u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].
-    Decided by _eggs_pairs_by_atoms, which covers triples too; when it
-    declines, _eggs_scan names the first witness, pairs before triples."""
+    Decided by _eggs_pairs_by_atoms, which covers triples too, its meet
+    premise E4 read by translates with the meet view (_meets_extend); when
+    it declines, _eggs_scan names the first witness, pairs before
+    triples."""
     s = c.bs.base
     if _eggs_pairs_by_atoms(s, c.atom_splits):
         return None

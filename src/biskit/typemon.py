@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .boolean import as_boolean
 from .core import d_relation_idempotents
-from .errors import CertificateFailed, NotBelow, TooLarge
-from .rook import rook_matrix, rook_mul, rook_star, rook_violation
+from .errors import CertificateFailed, NotBelow, NotRook, TooLarge
+from .rook import rook_matrix, rook_mul, rook_star
 
 MATRIX_IDEMPOTENT_CAP = 100_000
 
@@ -233,9 +233,10 @@ def _witness_verified(bs, pairs, left_diag, right_diag, edges):
         # entry (dst, src) needs a witness with domain p and range q
         cells.setdefault((dst_slot, src_slot), []).append(edges[(p, q)])
     entries = [[bs.join_of(cells.get((i, j), ())) for j in (0, 1)] for i in (0, 1)]
-    if rook_violation(bs, 2, entries) is not None:
+    try:
+        x = rook_matrix(bs, entries)
+    except NotRook:
         return False  # X is no rook matrix
-    x = rook_matrix(bs, entries)
     xs = rook_star(x)
     return (
         rook_mul(xs, x).entries == _diag(*right_diag, z)

@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from biskit.boolean import check_boolean
@@ -569,7 +569,11 @@ def test_arrow_readings_match_scans(name):
         assert_arrow_readings_match_scans(g)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
 @given(i4_subsemigroup_tables.filter(lambda t: check_boolean(InvSgp(t)).boolean))
 def test_arrow_readings_match_scans_on_generated_structures(table):
     for g in groupoids_of(InvSgp(table)):

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import biskit.laws as laws
@@ -942,7 +942,11 @@ def test_identity_shortcut_matches_the_scan(name):
     assert_identity_shortcut_matches_scan(Analysis(corpus_semigroup(name)).bs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
 @given(boolean_i4_tables)
 def test_atoms_groupoid_readings_on_generated_structures(table):
     c = Analysis(InvSgp(table))

@@ -2,7 +2,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from biskit.boolean import as_boolean, check_boolean, direct_product, k_of_groupoid
@@ -406,7 +406,11 @@ def test_type_monoid_matches_the_rc_version(name):
     assert "rc_table" not in bs.__dict__
 
 
-@settings(max_examples=50, deadline=None)
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
 @given(generated_boolean_structures())
 def test_type_monoid_matches_the_rc_version_on_generated_structures(bs):
     assert type_monoid(bs) == rc_type_monoid(bs)

@@ -7,7 +7,8 @@ cached field left out is read off the new object's fields when first asked
 for; one kept was read off x's.  An InvSgp given a table gets its byte view
 and its Light-tested generators from that table, by the functions InvSgp
 itself uses, unless they are given too: a table that fails Light's test has
-None, so every generator pass declines and the plain scans decide.
+None, so every generator pass declines and the plain scans decide.  One
+given a meet table drops the meet view read off the old one.
 """
 
 from biskit.core import InvSgp, _byte_view, _tested_generators
@@ -19,6 +20,8 @@ FROM_TABLE = ("compat_partners", "orth", "restricted_groupoid")
 def unchecked(x, drop=(), **fields):
     """A new object of x's class with x's fields but those named in drop,
     and fields in place of the rest; nothing is validated."""
+    if isinstance(x, InvSgp) and "meet_table" in fields:
+        drop = (*drop, "meet_view")
     if isinstance(x, InvSgp) and "table" in fields:
         rows = fields["table"] = tuple(map(tuple, fields["table"]))
         if "byte_view" not in fields:
