@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb, factorial
-from operator import and_, itemgetter, or_
+from operator import and_, contains, getitem, itemgetter, or_
 
 from .core import (
     InvSgp,
@@ -25,6 +25,7 @@ from .core import (
     _mask,
     _on_generator_sides,
     _on_generators,
+    _partner_view,
     _picker,
     _translation_failure,
     check_congruence,
@@ -87,6 +88,17 @@ class BoolInvSgp:
                 entries[y] = None if c is None else row[c]
             out.append(tuple(entries))
         return tuple(out)
+
+    @cached_property
+    def rc_view(self):
+        """_partner_view of rc_table on down: row x as a translate table,
+        x minus y at each y <= x and byte 255 at every other byte.  None
+        above 255 ids, as byte_view.  Only the law kernels of laws
+        orthogonal and setminus-4 read it, so analyze never builds it."""
+        b = self.base
+        if b.byte_view is None:
+            return None
+        return _partner_view(self.rc_table, b.down, self.size)
 
     def rc(self, x, y):
         """Relative complement x minus y, for y <= x; read off rc_table."""
@@ -217,34 +229,31 @@ def _joins_kept(s, per_a):
     """holds(side) of _distributivity_failure's pass: side[a] v side[b] is
     side[a v b] for each (a, partners b, joins a v b) of per_a, one per id.
 
-    With the table's byte view, the partners and the joins of a are byte
-    strings, translated through side padded to 256 bytes; the partners'
-    images are then translated through join row side[a], made by
-    bytes.maketrans with the join at each partner and byte 255, never an
-    id, at every other byte.  That row agrees with the join table at the
-    partners, so a side it accepts is accepted by _joins_kept_by_rows too;
-    a side it declines is read again by rows, which also sees a join the
-    table holds off the partners, as one corrupted after its join table was
-    built can.  Joins outside 0..k-1, which a padded side would read as
-    0, or no byte view, leave every side to _joins_kept_by_rows.
+    With the join view (InvSgp.join_view), the partners of a are a byte
+    string, and their joins that string translated through join row a;
+    both are translated through side padded to 256 bytes, and the
+    partners' images then through join row side[a].  The view agrees with
+    the join table wherever it holds an id, and holds 255, never an id, at
+    every other byte, so a side it accepts is accepted by
+    _joins_kept_by_rows too; a side it declines is read again by rows,
+    which also sees a join the table holds off the partners, as one
+    corrupted after its join table was built can.  A join the view reads
+    as 255, which a padded side would read as 0, or no view, leave every
+    side to _joins_kept_by_rows.
     """
-    k, jt = s.size, s.join_table
-    if s.byte_view is None:
+    jt, view = s.join_table, s.join_view
+    if view is None:
         return _joins_kept_by_rows(jt, per_a)
-    per_a_b = [(a, bytes(ps), bytes(js)) for a, ps, js in per_a]
-    every = bytes(range(256))
-    if b"".join(js for _, _, js in per_a_b).translate(None, every[:k]):
+    per_a_b = [(a, bytes(ps)) for a, ps, _ in per_a]  # the joins are the table's
+    per_a_b = [(a, ps, ps.translate(view[a])) for a, ps in per_a_b]
+    if b"\xff" in b"".join(js for _, _, js in per_a_b):
         return _joins_kept_by_rows(jt, per_a)
-    join_rows = [
-        bytes.maketrans(ps + every.translate(None, ps), js.ljust(256, b"\xff"))
-        for _, ps, js in per_a_b
-    ]
-    pad = bytes(256 - k)
+    pad = bytes(256 - s.size)
 
     def holds(side):
         at = bytes(side) + pad
         return all(
-            ps.translate(at).translate(join_rows[side[a]]) == js.translate(at)
+            ps.translate(at).translate(view[side[a]]) == js.translate(at)
             for a, ps, js in per_a_b
         ) or _joins_kept_by_rows(jt, per_a)(side)
 
@@ -462,6 +471,106 @@ def k_of_groupoid(g):
 def _above(partners, a):
     """The entries of the ascending tuple partners that are greater than a."""
     return partners[bisect_right(partners, a):]
+
+
+def _orthogonal_kept(bs):
+    """True when every step and triple law orthogonal
+    (laws.law_orthogonal) reads holds, read by bytes.translate on the
+    views; False, to decline, without them.
+
+    The steps of x are made for all its partners y at once: the meets m
+    are the partners through meet row x, t = y - m is rc row y read at m
+    (map getitem), and the joins j the partners through join row x; then
+    orth[x][t] and t <= y are read by map, and join_of([x, t]) = j as t
+    through join row x.  A 255 read, or one that fails, declines.  The t
+    of x make its step table, y to t, 255 off the partners.  Per pair
+    (a, b), b in later[a], with step (t2, j), the c of later[b] also in
+    later[a] are later[b] translated with the others deleted; their t3 are
+    them through the step table of j, and orth[a][t3] and orth[t2][t3]
+    are read by map.
+    """
+    s = bs.base
+    meets, joins, rcs = s.meet_view, s.join_view, bs.rc_view
+    if meets is None or joins is None or rcs is None:
+        return False
+    sets, every = list(map(frozenset, s.down)), bytes(range(256))
+    orth = [bytes(row).ljust(256, b"\0") for row in s.orth]  # 0/1, 0 at 255
+    partners = list(map(bytes, s.compat_partners))
+    if not all(map(contains, sets, range(s.size))):  # x <= x
+        return False
+    steps = []
+    for ps, meet_x, join_x, orth_x in zip(partners, meets[1], joins, orth):
+        ts = bytes(map(getitem, map(rcs.__getitem__, ps), ps.translate(meet_x)))
+        js = ps.translate(join_x)
+        if (
+            b"\0" in ts.translate(orth_x)
+            or b"\xff" in js
+            or ts.translate(join_x) != js
+            or not all(map(contains, map(sets.__getitem__, ps), ts))
+        ):
+            return False
+        froms = ps + every.translate(None, ps)
+        steps.append(bytes.maketrans(froms, ts.ljust(256, b"\xff")))  # y to t
+    z = bytes((s.zero,))
+    later = [_above(ps, a).translate(None, z) for a, ps in enumerate(partners)]
+    for a in s.nonzero():
+        la, others = later[a], every.translate(None, later[a])
+        t3s = [
+            later[b].translate(None, others).translate(steps[j])
+            for b, j in zip(la, la.translate(joins[a]))
+        ]
+        t2s = la.translate(steps[a])
+        if b"\0" in b"".join(t3s).translate(orth[a]) or any(
+            b"\0" in row.translate(orth[t2]) for row, t2 in zip(t3s, t2s)
+        ):
+            return False
+    return True
+
+
+def _setminus_4_kept(bs):
+    """True when F1, F2 and H of laws._setminus_4_on_generators hold, read
+    by bytes.translate; False, to decline, without the views.
+
+    The down-pairs are taken by x, down[x] as bytes.  F1 is column 0 of
+    the rc and the join views against the ids, 0 <= u read in down.  F2 is
+    down[x] through d and then row x, against down[x].  For each f, H
+    compares the x-t of every pair (down[x] through rc row x, joined over
+    x) through column 1-f of the table with down[x] through join row x*f
+    and then rc row x, joined over x.  A 255 in the x-t declines; one on
+    the right of H differs from the left, an id.
+    """
+    s = bs.base
+    joins, rcs, one, z = s.join_view, bs.rc_view, s.identity, s.zero
+    if joins is None or rcs is None or one is None or z is None:
+        return False
+    t, tables, ids = s.table, s.byte_view[1], bytes(range(s.size))
+    try:
+        downs, d_at = list(map(bytes, s.down)), bytes(s.d).ljust(256, b"\0")
+    except (TypeError, ValueError):
+        return False
+    ts, at_z = b"".join(downs), itemgetter(z)
+    if (
+        (ts + d_at[: s.size]).translate(None, ids)  # a byte not an id
+        or not all(map(contains, s.down, itertools.repeat(z)))
+        or bytes(map(at_z, rcs)) != ids
+        or bytes(map(at_z, joins)) != ids
+    ):
+        return False  # F1
+    if any(ds.translate(d_at).translate(tx) != ds for ds, tx in zip(downs, tables)):
+        return False  # F2
+    sts, pad = b"".join(map(bytes.translate, downs, rcs)), bytes(256 - s.size)
+    if b"\xff" in sts:
+        return False
+    for f in set(ts.translate(d_at)):
+        c = rcs[one][f]  # 1-f
+        if c == 255:
+            return False
+        column = bytes(map(itemgetter(c), t)) + pad
+        xf_joins = map(joins.__getitem__, map(itemgetter(f), t))  # join row x*f
+        rhs = map(bytes.translate, map(bytes.translate, downs, xf_joins), rcs)
+        if sts.translate(column) != b"".join(rhs):
+            return False  # H
+    return True
 
 
 def verify_additive_ideal(bs, subset):
@@ -888,8 +997,12 @@ def is_weakly_meet_preserving(source, target, mp):
         uncovered[m] = ~covered(lower)
     for a, meets in enumerate(s.meet_table):
         common = map(img_down[a].__and__, img_down)
-        if any(map(and_, common, map(uncovered.__getitem__, meets))):
-            return False
+        try:
+            if any(map(and_, common, map(uncovered.__getitem__, meets))):
+                return False
+        except KeyError as e:  # a meet that is neither None nor an id
+            m = e.args[0]
+            raise CertificateFailed(("meet-not-an-id", a, meets.index(m), m)) from None
         if None not in meets:
             continue
         for b, m in enumerate(meets):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import countOf, eq, itemgetter
+from operator import contains, countOf, eq, getitem, itemgetter
 
 from .errors import (
     CertificateFailed,
@@ -273,6 +273,53 @@ def _defined_at(rows_b, k):
     return _flagged(flags, k)
 
 
+def _partner_view(rows, supports, k):
+    """For each row and its support, ascending distinct ids, a 256-byte
+    bytes.translate table: the row's entry at each id of the support, and
+    byte 255 at every other byte and wherever that entry is None or no id
+    in 0..k-1.  None when k > 255 or a support is not such ids.
+
+    Built from the supports by bytes.maketrans, not entry by entry: the
+    entries at the support are picked, and checked ids by one translate.
+    So the view may hold 255 where the table holds an id, never an id the
+    table does not hold at that place; a kernel declines on any 255 it
+    reads.  InvSgp.join_view and BoolInvSgp.rc_view are two such views.
+    """
+    if k > 255:
+        return None
+    every = bytes(range(256))
+    kept = every[:k] + b"\xff" * (256 - k)  # ids to themselves, other bytes to 255
+    out = []
+    for row, ids in zip(rows, supports):
+        try:  # an id k or more fails the picker, one off 0..255 bytes()
+            at, ids = _picker(ids)(row), bytes(ids)
+            try:
+                vals = bytes(at).translate(kept)
+            except (TypeError, ValueError):  # a None, or an entry off 0..255
+                vals = bytes(v if v in range(k) and type(v) is int else 255 for v in at)
+            froms = ids + every.translate(None, ids)  # 256 bytes when ids are distinct
+            out.append(bytes.maketrans(froms, vals.ljust(256, b"\xff")))
+        except (IndexError, TypeError, ValueError):
+            return None
+    return tuple(out)
+
+
+def _checked_meets(s):
+    """s.meet_table, once each entry is None or an id, as the laws' general
+    paths index by the meets: an entry k or more would raise IndexError,
+    and -1 would read the last row.  The meet view (InvSgp.meet_view), when
+    there is one, has read every entry; otherwise they are read here.  The
+    first other entry raises CertificateFailed(("meet-not-an-id", a, b, m)),
+    so the law reading it fails with that witness."""
+    mt, k = s.meet_table, s.size
+    if s.meet_view is None:
+        for a, row in enumerate(mt):
+            for b, m in enumerate(row):
+                if m is not None and not (type(m) is int and 0 <= m < k):
+                    raise CertificateFailed(("meet-not-an-id", a, b, m))
+    return mt
+
+
 def _light_test(rows, gens, view):
     """Light's associativity test: True when (x*g)*y = x*(g*y) for every
     generator g and all x, y.
@@ -343,6 +390,60 @@ def _on_generator_sides(s, holds):
     return _on_generators(
         s, lambda g: holds(t[g]) and holds(tuple(map(itemgetter(g), t)))
     )
+
+
+def _restricted_product_kept(s):
+    """True when law restricted-product (laws.law_restricted_product)
+    holds, read by bytes.translate; False, to decline, without a byte view
+    or Light's test.  It sits with the byte view and Light's test it reads.
+
+    The down-set part is decided first, on the generators g as by rows
+    (_on_generators, which also shows the table associative): down[g] is
+    read through each row x once, and for each a those of the x in down[a]
+    are joined and compared with down[a*g] as sets.  Then for each f =
+    d(a), whether every f*b <= b, the r(b2) over every b (row f through r)
+    and eb2[b] = r(b)*(f*b) are found once.  Per a, the a2 = a*r(b) over
+    every b are r translated through row a: a2 <= a when translating them
+    with down[a] deleted leaves nothing, d(a2) = r(b2) is them through d,
+    and a2*b2 = a*b is eb2 through row a against row a.
+    """
+    view, t, down = s.byte_view, s.table, s.down
+    if view is None:
+        return False
+    (rows_b, tables), ids = view, bytes(range(s.size))
+    try:
+        d_b, r_b, downs = bytes(s.d), bytes(s.r), list(map(bytes, down))
+    except (TypeError, ValueError):
+        return False
+    if (d_b + r_b + b"".join(downs)).translate(None, ids):  # a byte not an id
+        return False
+    sets = list(map(frozenset, down))
+
+    def holds(g):
+        at = [downs[g].translate(table_x) for table_x in tables].__getitem__
+        products = (set(b"".join(map(at, ds))) for ds in down)  # down[a]*down[g]
+        return all(map(eq, products, map(sets.__getitem__, map(itemgetter(g), t))))
+
+    if not _on_generators(s, holds):
+        return False
+    d_at, r_at = d_b.ljust(256, b"\0"), r_b.ljust(256, b"\0")
+    r_rows = [t[e] for e in r_b]
+    per_f = {  # f: every f*b <= b, and r(f*b) and r(b)*(f*b) over every b
+        f: (
+            all(map(contains, down, t[f])),
+            rows_b[f].translate(r_at),
+            bytes(map(getitem, r_rows, t[f])),
+        )
+        for f in set(d_b)
+    }
+    for f, row_a, table_a, below_a in zip(d_b, rows_b, tables, downs):
+        below, r_b2, eb2 = per_f[f]
+        a2 = r_b.translate(table_a)
+        if not below or a2.translate(None, below_a) or a2.translate(d_at) != r_b2:
+            return False
+        if eb2.translate(table_a) != row_a:
+            return False
+    return True
 
 
 def _translation_failure(s, tuples, related):
@@ -642,10 +743,21 @@ class InvSgp:
     @cached_property
     def meet_view(self):
         """_byte_rows of meet_table, which the law kernels of laws wedge,
-        fish and eggs read; None above 255 ids, as byte_view, or when a
-        meet is neither None nor an id.  Only laws read it, so analyze
-        never builds it."""
+        fish, eggs and orthogonal read; None above 255 ids, as byte_view,
+        or when a meet is neither None nor an id.  Only laws read it, so
+        analyze never builds it."""
         return _byte_rows(self.meet_table, self.size)
+
+    @cached_property
+    def join_view(self):
+        """_partner_view of join_table on the compatible partners: join row
+        a as a translate table, the join a v b at each partner b and byte
+        255 at every other byte.  None above 255 ids, as byte_view.  Read
+        by check_boolean's distributivity pass (boolean._joins_kept) and
+        the law kernels of laws orthogonal and setminus-4."""
+        if self.byte_view is None:
+            return None
+        return _partner_view(self.join_table, self.compat_partners, self.size)
 
     @cached_property
     def join_table(self):

@@ -23,6 +23,8 @@ from .boolean import (
     _above,
     _atom_pencils,
     _check_pencil,
+    _orthogonal_kept,
+    _setminus_4_kept,
     analyze_morphism,
     check_boolean,
     enumerate_additive_ideals,
@@ -47,6 +49,7 @@ from .booleanization import (
 from .core import (
     CONGRUENCE_SCAN_CAP,
     _byte_rows,
+    _checked_meets,
     _defined_at,
     _first_split,
     _is_additive_congruence,
@@ -55,6 +58,7 @@ from .core import (
     _on_generators,
     _picker,
     _positions,
+    _restricted_product_kept,
     _translation_failure,
     all_congruences,
     d_relation_idempotents,
@@ -341,7 +345,8 @@ def law_fish(c):
     """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
     _fish_scan, which names the witness.  With the meet view
     (InvSgp.meet_view) each generator's row is read by translates
-    (_fish_kept)."""
+    (_fish_kept).  A meet that is no id fails the law (_checked_meets)."""
+    _checked_meets(c.s)
     if _fish_on_generators(c.s):
         return None
     return _fish_scan(c.s)
@@ -368,6 +373,22 @@ def law_restricted_product(c):
     """Every product a*b is a2*b2 with a2 = a*r(b) <= a, b2 = d(a)*b <= b
     and d(a2) = r(b2), and down(a)*down(b) = down(a*b) setwise.
 
+    Decided by translates with the table's byte view, once Light's test
+    has certified the table associative (_on_generators): then a2*b2 =
+    (a*e)*b2 = a*(e*b2) for e = r(b), so the products a2*b2 over every b
+    are row a read at the e*b2, which depend on a only through f = d(a)
+    (core._restricted_product_kept).  When that declines,
+    _restricted_product_by_rows decides and names the witness."""
+    s = c.s
+    if _restricted_product_kept(s):
+        return None
+    return _restricted_product_by_rows(s)
+
+
+def _restricted_product_by_rows(s):
+    """Law restricted-product by rows: the first witness (a, b), or
+    (a, b, "down-set-product"), or None.
+
     The first part is read a row a at a time, with the b grouped by
     e = r(b): a2 = a*e is one id per group, and b2 = f*b depends on a
     through f = d(a) only.  So for each f, whether every f*b <= b, r(b2) for
@@ -381,7 +402,6 @@ def law_restricted_product(c):
     = down(a*b*c).  When the pass declines every pair is scanned for the
     witness.
     """
-    s = c.s
     t, down, d, r = s.table, s.down, s.d, s.r
     ids, es = range(s.size), sorted(set(r))
     at_e = [_picker(_positions(r, e)) for e in es]  # a row at the b with r(b) = e
@@ -806,8 +826,9 @@ def law_eggs(c):
     Decided by _eggs_pairs_by_atoms, which covers triples too, its meet
     premise E4 read by translates with the meet view (_meets_extend); when
     it declines, _eggs_scan names the first witness, pairs before
-    triples."""
+    triples.  A meet that is no id fails the law (_checked_meets)."""
     s = c.bs.base
+    _checked_meets(s)
     if _eggs_pairs_by_atoms(s, c.atom_splits):
         return None
     return _eggs_scan(s, 2) or _eggs_scan(s, 3)
@@ -832,9 +853,10 @@ def law_chicken(c):
 def law_pork(c):
     bs = c.bs
     s = bs.base
+    mt = _checked_meets(s)
     for x in range(s.size):
         for y in s.compat_partners[x]:
-            m = s.meet_table[x][y]
+            m = mt[x][y]
             w = bs.rc(x, m)
             if not s.orth[w][y]:
                 return (x, y, "not-orthogonal")
@@ -860,10 +882,22 @@ def law_orthogonal(c):
     J = join_of([a, b, c]).  A family with a failed read goes to
     orthogonalize itself, which raises its witness in the same order, or
     returns when that read is one it does not make (orth[j][t3], j <= j).
+
+    With the meet, join and relative-complement views (InvSgp.meet_view,
+    InvSgp.join_view, BoolInvSgp.rc_view) every step and triple is read by
+    translates (boolean._orthogonal_kept); when that declines,
+    _orthogonal_by_rows decides.
     """
-    bs = c.bs
+    if _orthogonal_kept(c.bs):
+        return None
+    return _orthogonal_by_rows(c.bs)
+
+
+def _orthogonal_by_rows(bs):
+    """Law orthogonal step by step (law_orthogonal): None, or the error
+    orthogonalize raises for the first family that fails."""
     s = bs.base
-    meet, orth, down = s.meet_table, s.orth, s.down
+    meet, orth, down = _checked_meets(s), s.orth, s.down
     # later[a]: the nonzero b > a compatible with a, ascending
     later = [
         [b for b in _above(p, a) if b != s.zero]
@@ -973,7 +1007,19 @@ def _setminus_4_on_generators(bs, pairs, setminus_2):
     its inner join and outer complement defined.  No join is assumed
     associative or distributive, and 0 and 1 need only have the properties
     checked.
+
+    With the join and relative-complement views (InvSgp.join_view,
+    BoolInvSgp.rc_view), F1, F2 and H are read by translates
+    (boolean._setminus_4_kept); when that declines, _setminus_4_by_rows
+    reads every check and names the first that fails.
     """
+    if setminus_2 and _setminus_4_kept(bs):
+        return None
+    return _setminus_4_by_rows(bs, pairs, setminus_2)
+
+
+def _setminus_4_by_rows(bs, pairs, setminus_2):
+    """_setminus_4_on_generators read by rows: every check, in order."""
     if not setminus_2:
         return "setminus-2"
     s = bs.base

@@ -57,6 +57,7 @@ from biskit.booleanization import booleanize
 from biskit.groupoid import Gpd, reconstruct
 from biskit.laws import Analysis
 from biskit.rook import decompose, theta_iso
+from corpus_structures import boolean
 from generated import (
     bisection_count,
     component_forms,
@@ -67,10 +68,6 @@ from generated import (
 from naive_order import leq
 from naive_translation import naive_additive_ideal
 from unchecked import replaced, unchecked
-
-
-def boolean(name):
-    return check_boolean(corpus_semigroup(name)).structure
 
 
 def additive_ideals(bs):

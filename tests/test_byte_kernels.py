@@ -2,19 +2,26 @@
 
 A table of at most 255 ids gets a byte view (core._byte_view), and its
 meet table one too (core._byte_rows, InvSgp.meet_view, None read as byte
-255).  Seven kernels read them with bytes.translate: Light's test,
+255).  Its join table on the compatible partners and, when Boolean, its
+relative complements on the down-sets get the join and rc views
+(core._partner_view, InvSgp.join_view and BoolInvSgp.rc_view), 255 off
+the support.  Ten kernels read them with bytes.translate: Light's test,
 InvSgp.compat_partners and the join reads of check_boolean's
 distributivity pass (boolean._joins_kept); and in the law suite, law
 wedge's rows, law fish's generator rows (laws._fish_kept), law
-definition's join premise B3 (laws._joins_are_unions) and law eggs' meet
-premise E4 (laws._meets_extend).  Each is compared with its general path,
-the one every larger table takes (_light_test without a view,
+definition's join premise B3 (laws._joins_are_unions), law eggs' meet
+premise E4 (laws._meets_extend), and the two-index laws restricted-product
+(core._restricted_product_kept), orthogonal (boolean._orthogonal_kept) and
+setminus-4 (boolean._setminus_4_kept).  Each is compared with its general
+path, the one every larger table takes (_light_test without a view,
 _compat_partners_by_rows, _joins_kept_by_rows, _wedge_scan,
-_fish_kept_by_rows, _joins_are_unions_by_rows, _joins_extend), on the
-corpus, on generated structures relabelled by seeded permutations, on
-tables with one entry corrupted (built unchecked from a validated table),
-and at the boundary: 255 ids take the byte path, 256 the general one.
-Valid tables of at most 255 ids never reach the general path.
+_fish_kept_by_rows, _joins_are_unions_by_rows, _joins_extend,
+_restricted_product_by_rows, _orthogonal_by_rows, _setminus_4_by_rows),
+and each view with its table, on the corpus, on generated structures
+relabelled by seeded permutations, on tables with one entry corrupted
+(built unchecked from a validated table), and at the boundary: 255 ids
+take the byte path, 256 the general one.  Valid tables of at most 255
+ids never reach the general path.
 """
 
 from functools import cache
@@ -29,6 +36,8 @@ import biskit.laws
 from biskit.boolean import (
     _joins_kept,
     _joins_kept_by_rows,
+    _orthogonal_kept,
+    _setminus_4_kept,
     k_of_groupoid,
 )
 from biskit.cli import main
@@ -36,21 +45,25 @@ from biskit.core import (
     InvSgp,
     _byte_rows,
     _byte_view,
+    _partner_view,
     _compat_partners_by_rows,
     _generators,
     _light_test,
     _on_generator_sides,
     _picker,
+    _restricted_product_kept,
     adjoin_zero,
     table_product,
 )
 from biskit.corpus import (
+    BOOLEAN_NAMES,
     SEMIGROUP_BUILDERS,
     corpus_semigroup,
     corpus_text,
     render_ist,
     symmetric_inverse_table,
 )
+from biskit.errors import CertificateFailed
 from biskit.groupoid import reconstruct
 from biskit.laws import (
     Analysis,
@@ -61,15 +74,24 @@ from biskit.laws import (
     _joins_are_unions_by_rows,
     _joins_extend,
     _meets_extend,
+    _orthogonal_by_rows,
+    _restricted_product_by_rows,
+    _run_law,
+    _setminus_4_by_rows,
+    _setminus_4_on_generators,
     _wedge_scan,
+    SEMIGROUP_LAWS,
     law_definition,
     law_eggs,
     law_fish,
+    law_orthogonal,
+    law_restricted_product,
+    law_setminus_4,
     law_wedge,
 )
 from generated import component_forms, cyclic_group, i4_subsemigroup_tables
 from test_core import I4, relabel, shuffled
-from test_law_kernels import corrupted, corruptions
+from test_law_kernels import corrupted, corruptions, outcome
 from unchecked import unchecked
 
 GENERAL_PATHS = (
@@ -80,11 +102,23 @@ GENERAL_PATHS = (
     (biskit.laws, "_fish_kept_by_rows"),
     (biskit.laws, "_joins_are_unions_by_rows"),
     (biskit.laws, "_joins_extend"),
+    (biskit.laws, "_restricted_product_by_rows"),
+    (biskit.laws, "_orthogonal_by_rows"),
+    (biskit.laws, "_setminus_4_by_rows"),
 )
 
-# the laws whose kernels read the meet view; law definition is the first
-# reader of Analysis.atom_splits, whose join premise B3 is a kernel
-BYTE_LAWS = (law_wedge, law_fish, law_definition, law_eggs)
+# the laws whose kernels read the byte, meet, join and rc views; law
+# definition is the first reader of Analysis.atom_splits, whose join
+# premise B3 is a kernel
+BYTE_LAWS = (
+    law_wedge,
+    law_fish,
+    law_restricted_product,
+    law_definition,
+    law_eggs,
+    law_orthogonal,
+    law_setminus_4,
+)
 
 
 def refuse_general_paths(mp):
@@ -169,6 +203,52 @@ def assert_law_kernels_agree(c, gens=None, splits=None):
         assert _meets_extend(s, splits) == by_rows
 
 
+def assert_view_holds(view, rows, supports, k, exact):
+    """Row x of view is a 256-byte table holding rows[x][y] or byte 255 at
+    each y < k, and 255 at every other byte: never an id the table does not
+    hold there.  When exact, as on a table the view was read off, it holds
+    rows[x][y] at each y of supports[x] where that is an id, and 255 at
+    every other byte."""
+    assert len(view) == len(rows)
+    for table, row, support in zip(view, rows, supports):
+        assert len(table) == 256 and set(table[k:]) <= {255}
+        assert all(b == 255 or b == v for b, v in zip(table, row))
+        ids = [y for y in support if row[y] in range(k) and type(row[y]) is int]
+        if exact:
+            assert [table[y] for y in ids] == [row[y] for y in ids]
+            assert table.count(255) == 256 - len(ids)
+
+
+def assert_two_index_kernels_agree(c, valid=False):
+    """The views against their tables, and laws restricted-product,
+    orthogonal and setminus-4: a byte kernel that accepts is never refuted
+    by its general path, the law returns or raises as that path does, and
+    on a valid table (valid) with a byte view every kernel accepts."""
+    s = c.s
+    valid = valid and s.byte_view is not None
+    by_rows = _restricted_product_by_rows(s)
+    assert law_restricted_product(c) == by_rows
+    assert not _restricted_product_kept(s) or by_rows is None
+    assert _restricted_product_kept(s) or not valid
+    if c.bs is None:
+        return
+    bs, k = c.bs, s.size
+    if s.join_view is not None:
+        assert_view_holds(s.join_view, s.join_table, s.compat_partners, k, valid)
+        assert_view_holds(bs.rc_view, bs.rc_table, s.down, k, valid)
+    by_rows = outcome(_orthogonal_by_rows, bs)
+    assert outcome(law_orthogonal, c) == by_rows
+    assert not _orthogonal_kept(bs) or by_rows == ("returned", None)
+    assert _orthogonal_kept(bs) or not valid
+    pairs = [(x, t) for x in range(k) for t in s.down[x]]
+    setminus_2 = c.setminus_2_on_generators
+    by_rows = outcome(_setminus_4_by_rows, bs, pairs, setminus_2)
+    assert outcome(_setminus_4_on_generators, bs, pairs, setminus_2) == by_rows
+    kept = setminus_2 and _setminus_4_kept(bs)
+    assert not kept or by_rows == ("returned", None)
+    assert kept or not valid
+
+
 def relabelled(table, seed):
     return relabel(tuple(map(tuple, table)), shuffled(len(table), seed))
 
@@ -183,6 +263,7 @@ def test_byte_kernels_match_the_general_path_on_the_corpus(name):
     c = Analysis(InvSgp(relabelled(table, 7)))
     assert c.s.meet_view is not None
     assert_law_kernels_agree(c, gens=_generators(s.table) if name == "i4" else None)
+    assert_two_index_kernels_agree(c, valid=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,6 +272,7 @@ def test_byte_kernels_match_the_general_path_on_generated_structures(table, seed
     s = InvSgp(relabelled(table, seed))
     assert_kernels_agree(s, gens=_generators(s.table))
     assert_law_kernels_agree(Analysis(s), gens=_generators(s.table))
+    assert_two_index_kernels_agree(Analysis(s), valid=True)
 
 
 @settings(max_examples=20, deadline=None)
@@ -200,6 +282,7 @@ def test_byte_kernels_match_the_general_path_on_component_forms(form, seed):
     s = InvSgp(relabelled(table, seed))
     assert_kernels_agree(s)
     assert_law_kernels_agree(Analysis(s), gens=_generators(s.table))
+    assert_two_index_kernels_agree(Analysis(s), valid=True)
 
 
 def joins_kept_by_rows(s, per_a):
@@ -249,6 +332,37 @@ def test_law_kernels_match_the_general_path_on_corrupted_tables(corruption):
     assert c.s.meet_view is not None
     valid = Analysis(corpus_semigroup(corruption[0]))
     assert_law_kernels_agree(c, splits=c.atom_splits or valid.atom_splits)
+    assert_two_index_kernels_agree(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BOOLEAN_NAMES), st.sampled_from(("d", "r")), st.data())
+def test_two_index_kernels_match_the_general_path_on_corrupted_d_and_r(
+    name, which, data
+):
+    # d(a) or r(a) read as another id; the meet, join and relative-complement
+    # tables are read off the valid table first, so only reads of d or r see
+    # the change
+    bs = Analysis(corpus_semigroup(name)).bs
+    s = bs.base
+    s.meet_table, s.join_table, bs.rc_table
+    ids, a = list(getattr(s, which)), data.draw(st.integers(0, s.size - 1))
+    ids[a] = data.draw(st.integers(0, s.size - 1))
+    c = Analysis(unchecked(bs, base=unchecked(s, **{which: tuple(ids)})))
+    assert_two_index_kernels_agree(c)
+
+
+def test_partner_view_reads_255_off_the_support_and_at_entries_no_id():
+    rows = ((0, None, 1), (2, 1, 5))
+    view = _partner_view(rows, ((0, 1, 2), (0, 2)), 3)
+    assert [table[:4] for table in view] == [
+        bytes((0, 255, 1, 255)),
+        bytes((2, 255, 255, 255)),
+    ]
+    assert all(table[3:] == b"\xff" * 253 for table in view)
+    for support in ((0, 0), (3,), (-1,), (256,)):  # an id twice, k, -1, 256
+        assert _partner_view(rows, (support, ()), 3) is None
+    assert _partner_view(((None,),) * 256, ((),) * 256, 256) is None
 
 
 def test_byte_rows_read_none_as_255_and_decline_other_entries():
@@ -263,15 +377,36 @@ def test_byte_rows_read_none_as_255_and_decline_other_entries():
 
 
 def test_a_meet_table_entry_outside_the_ids_takes_the_general_path():
-    # a meet read as 255 on a table of 17 ids, where byte 255 means None:
-    # the view declines, and law wedge reads the meets by rows
-    c = corrupted("m2z2zero", "meet_table", 3, 3, 255)
-    assert c.s.byte_view is not None and c.s.meet_view is None
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        count_general_paths(mp, calls)
-        assert law_wedge(c) == (3, 3, 255)
-    assert calls == ["_wedge_scan"]
+    # a meet read as -1, as k or as 255 on a table of 17 ids, where byte 255
+    # means None: the view declines, and law wedge reads the meets by rows;
+    # the laws that index by the meets fail, naming the entry, and no other
+    # exception leaves the registry
+    for value in (-1, 17, 255):
+        c = corrupted("m2z2zero", "meet_table", 3, 3, value)
+        assert c.s.byte_view is not None and c.s.meet_view is None
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            count_general_paths(mp, calls)
+            assert law_wedge(c) == (3, 3, value)
+        assert calls == ["_wedge_scan"]
+        results = {key: _run_law(kind, law, c) for key, kind, law in SEMIGROUP_LAWS}
+        named = ("raised", "CertificateFailed")
+        named += (str(CertificateFailed(("meet-not-an-id", 3, 3, value))),)
+        for key in ("fish", "eggs", "pork", "orthogonal"):
+            assert results[key] == ("fail", named, None), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("i2", "powerset2", "z3zero")), st.data())
+def test_no_exception_leaves_the_registry_at_a_meet_that_is_no_id(name, data):
+    # the entry at any place, as -1, as k or as 255; the laws that index
+    # by every meet fail
+    k = corpus_semigroup(name).size
+    a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    c = corrupted(name, "meet_table", a, b, data.draw(st.sampled_from((-1, k, 255))))
+    for key, kind, law in SEMIGROUP_LAWS:
+        status, _, _ = _run_law(kind, law, c)
+        assert status == "fail" or key not in ("fish", "eggs", "pork"), key
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,11 +460,12 @@ def test_a_table_of_255_ids_takes_the_byte_path():
     assert s.byte_view is not None
     assert_kernels_agree(s, gens=_generators(s.table))
     assert_law_kernels_agree(Analysis(s), gens=_generators(s.table))
+    assert_two_index_kernels_agree(Analysis(s), valid=True)
     with pytest.MonkeyPatch.context() as mp:
         refuse_general_paths(mp)
         c = Analysis(InvSgp(boundary_table(255)))
         assert c.check.boolean
-        assert c.s.meet_view is not None
+        assert None not in (c.s.meet_view, c.s.join_view, c.bs.rc_view)
         assert [law(c) for law in BYTE_LAWS] == [None] * len(BYTE_LAWS)
 
 
@@ -339,6 +475,7 @@ def test_a_table_of_256_ids_takes_the_general_path():
         count_general_paths(mp, calls)
         c = Analysis(InvSgp(boundary_table(256)))
         assert c.s.byte_view is None and c.s.meet_view is None
+        assert c.s.join_view is None and c.bs.rc_view is None
         assert c.check.boolean
         assert [law(c) for law in BYTE_LAWS] == [None] * len(BYTE_LAWS)
     assert sorted(set(calls)) == sorted(name for _, name in GENERAL_PATHS)

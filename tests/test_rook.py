@@ -54,6 +54,7 @@ from biskit.rook import (
     rook_violation,
     theta_iso,
 )
+from corpus_structures import boolean, fresh_boolean
 from generated import (
     K_ORACLE_BISECTIONS,
     bisection_count,
@@ -62,10 +63,6 @@ from generated import (
     i4_subsemigroup_tables,
 )
 from unchecked import replaced, unchecked
-
-
-def boolean(name):
-    return check_boolean(corpus_semigroup(name)).structure
 
 
 def all_rooks(bs, n):
@@ -179,7 +176,7 @@ def test_decompose_refuses_a_map_that_is_not_multiplicative(monkeypatch):
     }
     for name, witness in cases.items():
         with pytest.raises(CertificateFailed) as e:
-            decompose(boolean(name))
+            decompose(fresh_boolean(name))  # patched
         assert e.value.witness == witness, name
 
 
@@ -503,7 +500,7 @@ def test_theta_iso_refuses_a_decomposition_of_another_structure():
     assert e.value.witness == ("decomposition-of-another-structure",)
     # a decomposition of an equal table built separately is another's too
     with pytest.raises(CertificateFailed):
-        theta_iso(i2, decompose(boolean("i2")))
+        theta_iso(i2, decompose(fresh_boolean("i2")))
 
 
 # -- K of the rebuilt atoms, certified by decompose's isomorphism -----------
@@ -546,7 +543,7 @@ def assert_k_validated_only_when_read(bs):
 
 @pytest.mark.parametrize("name", BOOLEAN_NAMES)
 def test_decompose_leaves_k_unvalidated_until_read(name):
-    assert_k_validated_only_when_read(boolean(name))
+    assert_k_validated_only_when_read(fresh_boolean(name))  # counted
 
 
 @settings(
@@ -606,7 +603,7 @@ def test_decompose_refuses_a_corrupted_k_table(name, monkeypatch):
     # 1 with another id of K, must get the full-row oracle's outcome,
     # witness included; some of them keep the map a bijection that is not
     # multiplicative
-    bs = boolean(name)
+    bs = fresh_boolean(name)  # patched
     s, cert = bs.base, decompose(bs)
     p = oracle_k_table(cert.target.groupoid)
     index = {a: i for i, a in enumerate(_bisections(cert.target.groupoid))}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from biskit.boolean import as_boolean, check_boolean, direct_product, k_of_groupoid
 from biskit.core import InvSgp, d_relation_idempotents
-from biskit.corpus import BOOLEAN_NAMES, corpus_semigroup, symmetric_inverse_table
+from biskit.corpus import BOOLEAN_NAMES
 from biskit.errors import BiskitError, CertificateFailed, TooLarge
 from biskit.groupoid import reconstruct
 from biskit.laws import Analysis, _run_law, law_butterfly
@@ -24,16 +24,10 @@ from biskit.typemon import (
     TypeMonoid,
     type_via_matrices,
 )
+from corpus_structures import boolean, fresh_boolean
 from generated import component_forms, i4_subsemigroup_tables
 from naive_order import leq
 from unchecked import unchecked
-
-
-def boolean(name):
-    """A fresh Boolean corpus structure, or I4 for "i4"."""
-    if name == "i4":
-        return check_boolean(InvSgp(symmetric_inverse_table(4))).structure
-    return check_boolean(corpus_semigroup(name)).structure
 
 
 def test_ranks():
@@ -189,7 +183,7 @@ def test_matrix_oracle_runs_clean():
 
 
 def test_matrix_oracle_cap(monkeypatch):
-    i3 = boolean("i3")
+    i3 = fresh_boolean("i3")  # patched
     monkeypatch.setattr(typemon, "MATRIX_IDEMPOTENT_CAP", 63)
     with pytest.raises(TooLarge) as info:
         type_via_matrices(i3, type_monoid(i3))
@@ -271,7 +265,7 @@ def test_a_wrong_witness_fails_law_butterfly(name, monkeypatch):
     # each witness read as another pair's: a matrix built with it is no rook
     # matrix, misses a join or fails its products, so the law cannot pass
     real = typemon._atom_edges
-    keys = sorted(real(boolean(name)))
+    keys = sorted(real(fresh_boolean(name)))  # patched
     for moved, source in itertools.permutations(keys, 2):
 
         def wrong(bs):
@@ -280,7 +274,8 @@ def test_a_wrong_witness_fails_law_butterfly(name, monkeypatch):
             return edges
 
         monkeypatch.setattr(typemon, "_atom_edges", wrong)
-        status, _, _ = _run_law("boolean", law_butterfly, Analysis(boolean(name)))
+        c = Analysis(fresh_boolean(name))
+        status, _, _ = _run_law("boolean", law_butterfly, c)
         assert status == "fail", (moved, source)
 
 
@@ -401,8 +396,8 @@ def generated_boolean_structures():
 
 @pytest.mark.parametrize("name", [*BOOLEAN_NAMES, "i4"])
 def test_type_monoid_matches_the_rc_version(name):
-    bs = boolean(name)
-    assert type_monoid(bs) == rc_type_monoid(boolean(name))
+    bs = fresh_boolean(name)  # its fields read
+    assert type_monoid(bs) == rc_type_monoid(fresh_boolean(name))
     assert "rc_table" not in bs.__dict__
 
 
@@ -427,7 +422,8 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
     # every complement between idempotents read as another id or missing,
     # and every pair e < f dropped from down[f]: the same result, or the
     # same error and witness (NotBelow where bs.rc raises, and
-    # complement-not-idempotent where f minus e has no type)
+    # complement-not-idempotent where f minus e has no type); each corrupted
+    # copy drops the relative complements read off the valid structure
     def outcomes(corrupt):
         fns = (type_monoid, rc_type_monoid)
         return [type_outcome(fn, corrupt(boolean(name))) for fn in fns]
@@ -439,7 +435,7 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
                 complement = {**bs.complement, (f, e): value}
                 if value is None:
                     del complement[(f, e)]
-                return unchecked(bs, complement=complement)
+                return unchecked(bs, ("rc_table",), complement=complement)
 
             got, want = outcomes(set_complement)
             assert got == want, (e, f, value)
@@ -447,7 +443,7 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
         def drop_from_down(bs):
             s = bs.base
             down = (*s.down[:f], tuple(x for x in s.down[f] if x != e), *s.down[f + 1 :])
-            return unchecked(bs, base=unchecked(s, down=down))
+            return unchecked(bs, ("rc_table",), base=unchecked(s, down=down))
 
         got, want = outcomes(drop_from_down)
         assert got == want, (e, f)

@@ -8,7 +8,8 @@ for; one kept was read off x's.  An InvSgp given a table gets its byte view
 and its Light-tested generators from that table, by the functions InvSgp
 itself uses, unless they are given too: a table that fails Light's test has
 None, so every generator pass declines and the plain scans decide.  One
-given a meet table drops the meet view read off the old one.
+given a meet, join or relative-complement table drops the byte view read
+off the old one (VIEWS).
 """
 
 from biskit.core import InvSgp, _byte_view, _tested_generators
@@ -16,12 +17,15 @@ from biskit.core import InvSgp, _byte_view, _tested_generators
 # the cached fields read off the product table
 FROM_TABLE = ("compat_partners", "orth", "restricted_groupoid")
 
+# the byte view of each table: InvSgp.meet_view, InvSgp.join_view and
+# BoolInvSgp.rc_view
+VIEWS = {"meet_table": "meet_view", "join_table": "join_view", "rc_table": "rc_view"}
+
 
 def unchecked(x, drop=(), **fields):
     """A new object of x's class with x's fields but those named in drop,
     and fields in place of the rest; nothing is validated."""
-    if isinstance(x, InvSgp) and "meet_table" in fields:
-        drop = (*drop, "meet_view")
+    drop = (*drop, *(VIEWS[name] for name in VIEWS.keys() & fields.keys()))
     if isinstance(x, InvSgp) and "table" in fields:
         rows = fields["table"] = tuple(map(tuple, fields["table"]))
         if "byte_view" not in fields:
