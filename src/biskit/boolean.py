@@ -11,7 +11,7 @@ elements.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -25,9 +25,9 @@ from .core import (
     _mask,
     _on_generator_sides,
     _on_generators,
-    _partner_view,
     _picker,
     _translation_failure,
+    _view,
     check_congruence,
     congruence_from_key,
     quotient_table,
@@ -91,14 +91,14 @@ class BoolInvSgp:
 
     @cached_property
     def rc_view(self):
-        """_partner_view of rc_table on down: row x as a translate table,
-        x minus y at each y <= x and byte 255 at every other byte.  None
-        above 255 ids, as byte_view.  Only the law kernels of laws
-        orthogonal and setminus-4 read it, so analyze never builds it."""
+        """The _view of rc_table on down: x minus y at each y <= x.  None
+        without a byte_view, or when an entry there is no id or None.  Only
+        the law kernels of laws orthogonal and setminus-4 read it, so
+        analyze never builds it."""
         b = self.base
         if b.byte_view is None:
             return None
-        return _partner_view(self.rc_table, b.down, self.size)
+        return _view(self.rc_table, self.size, b.down)
 
     def rc(self, x, y):
         """Relative complement x minus y, for y <= x; read off rc_table."""
@@ -166,18 +166,17 @@ def check_boolean(s):
     """
     if s.zero is None:
         return BooleanCheck(False, ("no-zero",), None)
-    jt = s.join_table
-    for a, partners in enumerate(s.compat_partners):
-        later = _above(partners, a - 1)  # the partners b >= a
-        if None in map(jt[a].__getitem__, later):
-            b = next(b for b in later if jt[a][b] is None)
+    per_a, none = _partner_joins(s)
+    for a, partners, joins in per_a:
+        i = bisect_left(partners, a)  # the partners b >= a
+        if none in joins[i:]:
+            b = partners[joins.index(none, i)]
             return BooleanCheck(False, ("missing-join", a, b), None)
-    failure = _distributivity_failure(s)
+    failure = _distributivity_failure(s, per_a, none)
     if failure is not None:
         return BooleanCheck(False, failure, None)
-    complement = {}
-    idem = s.idempotents
-    for f in idem:
+    complement, jt = {}, s.join_table
+    for f in s.idempotents:
         below = s.down[f]  # only idempotents lie below an idempotent
         for e in below:
             wits = [g for g in below if s.table[g][e] == s.zero and jt[e][g] == f]
@@ -190,27 +189,34 @@ def check_boolean(s):
     return BooleanCheck(True, None, BoolInvSgp(s, complement, s.identity))
 
 
-def _distributivity_failure(s):
+def _partner_joins(s):
+    """(a, the partners b of a, their joins a v b) per a, each join row
+    read at the partners once, and how a missing join reads there: as
+    bytes through the join view (InvSgp.join_view), 255; without a view,
+    as tuples picked from join_table, None."""
+    view, jt, partners = s.join_view, s.join_table, s.compat_partners
+    if view is None:
+        return [(a, ps, _picker(ps)(jt[a])) for a, ps in enumerate(partners)], None
+    per_a = enumerate(map(bytes, partners))
+    return [(a, ps, ps.translate(view[a])) for a, ps in per_a], 255
+
+
+def _distributivity_failure(s, per_a, none):
     """The first distributivity failure over compatible pairs a <= b, or None.
 
     The pass (_on_generator_sides) keeps the relation x v y = z on the
     triples (a, b, a v b) of the ordered compatible pairs, as (c*a, c*b)
-    can come in either order; a reversed pair without a join declines it.
-    Per a and side, side[a] v side[b] over the partners b of a is read
-    against side read at the joins a v b (_joins_kept).  When the pass
-    declines, _translation_failure names the first c, left before right:
-    ("left-distributivity", c, a, b) or ("right-distributivity", a, b, c).
+    can come in either order; a reversed pair without a join (none in
+    _partner_joins' per_a) declines it.  Per a and side, side[a] v side[b]
+    over the partners b of a is read against side at the joins a v b
+    (_joins_kept).  When the pass declines, _translation_failure names the
+    first c, left before right: ("left-distributivity", c, a, b) or
+    ("right-distributivity", a, b, c).
     """
-    jt = s.join_table
-    per_a = []  # (a, its partners, their joins a v b), per a
-    for a, partners in enumerate(s.compat_partners):
-        joins = _picker(partners)(jt[a])
-        if None in joins:
-            break
-        per_a.append((a, partners, joins))
-    else:
+    if not any(none in joins for _, _, joins in per_a):
         if _on_generator_sides(s, _joins_kept(s, per_a)):
             return None
+    jt = s.join_table
     triples = (
         (a, b, jt[a][b])
         for a, partners in enumerate(s.compat_partners)
@@ -229,32 +235,24 @@ def _joins_kept(s, per_a):
     """holds(side) of _distributivity_failure's pass: side[a] v side[b] is
     side[a v b] for each (a, partners b, joins a v b) of per_a, one per id.
 
-    With the join view (InvSgp.join_view), the partners of a are a byte
-    string, and their joins that string translated through join row a;
-    both are translated through side padded to 256 bytes, and the
-    partners' images then through join row side[a].  The view agrees with
-    the join table wherever it holds an id, and holds 255, never an id, at
-    every other byte, so a side it accepts is accepted by
-    _joins_kept_by_rows too; a side it declines is read again by rows,
-    which also sees a join the table holds off the partners, as one
-    corrupted after its join table was built can.  A join the view reads
-    as 255, which a padded side would read as 0, or no view, leave every
-    side to _joins_kept_by_rows.
+    With the join view (InvSgp.join_view), per_a holds bytes, translated
+    through the _view of side, and the partners' images then through join
+    row side[a].  The view agrees with the join table at every partner, and
+    holds 255, never an id, at every other byte, so a side it accepts is
+    accepted by _joins_kept_by_rows too; a side it declines is read again
+    by rows, which also sees a join the table holds off the partners, as
+    one corrupted after its join table was built can.  Without a view
+    every side is left to _joins_kept_by_rows.
     """
-    jt, view = s.join_table, s.join_view
+    jt, view, k = s.join_table, s.join_view, s.size
     if view is None:
         return _joins_kept_by_rows(jt, per_a)
-    per_a_b = [(a, bytes(ps)) for a, ps, _ in per_a]  # the joins are the table's
-    per_a_b = [(a, ps, ps.translate(view[a])) for a, ps in per_a_b]
-    if b"\xff" in b"".join(js for _, _, js in per_a_b):
-        return _joins_kept_by_rows(jt, per_a)
-    pad = bytes(256 - s.size)
 
     def holds(side):
-        at = bytes(side) + pad
+        (at,) = _view((side,), k)
         return all(
             ps.translate(at).translate(view[side[a]]) == js.translate(at)
-            for a, ps, js in per_a_b
+            for a, ps, js in per_a
         ) or _joins_kept_by_rows(jt, per_a)(side)
 
     return holds
@@ -482,8 +480,9 @@ def _orthogonal_kept(bs):
     are the partners through meet row x, t = y - m is rc row y read at m
     (map getitem), and the joins j the partners through join row x; then
     orth[x][t] and t <= y are read by map, and join_of([x, t]) = j as t
-    through join row x.  A 255 read, or one that fails, declines.  The t
-    of x make its step table, y to t, 255 off the partners.  Per pair
+    through join row x.  A 255 read, or one that fails, declines: orth is
+    read by flag tables, 0/1 with 0 at byte 255.  The t of x make its step
+    table, the _view of y to t on the partners.  Per pair
     (a, b), b in later[a], with step (t2, j), the c of later[b] also in
     later[a] are later[b] translated with the others deleted; their t3 are
     them through the step table of j, and orth[a][t3] and orth[t2][t3]
@@ -494,12 +493,12 @@ def _orthogonal_kept(bs):
     if meets is None or joins is None or rcs is None:
         return False
     sets, every = list(map(frozenset, s.down)), bytes(range(256))
-    orth = [bytes(row).ljust(256, b"\0") for row in s.orth]  # 0/1, 0 at 255
+    orth = [bytes(row).ljust(256, b"\0") for row in s.orth]  # flag tables
     partners = list(map(bytes, s.compat_partners))
     if not all(map(contains, sets, range(s.size))):  # x <= x
         return False
-    steps = []
-    for ps, meet_x, join_x, orth_x in zip(partners, meets[1], joins, orth):
+    steps = []  # y to t, per x
+    for ps, meet_x, join_x, orth_x in zip(partners, meets, joins, orth):
         ts = bytes(map(getitem, map(rcs.__getitem__, ps), ps.translate(meet_x)))
         js = ps.translate(join_x)
         if (
@@ -509,8 +508,8 @@ def _orthogonal_kept(bs):
             or not all(map(contains, map(sets.__getitem__, ps), ts))
         ):
             return False
-        froms = ps + every.translate(None, ps)
-        steps.append(bytes.maketrans(froms, ts.ljust(256, b"\xff")))  # y to t
+        steps.append(dict(zip(ps, ts)))
+    steps = _view(steps, s.size, partners)
     z = bytes((s.zero,))
     later = [_above(ps, a).translate(None, z) for a, ps in enumerate(partners)]
     for a in s.nonzero():
@@ -543,14 +542,14 @@ def _setminus_4_kept(bs):
     joins, rcs, one, z = s.join_view, bs.rc_view, s.identity, s.zero
     if joins is None or rcs is None or one is None or z is None:
         return False
-    t, tables, ids = s.table, s.byte_view[1], bytes(range(s.size))
-    try:
-        downs, d_at = list(map(bytes, s.down)), bytes(s.d).ljust(256, b"\0")
+    t, tables, k = s.table, s.byte_view, s.size
+    try:  # no view of d, None, does not unpack
+        downs, (d_at,) = list(map(bytes, s.down)), _view((s.d,), k)
     except (TypeError, ValueError):
         return False
-    ts, at_z = b"".join(downs), itemgetter(z)
+    ts, at_z, ids = b"".join(downs), itemgetter(z), bytes(range(k))
     if (
-        (ts + d_at[: s.size]).translate(None, ids)  # a byte not an id
+        ts.translate(None, ids)  # a byte not an id
         or not all(map(contains, s.down, itertools.repeat(z)))
         or bytes(map(at_z, rcs)) != ids
         or bytes(map(at_z, joins)) != ids
@@ -558,14 +557,14 @@ def _setminus_4_kept(bs):
         return False  # F1
     if any(ds.translate(d_at).translate(tx) != ds for ds, tx in zip(downs, tables)):
         return False  # F2
-    sts, pad = b"".join(map(bytes.translate, downs, rcs)), bytes(256 - s.size)
+    sts = b"".join(map(bytes.translate, downs, rcs))
     if b"\xff" in sts:
         return False
     for f in set(ts.translate(d_at)):
         c = rcs[one][f]  # 1-f
         if c == 255:
             return False
-        column = bytes(map(itemgetter(c), t)) + pad
+        (column,) = _view((tuple(map(itemgetter(c), t)),), k)
         xf_joins = map(joins.__getitem__, map(itemgetter(f), t))  # join row x*f
         rhs = map(bytes.translate, map(bytes.translate, downs, xf_joins), rcs)
         if sts.translate(column) != b"".join(rhs):

@@ -203,105 +203,62 @@ def _generators(rows):
     return tuple(gens)
 
 
-def _byte_view(rows):
-    """The rows as bytes, and each padded to 256 bytes as a bytes.translate
-    table, or None when the table has more than 255 ids.
+def _view(rows, k, supports=None):
+    """The byte view of rows of ids in 0..k-1 or None, such as the product,
+    meet and join tables: one 256-byte bytes.translate table per row, or
+    None when k > 255 or an entry read is neither None nor such an id.
 
-    rows_b[g].translate(tables[x]) is row x read at the entries of row g,
-    the x*(g*y) over every y, in one C call.  rows are k rows of ids in
-    0..k-1, as _check_entries or an _IdRows maker has checked them.  255
-    and not 256, so that byte 255 is never an id and can stand for "no
-    join" (boolean._joins_kept).  The bound is a property of the table, not
-    a setting.
-    """
-    k = len(rows)
-    if k > 255:
-        return None
-    rows_b = tuple(map(bytes, rows))
-    pad = bytes(256 - k)
-    return rows_b, tuple(row + pad for row in rows_b)
-
-
-def _byte_rows(rows, k):
-    """_byte_view of rows of ids in 0..k-1 or None, such as the meet and
-    join tables, with byte 255 for None and each translate table padded
-    with 255, so that None reads as None; or None when k > 255 or an entry
-    is neither None nor such an id.
-
-    A row without None is read by bytes(row) and its range checked; one
-    with None is read through a dict of the ids and None, so an entry it
-    lacks raises.  Both are C loops over the row.
+    Byte y of row x's table is rows[x][y], read at the ids supports[x]
+    (ascending, distinct) when given, else at every y < k.  Byte 255
+    stands for no id: at an entry None, at every byte off the support and
+    at the padding from k up.  255 and not 256 ids, so that byte 255 is
+    never an id; the bound is a property of the table, not a setting.  255
+    read through any view stays 255, so view[g].translate(view[x]) is row
+    x read at the entries of row g, x*(g*y) over every y, in one C call;
+    a kernel that needs row x as k bytes slices view[x][:k].  A row is read
+    by bytes() and its range checked; one holding None, through a dict of
+    the ids and None, so an entry it lacks raises.
     """
     if k > 255:
         return None
-    ids = bytes(range(k))
-    code = dict(zip(range(k), ids))
-    code[None] = 255
-    rows_b = []
-    for row in rows:
-        try:
-            row_b = bytes(row)
-        except TypeError:  # a None, or an entry that is no int
+    every, code, out = bytes.maketrans(b"", b""), None, []  # every: 0..255
+    ids = every[:k]
+    for x, row in enumerate(rows):
+        try:  # an id k or more fails the picker, one off 0..255 bytes()
+            if supports is not None:
+                row, at = _picker(supports[x])(row), bytes(supports[x])
             try:
-                row_b = bytes(map(code.__getitem__, row))
-            except (KeyError, TypeError):
-                return None
-        except ValueError:  # an int off 0..255
+                vals = bytes(row)
+                if vals.translate(None, ids):
+                    return None
+            except TypeError:  # a None, or an entry that is no int
+                code = code or {**dict(zip(range(k), every)), None: 255}
+                vals = bytes(map(code.__getitem__, row))
+            vals = vals.ljust(256, b"\xff")
+            if supports is not None:  # 256 sources when the ids are distinct
+                vals = bytes.maketrans(at + every.translate(None, at), vals)
+        except (IndexError, KeyError, TypeError, ValueError):
             return None
-        else:
-            if row_b.translate(None, ids):
-                return None
-        rows_b.append(row_b)
-    pad = b"\xff" * (256 - k)
-    return tuple(rows_b), tuple(row + pad for row in rows_b)
+        out.append(vals)
+    return tuple(out)
 
 
 def _flagged(flags, k):
-    """For each of flags, an int of k bytes each 0 or 255 (k at most 255),
-    the positions of its bytes 255, as bytes: the ids b + 1 are ANDed with
-    it, the zero bytes dropped and 1 taken off each."""
-    ids = int.from_bytes(bytes(range(1, k + 1)), "big")
+    """For each of flags, an int whose byte y (little-endian) is 0 or 255,
+    0 from byte k up (k at most 255), the positions y of its bytes 255, as
+    bytes: the ids y + 1 are ANDed with it, the zero bytes dropped and 1
+    taken off each."""
+    ids = int.from_bytes(bytes(range(1, k + 1)), "little")
     less_one = bytes(1) + bytes(range(255))
-    return [(ids & f).to_bytes(k, "big").translate(less_one, b"\0") for f in flags]
+    return [(ids & f).to_bytes(k, "little").translate(less_one, b"\0") for f in flags]
 
 
-def _defined_at(rows_b, k):
-    """_flagged for rows of k bytes, 255 standing for None: the positions
-    of each row's other bytes."""
+def _defined_at(view, k):
+    """_flagged for the tables of a view: the positions of each row's bytes
+    other than 255."""
     defined = b"\xff" * 255 + b"\0"
-    flags = (int.from_bytes(row.translate(defined), "big") for row in rows_b)
+    flags = (int.from_bytes(row.translate(defined), "little") for row in view)
     return _flagged(flags, k)
-
-
-def _partner_view(rows, supports, k):
-    """For each row and its support, ascending distinct ids, a 256-byte
-    bytes.translate table: the row's entry at each id of the support, and
-    byte 255 at every other byte and wherever that entry is None or no id
-    in 0..k-1.  None when k > 255 or a support is not such ids.
-
-    Built from the supports by bytes.maketrans, not entry by entry: the
-    entries at the support are picked, and checked ids by one translate.
-    So the view may hold 255 where the table holds an id, never an id the
-    table does not hold at that place; a kernel declines on any 255 it
-    reads.  InvSgp.join_view and BoolInvSgp.rc_view are two such views.
-    """
-    if k > 255:
-        return None
-    every = bytes(range(256))
-    kept = every[:k] + b"\xff" * (256 - k)  # ids to themselves, other bytes to 255
-    out = []
-    for row, ids in zip(rows, supports):
-        try:  # an id k or more fails the picker, one off 0..255 bytes()
-            at, ids = _picker(ids)(row), bytes(ids)
-            try:
-                vals = bytes(at).translate(kept)
-            except (TypeError, ValueError):  # a None, or an entry off 0..255
-                vals = bytes(v if v in range(k) and type(v) is int else 255 for v in at)
-            froms = ids + every.translate(None, ids)  # 256 bytes when ids are distinct
-            out.append(bytes.maketrans(froms, vals.ljust(256, b"\xff")))
-        except (IndexError, TypeError, ValueError):
-            return None
-    return tuple(out)
 
 
 def _checked_meets(s):
@@ -330,15 +287,14 @@ def _light_test(rows, gens, view):
     holds on a generating set it holds everywhere.  One row comparison per
     (x, g): the row of x*g against the row of x read at the row of g, one x
     at a time, so no copy of the table is held.  With the table's byte view
-    (_byte_view) that read is row g translated through row x; without one,
-    _light_test_by_rows reads it with itemgetter.
+    (_view) that read is the table of row g translated through that of row
+    x; without one, _light_test_by_rows reads it with itemgetter.
     """
     if view is None:
         return _light_test_by_rows(rows, gens)
-    rows_b, tables = view
     for g in gens:
-        x_g = map(rows_b.__getitem__, map(itemgetter(g), rows))  # rows of x*g
-        if not all(map(eq, x_g, map(rows_b[g].translate, tables))):
+        x_g = map(view.__getitem__, map(itemgetter(g), rows))  # tables of x*g
+        if not all(map(eq, x_g, map(view[g].translate, view))):
             return False
     return True
 
@@ -354,7 +310,7 @@ def _light_test_by_rows(rows, gens):
 
 def _tested_generators(rows, view):
     """_generators of rows when Light's test on them shows rows
-    associative, else None; view is rows' _byte_view."""
+    associative, else None; view is rows' _view."""
     gens = _generators(rows)
     return gens if _light_test(rows, gens, view) else None
 
@@ -407,41 +363,41 @@ def _restricted_product_kept(s):
     with down[a] deleted leaves nothing, d(a2) = r(b2) is them through d,
     and a2*b2 = a*b is eb2 through row a against row a.
     """
-    view, t, down = s.byte_view, s.table, s.down
-    if view is None:
+    view, t, down, k = s.byte_view, s.table, s.down, s.size
+    d_r = None if view is None else _view((s.d, s.r), k)
+    if d_r is None:
         return False
-    (rows_b, tables), ids = view, bytes(range(s.size))
     try:
-        d_b, r_b, downs = bytes(s.d), bytes(s.r), list(map(bytes, down))
+        downs = list(map(bytes, down))
     except (TypeError, ValueError):
         return False
-    if (d_b + r_b + b"".join(downs)).translate(None, ids):  # a byte not an id
+    if b"".join(downs).translate(None, bytes(range(k))):  # a byte not an id
         return False
-    sets = list(map(frozenset, down))
+    (d_at, r_at), sets = d_r, list(map(frozenset, down))
+    d_b, r_b = d_at[:k], r_at[:k]
 
     def holds(g):
-        at = [downs[g].translate(table_x) for table_x in tables].__getitem__
+        at = [downs[g].translate(table_x) for table_x in view].__getitem__
         products = (set(b"".join(map(at, ds))) for ds in down)  # down[a]*down[g]
         return all(map(eq, products, map(sets.__getitem__, map(itemgetter(g), t))))
 
     if not _on_generators(s, holds):
         return False
-    d_at, r_at = d_b.ljust(256, b"\0"), r_b.ljust(256, b"\0")
     r_rows = [t[e] for e in r_b]
     per_f = {  # f: every f*b <= b, and r(f*b) and r(b)*(f*b) over every b
         f: (
             all(map(contains, down, t[f])),
-            rows_b[f].translate(r_at),
+            view[f][:k].translate(r_at),
             bytes(map(getitem, r_rows, t[f])),
         )
         for f in set(d_b)
     }
-    for f, row_a, table_a, below_a in zip(d_b, rows_b, tables, downs):
+    for f, table_a, below_a in zip(d_b, view, downs):
         below, r_b2, eb2 = per_f[f]
         a2 = r_b.translate(table_a)
         if not below or a2.translate(None, below_a) or a2.translate(d_at) != r_b2:
             return False
-        if eb2.translate(table_a) != row_a:
+        if eb2.translate(table_a) != table_a[:k]:
             return False
     return True
 
@@ -576,7 +532,7 @@ class InvSgp:
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
     generating set (_tested_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
-    k*k, of bytes when the table has at most 255 ids (_byte_view).  When it
+    k*k, of bytes when the table has at most 255 ids (_view).  When it
     fails, the row scan of _check_associativity names the first
     failing triple in lexicographic order as the NotAssociative witness.
     Then each element needs exactly one inverse and the idempotents must
@@ -601,7 +557,7 @@ class InvSgp:
         if type(table) is not _IdRows:
             _check_entries(rows)
 
-        view = _byte_view(rows)
+        view = _view(rows, k)
         gens = _tested_generators(rows, view)
         if gens is None:
             _check_associativity(rows)
@@ -682,15 +638,14 @@ class InvSgp:
         view = self.byte_view
         if view is None:
             return _compat_partners_by_rows(t, inv, self.idempotents)
-        rows_b, tables = view
-        flag = bytearray(256)
+        flag = bytearray(256)  # a flag table: 0, false, at byte 255
         for e in self.idempotents:
             flag[e] = 255
         inv_b, read = bytes(inv), int.from_bytes
         both = (  # a'*b and a*b' idempotent
-            read(rows_b[ia].translate(flag), "big")
-            & read(inv_b.translate(table_a).translate(flag), "big")
-            for ia, table_a in zip(inv, tables)
+            read(view[ia].translate(flag), "little")
+            & read(inv_b.translate(table_a).translate(flag), "little")
+            for ia, table_a in zip(inv, view)
         )
         return tuple(map(tuple, _flagged(both, self.size)))
 
@@ -742,22 +697,22 @@ class InvSgp:
 
     @cached_property
     def meet_view(self):
-        """_byte_rows of meet_table, which the law kernels of laws wedge,
+        """The _view of meet_table, which the law kernels of laws wedge,
         fish, eggs and orthogonal read; None above 255 ids, as byte_view,
         or when a meet is neither None nor an id.  Only laws read it, so
         analyze never builds it."""
-        return _byte_rows(self.meet_table, self.size)
+        return _view(self.meet_table, self.size)
 
     @cached_property
     def join_view(self):
-        """_partner_view of join_table on the compatible partners: join row
-        a as a translate table, the join a v b at each partner b and byte
-        255 at every other byte.  None above 255 ids, as byte_view.  Read
-        by check_boolean's distributivity pass (boolean._joins_kept) and
-        the law kernels of laws orthogonal and setminus-4."""
+        """The _view of join_table on the compatible partners: the join a v b
+        at each partner b of a, byte 255 at every other byte.  None without
+        byte_view, as above 255 ids, or when a join there is neither None
+        nor an id.  Read by check_boolean (boolean._partner_joins) and the
+        law kernels of laws orthogonal and setminus-4."""
         if self.byte_view is None:
             return None
-        return _partner_view(self.join_table, self.compat_partners, self.size)
+        return _view(self.join_table, self.size, self.compat_partners)
 
     @cached_property
     def join_table(self):

@@ -48,7 +48,6 @@ from .booleanization import (
 )
 from .core import (
     CONGRUENCE_SCAN_CAP,
-    _byte_rows,
     _checked_meets,
     _defined_at,
     _first_split,
@@ -60,6 +59,7 @@ from .core import (
     _positions,
     _restricted_product_kept,
     _translation_failure,
+    _view,
     all_congruences,
     d_relation_idempotents,
     is_fundamental,
@@ -255,9 +255,9 @@ def law_wedge(c):
     _wedge_scan names the first witness (a, b, a meet b)."""
     s = c.s
     if (meets := s.meet_view) is not None:
-        d_at = bytes(s.d).ljust(256, b"\0")
+        (d_at,) = _view((s.d,), s.size)
         partners = map(bytes, s.compat_partners)
-        rows = zip(partners, meets[1], s.byte_view[1])
+        rows = zip(partners, meets, s.byte_view)
         if all(ps.translate(m) == ps.translate(d_at).translate(t) for ps, m, t in rows):
             return None
     return _wedge_scan(s)
@@ -294,9 +294,9 @@ def _fish_kept(s):
     b with a meet (core._defined_at) as bytes read through row g and then
     through meet row g*a, against the meets of row a read through row g.
     A meet of g*a that is None reads as byte 255, never a product."""
-    t, tables, (meet_rows, meet_tabs) = s.table, s.byte_view[1], s.meet_view
-    meets = [row.translate(None, b"\xff") for row in meet_rows]
-    per_a = list(zip(_defined_at(meet_rows, s.size), meets))  # (the b, their meets)
+    t, tables, meet_tabs = s.table, s.byte_view, s.meet_view
+    meets = [row.translate(None, b"\xff") for row in meet_tabs]
+    per_a = list(zip(_defined_at(meet_tabs, s.size), meets))  # (the b, their meets)
 
     def holds(g):
         table_g = tables[g]
@@ -618,33 +618,31 @@ def _joins_are_unions(s, beta, owner):
     With the table's byte view, and when premise D holds on beta, each row
     U(x, .) is one bytes.translate of an earlier row, 255 standing for None:
       D   every beta(x) without any one of its bits is beta(y) for an id y.
-    The rows of 0 and of the atoms are looked up in owner.  For x with two
-    or more bits, α the atom of its highest bit and y the id of beta(x)
-    without it (D), U(x, .) is U(y, .) read through U(α, .), 255 to 255,
-    and beta(y) < beta(x), so rows are built by ascending beta.  D makes
-    this exact.  Where U(y, q) = w, beta(w) = beta(y) | beta(q) (B1), so
-    U(α, w) = U(x, q).  Where U(y, q) is None, U(x, q) is None too:
-    beta(x) | beta(q) is beta(y) | beta(q) when q has α's bit, and
-    otherwise it loses that bit to beta(y) | beta(q), no beta, so by D it
-    is no beta either.
+    The views of rows 0 and of the atoms are looked up in owner.  For x with
+    two or more bits, α the atom of its highest bit and y the id of beta(x)
+    without it (D), U(x, .) is U(y, .) read through U(α, .), 255 to 255, and
+    beta(y) < beta(x), so rows are built by ascending beta.  D makes this
+    exact.  Where U(y, q) = w, beta(w) = beta(y) | beta(q) (B1), so U(α, w) =
+    U(x, q).  Where U(y, q) is None, U(x, q) is None too: beta(x) | beta(q)
+    is beta(y) | beta(q) when q has α's bit, and otherwise it loses that bit
+    to beta(y) | beta(q), no beta, so by D it is no beta either.
 
     Join row x is then read where U(x, .) is defined (core._defined_at) and
     compared as bytes, and it must hold None at every other q: as many
-    Nones as U(x, .) has bytes 255.  Without a byte view or without D,
-    _joins_are_unions_by_rows decides.
+    Nones as U(x, .) has bytes 255 below k.  Without a byte view or
+    without D, _joins_are_unions_by_rows decides.
     """
     k, jt = s.size, s.join_table
     bits = ((b, 1 << i) for b in owner for i in range(b.bit_length()) if b >> i & 1)
     if s.byte_view is None or not all(b ^ bit in owner for b, bit in bits):
         return _joins_are_unions_by_rows(jt, beta, owner)
-    get, none, pad = owner.get, itertools.repeat(255), b"\xff" * (256 - k)
-    rows = [None] * k
+    get, rows = owner.get, [None] * k
     for b, x in sorted(owner.items()):
         if b & (b - 1):  # two or more bits
             top = 1 << (b.bit_length() - 1)
-            rows[x] = rows[owner[b ^ top]].translate(rows[owner[top]] + pad)
+            rows[x] = rows[owner[b ^ top]].translate(rows[owner[top]])
         else:
-            rows[x] = bytes(map(get, map(b.__or__, beta), none))
+            (rows[x],) = _view((tuple(map(get, map(b.__or__, beta))),), k)
     for row_u, at, row in zip(rows, _defined_at(rows, k), jt):
         try:
             joins = bytes(_picker(at)(row))  # raises at a None or a non-byte
@@ -760,8 +758,8 @@ def _eggs_pairs_by_atoms(s, splits):
     """
     if splits is None:
         return False
-    mt, z, meets = s.meet_table, s.zero, s.meet_view
-    rows, none = (mt, None) if meets is None else (meets[0], 255)
+    k, mt, z, meets = s.size, s.meet_table, s.zero, s.meet_view
+    rows, none = (mt, None) if meets is None else ([m[:k] for m in meets], 255)
     if any(none in row for row in rows) or list(map(tuple, mt)) != list(zip(*mt)):
         return False
     return set(mt[z]) == {z} and _meets_extend(s, splits)
@@ -775,24 +773,25 @@ def _meets_extend(s, splits):
     for each atom α of a split, α meet u is α or z, so the join of rows y
     and α is row y read through join column α where row α reads α, and
     through join column z elsewhere: two translates of row y, put together
-    by an int mask of row α.  A join that is None reads as byte 255, never
-    a meet.  Otherwise _joins_extend decides.
+    by an int mask, row α through a flag table of α, 0 at byte 255.  A
+    join that is None reads as byte 255, never a meet.  Otherwise
+    _joins_extend decides.
     """
-    jt, z, meets = s.join_table, s.zero, s.meet_view
+    jt, z, meets, k = s.join_table, s.zero, s.meet_view, s.size
     alphas = sorted({a for _, _, a in splits})
     columns = [tuple(map(itemgetter(a), jt)) for a in (z, *alphas)]
-    cols = None if meets is None else _byte_rows(columns, s.size)
-    if cols is None or any(meets[0][a].translate(None, bytes((z, a))) for a in alphas):
+    cols = None if meets is None else _view(columns, k)
+    if cols is None or any(meets[a][:k].translate(None, bytes((z, a))) for a in alphas):
         return _joins_extend(jt, s.meet_table, splits)
-    rows, (at_z, *at_alphas), read = meets[0], cols[1], int.from_bytes
+    (at_z, *at_alphas), read = cols, int.from_bytes
     per_atom = {  # α: its join column, and the mask of the u with α meet u = α
-        a: (at_a, read(rows[a].translate(bytes.maketrans(bytes((a, z)), b"\xff\0"))))
+        a: (at_a, read(meets[a].translate(bytes(a) + b"\xff" + bytes(255 - a))))
         for a, at_a in zip(alphas, at_alphas)
     }
     for x, y, a in splits:
-        (at_a, m), ry = per_atom[a], rows[y]
+        (at_a, m), ry = per_atom[a], meets[y]
         joins = read(ry.translate(at_a)) & m | read(ry.translate(at_z)) & ~m
-        if joins != read(rows[x]):
+        if joins != read(meets[x]):
             return False
     return True
 

@@ -1,13 +1,14 @@
 """The byte kernels against the itemgetter reads they stand in for.
 
-A table of at most 255 ids gets a byte view (core._byte_view), and its
-meet table one too (core._byte_rows, InvSgp.meet_view, None read as byte
-255).  Its join table on the compatible partners and, when Boolean, its
-relative complements on the down-sets get the join and rc views
-(core._partner_view, InvSgp.join_view and BoolInvSgp.rc_view), 255 off
-the support.  Ten kernels read them with bytes.translate: Light's test,
-InvSgp.compat_partners and the join reads of check_boolean's
-distributivity pass (boolean._joins_kept); and in the law suite, law
+A table of at most 255 ids gets a byte view, one 256-byte translate table
+per row made by the one builder core._view, byte 255 standing for no id:
+an entry None, a byte off the row's support, and the padding from k up.
+So do its meet table (InvSgp.meet_view), its join table on the compatible
+partners (InvSgp.join_view) and, when Boolean, its relative complements on
+the down-sets (BoolInvSgp.rc_view).  Ten kernels read them with
+bytes.translate: Light's test, InvSgp.compat_partners and the join reads
+of check_boolean (boolean._partner_joins) and its distributivity pass
+(boolean._joins_kept); and in the law suite, law
 wedge's rows, law fish's generator rows (laws._fish_kept), law
 definition's join premise B3 (laws._joins_are_unions), law eggs' meet
 premise E4 (laws._meets_extend), and the two-index laws restricted-product
@@ -21,7 +22,10 @@ and each view with its table, on the corpus, on generated structures
 relabelled by seeded permutations, on tables with one entry corrupted
 (built unchecked from a validated table), and at the boundary: 255 ids
 take the byte path, 256 the general one.  Valid tables of at most 255
-ids never reach the general path.
+ids never reach the general path.  Flag tables, such as the idempotent
+flags of compat_partners and the orth rows of law orthogonal, are no
+views: they hold 0, false, at byte 255, so a 255 read through them
+declines.
 """
 
 from functools import cache
@@ -37,21 +41,19 @@ from biskit.boolean import (
     _joins_kept,
     _joins_kept_by_rows,
     _orthogonal_kept,
+    _partner_joins,
     _setminus_4_kept,
     k_of_groupoid,
 )
 from biskit.cli import main
 from biskit.core import (
     InvSgp,
-    _byte_rows,
-    _byte_view,
-    _partner_view,
     _compat_partners_by_rows,
     _generators,
     _light_test,
     _on_generator_sides,
-    _picker,
     _restricted_product_kept,
+    _view,
     adjoin_zero,
     table_product,
 )
@@ -89,7 +91,12 @@ from biskit.laws import (
     law_setminus_4,
     law_wedge,
 )
-from generated import component_forms, cyclic_group, i4_subsemigroup_tables
+from generated import (
+    bisection_count,
+    component_forms,
+    cyclic_group,
+    i4_subsemigroup_tables,
+)
 from test_core import I4, relabel, shuffled
 from test_law_kernels import corrupted, corruptions, outcome
 from unchecked import unchecked
@@ -132,15 +139,10 @@ def refuse_general_paths(mp):
 
 
 def per_a(s):
-    """_distributivity_failure's (a, partners, joins) per a, or None when a
-    compatible pair has no join."""
-    jt, out = s.join_table, []
-    for a, partners in enumerate(s.compat_partners):
-        joins = _picker(partners)(jt[a])
-        if None in joins:
-            return None
-        out.append((a, partners, joins))
-    return out
+    """check_boolean's (a, partners, joins) per a (_partner_joins), as bytes
+    with a join view, or None when a compatible pair has no join."""
+    out, none = _partner_joins(s)
+    return None if any(none in joins for _, _, joins in out) else out
 
 
 def sides(s):
@@ -275,8 +277,15 @@ def test_byte_kernels_match_the_general_path_on_generated_structures(table, seed
     assert_two_index_kernels_agree(Analysis(s), valid=True)
 
 
+# the forms whose tables of local bisections have at most 255 ids, so that
+# both sides differ: above, both are the general path
+byte_forms = component_forms.filter(
+    lambda form: bisection_count(reconstruct(form)) <= 255
+)
+
+
 @settings(max_examples=20, deadline=None)
-@given(component_forms, st.integers(0, 2**16))
+@given(byte_forms, st.integers(0, 2**16))
 def test_byte_kernels_match_the_general_path_on_component_forms(form, seed):
     table = k_of_groupoid(reconstruct(form)).table
     s = InvSgp(relabelled(table, seed))
@@ -352,28 +361,54 @@ def test_two_index_kernels_match_the_general_path_on_corrupted_d_and_r(
     assert_two_index_kernels_agree(c)
 
 
-def test_partner_view_reads_255_off_the_support_and_at_entries_no_id():
-    rows = ((0, None, 1), (2, 1, 5))
-    view = _partner_view(rows, ((0, 1, 2), (0, 2)), 3)
-    assert [table[:4] for table in view] == [
-        bytes((0, 255, 1, 255)),
-        bytes((2, 255, 255, 255)),
-    ]
-    assert all(table[3:] == b"\xff" * 253 for table in view)
-    for support in ((0, 0), (3,), (-1,), (256,)):  # an id twice, k, -1, 256
-        assert _partner_view(rows, (support, ()), 3) is None
-    assert _partner_view(((None,),) * 256, ((),) * 256, 256) is None
-
-
 def test_byte_rows_read_none_as_255_and_decline_other_entries():
-    assert _byte_rows(((0, None), (1, 0)), 2) == (
-        (bytes((0, 255)), bytes((1, 0))),
-        (bytes((0, 255)) + b"\xff" * 254, bytes((1, 0)) + b"\xff" * 254),
+    # the view of whole rows, such as the product and meet tables: None and
+    # the padding read as 255, an entry that is no id declines the view
+    k, pad = 3, b"\xff" * 253
+    assert _view(((0, None, 1),), k) == (bytes((0, 255, 1)) + pad,)
+    for bad in (-1, k, 255, "0", 0.5, [0]):  # read by bytes() and by the dict
+        assert _view(((0, 1, 2), (1, bad, 0)), k) is None, bad
+        assert _view(((0, None, 2), (1, bad, 0)), k) is None, bad
+    assert _view(((None,),) * 256, 256) is None
+
+
+def test_partner_view_reads_255_off_the_support_and_at_entries_no_id():
+    # the view of rows read on supports, such as the join table on the
+    # compatible partners: a byte off the support and an entry None read as
+    # 255; an entry off the support is not read, so no id there still gives
+    # a view
+    rows, k, pad = ((0, None, 1), (2, 1, "x")), 3, b"\xff" * 253
+    assert _view(rows, k, ((0, 1, 2), (0, 1))) == (
+        bytes((0, 255, 1)) + pad,
+        bytes((2, 1, 255)) + pad,
     )
-    for bad in (2, -1, 256, "0", 0.5, [0]):
-        assert _byte_rows(((0, None), (1, bad)), 2) is None, bad
-        assert _byte_rows(((0, 1), (1, bad)), 2) is None, bad
-    assert _byte_rows(((None,),) * 256, 256) is None
+    for bad in (-1, k, 255, "0", 0.5, [0]):
+        assert _view(((0, 1, 2), (1, bad, 0)), k, ((0,), (0, 1))) is None, bad
+        assert _view(((0, 1, 2), (1, bad, 0)), k, ((0,), (0, 2))) is not None, bad
+    for support in ((0, 0), (k,), (-1,)):  # an id twice, k, -1
+        assert _view(rows[:1], k, (support,)) is None, support
+    assert _view(((None,),) * 256, 256, ((),) * 256) is None
+
+
+def test_whole_view_tables_compose_as_the_rows_do():
+    # 255 read through any view stays 255, so the whole tables of a product
+    # view compose as the rows do: view[g] through view[x] is view[x*g]
+    tables = [build() for build in SEMIGROUP_BUILDERS.values()]
+    for table in (*tables, I4, boundary_table(255)):
+        view = _view(table, len(table))
+        for x, row in enumerate(table):
+            products = [view[g].translate(view[x]) for g in range(len(table))]
+            assert products == [view[xg] for xg in row], x
+
+
+def test_an_rc_entry_read_as_255_declines_law_orthogonal_by_bytes():
+    # powerset2's pair (1, 2) reads t = rc(2, 1 meet 2) = rc(2, 0), here
+    # None, so 255 in the rc view: the kernel declines and the law is read
+    # by rows
+    c = corrupted("powerset2", "rc_table", 2, 0, None)
+    assert c.bs.rc_view[2][0] == 255
+    assert not _orthogonal_kept(c.bs)
+    assert outcome(law_orthogonal, c) == outcome(_orthogonal_by_rows, c.bs)
 
 
 def test_a_meet_table_entry_outside_the_ids_takes_the_general_path():
@@ -417,7 +452,7 @@ def test_light_test_by_bytes_fails_where_the_general_path_fails(name, data):
     a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
     table[a][b] = v
     rows = tuple(map(tuple, table))
-    view = _byte_view(rows)
+    view = _view(rows, k)
     assert view is not None
     for gens in (_generators(rows), *((g,) for g in range(k))):
         assert _light_test(rows, gens, view) == _light_test(rows, gens, None)

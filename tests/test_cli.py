@@ -6,6 +6,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -589,3 +591,38 @@ def test_every_pinned_report_is_regenerated():
 def test_report_matches_the_pinned_bytes(fname, capsys):
     assert main(PINNED[fname]) == 0
     assert capsys.readouterr().out == (REPORTS / fname).read_text()
+
+
+# run in a fresh interpreter: every function (CO_OPTIMIZED code: functions,
+# methods, lambdas, comprehensions) of biskit that runs while biskit.cli
+# is imported, by the profiler's call events
+IMPORT_PROFILE = """
+import inspect, os, sys
+src = os.path.join(sys.argv[1], "biskit")
+ran = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_flags & inspect.CO_OPTIMIZED:
+        if os.path.abspath(code.co_filename).startswith(src):
+            ran.add(f"{os.path.basename(code.co_filename)}:{code.co_name}")
+
+sys.setprofile(profile)
+import biskit.cli
+sys.setprofile(None)
+print("\\n".join(sorted(ran)))
+"""
+
+
+def test_importing_biskit_runs_only_module_and_class_bodies():
+    # the CLI's start-up time is the import: a table, cache or check built
+    # at import time would be paid by every command, whatever it reads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biskit.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROFILE, src],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    ).stdout
+    assert out.split() == []
