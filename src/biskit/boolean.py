@@ -16,12 +16,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb, factorial
-from operator import and_, contains, getitem, itemgetter, or_
+from operator import and_, itemgetter, or_
 
 from .core import (
     InvSgp,
     _IdRows,
     _dr_classes,
+    _form,
     _mask,
     _on_generator_sides,
     _on_generators,
@@ -91,14 +92,11 @@ class BoolInvSgp:
 
     @cached_property
     def rc_view(self):
-        """The _view of rc_table on down: x minus y at each y <= x.  None
-        without a byte_view, or when an entry there is no id or None.  Only
-        the law kernels of laws orthogonal and setminus-4 read it, so
-        analyze never builds it."""
-        b = self.base
-        if b.byte_view is None:
-            return None
-        return _view(self.rc_table, self.size, b.down)
+        """The _view of rc_table on down: x minus y at each y <= x, no id at
+        every other entry (in the tuple form, rc_table itself).  None when
+        an entry read is neither None nor an id.  Only the kernel of law
+        setminus-4 reads it, so analyze never builds it."""
+        return _view(self.rc_table, self.size, self.base.down)
 
     def rc(self, x, y):
         """Relative complement x minus y, for y <= x; read off rc_table."""
@@ -191,14 +189,13 @@ def check_boolean(s):
 
 def _partner_joins(s):
     """(a, the partners b of a, their joins a v b) per a, each join row
-    read at the partners once, and how a missing join reads there: as
-    bytes through the join view (InvSgp.join_view), 255; without a view,
-    as tuples picked from join_table, None."""
-    view, jt, partners = s.join_view, s.join_table, s.compat_partners
-    if view is None:
-        return [(a, ps, _picker(ps)(jt[a])) for a, ps in enumerate(partners)], None
-    per_a = enumerate(map(bytes, partners))
-    return [(a, ps, ps.translate(view[a])) for a, ps in per_a], 255
+    gathered at the partners once through the join view
+    (InvSgp.join_view), and the view's entry for no id.  Without a view,
+    as when a join is no id, the join table is read in the tuple form."""
+    rows = s.join_view or s.join_table
+    form = _form(rows)
+    per_a = enumerate(map(form.ids, s.compat_partners))
+    return [(a, ps, form.read(ps, rows[a])) for a, ps in per_a], form.none
 
 
 def _distributivity_failure(s, per_a, none):
@@ -235,38 +232,23 @@ def _joins_kept(s, per_a):
     """holds(side) of _distributivity_failure's pass: side[a] v side[b] is
     side[a v b] for each (a, partners b, joins a v b) of per_a, one per id.
 
-    With the join view (InvSgp.join_view), per_a holds bytes, translated
-    through the _view of side, and the partners' images then through join
-    row side[a].  The view agrees with the join table at every partner, and
-    holds 255, never an id, at every other byte, so a side it accepts is
-    accepted by _joins_kept_by_rows too; a side it declines is read again
-    by rows, which also sees a join the table holds off the partners, as
-    one corrupted after its join table was built can.  Without a view
-    every side is left to _joins_kept_by_rows.
+    The partners are gathered through the view of side, and their images
+    then through join row side[a] of the join view (InvSgp.join_view),
+    against the joins gathered through side.  The byte view holds no id
+    off the partners, so a side whose images leave them declines, and
+    _translation_failure reads the join table there.  Without a view
+    every side declines.
     """
-    jt, view, k = s.join_table, s.join_view, s.size
+    view, k = s.join_view, s.size
     if view is None:
-        return _joins_kept_by_rows(jt, per_a)
+        return lambda side: False
+    form = _form(view)
+    read = form.read
 
     def holds(side):
-        (at,) = _view((side,), k)
+        (at,) = form.view((side,), k)
         return all(
-            ps.translate(at).translate(view[side[a]]) == js.translate(at)
-            for a, ps, js in per_a
-        ) or _joins_kept_by_rows(jt, per_a)(side)
-
-    return holds
-
-
-def _joins_kept_by_rows(jt, per_a):
-    """_joins_kept on a table without a byte view: one itemgetter read of
-    the join row per a and side."""
-    per_a = [(a, _picker(partners), _picker(joins)) for a, partners, joins in per_a]
-
-    def holds(side):
-        return all(
-            _picker(at_partners(side))(jt[side[a]]) == at_joins(side)
-            for a, at_partners, at_joins in per_a
+            read(read(ps, at), view[side[a]]) == read(js, at) for a, ps, js in per_a
         )
 
     return holds
@@ -469,107 +451,6 @@ def k_of_groupoid(g):
 def _above(partners, a):
     """The entries of the ascending tuple partners that are greater than a."""
     return partners[bisect_right(partners, a):]
-
-
-def _orthogonal_kept(bs):
-    """True when every step and triple law orthogonal
-    (laws.law_orthogonal) reads holds, read by bytes.translate on the
-    views; False, to decline, without them.
-
-    The steps of x are made for all its partners y at once: the meets m
-    are the partners through meet row x, t = y - m is rc row y read at m
-    (map getitem), and the joins j the partners through join row x; then
-    orth[x][t] and t <= y are read by map, and join_of([x, t]) = j as t
-    through join row x.  A 255 read, or one that fails, declines: orth is
-    read by flag tables, 0/1 with 0 at byte 255.  The t of x make its step
-    table, the _view of y to t on the partners.  Per pair
-    (a, b), b in later[a], with step (t2, j), the c of later[b] also in
-    later[a] are later[b] translated with the others deleted; their t3 are
-    them through the step table of j, and orth[a][t3] and orth[t2][t3]
-    are read by map.
-    """
-    s = bs.base
-    meets, joins, rcs = s.meet_view, s.join_view, bs.rc_view
-    if meets is None or joins is None or rcs is None:
-        return False
-    sets, every = list(map(frozenset, s.down)), bytes(range(256))
-    orth = [bytes(row).ljust(256, b"\0") for row in s.orth]  # flag tables
-    partners = list(map(bytes, s.compat_partners))
-    if not all(map(contains, sets, range(s.size))):  # x <= x
-        return False
-    steps = []  # y to t, per x
-    for ps, meet_x, join_x, orth_x in zip(partners, meets, joins, orth):
-        ts = bytes(map(getitem, map(rcs.__getitem__, ps), ps.translate(meet_x)))
-        js = ps.translate(join_x)
-        if (
-            b"\0" in ts.translate(orth_x)
-            or b"\xff" in js
-            or ts.translate(join_x) != js
-            or not all(map(contains, map(sets.__getitem__, ps), ts))
-        ):
-            return False
-        steps.append(dict(zip(ps, ts)))
-    steps = _view(steps, s.size, partners)
-    z = bytes((s.zero,))
-    later = [_above(ps, a).translate(None, z) for a, ps in enumerate(partners)]
-    for a in s.nonzero():
-        la, others = later[a], every.translate(None, later[a])
-        t3s = [
-            later[b].translate(None, others).translate(steps[j])
-            for b, j in zip(la, la.translate(joins[a]))
-        ]
-        t2s = la.translate(steps[a])
-        if b"\0" in b"".join(t3s).translate(orth[a]) or any(
-            b"\0" in row.translate(orth[t2]) for row, t2 in zip(t3s, t2s)
-        ):
-            return False
-    return True
-
-
-def _setminus_4_kept(bs):
-    """True when F1, F2 and H of laws._setminus_4_on_generators hold, read
-    by bytes.translate; False, to decline, without the views.
-
-    The down-pairs are taken by x, down[x] as bytes.  F1 is column 0 of
-    the rc and the join views against the ids, 0 <= u read in down.  F2 is
-    down[x] through d and then row x, against down[x].  For each f, H
-    compares the x-t of every pair (down[x] through rc row x, joined over
-    x) through column 1-f of the table with down[x] through join row x*f
-    and then rc row x, joined over x.  A 255 in the x-t declines; one on
-    the right of H differs from the left, an id.
-    """
-    s = bs.base
-    joins, rcs, one, z = s.join_view, bs.rc_view, s.identity, s.zero
-    if joins is None or rcs is None or one is None or z is None:
-        return False
-    t, tables, k = s.table, s.byte_view, s.size
-    try:  # no view of d, None, does not unpack
-        downs, (d_at,) = list(map(bytes, s.down)), _view((s.d,), k)
-    except (TypeError, ValueError):
-        return False
-    ts, at_z, ids = b"".join(downs), itemgetter(z), bytes(range(k))
-    if (
-        ts.translate(None, ids)  # a byte not an id
-        or not all(map(contains, s.down, itertools.repeat(z)))
-        or bytes(map(at_z, rcs)) != ids
-        or bytes(map(at_z, joins)) != ids
-    ):
-        return False  # F1
-    if any(ds.translate(d_at).translate(tx) != ds for ds, tx in zip(downs, tables)):
-        return False  # F2
-    sts = b"".join(map(bytes.translate, downs, rcs))
-    if b"\xff" in sts:
-        return False
-    for f in set(ts.translate(d_at)):
-        c = rcs[one][f]  # 1-f
-        if c == 255:
-            return False
-        (column,) = _view((tuple(map(itemgetter(c), t)),), k)
-        xf_joins = map(joins.__getitem__, map(itemgetter(f), t))  # join row x*f
-        rhs = map(bytes.translate, map(bytes.translate, downs, xf_joins), rcs)
-        if sts.translate(column) != b"".join(rhs):
-            return False  # H
-    return True
 
 
 def verify_additive_ideal(bs, subset):

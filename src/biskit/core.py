@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import contains, countOf, eq, getitem, itemgetter
+from operator import and_, attrgetter, contains, countOf, eq, getitem, itemgetter
 
 from .errors import (
     CertificateFailed,
@@ -203,21 +203,20 @@ def _generators(rows):
     return tuple(gens)
 
 
-def _view(rows, k, supports=None):
-    """The byte view of rows of ids in 0..k-1 or None, such as the product,
-    meet and join tables: one 256-byte bytes.translate table per row, or
-    None when k > 255 or an entry read is neither None nor such an id.
+def _byte_view(rows, k, supports=None):
+    """The byte form of _view, for a table of at most 255 ids: one 256-byte
+    bytes.translate table per row, or None when k > 255 or an entry read
+    is neither None nor an id.
 
     Byte y of row x's table is rows[x][y], read at the ids supports[x]
     (ascending, distinct) when given, else at every y < k.  Byte 255
     stands for no id: at an entry None, at every byte off the support and
     at the padding from k up.  255 and not 256 ids, so that byte 255 is
-    never an id; the bound is a property of the table, not a setting.  255
-    read through any view stays 255, so view[g].translate(view[x]) is row
-    x read at the entries of row g, x*(g*y) over every y, in one C call;
-    a kernel that needs row x as k bytes slices view[x][:k].  A row is read
-    by bytes() and its range checked; one holding None, through a dict of
-    the ids and None, so an entry it lacks raises.
+    never an id.  255 read through any view stays 255, so
+    view[g].translate(view[x]) is row x read at the entries of row g,
+    x*(g*y) over every y, in one C call.  A row is read by bytes() and its
+    range checked; one holding None, through a dict of the ids and None,
+    so an entry it lacks raises.
     """
     if k > 255:
         return None
@@ -243,31 +242,131 @@ def _view(rows, k, supports=None):
     return tuple(out)
 
 
-def _flagged(flags, k):
+def _flagged(flags):
     """For each of flags, an int whose byte y (little-endian) is 0 or 255,
-    0 from byte k up (k at most 255), the positions y of its bytes 255, as
-    bytes: the ids y + 1 are ANDed with it, the zero bytes dropped and 1
-    taken off each."""
-    ids = int.from_bytes(bytes(range(1, k + 1)), "little")
+    0 from byte 255 up, the positions y of its bytes 255, as bytes: the
+    ids y + 1 are ANDed with it, the zero bytes dropped and 1 taken off
+    each."""
+    ids = int.from_bytes(bytes(range(1, 256)), "little")
     less_one = bytes(1) + bytes(range(255))
-    return [(ids & f).to_bytes(k, "little").translate(less_one, b"\0") for f in flags]
+    return [(ids & f).to_bytes(255, "little").translate(less_one, b"\0") for f in flags]
 
 
-def _defined_at(view, k):
-    """_flagged for the tables of a view: the positions of each row's bytes
-    other than 255."""
-    defined = b"\xff" * 255 + b"\0"
-    flags = (int.from_bytes(row.translate(defined), "little") for row in view)
-    return _flagged(flags, k)
+class _Bytes:
+    """The byte form of a view (_byte_view), byte 255 for no id; a
+    namespace of the reads the kernels make, never instantiated.
+
+    gather(i)(row) is row read at each entry of the index row i, a bytes
+    of ids: i.translate(row); read(i, row) is the same in one call, and
+    join(rows) puts index rows end to end.  A flag table holds 255 at the
+    ids flagged and 0, false, at every other byte, byte 255 included, so a
+    255 read through it is false.  both(pairs) and defined(view) read
+    flags as little-endian ints (_flagged).
+    """
+
+    none, ids, view = 255, bytes, _byte_view
+    gather, read, join = attrgetter("translate"), bytes.translate, b"".join
+
+    def flags(ids, k):
+        """The flag table of ids."""
+        return bytes(255 if e in ids else 0 for e in range(256))
+
+    def both(pairs):
+        """Per pair of flag rows, the positions flagged in both."""
+        read = int.from_bytes
+        return _flagged(read(f, "little") & read(g, "little") for f, g in pairs)
+
+    def defined(view):
+        """Per row of view, the positions of its entries other than 255,
+        and those entries."""
+        is_id = b"\xff" * 255 + b"\0"
+        at = _flagged(int.from_bytes(row.translate(is_id), "little") for row in view)
+        return list(zip(at, (row.translate(None, b"\xff") for row in view)))
+
+
+class _Tuples:
+    """The tuple form of a view, for a table of more than 255 ids: its rows
+    themselves, shared and not padded, None for no id; a namespace, as
+    _Bytes, with the same reads.
+
+    gather(i) is core._picker(i): an entry None is no index, so a kernel
+    tests none in a row before it gathers through it.  A flag table is a
+    tuple of k flags.  view(rows, k, supports) is rows when each entry
+    read, at supports[x] in row x when given, is None or an int id in
+    0..k-1, else None.  Off its support a row holds what its table holds,
+    None in every table biskit builds.
+    """
+
+    none, ids, gather = None, tuple, _picker
+
+    def read(i, row):
+        """gather(i)(row)."""
+        return _picker(i)(row)
+
+    def join(rows):
+        """The rows end to end."""
+        return tuple(itertools.chain.from_iterable(rows))
+
+    def view(rows, k, supports=None):
+        """rows as a view, or None; rows an _IdRows, whose maker checked
+        them, as they are."""
+        if type(rows) is _IdRows:
+            return rows
+        rows, ids, types = tuple(rows), frozenset((*range(k), None)), {int, type(None)}
+        read = rows if supports is None else map(_Tuples.read, supports, rows)
+        try:  # an entry that is no id, unhashable ones too, declines
+            for row in read:
+                if not (ids.issuperset(row) and types.issuperset(map(type, row))):
+                    return None
+        except (IndexError, TypeError):
+            return None
+        return rows
+
+    def flags(ids, k):
+        """The flag table of ids."""
+        return tuple(e in ids for e in range(k))
+
+    def both(pairs):
+        """Per pair of flag rows, the positions flagged in both."""
+        ids = itertools.count
+        return [tuple(itertools.compress(ids(), map(and_, f, g))) for f, g in pairs]
+
+    def defined(view):
+        """Per row of view, the positions of its entries other than None,
+        and those entries: every position and the row itself when it holds
+        no None."""
+        out, every = [], tuple(range(len(view[0])))
+        for row in view:
+            if None not in row:
+                out.append((every, row))
+            else:
+                at = tuple(y for y, v in enumerate(row) if v is not None)
+                out.append((at, _picker(at)(row)))
+        return out
+
+
+def _form(view):
+    """The form of a view, _Bytes or _Tuples, read off its first row."""
+    return _Bytes if type(view[0]) is bytes else _Tuples
+
+
+def _view(rows, k, supports=None):
+    """The view of rows of ids in 0..k-1 or None, such as the product,
+    meet and join tables, read at supports[x] in row x when given; None
+    when an entry read is neither None nor such an id.  Its form is a
+    property of the table's size, not a setting: at most 255 ids, bytes
+    (_Bytes), above that the rows themselves (_Tuples).  A kernel reads a
+    view through its form's gather, so it is written once for both."""
+    return (_Bytes if k <= 255 else _Tuples).view(rows, k, supports)
 
 
 def _checked_meets(s):
-    """s.meet_table, once each entry is None or an id, as the laws' general
-    paths index by the meets: an entry k or more would raise IndexError,
-    and -1 would read the last row.  The meet view (InvSgp.meet_view), when
-    there is one, has read every entry; otherwise they are read here.  The
-    first other entry raises CertificateFailed(("meet-not-an-id", a, b, m)),
-    so the law reading it fails with that witness."""
+    """s.meet_table, once each entry is None or an id, as the laws index
+    by the meets: an entry k or more would raise IndexError, and -1 would
+    read the last row.  The meet view (InvSgp.meet_view) has read every
+    entry; only without one are they read here.  The first other entry
+    raises CertificateFailed(("meet-not-an-id", a, b, m)), so the law
+    reading it fails with that witness."""
     mt, k = s.meet_table, s.size
     if s.meet_view is None:
         for a, row in enumerate(mt):
@@ -277,42 +376,32 @@ def _checked_meets(s):
     return mt
 
 
-def _light_test(rows, gens, view):
-    """Light's associativity test: True when (x*g)*y = x*(g*y) for every
-    generator g and all x, y.
+def _light_test(view, gens):
+    """Light's associativity test on the table whose _view is view: True
+    when (x*g)*y = x*(g*y) for every generator g and all x, y.
 
     The set of t with (x*t)*y = x*(t*y) for all x, y is closed under the
     table's product, without assuming associativity, since (x*(s*t))*y =
     ((x*s)*t)*y = (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y).  So when it
     holds on a generating set it holds everywhere.  One row comparison per
-    (x, g): the row of x*g against the row of x read at the row of g, one x
-    at a time, so no copy of the table is held.  With the table's byte view
-    (_view) that read is the table of row g translated through that of row
-    x; without one, _light_test_by_rows reads it with itemgetter.
+    (x, g): the row of x*g against row x gathered at row g, one x at a
+    time, so no copy of the table is held.  In the byte form the rows
+    compared are whole tables: 255 read through any view stays 255.
     """
-    if view is None:
-        return _light_test_by_rows(rows, gens)
+    gather = _form(view).gather
     for g in gens:
-        x_g = map(view.__getitem__, map(itemgetter(g), rows))  # tables of x*g
-        if not all(map(eq, x_g, map(view[g].translate, view))):
-            return False
-    return True
-
-
-def _light_test_by_rows(rows, gens):
-    """_light_test on a table without a byte view."""
-    for g in gens:
-        x_g = map(rows.__getitem__, map(itemgetter(g), rows))  # rows of x*g
-        if not all(map(eq, x_g, map(_picker(rows[g]), rows))):
+        x_g = map(view.__getitem__, map(itemgetter(g), view))  # rows of x*g
+        if not all(map(eq, x_g, map(gather(view[g]), view))):
             return False
     return True
 
 
 def _tested_generators(rows, view):
     """_generators of rows when Light's test on them shows rows
-    associative, else None; view is rows' _view."""
+    associative, else None; view is rows' _view, None when an entry is no
+    id."""
     gens = _generators(rows)
-    return gens if _light_test(rows, gens, view) else None
+    return gens if view is not None and _light_test(view, gens) else None
 
 
 def _on_generators(s, holds):
@@ -350,35 +439,36 @@ def _on_generator_sides(s, holds):
 
 def _restricted_product_kept(s):
     """True when law restricted-product (laws.law_restricted_product)
-    holds, read by bytes.translate; False, to decline, without a byte view
-    or Light's test.  It sits with the byte view and Light's test it reads.
+    holds, read through the table's view; False, to decline, without
+    Light's test or when a check fails.  It sits with the view and Light's
+    test it reads.
 
-    The down-set part is decided first, on the generators g as by rows
+    The down-set part is decided first, on the generators g
     (_on_generators, which also shows the table associative): down[g] is
-    read through each row x once, and for each a those of the x in down[a]
-    are joined and compared with down[a*g] as sets.  Then for each f =
-    d(a), whether every f*b <= b, the r(b2) over every b (row f through r)
-    and eb2[b] = r(b)*(f*b) are found once.  Per a, the a2 = a*r(b) over
-    every b are r translated through row a: a2 <= a when translating them
-    with down[a] deleted leaves nothing, d(a2) = r(b2) is them through d,
-    and a2*b2 = a*b is eb2 through row a against row a.
+    gathered through each row x once, and for each a those of the x in
+    down[a] are joined and compared with down[a*g] as sets.  Then for each
+    f = d(a), whether every f*b <= b, the r(b2) over every b (row f
+    gathered through r) and eb2[b] = r(b)*(f*b) are found once.  Per a,
+    the a2 = a*r(b) over every b are row a gathered at r: a2 <= a when
+    each a*e, e = r(b), lies in down[a], d(a2) = r(b2) is d gathered at
+    them, and a2*b2 = a*b is row a gathered at eb2, against row a.
     """
-    view, t, down, k = s.byte_view, s.table, s.down, s.size
-    d_r = None if view is None else _view((s.d, s.r), k)
-    if d_r is None:
-        return False
+    view, t, down, k = s.view, s.table, s.down, s.size
+    form = _form(view)
+    gather, read, ids = form.gather, form.read, form.ids
+    d_r = form.view((s.d, s.r), k)
     try:
-        downs = list(map(bytes, down))
+        downs = list(map(ids, down))
     except (TypeError, ValueError):
         return False
-    if b"".join(downs).translate(None, bytes(range(k))):  # a byte not an id
-        return False
+    if d_r is None or not set(range(k)).issuperset(form.join(downs)):
+        return False  # an entry of d, r or down that is no id
     (d_at, r_at), sets = d_r, list(map(frozenset, down))
     d_b, r_b = d_at[:k], r_at[:k]
 
     def holds(g):
-        at = [downs[g].translate(table_x) for table_x in view].__getitem__
-        products = (set(b"".join(map(at, ds))) for ds in down)  # down[a]*down[g]
+        at = list(map(gather(downs[g]), view)).__getitem__  # down[g] per row
+        products = (set(form.join(map(at, ds))) for ds in down)
         return all(map(eq, products, map(sets.__getitem__, map(itemgetter(g), t))))
 
     if not _on_generators(s, holds):
@@ -387,17 +477,18 @@ def _restricted_product_kept(s):
     per_f = {  # f: every f*b <= b, and r(f*b) and r(b)*(f*b) over every b
         f: (
             all(map(contains, down, t[f])),
-            view[f][:k].translate(r_at),
-            bytes(map(getitem, r_rows, t[f])),
+            read(view[f][:k], r_at),
+            gather(ids(map(getitem, r_rows, t[f]))),
         )
         for f in set(d_b)
     }
-    for f, table_a, below_a in zip(d_b, view, downs):
-        below, r_b2, eb2 = per_f[f]
-        a2 = r_b.translate(table_a)
-        if not below or a2.translate(None, below_a) or a2.translate(d_at) != r_b2:
+    at_r, at_es = gather(r_b), gather(ids(sorted(set(r_b))))  # a2 is a*e, e = r(b)
+    for f, row_a, below_a in zip(d_b, view, sets):
+        below, r_b2, at_eb2 = per_f[f]
+        a2 = at_r(row_a)
+        if not below or not below_a.issuperset(at_es(row_a)) or read(a2, d_at) != r_b2:
             return False
-        if eb2.translate(table_a) != table_a[:k]:
+        if at_eb2(row_a) != row_a[:k]:
             return False
     return True
 
@@ -450,7 +541,8 @@ def _check_entries(rows):
 class _IdRows(tuple):
     """Rows whose maker has checked them k rows of k ids in 0..k-1, as
     _parse_table and KOfGroupoid.table do: the tables InvSgp does not pass
-    through _check_entries."""
+    through _check_entries.  InvSgp's own table is one once checked, so
+    its tuple-form view is read without a second check."""
 
 
 def _inverse_candidates(rows, a, col):
@@ -506,21 +598,6 @@ def _inverses_on_generators(rows, gens):
     return inv
 
 
-def _compat_partners_by_rows(t, inv, idempotents):
-    """InvSgp.compat_partners without a byte view: only the b where row a'
-    holds an idempotent are read at row a, at b'."""
-    is_idem = set(idempotents).__contains__
-    ids = range(len(t))
-    return tuple(
-        tuple(
-            b
-            for b in itertools.compress(ids, map(is_idem, t[ia]))
-            if is_idem(ra[inv[b]])
-        )
-        for ra, ia in zip(t, inv)
-    )
-
-
 class InvSgp:
     """A validated finite inverse semigroup on ids 0..k-1.
 
@@ -532,7 +609,7 @@ class InvSgp:
     every associativity equation (a*b)*c = a*(b*c) by Light's test on a
     generating set (_tested_generators): (x*g)*y = x*(g*y) for
     each generator g and all x, y, k*|generators| row comparisons instead of
-    k*k, of bytes when the table has at most 255 ids (_view).  When it
+    k*k, read through the table's view (_view).  When it
     fails, the row scan of _check_associativity names the first
     failing triple in lexicographic order as the NotAssociative witness.
     Then each element needs exactly one inverse and the idempotents must
@@ -556,6 +633,7 @@ class InvSgp:
             raise ParseError("empty table")
         if type(table) is not _IdRows:
             _check_entries(rows)
+        rows = _IdRows(rows)
 
         view = _view(rows, k)
         gens = _tested_generators(rows, view)
@@ -577,7 +655,7 @@ class InvSgp:
 
         self.size = k
         self.table = rows
-        self.byte_view = view
+        self.view = view
         self.associative_generators = gens  # Light's test held on them
         self.inv = tuple(inv)
         self.idempotents = idem
@@ -629,25 +707,20 @@ class InvSgp:
         """compat_partners[a]: the b with a'*b and a*b' idempotent, ascending;
         the one form of the compatibility relation.
 
-        With the table's byte view, row a' and the b' read at row a (inv
-        translated through row a) are translated through a table flagging
-        the idempotents by 255, and the two flags ANDed as ints (_flagged).
-        Without a view, _compat_partners_by_rows reads it.
+        Read through the table's view: a flag table of the idempotents is
+        gathered at row a', and at row a gathered at the inverses (the
+        a*b'), and the partners are the b flagged in both (the form's
+        both, by ANDing ints in the byte form).
         """
-        t, inv = self.table, self.inv
-        view = self.byte_view
-        if view is None:
-            return _compat_partners_by_rows(t, inv, self.idempotents)
-        flag = bytearray(256)  # a flag table: 0, false, at byte 255
-        for e in self.idempotents:
-            flag[e] = 255
-        inv_b, read = bytes(inv), int.from_bytes
-        both = (  # a'*b and a*b' idempotent
-            read(view[ia].translate(flag), "little")
-            & read(inv_b.translate(table_a).translate(flag), "little")
-            for ia, table_a in zip(inv, view)
+        view, inv = self.view, self.inv
+        form = _form(view)
+        read, flag = form.read, form.flags(set(self.idempotents), self.size)
+        at_inv = form.gather(form.ids(inv))
+        both = form.both(
+            (read(view[ia], flag), read(at_inv(view[a]), flag))
+            for a, ia in enumerate(inv)
         )
-        return tuple(map(tuple, _flagged(both, self.size)))
+        return tuple(map(tuple, both))
 
     @cached_property
     def orth(self):
@@ -698,20 +771,17 @@ class InvSgp:
     @cached_property
     def meet_view(self):
         """The _view of meet_table, which the law kernels of laws wedge,
-        fish, eggs and orthogonal read; None above 255 ids, as byte_view,
-        or when a meet is neither None nor an id.  Only laws read it, so
-        analyze never builds it."""
+        fish and eggs read, and _checked_meets; None when a meet is neither
+        None nor an id.  Only laws read it, so analyze never builds it."""
         return _view(self.meet_table, self.size)
 
     @cached_property
     def join_view(self):
         """The _view of join_table on the compatible partners: the join a v b
-        at each partner b of a, byte 255 at every other byte.  None without
-        byte_view, as above 255 ids, or when a join there is neither None
-        nor an id.  Read by check_boolean (boolean._partner_joins) and the
-        law kernels of laws orthogonal and setminus-4."""
-        if self.byte_view is None:
-            return None
+        at each partner b of a, no id at every other entry (in the tuple
+        form, the join table itself).  None when a join read is neither
+        None nor an id.  Read by check_boolean (boolean._partner_joins) and
+        the kernel of law setminus-4."""
         return _view(self.join_table, self.size, self.compat_partners)
 
     @cached_property

@@ -23,8 +23,6 @@ from .boolean import (
     _above,
     _atom_pencils,
     _check_pencil,
-    _orthogonal_kept,
-    _setminus_4_kept,
     analyze_morphism,
     check_boolean,
     enumerate_additive_ideals,
@@ -48,9 +46,11 @@ from .booleanization import (
 )
 from .core import (
     CONGRUENCE_SCAN_CAP,
+    _Bytes,
+    _Tuples,
     _checked_meets,
-    _defined_at,
     _first_split,
+    _form,
     _is_additive_congruence,
     _mask,
     _on_generator_sides,
@@ -59,7 +59,6 @@ from .core import (
     _positions,
     _restricted_product_kept,
     _translation_failure,
-    _view,
     all_congruences,
     d_relation_idempotents,
     is_fundamental,
@@ -248,17 +247,16 @@ def law_order_dr_monotone(c):
 def law_wedge(c):
     """a meet b = a*d(b) for every compatible pair (a, b).
 
-    With the meet view (InvSgp.meet_view) row a is two reads of the
-    partners b of a as bytes: translated through meet row a, against
-    translated through d and then row a.  A meet that is None reads as
-    byte 255, never a product.  When a row differs, or without a view,
-    _wedge_scan names the first witness (a, b, a meet b)."""
+    With the meet view (InvSgp.meet_view) row a is two gathers at the
+    partners b of a: meet row a, against row a gathered at d.  A meet that
+    is None reads as no id, never a product.  When a row differs, or
+    without a view, _wedge_scan names the first witness (a, b, a meet b)."""
     s = c.s
     if (meets := s.meet_view) is not None:
-        (d_at,) = _view((s.d,), s.size)
-        partners = map(bytes, s.compat_partners)
-        rows = zip(partners, meets, s.byte_view)
-        if all(ps.translate(m) == ps.translate(d_at).translate(t) for ps, m, t in rows):
+        form = _form(meets)
+        read, (d_at,) = form.read, form.view((s.d,), s.size)
+        rows = zip(map(form.ids, s.compat_partners), meets, s.view)
+        if all(read(ps, m) == read(read(ps, d_at), t) for ps, m, t in rows):
             return None
     return _wedge_scan(s)
 
@@ -281,47 +279,36 @@ def _fish_on_generators(s):
     Decided on generators (_on_generators): the u for which this holds are
     closed under the product, as (g*h)*(a meet b) = g*(h*a meet h*b) =
     g*h*a meet g*h*b, (h*a, h*b) having a meet again.  For each generator g
-    and each a, row g*a of the meet table is read at row g, against row g
-    read at the meets of row a: _fish_kept with the meet view
-    (InvSgp.meet_view), else _fish_kept_by_rows.
+    and each a, meet row g*a is gathered at row g read at the b with a
+    meet, against row g gathered at the meets of row a (_fish_kept).
+    Without a meet view it declines.
     """
-    holds = _fish_kept_by_rows(s) if s.meet_view is None else _fish_kept(s)
-    return _on_generators(s, holds)
+    return s.meet_view is not None and _on_generators(s, _fish_kept(s))
 
 
 def _fish_kept(s):
-    """holds(g) of _fish_on_generators by bytes.translate: for each a, the
-    b with a meet (core._defined_at) as bytes read through row g and then
-    through meet row g*a, against the meets of row a read through row g.
-    A meet of g*a that is None reads as byte 255, never a product."""
-    t, tables, meet_tabs = s.table, s.byte_view, s.meet_view
-    meets = [row.translate(None, b"\xff") for row in meet_tabs]
-    per_a = list(zip(_defined_at(meet_tabs, s.size), meets))  # (the b, their meets)
+    """holds(g) of _fish_on_generators through the meet view: for each a,
+    the b with a meet are gathered through row g and then through meet row
+    g*a, against the meets of row a gathered through row g.  Where meet
+    row a is total, as on every row of I5, the b are every id, so meet row
+    g*a is read at row g itself, by one gather of row g made once per
+    generator.  A meet of g*a that is None reads as no id, never a
+    product."""
+    t, rows, meets, k = s.table, s.view, s.meet_view, s.size
+    form = _form(meets)
+    gather, read = form.gather, form.read
+    per_a = [  # (the b with a meet, or None when every b has one; their meets)
+        (None if len(at) == k else gather(at), gather(m))
+        for at, m in form.defined(meets)
+    ]
 
     def holds(g):
-        table_g = tables[g]
+        row_g = rows[g]
+        at_g = gather(row_g[:k])
         return all(
-            at.translate(table_g).translate(meet_tabs[ga]) == m.translate(table_g)
-            for ga, (at, m) in zip(t[g], per_a)  # ga = g*a
-        )
-
-    return holds
-
-
-def _fish_kept_by_rows(s):
-    """_fish_kept on a table without a byte view: per a, one picker of the
-    b with a meet and one of their meets."""
-    t, mt = s.table, s.meet_table
-    met = []  # (the b with a meet, their meets), as pickers, per a
-    for row in mt:
-        bs = [b for b, m in enumerate(row) if m is not None]
-        met.append((_picker(bs), _picker([row[b] for b in bs])))
-
-    def holds(g):
-        tg = t[g]
-        return all(
-            at_meets(tg) == tuple(map(mt[ga].__getitem__, at_b(tg)))
-            for ga, (at_b, at_meets) in zip(tg, met)  # ga = g*a
+            (at_g(meets[ga]) if at is None else read(at(row_g), meets[ga]))
+            == at_meets(row_g)
+            for ga, (at, at_meets) in zip(t[g], per_a)  # ga = g*a
         )
 
     return holds
@@ -343,9 +330,9 @@ def _fish_scan(s):
 
 def law_fish(c):
     """u*(a meet b) = (u*a) meet (u*b): _fish_on_generators, else
-    _fish_scan, which names the witness.  With the meet view
-    (InvSgp.meet_view) each generator's row is read by translates
-    (_fish_kept).  A meet that is no id fails the law (_checked_meets)."""
+    _fish_scan, which names the witness.  Each generator's row is read
+    through the meet view (_fish_kept).  A meet that is no id fails the
+    law (_checked_meets)."""
     _checked_meets(c.s)
     if _fish_on_generators(c.s):
         return None
@@ -373,65 +360,30 @@ def law_restricted_product(c):
     """Every product a*b is a2*b2 with a2 = a*r(b) <= a, b2 = d(a)*b <= b
     and d(a2) = r(b2), and down(a)*down(b) = down(a*b) setwise.
 
-    Decided by translates with the table's byte view, once Light's test
-    has certified the table associative (_on_generators): then a2*b2 =
-    (a*e)*b2 = a*(e*b2) for e = r(b), so the products a2*b2 over every b
-    are row a read at the e*b2, which depend on a only through f = d(a)
+    Decided through the table's view, once Light's test has certified the
+    table associative (_on_generators): then a2*b2 = (a*e)*b2 = a*(e*b2)
+    for e = r(b), so the products a2*b2 over every b are row a read at the
+    e*b2, which depend on a only through f = d(a)
     (core._restricted_product_kept).  When that declines,
-    _restricted_product_by_rows decides and names the witness."""
+    _restricted_product_scan names the witness."""
     s = c.s
     if _restricted_product_kept(s):
         return None
-    return _restricted_product_by_rows(s)
+    return _restricted_product_scan(s)
 
 
-def _restricted_product_by_rows(s):
-    """Law restricted-product by rows: the first witness (a, b), or
-    (a, b, "down-set-product"), or None.
-
-    The first part is read a row a at a time, with the b grouped by
-    e = r(b): a2 = a*e is one id per group, and b2 = f*b depends on a
-    through f = d(a) only.  So for each f, whether every f*b <= b, r(b2) for
-    each group (-1 when it is not one id) and the pickers of each group's
-    b2 are found once.  A row that fails is scanned by b for the witness.
-
-    The down-set part is decided on generators b (_on_generators).  The b
-    with down(a)*down(b) = down(a*b) for every a are closed under the
-    product, the setwise product of an associative table being associative
-    too: down(a)*down(b*c) = (down(a)*down(b))*down(c) = down(a*b)*down(c)
-    = down(a*b*c).  When the pass declines every pair is scanned for the
-    witness.
-    """
+def _restricted_product_scan(s):
+    """Law restricted-product pair by pair: the first (a, b), b ascending
+    within a, whose a2, b2 fail, or else the first (a, b,
+    "down-set-product"), or None."""
     t, down, d, r = s.table, s.down, s.d, s.r
-    ids, es = range(s.size), sorted(set(r))
-    at_e = [_picker(_positions(r, e)) for e in es]  # a row at the b with r(b) = e
-    per_f = {}
-    for f in set(d):
-        b2s = [at(t[f]) for at in at_e]
-        r_b2 = ({r[b2] for b2 in group} for group in b2s)
-        per_f[f] = (
-            all(map(contains, down, t[f])),
-            tuple(rs.pop() if len(rs) == 1 else -1 for rs in r_b2),
-            list(map(_picker, b2s)),
-        )
     for a, row in enumerate(t):
-        below, r_b2, at_b2 = per_f[d[a]]
-        a2s = [row[e] for e in es]
-        if not (
-            below
-            and all(map(down[a].__contains__, a2s))
-            and tuple(map(d.__getitem__, a2s)) == r_b2
-            and all(at(t[a2]) == at_b(row) for at, at_b, a2 in zip(at_b2, at_e, a2s))
-        ):
-            for b in ids:
-                a2, b2 = row[r[b]], t[d[a]][b]
-                ordered = a2 in down[a] and b2 in down[b]
-                if not (ordered and d[a2] == r[b2] and t[a2][b2] == row[b]):
-                    return (a, b)
-    multiplies = _down_sets_multiply(s)
-    if _on_generators(s, lambda b: all(multiplies(a, b) for a in ids)):
-        return None
-    return _down_set_products(s, multiplies)
+        for b, ab in enumerate(row):
+            a2, b2 = row[r[b]], t[d[a]][b]
+            ordered = a2 in down[a] and b2 in down[b]
+            if not (ordered and d[a2] == r[b2] and t[a2][b2] == ab):
+                return (a, b)
+    return _down_set_products(s, _down_sets_multiply(s))
 
 
 def law_mu_separating(c):
@@ -585,7 +537,7 @@ def _atom_splits(bs):
       B2  beta(0) = 0, and beta(atoms[i]) = 1 << i;
       B3  join_table[p][q] is the id whose beta is beta(p) | beta(q), or
           None when there is none, for every p and q (_joins_are_unions,
-          by translates on a table of at most 255 ids);
+          by translates in the byte form);
       B4  for each x with two or more bits, α is the atom of its highest
           bit, y = x - α (rc_table), and beta(y) = beta(x) without α.
     By B1 and B2 only 0 has no bit and only the atoms have one, so the
@@ -615,58 +567,53 @@ def _joins_are_unions(s, beta, owner):
     """B3 of _atom_splits, given B1 and B2: join_table[p][q] is U(p, q),
     the id whose beta is beta(p) | beta(q), or None when there is none.
 
-    With the table's byte view, and when premise D holds on beta, each row
-    U(x, .) is one bytes.translate of an earlier row, 255 standing for None:
+    In the byte form of the table's view (core._Bytes), and when premise D
+    holds on beta, each row U(x, .) is one bytes.translate of an earlier
+    row, 255 standing for None:
       D   every beta(x) without any one of its bits is beta(y) for an id y.
-    The views of rows 0 and of the atoms are looked up in owner.  For x with
-    two or more bits, α the atom of its highest bit and y the id of beta(x)
-    without it (D), U(x, .) is U(y, .) read through U(α, .), 255 to 255, and
-    beta(y) < beta(x), so rows are built by ascending beta.  D makes this
-    exact.  Where U(y, q) = w, beta(w) = beta(y) | beta(q) (B1), so U(α, w) =
-    U(x, q).  Where U(y, q) is None, U(x, q) is None too: beta(x) | beta(q)
-    is beta(y) | beta(q) when q has α's bit, and otherwise it loses that bit
-    to beta(y) | beta(q), no beta, so by D it is no beta either.
+    The views of rows 0 and of the atoms are looked up in owner, in one
+    call.  For x with two or more bits, α the atom of its highest bit and y
+    the id of beta(x) without it (D), U(x, .) is U(y, .) read through
+    U(α, .), 255 to 255, and beta(y) < beta(x), so rows are built by
+    ascending beta.  D makes this exact.  Where U(y, q) = w, beta(w) =
+    beta(y) | beta(q) (B1), so U(α, w) = U(x, q).  Where U(y, q) is None,
+    U(x, q) is None too: beta(x) | beta(q) is beta(y) | beta(q) when q has
+    α's bit, and otherwise it loses that bit to beta(y) | beta(q), no beta,
+    so by D it is no beta either.
 
-    Join row x is then read where U(x, .) is defined (core._defined_at) and
-    compared as bytes, and it must hold None at every other q: as many
-    Nones as U(x, .) has bytes 255 below k.  Without a byte view or
-    without D, _joins_are_unions_by_rows decides.
+    Join row x is then read where U(x, .) is defined and compared as bytes,
+    and it must hold None at every other q: as many Nones as U(x, .) has
+    bytes 255 below k.  Without D, and in the tuple form, whose U rows hold
+    None and so cannot index a gather, _joins_are_unions_by_rows decides.
     """
     k, jt = s.size, s.join_table
     bits = ((b, 1 << i) for b in owner for i in range(b.bit_length()) if b >> i & 1)
-    if s.byte_view is None or not all(b ^ bit in owner for b, bit in bits):
+    if _form(s.view) is _Tuples or not all(b ^ bit in owner for b, bit in bits):
         return _joins_are_unions_by_rows(jt, beta, owner)
     get, rows = owner.get, [None] * k
+    ones = [(b, x) for b, x in owner.items() if not b & (b - 1)]  # 0 and the atoms
+    made = _Bytes.view([tuple(map(get, map(b.__or__, beta))) for b, _ in ones], k)
+    for (_, x), row in zip(ones, made):
+        rows[x] = row
     for b, x in sorted(owner.items()):
         if b & (b - 1):  # two or more bits
             top = 1 << (b.bit_length() - 1)
             rows[x] = rows[owner[b ^ top]].translate(rows[owner[top]])
-        else:
-            (rows[x],) = _view((tuple(map(get, map(b.__or__, beta))),), k)
-    for row_u, at, row in zip(rows, _defined_at(rows, k), jt):
+    for (at, joins_u), row in zip(_Bytes.defined(rows), jt):
         try:
             joins = bytes(_picker(at)(row))  # raises at a None or a non-byte
         except (TypeError, ValueError):
             return False
-        if joins != row_u.translate(None, b"\xff") or row.count(None) != k - len(at):
+        if joins != joins_u or row.count(None) != k - len(at):
             return False
     return True
 
 
 def _joins_are_unions_by_rows(jt, beta, owner):
-    """_joins_are_unions on a table without a byte view: row p of the join
-    table against owner read at beta(p) | beta(q), for every q."""
+    """_joins_are_unions without premise D, or in the tuple form: row p of
+    the join table against owner read at beta(p) | beta(q), for every q."""
     get = owner.get
     return all(tuple(map(get, map(b.__or__, beta))) == row for b, row in zip(beta, jt))
-
-
-def _joins_extend(jt, rows, splits):
-    """True when rows[x] is the entrywise join (jt) of rows[y] and rows[α]
-    for every split (x, y, α)."""
-    return all(
-        tuple(map(getitem, map(jt.__getitem__, rows[y]), rows[a])) == rows[x]
-        for x, y, a in splits
-    )
 
 
 def _definition_by_atoms(s, splits):
@@ -712,7 +659,7 @@ def law_definition(c):
     pairs (a, b), in order, which names the witness (u, a, b, "left") or
     (a, b, u, "right"); or (a, b, "missing-join") at the first pair without
     a join, when no earlier pair fails.  This law is the first reader of
-    Analysis.atom_splits, whose join premise B3 is read by translates
+    Analysis.atom_splits, whose join premise B3 is a kernel
     (_joins_are_unions)."""
     s = c.bs.base
     if _definition_by_atoms(s, c.atom_splits):
@@ -753,45 +700,48 @@ def _eggs_pairs_by_atoms(s, splits):
     beta(u meet j) = beta(a meet u) | beta(b meet u) | beta(c meet u); by
     the pair case and B3 that is the join of u meet (a v b) and c meet u.
 
-    With the meet view (InvSgp.meet_view) E1 is read off its bytes, no
-    meet being 255; E4 is _meets_extend.
+    E1 is read off the meet view (InvSgp.meet_view), no meet being no id;
+    E4 is _meets_extend.  Without a view it declines.
     """
-    if splits is None:
-        return False
     k, mt, z, meets = s.size, s.meet_table, s.zero, s.meet_view
-    rows, none = (mt, None) if meets is None else ([m[:k] for m in meets], 255)
-    if any(none in row for row in rows) or list(map(tuple, mt)) != list(zip(*mt)):
+    if splits is None or meets is None:
+        return False
+    none = _form(meets).none
+    if any(none in row[:k] for row in meets) or list(map(tuple, mt)) != list(zip(*mt)):
         return False
     return set(mt[z]) == {z} and _meets_extend(s, splits)
 
 
 def _meets_extend(s, splits):
-    """E4 of _eggs_pairs_by_atoms, given E1: _joins_extend on the meet
-    table.
+    """E4 of _eggs_pairs_by_atoms, given E1: row x of the meet table is the
+    entrywise join of rows y and α, for each split (x, y, α).
 
-    With the meet view, when row α of the meet table holds only z and α
-    for each atom α of a split, α meet u is α or z, so the join of rows y
-    and α is row y read through join column α where row α reads α, and
-    through join column z elsewhere: two translates of row y, put together
-    by an int mask, row α through a flag table of α, 0 at byte 255.  A
-    join that is None reads as byte 255, never a meet.  Otherwise
-    _joins_extend decides.
+    When row α of the meet table holds only z and α for each atom α of a
+    split, α meet u is α or z, so the join of rows y and α is row y read
+    through join column α at the u where row α holds α, and through join
+    column z at the others: per split, rows x and y are gathered at each
+    of the two sets of u, the positions found once per atom, and row y's
+    images gathered through the column.  A join that is None reads as no
+    id, never a meet.  Otherwise, or when a join is no id, it declines.
     """
     jt, z, meets, k = s.join_table, s.zero, s.meet_view, s.size
+    form = _form(meets)
+    read = form.read
     alphas = sorted({a for _, _, a in splits})
-    columns = [tuple(map(itemgetter(a), jt)) for a in (z, *alphas)]
-    cols = None if meets is None else _view(columns, k)
-    if cols is None or any(meets[a][:k].translate(None, bytes((z, a))) for a in alphas):
-        return _joins_extend(jt, s.meet_table, splits)
-    (at_z, *at_alphas), read = cols, int.from_bytes
-    per_atom = {  # α: its join column, and the mask of the u with α meet u = α
-        a: (at_a, read(meets[a].translate(bytes(a) + b"\xff" + bytes(255 - a))))
-        for a, at_a in zip(alphas, at_alphas)
+    cols = form.view([tuple(map(itemgetter(a), jt)) for a in (z, *alphas)], k)
+    if cols is None or any(set(meets[a][:k]) - {z, a} for a in alphas):
+        return False
+
+    def at(a, m):  # the u where row α holds m, as a gather
+        return form.gather(form.ids(_positions(meets[a][:k], m)))
+
+    per_atom = {  # α: the u with α meet u = α, then the others, as gathers
+        a: (at(a, a), col_a, at(a, z), cols[0]) for a, col_a in zip(alphas, cols[1:])
     }
     for x, y, a in splits:
-        (at_a, m), ry = per_atom[a], meets[y]
-        joins = read(ry.translate(at_a)) & m | read(ry.translate(at_z)) & ~m
-        if joins != read(meets[x]):
+        at_a, col_a, at_z, col_z = per_atom[a]
+        mx, my = meets[x], meets[y]
+        if at_a(mx) != read(at_a(my), col_a) or at_z(mx) != read(at_z(my), col_z):
             return False
     return True
 
@@ -823,7 +773,7 @@ def law_eggs(c):
     """Meets distribute over the joins of pairs and triples: for every u,
     u meet (x v y [v z]) = (x meet u) v (y meet u) [v (z meet u)].
     Decided by _eggs_pairs_by_atoms, which covers triples too, its meet
-    premise E4 read by translates with the meet view (_meets_extend); when
+    premise E4 read through the meet view (_meets_extend); when
     it declines, _eggs_scan names the first witness, pairs before
     triples.  A meet that is no id fails the law (_checked_meets)."""
     s = c.bs.base
@@ -881,20 +831,10 @@ def law_orthogonal(c):
     J = join_of([a, b, c]).  A family with a failed read goes to
     orthogonalize itself, which raises its witness in the same order, or
     returns when that read is one it does not make (orth[j][t3], j <= j).
-
-    With the meet, join and relative-complement views (InvSgp.meet_view,
-    InvSgp.join_view, BoolInvSgp.rc_view) every step and triple is read by
-    translates (boolean._orthogonal_kept); when that declines,
-    _orthogonal_by_rows decides.
+    So the law returns None, or raises the error orthogonalize raises for
+    the first family that fails.
     """
-    if _orthogonal_kept(c.bs):
-        return None
-    return _orthogonal_by_rows(c.bs)
-
-
-def _orthogonal_by_rows(bs):
-    """Law orthogonal step by step (law_orthogonal): None, or the error
-    orthogonalize raises for the first family that fails."""
+    bs = c.bs
     s = bs.base
     meet, orth, down = _checked_meets(s), s.orth, s.down
     # later[a]: the nonzero b > a compatible with a, ascending
@@ -986,7 +926,7 @@ def _setminus_4_scan(bs, pairs):
     return None
 
 
-def _setminus_4_on_generators(bs, pairs, setminus_2):
+def _setminus_4_on_generators(bs, setminus_2):
     """None when law setminus-4 holds on every pair of down-pairs, given
     setminus_2, law setminus-2's pass (Analysis.setminus_2_on_generators);
     else the name of the first check below that fails.
@@ -1007,41 +947,52 @@ def _setminus_4_on_generators(bs, pairs, setminus_2):
     associative or distributive, and 0 and 1 need only have the properties
     checked.
 
-    With the join and relative-complement views (InvSgp.join_view,
-    BoolInvSgp.rc_view), F1, F2 and H are read by translates
-    (boolean._setminus_4_kept); when that declines, _setminus_4_by_rows
-    reads every check and names the first that fails.
+    Read through the join and relative-complement views (InvSgp.join_view,
+    BoolInvSgp.rc_view), the down-sets taken by x as index rows.  F1 is
+    column 0 of both views against the ids, and fails without them or with
+    an entry of down that is no id.  F2 is down[x] gathered through d and
+    then row x, against down[x].  For each f, H compares the x-t of every
+    pair (down[x] gathered through rc row x, joined over x) gathered
+    through column 1-f of the table with down[x] gathered through join row
+    x*f and then rc row x, joined over x; a join that is None fails it.
     """
-    if setminus_2 and _setminus_4_kept(bs):
-        return None
-    return _setminus_4_by_rows(bs, pairs, setminus_2)
-
-
-def _setminus_4_by_rows(bs, pairs, setminus_2):
-    """_setminus_4_on_generators read by rows: every check, in order."""
     if not setminus_2:
         return "setminus-2"
     s = bs.base
-    tab, rct, jt, d = s.table, bs.rc_table, s.join_table, s.d
-    z, one = s.zero, s.identity
-    if z is None or any(
-        z not in s.down[u] or rct[u][z] != u or jt[u][z] != u for u in range(s.size)
+    joins, rcs, one, z, k = s.join_view, bs.rc_view, s.identity, s.zero, s.size
+    if joins is None or rcs is None or z is None:
+        return "F1"
+    form = _form(joins)
+    gather, read, ids, none = form.gather, form.read, form.ids, form.none
+    try:
+        downs = list(map(ids, s.down))
+    except (TypeError, ValueError):
+        return "F1"
+    every, ts, at_z = ids(range(k)), form.join(downs), itemgetter(z)
+    if (
+        not set(every).issuperset(ts)  # an entry not an id
+        or not all(map(contains, s.down, itertools.repeat(z)))
+        or ids(map(at_z, rcs)) != every
+        or ids(map(at_z, joins)) != every
     ):
         return "F1"
-    xs, ts = (list(ids) for ids in zip(*pairs))
-    sts = list(map(getitem, map(rct.__getitem__, xs), ts))  # x-t, each pair
-    x_rows, st_rows = list(map(tab.__getitem__, xs)), list(map(tab.__getitem__, sts))
-    if list(map(getitem, x_rows, map(d.__getitem__, ts))) != ts:
+    t, d_view = s.table, form.view((s.d,), k)
+    if d_view is None or any(
+        read(read(ds, d_view[0]), row) != ds for ds, row in zip(downs, s.view)
+    ):
         return "F2"
-    for f in set(map(d.__getitem__, ts)):
-        c = rct[one][f] if one is not None else None
-        if c is None:
-            return "H"
-        xf_rows = map(jt.__getitem__, map(itemgetter(f), x_rows))  # row x*f
-        joins = list(map(getitem, xf_rows, ts))
-        if None in joins or list(map(itemgetter(c), st_rows)) != list(
-            map(getitem, map(rct.__getitem__, xs), joins)
-        ):
+    sts = form.join(map(read, downs, rcs))
+    if one is None or none in sts:
+        return "H"
+    fs = set(read(ts, d_view[0]))
+    cs = [rcs[one][f] for f in fs]  # the 1-f
+    if none in cs:
+        return "H"
+    at_sts = gather(sts)
+    for f, column in zip(fs, form.view([tuple(map(itemgetter(c), t)) for c in cs], k)):
+        xf_joins = map(joins.__getitem__, map(itemgetter(f), t))  # join row x*f
+        js = list(map(read, downs, xf_joins))
+        if none in form.join(js) or at_sts(column) != form.join(map(read, js, rcs)):
             return "H"
     return None
 
@@ -1057,10 +1008,9 @@ def law_setminus_4(c):
     """
     bs = c.bs
     s = bs.base
-    pairs = [(x, t) for x in range(s.size) for t in s.down[x]]
-    if _setminus_4_on_generators(bs, pairs, c.setminus_2_on_generators) is None:
+    if _setminus_4_on_generators(bs, c.setminus_2_on_generators) is None:
         return None
-    return _setminus_4_scan(bs, pairs)
+    return _setminus_4_scan(bs, [(x, t) for x in range(s.size) for t in s.down[x]])
 
 
 def law_setminus_1_corrected(c):

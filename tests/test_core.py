@@ -14,12 +14,13 @@ from biskit.boolean import k_of_groupoid
 from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     InvSgp,
+    _Bytes,
+    _Tuples,
     _check_associativity,
     _generators,
     _inverses_on_generators,
     _light_test,
     _parse_table,
-    _view,
     adjoin_zero,
     all_congruences,
     check_congruence,
@@ -55,6 +56,7 @@ from generated import (
     transformation_table,
 )
 from naive_order import leq, naive_structure
+from row_kernels import light_test_by_rows
 from test_groupoid import z4_by_z4_table
 
 
@@ -710,8 +712,8 @@ def assert_generators_decide_associativity(rows, want):
     """The generators are a subsequence of the greedy scan, none generated
     by the others, they generate every id (by right multiplication alone
     when the table is associative), and Light's test on them accepts
-    exactly the tables the scan finds no triple in, read by bytes or by
-    rows."""
+    exactly the tables the scan finds no triple in, read by rows and
+    through either form of the table's view."""
     gens = _generators(rows)
     greedy = iter(greedy_scan(rows))
     assert all(g in greedy for g in gens)  # a subsequence
@@ -721,8 +723,9 @@ def assert_generators_decide_associativity(rows, want):
     assert product_closure(rows, gens) == every
     if want is None:
         assert generated_closure(rows, gens) == every
-    assert _light_test(rows, gens, None) == (want is None)
-    assert _light_test(rows, gens, _view(rows, len(rows))) == (want is None)
+    assert light_test_by_rows(rows, gens) == (want is None)
+    for form in (_Bytes, _Tuples):
+        assert _light_test(form.view(rows, len(rows)), gens) == (want is None)
 
 
 def assert_kernels_match_oracles(table):

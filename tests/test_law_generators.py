@@ -61,10 +61,6 @@ from test_law_kernels import (
 from unchecked import unchecked
 
 
-def down_pairs(s):
-    return [(x, t) for x in range(s.size) for t in s.down[x]]
-
-
 def assert_decided_without_scans(table):
     c = Analysis(InvSgp(table))
     assert c.bs is not None
@@ -141,7 +137,7 @@ SETMINUS_4_PREMISES = {
 def test_setminus_4_pass_declines_on_a_failed_premise(name):
     premise, make = SETMINUS_4_PREMISES[name]
     c = make()
-    got = _setminus_4_on_generators(c.bs, down_pairs(c.s), c.setminus_2_on_generators)
+    got = _setminus_4_on_generators(c.bs, c.setminus_2_on_generators)
     assert got == premise
     assert outcome(law_setminus_4, c) == outcome(oracle_setminus_4, c)
 

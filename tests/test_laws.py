@@ -841,6 +841,29 @@ def test_src_raises_only_typed_errors():
     assert untyped == set(UNTYPED_RAISES)
 
 
+# the functions in src/ named *_by_rows, each with why it stays: a kernel
+# is written once, reading its views through its form's gather, and its
+# row-by-row twin lives in tests/row_kernels.py as the oracle
+BY_ROWS_KEPT = {
+    ("laws.py", "_joins_are_unions_by_rows"): (
+        "B3 without premise D, and in the tuple form: a row U(x, .) holds None,"
+        " which no tuple gather can index through"
+    ),
+}
+
+
+def test_src_keeps_only_the_listed_by_rows_twins():
+    # a second copy of a kernel for larger tables drifts from the first
+    src = os.path.dirname(os.path.abspath(biskit.__file__))
+    found = {
+        (name, n.name)
+        for name, tree in parsed_modules(src).items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name.endswith("_by_rows")
+    }
+    assert found == set(BY_ROWS_KEPT)
+
+
 def unread_functions(trees, readers):
     """(module, name) of each function or method defined in trees, dunders
     and the cmd_* handlers cli.main looks up by name aside, that no tree in

@@ -4,7 +4,7 @@ validation, so a validated structure and its table are never changed.
 unchecked(x, drop, **fields) copies x's fields into a new object of its
 class, leaves out those named in drop and puts the given ones in place.  A
 cached field left out is read off the new object's fields when first asked
-for; one kept was read off x's.  An InvSgp given a table gets its byte view
+for; one kept was read off x's.  An InvSgp given a table gets its view
 (core._view) and its Light-tested generators from that table, by the
 functions InvSgp itself uses, unless they are given too: a table that fails
 Light's test has None, so every generator pass declines and the plain scans
@@ -18,7 +18,7 @@ from biskit.core import InvSgp, _tested_generators, _view
 # the cached fields read off the product table
 FROM_TABLE = ("compat_partners", "orth", "restricted_groupoid")
 
-# the view core._view makes of each table, 255 for no id: InvSgp.meet_view,
+# the view core._view makes of each table: InvSgp.meet_view,
 # InvSgp.join_view (on the compatible partners) and BoolInvSgp.rc_view (on
 # the down-sets)
 VIEWS = {"meet_table": "meet_view", "join_table": "join_view", "rc_table": "rc_view"}
@@ -30,10 +30,10 @@ def unchecked(x, drop=(), **fields):
     drop = (*drop, *(VIEWS[name] for name in VIEWS.keys() & fields.keys()))
     if isinstance(x, InvSgp) and "table" in fields:
         rows = fields["table"] = tuple(map(tuple, fields["table"]))
-        if "byte_view" not in fields:
-            fields["byte_view"] = _view(rows, len(rows))
+        if "view" not in fields:
+            fields["view"] = _view(rows, len(rows))
         if "associative_generators" not in fields:
-            gens = _tested_generators(rows, fields["byte_view"])
+            gens = _tested_generators(rows, fields["view"])
             fields["associative_generators"] = gens
     out = object.__new__(type(x))
     for name, v in vars(x).items():
