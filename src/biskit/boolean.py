@@ -206,12 +206,14 @@ def _distributivity_failure(s, per_a, none):
     can come in either order; a reversed pair without a join (none in
     _partner_joins' per_a) declines it.  Per a and side, side[a] v side[b]
     over the partners b of a is read against side at the joins a v b
-    (_joins_kept).  When the pass declines, _translation_failure names the
-    first c, left before right: ("left-distributivity", c, a, b) or
-    ("right-distributivity", a, b, c).
+    (_joins_kept, one view call for every side).  When the pass declines,
+    _translation_failure names the first c, left before right:
+    ("left-distributivity", c, a, b) or ("right-distributivity", a, b, c).
     """
     if not any(none in joins for _, _, joins in per_a):
-        if _on_generator_sides(s, _joins_kept(s, per_a)):
+        sides = []  # the sides of the pass, whose views are built in one call
+        collected = _on_generator_sides(s, lambda side: sides.append(side) or True)
+        if collected and _joins_kept(s, per_a)(sides):
             return None
     jt = s.join_table
     triples = (
@@ -229,26 +231,29 @@ def _distributivity_failure(s, per_a, none):
 
 
 def _joins_kept(s, per_a):
-    """holds(side) of _distributivity_failure's pass: side[a] v side[b] is
-    side[a v b] for each (a, partners b, joins a v b) of per_a, one per id.
+    """holds(sides) of _distributivity_failure's pass: side[a] v side[b] is
+    side[a v b] for each (a, partners b, joins a v b) of per_a, one per id,
+    and each side of sides.
 
-    The partners are gathered through the view of side, and their images
-    then through join row side[a] of the join view (InvSgp.join_view),
-    against the joins gathered through side.  The byte view holds no id
-    off the partners, so a side whose images leave them declines, and
-    _translation_failure reads the join table there.  Without a view
-    every side declines.
+    The views of all the sides are built in one call.  The partners are
+    gathered through the view of a side, and their images then through
+    join row side[a] of the join view (InvSgp.join_view), against the joins
+    gathered through the side.  The byte view holds no id off the
+    partners, so a side whose images leave them declines, and
+    _translation_failure reads the join table there.  Without a view every
+    side declines.
     """
     view, k = s.join_view, s.size
     if view is None:
-        return lambda side: False
+        return lambda sides: False
     form = _form(view)
     read = form.read
 
-    def holds(side):
-        (at,) = form.view((side,), k)
+    def holds(sides):
         return all(
-            read(read(ps, at), view[side[a]]) == read(js, at) for a, ps, js in per_a
+            read(read(ps, at), view[side[a]]) == read(js, at)
+            for side, at in zip(sides, form.view(sides, k))
+            for a, ps, js in per_a
         )
 
     return holds

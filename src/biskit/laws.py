@@ -83,10 +83,9 @@ from .groupoid import (
 from .rook import (
     decompose,
     identity_rook,
-    rook_matrix,
+    rook_matrices,
     rook_mul,
     rook_star,
-    rook_violation,
     theta_iso,
 )
 from .typemon import (
@@ -1221,26 +1220,24 @@ def law_factorization(c):
 
 def law_ale(c):
     """The 2x2 rook matrices form an inverse monoid ordered entrywise: b(a'a)
-    = a exactly when a <= b entrywise.  a'a takes few values, so b(a'a) is
-    computed once per pair (b, a'a)."""
+    = a exactly when a <= b entrywise.  Each candidate is tested once
+    (rook_matrices) and each star taken once; a'a takes few values, so
+    b(a'a) is computed once per pair (b, a'a)."""
     bs = c.bs
     s = bs.base
     _skip_above(s, ROOK_ENUM_CAP, "ROOK_ENUM_CAP", "2x2 matrix enumeration")
     quads = itertools.product(range(s.size), repeat=4)
-    candidates = (((p, q), (r, t)) for p, q, r, t in quads)
-    mats = [
-        rook_matrix(bs, entries)
-        for entries in candidates
-        if rook_violation(bs, 2, entries) is None
-    ]
+    mats = list(rook_matrices(bs, (((p, q), (r, t)) for p, q, r, t in quads)))
     ident = identity_rook(bs, 2)
     z = s.zero
+    stars = []  # a* for each a of mats, in order
     for a in mats:
         if rook_mul(a, ident).entries != a.entries:
             return (a.entries, "right-unit")
         if rook_mul(ident, a).entries != a.entries:
             return (a.entries, "left-unit")
-        if rook_mul(rook_mul(a, rook_star(a)), a).entries != a.entries:
+        stars.append(rook_star(a))
+        if rook_mul(rook_mul(a, stars[-1]), a).entries != a.entries:
             return (a.entries, "inverse")
         sq = rook_mul(a, a)
         diag_idem = (
@@ -1265,8 +1262,8 @@ def law_ale(c):
         return (a.entries, mats[k].entries, "order")
 
     by_da = {}  # a'a entries -> b(a'a) entries for each b of mats, in order
-    for a in mats:
-        da = rook_mul(rook_star(a), a)
+    for a, a_star in zip(mats, stars):
+        da = rook_mul(a_star, a)
         products = by_da.get(da.entries)
         if products is None:
             products = by_da[da.entries] = []

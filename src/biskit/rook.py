@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 
 from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
@@ -33,11 +34,21 @@ from .groupoid import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RookMatrix:
     base: BoolInvSgp
     n: int
     entries: tuple  # n rows of n ids into base
+
+
+@cache
+def _indices(n):
+    """The positions 0..n-1 of a row or a column, and their pairs p < q.
+
+    The rook kernels loop over these tuples and index the entries, as a
+    zip, map or enumerate object costs more than the few reads of a small
+    matrix."""
+    return tuple(range(n)), tuple(itertools.combinations(range(n), 2))
 
 
 def rook_violation(base, n, entries):
@@ -49,14 +60,15 @@ def rook_violation(base, n, entries):
     """
     s = base.base
     table, inv, z = s.table, s.inv, s.zero
-    pairs = list(itertools.combinations(range(n), 2))
-    for i, row in enumerate(entries):
+    positions, pairs = _indices(n)
+    for i in positions:
+        row = entries[i]
         for j1, j2 in pairs:
             if table[inv[row[j1]]][row[j2]] != z:
                 return ("row", i, j1, j2)
-    for j, col in enumerate(zip(*entries)):
+    for j in positions:
         for i1, i2 in pairs:
-            if table[col[i1]][inv[col[i2]]] != z:
+            if table[entries[i1][j]][inv[entries[i2][j]]] != z:
                 return ("col", j, i1, i2)
     return None
 
@@ -72,29 +84,44 @@ def _checked(base, entries):
 
 
 def rook_matrix(base, entries):
-    entries = tuple(tuple(r) for r in entries)
+    entries = tuple(map(tuple, entries))
     if any(len(r) != len(entries) for r in entries):
         raise DimensionMismatch("rook matrix must be square")
     return _checked(base, entries)
 
 
+def rook_matrices(base, candidates):
+    """The rook matrices among candidates, square tuples of row tuples, in
+    order; each candidate is tested once."""
+    for entries in candidates:
+        if rook_violation(base, len(entries), entries) is None:
+            yield RookMatrix(base, len(entries), entries)
+
+
 def rook_mul(a, b):
     """Matrix product; each entry is an orthogonal join of entrywise terms.
 
-    Two terms of one entry that are not orthogonal raise CertificateFailed.
-    An entry with one nonzero term is that term, one with none the zero.
+    Entry (i, j) reads its terms a[i][k] * b[k][j] in the order of k and
+    keeps the nonzero ones.  Two or more are checked pairwise orthogonal,
+    in that order (CertificateFailed names the first pair that is not), and
+    joined through the join table (join_of); one term is the entry, and
+    none gives the zero.
     """
-    if a.base is not b.base or a.n != b.n:
+    base, n = a.base, a.n
+    if base is not b.base or n != b.n:
         raise DimensionMismatch("rook product needs one base and one size")
-    base = a.base
     s = base.base
-    table, z = s.table, s.zero
-    cols = tuple(zip(*b.entries))
+    table, z, rows_a, rows_b = s.table, s.zero, a.entries, b.entries
+    positions = _indices(n)[0]
     out = []
-    for i, row in enumerate(a.entries):
-        out_row = []
-        for j, col in enumerate(cols):
-            terms = [t for x, y in zip(row, col) if (t := table[x][y]) != z]
+    for i in positions:
+        row, out_row = rows_a[i], []
+        for j in positions:
+            terms = []
+            for k in positions:
+                t = table[row[k]][rows_b[k][j]]
+                if t != z:
+                    terms.append(t)
             if len(terms) < 2:
                 out_row.append(terms[0] if terms else z)
                 continue
@@ -108,10 +135,14 @@ def rook_mul(a, b):
 
 def rook_star(a):
     """Transpose with inverted entries; a = a * a'(star) * a always holds."""
-    inv = a.base.base.inv
-    return _checked(
-        a.base, tuple(tuple(map(inv.__getitem__, col)) for col in zip(*a.entries))
-    )
+    inv, entries = a.base.base.inv, a.entries
+    out = []
+    for j in _indices(a.n)[0]:
+        col = []
+        for row in entries:
+            col.append(inv[row[j]])
+        out.append(tuple(col))
+    return _checked(a.base, tuple(out))
 
 
 def identity_rook(base, n):

@@ -101,7 +101,7 @@ from row_kernels import (
 from test_core import I4, relabel, shuffled
 from test_law_kernels import corrupted, corruptions, outcome
 from test_laws import BY_ROWS_KEPT
-from unchecked import unchecked
+from unchecked import FROM_TABLE, replaced, unchecked
 
 # the scans that name a witness when a kernel declines, where biskit looks
 # them up: Light's test falls back to the row scan of associativity, and
@@ -205,8 +205,11 @@ def assert_kernels_agree(c, gens=None, valid=False):
             kept = _joins_kept(s, triples)
             by_rows = joins_kept_by_rows(s.join_table, triples)
             for side in sides(s):
-                got, want = kept(side), by_rows(side)
+                got, want = kept([side]), by_rows(side)
                 assert got == want if valid else want >= got
+            # every side at once, their views built in one call
+            got, want = kept(sides(s)), all(map(by_rows, sides(s)))
+            assert got == want if valid else want >= got
 
 
 def atom_labels(s):
@@ -348,15 +351,21 @@ def test_byte_kernels_match_the_general_path_on_component_forms(form, seed):
 
 
 def rows_kept(s, per_a):
-    """joins_kept_by_rows on s's join table."""
-    return joins_kept_by_rows(s.join_table, per_a)
+    """joins_kept_by_rows on s's join table, holding on a list of sides
+    when it holds on each."""
+    holds = joins_kept_by_rows(s.join_table, per_a)
+    return lambda sides: all(map(holds, sides))
 
 
 def distributivity_pass(s, kept):
     """Whether _distributivity_failure's pass accepts s with holds made by
-    kept, or None when a compatible pair has no join."""
-    triples = per_a(s)
-    return None if triples is None else _on_generator_sides(s, kept(s, triples))
+    kept, read on the sides _on_generator_sides gives, or None when a
+    compatible pair has no join."""
+    triples, sides = per_a(s), []
+    if triples is None:
+        return None
+    collected = _on_generator_sides(s, lambda side: sides.append(side) or True)
+    return collected and kept(s, triples)(sides)
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,6 +426,21 @@ def test_two_index_kernels_match_the_general_path_on_corrupted_d_and_r(
     assert_two_index_kernels_agree(c)
 
 
+def test_restricted_product_declines_where_only_a2_below_a_fails():
+    # z2zero (zero 0, identity 1, 2*2 = 1) with row 2 read as the identity's
+    # row, 2*x = x: the table stays associative, the down-sets multiply,
+    # every f*b <= b, d(a2) = r(b2) and a2*b2 = a*b; only a2 = 2*r(1) = 1
+    # <= 2 fails, so the kernel declines in both forms on its a2 <= a check
+    # alone, and the scan names (2, 1)
+    c = corrupted("z2zero", "table", 2, 1, 1)
+    assert c.s.table == ((0, 0, 0), (0, 1, 2), (0, 1, 1))
+    s = unchecked(c.s, FROM_TABLE, table=replaced(c.s.table, 2, 2, 2))
+    c = Analysis(unchecked(c.bs, ("rc_table",), base=s))
+    for d in forms(c):
+        assert not _restricted_product_kept(d.s)
+        assert law_restricted_product(d) == restricted_product_by_rows(d.s) == (2, 1)
+
+
 def test_byte_rows_read_none_as_255_and_decline_other_entries():
     # the view of whole rows, such as the product and meet tables: None and
     # the padding read as 255, an entry that is no id declines the view;
@@ -442,6 +466,22 @@ def test_tuple_view_is_the_rows_and_declines_other_entries():
         assert _Tuples.view(((0, 1, 2), (1, bad, 0)), 3, ((0,), (0, 2))) is not None
     table = boundary_table(256)
     assert _view(table, 256) is table
+
+
+def test_byte_flags_are_the_per_id_table():
+    # the flag table is built by two translations; it holds what a scan of
+    # the 256 bytes gives: 255 at each id flagged, 0 elsewhere, byte 255
+    # included, for no ids, every id up to 254, and the idempotents of the
+    # corpus and of I4
+    def per_id(ids):
+        return bytes(255 if e in ids else 0 for e in range(256))
+
+    sets = [set(), {0}, {254}, set(range(255)), set(range(0, 255, 7))]
+    for table in (*map(corpus_semigroup, SEMIGROUP_BUILDERS), InvSgp(I4)):
+        sets.append(set(table.idempotents))
+    for ids in sets:
+        assert _Bytes.flags(ids, 255) == per_id(ids), sorted(ids)
+    assert _Tuples.flags({0, 2}, 3) == (True, False, True)
 
 
 def test_partner_view_reads_255_off_the_support_and_at_entries_no_id():

@@ -841,6 +841,26 @@ def test_src_raises_only_typed_errors():
     assert untyped == set(UNTYPED_RAISES)
 
 
+def test_src_builds_rook_matrices_only_behind_the_rook_test():
+    # rook._checked and rook.rook_matrices build a RookMatrix only from
+    # entries that have just passed rook_violation; RookMatrix read anywhere
+    # else in src/, called or handed on, could build one that skipped it
+    src = os.path.dirname(os.path.abspath(biskit.__file__))
+    found = set()
+
+    def visit(node, name, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if getattr(node, "id", getattr(node, "attr", None)) == "RookMatrix":
+            found.add((name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, function)
+
+    for name, tree in parsed_modules(src).items():
+        visit(tree, name, None)
+    assert found == {("rook.py", "_checked"), ("rook.py", "rook_matrices")}
+
+
 # the functions in src/ named *_by_rows, each with why it stays: a kernel
 # is written once, reading its views through its form's gather, and its
 # row-by-row twin lives in tests/row_kernels.py as the oracle

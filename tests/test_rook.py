@@ -778,29 +778,64 @@ def corrupt(bs, mats, which, a, b, value):
     return bs, [dataclasses.replace(m, base=bs) for m in mats]
 
 
+def three_term_case():
+    """powerset2 x {0, 1} (table_product), the subsets of three points, whose
+    three atoms are pairwise orthogonal nonzero idempotents, and 3x3 entry
+    lists over them: a row of the atoms, its column, their Latin square, a
+    diagonal and the identity.  The row times the column, and the square
+    times itself, join three terms in an entry."""
+    table = table_product(corpus_semigroup("powerset2"), InvSgp(((0, 0), (0, 1))))
+    bs = check_boolean(InvSgp(table)).structure
+    z, (p, q, r) = bs.zero, bs.base.atoms
+    candidates = [
+        ((p, q, r), (z, z, z), (z, z, z)),
+        ((p, z, z), (q, z, z), (r, z, z)),
+        ((p, q, r), (q, r, p), (r, p, q)),
+        ((p, z, z), (z, q, z), (z, z, r)),
+        identity_rook(bs, 3).entries,
+    ]
+    t = bs.base.table
+    three = [
+        (a, b)
+        for a, b in itertools.product(candidates, repeat=2)
+        for i, j in itertools.product(range(3), repeat=2)
+        if sum(t[a[i][m]][b[m][j]] != z for m in range(3)) == 3
+    ]
+    assert len(three) >= 2
+    return bs, candidates
+
+
 @pytest.mark.parametrize(
     "name, errors",
     [
         ("z2zero", {"NotRook", "CertificateFailed"}),
         # only powerset2 has two orthogonal nonzero terms to join
         ("powerset2", {"NotRook", "CertificateFailed", "NotCompatible"}),
+        # three_term_case: entries of three terms, so the pairwise checks
+        # cannot be read as a fold
+        ("three-atoms", {"NotRook", "CertificateFailed", "NotCompatible"}),
     ],
 )
 def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
-    # the 2x2 rook matrices of the valid table, read after one entry of the
-    # product table changes or one join goes missing: every witness and
-    # error must agree
-    k = boolean(name).size
+    # the 2x2 rook matrices of the valid table (the 3x3 ones of
+    # three_term_case), read after one entry of the product table changes
+    # or one join goes missing: every witness and error must agree
+    if name == "three-atoms":
+        bs, candidates = three_term_case()
+    else:
+        bs = boolean(name)
+        candidates = square_candidates(range(bs.size), 2)
+    mats = assert_checks_match(bs, candidates)
+    assert_arithmetic_matches(mats)
+    k = bs.size
     raised = set()
     for which, a, b in itertools.product(("table", "join_table"), range(k), range(k)):
         for value in (None,) if which == "join_table" else range(k):
-            bs = boolean(name)
             if getattr(bs.base, which)[a][b] == value:
                 continue  # the entry already holds value
-            mats = assert_checks_match(bs, square_candidates(range(k), 2))
-            bs, mats = corrupt(bs, mats, which, a, b, value)
-            assert_checks_match(bs, [m.entries for m in mats])
-            outcomes = assert_arithmetic_matches(mats)
+            bad, moved = corrupt(bs, mats, which, a, b, value)
+            assert_checks_match(bad, [m.entries for m in moved])
+            outcomes = assert_arithmetic_matches(moved)
             raised |= {o[1] for o in outcomes if o[0] == "raised"}
     assert raised == errors
 
