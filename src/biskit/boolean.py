@@ -105,27 +105,6 @@ class BoolInvSgp:
             raise NotBelow((x, y))
         return w
 
-    def join(self, a, b):
-        j = self.base.join_table[a][b]
-        if j is None:
-            raise NotCompatible((a, b))
-        return j
-
-    def join_of(self, xs):
-        xs = list(xs)
-        if not xs:
-            return self.zero
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self.join(acc, x)
-        return acc
-
-    def meet(self, a, b):
-        m = self.base.meet_table[a][b]
-        if m is None:
-            raise NotCompatible((a, b))
-        return m
-
     @cached_property
     def atoms_groupoid(self):
         """The atoms under the restricted product, as a groupoid G(S), built
@@ -292,9 +271,9 @@ def orthogonalize(bs, elems):
         if m is None:
             raise CertificateFailed(("missing-meet", sofar, x))
         out.append(bs.rc(x, m))
-        sofar = bs.join(sofar, x)
+        sofar = s.join_of((sofar, x))
     for a, b in itertools.combinations(out, 2):
-        if not s.orth[a][b]:
+        if b not in s.orth[a]:
             raise CertificateFailed(("not-orthogonal", a, b))
     for t, x in zip(out, elems):
         if t not in s.down[x]:

@@ -119,12 +119,7 @@ def gamma_extension(b, alpha, target):
         if a == s0.zero:
             continue
         strict = [x for x in s0.down[a] if x != a and x != s0.zero]
-        j = t.zero
-        for x in strict:
-            j = t.join_table[j][alpha[x]]
-            if j is None:
-                raise CertificateFailed(("join-below-alpha-missing", a, x))
-        gamma1[a] = target.rc(alpha[a], j)
+        gamma1[a] = target.rc(alpha[a], t.join_of(alpha[x] for x in strict))
 
     labels = b.target.groupoid.labels
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -132,9 +127,9 @@ def gamma_extension(b, alpha, target):
     for k, aset in enumerate(b.target.bisections):
         vals = [gamma1[labels[i]] for i in sorted(aset)]
         for v1, v2 in itertools.combinations(vals, 2):
-            if not t.orth[v1][v2]:
+            if v2 not in t.orth[v1]:
                 raise CertificateFailed(("singletons-not-orthogonal", k, v1, v2))
-        gmap.append(target.join_of(vals) if vals else t.zero)
+        gmap.append(t.join_of(vals))
     gamma = Morphism(b.bs, target, tuple(gmap))
 
     for a in range(s0.size):
@@ -153,7 +148,7 @@ def gamma_extension(b, alpha, target):
         if a == s0.zero:
             continue
         strict = [x for x in s0.down[a] if x != a and x != s0.zero]
-        jb = bsb.join_of([b.beta[x] for x in strict]) if strict else bsb.zero
+        jb = bsb.join_of(b.beta[x] for x in strict)
         singleton_id = b.target.index[frozenset({pos[a]})]
         if (
             b.bs.rc(b.beta[a], jb) != singleton_id

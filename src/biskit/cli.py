@@ -144,7 +144,7 @@ def render_booleanization(b):
     """The target table as .ist text, with the id map appended as comments."""
     from .corpus import render_ist
 
-    lines = [render_ist([list(r) for r in b.bs.base.table]).rstrip("\n")]
+    lines = [render_ist(b.bs.base.table).rstrip("\n")]
     if b.source0.size != b.source.size:
         lines.append(f"# beta: zero adjoined to the source as id {b.source0.size - 1}")
     for a, t in enumerate(b.beta):

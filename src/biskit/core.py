@@ -18,6 +18,7 @@ from .errors import (
     CertificateFailed,
     NoZero,
     NotAssociative,
+    NotCompatible,
     NotInverse,
     ParseError,
     TooLarge,
@@ -726,20 +727,18 @@ class InvSgp:
 
     @cached_property
     def orth(self):
-        """orth[a][b]: a'*b = a*b' = 0.  Only meaningful with a zero.
+        """orth[a]: the frozenset of the b with a'*b = a*b' = 0, the one form
+        of the orthogonality relation.  Only meaningful with a zero.
 
         Row a is read at the b where row a' holds the zero, the only b that
         can pass."""
         if self.zero is None:
             raise NoZero("orthogonality needs a zero")
-        k, t, inv, z = self.size, self.table, self.inv, self.zero
-        out = []
-        for ra, ia in zip(t, inv):
-            row = [False] * k
-            for b in _positions(t[ia], z):
-                row[b] = ra[inv[b]] == z
-            out.append(tuple(row))
-        return tuple(out)
+        t, inv, z = self.table, self.inv, self.zero
+        return tuple(
+            frozenset(b for b in _positions(t[ia], z) if ra[inv[b]] == z)
+            for ra, ia in zip(t, inv)
+        )
 
     @cached_property
     def meet_table(self):
@@ -809,12 +808,16 @@ class InvSgp:
         return tuple(table)
 
     def join_of(self, xs):
-        """Least upper bound of an iterable of ids, or None if it fails."""
-        acc = None
+        """The join of an iterable of ids, folded left through join_table:
+        the zero for no ids, and NotCompatible((acc, x)) at the first
+        partial join acc with no join with the next x."""
+        xs, jt = iter(xs), self.join_table
+        acc = next(xs, self.zero)
         for x in xs:
-            acc = x if acc is None else self.join_table[acc][x]
-            if acc is None:
-                return None
+            j = jt[acc][x]
+            if j is None:
+                raise NotCompatible((acc, x))
+            acc = j
         return acc
 
     def __repr__(self):

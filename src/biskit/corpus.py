@@ -191,21 +191,12 @@ GROUPOID_COMMENTS = {
 
 
 def render_ist(table, comment=None):
+    """A table as .ist or .grp text: an undefined entry, None, is -1."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
     lines.append(f"n {len(table)}")
     for row in table:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def render_grp(ptable, comment=None):
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"n {len(ptable)}")
-    for row in ptable:
         lines.append(" ".join("-1" if v is None else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -233,14 +224,13 @@ def write_corpus(dirpath):
 
     os.makedirs(dirpath, exist_ok=True)
     names = []
-    for name, builder in SEMIGROUP_BUILDERS.items():
-        fname = f"{name}.ist"
-        with open(os.path.join(dirpath, fname), "w") as fh:
-            fh.write(render_ist(builder(), SEMIGROUP_COMMENTS[name]))
-        names.append(fname)
-    for name, builder in GROUPOID_BUILDERS.items():
-        fname = f"{name}.grp"
-        with open(os.path.join(dirpath, fname), "w") as fh:
-            fh.write(render_grp(builder(), GROUPOID_COMMENTS[name]))
-        names.append(fname)
+    for ext, builders, comments in (
+        ("ist", SEMIGROUP_BUILDERS, SEMIGROUP_COMMENTS),
+        ("grp", GROUPOID_BUILDERS, GROUPOID_COMMENTS),
+    ):
+        for name, builder in builders.items():
+            fname = f"{name}.{ext}"
+            with open(os.path.join(dirpath, fname), "w") as fh:
+                fh.write(render_ist(builder(), comments[name]))
+            names.append(fname)
     return names

@@ -10,6 +10,14 @@ class BiskitError(Exception):
     """Base class for all library errors."""
 
 
+class _Witnessed(BiskitError):
+    """An error that carries .witness, printed after the class's prefix."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"{self.prefix}: {witness}")
+
+
 class ParseError(BiskitError):
     """Malformed .ist/.grp text: bad header, bad token, wrong shape."""
 
@@ -68,13 +76,11 @@ class NotCompatible(BiskitError):
         super().__init__(f"elements {pair[0]} and {pair[1]} are not compatible")
 
 
-class NotRook(BiskitError):
+class NotRook(_Witnessed):
     """Matrix entries that break a rook condition; witness is the first
     failing pair, as rook_violation names it."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"rook condition fails: {witness}")
+    prefix = "rook condition fails"
 
 
 class DimensionMismatch(BiskitError):
@@ -85,22 +91,18 @@ class TooLarge(BiskitError):
     """Construction would exceed a tabulation cap."""
 
 
-class NotBoolean(BiskitError):
+class NotBoolean(_Witnessed):
     """Structure fails one of the Boolean axioms; carries the witness."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"not Boolean: {witness}")
+    prefix = "not Boolean"
 
 
 class NotMonoid(BiskitError):
     """No two-sided identity element."""
 
 
-class NotHomomorphism(BiskitError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"map is not a homomorphism: {witness}")
+class NotHomomorphism(_Witnessed):
+    prefix = "map is not a homomorphism"
 
 
 class TargetNotBoolean(BiskitError):
@@ -111,28 +113,20 @@ class ZeroIdempotent(BiskitError):
     """Idempotent argument must be nonzero."""
 
 
-class NotAnIdeal(BiskitError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"not an additive ideal: {witness}")
+class NotAnIdeal(_Witnessed):
+    prefix = "not an additive ideal"
 
 
-class NotMultiplicative(BiskitError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"map does not preserve products: {witness}")
+class NotMultiplicative(_Witnessed):
+    prefix = "map does not preserve products"
 
 
-class NotZeroPreserving(BiskitError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"map does not send zero to zero: {witness}")
+class NotZeroPreserving(_Witnessed):
+    prefix = "map does not send zero to zero"
 
 
-class CertificateFailed(BiskitError):
+class CertificateFailed(_Witnessed):
     """A construction's result failed the check that certifies it; carries
     the witness."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"certificate failed: {witness}")
+    prefix = "certificate failed"

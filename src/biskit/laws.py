@@ -68,7 +68,6 @@ from .errors import (
     BiskitError,
     NotBelow,
     NotBoolean,
-    NotCompatible,
     TooLarge,
     Undecided,
 )
@@ -89,6 +88,7 @@ from .rook import (
     theta_iso,
 )
 from .typemon import (
+    _atom_components,
     ideal_triple,
     mu_type_invariance,
     refinement_check,
@@ -481,18 +481,22 @@ def law_atom_idempotent(c):
     return None
 
 
+def _orth_pairs(s):
+    """The orthogonal pairs (a, b), ascending."""
+    return [(a, b) for a, ps in enumerate(s.orth) for b in sorted(ps)]
+
+
 def _oj_on_generators(s):
     """True when (u*a, u*b) and (a*u, b*u) are orthogonal for every
     orthogonal pair (a, b) and every u, by _on_generator_sides: row g and
     column g of each generator g, read at the orthogonal pairs."""
-    elems, orth = range(s.size), s.orth
-    pairs = [(a, b) for a in elems for b in itertools.compress(elems, orth[a])]
+    pairs, orth = _orth_pairs(s), s.orth
     if not pairs:
         return False
     at_a, at_b = (_picker(ids) for ids in zip(*pairs))
 
     def holds(side):
-        return all(map(getitem, map(orth.__getitem__, at_a(side)), at_b(side)))
+        return all(map(contains, map(orth.__getitem__, at_a(side)), at_b(side)))
 
     return _on_generator_sides(s, holds)
 
@@ -504,9 +508,8 @@ def law_oj(c):
     s = c.s
     if _oj_on_generators(s):
         return None
-    elems, orth = range(s.size), s.orth
-    pairs = ((a, b) for a in elems for b in itertools.compress(elems, orth[a]))
-    bad = _translation_failure(s, pairs, lambda x, y: orth[x][y])
+    orth = s.orth
+    bad = _translation_failure(s, _orth_pairs(s), lambda x, y: y in orth[x])
     if bad is None:
         return None
     (a, b), u, side = bad
@@ -517,8 +520,8 @@ def law_buffs(c):
     s = c.s
     for a in range(s.size):
         for b in s.compat_partners[a]:
-            o = s.orth[a][b]
-            if o != s.orth[s.d[a]][s.d[b]] or o != s.orth[s.r[a]][s.r[b]]:
+            o = b in s.orth[a]
+            if o != (s.d[b] in s.orth[s.d[a]]) or o != (s.r[b] in s.orth[s.r[a]]):
                 return (a, b)
     return None
 
@@ -789,7 +792,7 @@ def law_chicken(c):
         for y in s.down[x]:
             w = bs.rc(x, y)
             if not (
-                s.orth[y][w]
+                w in s.orth[y]
                 and s.join_table[y][w] == x
                 and s.d[w] == bs.rc(s.d[x], s.d[y])
                 and s.r[w] == bs.rc(s.r[x], s.r[y])
@@ -806,7 +809,7 @@ def law_pork(c):
         for y in s.compat_partners[x]:
             m = mt[x][y]
             w = bs.rc(x, m)
-            if not s.orth[w][y]:
+            if y not in s.orth[w]:
                 return (x, y, "not-orthogonal")
             if s.join_table[w][y] != s.join_table[x][y]:
                 return (x, y)
@@ -821,21 +824,21 @@ def law_orthogonal(c):
 
     Each step orthogonalize takes is computed once.  step(x, y) adds y to a
     family with join x: m = x meet y is defined, t = y - m and j = x v y are
-    (bs.rc and bs.join do not raise), orth[x][t], x <= x, t <= y and
-    join_of([x, t]) = j; it gives (t, j).  orthogonalize((a, b)) reads the
+    (bs.rc does not raise, and the join table holds j), x orth t, x <= x,
+    t <= y and x v t = j; it gives (t, j).  orthogonalize((a, b)) reads the
     partners of a, which hold b, and step(a, b).  orthogonalize((a, b, c))
     reads the partners of a and of b, which hold b and c, step(a, b) =
     (t2, j), step(j, c) = (t3, J), and orth of (a, t3) and (t2, t3).  Its
     join check holds as join_of folds left: join_of([a, t2, t3]) = j v t3 =
     J = join_of([a, b, c]).  A family with a failed read goes to
     orthogonalize itself, which raises its witness in the same order, or
-    returns when that read is one it does not make (orth[j][t3], j <= j).
+    returns when that read is one it does not make (j orth t3, j <= j).
     So the law returns None, or raises the error orthogonalize raises for
     the first family that fails.
     """
     bs = c.bs
     s = bs.base
-    meet, orth, down = _checked_meets(s), s.orth, s.down
+    meet, orth, down, jt = _checked_meets(s), s.orth, s.down, s.join_table
     # later[a]: the nonzero b > a compatible with a, ascending
     later = [
         [b for b in _above(p, a) if b != s.zero]
@@ -848,11 +851,11 @@ def law_orthogonal(c):
         if m is None:
             return None
         try:
-            t, j = bs.rc(y, m), bs.join(x, y)
-        except (NotBelow, NotCompatible):
+            t, j = bs.rc(y, m), jt[x][y]
+        except NotBelow:
             return None
-        ok = orth[x][t] and x in down[x] and t in down[y] and s.join_of([x, t]) == j
-        return (t, j) if ok else None
+        ok = j is not None and t in orth[x] and x in down[x] and t in down[y]
+        return (t, j) if ok and jt[x][t] == j else None
 
     nonzero = s.nonzero()
     for a in nonzero:
@@ -865,7 +868,7 @@ def law_orthogonal(c):
             ab = step(a, b)  # (t2, j)
             for c3 in filter(ca.__contains__, later[b]):
                 jc = ab and step(ab[1], c3)  # (t3, J)
-                if not (jc and oa[jc[0]] and orth[ab[0]][jc[0]]):
+                if not (jc and jc[0] in oa and jc[0] in orth[ab[0]]):
                     orthogonalize(bs, (a, b, c3))
     return None
 
@@ -1040,7 +1043,7 @@ def law_atoms_semisimple(c):
         if a == s.zero:
             continue
         below = [x for x in s.down[a] if x in c.atom_set]
-        if not below or s.join_of(below) != a:
+        if s.join_of(below) != a:
             return (a,)
     return None
 
@@ -1077,12 +1080,7 @@ def law_smallest(c):
     holding it.
     """
     s, bs = c.s, c.bs
-    ag = bs.atoms_groupoid
-    comp = {  # idempotent atom -> the index of its component
-        ag.labels[e]: i
-        for i, component in enumerate(ag.form)
-        for e in component.identities
-    }
+    comp = _atom_components(bs)
     by_key, closure = {}, {}
     for e in s.idempotents:
         key = frozenset(comp[x] for x in s.down[e] if x in comp)

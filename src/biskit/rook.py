@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .boolean import BoolInvSgp, KOfGroupoid, k_of_groupoid
 from .core import _on_generators
@@ -34,8 +35,11 @@ from .groupoid import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RookMatrix:
+class RookMatrix(NamedTuple):
+    """An n-by-n matrix over base.  A NamedTuple, as the generated __init__
+    of a frozen dataclass costs about twice as much; it equals a plain tuple
+    of its fields, so matrices are compared by their entries."""
+
     base: BoolInvSgp
     n: int
     entries: tuple  # n rows of n ids into base
@@ -126,9 +130,9 @@ def rook_mul(a, b):
                 out_row.append(terms[0] if terms else z)
                 continue
             for t1, t2 in itertools.combinations(terms, 2):
-                if not s.orth[t1][t2]:
+                if t2 not in s.orth[t1]:
                     raise CertificateFailed(("terms-not-orthogonal", i, j, t1, t2))
-            out_row.append(base.join_of(terms))
+            out_row.append(s.join_of(terms))
         out.append(tuple(out_row))
     return _checked(base, tuple(out))
 

@@ -227,20 +227,20 @@ def _witness_verified(bs, pairs, left_diag, right_diag, edges):
     """Build the rook matrix carrying right_diag's atoms onto left_diag's
     along pairs, the matching, and verify that it is one, X*X =
     diag(right_diag) and XX* = diag(left_diag) by matrix arithmetic."""
-    z = bs.base.zero
+    s = bs.base
     cells = {}
     for (dst_slot, q), (src_slot, p) in pairs:
         # entry (dst, src) needs a witness with domain p and range q
         cells.setdefault((dst_slot, src_slot), []).append(edges[(p, q)])
-    entries = [[bs.join_of(cells.get((i, j), ())) for j in (0, 1)] for i in (0, 1)]
+    entries = [[s.join_of(cells.get((i, j), ())) for j in (0, 1)] for i in (0, 1)]
     try:
         x = rook_matrix(bs, entries)
     except NotRook:
         return False  # X is no rook matrix
     xs = rook_star(x)
     return (
-        rook_mul(xs, x).entries == _diag(*right_diag, z)
-        and rook_mul(x, xs).entries == _diag(*left_diag, z)
+        rook_mul(xs, x).entries == _diag(*right_diag, s.zero)
+        and rook_mul(x, xs).entries == _diag(*left_diag, s.zero)
     )
 
 

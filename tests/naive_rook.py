@@ -54,9 +54,9 @@ def rook_mul(a, b):
             ]
             terms = [t for t in terms if t != s.zero]
             for t1, t2 in itertools.combinations(terms, 2):
-                if not s.orth[t1][t2]:
+                if t2 not in s.orth[t1]:
                     raise CertificateFailed(("terms-not-orthogonal", i, j, t1, t2))
-            row.append(base.join_of(terms))
+            row.append(s.join_of(terms))
         out.append(tuple(row))
     return rook_matrix(base, out)
 

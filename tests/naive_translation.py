@@ -72,11 +72,11 @@ def _oj_scan(s):
     """law oj on every orthogonal pair (a, b), then every u: the first
     (a, b, u, side) that fails, or None."""
     for a in range(s.size):
-        for b in itertools.compress(range(s.size), s.orth[a]):
+        for b in sorted(s.orth[a]):
             for u in range(s.size):
-                if not s.orth[s.table[u][a]][s.table[u][b]]:
+                if s.table[u][b] not in s.orth[s.table[u][a]]:
                     return (a, b, u, "left")
-                if not s.orth[s.table[a][u]][s.table[b][u]]:
+                if s.table[b][u] not in s.orth[s.table[a][u]]:
                     return (a, b, u, "right")
     return None
 

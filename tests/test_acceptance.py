@@ -210,7 +210,7 @@ def test_criterion_09_atoms_semisimple():
                 continue
             below = [x for x in atoms if leq(s, x, a)]
             assert below, (name, a)
-            assert bs.join_of(below) == a, (name, a)
+            assert s.join_of(below) == a, (name, a)
 
 
 def test_criterion_10_mutation_robustness(tmp_path):

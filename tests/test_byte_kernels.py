@@ -98,7 +98,7 @@ from row_kernels import (
     restricted_product_by_rows,
     setminus_4_by_rows,
 )
-from test_core import I4, relabel, shuffled
+from test_core import I4, assert_orth_matches_oracle, relabel, shuffled
 from test_law_kernels import corrupted, corruptions, outcome
 from test_laws import BY_ROWS_KEPT
 from unchecked import FROM_TABLE, replaced, unchecked
@@ -622,6 +622,11 @@ def test_256_ids_take_the_tuple_form_of_the_same_kernels():
         assert s.join_view is s.join_table and c.bs.rc_view is c.bs.rc_table
         assert [law(c) for law in VIEW_LAWS] == [None] * len(VIEW_LAWS)
     assert calls == ["_joins_are_unions_by_rows"]
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_orth_matches_the_oracle_at_the_boundary(k):
+    assert_orth_matches_oracle(InvSgp(boundary_table(k)))
 
 
 # -- valid tables never reach the witness scans ------------------------------

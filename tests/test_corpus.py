@@ -6,7 +6,6 @@ from biskit.corpus import (
     corpus_groupoid,
     corpus_semigroup,
     corpus_text,
-    render_grp,
     render_ist,
     write_corpus,
 )
@@ -60,5 +59,5 @@ def test_zero_sits_at_id_zero():
 
 def test_renderers():
     assert render_ist([[0]]) == "n 1\n0\n"
-    assert render_grp([[0, None], [None, 1]]) == "n 2\n0 -1\n-1 1\n"
+    assert render_ist([[0, None], [None, 1]]) == "n 2\n0 -1\n-1 1\n"
     assert render_ist([[0]], "note") == "# note\nn 1\n0\n"

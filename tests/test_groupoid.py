@@ -12,7 +12,7 @@ from biskit.corpus import (
     SEMIGROUP_BUILDERS,
     corpus_groupoid,
     corpus_semigroup,
-    render_grp,
+    render_ist,
     symmetric_inverse_table,
 )
 from biskit import groupoid
@@ -53,7 +53,7 @@ def s3_table():
 
 def test_parse_grp_roundtrip():
     g = corpus_groupoid("z2pair2")
-    text = render_grp([list(r) for r in g.ptable], "scratch")
+    text = render_ist([list(r) for r in g.ptable], "scratch")
     assert parse_groupoid(text).ptable == g.ptable
 
 

@@ -605,7 +605,7 @@ def test_certificates_hold_under_python_O():
         e1, e2 = pset.base.atoms
         a = rook.rook_matrix(pset, [[e1, e2], [0, 0]])
         b = rook.rook_matrix(pset, [[e1, 0], [e2, 0]])
-        pset.base.orth = [[False] * pset.size for _ in range(pset.size)]
+        pset.base.orth = (frozenset(),) * pset.size
         try:
             rook.rook_mul(a, b)  # entry (0, 0) joins e1 and e2
         except CertificateFailed as e:
@@ -859,6 +859,27 @@ def test_src_builds_rook_matrices_only_behind_the_rook_test():
     for name, tree in parsed_modules(src).items():
         visit(tree, name, None)
     assert found == {("rook.py", "_checked"), ("rook.py", "rook_matrices")}
+
+
+def test_boolinvsgp_adds_only_what_booleanness_adds():
+    # a name BoolInvSgp shares with InvSgp is a second copy of something
+    # the base already has, as BoolInvSgp.join_of once was of InvSgp.join_of
+    src = os.path.dirname(os.path.abspath(biskit.__file__))
+    trees = parsed_modules(src)
+
+    def names(module, cls):
+        (node,) = [
+            n
+            for n in trees[module].body
+            if isinstance(n, ast.ClassDef) and n.name == cls
+        ]
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        found = {n.name for n in node.body if isinstance(n, defs)}
+        assert found, cls
+        return found - {"__init__", "__repr__"}
+
+    shared = names("boolean.py", "BoolInvSgp") & names("core.py", "InvSgp")
+    assert shared == set()
 
 
 # the functions in src/ named *_by_rows, each with why it stays: a kernel

@@ -775,7 +775,7 @@ def corrupt(bs, mats, which, a, b, value):
     s = bs.base
     s = unchecked(s, ("orth",), **{which: replaced(getattr(s, which), a, b, value)})
     bs = unchecked(bs, base=s)
-    return bs, [dataclasses.replace(m, base=bs) for m in mats]
+    return bs, [m._replace(base=bs) for m in mats]
 
 
 def three_term_case():

@@ -44,7 +44,12 @@ def unchecked(x, drop=(), **fields):
 
 
 def replaced(rows, a, b, value):
-    """rows, a tuple of tuples, with entry [a][b] set to value; the other
-    rows are shared, not copied."""
+    """rows, a tuple of tuples, with entry [a][b] set to value; for a tuple
+    of frozensets, as InvSgp.orth, b is put in set a when value is true and
+    taken out when it is false.  The other rows are shared, not copied."""
     row = rows[a]
-    return (*rows[:a], (*row[:b], value, *row[b + 1 :]), *rows[a + 1 :])
+    if isinstance(row, frozenset):
+        row = row | {b} if value else row - {b}
+    else:
+        row = (*row[:b], value, *row[b + 1 :])
+    return (*rows[:a], row, *rows[a + 1 :])
