@@ -4,8 +4,8 @@ bisections and the atoms groupoid.
 A BoolInvSgp wraps a validated InvSgp that has passed check_boolean: all
 compatible pairs have joins, multiplication distributes over them, and every
 idempotent interval is complemented.  The complement witnesses found during
-the check are tabulated and drive the relative complement of arbitrary
-elements.
+the check are tabulated, and give the relative complements x minus y, one
+row per x over the y <= x (BoolInvSgp.rc_rows).
 """
 
 from __future__ import annotations
@@ -57,53 +57,54 @@ class BooleanCheck:
 
 
 class BoolInvSgp:
-    """A finite Boolean inverse semigroup (hence monoid) over an InvSgp."""
+    """A finite Boolean inverse monoid: only what Booleanness adds to base."""
 
-    def __init__(self, base, complement, top):
+    def __init__(self, base, complement):
         self.base = base
-        self.complement = complement  # (f, e) with e <= f, both idempotent -> f minus e
-        self.top = top  # identity element; None only in a hand-built wrapper
-        self.size = base.size
-        self.zero = base.zero
+        self.complement = complement  # per idempotent f, {e: f minus e} over e <= f
         self.ideal_carriers = set()  # carriers _ideal_witness has passed
 
     def __repr__(self):
-        return f"BoolInvSgp(size={self.size})"
+        return f"BoolInvSgp(size={self.base.size})"
 
     @cached_property
-    def rc_table(self):
-        """rc_table[x][y] is the relative complement x minus y when y <= x,
-        and None when y is not below x.
-
-        x minus y is x * (d(x) minus d(y)); the idempotent complement comes
-        from the witness table built by check_boolean.  A y in down[x] with
-        no witness for (d(x), d(y)), as when down is overwritten after
-        validation, is not below x either.
-        """
-        b = self.base
-        out = []
+    def rc_rows(self):
+        """Per x, the dict {y: x minus y} over the y <= x, the one stored
+        form of the relative complements: x minus y is x * (d(x) minus
+        d(y)), read off check_boolean's witnesses.  A y of down[x] without
+        one, as when down is overwritten after validation, is no key."""
+        b, d, out = self.base, self.base.d, []
         for x, row in enumerate(b.table):
-            entries = [None] * self.size
-            for y in b.down[x]:
-                c = self.complement.get((b.d[x], b.d[y]))
-                entries[y] = None if c is None else row[c]
-            out.append(tuple(entries))
+            wit = self.complement.get(d[x], {})
+            out.append({y: row[wit[d[y]]] for y in b.down[x] if d[y] in wit})
         return tuple(out)
 
     @cached_property
     def rc_view(self):
-        """The _view of rc_table on down: x minus y at each y <= x, no id at
-        every other entry (in the tuple form, rc_table itself).  None when
-        an entry read is neither None nor an id.  Only the kernel of law
-        setminus-4 reads it, so analyze never builds it."""
-        return _view(self.rc_table, self.size, self.base.down)
+        """The _view of rc_rows on down (in the tuple form, rc_rows itself),
+        or None, as when a row lacks a y of down[x]; read by rc_read."""
+        return _view(self.rc_rows, self.base.size, self.base.down)
+
+    def rc_read(self, at, xs=None):
+        """Row x of rc_view read at the ids at[x], for each x of xs, every
+        id when None, in the view's form: x minus y at each y <= x and the
+        form's none at every other y.  None without a view."""
+        view = self.rc_view
+        if view is None:
+            return None
+        rows = view if xs is None else list(map(view.__getitem__, xs))
+        try:
+            return list(map(_form(view).read, at, rows))
+        except KeyError:  # a dict row of the tuple form, read off its keys
+            return [tuple(map(row.get, i)) for row, i in zip(rows, at)]
 
     def rc(self, x, y):
-        """Relative complement x minus y, for y <= x; read off rc_table."""
-        w = self.rc_table[x][y]
-        if w is None:
-            raise NotBelow((x, y))
-        return w
+        """Relative complement x minus y, read off rc_rows; NotBelow((x, y))
+        when y is not below x."""
+        try:
+            return self.rc_rows[x][y]
+        except KeyError:
+            raise NotBelow((x, y)) from None
 
     @cached_property
     def atoms_groupoid(self):
@@ -154,16 +155,16 @@ def check_boolean(s):
         return BooleanCheck(False, failure, None)
     complement, jt = {}, s.join_table
     for f in s.idempotents:
-        below = s.down[f]  # only idempotents lie below an idempotent
+        below, complement[f] = s.down[f], {}  # only idempotents lie below f
         for e in below:
             wits = [g for g in below if s.table[g][e] == s.zero and jt[e][g] == f]
             if len(wits) != 1:
                 return BooleanCheck(False, ("complement", e, f), None)
-            complement[(f, e)] = wits[0]
+            complement[f][e] = wits[0]
     if s.identity is None:
         # the join e of all idempotents is one: e*x = e*r(x)*x = r(x)*x = x
         raise CertificateFailed(("no-identity",))
-    return BooleanCheck(True, None, BoolInvSgp(s, complement, s.identity))
+    return BooleanCheck(True, None, BoolInvSgp(s, complement))
 
 
 def _partner_joins(s):
@@ -677,7 +678,7 @@ def is_zero_simplifying(bs, ideals):
     pencil domination between all nonzero idempotents, is cross-checked in
     law toby.
     """
-    proper = [i for i in ideals if 1 < len(i) < bs.size]
+    proper = [i for i in ideals if 1 < len(i) < bs.base.size]
     return ZeroSimplifying(len(ideals) == 2, proper[0] if proper else None)
 
 
@@ -794,14 +795,14 @@ def epsilon_quotient(bs, ideal):
             m = jt[m][e]
     if m not in carrier:
         raise CertificateFailed(("ideal-top-missing", m))
-    f = bs.rc_table[bs.top][m]
-    if f is None or t[f][m] != s.zero or jt[f][m] != bs.top:
+    f = bs.rc_rows[s.identity].get(m)
+    if f is None or t[f][m] != s.zero or jt[f][m] != s.identity:
         raise CertificateFailed(("not-the-complement", m, f))
     for x, row in enumerate(t):
         if row[f] != t[f][x]:
             raise CertificateFailed(("complement-not-central", f, x))
     for a, row in enumerate(t):
-        if bs.rc_table[a][row[f]] not in carrier:  # None: a*f is not below a
+        if bs.rc_rows[a].get(row[f]) not in carrier:  # None: a*f is not below a
             raise CertificateFailed(("not-split-by-complement", a, row[f]))
     class_of = congruence_from_key(s, lambda a: t[a][f])
     bad = check_congruence(s, class_of)
@@ -934,7 +935,7 @@ def analyze_morphism(m, eps):
             or kernel_of(eps) != kernel_carrier
         ):
             raise NotAnIdeal(("not-the-kernel", tuple(sorted(kernel_carrier))))
-        phi_map = [None] * eps.target.size
+        phi_map = [None] * eps.target.base.size
         for x in range(s.size):
             c = eps.map[x]
             if phi_map[c] is None:

@@ -158,7 +158,7 @@ def cmd_booleanize(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {b.bs.size} elements to {args.out}")
+        print(f"wrote {b.bs.base.size} elements to {args.out}")
     else:
         sys.stdout.write(text)
     return 0

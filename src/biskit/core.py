@@ -296,8 +296,8 @@ class _Tuples:
     tests none in a row before it gathers through it.  A flag table is a
     tuple of k flags.  view(rows, k, supports) is rows when each entry
     read, at supports[x] in row x when given, is None or an int id in
-    0..k-1, else None.  Off its support a row holds what its table holds,
-    None in every table biskit builds.
+    0..k-1, else None.  Off its support a row holds what its table holds:
+    None in the tables, no key in the dict rows of BoolInvSgp.rc_rows.
     """
 
     none, ids, gather = None, tuple, _picker
@@ -321,7 +321,7 @@ class _Tuples:
             for row in read:
                 if not (ids.issuperset(row) and types.issuperset(map(type, row))):
                     return None
-        except (IndexError, TypeError):
+        except (IndexError, KeyError, TypeError):  # KeyError: a key a dict row lacks
             return None
         return rows
 

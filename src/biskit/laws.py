@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import contains, getitem, itemgetter
+from operator import contains, itemgetter
 
 from .boolean import (
     BooleanCheck,
@@ -459,7 +459,7 @@ def law_carre(c):
 def law_booleanization_finite(c):
     b = booleanize(c.s)
     gamma = gamma_extension(b, b.beta, b.bs)
-    n = b.bs.size
+    n = b.bs.base.size
     if gamma.map != tuple(range(n)):
         return ("unit-extension-not-identity",)
     return None
@@ -541,12 +541,12 @@ def _atom_splits(bs):
           None when there is none, for every p and q (_joins_are_unions,
           by translates in the byte form);
       B4  for each x with two or more bits, α is the atom of its highest
-          bit, y = x - α (rc_table), and beta(y) = beta(x) without α.
+          bit, y = x - α is defined (bs.rc), and beta(y) = beta(x) without α.
     By B1 and B2 only 0 has no bit and only the atoms have one, so the
     splits reach every other x, and |beta(y)| = |beta(x)| - 1.
     """
     s = bs.base
-    atoms, jt, rct = s.atoms, s.join_table, bs.rc_table
+    atoms = s.atoms
     bit = {a: 1 << i for i, a in enumerate(atoms)}
     beta = [sum(map(bit.__getitem__, bit.keys() & down)) for down in s.down]
     owner = {b: x for x, b in enumerate(beta)}
@@ -554,14 +554,13 @@ def _atom_splits(bs):
         return None
     if not _joins_are_unions(s, beta, owner):
         return None
-    splits = []
-    for x, b in enumerate(beta):
-        if b & (b - 1):
-            a = atoms[b.bit_length() - 1]
-            y = rct[x][a]
-            if y is None or beta[y] != b ^ bit[a]:
-                return None
-            splits.append((x, y, a))
+    tops = [(x, atoms[b.bit_length() - 1]) for x, b in enumerate(beta) if b & (b - 1)]
+    try:
+        splits = [(x, bs.rc(x, a), a) for x, a in tops]
+    except NotBelow:
+        return None
+    if any(beta[y] != beta[x] ^ bit[a] for x, y, a in splits):
+        return None
     return splits
 
 
@@ -877,22 +876,25 @@ def _setminus_2_on_generators(bs):
     """True when a*(x-t) = a*x - a*t and (x-t)*a = x*a - t*a for every a
     and every down-pair t <= x, by _on_generator_sides on the relation
     "t <= x and x-t = w" over the triples (x, t, x-t).  Write x-t for the
-    relative complement, read off rc_table, checked defined on every
-    down-pair first."""
-    s, rct = bs.base, bs.rc_table
-    triples = [(x, t, rct[x][t]) for x in range(s.size) for t in s.down[x]]
-    if not triples or any(st is None for _, _, st in triples):
-        return False
+    relative complement, read through bs.rc, checked defined on every
+    down-pair first: a read that raises NotBelow declines."""
+    s, rc = bs.base, bs.rc
     below = [frozenset(ds) for ds in s.down]
-    at_x, at_t, at_st = (_picker(ids) for ids in zip(*triples))
 
     def holds(side):
         xs, ts = at_x(side), at_t(side)
         if not all(map(frozenset.__contains__, map(below.__getitem__, xs), ts)):
             return False
-        return at_st(side) == tuple(map(getitem, map(rct.__getitem__, xs), ts))
+        return at_st(side) == tuple(map(rc, xs, ts))
 
-    return _on_generator_sides(s, holds)
+    try:
+        triples = [(x, t, rc(x, t)) for x in range(s.size) for t in s.down[x]]
+        if not triples:
+            return False
+        at_x, at_t, at_st = (_picker(ids) for ids in zip(*triples))
+        return _on_generator_sides(s, holds)
+    except NotBelow:
+        return False
 
 
 def law_setminus_2(c):
@@ -933,9 +935,9 @@ def _setminus_4_on_generators(bs, setminus_2):
     setminus_2, law setminus-2's pass (Analysis.setminus_2_on_generators);
     else the name of the first check below that fails.
 
-    Write x-t for the relative complement, read off rc_table, and P for the
-    down-pairs t <= x.  Checked on the tables read, every complement and
-    join named being defined:
+    Write x-t for the relative complement, read through bs.rc, and P for
+    the down-pairs t <= x.  Checked on the tables read, every complement
+    and join named being defined:
       setminus-2  law setminus-2's pass holds: on the generators
           (_on_generators), with x-t defined on P, it shows (x*u, t*u) in
           P and (x-t)*u = x*u - t*u for every u and every (x, t) in P;
@@ -949,20 +951,22 @@ def _setminus_4_on_generators(bs, setminus_2):
     associative or distributive, and 0 and 1 need only have the properties
     checked.
 
-    Read through the join and relative-complement views (InvSgp.join_view,
-    BoolInvSgp.rc_view), the down-sets taken by x as index rows.  F1 is
-    column 0 of both views against the ids, and fails without them or with
+    Read through the join view (InvSgp.join_view) and the relative
+    complements' rows read at index rows (BoolInvSgp.rc_read, no id where
+    no complement is defined), the down-sets taken by x as index rows.  F1
+    is column 0 of both against the ids, and fails without them or with
     an entry of down that is no id.  F2 is down[x] gathered through d and
     then row x, against down[x].  For each f, H compares the x-t of every
-    pair (down[x] gathered through rc row x, joined over x) gathered
-    through column 1-f of the table with down[x] gathered through join row
-    x*f and then rc row x, joined over x; a join that is None fails it.
+    pair (rc row x read at down[x], joined over x) gathered through column
+    1-f of the table with down[x] gathered through join row x*f and then
+    read through rc row x, joined over x; a join or complement that is no
+    id fails it.
     """
     if not setminus_2:
         return "setminus-2"
     s = bs.base
-    joins, rcs, one, z, k = s.join_view, bs.rc_view, s.identity, s.zero, s.size
-    if joins is None or rcs is None or z is None:
+    joins, one, z, k = s.join_view, s.identity, s.zero, s.size
+    if joins is None or z is None:
         return "F1"
     form = _form(joins)
     gather, read, ids, none = form.gather, form.read, form.ids, form.none
@@ -971,10 +975,12 @@ def _setminus_4_on_generators(bs, setminus_2):
     except (TypeError, ValueError):
         return "F1"
     every, ts, at_z = ids(range(k)), form.join(downs), itemgetter(z)
+    minus_z = bs.rc_read([ids((z,))] * k)  # the x-0
     if (
-        not set(every).issuperset(ts)  # an entry not an id
+        minus_z is None
+        or not set(every).issuperset(ts)  # an entry not an id
         or not all(map(contains, s.down, itertools.repeat(z)))
-        or ids(map(at_z, rcs)) != every
+        or form.join(minus_z) != every
         or ids(map(at_z, joins)) != every
     ):
         return "F1"
@@ -983,18 +989,18 @@ def _setminus_4_on_generators(bs, setminus_2):
         read(read(ds, d_view[0]), row) != ds for ds, row in zip(downs, s.view)
     ):
         return "F2"
-    sts = form.join(map(read, downs, rcs))
+    sts = form.join(bs.rc_read(downs))
     if one is None or none in sts:
         return "H"
     fs = set(read(ts, d_view[0]))
-    cs = [rcs[one][f] for f in fs]  # the 1-f
+    (cs,) = bs.rc_read((ids(fs),), (one,))  # the 1-f
     if none in cs:
         return "H"
     at_sts = gather(sts)
     for f, column in zip(fs, form.view([tuple(map(itemgetter(c), t)) for c in cs], k)):
         xf_joins = map(joins.__getitem__, map(itemgetter(f), t))  # join row x*f
         js = list(map(read, downs, xf_joins))
-        if none in form.join(js) or at_sts(column) != form.join(map(read, js, rcs)):
+        if none in form.join(js) or at_sts(column) != form.join(bs.rc_read(js)):
             return "H"
     return None
 
@@ -1194,9 +1200,9 @@ def law_idept_sep_kernel(c):
     is read as checked once (Analysis.mu_check)."""
     bs = c.bs
     eps_of = dict(c.eps_projections)
-    ident = Morphism(bs, bs, tuple(range(bs.size)))
+    ident = Morphism(bs, bs, tuple(range(bs.base.size)))
     rep = analyze_morphism(ident, eps_of.get(kernel_of(ident)))
-    if not (rep.idempotent_separating and rep.kernel_carrier == {bs.zero}):
+    if not (rep.idempotent_separating and rep.kernel_carrier == {bs.base.zero}):
         return ("identity",)
     check = c.mu_check
     if not check.boolean:

@@ -150,12 +150,12 @@ def rook_star(a):
 
 
 def identity_rook(base, n):
-    if base.top is None:
+    one, z = base.base.identity, base.base.zero
+    if one is None:
         raise NotMonoid("identity matrix needs an identity entry")
-    z = base.base.zero
     return rook_matrix(
         base,
-        [[base.top if i == j else z for j in range(n)] for i in range(n)],
+        [[one if i == j else z for j in range(n)] for i in range(n)],
     )
 
 
@@ -224,7 +224,7 @@ def decompose(bs):
     validated table of bs relabelled by iso.  Every reader of it goes
     through product, which validates it all the same.
     """
-    if bs.top is None:
+    if bs.base.identity is None:
         raise NotMonoid("decomposition needs an identity element")
     ag = bs.atoms_groupoid
     coords = coordinatize(ag)

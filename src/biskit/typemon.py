@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .boolean import as_boolean
 from .core import d_relation_idempotents
-from .errors import CertificateFailed, NotBelow, NotRook, TooLarge
+from .errors import CertificateFailed, NotRook, TooLarge
 from .rook import rook_matrix, rook_mul, rook_star
 
 MATRIX_IDEMPOTENT_CAP = 100_000
@@ -35,21 +35,16 @@ def type_monoid(bs):
     orthogonal joins add, equivalent idempotents agree, and the count vector
     separates exactly the idempotent classes connected through the carrier,
     and e and f minus e add up to f for idempotents e <= f.  A check that
-    fails raises CertificateFailed naming it.  f minus e is read as bs.rc
-    reads it, row f at check_boolean's complement witness, but for these
-    pairs only, so bs.rc_table is not built; NotBelow is raised where bs.rc
-    would raise it, and CertificateFailed(("complement-not-idempotent", f,
-    e, c)) where f minus e, f*c for the witness c, is not an idempotent.
+    fails raises CertificateFailed naming it.  f minus e is read through
+    bs.rc, which raises NotBelow off the order, and one, w, that is not an
+    idempotent raises CertificateFailed(("complement-not-idempotent", f, e,
+    w)).
     """
     bs = as_boolean(bs)
     s = bs.base
     ag = bs.atoms_groupoid
-    comps = sorted(
-        ag.form, key=lambda c: min(ag.labels[t] for t in c.member_ids)
-    )
-    atomic = tuple(
-        frozenset(ag.labels[e] for e in c.identities) for c in comps
-    )
+    comps = sorted(ag.form, key=lambda c: min(ag.labels[t] for t in c.member_ids))
+    atomic = tuple(frozenset(ag.labels[e] for e in c.identities) for c in comps)
     rank = len(atomic)
     atom_set = set(s.atoms)
     tau = {}
@@ -68,23 +63,17 @@ def type_monoid(bs):
                 j = s.join_table[e][f]
                 if tau[j] != tuple(x + y for x, y in zip(tau[e], tau[f])):
                     raise CertificateFailed(("orthogonal-join-types-do-not-add", e, f))
-    dcls = {}
-    for i, block in enumerate(d_relation_idempotents(s)):
-        for e in block:
-            dcls[e] = i
+    dcls = {e: i for i, block in enumerate(d_relation_idempotents(s)) for e in block}
     for e in s.idempotents:
         for f in s.idempotents:
             if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
-    d, complement = s.d, bs.complement
     for e in s.idempotents:
         for f in filter(s.is_idempotent, s.up[e]):
-            c = complement.get((d[f], d[e])) if e in s.down[f] else None
-            if c is None:
-                raise NotBelow((f, e))
-            rest = tau.get(t[f][c])
+            w = bs.rc(f, e)
+            rest = tau.get(w)
             if rest is None:
-                raise CertificateFailed(("complement-not-idempotent", f, e, c))
+                raise CertificateFailed(("complement-not-idempotent", f, e, w))
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, atomic, tau)

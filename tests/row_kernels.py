@@ -126,29 +126,31 @@ def restricted_product_by_rows(s):
 
 
 def setminus_4_by_rows(bs, pairs, setminus_2):
-    """laws._setminus_4_on_generators read by rows: every check, in order."""
+    """laws._setminus_4_on_generators read by rows: every check, in order.
+    A relative complement is read off its row of bs.rc_rows, None where
+    the row has no such key."""
     if not setminus_2:
         return "setminus-2"
     s = bs.base
-    tab, rct, jt, d = s.table, bs.rc_table, s.join_table, s.d
+    tab, rcs, jt, d = s.table, bs.rc_rows, s.join_table, s.d
     z, one = s.zero, s.identity
     if z is None or any(
-        z not in s.down[u] or rct[u][z] != u or jt[u][z] != u for u in range(s.size)
+        z not in s.down[u] or rcs[u].get(z) != u or jt[u][z] != u for u in range(s.size)
     ):
         return "F1"
     xs, ts = (list(ids) for ids in zip(*pairs))
-    sts = list(map(getitem, map(rct.__getitem__, xs), ts))  # x-t, each pair
+    sts = list(map(dict.get, map(rcs.__getitem__, xs), ts))  # x-t, each pair
     x_rows, st_rows = list(map(tab.__getitem__, xs)), list(map(tab.__getitem__, sts))
     if list(map(getitem, x_rows, map(d.__getitem__, ts))) != ts:
         return "F2"
     for f in set(map(d.__getitem__, ts)):
-        c = rct[one][f] if one is not None else None
+        c = rcs[one].get(f) if one is not None else None
         if c is None:
             return "H"
         xf_rows = map(jt.__getitem__, map(itemgetter(f), x_rows))  # row x*f
         joins = list(map(getitem, xf_rows, ts))
         if None in joins or list(map(itemgetter(c), st_rows)) != list(
-            map(getitem, map(rct.__getitem__, xs), joins)
+            map(dict.get, map(rcs.__getitem__, xs), joins)
         ):
             return "H"
     return None

@@ -52,9 +52,9 @@ def test_criterion_01_theta_duality():
         th = theta_iso(bs, decompose(bs))
         elapsed = time.monotonic() - t0
         k = th.target.structure.base
-        assert sorted(th.iso) == list(range(bs.size)), name
-        for a in range(bs.size):
-            for b in range(bs.size):
+        assert sorted(th.iso) == list(range(bs.base.size)), name
+        for a in range(bs.base.size):
+            for b in range(bs.base.size):
                 assert th.iso[bs.base.table[a][b]] == k.table[th.iso[a]][th.iso[b]]
         assert is_additive_morphism(bs, th.target.structure, th.iso), name
         if name == "i3":
@@ -81,9 +81,9 @@ def test_criterion_03_booleanization_universal_property():
     b2 = corpus_semigroup("b2")
     i2 = corpus_semigroup("i2")
     bb2 = booleanize(b2)
-    assert bb2.bs.size == 7
+    assert bb2.bs.base.size == 7
     assert semigroup_iso(bb2.bs.base, i2) is not None
-    assert booleanize(corpus_semigroup("chain3")).bs.size == 4
+    assert booleanize(corpus_semigroup("chain3")).bs.base.size == 4
     bz2 = booleanize(corpus_semigroup("z2-group"))
     assert semigroup_iso(bz2.bs.base, corpus_semigroup("z2zero")) is not None
 

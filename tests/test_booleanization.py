@@ -23,7 +23,7 @@ from unchecked import unchecked
 def test_booleanization_sizes():
     cases = {"b2": 7, "chain3": 4, "antichain3": 4, "z2-group": 3, "i2": 21}
     for name, size in cases.items():
-        assert booleanize(corpus_semigroup(name)).bs.size == size, name
+        assert booleanize(corpus_semigroup(name)).bs.base.size == size, name
 
 
 def test_beta_is_multiplicative_and_injective_off_zero():
@@ -58,14 +58,14 @@ def test_booleanization_of_boolean_is_bigger():
     # lattice of compatible down-sets
     b = booleanize(corpus_semigroup("i2"))
     assert b.source.size == 7
-    assert b.bs.size == 21
+    assert b.bs.base.size == 21
 
 
 def test_gamma_extension_of_inclusion():
     s = corpus_semigroup("b2")
     b = booleanize(s)
     g = gamma_extension(b, b.beta, b.bs)
-    assert g.map == tuple(range(b.bs.size))
+    assert g.map == tuple(range(b.bs.base.size))
 
 
 def test_gamma_needs_a_coherent_alpha():
@@ -174,7 +174,7 @@ def test_booleanization_iso_names_the_first_pair_not_multiplied(
     m[i], m[j] = m[j], m[i]
     monkeypatch.setattr(booleanization, "groupoid_iso", lambda g, h: tuple(m))
     f = [b.target.index[frozenset(m[x] for x in a)] for a in b.target.bisections]
-    t, ids = b.bs.base.table, range(b.bs.size)
+    t, ids = b.bs.base.table, range(b.bs.base.size)
     first = next((a, c) for a in ids for c in ids if f[t[a][c]] != t[f[a]][f[c]])
     assert first == pair
     with pytest.raises(CertificateFailed) as e:

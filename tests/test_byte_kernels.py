@@ -98,7 +98,13 @@ from row_kernels import (
     restricted_product_by_rows,
     setminus_4_by_rows,
 )
-from test_core import I4, assert_orth_matches_oracle, relabel, shuffled
+from test_core import (
+    I4,
+    assert_orth_matches_oracle,
+    assert_rc_rows_match_oracle,
+    relabel,
+    shuffled,
+)
 from test_law_kernels import corrupted, corruptions, outcome
 from test_laws import BY_ROWS_KEPT
 from unchecked import FROM_TABLE, replaced, unchecked
@@ -167,7 +173,7 @@ def tuple_form(c):
     t = unchecked(s, ("compat_partners",), **views)
     if bs is None:
         return Analysis(t)
-    return Analysis(unchecked(bs, base=t, rc_view=_Tuples.view(bs.rc_table, k)))
+    return Analysis(unchecked(bs, base=t, rc_view=_Tuples.view(bs.rc_rows, k, s.down)))
 
 
 def forms(c):
@@ -264,12 +270,15 @@ def assert_view_holds(view, rows, supports, k, exact):
     or byte 255 at each y < k, and 255 at every other byte: never an id the
     table does not hold there.  When exact, as on a table the view was read
     off, it holds rows[x][y] at each y of supports[x] where that is an id,
-    and 255 at every other byte.  In the tuple form view is rows itself."""
+    and 255 at every other byte.  A dict row, as BoolInvSgp.rc_rows has,
+    holds None off its keys.  In the tuple form view is rows itself."""
     if _form(view) is _Tuples:
         assert view == rows
         return
     assert len(view) == len(rows)
     for table, row, support in zip(view, rows, supports):
+        if isinstance(row, dict):
+            row = tuple(map(row.get, range(k)))
         assert len(table) == 256 and set(table[k:]) <= {255}
         assert all(b == 255 or b == v for b, v in zip(table, row))
         ids = [y for y in support if row[y] in range(k) and type(row[y]) is int]
@@ -295,7 +304,7 @@ def assert_two_index_kernels_agree(c, valid=False):
         if s.join_view is not None:
             assert_view_holds(s.join_view, s.join_table, s.compat_partners, k, valid)
         if bs.rc_view is not None:
-            assert_view_holds(bs.rc_view, bs.rc_table, s.down, k, valid)
+            assert_view_holds(bs.rc_view, bs.rc_rows, s.down, k, valid)
         pairs = [(x, t) for x in range(k) for t in s.down[x]]
         setminus_2 = d.setminus_2_on_generators
         by_rows = outcome(setminus_4_by_rows, bs, pairs, setminus_2)
@@ -386,7 +395,7 @@ def test_byte_kernels_decline_as_the_general_path_on_corrupted_tables(corruption
 
 
 @settings(max_examples=300, deadline=None)
-@given(corruptions(tables=("table", "meet_table", "join_table", "rc_table", "order")))
+@given(corruptions(tables=("table", "meet_table", "join_table", "rc_rows", "order")))
 # a meet read as undefined, and one read as another id
 @example(("i2", "meet_table", 5, 5, None))
 @example(("i2", "meet_table", 5, 5, 4))
@@ -419,7 +428,7 @@ def test_two_index_kernels_match_the_general_path_on_corrupted_d_and_r(
     # the change
     bs = Analysis(corpus_semigroup(name)).bs
     s = bs.base
-    s.meet_table, s.join_table, bs.rc_table
+    s.meet_table, s.join_table, bs.rc_rows
     ids, a = list(getattr(s, which)), data.draw(st.integers(0, s.size - 1))
     ids[a] = data.draw(st.integers(0, s.size - 1))
     c = Analysis(unchecked(bs, base=unchecked(s, **{which: tuple(ids)})))
@@ -435,7 +444,7 @@ def test_restricted_product_declines_where_only_a2_below_a_fails():
     c = corrupted("z2zero", "table", 2, 1, 1)
     assert c.s.table == ((0, 0, 0), (0, 1, 2), (0, 1, 1))
     s = unchecked(c.s, FROM_TABLE, table=replaced(c.s.table, 2, 2, 2))
-    c = Analysis(unchecked(c.bs, ("rc_table",), base=s))
+    c = Analysis(unchecked(c.bs, ("rc_rows",), base=s))
     for d in forms(c):
         assert not _restricted_product_kept(d.s)
         assert law_restricted_product(d) == restricted_product_by_rows(d.s) == (2, 1)
@@ -551,12 +560,13 @@ def test_no_exception_leaves_the_registry_at_a_meet_that_is_no_id(name, data):
 
 
 def test_an_rc_entry_read_as_no_id_declines_law_setminus_4():
-    # z2zero's pair (x, t) = (2, 0) reads x-t = rc(2, 0), here None, so no
-    # id in the rc view: the kernel declines in both forms, as law
-    # setminus-2's pass already has, and the scan names the witness
-    c = corrupted("z2zero", "rc_table", 2, 0, None)
+    # z2zero's pair (x, t) = (2, 0) reads x-t = rc(2, 0), here undefined:
+    # row 2 lacks the key 0 of its down-set, so neither form has an rc
+    # view, the kernel declines in both forms, as law setminus-2's pass
+    # already has, and the scan names the witness
+    c = corrupted("z2zero", "rc_rows", 2, 0, None)
     for d in forms(c):
-        assert d.bs.rc_view[2][0] == _form(d.bs.rc_view).none
+        assert d.bs.rc_view is None
         assert _setminus_4_on_generators(d.bs, True) is not None
         assert outcome(law_setminus_4, d) == outcome(law_setminus_4, c)
 
@@ -619,7 +629,7 @@ def test_256_ids_take_the_tuple_form_of_the_same_kernels():
         assert c.check.boolean
         s = c.s
         assert s.view is s.table and s.meet_view is s.meet_table
-        assert s.join_view is s.join_table and c.bs.rc_view is c.bs.rc_table
+        assert s.join_view is s.join_table and c.bs.rc_view is c.bs.rc_rows
         assert [law(c) for law in VIEW_LAWS] == [None] * len(VIEW_LAWS)
     assert calls == ["_joins_are_unions_by_rows"]
 
@@ -627,6 +637,11 @@ def test_256_ids_take_the_tuple_form_of_the_same_kernels():
 @pytest.mark.parametrize("k", [255, 256])
 def test_orth_matches_the_oracle_at_the_boundary(k):
     assert_orth_matches_oracle(InvSgp(boundary_table(k)))
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_rc_rows_match_the_oracle_at_the_boundary(k):
+    assert_rc_rows_match_oracle(InvSgp(boundary_table(k)))
 
 
 # -- valid tables never reach the witness scans ------------------------------

@@ -359,8 +359,8 @@ def test_build_report_validates_i4_once():
 
 
 def test_build_report_builds_no_rc_table(monkeypatch):
-    # type_monoid reads its complements off check_boolean's witnesses, so
-    # the k*k relative complements of I4 are never built
+    # type_monoid reads its complements through bs.rc, whose rows hold the
+    # down-pairs of I4 and no k*k table
     made, init = [], BoolInvSgp.__init__
 
     def kept_init(self, *args):
@@ -371,7 +371,8 @@ def test_build_report_builds_no_rc_table(monkeypatch):
     rep = build_report(InvSgp(symmetric_inverse_table(4)))
     assert rep.type_monoid_rank == 1
     assert len(made) == 1
-    assert "rc_table" not in made[0].__dict__
+    s, rows = made[0].base, made[0].rc_rows
+    assert all(row.keys() <= set(s.down[x]) for x, row in enumerate(rows))
 
 
 @pytest.mark.parametrize("name", ["i4", *BOOLEAN_NAMES])

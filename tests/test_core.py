@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biskit.core
-from biskit.boolean import k_of_groupoid
+from biskit.boolean import check_boolean, k_of_groupoid
 from biskit.core import (
     CONGRUENCE_SCAN_CAP,
     InvSgp,
@@ -652,6 +652,25 @@ def assert_orth_matches_oracle(s):
     assert all(a in s.orth[b] for a, partners in enumerate(s.orth) for b in partners)
 
 
+def assert_rc_rows_match_oracle(s):
+    """When s is Boolean, row x of its relative complements
+    (BoolInvSgp.rc_rows) has the keys y <= x and no other, and x minus y is
+    the one w <= x with w*y' = 0 and w v y = x, x the least of the upper
+    bounds of w and y: each found naively, on the order read off its
+    definition (leq)."""
+    bs = check_boolean(s).structure
+    if bs is None:
+        return
+    t, inv, ids = s.table, s.inv, range(s.size)
+    down = [{y for y in ids if leq(s, y, x)} for x in ids]
+    up = [{x for x in ids if y in down[x]} for y in ids]
+    for x, row in enumerate(bs.rc_rows):
+        assert row.keys() == down[x], x
+        for y in down[x]:
+            lub = (w for w in down[x] if up[w] & up[y] <= up[x])
+            assert [w for w in lub if t[w][inv[y]] == s.zero] == [row[y]], (x, y)
+
+
 def naive_compat(s):
     """Compatibility by its definition, a row per a: a'*b and a*b' both
     idempotent."""
@@ -762,6 +781,7 @@ def assert_kernels_match_oracles(table):
     assert s.join_table == naive_join_table(s)
     assert_compat_matches_oracle(s)
     assert_orth_matches_oracle(s)
+    assert_rc_rows_match_oracle(s)
 
 
 KERNEL_TABLES = {
@@ -800,6 +820,7 @@ def test_kernels_match_oracles_on_generated_structures(table, data):
     assert s.associative_generators == _generators(rows)
     assert_compat_matches_oracle(s)
     assert_orth_matches_oracle(s)
+    assert_rc_rows_match_oracle(s)
     k = len(table)
     a, b, v = (data.draw(st.integers(0, k - 1)) for _ in range(3))
     table[a][b] = v
@@ -1090,7 +1111,7 @@ def test_k_table_entries_are_checked_once(monkeypatch):
     monkeypatch.setattr(
         biskit.core, "_check_entries", lambda rows: calls.append(rows) or check(rows)
     )
-    assert kg.structure.size == len(kg.bisections)
+    assert kg.structure.base.size == len(kg.bisections)
     assert calls == []
     assert InvSgp(tuple(kg.table)).table == kg.table
     assert len(calls) == 1

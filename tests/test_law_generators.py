@@ -112,7 +112,7 @@ def wrong_d(name, v):
     relative complements are read off the table before."""
     bs = Analysis(corpus_semigroup(name)).bs
     s = bs.base
-    bs.rc_table
+    bs.rc_rows
     d = list(s.d)
     d[v] = next(e for e in s.idempotents if e != s.d[v])
     return Analysis(unchecked(bs, base=unchecked(s, d=tuple(d))))
@@ -128,7 +128,7 @@ SETMINUS_4_PREMISES = {
     "F1": ("F1", lambda: corrupted("i2", "join_table", 3, 0, 6)),  # 3 v 0 read as 6
     "F2": ("F2", lambda: wrong_d("i2", 3)),
     "F3": ("setminus-2", lambda: corrupted("i2", "down", 5, 2, 0)),  # 4 <= 5 dropped
-    "G": ("setminus-2", lambda: corrupted("i2", "rc_table", 6, 3, 6)),  # a wrong complement
+    "G": ("setminus-2", lambda: corrupted("i2", "rc_rows", 6, 3, 6)),  # a wrong complement
     "H": ("H", lambda: corrupted("z2zero", "join_table", 0, 2, 0)),  # a wrong join
 }
 
@@ -212,7 +212,7 @@ PASS_PREMISES = {
     ),
     # 5 minus 4 read as 0, not 1
     "split": (
-        lambda: corrupted("i2", "rc_table", 5, 4, 0),
+        lambda: corrupted("i2", "rc_rows", 5, 4, 0),
         [splits_decline],
         [DEFINITION, EGGS],
     ),
@@ -260,8 +260,8 @@ PASS_PREMISES = {
     "I": (lambda: corrupted("i2", "join_table", 5, 5, 0), [eggs_declines], [EGGS]),
     # 6 v 4 read as 0, while 4 v 6 is 6
     "J": (lambda: corrupted("i2", "join_table", 6, 4, 0), [eggs_declines], [EGGS]),
-    "rc_table": (  # 6 minus 3 read as 6
-        lambda: corrupted("i2", "rc_table", 6, 3, 6),
+    "rc_rows": (  # 6 minus 3 read as 6
+        lambda: corrupted("i2", "rc_rows", 6, 3, 6),
         [setminus_2_declines],
         [(law_setminus_2, oracle_setminus_2)],
     ),

@@ -224,7 +224,7 @@ def test_k_of_i3_built_twice_per_structure(monkeypatch):
 
     def counted(g, *args, **kwargs):
         kg = real(g, *args, **kwargs)
-        built.append(kg.structure.size)
+        built.append(kg.structure.base.size)
         return kg
 
     for module in list(sys.modules.values()):
@@ -428,7 +428,7 @@ def forced_report(bs, mp, target=None):
     target = target or bs
     proj = biskit.boolean.Morphism(bs, target, mp)
     proj.__dict__["weakly_meet_preserving"] = True
-    c.eps_projections = [(frozenset({bs.zero}), proj)]
+    c.eps_projections = [(frozenset({bs.base.zero}), proj)]
     return c
 
 
@@ -561,10 +561,8 @@ def test_certificates_hold_under_python_O():
             print("booleanization-iso", e.witness[0])
         booleanization.groupoid_iso = real_iso
         bs = boolean.check_boolean(corpus_semigroup("i2")).structure
-        rc = bs.rc_table  # x minus y read as x wherever it is defined
-        bs.rc_table = tuple(
-            tuple(w if w is None else x for w in row) for x, row in enumerate(rc)
-        )
+        # x minus y read as x wherever it is defined
+        bs.rc_rows = tuple(dict.fromkeys(row, x) for x, row in enumerate(bs.rc_rows))
         (result,) = [r for r in run_laws(bs) if r.key == "orthogonal"]
         print(result.status, result.witness[1])
         # a fresh i2: the laws above have kept the carriers of its ideals
@@ -572,12 +570,12 @@ def test_certificates_hold_under_python_O():
         z2 = boolean.check_boolean(corpus_semigroup("z2zero")).structure
         boolean.is_weakly_meet_preserving = lambda source, target, mp: False
         try:
-            boolean.epsilon_quotient(z2, [z2.zero])
+            boolean.epsilon_quotient(z2, [z2.base.zero])
         except CertificateFailed as e:
             print("epsilon", e.witness[0])
         from biskit.laws import Analysis, law_toby
         i2 = boolean.check_boolean(corpus_semigroup("i2")).structure
-        i2.base.up = tuple(() for _ in range(i2.size))  # no r(x) <= f
+        i2.base.up = tuple(() for _ in range(i2.base.size))  # no r(x) <= f
         try:
             law_toby(Analysis(i2))
         except CertificateFailed as e:
@@ -588,7 +586,7 @@ def test_certificates_hold_under_python_O():
         except CertificateFailed as e:
             print("closure", e.witness[0])
         try:  # the identity's kernel {0} now reads as not an ideal
-            ident = boolean.Morphism(bs, bs, tuple(range(bs.size)))
+            ident = boolean.Morphism(bs, bs, tuple(range(bs.base.size)))
             boolean.analyze_morphism(ident, None)  # refused before eps is read
         except CertificateFailed as e:
             print("morphism", e.witness[0])
@@ -605,7 +603,7 @@ def test_certificates_hold_under_python_O():
         e1, e2 = pset.base.atoms
         a = rook.rook_matrix(pset, [[e1, e2], [0, 0]])
         b = rook.rook_matrix(pset, [[e1, 0], [e2, 0]])
-        pset.base.orth = (frozenset(),) * pset.size
+        pset.base.orth = (frozenset(),) * pset.base.size
         try:
             rook.rook_mul(a, b)  # entry (0, 0) joins e1 and e2
         except CertificateFailed as e:
@@ -646,7 +644,7 @@ def test_certificates_hold_under_python_O():
         from biskit.laws import law_anja
         # a projection sending both atoms to the top, its cached verdict
         # forced to True
-        top = pset.top
+        top = pset.base.identity
         proj = boolean.Morphism(pset, pset, (0, top, top, top))
         proj.__dict__["weakly_meet_preserving"] = True
         a = Analysis(pset)
@@ -862,24 +860,65 @@ def test_src_builds_rook_matrices_only_behind_the_rook_test():
 
 
 def test_boolinvsgp_adds_only_what_booleanness_adds():
-    # a name BoolInvSgp shares with InvSgp is a second copy of something
-    # the base already has, as BoolInvSgp.join_of once was of InvSgp.join_of
+    # a name BoolInvSgp shares with InvSgp, as a method, a property or a
+    # field its __init__ sets, is a second copy of something the base
+    # already has, as BoolInvSgp.join_of once was of InvSgp.join_of and
+    # BoolInvSgp.size of InvSgp.size
     src = os.path.dirname(os.path.abspath(biskit.__file__))
     trees = parsed_modules(src)
 
-    def names(module, cls):
+    def body(module, cls):
         (node,) = [
             n
             for n in trees[module].body
             if isinstance(n, ast.ClassDef) and n.name == cls
         ]
+        return node.body
+
+    def names(module, cls):
         defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-        found = {n.name for n in node.body if isinstance(n, defs)}
+        found = {n.name for n in body(module, cls) if isinstance(n, defs)}
         assert found, cls
         return found - {"__init__", "__repr__"}
 
-    shared = names("boolean.py", "BoolInvSgp") & names("core.py", "InvSgp")
-    assert shared == set()
+    def stores(module, cls):  # the self.<name> its __init__ sets
+        (init,) = [n for n in body(module, cls) if getattr(n, "name", None) == "__init__"]
+        found = {
+            n.attr
+            for n in ast.walk(init)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "self"
+        }
+        assert found, cls
+        return found
+
+    base = names("core.py", "InvSgp")
+    assert names("boolean.py", "BoolInvSgp") & base == set()
+    base |= stores("core.py", "InvSgp")
+    assert stores("boolean.py", "BoolInvSgp") & base == set()
+
+
+def test_one_module_owns_the_relative_complements_storage():
+    # check_boolean's complement witnesses, the rows of x minus y built
+    # from them and their view are read in boolean.py alone; every other
+    # module reads x minus y through BoolInvSgp.rc or BoolInvSgp.rc_read,
+    # so no copy of the complement lookup is left to drift, and no dense
+    # k*k table is named
+    src = os.path.dirname(os.path.abspath(biskit.__file__))
+    owned = {"complement", "rc_rows", "rc_view"}
+    reads = {
+        (name, n.attr)
+        for name, tree in parsed_modules(src).items()
+        if name != "boolean.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in owned
+    }
+    assert reads == set()
+    for name in parsed_modules(src):
+        with open(os.path.join(src, name)) as fh:
+            assert "rc_table" not in fh.read(), name
 
 
 # the functions in src/ named *_by_rows, each with why it stays: a kernel

@@ -134,7 +134,7 @@ def decisions(s, congruences):
     got = [check.failure, [check_congruence(s, c) for c in congruences]]
     if check.boolean:
         bs = check.structure
-        got += [bs.complement, bs.top]
+        got += [bs.complement, bs.base.identity]
         try:
             cert = decompose(bs)
         except BiskitError as e:

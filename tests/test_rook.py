@@ -66,7 +66,7 @@ from unchecked import replaced, unchecked
 
 
 def all_rooks(bs, n):
-    for flat in itertools.product(range(bs.size), repeat=n * n):
+    for flat in itertools.product(range(bs.base.size), repeat=n * n):
         entries = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         if rook_violation(bs, n, entries) is None:
             yield rook_matrix(bs, entries)
@@ -104,7 +104,7 @@ def test_mul_associative_and_star_antihomomorphism():
 def test_identity_and_zero():
     bs = boolean("z2zero")
     e = identity_rook(bs, 2)
-    z = rook_matrix(bs, [[bs.zero] * 2] * 2)
+    z = rook_matrix(bs, [[bs.base.zero] * 2] * 2)
     for m in all_rooks(bs, 2):
         assert rook_mul(e, m).entries == m.entries
         assert rook_mul(m, e).entries == m.entries
@@ -112,10 +112,14 @@ def test_identity_and_zero():
 
 
 def test_identity_rook_needs_a_top():
+    # check_boolean only returns a structure with an identity, so a base
+    # without one is built unchecked
     bs = boolean("z2zero")
-    no_top = type(bs)(bs.base, bs.complement, None)
+    no_top = unchecked(bs, base=unchecked(bs.base, identity=None))
     with pytest.raises(NotMonoid):
         identity_rook(no_top, 2)
+    with pytest.raises(NotMonoid):
+        decompose(no_top)
 
 
 def mn_count(n, h):
@@ -127,9 +131,9 @@ def mn_count(n, h):
 def test_build_mn_counts():
     z2 = Gpd([[0, 1], [1, 0]])
     triv = Gpd([[0]])
-    assert build_Mn_G0(2, z2).structure.size == mn_count(2, 2) == 17
-    assert build_Mn_G0(2, triv).structure.size == mn_count(2, 1) == 7
-    assert build_Mn_G0(3, triv).structure.size == mn_count(3, 1) == 34
+    assert build_Mn_G0(2, z2).structure.base.size == mn_count(2, 2) == 17
+    assert build_Mn_G0(2, triv).structure.base.size == mn_count(2, 1) == 7
+    assert build_Mn_G0(3, triv).structure.base.size == mn_count(3, 1) == 34
 
 
 def test_mn_over_trivial_group_is_symmetric_inverse():
@@ -244,7 +248,7 @@ def oracle_theta_iso(bs):
         below = frozenset(atom_pos[x] for x in s.down[a] if x in atom_pos)
         theta.append(kg.index.get(below))
     ok = (
-        s.size == kg.structure.size
+        s.size == kg.structure.base.size
         and None not in theta
         and sorted(theta) == list(range(s.size))
     )
@@ -294,7 +298,7 @@ def oracle_decompose(bs):
         for _cells, f in factors[1:]:
             product = direct_product(product, f)
     iso = []
-    for a in range(bs.size):
+    for a in range(bs.base.size):
         per_comp = [[] for _ in comps]
         for t in theta.target.bisections[theta.map[a]]:
             ci, xi, g, yi = coords.coord[t]
@@ -302,7 +306,7 @@ def oracle_decompose(bs):
         pid, stride = 0, 1
         for (cells, f), cell_list in zip(factors, per_comp):
             pid += cells.index(frozenset(cell_list)) * stride
-            stride *= f.size
+            stride *= f.base.size
         iso.append(pid)
     return signature, product, tuple(iso)
 
@@ -455,7 +459,7 @@ def assert_theta_matches_oracle(bs):
         return
     new = theta_iso(bs, decompose(bs))
     assert new.atoms.ptable == old.atoms.ptable
-    for a in range(bs.size):
+    for a in range(bs.base.size):
         want = frozenset(new.rebuilt[x] for x in old.target.bisections[old.map[a]])
         assert new.target.bisections[new.iso[a]] == want
 
@@ -763,7 +767,7 @@ SMALL_BOOLEAN = [n for n in BOOLEAN_NAMES if corpus_semigroup(n).size <= 4]
 @pytest.mark.parametrize("name", SMALL_BOOLEAN)
 def test_rook_kernels_match_oracle_on_every_small_matrix(name):
     bs = boolean(name)
-    ids = range(bs.size)
+    ids = range(bs.base.size)
     candidates = square_candidates(ids, 1) + square_candidates(ids, 2)
     assert_arithmetic_matches(assert_checks_match(bs, candidates))
 
@@ -786,7 +790,7 @@ def three_term_case():
     times itself, join three terms in an entry."""
     table = table_product(corpus_semigroup("powerset2"), InvSgp(((0, 0), (0, 1))))
     bs = check_boolean(InvSgp(table)).structure
-    z, (p, q, r) = bs.zero, bs.base.atoms
+    z, (p, q, r) = bs.base.zero, bs.base.atoms
     candidates = [
         ((p, q, r), (z, z, z), (z, z, z)),
         ((p, z, z), (q, z, z), (r, z, z)),
@@ -824,10 +828,10 @@ def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
         bs, candidates = three_term_case()
     else:
         bs = boolean(name)
-        candidates = square_candidates(range(bs.size), 2)
+        candidates = square_candidates(range(bs.base.size), 2)
     mats = assert_checks_match(bs, candidates)
     assert_arithmetic_matches(mats)
-    k = bs.size
+    k = bs.base.size
     raised = set()
     for which, a, b in itertools.product(("table", "join_table"), range(k), range(k)):
         for value in (None,) if which == "join_table" else range(k):
@@ -842,7 +846,7 @@ def test_rook_kernels_match_oracle_on_every_one_entry_corruption(name, errors):
 
 def rook_matrices(bs, n):
     """Square entry lists over bs, about half of their entries zero."""
-    entry = st.one_of(st.just(bs.zero), st.integers(0, bs.size - 1))
+    entry = st.one_of(st.just(bs.base.zero), st.integers(0, bs.base.size - 1))
     row = st.lists(entry, min_size=n, max_size=n).map(tuple)
     return st.lists(row, min_size=n, max_size=n).map(tuple)
 
@@ -869,7 +873,7 @@ def rook_cases(draw):
     bs = draw(rook_bases)
     n = draw(st.integers(1, 3))
     candidates = draw(st.lists(rook_matrices(bs, n), min_size=1, max_size=8))
-    ids = st.integers(0, bs.size - 1)
+    ids = st.integers(0, bs.base.size - 1)
     which = draw(st.sampled_from(("table", "join_table")))
     value = draw(ids if which == "table" else st.one_of(st.none(), ids))
     return bs, candidates, (which, draw(ids), draw(ids), value)

@@ -126,7 +126,7 @@ def test_law_scans_match_the_naive_scans_on_corrupted_tables(corruption):
     "law, corruption, want",
     [
         # NotBelow at a down-pair, and at a translated pair
-        (law_setminus_2, ("powerset2", "rc_table", 3, 1, None), "NotBelow"),
+        (law_setminus_2, ("powerset2", "rc_rows", 3, 1, None), "NotBelow"),
         (law_setminus_2, ("powerset2", "table", 1, 0, 1), "NotBelow"),
         (
             law_definition,
@@ -150,10 +150,10 @@ def test_verify_additive_ideal_matches_the_naive_scans_on_corrupted_products(dra
     corruption, classes = drawn
     name = corruption[0]
     bs = corrupted(*corruption).bs
-    drawn_subset = [x for x in reversed(range(bs.size)) if classes[x] == 0]
+    drawn_subset = [x for x in reversed(range(bs.base.size)) if classes[x] == 0]
     for subset in (
         drawn_subset,
-        {bs.zero, *drawn_subset},
+        {bs.base.zero, *drawn_subset},
         *Analysis(corpus_semigroup(name)).ideals,
     ):
         assert verify_additive_ideal(bs, subset) == naive_additive_ideal(bs, subset)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from biskit.boolean import as_boolean, check_boolean, direct_product, k_of_groupoid
 from biskit.core import InvSgp, d_relation_idempotents
 from biskit.corpus import BOOLEAN_NAMES
-from biskit.errors import BiskitError, CertificateFailed, TooLarge
+from biskit.errors import BiskitError, CertificateFailed, NotBelow, TooLarge
 from biskit.groupoid import reconstruct
 from biskit.laws import Analysis, _run_law, law_butterfly
 from biskit import typemon
@@ -70,8 +70,9 @@ def test_tau_table_i2xz2zero():
 
 
 def test_tau_tops():
-    assert type_monoid(boolean("i3")).tau[boolean("i3").top] == (3,)
-    assert type_monoid(boolean("m2z2zero")).tau[boolean("m2z2zero").top] == (2,)
+    for name, top_type in (("i3", (3,)), ("m2z2zero", (2,))):
+        bs = boolean(name)
+        assert type_monoid(bs).tau[bs.base.identity] == top_type
     assert type_monoid(boolean("powerset2")).tau[3] == (1, 1)
 
 
@@ -328,12 +329,13 @@ def test_product_type_concatenates():
     assert product_type_check(boolean("powerset2"), boolean("z2zero"))
 
 
-# -- type_monoid against its complement check read through bs.rc ------------
+# -- type_monoid against its complement check read by definition -----------
 
 
 def rc_type_monoid(bs):
-    """type_monoid with its last check reading f minus e as bs.rc(f, e),
-    off the k*k rc_table."""
+    """type_monoid with its last check reading f minus e by its
+    definition x * (d(x) minus d(y)): f times check_boolean's complement
+    witness for (f, e), for e <= f, and not through bs.rc."""
     bs = as_boolean(bs)
     s = bs.base
     ag = bs.atoms_groupoid
@@ -371,10 +373,13 @@ def rc_type_monoid(bs):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
     for e in s.idempotents:
         for f in filter(s.is_idempotent, s.up[e]):
-            rest = tau.get(bs.rc(f, e))
+            c = bs.complement.get(s.d[f], {}).get(s.d[e]) if e in s.down[f] else None
+            if c is None:
+                raise NotBelow((f, e))
+            w = t[f][c]
+            rest = tau.get(w)
             if rest is None:
-                c = bs.complement[(s.d[f], s.d[e])]
-                raise CertificateFailed(("complement-not-idempotent", f, e, c))
+                raise CertificateFailed(("complement-not-idempotent", f, e, w))
             if tau[f] != tuple(x + y for x, y in zip(tau[e], rest)):
                 raise CertificateFailed(("complement-types-do-not-add", e, f))
     return TypeMonoid(rank, atomic, tau)
@@ -398,7 +403,8 @@ def generated_boolean_structures():
 def test_type_monoid_matches_the_rc_version(name):
     bs = fresh_boolean(name)  # its fields read
     assert type_monoid(bs) == rc_type_monoid(fresh_boolean(name))
-    assert "rc_table" not in bs.__dict__
+    s = bs.base
+    assert all(row.keys() <= set(s.down[x]) for x, row in enumerate(bs.rc_rows))
 
 
 @settings(
@@ -428,14 +434,15 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
         fns = (type_monoid, rc_type_monoid)
         return [type_outcome(fn, corrupt(boolean(name))) for fn in fns]
 
-    k, atoms = boolean(name).size, boolean(name).base.atoms
+    k, atoms = boolean(name).base.size, boolean(name).base.atoms
     for e, f in idempotent_pairs(name):
         for value in (None, *range(k)):
             def set_complement(bs):
-                complement = {**bs.complement, (f, e): value}
+                row = {**bs.complement[f], e: value}
                 if value is None:
-                    del complement[(f, e)]
-                return unchecked(bs, ("rc_table",), complement=complement)
+                    del row[e]
+                complement = {**bs.complement, f: row}
+                return unchecked(bs, ("rc_rows",), complement=complement)
 
             got, want = outcomes(set_complement)
             assert got == want, (e, f, value)
@@ -443,7 +450,7 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
         def drop_from_down(bs):
             s = bs.base
             down = (*s.down[:f], tuple(x for x in s.down[f] if x != e), *s.down[f + 1 :])
-            return unchecked(bs, ("rc_table",), base=unchecked(s, down=down))
+            return unchecked(bs, ("rc_rows",), base=unchecked(s, down=down))
 
         got, want = outcomes(drop_from_down)
         assert got == want, (e, f)
@@ -455,13 +462,15 @@ def test_type_monoid_matches_the_rc_version_on_corruptions(name):
 
 def test_a_complement_that_is_not_idempotent_is_named():
     # i2 with the witness for f minus e overwritten by a non-idempotent id c
-    # whose product f*c is no idempotent either: a typed certificate
-    # failure naming f, e and c, not a KeyError
+    # whose product f*c, read as f minus e, is no idempotent either: a
+    # typed certificate failure naming f, e and that f minus e, not a
+    # KeyError
     bs = boolean("i2")
     s = bs.base
     e, f = idempotent_pairs("i2")[0]
     c = next(c for c in range(s.size) if not s.is_idempotent(s.table[f][c]))
-    bs = unchecked(bs, complement={**bs.complement, (f, e): c})
+    complement = {**bs.complement, f: {**bs.complement[f], e: c}}
+    bs = unchecked(bs, ("rc_rows",), complement=complement)
     with pytest.raises(CertificateFailed) as err:
         type_monoid(bs)
-    assert err.value.witness == ("complement-not-idempotent", f, e, c)
+    assert err.value.witness == ("complement-not-idempotent", f, e, s.table[f][c])

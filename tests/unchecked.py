@@ -8,8 +8,8 @@ for; one kept was read off x's.  An InvSgp given a table gets its view
 (core._view) and its Light-tested generators from that table, by the
 functions InvSgp itself uses, unless they are given too: a table that fails
 Light's test has None, so every generator pass declines and the plain scans
-decide.  One given a meet, join or relative-complement table drops that
-table's view, read off the old one (VIEWS); it is built again by core._view
+decide.  One given a meet or join table, or relative-complement rows, drops
+their view, read off the old one (VIEWS); it is built again by core._view
 when first read.
 """
 
@@ -19,9 +19,9 @@ from biskit.core import InvSgp, _tested_generators, _view
 FROM_TABLE = ("compat_partners", "orth", "restricted_groupoid")
 
 # the view core._view makes of each table: InvSgp.meet_view,
-# InvSgp.join_view (on the compatible partners) and BoolInvSgp.rc_view (on
-# the down-sets)
-VIEWS = {"meet_table": "meet_view", "join_table": "join_view", "rc_table": "rc_view"}
+# InvSgp.join_view (on the compatible partners) and BoolInvSgp.rc_view (of
+# the relative-complement rows, on the down-sets)
+VIEWS = {"meet_table": "meet_view", "join_table": "join_view", "rc_rows": "rc_view"}
 
 
 def unchecked(x, drop=(), **fields):
@@ -46,10 +46,16 @@ def unchecked(x, drop=(), **fields):
 def replaced(rows, a, b, value):
     """rows, a tuple of tuples, with entry [a][b] set to value; for a tuple
     of frozensets, as InvSgp.orth, b is put in set a when value is true and
-    taken out when it is false.  The other rows are shared, not copied."""
+    taken out when it is false; for a tuple of dicts, as
+    BoolInvSgp.rc_rows, key b of dict a is set to value, and taken out when
+    value is None.  The other rows are shared, not copied."""
     row = rows[a]
     if isinstance(row, frozenset):
         row = row | {b} if value else row - {b}
+    elif isinstance(row, dict):
+        row = {**row, b: value}
+        if value is None:
+            del row[b]
     else:
         row = (*row[:b], value, *row[b + 1 :])
     return (*rows[:a], row, *rows[a + 1 :])
