@@ -69,15 +69,21 @@ class BoolInvSgp:
 
     @cached_property
     def rc_rows(self):
-        """Per x, the dict {y: x minus y} over the y <= x, the one stored
-        form of the relative complements: x minus y is x * (d(x) minus
-        d(y)), read off check_boolean's witnesses.  A y of down[x] without
-        one, as when down is overwritten after validation, is no key."""
-        b, d, out = self.base, self.base.d, []
-        for x, row in enumerate(b.table):
-            wit = self.complement.get(d[x], {})
-            out.append({y: row[wit[d[y]]] for y in b.down[x] if d[y] in wit})
-        return tuple(out)
+        """Per x, the dict {y: x minus y} over the y <= x (rc_row), the one
+        stored form of the relative complements."""
+        return tuple(map(self.rc_row, range(self.base.size)))
+
+    def rc_row(self, x):
+        """Row x of rc_rows, once they are built; before that, the row
+        alone, not kept: x minus y is x * (d(x) minus d(y)), read off
+        check_boolean's witnesses.  A y of down[x] without one, as when
+        down is overwritten after validation, is no key."""
+        rows = vars(self).get("rc_rows")
+        if rows is not None:
+            return rows[x]
+        b, d = self.base, self.base.d
+        row, wit = b.table[x], self.complement.get(d[x], {})
+        return {y: row[wit[d[y]]] for y in b.down[x] if d[y] in wit}
 
     @cached_property
     def rc_view(self):
@@ -344,13 +350,14 @@ class KOfGroupoid:
 
     A bisection b is read as the bitmask of its arrows.  r is injective on
     b, so an arrow x composes with at most one y in b, the one with r(y) =
-    d(x): single[x][b], the mask of {x}*b, is one lookup in b's range dict.
-    The setwise product a*b is the union over the arrows x of a of {x}*b.
-    Its terms have distinct ranges, so a*b is (a - {top})*b OR-ed with
-    {top}*b, top the largest arrow of a; a - {top} comes earlier in
-    _bisections' (size, membership) order.  column(c) reads every b*c that
-    way, and table, every product, is built on first read.  A product mask
-    that is not a bisection raises CertificateFailed.
+    d(x): the mask of {x}*b is one lookup in b's range dict.  The setwise
+    product a*b is the union over the arrows x of a of {x}*b.  Its terms
+    have distinct ranges, so a*b is (a - {top})*b OR-ed with {top}*b, top
+    the largest arrow of a; a - {top} comes earlier in _bisections' (size,
+    membership) order (_steps).  column(c) reads every b*c that way from
+    c's range dict alone; table, every product, is built on first read
+    from the {x}*b of every arrow x and bisection b (_single).  A product
+    mask that is not a bisection raises CertificateFailed.
     """
 
     bisections: tuple  # id -> frozenset of groupoid ids
@@ -359,34 +366,42 @@ class KOfGroupoid:
 
     @cached_property
     def _steps(self):
-        """(single, steps, mask_id): steps lists (id of b - {top}, top) for
-        each id b > 0, top its largest arrow; mask_id reads a mask as an id."""
-        g = self.groupoid
-        pt, d, r = g.ptable, g.d, g.r
-        by_range = [{r[y]: y for y in b} for b in self.bisections]
-        single = [
-            [1 << pt[x][rb[d[x]]] if d[x] in rb else 0 for rb in by_range]
-            for x in range(g.size)
-        ]
+        """(steps, mask_id): steps lists (id of b - {top}, top) for each id
+        b > 0, top its largest arrow; mask_id reads a mask as an id."""
         masks = [sum(1 << x for x in a) for a in self.bisections]
         mask_id = {m: i for i, m in enumerate(masks)}
         steps = []
         for m in masks[1:]:
             top = m.bit_length() - 1
             steps.append((mask_id[m ^ (1 << top)], top))
-        return single, steps, mask_id
+        return steps, mask_id
+
+    @cached_property
+    def _single(self):
+        """single[x][b], the mask of {x}*b, for every arrow x and id b; read
+        by table alone."""
+        g = self.groupoid
+        pt, d, r = g.ptable, g.d, g.r
+        by_range = [{r[y]: y for y in b} for b in self.bisections]
+        return [
+            [1 << pt[x][rb[d[x]]] if d[x] in rb else 0 for rb in by_range]
+            for x in range(g.size)
+        ]
 
     def _ids(self, masks):
-        *_, mask_id = self._steps
+        _, mask_id = self._steps
         try:
             return tuple(map(mask_id.__getitem__, masks))
         except KeyError as e:
             raise CertificateFailed(("product-not-a-bisection", e.args[0])) from None
 
     def column(self, c):
-        """b*c for every id b, as ids."""
-        single, steps, _ = self._steps
-        at_c = [row[c] for row in single]
+        """b*c for every id b, as ids: the {x}*c by _single's formula, read
+        off c's range dict alone."""
+        g, (steps, _) = self.groupoid, self._steps
+        pt, d, r = g.ptable, g.d, g.r
+        rc = {r[y]: y for y in self.bisections[c]}
+        at_c = [1 << pt[x][rc[d[x]]] if d[x] in rc else 0 for x in range(g.size)]
         col = [0]  # the empty bisection is id 0
         for rest, top in steps:
             col.append(col[rest] | at_c[top])
@@ -397,7 +412,7 @@ class KOfGroupoid:
         """Rows of ids, table[a][b] = a*b, built a row at a time: n rows of n
         ids, each looked up by _ids, so InvSgp does not check them again
         (_IdRows)."""
-        single, steps, _ = self._steps
+        (steps, _), single = self._steps, self._single
         rows = [(0,) * (len(steps) + 1)]
         for rest, top in steps:
             rows.append(tuple(map(or_, rows[rest], single[top])))

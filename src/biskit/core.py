@@ -144,19 +144,21 @@ def _reaches(rows, gens, goal):
     return goal in seen
 
 
-def _generators(rows):
+def _generators(rows, view=None):
     """An irredundant generating set of the table's product, a subsequence
     of the greedy scan.
 
     Ids are scanned by descending |xS|, the number of distinct entries in
     row x, ties by descending id; one not yet in the closure becomes a
-    generator.  If x = y*z in an associative table, xS = y(zS) is within yS,
-    so |xS| <= |yS|: the scan ranks a product's left factor no lower than
-    the product, and a low element is not picked before the elements that
-    generate it.  The closure grows by right multiplication m*g of its
-    members by the generators, and each (member, generator) pair is
-    multiplied once: done[i] counts the members already multiplied by
-    generator i.  Every member is g, or m*g for an earlier member m and a
+    generator.  The counts are read through view, the table's _view, when
+    one is given (its form's distinct: one translate table per row in the
+    byte form), else by a set of each row.  If x = y*z in an associative
+    table, xS = y(zS) is within yS, so |xS| <= |yS|: the scan ranks a
+    product's left factor no lower than the product, and a low element is
+    not picked before the elements that generate it.  The closure grows
+    by right multiplication m*g of its members by the generators, and each
+    (member, generator) pair is multiplied once: done[i] counts the
+    members already multiplied by generator i.  Every member is g, or m*g for an earlier member m and a
     generator g, so the closure is every product of generators, whatever
     the scan order.  No associativity is assumed.
 
@@ -175,7 +177,9 @@ def _generators(rows):
     """
     gens, members, done = [], [], []
     seen = set()
-    order = sorted(zip(map(len, map(set, rows)), range(len(rows))), reverse=True)
+    k = len(rows)
+    sizes = (_form(view) if view else _Tuples).distinct(view or rows, k)
+    order = sorted(zip(sizes, range(k)), reverse=True)
     for _, x in order:
         if x in seen:
             continue
@@ -262,7 +266,8 @@ class _Bytes:
     join(rows) puts index rows end to end.  A flag table holds 255 at the
     ids flagged and 0, false, at every other byte, byte 255 included, so a
     255 read through it is false.  both(pairs) and defined(view) read
-    flags as little-endian ints (_flagged).
+    flags as little-endian ints (_flagged); distinct(view, k) counts each
+    row's entries by one translate table.
     """
 
     none, ids, view = 255, bytes, _byte_view
@@ -278,6 +283,16 @@ class _Bytes:
         """Per pair of flag rows, the positions flagged in both."""
         read = int.from_bytes
         return _flagged(read(f, "little") & read(g, "little") for f, g in pairs)
+
+    def distinct(view, k):
+        """Per row of view, the number of distinct bytes among its first k,
+        255 (no id) counted as one, as a set of the row counts None: the
+        translate table sending those bytes to 255 holds 255 at each of
+        them and at byte 255, which is one of them only when the row holds
+        it."""
+        marks = b"\xff" * k
+        firsts = (row[:k] for row in view)
+        return [bytes.maketrans(r, marks).count(255) - (255 not in r) for r in firsts]
 
     def defined(view):
         """Per row of view, the positions of its entries other than 255,
@@ -333,6 +348,10 @@ class _Tuples:
         """Per pair of flag rows, the positions flagged in both."""
         ids = itertools.count
         return [tuple(itertools.compress(ids(), map(and_, f, g))) for f, g in pairs]
+
+    def distinct(view, k):
+        """Per row of view, the number of distinct entries."""
+        return map(len, map(set, view))
 
     def defined(view):
         """Per row of view, the positions of its entries other than None,
@@ -403,7 +422,7 @@ def _tested_generators(rows, view):
     """_generators of rows when Light's test on them shows rows
     associative, else None; view is rows' _view, None when an entry is no
     id."""
-    gens = _generators(rows)
+    gens = _generators(rows, view)
     return gens if view is not None and _light_test(view, gens) else None
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .boolean import as_boolean
 from .core import d_relation_idempotents
-from .errors import CertificateFailed, NotRook, TooLarge
+from .errors import CertificateFailed, NotBelow, NotRook, TooLarge
 from .rook import rook_matrix, rook_mul, rook_star
 
 MATRIX_IDEMPOTENT_CAP = 100_000
@@ -35,10 +35,11 @@ def type_monoid(bs):
     orthogonal joins add, equivalent idempotents agree, and the count vector
     separates exactly the idempotent classes connected through the carrier,
     and e and f minus e add up to f for idempotents e <= f.  A check that
-    fails raises CertificateFailed naming it.  f minus e is read through
-    bs.rc, which raises NotBelow off the order, and one, w, that is not an
-    idempotent raises CertificateFailed(("complement-not-idempotent", f, e,
-    w)).
+    fails raises CertificateFailed naming it.  f minus e is read off row f
+    of the relative complements (bs.rc_row), built for the idempotents f
+    alone; an e that row lacks raises NotBelow((f, e)), as bs.rc does, and
+    a w = f minus e that is not an idempotent raises
+    CertificateFailed(("complement-not-idempotent", f, e, w)).
     """
     bs = as_boolean(bs)
     s = bs.base
@@ -68,9 +69,12 @@ def type_monoid(bs):
         for f in s.idempotents:
             if (tau[e] == tau[f]) != (dcls[e] == dcls[f]):
                 raise CertificateFailed(("types-do-not-separate-classes", e, f))
+    minus = {f: bs.rc_row(f) for f in s.idempotents}
     for e in s.idempotents:
         for f in filter(s.is_idempotent, s.up[e]):
-            w = bs.rc(f, e)
+            if e not in minus[f]:
+                raise NotBelow((f, e))
+            w = minus[f][e]
             rest = tau.get(w)
             if rest is None:
                 raise CertificateFailed(("complement-not-idempotent", f, e, w))

@@ -608,6 +608,7 @@ def boundary_table(k):
 def test_a_table_of_255_ids_takes_the_byte_path():
     s = InvSgp(boundary_table(255))
     assert _form(s.view) is _Bytes
+    assert s.associative_generators == _generators(s.table)  # ranked by sets
     assert_all_agree(s, gens=_generators(s.table))
     with pytest.MonkeyPatch.context() as mp:
         refuse(mp, WITNESS_SCANS + TWINS)
@@ -620,14 +621,16 @@ def test_a_table_of_255_ids_takes_the_byte_path():
 
 def test_256_ids_take_the_tuple_form_of_the_same_kernels():
     # every view is its table itself, and every kernel accepts, so no
-    # witness scan runs; law definition's B3 reads by rows
-    calls = []
+    # witness scan runs; law definition's B3 reads by rows, and the
+    # generators are ranked without the byte count
+    calls, table = [], boundary_table(256)
     with pytest.MonkeyPatch.context() as mp:
-        refuse(mp, WITNESS_SCANS)
+        refuse(mp, [*WITNESS_SCANS, (_Bytes, "distinct")])
         count_calls(mp, TWINS, calls)
-        c = Analysis(InvSgp(boundary_table(256)))
+        c = Analysis(InvSgp(table))
         assert c.check.boolean
         s = c.s
+        assert s.associative_generators == _generators(s.table)
         assert s.view is s.table and s.meet_view is s.meet_table
         assert s.join_view is s.join_table and c.bs.rc_view is c.bs.rc_rows
         assert [law(c) for law in VIEW_LAWS] == [None] * len(VIEW_LAWS)

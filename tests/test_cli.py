@@ -359,20 +359,32 @@ def test_build_report_validates_i4_once():
 
 
 def test_build_report_builds_no_rc_table(monkeypatch):
-    # type_monoid reads its complements through bs.rc, whose rows hold the
-    # down-pairs of I4 and no k*k table
-    made, init = [], BoolInvSgp.__init__
+    # type_monoid reads the relative complements of its idempotent rows
+    # alone (bs.rc_row): the rows of all 209 ids of I4 are left unbuilt, and
+    # each row read is the one they hold once built
+    made, read, init, row_of = [], {}, BoolInvSgp.__init__, BoolInvSgp.rc_row
 
     def kept_init(self, *args):
         made.append(self)
         init(self, *args)
 
+    def kept_row(self, x):
+        read[x] = row_of(self, x)
+        return read[x]
+
     monkeypatch.setattr(BoolInvSgp, "__init__", kept_init)
+    monkeypatch.setattr(BoolInvSgp, "rc_row", kept_row)
     rep = build_report(InvSgp(symmetric_inverse_table(4)))
     assert rep.type_monoid_rank == 1
     assert len(made) == 1
-    s, rows = made[0].base, made[0].rc_rows
+    bs = made[0]
+    assert "rc_rows" not in vars(bs)
+    s = bs.base
+    assert sorted(read) == sorted(s.idempotents)
+    idempotent_rows = dict(read)  # building every row below reads them all
+    rows = bs.rc_rows
     assert all(row.keys() <= set(s.down[x]) for x, row in enumerate(rows))
+    assert all(row == rows[f] for f, row in idempotent_rows.items())
 
 
 @pytest.mark.parametrize("name", ["i4", *BOOLEAN_NAMES])

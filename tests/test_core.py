@@ -745,7 +745,9 @@ def assert_generators_decide_associativity(rows, want):
     by the others, they generate every id (by right multiplication alone
     when the table is associative), and Light's test on them accepts
     exactly the tables the scan finds no triple in, read by rows and
-    through either form of the table's view."""
+    through either form of the table's view.  Either form's count of the
+    distinct entries of each row is the set's, so the generators ranked
+    through the view are those ranked by a set of each row."""
     gens = _generators(rows)
     greedy = iter(greedy_scan(rows))
     assert all(g in greedy for g in gens)  # a subsequence
@@ -757,7 +759,17 @@ def assert_generators_decide_associativity(rows, want):
         assert generated_closure(rows, gens) == every
     assert light_test_by_rows(rows, gens) == (want is None)
     for form in (_Bytes, _Tuples):
-        assert _light_test(form.view(rows, len(rows)), gens) == (want is None)
+        view = form.view(rows, len(rows))
+        assert _light_test(view, gens) == (want is None)
+        assert list(form.distinct(view, len(rows))) == [len(set(r)) for r in rows]
+        assert _generators(rows, view) == gens
+
+
+def test_either_form_counts_no_id_as_one_distinct_entry():
+    # byte 255 in the byte form, None in the tuple form, as a set counts it
+    rows = ((0, None, 1), (None, None, None), (2, 2, 2))
+    for form in (_Bytes, _Tuples):
+        assert list(form.distinct(form.view(rows, 3), 3)) == [3, 1, 1]
 
 
 def assert_kernels_match_oracles(table):

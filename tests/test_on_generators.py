@@ -116,9 +116,10 @@ def test_a_corrupted_structure_is_a_new_object():
 # -- decisions that do not depend on the generating set ------------------------
 
 
-def descending_id_generators(rows):
+def descending_id_generators(rows, view=None):
     """The generating set of a scan of ids from the top: the largest id not
-    yet generated, until every id is."""
+    yet generated, until every id is; the view _generators ranks through
+    is not read."""
     gens, closure = [], set()
     for x in reversed(range(len(rows))):
         if x not in closure:

@@ -645,7 +645,7 @@ def test_k_column_matches_pairwise_product_oracle(name):
     kg, table = k_of_groupoid(g), oracle_k_table(g)
     for c in range(len(table)):
         assert kg.column(c) == tuple(row[c] for row in table)
-    assert "table" not in kg.__dict__
+    assert "table" not in kg.__dict__ and "_single" not in kg.__dict__
 
 
 @settings(max_examples=25, deadline=None)
@@ -658,10 +658,14 @@ def test_k_column_matches_oracle_on_generated_forms(form):
 
 
 def refuse_k_tables(mp):
-    def refused(kg):
-        raise AssertionError("KOfGroupoid.table built")
+    """Refuse K's table and the masks {x}*b of every arrow x and bisection
+    b (KOfGroupoid._single) that only the table reads."""
+    for name in ("table", "_single"):
 
-    mp.setattr(KOfGroupoid, "table", property(refused))
+        def refused(kg, name=name):
+            raise AssertionError(f"KOfGroupoid.{name} built")
+
+        mp.setattr(KOfGroupoid, name, property(refused))
 
 
 NO_K_TABLES = {
